@@ -35,7 +35,7 @@ from .core import (
 )
 from .families import CutFamilies, compute_families, is_in_tight
 from .pathsearch import AdmissiblePath, admissible_path_in_tminus, admissible_path_in_tplus
-from .separator import _solve, hyperarc_connectivity
+from .separator import connectivity, hyperarc_connectivity
 
 
 class NotPartitionConnectedError(RuntimeError):
@@ -100,44 +100,6 @@ def _potential(fam: CutFamilies) -> tuple[int, int]:
     return (len(fam.m_all), -sum(len(x) for x in fam.m_all))
 
 
-def _lambda_capped(h: Hypergraph, o: Orientation, cap: int) -> int:
-    """Exact connectivity, computed with flows capped at ``cap``; valid
-    whenever the true value is below ``cap``."""
-    best = cap
-    for v in range(1, h.n):
-        for src, snk in ((0, v), (v, 0)):
-            value, _ = _solve(
-                h,
-                o,
-                "out",
-                VertexSet.singleton(h.n, src),
-                VertexSet.singleton(h.n, snk),
-                limit=best,
-            )
-            if value < best:
-                best = value
-                if best == 0:
-                    return 0
-    return best
-
-
-def _drop_certificate(h: Hypergraph, o: Orientation, k: int) -> Optional[VertexSet]:
-    """A vertex set with out-degree below ``k``, if one is cheap to find."""
-    for v in range(1, h.n):
-        for src, snk in ((0, v), (v, 0)):
-            value, sep = _solve(
-                h,
-                o,
-                "out",
-                VertexSet.singleton(h.n, src),
-                VertexSet.singleton(h.n, snk),
-                limit=k,
-            )
-            if sep is not None and value < k:
-                return sep
-    return None
-
-
 def augment_one(
     h: Hypergraph,
     o: Orientation,
@@ -171,7 +133,7 @@ def augment_one(
                 break
             raise NotPartitionConnectedError(
                 f"connectivity dropped to {fam.k} below level {k}",
-                certificate=_drop_certificate(h, cur, k),
+                certificate=connectivity(h, cur, cap=k)[1],
             )
         pot = _potential(fam)
         if prev_potential is not None and not pot < prev_potential:
@@ -213,11 +175,11 @@ def augment_one(
             if old_head != arc.head:
                 raise InvariantViolation(f"edge {arc.edge} changed head mid-path")
             cur = reorient(cur, arc.edge, arc.tail)
-            lam_after = _lambda_capped(h, cur, cap=lam_cur + 2)
+            lam_after, witness = connectivity(h, cur, cap=lam_cur + 2)
             if lam_after < k:
                 raise NotPartitionConnectedError(
                     f"connectivity dropped to {lam_after} during a path at level {k}",
-                    certificate=_drop_certificate(h, cur, k),
+                    certificate=witness,
                 )
             steps.append(ReorientationStep(arc.edge, old_head, arc.tail, lam_after))
             lam_cur = lam_after
@@ -308,15 +270,19 @@ class VerifyReport:
 def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     """Independent certification of a trace.
 
-    Replays every step, recomputes the connectivity after each, and checks:
-    steps are single legal reorientations, the recomputed connectivity
-    matches the recorded one and never decreases, the final connectivity
-    equals the claim and reaches the target, and the step count respects the
-    ``(k_target - lambda_initial) * n^3`` bound.
+    First checks that the step count respects the ``(k_target -
+    lambda_initial) * n^3`` bound, so an over-long trace is rejected before
+    any replay.  Then replays every step, recomputes the connectivity after
+    each, and checks: steps are single legal reorientations, the recomputed
+    connectivity matches the recorded one and never decreases, and the final
+    connectivity equals the claim and reaches the target.
     """
-    failures: list[VerifyFailure] = []
     if trace.initial.hypergraph != h:
         return VerifyReport((VerifyFailure(None, "trace initial orientation is for a different hypergraph"),))
+    bound = max(0, trace.k_target - trace.lambda_initial) * h.n**3
+    if len(trace.steps) > bound:
+        return VerifyReport((VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"),))
+    failures: list[VerifyFailure] = []
     lam = hyperarc_connectivity(h, trace.initial)
     if lam != trace.lambda_initial:
         failures.append(
@@ -338,7 +304,7 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
             failures.append(VerifyFailure(i, f"illegal new head {step.new_head} for edge {step.edge}"))
             break
         cur = reorient(cur, step.edge, step.new_head)
-        lam_after = _lambda_capped(h, cur, cap=lam + 2)
+        lam_after = connectivity(h, cur, cap=lam + 2)[0]
         if lam_after != step.lambda_after:
             failures.append(
                 VerifyFailure(i, f"connectivity after step is {lam_after}, step claims {step.lambda_after}")
@@ -358,7 +324,4 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
                     f"trace ends at connectivity {trace.lambda_final}, below target {trace.k_target}",
                 )
             )
-        bound = max(0, trace.k_target - trace.lambda_initial) * h.n**3
-        if len(trace.steps) > bound:
-            failures.append(VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"))
     return VerifyReport(tuple(failures))

@@ -40,7 +40,7 @@ from .core import (
     minimal_members,
     out_degree,
 )
-from .separator import _solve, hyperarc_connectivity
+from .separator import _solve, hyperarc_connectivity, network
 
 ROOT = 0
 
@@ -90,39 +90,39 @@ def is_out_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int
     return out_degree(h, o, x) == k + 1
 
 
-def q_minus(h: Hypergraph, o: Orientation, k: int, v: int) -> VertexSet:
-    """Unique minimal in-tight set containing ``v`` (the full set if none).
+def _minimal_tight(
+    h: Hypergraph, o: Orientation, k: int, side: str, x: VertexSet, g=None
+) -> VertexSet | None:
+    """Inclusion-minimal set of ``side``-degree ``k`` that contains ``x`` and
+    avoids the root, or ``None``.
 
-    Minimality comes from a capped separator query: the minimum in-degree
-    over sets containing ``v`` and avoiding the root is at least ``k``, and
-    the inclusion-minimal minimizer is unique by submodularity.
+    Minimality comes from a capped separator query: at level ``k`` the
+    minimum degree over such sets is at least ``k``, and the
+    inclusion-minimal minimizer is unique by submodularity.  ``g`` is the
+    prebuilt ``network(h, o, side)``, if any.
     """
+    value, sep = _solve(h, o, side, x, VertexSet.singleton(h.n, ROOT), limit=k + 1, g=g)
+    return sep if value == k else None
+
+
+def _q(h: Hypergraph, o: Orientation, k: int, v: int, side: str, g=None) -> VertexSet:
     if not 0 <= v < h.n:
         raise PreconditionError(f"vertex {v} out of range")
     full = VertexSet.full(h.n)
     if v == ROOT:
         return full
-    value, sep = _solve(
-        h, o, "in", VertexSet.singleton(h.n, v), VertexSet.singleton(h.n, ROOT), limit=k + 1
-    )
-    if value == k and sep is not None:
-        return sep
-    return full
+    sep = _minimal_tight(h, o, k, side, VertexSet.singleton(h.n, v), g)
+    return full if sep is None else sep
+
+
+def q_minus(h: Hypergraph, o: Orientation, k: int, v: int) -> VertexSet:
+    """Unique minimal in-tight set containing ``v`` (the full set if none)."""
+    return _q(h, o, k, v, "in")
 
 
 def q_plus(h: Hypergraph, o: Orientation, k: int, v: int) -> VertexSet:
     """Unique minimal out-tight set containing ``v`` (the full set if none)."""
-    if not 0 <= v < h.n:
-        raise PreconditionError(f"vertex {v} out of range")
-    full = VertexSet.full(h.n)
-    if v == ROOT:
-        return full
-    value, sep = _solve(
-        h, o, "out", VertexSet.singleton(h.n, v), VertexSet.singleton(h.n, ROOT), limit=k + 1
-    )
-    if value == k and sep is not None:
-        return sep
-    return full
+    return _q(h, o, k, v, "out")
 
 
 def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
@@ -152,15 +152,9 @@ def compute_families(h: Hypergraph, o: Orientation, level: int | None = None) ->
         k = level
     n = h.n
     full = VertexSet.full(n)
-    root_only = VertexSet.singleton(n, ROOT)
-
-    qm = [full] * n
-    qp = [full] * n
-    for v in range(n):
-        if v == ROOT:
-            continue
-        qm[v] = q_minus(h, o, k, v)
-        qp[v] = q_plus(h, o, k, v)
+    g_in, g_out = network(h, o, "in"), network(h, o, "out")
+    qm = [_q(h, o, k, v, "in", g_in) for v in range(n)]
+    qp = [_q(h, o, k, v, "out", g_out) for v in range(n)]
 
     proper_m_minus = minimal_members(s for s in qm if not s.is_full)
     proper_m_plus = minimal_members(s for s in qp if not s.is_full)
@@ -168,16 +162,9 @@ def compute_families(h: Hypergraph, o: Orientation, level: int | None = None) ->
     m_plus = proper_m_plus if proper_m_plus else (full,)
     m_all = minimal_members(m_minus + m_plus)
 
-    candidates = []
-    for t_set in proper_m_plus:
-        value, sep = _solve(h, o, "in", t_set, root_only, limit=k + 1)
-        if value == k and sep is not None:
-            candidates.append(sep)
-    for s_set in proper_m_minus:
-        value, sep = _solve(h, o, "out", s_set, root_only, limit=k + 1)
-        if value == k and sep is not None:
-            candidates.append(sep)
-    proper_r = minimal_members(candidates)
+    candidates = [_minimal_tight(h, o, k, "in", t_set, g_in) for t_set in proper_m_plus]
+    candidates += [_minimal_tight(h, o, k, "out", s_set, g_out) for s_set in proper_m_minus]
+    proper_r = minimal_members(c for c in candidates if c is not None)
     r_family = proper_r if proper_r else (full,)
 
     fam = CutFamilies(
@@ -219,11 +206,12 @@ def _safe_endpoint(
     if deg(h, o, member_set) == k:
         return False
     q_sets = fam.q_plus if side == "out" else fam.q_minus
+    g = network(h, o, side)
     for v in member_set:
         if v == u:
             continue
         avoid = VertexSet(h.n, (v, fam.r))
-        value, sep = _solve(h, o, side, VertexSet.singleton(h.n, u), avoid, limit=k + 2)
+        value, sep = _solve(h, o, side, VertexSet.singleton(h.n, u), avoid, limit=k + 2, g=g)
         if value == k:
             return False
         if value == k + 1 and sep is not None:

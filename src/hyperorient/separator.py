@@ -6,23 +6,25 @@ unit-capacity arc ``w_e -> v`` plus an unsaturable arc ``x -> w_e`` for every
 tail ``x`` in ``X`` (capacity ``m + 1``, which no flow can fill because every
 source-sink path crosses some unit arc).  A minimum cut in that digraph is a
 minimum out-degree separator of the hypergraph, and the set of nodes
-reachable from the source in the final residual network is the unique
+reachable from the sources in the final residual network is the unique
 inclusion-minimal minimizer.  In-degree separators use the arc-reversed
 digraph.
 
-Vertex ``i`` is node ``i``; the node for edge ``e`` is ``n + e``.  When a
-query needs several sources or sinks they are merged through super-nodes
-``n + m`` and ``n + m + 1``.
+Vertex ``i`` is node ``i``; the node for edge ``e`` is ``n + e``.  A query
+with several sources or sinks runs one multi-terminal flow: every source
+seeds the residual search and reaching any sink ends it.  The digraph builds
+its residual arrays once, so every query on one orientation and side can
+share one :class:`IncidenceDigraph`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from .core import (
     Hypergraph,
+    InvariantViolation,
     Orientation,
     PreconditionError,
     VertexSet,
@@ -32,17 +34,41 @@ from .core import (
 
 @dataclass(frozen=True)
 class IncidenceDigraph:
-    """Capacitated digraph as a plain arc list ``(from, to, capacity)``."""
+    """Capacitated digraph as a plain arc list ``(from, to, capacity)``.
+
+    The residual arrays are derived once: residual arc ``2j`` is input arc
+    ``j`` and ``2j + 1`` its reverse; ``arc_head`` and ``arc_cap`` (the
+    capacities before any flow) are indexed by residual arc, and ``adj[u]``
+    lists the residual arcs leaving ``u`` in ascending ``(head, index)``
+    order, so every flow explores in a reproducible order.
+    """
 
     n_nodes: int
     arcs: tuple[tuple[int, int, int], ...]
+    arc_head: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    arc_cap: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        head: list[int] = []
+        cap: list[int] = []
+        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for u, v, c in self.arcs:
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
                 raise PreconditionError("arc endpoint out of range")
             if u == v or c <= 0:
                 raise PreconditionError("arcs need distinct endpoints and positive capacity")
+            adj[u].append(len(head))
+            head.append(v)
+            cap.append(c)
+            adj[v].append(len(head))
+            head.append(u)
+            cap.append(0)
+        for lst in adj:
+            lst.sort(key=head.__getitem__)  # stable: ties keep ascending index
+        object.__setattr__(self, "arc_head", tuple(head))
+        object.__setattr__(self, "arc_cap", tuple(cap))
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
 
 
 def incidence_digraph(h: Hypergraph, o: Orientation, reverse: bool = False) -> IncidenceDigraph:
@@ -61,83 +87,88 @@ def incidence_digraph(h: Hypergraph, o: Orientation, reverse: bool = False) -> I
     return IncidenceDigraph(n + m, tuple(arcs))
 
 
+def network(h: Hypergraph, o: Orientation, side: str) -> IncidenceDigraph:
+    """The digraph that ``side`` queries (``'out'`` or ``'in'``) run on."""
+    return incidence_digraph(h, o, reverse=(side == "in"))
+
+
+def _terminals(nodes: Iterable[int]) -> list[int]:
+    if isinstance(nodes, int):
+        return [nodes]
+    try:
+        return list(nodes)
+    except TypeError:
+        raise PreconditionError("sources and sinks must be node collections or single nodes") from None
+
+
 def max_flow_min_cut(
     g: IncidenceDigraph,
-    source: int,
-    sink: int,
+    sources: Iterable[int],
+    sinks: Iterable[int],
     limit: Optional[int] = None,
 ) -> tuple[int, Optional[frozenset[int]]]:
-    """Shortest-augmenting-path max flow with the minimal min-cut side.
+    """Shortest-augmenting-path max flow from a node set to a disjoint node
+    set, with the minimal min-cut side.  A single node may stand for a
+    one-node set.
 
     Returns ``(value, nodes)`` where ``nodes`` is everything reachable from
-    the source in the final residual network: the source side of the unique
+    the sources in the final residual network: the source side of the unique
     inclusion-minimal minimum cut.  With ``limit`` set, augmentation stops
     once ``limit`` units flow; the result is then ``(limit, None)`` and means
     "the max flow is at least ``limit``".
 
-    Residual BFS scans neighbors in ascending node order, so intermediate
-    states are reproducible (the final reachable set is unique regardless).
+    Each round is a breadth-first search seeded with every source that stops
+    at the first sink it labels; the round that labels none has labelled
+    exactly the residual-reachable side.
     """
-    if source == sink:
-        raise PreconditionError("source and sink must differ")
-    if not (0 <= source < g.n_nodes and 0 <= sink < g.n_nodes):
+    n_nodes = g.n_nodes
+    roots, targets = _terminals(sources), _terminals(sinks)
+    if not roots or not targets:
+        raise PreconditionError("sources and sinks must be nonempty")
+    if not all(0 <= x < n_nodes for x in roots + targets):
         raise PreconditionError("source or sink out of range")
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(g.n_nodes)]
-    for u, v, c in g.arcs:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-    for lst in adj:
-        lst.sort(key=lambda i: (to[i], i))
+    is_sink = [False] * n_nodes
+    for t in targets:
+        is_sink[t] = True
+    if any(is_sink[s] for s in roots):
+        raise PreconditionError("sources and sinks must be disjoint")
+    head, adj = g.arc_head, g.adj
+    cap = list(g.arc_cap)
 
     flow = 0
     while limit is None or flow < limit:
-        parent = [-1] * g.n_nodes
-        parent[source] = -2
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
+        parent = [-1] * n_nodes
+        for s in roots:
+            parent[s] = -2
+        queue = list(roots)
+        hit = -1
+        for u in queue:  # the list grows while it is scanned
             for i in adj[u]:
-                v = to[i]
-                if cap[i] > 0 and parent[v] == -1:
-                    parent[v] = i
-                    queue.append(v)
-        if parent[sink] == -1:
-            break
-        bottleneck = None
-        v = sink
-        while v != source:
-            i = parent[v]
-            bottleneck = cap[i] if bottleneck is None else min(bottleneck, cap[i])
-            v = to[i ^ 1]
-        if limit is not None:
-            bottleneck = min(bottleneck, limit - flow)
-        v = sink
-        while v != source:
-            i = parent[v]
+                if cap[i] > 0:
+                    v = head[i]
+                    if parent[v] == -1:
+                        parent[v] = i
+                        if is_sink[v]:
+                            hit = v
+                            break
+                        queue.append(v)
+            if hit >= 0:
+                break
+        if hit < 0:
+            return flow, frozenset(v for v in range(n_nodes) if parent[v] != -1)
+        bottleneck = None if limit is None else limit - flow
+        v = hit
+        while (i := parent[v]) >= 0:
+            if bottleneck is None or cap[i] < bottleneck:
+                bottleneck = cap[i]
+            v = head[i ^ 1]
+        v = hit
+        while (i := parent[v]) >= 0:
             cap[i] -= bottleneck
             cap[i ^ 1] += bottleneck
-            v = to[i ^ 1]
+            v = head[i ^ 1]
         flow += bottleneck
-    if limit is not None and flow >= limit:
-        return flow, None
-
-    seen = [False] * g.n_nodes
-    seen[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for i in adj[u]:
-            v = to[i]
-            if cap[i] > 0 and not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return flow, frozenset(i for i in range(g.n_nodes) if seen[i])
+    return flow, None
 
 
 @dataclass(frozen=True)
@@ -156,27 +187,18 @@ def _solve(
     source_set: VertexSet,
     avoid_set: VertexSet,
     limit: Optional[int] = None,
+    g: Optional[IncidenceDigraph] = None,
 ) -> tuple[int, Optional[VertexSet]]:
     """Minimize out-degree (``side='out'``) or in-degree (``side='in'``) over
     vertex sets that contain all of ``source_set`` and avoid ``avoid_set``.
 
     Returns ``(value, minimal minimizer)``; ``(limit, None)`` when the
-    minimum is at least ``limit``.
+    minimum is at least ``limit``.  ``g`` is ``network(h, o, side)`` when the
+    caller already holds it.
     """
-    if source_set.is_empty or avoid_set.is_empty:
-        raise PreconditionError("source and avoid sets must be nonempty")
-    if source_set.mask & avoid_set.mask:
-        raise PreconditionError("source and avoid sets overlap")
-    g = incidence_digraph(h, o, reverse=(side == "in"))
-    ss, tt = g.n_nodes, g.n_nodes + 1
-    big = h.m + 1
-    arcs = list(g.arcs)
-    for x in source_set:
-        arcs.append((ss, x, big))
-    for y in avoid_set:
-        arcs.append((y, tt, big))
-    extended = IncidenceDigraph(g.n_nodes + 2, tuple(arcs))
-    value, reach = max_flow_min_cut(extended, ss, tt, limit=limit)
+    if g is None:
+        g = network(h, o, side)
+    value, reach = max_flow_min_cut(g, source_set, avoid_set, limit=limit)
     if reach is None:
         return value, None
     mask = 0
@@ -185,7 +207,7 @@ def _solve(
             mask |= 1 << node
     separator = VertexSet.from_mask(h.n, mask)
     if not source_set <= separator or separator.mask & avoid_set.mask:
-        raise PreconditionError("internal: separator missed its constraints")
+        raise InvariantViolation("separator missed its constraints")
     return value, separator
 
 
@@ -217,28 +239,41 @@ def min_in_separator(h: Hypergraph, o: Orientation, t: int, sources: VertexSet) 
     return SeparatorResult(value, separator)
 
 
-def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
-    """Largest ``k`` such that every nonempty proper vertex set has
-    out-degree at least ``k``.
+def connectivity(
+    h: Hypergraph, o: Orientation, cap: Optional[int] = None
+) -> tuple[int, Optional[VertexSet]]:
+    """Hyperarc-connectivity with a set attaining it, as ``(value, x)``.
+
+    ``value`` is exact whenever it is below ``cap`` (a value equal to
+    ``cap`` means "at least ``cap``").  ``x`` is a vertex set of out-degree
+    ``value``, or ``None`` when no set has out-degree below ``cap``.
 
     Every candidate set either contains vertex 0 or misses it, so the
     minimum over all sets equals the minimum over separator queries between
-    vertex 0 and each other vertex, in both directions.
+    vertex 0 and each other vertex, in both directions.  All of them run on
+    one network, each flow capped at the best value so far.
     """
-    _same_instance(h, o)
-    best = h.m + 1
-    for v in range(1, h.n):
-        for src, snk in ((0, v), (v, 0)):
-            value, _ = _solve(
-                h,
-                o,
-                "out",
-                VertexSet.singleton(h.n, src),
-                VertexSet.singleton(h.n, snk),
-                limit=best,
-            )
-            if value < best:
-                best = value
-                if best == 0:
-                    return 0
-    return best
+    g = network(h, o, "out")
+    best = h.m + 1 if cap is None else cap
+    found = None
+    for src, snk in ((s, t) for v in range(1, h.n) for s, t in ((0, v), (v, 0))):
+        if best == 0:
+            break
+        value, sep = _solve(
+            h,
+            o,
+            "out",
+            VertexSet.singleton(h.n, src),
+            VertexSet.singleton(h.n, snk),
+            limit=best,
+            g=g,
+        )
+        if value < best:
+            best, found = value, sep
+    return best, found
+
+
+def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
+    """Largest ``k`` such that every nonempty proper vertex set has
+    out-degree at least ``k``."""
+    return connectivity(h, o)[0]

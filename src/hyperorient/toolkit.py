@@ -10,8 +10,9 @@ every edge id exactly once, any order.
 Trace format: one JSON object per line.  A header
 ``{"n":.., "m":.., "lambda_initial":.., "k_target":..}``, then
 ``{"step": i, "edge": e, "old_head": u, "new_head": v, "lambda": l}`` per
-step (1-based), then a ``{"lambda_final":.., "steps":..}`` footer.  The
-initial orientation is not embedded; it travels as a ``.or`` file.
+step (1-based), then a ``{"lambda_final":.., "steps":..}`` footer.  Every
+field is a JSON integer.  The initial orientation is not embedded; it
+travels as a ``.or`` file.
 """
 
 from __future__ import annotations
@@ -195,6 +196,21 @@ def format_trace(trace: ReorientationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_record(lineno: int, rec, what: str, keys: tuple[str, ...]) -> None:
+    """Check that a trace line is a JSON object whose fields ``keys`` are all
+    integers (``true``, ``"0"`` and ``1e9`` are not)."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"line {lineno}: {what} must be a JSON object")
+    for key in keys:
+        if key not in rec:
+            raise ParseError(f"line {lineno}: {what} misses {key!r}")
+        if type(rec[key]) is not int:
+            raise ParseError(
+                f"line {lineno}: {what} field {key!r} must be an integer, "
+                f"got {type(rec[key]).__name__}"
+            )
+
+
 def parse_trace(text: str, initial: Orientation) -> ReorientationTrace:
     """Parse a trace file against the orientation it starts from."""
     h = initial.hypergraph
@@ -210,20 +226,14 @@ def parse_trace(text: str, initial: Orientation) -> ReorientationTrace:
     if len(records) < 2:
         raise ParseError("line 1: trace needs a header and a footer")
     lineno, header = records[0]
-    for key in ("n", "m", "lambda_initial", "k_target"):
-        if key not in header:
-            raise ParseError(f"line {lineno}: header misses {key!r}")
+    _int_record(lineno, header, "header", ("n", "m", "lambda_initial", "k_target"))
     if header["n"] != h.n or header["m"] != h.m:
         raise ParseError(f"line {lineno}: header is for a different hypergraph")
-    lineno, footer = records[-1]
-    for key in ("lambda_final", "steps"):
-        if key not in footer:
-            raise ParseError(f"line {lineno}: footer misses {key!r}")
+    footer_line, footer = records[-1]
+    _int_record(footer_line, footer, "footer", ("lambda_final", "steps"))
     steps = []
     for expected, (lineno, rec) in enumerate(records[1:-1], start=1):
-        for key in ("step", "edge", "old_head", "new_head", "lambda"):
-            if key not in rec:
-                raise ParseError(f"line {lineno}: step misses {key!r}")
+        _int_record(lineno, rec, "step", ("step", "edge", "old_head", "new_head", "lambda"))
         if rec["step"] != expected:
             raise ParseError(f"line {lineno}: step index {rec['step']}, expected {expected}")
         steps.append(
@@ -235,7 +245,7 @@ def parse_trace(text: str, initial: Orientation) -> ReorientationTrace:
             )
         )
     if footer["steps"] != len(steps):
-        raise ParseError(f"line {records[-1][0]}: footer claims {footer['steps']} steps, found {len(steps)}")
+        raise ParseError(f"line {footer_line}: footer claims {footer['steps']} steps, found {len(steps)}")
     return ReorientationTrace(
         initial=initial,
         k_target=header["k_target"],

@@ -14,6 +14,7 @@ from hyperorient import (
     hyperarc_connectivity,
     hypergraph,
     parse_trace,
+    separator,
     verify_trace,
 )
 from corpus import random_instances
@@ -181,6 +182,25 @@ class TestVerifyTrace:
         report = verify_trace(h, inflated)
         assert not report.ok
         assert any("below target" in f.message for f in report.failures)
+
+    def test_overlong_trace_rejected_before_replay(self, monkeypatch):
+        # 400 legal flips of one edge on n = 3, bound (2 - 0) * 3^3 = 54
+        h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
+        o = Orientation(h, (1, 2, 0))
+        steps = tuple(
+            ReorientationStep(0, 1, 0, 0) if i % 2 == 0 else ReorientationStep(0, 0, 1, 0)
+            for i in range(400)
+        )
+        forged = ReorientationTrace(o, 2, 0, 2, steps)
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the step bound was checked")
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", no_flow)
+        report = verify_trace(h, forged)
+        assert [(f.step, f.message) for f in report.failures] == [
+            (None, "400 steps exceed the bound 54")
+        ]
 
     def test_empty_trace_on_connected_input_passes(self):
         h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])

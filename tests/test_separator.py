@@ -1,19 +1,29 @@
+import random
+
 import pytest
 
 from hyperorient import (
+    GenSpec,
     IncidenceDigraph,
+    InvariantViolation,
     Orientation,
     PreconditionError,
     VertexSet,
     bf_lambda,
     bf_min_separator,
+    gen_instance,
+    gen_orientation,
     hyperarc_connectivity,
     hypergraph,
     incidence_digraph,
     max_flow_min_cut,
     min_in_separator,
     min_out_separator,
+    out_degree,
+    reorient,
+    separator,
 )
+from hyperorient.separator import connectivity
 from corpus import random_instances, vs
 
 
@@ -25,26 +35,110 @@ def three_cycle():
 class TestMaxFlow:
     def test_parallel_arcs_as_capacity(self):
         g = IncidenceDigraph(2, ((0, 1, 2),))
-        assert max_flow_min_cut(g, 0, 1) == (2, frozenset({0}))
+        assert max_flow_min_cut(g, [0], [1]) == (2, frozenset({0}))
 
     def test_unit_path(self):
         g = IncidenceDigraph(3, ((0, 1, 1), (1, 2, 1)))
-        assert max_flow_min_cut(g, 0, 2) == (1, frozenset({0}))
+        assert max_flow_min_cut(g, [0], [2]) == (1, frozenset({0}))
 
     def test_disconnected_source_component(self):
         g = IncidenceDigraph(4, ((0, 1, 3), (2, 3, 1)))
-        value, side = max_flow_min_cut(g, 0, 3)
+        value, side = max_flow_min_cut(g, [0], [3])
         assert value == 0 and side == frozenset({0, 1})
 
     def test_limit_caps_work(self):
         g = IncidenceDigraph(2, ((0, 1, 5),))
-        assert max_flow_min_cut(g, 0, 1, limit=3) == (3, None)
-        assert max_flow_min_cut(g, 0, 1, limit=9) == (5, frozenset({0}))
+        assert max_flow_min_cut(g, [0], [1], limit=3) == (3, None)
+        assert max_flow_min_cut(g, [0], [1], limit=9) == (5, frozenset({0}))
 
     def test_source_equals_sink_rejected(self):
         g = IncidenceDigraph(2, ((0, 1, 1),))
         with pytest.raises(PreconditionError):
-            max_flow_min_cut(g, 1, 1)
+            max_flow_min_cut(g, [1], [1])
+
+    def test_terminal_sets_validated(self):
+        g = IncidenceDigraph(3, ((0, 1, 1), (1, 2, 1)))
+        for sources, sinks in (([], [2]), ([0], []), ([0], [3]), ([-1], [2]), ([0, 2], [2, 1])):
+            with pytest.raises(PreconditionError):
+                max_flow_min_cut(g, sources, sinks)
+
+    def test_single_node_terminals(self):
+        g = IncidenceDigraph(3, ((0, 1, 1), (1, 2, 1)))
+        assert max_flow_min_cut(g, 0, 2) == max_flow_min_cut(g, [0], [2])
+        assert max_flow_min_cut(g, 0, [1, 2]) == (1, frozenset({0}))
+
+    def test_non_collection_terminals_rejected(self):
+        g = IncidenceDigraph(3, ((0, 1, 1), (1, 2, 1)))
+        for sources, sinks in ((None, [2]), ([0], 2.0)):
+            with pytest.raises(PreconditionError, match="node collections"):
+                max_flow_min_cut(g, sources, sinks)
+
+    def test_multi_terminal(self):
+        # two sources feeding one sink through separate unit arcs
+        g = IncidenceDigraph(4, ((0, 2, 1), (1, 2, 1), (2, 3, 5)))
+        assert max_flow_min_cut(g, [0, 1], [3]) == (2, frozenset({0, 1}))
+        assert max_flow_min_cut(g, [0, 1], [2, 3]) == (2, frozenset({0, 1}))
+        assert max_flow_min_cut(g, [2], [0, 3]) == (5, frozenset({2}))
+
+
+def super_node_flow(g, sources, sinks, limit=None):
+    """Reference formulation: one super-source and one super-sink, joined to
+    the terminals by arcs larger than any flow, and a single-terminal flow
+    between them.  The reachable side drops the super-source."""
+    big = sum(c for _, _, c in g.arcs) + 1
+    ss, tt = g.n_nodes, g.n_nodes + 1
+    arcs = g.arcs + tuple((ss, x, big) for x in sources) + tuple((y, tt, big) for y in sinks)
+    value, reach = max_flow_min_cut(IncidenceDigraph(g.n_nodes + 2, arcs), [ss], [tt], limit=limit)
+    return value, None if reach is None else reach - {ss}
+
+
+def random_terminals(rng, n_nodes):
+    nodes = rng.sample(range(n_nodes), rng.randint(2, min(n_nodes, 6)))
+    cut = rng.randint(1, len(nodes) - 1)
+    return nodes[:cut], nodes[cut:]
+
+
+def brute_force_cut(g, sources, sinks):
+    """Minimum cut capacity over node sets containing the sources and
+    avoiding the sinks, and the intersection of all minimizers."""
+    best, side = None, None
+    for mask in range(1 << g.n_nodes):
+        if any(not mask >> s & 1 for s in sources) or any(mask >> t & 1 for t in sinks):
+            continue
+        value = sum(c for u, v, c in g.arcs if mask >> u & 1 and not mask >> v & 1)
+        if best is None or value < best:
+            best, side = value, mask
+        elif value == best:
+            side &= mask
+    return best, frozenset(x for x in range(g.n_nodes) if side >> x & 1)
+
+
+class TestMultiTerminalAgainstSuperNodes:
+    def check(self, rng, g):
+        sources, sinks = random_terminals(rng, g.n_nodes)
+        value, reach = max_flow_min_cut(g, sources, sinks)
+        assert (value, reach) == super_node_flow(g, sources, sinks)
+        if g.n_nodes <= 10:
+            assert (value, reach) == brute_force_cut(g, sources, sinks)
+        for limit in range(value + 2):
+            assert max_flow_min_cut(g, sources, sinks, limit=limit) == super_node_flow(
+                g, sources, sinks, limit=limit
+            )
+
+    def test_incidence_digraphs(self):
+        rng = random.Random(2024)
+        for h, o in random_instances(2024, 150, n_max=7, m_max=9, size_max=4):
+            self.check(rng, incidence_digraph(h, o, reverse=rng.random() < 0.5))
+
+    def test_general_capacities(self):
+        rng = random.Random(77)
+        for _ in range(150):
+            n_nodes = rng.randint(2, 9)
+            arcs = []
+            for _ in range(rng.randint(0, 3 * n_nodes)):
+                u, v = rng.sample(range(n_nodes), 2)
+                arcs.append((u, v, rng.randint(1, 4)))
+            self.check(rng, IncidenceDigraph(n_nodes, tuple(arcs)))
 
 
 class TestIncidenceDigraph:
@@ -129,6 +223,12 @@ class TestSeparators:
                         assert res.separator == minimal
                         assert all(res.separator <= x for x in minimizers)
 
+    def test_missed_constraint_is_an_invariant_violation(self, monkeypatch):
+        h, o = three_cycle()
+        monkeypatch.setattr(separator, "max_flow_min_cut", lambda g, s, t, limit=None: (0, frozenset()))
+        with pytest.raises(InvariantViolation, match="missed its constraints"):
+            min_out_separator(h, o, 0, vs(3, [1]))
+
     def test_merged_sinks_never_contain_a_sink(self):
         for h, o in random_instances(88, 40, n_max=6, m_max=6):
             if h.n < 3:
@@ -158,3 +258,92 @@ class TestConnectivity:
     def test_matches_brute_force(self):
         for h, o in random_instances(13, 80, n_max=6, m_max=7):
             assert hyperarc_connectivity(h, o) == bf_lambda(h, o)
+
+    def test_capped_value_and_witness(self):
+        for h, o in random_instances(31, 60, n_max=6, m_max=7):
+            lam = bf_lambda(h, o)
+            for cap in range(lam + 3):
+                value, witness = connectivity(h, o, cap=cap)
+                assert value == min(lam, cap)
+                if lam < cap:
+                    assert out_degree(h, o, witness) == lam
+                else:
+                    assert witness is None
+
+
+# Above the brute-force oracles' reach: an independent max flow (networkx's
+# default preflow-push) on the same reduction, with the residual-reachable
+# side computed here from its flow.
+
+
+def nx_incidence(nx, h, o, reverse):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(h.n + h.m))
+    for e in range(h.m):
+        w = h.n + e
+        g.add_edges_from((x, w) for x in o.tail(e))  # no capacity: unbounded
+        g.add_edge(w, o.heads[e], capacity=1)
+    return g.reverse(copy=True) if reverse else g
+
+
+def nx_min_side(nx, g, sources, sinks, n):
+    """Max flow value between vertex sets and the vertices reachable from
+    the sources in its residual network."""
+    g = g.copy()
+    g.add_edges_from(("s", x) for x in sources)
+    g.add_edges_from((y, "t") for y in sinks)
+    value, flow = nx.maximum_flow(g, "s", "t")
+    seen, stack = {"s"}, ["s"]
+    while stack:
+        u = stack.pop()
+        forward = (v for v, d in g[u].items() if flow[u][v] < d.get("capacity", float("inf")))
+        backward = (v for v in g.predecessors(u) if flow[v][u] > 0)
+        for v in (*forward, *backward):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return value, VertexSet(n, [v for v in seen if isinstance(v, int) and v < n])
+
+
+def perturbed_cycle_orientation(h, k, rng):
+    """``gen_instance``'s ``k`` spanning cycles each oriented around itself
+    (connectivity at least ``k``), extra edges toward their smallest vertex,
+    then a few random head changes."""
+    n = h.n
+    heads = []
+    for c in range(k):
+        for i in range(n):
+            shared = h.edges[c * n + i] & h.edges[c * n + (i + 1) % n]
+            heads.append(min(shared))
+    heads.extend(min(e) for e in h.edges[k * n :])
+    o = Orientation(h, tuple(heads))
+    for _ in range(rng.randint(0, 3)):
+        e = rng.randrange(h.m)
+        o = reorient(o, e, rng.choice([v for v in h.edges[e] if v != o.heads[e]]))
+    return o
+
+
+@pytest.mark.parametrize("n", [24, 48, 96])
+def test_networkx_cross_check_above_oracle_bound(n):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(n)
+    k = 2
+    h = gen_instance(GenSpec(n=n, k=k, extra_edges=n // 2, max_edge_size=5, seed=n))
+    o = perturbed_cycle_orientation(h, k, rng)
+    fwd = nx_incidence(nx, h, o, False)
+
+    lam = min(
+        min(nx.maximum_flow_value(fwd, 0, v), nx.maximum_flow_value(fwd, v, 0)) for v in range(1, n)
+    )
+    assert hyperarc_connectivity(h, o) == lam
+
+    # a random orientation has far more varied minimal minimizers
+    o = gen_orientation(h, seed=n)
+    fwd, rev = nx_incidence(nx, h, o, False), nx_incidence(nx, h, o, True)
+    for _ in range(8):
+        s = rng.randrange(n)
+        sinks = VertexSet(n, rng.sample([v for v in range(n) if v != s], rng.randint(1, 3)))
+        out = min_out_separator(h, o, s, sinks)
+        assert (out.value, out.separator) == nx_min_side(nx, fwd, [s], sinks, n)
+        inn = min_in_separator(h, o, s, sinks)
+        assert (inn.value, inn.separator) == nx_min_side(nx, rev, [s], sinks, n)

@@ -4,17 +4,21 @@ import pytest
 
 from hyperorient import (
     GenSpec,
+    Orientation,
     ParseError,
     PreconditionError,
+    augment_to,
     bf_partition_connected,
     format_hypergraph,
     format_orientation,
+    format_trace,
     gen_instance,
     gen_orientation,
     hyperarc_connectivity,
     hypergraph,
     parse_hypergraph,
     parse_orientation,
+    parse_trace,
 )
 from hyperorient.cli import cli
 
@@ -95,6 +99,49 @@ class TestFormats:
             parse_orientation("o 0 1\n", h)
 
 
+def doubled_triangle_trace():
+    h = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
+    o = Orientation(h, (1, 1, 2, 2, 2, 2))
+    return h, o, format_trace(augment_to(h, o, 2))
+
+
+def with_raw_field(text, index, key, raw):
+    """The trace text with field ``key`` of line ``index`` replaced by the
+    literal JSON token ``raw``."""
+    lines = text.splitlines()
+    rec = json.loads(lines[index])
+    rec[key] = "@"
+    lines[index] = json.dumps(rec).replace('"@"', raw)
+    return "\n".join(lines) + "\n"
+
+
+# (line index, field, literal JSON token); -1 is the footer
+NON_INTEGER_FIELDS = [
+    (1, "edge", '"0"'),
+    (1, "edge", "true"),
+    (0, "k_target", "1e9"),
+    (0, "n", "3.0"),
+    (1, "lambda", "null"),
+    (-1, "steps", "false"),
+]
+
+
+class TestTraceFormat:
+    @pytest.mark.parametrize("index, key, raw", NON_INTEGER_FIELDS)
+    def test_non_integer_field_rejected_with_line(self, index, key, raw):
+        _, o, text = doubled_triangle_trace()
+        lineno = index + 1 if index >= 0 else len(text.splitlines())
+        with pytest.raises(ParseError, match=f"line {lineno}: .*{key!r} must be an integer"):
+            parse_trace(with_raw_field(text, index, key, raw), o)
+
+    def test_line_that_is_not_an_object_rejected(self):
+        _, o, text = doubled_triangle_trace()
+        lines = text.splitlines()
+        lines[1] = "[1, 2]"
+        with pytest.raises(ParseError, match="line 2: step must be a JSON object"):
+            parse_trace("\n".join(lines), o)
+
+
 def run_cli(capsys, *argv):
     code = cli(list(argv))
     out = capsys.readouterr()
@@ -166,6 +213,24 @@ class TestCli:
                 capsys, "verify", "--input", str(hg), "--orientation", str(orf), str(trace)
             )
             assert code == 1 and "FAIL" in out
+
+    @pytest.mark.parametrize("index, key, raw", NON_INTEGER_FIELDS)
+    def test_verify_non_integer_field_exits_one(self, capsys, tmp_path, index, key, raw):
+        h, o, text = doubled_triangle_trace()
+        paths = {}
+        for name, body in (
+            ("h.hg", format_hypergraph(h)),
+            ("o.or", format_orientation(o)),
+            ("t.trace", with_raw_field(text, index, key, raw)),
+        ):
+            paths[name] = tmp_path / name
+            paths[name].write_text(body)
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(paths["h.hg"]), "--orientation",
+            str(paths["o.or"]), str(paths["t.trace"]),
+        )
+        assert code == 1 and err.startswith("error: line ")
+        assert "Traceback" not in out + err
 
     def test_orient_infeasible_exits_one(self, capsys, tmp_path):
         hg, orf = self.write_three_cycle(tmp_path)
