@@ -5,10 +5,15 @@ Raising the level from ``k`` to ``k + 1`` loops: compute the cut families at
 level ``k``, pick the canonically smallest region of the ``r_family``, find
 an admissible path in it, and reorient the path's hyperarcs one by one
 toward their recorded tails (end to start inside an in-tight region, start
-to end inside an out-tight one).  The connectivity is recomputed after every
-single reorientation and asserted to stay at least ``k``; reaching ``k + 1``
+to end inside an out-tight one).  After every single reorientation the
+connectivity is checked to stay at least ``k``: the level keeps the
+2(n - 1) flows of its connectivity check, capped at ``k + 1``, and repairs
+them after each step instead of recomputing them
+(:class:`~hyperorient.separator.IncrementalConnectivity`).  Reaching ``k + 1``
 mid-path ends the level immediately, which keeps the per-step connectivity
-sequence non-decreasing.  Each full path strictly shrinks the potential
+sequence non-decreasing.  :func:`verify_trace` recomputes every step's
+connectivity from scratch instead, so the verifier shares none of the
+repair code.  Each full path strictly shrinks the potential
 ``(|m_all|, -covered vertices)``, so a level finishes within ``n^2``
 iterations and ``n^3`` single-hyperarc steps.
 
@@ -35,7 +40,7 @@ from .core import (
 )
 from .families import CutFamilies, compute_families, is_in_tight
 from .pathsearch import AdmissiblePath, admissible_path_in_tminus, admissible_path_in_tplus
-from .separator import connectivity, hyperarc_connectivity
+from .separator import IncrementalConnectivity, connectivity, hyperarc_connectivity
 
 
 class NotPartitionConnectedError(RuntimeError):
@@ -125,6 +130,7 @@ def augment_one(
     lam_cur = lam0
     prev_potential: Optional[tuple[int, int]] = None
     iteration = 0
+    check: Optional[IncrementalConnectivity] = None
 
     while lam_cur == k:
         fam = compute_families(h, cur, level=None)
@@ -175,11 +181,15 @@ def augment_one(
             if old_head != arc.head:
                 raise InvariantViolation(f"edge {arc.edge} changed head mid-path")
             cur = reorient(cur, arc.edge, arc.tail)
-            lam_after, witness = connectivity(h, cur, cap=lam_cur + 2)
+            if check is None:  # the level's first step; later steps repair its flows
+                check = IncrementalConnectivity(h, cur, cap=k + 1)
+            else:
+                check.reorient(arc.edge, arc.tail)
+            lam_after = check.value
             if lam_after < k:
                 raise NotPartitionConnectedError(
                     f"connectivity dropped to {lam_after} during a path at level {k}",
-                    certificate=witness,
+                    certificate=check.witness(),
                 )
             steps.append(ReorientationStep(arc.edge, old_head, arc.tail, lam_after))
             lam_cur = lam_after

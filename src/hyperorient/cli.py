@@ -42,8 +42,11 @@ from .toolkit import (
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -315,7 +318,7 @@ def cli(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, PreconditionError, FileNotFoundError) as exc:
+    except (ParseError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NotPartitionConnectedError as exc:

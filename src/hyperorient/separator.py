@@ -106,6 +106,7 @@ def max_flow_min_cut(
     sources: Iterable[int],
     sinks: Iterable[int],
     limit: Optional[int] = None,
+    residual: Optional[list[int]] = None,
 ) -> tuple[int, Optional[frozenset[int]]]:
     """Shortest-augmenting-path max flow from a node set to a disjoint node
     set, with the minimal min-cut side.  A single node may stand for a
@@ -116,6 +117,10 @@ def max_flow_min_cut(
     inclusion-minimal minimum cut.  With ``limit`` set, augmentation stops
     once ``limit`` units flow; the result is then ``(limit, None)`` and means
     "the max flow is at least ``limit``".
+
+    ``residual`` (one capacity per residual arc) starts the search from a
+    flow already in place instead of from ``g.arc_cap``, and is updated in
+    place; ``value`` then counts only the units this call adds.
 
     Each round is a breadth-first search seeded with every source that stops
     at the first sink it labels; the round that labels none has labelled
@@ -133,7 +138,12 @@ def max_flow_min_cut(
     if any(is_sink[s] for s in roots):
         raise PreconditionError("sources and sinks must be disjoint")
     head, adj = g.arc_head, g.adj
-    cap = list(g.arc_cap)
+    if residual is None:
+        cap = list(g.arc_cap)
+    elif len(residual) == len(head):
+        cap = residual
+    else:
+        raise PreconditionError("residual needs one capacity per residual arc")
 
     flow = 0
     while limit is None or flow < limit:
@@ -201,14 +211,20 @@ def _solve(
     value, reach = max_flow_min_cut(g, source_set, avoid_set, limit=limit)
     if reach is None:
         return value, None
+    return value, _separator(h.n, reach, source_set, avoid_set)
+
+
+def _separator(n: int, reach: frozenset[int], source_set: VertexSet, avoid_set: VertexSet) -> VertexSet:
+    """The vertices of a residual-reachable node set, checked against the
+    query's constraints."""
     mask = 0
     for node in reach:
-        if node < h.n:
+        if node < n:
             mask |= 1 << node
-    separator = VertexSet.from_mask(h.n, mask)
+    separator = VertexSet.from_mask(n, mask)
     if not source_set <= separator or separator.mask & avoid_set.mask:
         raise InvariantViolation("separator missed its constraints")
-    return value, separator
+    return separator
 
 
 def min_out_separator(h: Hypergraph, o: Orientation, s: int, sinks: VertexSet) -> SeparatorResult:
@@ -239,6 +255,12 @@ def min_in_separator(h: Hypergraph, o: Orientation, t: int, sources: VertexSet) 
     return SeparatorResult(value, separator)
 
 
+def _root_pairs(n: int) -> list[tuple[int, int]]:
+    """The (source, sink) queries against vertex 0, in :func:`connectivity`'s
+    order."""
+    return [(s, t) for v in range(1, n) for s, t in ((0, v), (v, 0))]
+
+
 def connectivity(
     h: Hypergraph, o: Orientation, cap: Optional[int] = None
 ) -> tuple[int, Optional[VertexSet]]:
@@ -256,7 +278,7 @@ def connectivity(
     g = network(h, o, "out")
     best = h.m + 1 if cap is None else cap
     found = None
-    for src, snk in ((s, t) for v in range(1, h.n) for s, t in ((0, v), (v, 0))):
+    for src, snk in _root_pairs(h.n):
         if best == 0:
             break
         value, sep = _solve(
@@ -277,3 +299,130 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
     """Largest ``k`` such that every nonempty proper vertex set has
     out-degree at least ``k``."""
     return connectivity(h, o)[0]
+
+
+class IncrementalConnectivity:
+    """``connectivity(h, o, cap)`` kept current across single-hyperarc
+    reorientations, by repairing flows instead of recomputing them.
+
+    The network has one residual pair per incidence ``(e, x)``, always
+    ``x -> w_e``; the orientation lives only in the capacities: a tail's pair
+    holds ``(m + 1, 0)``, the head's ``(0, 1)`` (the unit arc ``w_e -> x``).
+    Its adjacency is sorted by head like ``network(h, o, 'out')``'s, so
+    searches explore in the same order, and a reorientation rewrites only
+    ``e``'s block.  Each query of :func:`connectivity` keeps a residual
+    array holding a flow capped at ``cap`` and, below the cap, a minimum cut
+    (a node set whose capacity equals the flow).
+
+    One reorientation moves every out-degree by at most one, so it moves
+    every query's value by at most one, and at most one flow unit crosses
+    ``w_e``.  When ``e`` turns from head ``a`` to head ``b``, every query
+    writes ``e``'s new capacities with no flow through ``w_e``.  A query
+    whose flow sent a unit ``x -> w_e -> a`` then reroutes it from ``x`` to
+    ``a``; if no path exists it hands the unit back, along ``x`` to the
+    source and the sink to ``a``, and loses it.  A query still at the cap is
+    done.  Below the cap, the kept cut still proves the flow maximum when
+    its new capacity equals the flow, and the minimal cut (the
+    residual-reachable side) is a subset of it; otherwise the query
+    augments toward the cap, which also yields its reachable side.  Every
+    push is a :func:`max_flow_min_cut` call.
+    """
+
+    def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
+        _same_instance(h, o)
+        if cap < 0:
+            raise PreconditionError("cap must be non-negative")
+        n, m = h.n, h.m
+        self.hypergraph = h
+        self.cap = cap
+        self._heads = list(o.heads)
+        arcs: list[tuple[int, int, int]] = []
+        self._blocks: list[tuple[tuple[int, int], ...]] = []
+        for e, edge in enumerate(h.edges):
+            self._blocks.append(tuple((2 * (len(arcs) + j), x) for j, x in enumerate(edge)))
+            arcs.extend((x, n + e, m + 1) for x in edge)
+        self._g = IncidenceDigraph(n + m, tuple(arcs))
+        base = [0] * len(self._g.arc_head)
+        for e in range(m):
+            self._write(base, e)
+        self._pairs = _root_pairs(n)
+        self._res = [list(base) for _ in self._pairs]
+        self._value = [0] * len(self._pairs)
+        self._cut: list[Optional[frozenset[int]]] = [None] * len(self._pairs)
+        self._exact = [False] * len(self._pairs)  # the cut is the reachable side
+        for p in range(len(self._pairs)):
+            self._augment(p)
+        self.value = min(self._value, default=cap)
+
+    def _write(self, res: list[int], e: int) -> None:
+        """Set ``e``'s block to its capacities under the current head, with
+        no flow through ``w_e``."""
+        big, head = self.hypergraph.m + 1, self._heads[e]
+        for i, x in self._blocks[e]:
+            res[i], res[i + 1] = (0, 1) if x == head else (big, 0)
+
+    def _augment(self, p: int) -> None:
+        """Push query ``p`` up to the cap, recording its reachable side."""
+        s, t = self._pairs[p]
+        value, reach = max_flow_min_cut(
+            self._g, s, t, limit=self.cap - self._value[p], residual=self._res[p]
+        )
+        self._value[p] += value
+        self._cut[p] = reach
+        self._exact[p] = reach is not None
+
+    def _push_unit(self, res: list[int], src: int, dst: int) -> bool:
+        return max_flow_min_cut(self._g, src, dst, limit=1, residual=res)[0] == 1
+
+    def reorient(self, e: int, new_head: int) -> int:
+        """Turn edge ``e`` toward ``new_head``; returns the new :attr:`value`,
+        the connectivity capped at :attr:`cap`."""
+        h = self.hypergraph
+        if not 0 <= e < h.m:
+            raise PreconditionError(f"edge {e} out of range")
+        a, b, w = self._heads[e], new_head, h.n + e
+        if b not in h.edges[e] or b == a:
+            raise PreconditionError(f"illegal new head {b} for edge {e}")
+        block = self._blocks[e]
+        into_a = next(i for i, x in block if x == a)  # residual w_e -> a is into_a + 1
+        self._heads[e] = b
+        for p, (s, t) in enumerate(self._pairs):
+            res, before, cut = self._res[p], self._value[p], self._cut[p]
+            carrier = next((x for i, x in block if res[i + 1]), None) if res[into_a] else None
+            self._write(res, e)
+            if carrier is not None and not self._push_unit(res, carrier, a):
+                for src, dst in ((carrier, s), (t, a)):  # hand the unit back
+                    if src != dst and not self._push_unit(res, src, dst):
+                        raise InvariantViolation("a flow unit through a reoriented edge has no way back")
+                self._value[p] -= 1
+            if self._value[p] == self.cap:
+                continue
+            if cut is not None:
+                # the kept cut's capacity after the step: only e's share moves
+                if w in cut:
+                    capacity = before - (a not in cut) + (b not in cut)
+                elif a in cut:
+                    capacity = None  # the new tail a inside, w_e outside: unbounded
+                else:
+                    capacity = before
+                if capacity == self._value[p]:
+                    self._exact[p] = False
+                    continue
+            self._augment(p)
+        self.value = min(self._value, default=self.cap)
+        return self.value
+
+    def witness(self) -> Optional[VertexSet]:
+        """The set :func:`connectivity` returns with :attr:`value`: the
+        minimal minimizer of the first query attaining it, or ``None`` at
+        the cap."""
+        if self.value >= self.cap:
+            return None
+        p = self._value.index(self.value)
+        if not self._exact[p]:
+            self._augment(p)
+            if self._value[p] != self.value:
+                raise InvariantViolation("a kept cut was not a minimum cut")
+        s, t = self._pairs[p]
+        n = self.hypergraph.n
+        return _separator(n, self._cut[p], VertexSet.singleton(n, s), VertexSet.singleton(n, t))

@@ -108,7 +108,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if kind == "n":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate n line")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise ParseError(f"line {lineno}: expected 'n <count>'")
             n = int(tokens[1])
             if n < 2:
@@ -223,6 +223,8 @@ def parse_trace(text: str, initial: Orientation) -> ReorientationTrace:
             records.append((lineno, json.loads(line)))
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ParseError(f"line {lineno}: JSON nested too deeply") from None
     if len(records) < 2:
         raise ParseError("line 1: trace needs a header and a footer")
     lineno, header = records[0]

@@ -17,6 +17,7 @@ from hyperorient import (
     separator,
     verify_trace,
 )
+from hyperorient import augment as augment_module
 from corpus import random_instances
 
 
@@ -153,6 +154,20 @@ class TestVerifyTrace:
         trace = augment_to(h, o, 2)
         report = verify_trace(h, trace)
         assert report.ok and report.render() == "trace OK"
+
+    def test_verifier_does_not_use_the_incremental_check(self, monkeypatch):
+        h, o = doubled_triangle_flat()
+        trace = augment_to(h, o, 2)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the incremental check was called")
+
+        monkeypatch.setattr(separator, "IncrementalConnectivity", broken)
+        monkeypatch.setattr(augment_module, "IncrementalConnectivity", broken)
+        with pytest.raises(AssertionError, match="incremental check"):
+            augment_to(h, o, 2)
+        report = verify_trace(h, trace)
+        assert report.ok and len(trace.steps) > 0
 
     def test_wrong_lambda_detected_at_step(self):
         h, o = doubled_triangle_flat()

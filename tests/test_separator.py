@@ -23,7 +23,7 @@ from hyperorient import (
     reorient,
     separator,
 )
-from hyperorient.separator import connectivity
+from hyperorient.separator import IncrementalConnectivity, connectivity
 from corpus import random_instances, vs
 
 
@@ -72,6 +72,21 @@ class TestMaxFlow:
         for sources, sinks in ((None, [2]), ([0], 2.0)):
             with pytest.raises(PreconditionError, match="node collections"):
                 max_flow_min_cut(g, sources, sinks)
+
+    def test_residual_resumes_and_is_updated_in_place(self):
+        g = IncidenceDigraph(4, ((0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 3, 2), (1, 2, 1)))
+        res = list(g.arc_cap)
+        assert max_flow_min_cut(g, [0], [3], limit=1, residual=res) == (1, None)
+        assert res != list(g.arc_cap)
+        assert max_flow_min_cut(g, [0], [3], residual=res) == (2, frozenset({0}))
+        assert max_flow_min_cut(g, [0], [3]) == (3, frozenset({0}))
+        # the residual now holds a maximum flow: nothing more to push
+        assert max_flow_min_cut(g, [0], [3], residual=res) == (0, frozenset({0}))
+
+    def test_residual_length_validated(self):
+        g = IncidenceDigraph(2, ((0, 1, 1),))
+        with pytest.raises(PreconditionError, match="one capacity per residual arc"):
+            max_flow_min_cut(g, [0], [1], residual=[1])
 
     def test_multi_terminal(self):
         # two sources feeding one sink through separate unit arcs
@@ -269,6 +284,73 @@ class TestConnectivity:
                     assert out_degree(h, o, witness) == lam
                 else:
                     assert witness is None
+
+
+def walk_step(rng, h, o, cap):
+    """One single reorientation: a random one (these often lower the
+    connectivity) or, half of the time, the best capped connectivity among
+    four random candidates, so that walks also climb."""
+    moves = []
+    for _ in range(1 if rng.random() < 0.5 else 4):
+        e = rng.randrange(h.m)
+        moves.append((e, rng.choice([x for x in h.edges[e] if x != o.heads[e]])))
+    return max(moves, key=lambda move: connectivity(h, reorient(o, *move), cap=cap)[0])
+
+
+class TestIncrementalConnectivity:
+    def test_random_walks_match_from_scratch(self):
+        moved = {-1: 0, 1: 0}
+        for seed in range(16):
+            rng = random.Random(seed)
+            n, k = rng.randint(3, 24), rng.randint(1, 4)
+            spec = GenSpec(n=n, k=k, extra_edges=rng.randint(0, n), max_edge_size=min(4, n), seed=seed)
+            h = gen_instance(spec)
+            o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
+            cap = connectivity(h, o)[0] + rng.randint(1, 3)
+            check = IncrementalConnectivity(h, o, cap)
+            assert (check.value, check.witness()) == connectivity(h, o, cap=cap)
+            for step in range(1, 31):
+                e, head = walk_step(rng, h, o, cap)
+                before = check.value
+                o = reorient(o, e, head)
+                assert check.reorient(e, head) == check.value
+                assert (check.value, check.witness()) == connectivity(h, o, cap=cap), (seed, step)
+                if check.value != before:
+                    moved[check.value - before] += 1
+        assert moved[-1] > 0 and moved[1] > 0
+
+    def test_cap_zero_and_edge_cases(self):
+        h, o = three_cycle()
+        check = IncrementalConnectivity(h, o, 0)
+        assert (check.value, check.witness()) == connectivity(h, o, cap=0) == (0, None)
+        with pytest.raises(PreconditionError):
+            IncrementalConnectivity(h, o, -1)
+        check = IncrementalConnectivity(h, o, 2)
+        for e, head in ((3, 0), (0, 1), (0, 2)):  # out of range, same head, not in edge
+            with pytest.raises(PreconditionError):
+                check.reorient(e, head)
+        assert check.reorient(0, 0) == 0 == connectivity(h, reorient(o, 0, 0), cap=2)[0]
+
+    def test_every_push_is_a_max_flow_call(self, monkeypatch):
+        h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
+        o = gen_orientation(h, seed=3)
+        cap = connectivity(h, o)[0] + 1
+        calls = []
+        original = separator.max_flow_min_cut
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("residual") is not None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", counted)
+        check = IncrementalConnectivity(h, o, cap)
+        assert len(calls) == 2 * (h.n - 1) and all(calls)
+        rng = random.Random(3)
+        for _ in range(20):
+            e = rng.randrange(h.m)
+            o = reorient(o, e, rng.choice([x for x in h.edges[e] if x != o.heads[e]]))
+            check.reorient(e, o.heads[e])
+        assert all(calls) and len(calls) < 2 * (h.n - 1) * 21
 
 
 # Above the brute-force oracles' reach: an independent max flow (networkx's

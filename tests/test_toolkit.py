@@ -98,6 +98,11 @@ class TestFormats:
         with pytest.raises(ParseError, match="no orientation for edge 1"):
             parse_orientation("o 0 1\n", h)
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0663", "+3", "3.0"])
+    def test_vertex_count_must_be_ascii_digits(self, token):
+        with pytest.raises(ParseError, match="line 2: expected 'n <count>'"):
+            parse_hypergraph(f"# count\nn {token}\ne 0 1\n")
+
 
 def doubled_triangle_trace():
     h = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
@@ -133,6 +138,13 @@ class TestTraceFormat:
         lineno = index + 1 if index >= 0 else len(text.splitlines())
         with pytest.raises(ParseError, match=f"line {lineno}: .*{key!r} must be an integer"):
             parse_trace(with_raw_field(text, index, key, raw), o)
+
+    def test_deeply_nested_json_rejected_with_line(self):
+        _, o, text = doubled_triangle_trace()
+        lines = text.splitlines()
+        lines[1] = "[" * 100_000
+        with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
+            parse_trace("\n".join(lines), o)
 
     def test_line_that_is_not_an_object_rejected(self):
         _, o, text = doubled_triangle_trace()
@@ -250,6 +262,30 @@ class TestCli:
             "--orientation", str(tmp_path / "nope.or"),
         )
         assert code == 1 and "error" in err
+
+    def test_non_digit_vertex_count_exits_one(self, capsys, tmp_path):
+        hg = tmp_path / "sq.hg"
+        hg.write_text("n \u00b2\ne 0 1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", "--input", str(hg), "--orientation", str(hg))
+        assert code == 1 and err.startswith("error: line 1: expected 'n <count>'")
+        assert "Traceback" not in out + err
+
+    def test_non_utf8_file_exits_one(self, capsys, tmp_path):
+        hg = tmp_path / "latin1.hg"
+        hg.write_bytes("n 3\ne 0 1 # caf\u00e9\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "check", "--input", str(hg), "--orientation", str(hg))
+        assert code == 1 and err.startswith(f"error: {hg}: not UTF-8 text")
+        assert "Traceback" not in out + err
+
+    def test_directory_as_file_exits_one(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "check", "--input", str(tmp_path), "--orientation", str(tmp_path)
+        )
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in out + err
+        code, out, err = run_cli(
+            capsys, "gen", "--n", "4", "--k", "1", "--out", str(tmp_path)
+        )
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in out + err
 
     def test_oracle_operations(self, capsys, tmp_path):
         hg, orf = self.write_three_cycle(tmp_path)
