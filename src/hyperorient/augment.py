@@ -134,12 +134,9 @@ def augment_one(
 
     while lam_cur == k:
         fam = compute_families(h, cur, level=None)
-        if fam.k != k:
-            if fam.k > k:
-                break
-            raise NotPartitionConnectedError(
-                f"connectivity dropped to {fam.k} below level {k}",
-                certificate=connectivity(h, cur, cap=k)[1],
+        if fam.k != k:  # lam_cur is exact here
+            raise InvariantViolation(
+                f"level {k}, iteration {iteration + 1}: families at {fam.k}, connectivity {lam_cur}"
             )
         pot = _potential(fam)
         if prev_potential is not None and not pot < prev_potential:

@@ -26,7 +26,7 @@ from .oracle import (
     bf_safe_sink,
     bf_safe_source,
 )
-from .separator import hyperarc_connectivity, min_in_separator, min_out_separator
+from .separator import hyperarc_connectivity
 from .toolkit import (
     GenSpec,
     ParseError,
@@ -68,20 +68,16 @@ def _load_oriented(args) -> tuple[Hypergraph, Orientation]:
     return h, parse_orientation(_read(args.orientation), h)
 
 
-def _set_to_list(s: VertexSet) -> list[int]:
-    return list(s)
-
-
 def _families_payload(fam) -> dict:
     return {
         "k": fam.k,
         "r": fam.r,
-        "m_minus": [_set_to_list(x) for x in fam.m_minus],
-        "m_plus": [_set_to_list(x) for x in fam.m_plus],
-        "m_all": [_set_to_list(x) for x in fam.m_all],
-        "r_family": [_set_to_list(x) for x in fam.r_family],
-        "q_minus": {str(v): _set_to_list(x) for v, x in enumerate(fam.q_minus)},
-        "q_plus": {str(v): _set_to_list(x) for v, x in enumerate(fam.q_plus)},
+        "m_minus": [list(x) for x in fam.m_minus],
+        "m_plus": [list(x) for x in fam.m_plus],
+        "m_all": [list(x) for x in fam.m_all],
+        "r_family": [list(x) for x in fam.r_family],
+        "q_minus": {str(v): list(x) for v, x in enumerate(fam.q_minus)},
+        "q_plus": {str(v): list(x) for v, x in enumerate(fam.q_plus)},
     }
 
 
@@ -202,14 +198,14 @@ def _cmd_oracle(args) -> int:
         value, minimizers, minimal = bf_min_separator(h, o, args.source, sinks, args.side)
         result = {
             "value": value,
-            "minimal": _set_to_list(minimal),
-            "minimizers": [_set_to_list(x) for x in minimizers],
+            "minimal": list(minimal),
+            "minimizers": [list(x) for x in minimizers],
         }
     elif op == "partition-connected":
         ok, witness = bf_partition_connected(h, args.k)
         result = {"partition_connected": ok}
         if witness is not None:
-            result["witness"] = [_set_to_list(c) for c in witness.classes]
+            result["witness"] = [list(c) for c in witness.classes]
     elif op == "orientation-exists":
         ok, witness = bf_orientation_exists(h, args.k)
         result = {"orientation_exists": ok}

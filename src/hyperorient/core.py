@@ -298,15 +298,8 @@ def in_degree(h: Hypergraph, o: Orientation, x: VertexSet) -> int:
 
 def out_degree(h: Hypergraph, o: Orientation, x: VertexSet) -> int:
     """Number of hyperarcs whose head lies outside ``x`` and whose tail set
-    meets ``x``."""
-    _same_instance(h, o)
-    _proper_nonempty(h, x)
-    xm = x.mask
-    count = 0
-    for e, v in enumerate(o.heads):
-        if not xm >> v & 1 and (h.edges[e].mask & ~(1 << v)) & xm:
-            count += 1
-    return count
+    meets ``x``: the in-degree of its complement."""
+    return in_degree(h, o, x.complement())
 
 
 class Partition:

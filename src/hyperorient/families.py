@@ -99,7 +99,7 @@ def _minimal_tight(
     Minimality comes from a capped separator query: at level ``k`` the
     minimum degree over such sets is at least ``k``, and the
     inclusion-minimal minimizer is unique by submodularity.  ``g`` is the
-    prebuilt ``network(h, o, side)``, if any.
+    prebuilt ``network(h, o)``, if any; both sides run on it.
     """
     value, sep = _solve(h, o, side, x, VertexSet.singleton(h.n, ROOT), limit=k + 1, g=g)
     return sep if value == k else None
@@ -152,9 +152,9 @@ def compute_families(h: Hypergraph, o: Orientation, level: int | None = None) ->
         k = level
     n = h.n
     full = VertexSet.full(n)
-    g_in, g_out = network(h, o, "in"), network(h, o, "out")
-    qm = [_q(h, o, k, v, "in", g_in) for v in range(n)]
-    qp = [_q(h, o, k, v, "out", g_out) for v in range(n)]
+    g = network(h, o)
+    qm = [_q(h, o, k, v, "in", g) for v in range(n)]
+    qp = [_q(h, o, k, v, "out", g) for v in range(n)]
 
     proper_m_minus = minimal_members(s for s in qm if not s.is_full)
     proper_m_plus = minimal_members(s for s in qp if not s.is_full)
@@ -162,8 +162,8 @@ def compute_families(h: Hypergraph, o: Orientation, level: int | None = None) ->
     m_plus = proper_m_plus if proper_m_plus else (full,)
     m_all = minimal_members(m_minus + m_plus)
 
-    candidates = [_minimal_tight(h, o, k, "in", t_set, g_in) for t_set in proper_m_plus]
-    candidates += [_minimal_tight(h, o, k, "out", s_set, g_out) for s_set in proper_m_minus]
+    candidates = [_minimal_tight(h, o, k, "in", t_set, g) for t_set in proper_m_plus]
+    candidates += [_minimal_tight(h, o, k, "out", s_set, g) for s_set in proper_m_minus]
     proper_r = minimal_members(c for c in candidates if c is not None)
     r_family = proper_r if proper_r else (full,)
 
@@ -206,7 +206,7 @@ def _safe_endpoint(
     if deg(h, o, member_set) == k:
         return False
     q_sets = fam.q_plus if side == "out" else fam.q_minus
-    g = network(h, o, side)
+    g = network(h, o)
     for v in member_set:
         if v == u:
             continue

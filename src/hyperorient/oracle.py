@@ -8,7 +8,6 @@ is better than silently running for hours.  Performance is a non-goal.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Optional
 
 from .core import (

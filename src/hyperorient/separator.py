@@ -8,18 +8,19 @@ source-sink path crosses some unit arc).  A minimum cut in that digraph is a
 minimum out-degree separator of the hypergraph, and the set of nodes
 reachable from the sources in the final residual network is the unique
 inclusion-minimal minimizer.  In-degree separators use the arc-reversed
-digraph.
+digraph: the same residual network with each pair's capacities swapped.
 
 Vertex ``i`` is node ``i``; the node for edge ``e`` is ``n + e``.  A query
 with several sources or sinks runs one multi-terminal flow: every source
 seeds the residual search and reaching any sink ends it.  The digraph builds
-its residual arrays once, so every query on one orientation and side can
-share one :class:`IncidenceDigraph`.
+its residual arrays once, so every query on one orientation, of either
+side, shares one :class:`IncidenceDigraph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .core import (
@@ -70,9 +71,19 @@ class IncidenceDigraph:
         object.__setattr__(self, "arc_cap", tuple(cap))
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
 
+    @cached_property
+    def reversed_cap(self) -> tuple[int, ...]:
+        """``arc_cap`` of the arc-reversed digraph, derived on first use: each
+        residual pair's capacities swapped.  When no two arcs join the same
+        two nodes, each node's residual heads are distinct, so a search on
+        these capacities runs as on a freshly built reversed digraph."""
+        cap = list(self.arc_cap)
+        cap[0::2], cap[1::2] = cap[1::2], cap[0::2]
+        return tuple(cap)
 
-def incidence_digraph(h: Hypergraph, o: Orientation, reverse: bool = False) -> IncidenceDigraph:
-    """Incidence digraph of a directed hypergraph (arc-reversed on request)."""
+
+def incidence_digraph(h: Hypergraph, o: Orientation) -> IncidenceDigraph:
+    """Incidence digraph of a directed hypergraph."""
     _same_instance(h, o)
     n, m = h.n, h.m
     big = m + 1
@@ -82,14 +93,14 @@ def incidence_digraph(h: Hypergraph, o: Orientation, reverse: bool = False) -> I
         head = o.heads[e]
         for x in h.edges[e]:
             if x != head:
-                arcs.append((w, x, big) if reverse else (x, w, big))
-        arcs.append((head, w, 1) if reverse else (w, head, 1))
+                arcs.append((x, w, big))
+        arcs.append((w, head, 1))
     return IncidenceDigraph(n + m, tuple(arcs))
 
 
-def network(h: Hypergraph, o: Orientation, side: str) -> IncidenceDigraph:
-    """The digraph that ``side`` queries (``'out'`` or ``'in'``) run on."""
-    return incidence_digraph(h, o, reverse=(side == "in"))
+def network(h: Hypergraph, o: Orientation) -> IncidenceDigraph:
+    """The digraph of every query on ``o``, from :func:`incidence_digraph`."""
+    return incidence_digraph(h, o)
 
 
 def _terminals(nodes: Iterable[int]) -> list[int]:
@@ -203,12 +214,13 @@ def _solve(
     vertex sets that contain all of ``source_set`` and avoid ``avoid_set``.
 
     Returns ``(value, minimal minimizer)``; ``(limit, None)`` when the
-    minimum is at least ``limit``.  ``g`` is ``network(h, o, side)`` when the
-    caller already holds it.
+    minimum is at least ``limit``.  ``g`` is ``network(h, o)`` when the caller
+    already holds it; an in-side query runs on its ``reversed_cap``.
     """
     if g is None:
-        g = network(h, o, side)
-    value, reach = max_flow_min_cut(g, source_set, avoid_set, limit=limit)
+        g = network(h, o)
+    residual = list(g.reversed_cap) if side == "in" else None
+    value, reach = max_flow_min_cut(g, source_set, avoid_set, limit=limit, residual=residual)
     if reach is None:
         return value, None
     return value, _separator(h.n, reach, source_set, avoid_set)
@@ -275,7 +287,7 @@ def connectivity(
     vertex 0 and each other vertex, in both directions.  All of them run on
     one network, each flow capped at the best value so far.
     """
-    g = network(h, o, "out")
+    g = network(h, o)
     best = h.m + 1 if cap is None else cap
     found = None
     for src, snk in _root_pairs(h.n):
@@ -305,14 +317,14 @@ class IncrementalConnectivity:
     """``connectivity(h, o, cap)`` kept current across single-hyperarc
     reorientations, by repairing flows instead of recomputing them.
 
-    The network has one residual pair per incidence ``(e, x)``, always
-    ``x -> w_e``; the orientation lives only in the capacities: a tail's pair
-    holds ``(m + 1, 0)``, the head's ``(0, 1)`` (the unit arc ``w_e -> x``).
-    Its adjacency is sorted by head like ``network(h, o, 'out')``'s, so
-    searches explore in the same order, and a reorientation rewrites only
-    ``e``'s block.  Each query of :func:`connectivity` keeps a residual
-    array holding a flow capped at ``cap`` and, below the cap, a minimum cut
-    (a node set whose capacity equals the flow).
+    It runs on ``network(h, o)``, which has one residual pair per incidence
+    ``(e, x)``; ``i`` indexes its ``x -> w_e`` arc (``2j`` for a tail's input
+    arc ``j``, ``2j + 1`` for the head's).  The orientation then lives only in
+    the capacities: a tail's ``(i, i ^ 1)`` holds ``(m + 1, 0)``, the head's
+    ``(0, 1)``, so a reorientation rewrites only ``e``'s block.  Each query
+    of :func:`connectivity` keeps a residual array holding a flow capped at
+    ``cap`` and, below the cap, a minimum cut (a node set whose capacity
+    equals the flow).
 
     One reorientation moves every out-degree by at most one, so it moves
     every query's value by at most one, and at most one flow unit crosses
@@ -329,24 +341,19 @@ class IncrementalConnectivity:
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
-        _same_instance(h, o)
         if cap < 0:
             raise PreconditionError("cap must be non-negative")
-        n, m = h.n, h.m
+        n = h.n
         self.hypergraph = h
         self.cap = cap
         self._heads = list(o.heads)
-        arcs: list[tuple[int, int, int]] = []
-        self._blocks: list[tuple[tuple[int, int], ...]] = []
-        for e, edge in enumerate(h.edges):
-            self._blocks.append(tuple((2 * (len(arcs) + j), x) for j, x in enumerate(edge)))
-            arcs.extend((x, n + e, m + 1) for x in edge)
-        self._g = IncidenceDigraph(n + m, tuple(arcs))
-        base = [0] * len(self._g.arc_head)
-        for e in range(m):
-            self._write(base, e)
+        self._g = network(h, o)
+        self._blocks: list[list[tuple[int, int]]] = [[] for _ in range(h.m)]
+        for j, (u, v, _) in enumerate(self._g.arcs):  # a tail's u -> w_e or the head's w_e -> v
+            x, w, i = (u, v, 2 * j) if v >= n else (v, u, 2 * j + 1)
+            self._blocks[w - n].append((i, x))
         self._pairs = _root_pairs(n)
-        self._res = [list(base) for _ in self._pairs]
+        self._res = [list(self._g.arc_cap) for _ in self._pairs]
         self._value = [0] * len(self._pairs)
         self._cut: list[Optional[frozenset[int]]] = [None] * len(self._pairs)
         self._exact = [False] * len(self._pairs)  # the cut is the reachable side
@@ -359,7 +366,7 @@ class IncrementalConnectivity:
         no flow through ``w_e``."""
         big, head = self.hypergraph.m + 1, self._heads[e]
         for i, x in self._blocks[e]:
-            res[i], res[i + 1] = (0, 1) if x == head else (big, 0)
+            res[i], res[i ^ 1] = (0, 1) if x == head else (big, 0)
 
     def _augment(self, p: int) -> None:
         """Push query ``p`` up to the cap, recording its reachable side."""
@@ -384,11 +391,11 @@ class IncrementalConnectivity:
         if b not in h.edges[e] or b == a:
             raise PreconditionError(f"illegal new head {b} for edge {e}")
         block = self._blocks[e]
-        into_a = next(i for i, x in block if x == a)  # residual w_e -> a is into_a + 1
+        into_a = next(i for i, x in block if x == a)  # residual w_e -> a is into_a ^ 1
         self._heads[e] = b
         for p, (s, t) in enumerate(self._pairs):
             res, before, cut = self._res[p], self._value[p], self._cut[p]
-            carrier = next((x for i, x in block if res[i + 1]), None) if res[into_a] else None
+            carrier = next((x for i, x in block if res[i ^ 1]), None) if res[into_a] else None
             self._write(res, e)
             if carrier is not None and not self._push_unit(res, carrier, a):
                 for src, dst in ((carrier, s), (t, a)):  # hand the unit back

@@ -99,6 +99,17 @@ def _tokenize(text: str):
             yield lineno, line.split()
 
 
+def _number(lineno: int, token: str, expected: str) -> int:
+    """``token`` as a non-negative integer of ASCII digits.  ``int`` alone
+    also takes ``+0``, ``1_0`` and other scripts' digits such as ``٣``."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # beyond the interpreter's digit limit
+            pass
+    raise ParseError(f"line {lineno}: expected {expected}, got {token[:20]!r}")
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the ``.hg`` format."""
     n = None
@@ -108,9 +119,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if kind == "n":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate n line")
-            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
+            if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: expected 'n <count>'")
-            n = int(tokens[1])
+            n = _number(lineno, tokens[1], "'n <count>'")
             if n < 2:
                 raise ParseError(f"line {lineno}: need at least two vertices")
         elif kind == "e":
@@ -118,10 +129,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(f"line {lineno}: edge before the n line")
             if len(tokens) < 3:
                 raise ParseError(f"line {lineno}: edges need at least two vertices")
-            try:
-                members = [int(t) for t in tokens[1:]]
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer vertex") from None
+            members = [_number(lineno, t, "a vertex") for t in tokens[1:]]
             if len(set(members)) != len(members):
                 raise ParseError(f"line {lineno}: repeated vertex in edge")
             if any(not 0 <= v < n for v in members):
@@ -147,10 +155,7 @@ def parse_orientation(text: str, h: Hypergraph) -> Orientation:
     for lineno, tokens in _tokenize(text):
         if tokens[0] != "o" or len(tokens) != 3:
             raise ParseError(f"line {lineno}: expected 'o <edge_id> <head>'")
-        try:
-            e, v = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token") from None
+        e, v = _number(lineno, tokens[1], "an edge id"), _number(lineno, tokens[2], "a vertex")
         if not 0 <= e < h.m:
             raise ParseError(f"line {lineno}: edge id {e} out of range")
         if e in heads:

@@ -1,6 +1,7 @@
 import pytest
 
 from hyperorient import (
+    InvariantViolation,
     NotPartitionConnectedError,
     Orientation,
     PreconditionError,
@@ -63,6 +64,16 @@ class TestAugmentOne:
         o2, trace = augment_one(h, o)
         assert trace.lambda_initial == 0 and trace.lambda_final == 1
         assert verify_trace(h, trace).ok
+
+    def test_families_off_level_are_an_invariant_violation(self, monkeypatch):
+        h, o = doubled_triangle_flat()
+        o1, _ = augment_one(h, o)  # connectivity 1
+        real = augment_module.compute_families
+        monkeypatch.setattr(
+            augment_module, "compute_families", lambda h, o, level=None: real(h, o, level=0)
+        )
+        with pytest.raises(InvariantViolation, match="level 1, iteration 1: families at 0"):
+            augment_one(h, o1)
 
     def test_monotone_per_step(self):
         for h, o in [doubled_triangle_flat()]:

@@ -128,22 +128,33 @@ def brute_force_cut(g, sources, sinks):
     return best, frozenset(x for x in range(g.n_nodes) if side >> x & 1)
 
 
+def reversed_digraph(g):
+    return IncidenceDigraph(g.n_nodes, tuple((v, u, c) for u, v, c in g.arcs))
+
+
 class TestMultiTerminalAgainstSuperNodes:
-    def check(self, rng, g):
+    def check(self, rng, g, reverse=False):
+        """Flows on ``g`` against the references on ``g``, or with
+        ``reverse`` flows on ``g.reversed_cap`` against the references on an
+        explicitly arc-reversed digraph."""
+        ref = reversed_digraph(g) if reverse else g
         sources, sinks = random_terminals(rng, g.n_nodes)
-        value, reach = max_flow_min_cut(g, sources, sinks)
-        assert (value, reach) == super_node_flow(g, sources, sinks)
+
+        def flow(limit=None):
+            residual = list(g.reversed_cap) if reverse else None
+            return max_flow_min_cut(g, sources, sinks, limit=limit, residual=residual)
+
+        value, reach = flow()
+        assert (value, reach) == super_node_flow(ref, sources, sinks)
         if g.n_nodes <= 10:
-            assert (value, reach) == brute_force_cut(g, sources, sinks)
+            assert (value, reach) == brute_force_cut(ref, sources, sinks)
         for limit in range(value + 2):
-            assert max_flow_min_cut(g, sources, sinks, limit=limit) == super_node_flow(
-                g, sources, sinks, limit=limit
-            )
+            assert flow(limit) == super_node_flow(ref, sources, sinks, limit=limit)
 
     def test_incidence_digraphs(self):
         rng = random.Random(2024)
         for h, o in random_instances(2024, 150, n_max=7, m_max=9, size_max=4):
-            self.check(rng, incidence_digraph(h, o, reverse=rng.random() < 0.5))
+            self.check(rng, incidence_digraph(h, o), reverse=rng.random() < 0.5)
 
     def test_general_capacities(self):
         rng = random.Random(77)
@@ -170,12 +181,19 @@ class TestIncidenceDigraph:
             assert all(c == h.m + 1 for (_, _, c) in tails)
             assert {u for (u, _, _) in tails} == set(o.tail(e))
 
-    def test_reverse_flips_arcs(self):
-        h = hypergraph(3, [(0, 1, 2)])
-        o = Orientation(h, (2,))
-        fwd = set(incidence_digraph(h, o).arcs)
-        rev = set(incidence_digraph(h, o, reverse=True).arcs)
-        assert rev == {(v, u, c) for (u, v, c) in fwd}
+    def test_reversed_cap_is_the_reversed_digraph(self):
+        """Per node, the residual arcs in search order with their heads and
+        capacities: ``reversed_cap`` on ``g`` reads exactly like ``arc_cap``
+        on the arc-reversed digraph."""
+
+        def residual_view(g, cap):
+            return [[(g.arc_head[i], cap[i]) for i in g.adj[u]] for u in range(g.n_nodes)]
+
+        for h, o in random_instances(5, 40, n_max=7, m_max=9, size_max=4):
+            g = incidence_digraph(h, o)
+            rev = reversed_digraph(g)
+            assert residual_view(g, g.reversed_cap) == residual_view(rev, rev.arc_cap)
+            assert residual_view(g, g.arc_cap) != residual_view(rev, rev.arc_cap)
 
 
 class TestSeparators:
@@ -240,7 +258,9 @@ class TestSeparators:
 
     def test_missed_constraint_is_an_invariant_violation(self, monkeypatch):
         h, o = three_cycle()
-        monkeypatch.setattr(separator, "max_flow_min_cut", lambda g, s, t, limit=None: (0, frozenset()))
+        monkeypatch.setattr(
+            separator, "max_flow_min_cut", lambda g, s, t, limit=None, residual=None: (0, frozenset())
+        )
         with pytest.raises(InvariantViolation, match="missed its constraints"):
             min_out_separator(h, o, 0, vs(3, [1]))
 

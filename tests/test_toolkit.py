@@ -103,6 +103,20 @@ class TestFormats:
         with pytest.raises(ParseError, match="line 2: expected 'n <count>'"):
             parse_hypergraph(f"# count\nn {token}\ne 0 1\n")
 
+    @pytest.mark.parametrize("token", ["\u0663", "1_0", "+0", "-0", "\uff11\uff10"])
+    def test_edge_and_orientation_tokens_must_be_ascii_digits(self, token):
+        with pytest.raises(ParseError, match="line 3: expected a vertex"):
+            parse_hypergraph(f"n 12\ne 0 1\ne 2 {token}\n")
+        h = hypergraph(12, [(0, 10), (0, 3)])
+        with pytest.raises(ParseError, match="line 2: expected an edge id"):
+            parse_orientation(f"o 0 0\no {token} 3\n", h)
+        with pytest.raises(ParseError, match="line 2: expected a vertex"):
+            parse_orientation(f"o 1 0\no 0 {token}\n", h)
+
+    def test_number_beyond_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 1: expected 'n <count>'"):
+            parse_hypergraph("n " + "9" * 5000 + "\ne 0 1\n")
+
 
 def doubled_triangle_trace():
     h = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])

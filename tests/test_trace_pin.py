@@ -1,0 +1,70 @@
+"""Pins the solver's outputs on a small seeded corpus to one SHA-256.
+
+The digest covers the formatted ``augment_to`` traces, the cut families of
+the start and end orientations, and separator answers on both sides.  It
+was recorded before the in-side queries moved onto the out network, so any
+change in search order, trace or answer shows here without running the
+full benchmark.  A deliberate change of output must re-record it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from hyperorient import (
+    GenSpec,
+    VertexSet,
+    apply_trace,
+    augment_to,
+    compute_families,
+    format_trace,
+    gen_instance,
+    gen_orientation,
+    min_in_separator,
+    min_out_separator,
+)
+
+PINNED = "5dbb3ebdf3deddf7028e9c2154e6dc6fee508a6c1ccc8ed9c555abd9288a8029"
+
+
+def corpus():
+    for n, k, extra in ((6, 1, 2), (8, 2, 3), (10, 2, 4), (12, 3, 3), (14, 2, 6), (14, 3, 5)):
+        for seed in range(2):
+            h = gen_instance(GenSpec(n=n, k=k, extra_edges=extra, max_edge_size=4, seed=seed))
+            yield h, k, gen_orientation(h, mode="min-head")
+            yield h, k, gen_orientation(h, seed=seed)
+
+
+def families_text(fam) -> str:
+    fields = ("m_minus", "m_plus", "m_all", "r_family", "q_minus", "q_plus")
+    return f"k={fam.k} " + " ".join(f"{f}={[list(x) for x in getattr(fam, f)]}" for f in fields)
+
+
+def separator_text(h, o, rng) -> str:
+    lines = []
+    for _ in range(6):
+        v = rng.randrange(h.n)
+        others = VertexSet(h.n, rng.sample([u for u in range(h.n) if u != v], rng.randint(1, 3)))
+        for fn in (min_in_separator, min_out_separator):
+            res = fn(h, o, v, others)
+            lines.append(f"{fn.__name__} {v} {list(others)} {res.value} {list(res.separator)}")
+    return "\n".join(lines)
+
+
+def corpus_text() -> str:
+    rng = random.Random(4)
+    chunks = []
+    for h, k, o in corpus():
+        trace = augment_to(h, o, k)
+        final = apply_trace(trace)
+        chunks.append(format_trace(trace))
+        chunks.append(families_text(compute_families(h, o)))
+        chunks.append(families_text(compute_families(h, final)))
+        chunks.append(separator_text(h, o, rng))
+        chunks.append(separator_text(h, final, rng))
+    return "\n".join(chunks)
+
+
+def test_outputs_match_the_pinned_digest():
+    assert hashlib.sha256(corpus_text().encode()).hexdigest() == PINNED
