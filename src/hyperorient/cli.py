@@ -30,6 +30,7 @@ from .separator import hyperarc_connectivity
 from .toolkit import (
     GenSpec,
     ParseError,
+    _ascii_number,
     format_hypergraph,
     format_orientation,
     format_trace,
@@ -170,12 +171,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_vertex_list(text: str, n: int) -> VertexSet:
-    try:
-        members = [int(t) for t in text.split(",") if t != ""]
-    except ValueError:
-        raise PreconditionError(f"expected a comma-separated vertex list, got {text!r}") from None
-    return VertexSet(n, members)
+def _vertex(token: str, flag: str) -> int:
+    """A vertex given on the command line, as ASCII digits like the file
+    formats' numbers."""
+    v = _ascii_number(token)
+    if v is None:
+        raise PreconditionError(f"{flag}: expected a vertex, got {token[:20]!r}")
+    return v
+
+
+def _parse_vertex_list(text: str, n: int, flag: str) -> VertexSet:
+    return VertexSet(n, [_vertex(t, flag) for t in text.split(",") if t != ""])
 
 
 def _cmd_oracle(args) -> int:
@@ -194,8 +200,9 @@ def _cmd_oracle(args) -> int:
         return 0
     elif op == "separator":
         o = parse_orientation(_read(args.orientation), h)
-        sinks = _parse_vertex_list(args.sinks, h.n)
-        value, minimizers, minimal = bf_min_separator(h, o, args.source, sinks, args.side)
+        sinks = _parse_vertex_list(args.sinks, h.n, "--sinks")
+        source = _vertex(args.source, "--source")
+        value, minimizers, minimal = bf_min_separator(h, o, source, sinks, args.side)
         result = {
             "value": value,
             "minimal": list(minimal),
@@ -214,9 +221,9 @@ def _cmd_oracle(args) -> int:
     elif op in ("safe-source", "safe-sink"):
         o = parse_orientation(_read(args.orientation), h)
         fam = bf_families(h, o)
-        member = _parse_vertex_list(args.set, h.n)
+        member = _parse_vertex_list(args.set, h.n, "--set")
         test = bf_safe_source if op == "safe-source" else bf_safe_sink
-        result = {"safe": test(h, o, fam, member, args.vertex)}
+        result = {"safe": test(h, o, fam, member, _vertex(args.vertex, "--vertex"))}
     else:  # pragma: no cover - argparse restricts choices
         raise PreconditionError(f"unknown oracle operation {op!r}")
     if args.json:
@@ -296,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientation", default=None)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--side", choices=["out", "in"], default="out")
-    p.add_argument("--source", type=int, default=0)
+    p.add_argument("--source", default="0")
     p.add_argument("--sinks", default="", help="comma-separated vertex list")
     p.add_argument("--set", default="", help="comma-separated vertex list")
-    p.add_argument("--vertex", type=int, default=0)
+    p.add_argument("--vertex", default="0")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

@@ -11,10 +11,16 @@ inclusion-minimal minimizer.  In-degree separators use the arc-reversed
 digraph: the same residual network with each pair's capacities swapped.
 
 Vertex ``i`` is node ``i``; the node for edge ``e`` is ``n + e``.  A query
-with several sources or sinks runs one multi-terminal flow: every source
-seeds the residual search and reaching any sink ends it.  The digraph builds
-its residual arrays once, so every query on one orientation, of either
-side, shares one :class:`IncidenceDigraph`.
+with several sources or sinks runs one multi-terminal flow: every node of
+the smaller terminal set seeds the residual search and reaching any node of
+the other ends it.  The digraph builds its residual arrays once, so every
+query on one orientation, of either side, shares one
+:class:`IncidenceDigraph`.
+
+The hyperarc-connectivity is a sink sequence (Hao and Orlin, J. Algorithms
+1994, in augmenting-path form): per side, ``n - 1`` flows into one vertex
+each from a growing source set, on one kept residual array, so that after
+the first few each flow is a short search backward from its sink.
 """
 
 from __future__ import annotations
@@ -38,15 +44,17 @@ class IncidenceDigraph:
     """Capacitated digraph as a plain arc list ``(from, to, capacity)``.
 
     The residual arrays are derived once: residual arc ``2j`` is input arc
-    ``j`` and ``2j + 1`` its reverse; ``arc_head`` and ``arc_cap`` (the
-    capacities before any flow) are indexed by residual arc, and ``adj[u]``
-    lists the residual arcs leaving ``u`` in ascending ``(head, index)``
-    order, so every flow explores in a reproducible order.
+    ``j`` and ``2j + 1`` its reverse, so arc ``i``'s partner is ``i ^ 1``;
+    ``arc_head``, ``arc_tail`` and ``arc_cap`` (the capacities before any
+    flow) are indexed by residual arc, and ``adj[u]`` lists the residual
+    arcs leaving ``u`` in ascending ``(head, index)`` order, so every flow
+    explores in a reproducible order.
     """
 
     n_nodes: int
     arcs: tuple[tuple[int, int, int], ...]
     arc_head: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    arc_tail: tuple[int, ...] = field(init=False, repr=False, compare=False)
     arc_cap: tuple[int, ...] = field(init=False, repr=False, compare=False)
     adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
@@ -67,9 +75,20 @@ class IncidenceDigraph:
             cap.append(0)
         for lst in adj:
             lst.sort(key=head.__getitem__)  # stable: ties keep ascending index
+        tail = head[:]
+        tail[0::2], tail[1::2] = head[1::2], head[0::2]
         object.__setattr__(self, "arc_head", tuple(head))
+        object.__setattr__(self, "arc_tail", tuple(tail))
         object.__setattr__(self, "arc_cap", tuple(cap))
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
+
+    @cached_property
+    def adj_in(self) -> tuple[tuple[int, ...], ...]:
+        """``adj_in[u]`` lists the residual arcs entering ``u``: the partners
+        of ``adj[u]``, in its order.  Derived on first use."""
+        # from lists, not generators: tuples built from generators here left
+        # about 1 MB more held by the interpreter after the networks died
+        return tuple([tuple([i ^ 1 for i in arcs]) for arcs in self.adj])
 
     @cached_property
     def reversed_cap(self) -> tuple[int, ...]:
@@ -133,61 +152,77 @@ def max_flow_min_cut(
     flow already in place instead of from ``g.arc_cap``, and is updated in
     place; ``value`` then counts only the units this call adds.
 
-    Each round is a breadth-first search seeded with every source that stops
-    at the first sink it labels; the round that labels none has labelled
-    exactly the residual-reachable side.
+    Each round is a breadth-first search seeded with every node of the
+    smaller terminal set.  From the sources it follows residual arcs
+    forward (``adj``) and stops at the first sink it labels; from the sinks
+    (when there are fewer sinks than sources) it follows them backward
+    (``adj_in``, the partners ``i ^ 1`` of ``adj``) and stops at the first
+    source.  The forward round that labels no sink has labelled exactly the
+    residual-reachable side; a backward round that labels no source is
+    followed by one such forward round.
     """
     n_nodes = g.n_nodes
     roots, targets = _terminals(sources), _terminals(sinks)
     if not roots or not targets:
         raise PreconditionError("sources and sinks must be nonempty")
-    if not all(0 <= x < n_nodes for x in roots + targets):
+    if min(roots + targets) < 0 or max(roots + targets) >= n_nodes:
         raise PreconditionError("source or sink out of range")
-    is_sink = [False] * n_nodes
+    is_source, is_sink = [False] * n_nodes, [False] * n_nodes
+    for s in roots:
+        is_source[s] = True
     for t in targets:
+        if is_source[t]:
+            raise PreconditionError("sources and sinks must be disjoint")
         is_sink[t] = True
-    if any(is_sink[s] for s in roots):
-        raise PreconditionError("sources and sinks must be disjoint")
-    head, adj = g.arc_head, g.adj
     if residual is None:
         cap = list(g.arc_cap)
-    elif len(residual) == len(head):
+    elif len(residual) == len(g.arc_cap):
         cap = residual
     else:
         raise PreconditionError("residual needs one capacity per residual arc")
 
+    # Forward, a search scans the arcs leaving a node and steps to their
+    # heads, and a path is walked back along tails; backward, the reverse.
+    back = len(targets) < len(roots)
     flow = 0
     while limit is None or flow < limit:
-        parent = [-1] * n_nodes
-        for s in roots:
+        if back:
+            starts, is_end, scan, ahead, behind = targets, is_source, g.adj_in, g.arc_tail, g.arc_head
+        else:
+            starts, is_end, scan, ahead, behind = roots, is_sink, g.adj, g.arc_head, g.arc_tail
+        parent = [-1] * n_nodes  # the residual arc a labelled node was reached by
+        for s in starts:
             parent[s] = -2
-        queue = list(roots)
+        queue = list(starts)
         hit = -1
         for u in queue:  # the list grows while it is scanned
-            for i in adj[u]:
+            for i in scan[u]:
                 if cap[i] > 0:
-                    v = head[i]
+                    v = ahead[i]
                     if parent[v] == -1:
                         parent[v] = i
-                        if is_sink[v]:
+                        if is_end[v]:
                             hit = v
                             break
                         queue.append(v)
             if hit >= 0:
                 break
         if hit < 0:
+            if back:
+                back = False  # the flow is maximum; label the sources' side
+                continue
             return flow, frozenset(v for v in range(n_nodes) if parent[v] != -1)
         bottleneck = None if limit is None else limit - flow
         v = hit
         while (i := parent[v]) >= 0:
             if bottleneck is None or cap[i] < bottleneck:
                 bottleneck = cap[i]
-            v = head[i ^ 1]
+            v = behind[i]
         v = hit
         while (i := parent[v]) >= 0:
             cap[i] -= bottleneck
             cap[i ^ 1] += bottleneck
-            v = head[i ^ 1]
+            v = behind[i]
         flow += bottleneck
     return flow, None
 
@@ -268,8 +303,8 @@ def min_in_separator(h: Hypergraph, o: Orientation, t: int, sources: VertexSet) 
 
 
 def _root_pairs(n: int) -> list[tuple[int, int]]:
-    """The (source, sink) queries against vertex 0, in :func:`connectivity`'s
-    order."""
+    """The (source, sink) queries against vertex 0 that
+    :class:`IncrementalConnectivity` keeps, in its order."""
     return [(s, t) for v in range(1, n) for s, t in ((0, v), (v, 0))]
 
 
@@ -282,28 +317,38 @@ def connectivity(
     ``cap`` means "at least ``cap``").  ``x`` is a vertex set of out-degree
     ``value``, or ``None`` when no set has out-degree below ``cap``.
 
-    Every candidate set either contains vertex 0 or misses it, so the
-    minimum over all sets equals the minimum over separator queries between
-    vertex 0 and each other vertex, in both directions.  All of them run on
-    one network, each flow capped at the best value so far.
+    A sink sequence in the manner of Hao and Orlin: one pass covers the sets
+    that contain vertex 0, on ``arc_cap``, and one the sets that miss it, as
+    the in-degree of their complements, on ``reversed_cap``.  A pass starts
+    with sources ``[0]`` and, for ``t = 1 .. n - 1``, runs one flow from the
+    sources to ``t`` capped at the best value so far, then adds ``t`` to the
+    sources.  It is exact: if ``X`` attains the minimum and ``t`` is the
+    first sink outside ``X``, every source of that query lies in ``X``.  A
+    pass keeps one residual array throughout.  Every unit of the flow in it
+    runs between nodes that are sources of the next query, so the flow is
+    net zero across each of that query's cuts, every cut keeps its
+    capacity, and the next query resumes from it without a reset.
+
+    ``x`` is the minimal side of the query that last lowered the value; on
+    the second pass, that side's complement.
     """
+    n = h.n
     g = network(h, o)
     best = h.m + 1 if cap is None else cap
     found = None
-    for src, snk in _root_pairs(h.n):
+    for reverse in (False, True):
         if best == 0:
             break
-        value, sep = _solve(
-            h,
-            o,
-            "out",
-            VertexSet.singleton(h.n, src),
-            VertexSet.singleton(h.n, snk),
-            limit=best,
-            g=g,
-        )
-        if value < best:
-            best, found = value, sep
+        residual = list(g.reversed_cap if reverse else g.arc_cap)
+        sources = [0]
+        for t in range(1, n):
+            value, reach = max_flow_min_cut(g, sources, t, limit=best, residual=residual)
+            if reach is not None:  # below the best value so far
+                side = _separator(n, reach, VertexSet(n, sources), VertexSet.singleton(n, t))
+                best, found = value, side.complement() if reverse else side
+                if best == 0:
+                    break
+            sources.append(t)
     return best, found
 
 
@@ -314,17 +359,20 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
 
 
 class IncrementalConnectivity:
-    """``connectivity(h, o, cap)`` kept current across single-hyperarc
-    reorientations, by repairing flows instead of recomputing them.
+    """The value of ``connectivity(h, o, cap)`` kept current across
+    single-hyperarc reorientations, by repairing flows instead of
+    recomputing them.
 
     It runs on ``network(h, o)``, which has one residual pair per incidence
     ``(e, x)``; ``i`` indexes its ``x -> w_e`` arc (``2j`` for a tail's input
     arc ``j``, ``2j + 1`` for the head's).  The orientation then lives only in
     the capacities: a tail's ``(i, i ^ 1)`` holds ``(m + 1, 0)``, the head's
-    ``(0, 1)``, so a reorientation rewrites only ``e``'s block.  Each query
-    of :func:`connectivity` keeps a residual array holding a flow capped at
-    ``cap`` and, below the cap, a minimum cut (a node set whose capacity
-    equals the flow).
+    ``(0, 1)``, so a reorientation rewrites only ``e``'s block.  It keeps
+    one query per root pair, vertex 0 to each other vertex and back (not
+    :func:`connectivity`'s sink sequence, whose queries build on each
+    other).  Each keeps a residual array holding a flow capped at ``cap``
+    and, below the cap, a minimum cut (a node set whose capacity equals the
+    flow).
 
     One reorientation moves every out-degree by at most one, so it moves
     every query's value by at most one, and at most one flow unit crosses
@@ -420,9 +468,9 @@ class IncrementalConnectivity:
         return self.value
 
     def witness(self) -> Optional[VertexSet]:
-        """The set :func:`connectivity` returns with :attr:`value`: the
-        minimal minimizer of the first query attaining it, or ``None`` at
-        the cap."""
+        """A set of out-degree :attr:`value`: the minimal minimizer of the
+        first root pair attaining it, or ``None`` at the cap.  It may
+        differ from the set :func:`connectivity` returns."""
         if self.value >= self.cap:
             return None
         p = self._value.index(self.value)

@@ -99,15 +99,23 @@ def _tokenize(text: str):
             yield lineno, line.split()
 
 
-def _number(lineno: int, token: str, expected: str) -> int:
-    """``token`` as a non-negative integer of ASCII digits.  ``int`` alone
-    also takes ``+0``, ``1_0`` and other scripts' digits such as ``٣``."""
+def _ascii_number(token: str) -> int | None:
+    """``token`` as a non-negative integer of ASCII digits, else ``None``.
+    ``int`` alone also takes ``+0``, ``1_0`` and other scripts' digits such
+    as ``٣``."""
     if token.isascii() and token.isdigit():
         try:
             return int(token)
         except ValueError:  # beyond the interpreter's digit limit
             pass
-    raise ParseError(f"line {lineno}: expected {expected}, got {token[:20]!r}")
+    return None
+
+
+def _number(lineno: int, token: str, expected: str) -> int:
+    value = _ascii_number(token)
+    if value is None:
+        raise ParseError(f"line {lineno}: expected {expected}, got {token[:20]!r}")
+    return value
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -11,7 +11,6 @@ import pytest
 
 from hyperorient import (
     GenSpec,
-    Orientation,
     VertexSet,
     augment_to,
     bf_families,
@@ -27,8 +26,6 @@ from hyperorient import (
     gen_instance,
     gen_orientation,
     hyperarc_connectivity,
-    hypergraph,
-    in_degree,
     is_in_dangerous,
     is_in_tight,
     is_out_dangerous,
@@ -37,7 +34,6 @@ from hyperorient import (
     is_safe_source,
     min_in_separator,
     min_out_separator,
-    out_degree,
     trim,
     verify_trace,
 )

@@ -1,0 +1,70 @@
+"""Source hygiene: no module imports a name it never uses.
+
+An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
+Package ``__init__.py`` files are skipped: their imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path
+    for folder in ("src", "tests", "demos")
+    for path in (ROOT / folder).rglob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def imported_names(tree):
+    """``(name, line)`` for each name a top-level or nested import binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    """Every name the module reads, including inside quoted annotations and
+    as a string in ``__all__``."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    for annotation in annotations:
+        for c in ast.walk(annotation):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                quoted = ast.parse(c.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.relative_to(ROOT)} imports names it never uses: {', '.join(unused)}"
+
+
+def test_the_scan_sees_the_modules():
+    assert len(MODULES) > 20
+    tree = ast.parse("import os\nfrom typing import Optional, List\nx: 'Optional[int]' = 1\n")
+    assert [name for name, _ in imported_names(tree) if name not in used_names(tree)] == ["os", "List"]

@@ -167,6 +167,72 @@ class TestMultiTerminalAgainstSuperNodes:
             self.check(rng, IncidenceDigraph(n_nodes, tuple(arcs)))
 
 
+def random_digraph(rng, n_max):
+    n_nodes = rng.randint(3, n_max)
+    arcs = []
+    for _ in range(rng.randint(n_nodes, 3 * n_nodes)):
+        u, v = rng.sample(range(n_nodes), 2)
+        arcs.append((u, v, rng.randint(1, 3)))
+    return IncidenceDigraph(n_nodes, tuple(arcs))
+
+
+class TestBackwardSearch:
+    """Queries with fewer sinks than sources search from the sinks."""
+
+    def test_searches_from_the_sink(self):
+        # two disjoint two-arc paths into sink 4, from sources 0 and 1: the
+        # forward search reaches 4 through 0's path first, the backward one
+        # reaches source 1 first (4's residual arcs are scanned by head)
+        g = IncidenceDigraph(5, ((0, 3, 1), (3, 4, 1), (1, 2, 1), (2, 4, 1)))
+        res = list(g.arc_cap)
+        assert max_flow_min_cut(g, [0, 1], [4], limit=1, residual=res) == (1, None)
+        assert res[4] == 0 and res[0] == 1  # 1 -> 2 carries the unit, 0 -> 3 does not
+        assert max_flow_min_cut(g, [0, 1], [4], residual=res) == (1, frozenset({0, 1}))
+
+    def test_many_sources_one_sink(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            g = random_digraph(rng, 9)
+            nodes = rng.sample(range(g.n_nodes), rng.randint(3, g.n_nodes))
+            sources, sink = nodes[1:], nodes[:1]
+            value, reach = max_flow_min_cut(g, sources, sink)
+            assert (value, reach) == super_node_flow(g, sources, sink)
+            assert (value, reach) == brute_force_cut(g, sources, sink)
+            for limit in range(value + 2):
+                assert max_flow_min_cut(g, sources, sink, limit=limit) == super_node_flow(
+                    g, sources, sink, limit=limit
+                )
+
+    def test_resumes_from_a_residual(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            g = random_digraph(rng, 9)
+            nodes = rng.sample(range(g.n_nodes), rng.randint(3, g.n_nodes))
+            sources, sink = nodes[1:], nodes[:1]
+            value = super_node_flow(g, sources, sink)[0]
+            res = list(g.arc_cap)
+            first = rng.randint(0, value)
+            assert max_flow_min_cut(g, sources, sink, limit=first, residual=res) == (first, None)
+            rest, reach = max_flow_min_cut(g, sources, sink, residual=res)
+            assert (first + rest, reach) == brute_force_cut(g, sources, sink)
+
+    def test_sink_sequence_on_one_residual(self):
+        """A flow between nodes that are all sources of the next query leaves
+        that query's cuts at their capacity, so it resumes without a reset."""
+        rng = random.Random(7)
+        for _ in range(100):
+            g = random_digraph(rng, 8)
+            order = rng.sample(range(g.n_nodes), g.n_nodes)
+            res = list(g.arc_cap)
+            for i in range(1, g.n_nodes):
+                sources, sink = order[:i], order[i : i + 1]
+                limit = rng.choice([None, rng.randint(0, 4)])
+                got = max_flow_min_cut(g, sources, sink, limit=limit, residual=res)
+                assert got == super_node_flow(g, sources, sink, limit=limit)
+                if got[1] is not None:
+                    assert got == brute_force_cut(g, sources, sink)
+
+
 class TestIncidenceDigraph:
     def test_structure(self):
         h = hypergraph(4, [(0, 1, 2), (2, 3)])
@@ -180,6 +246,14 @@ class TestIncidenceDigraph:
             tails = [(u, v, c) for (u, v, c) in g.arcs if v == w]
             assert all(c == h.m + 1 for (_, _, c) in tails)
             assert {u for (u, _, _) in tails} == set(o.tail(e))
+
+    def test_tails_and_entering_arcs(self):
+        for h, o in random_instances(4, 20, n_max=7, m_max=9, size_max=4):
+            g = incidence_digraph(h, o)
+            assert all(g.arc_tail[i] == g.arc_head[i ^ 1] for i in range(len(g.arc_head)))
+            for u in range(g.n_nodes):
+                assert [i ^ 1 for i in g.adj_in[u]] == list(g.adj[u])
+                assert all(g.arc_head[i] == u for i in g.adj_in[u])
 
     def test_reversed_cap_is_the_reversed_digraph(self):
         """Per node, the residual arcs in search order with their heads and
@@ -306,6 +380,92 @@ class TestConnectivity:
                     assert witness is None
 
 
+def root_pair_connectivity(h, o, cap=None):
+    """Connectivity by independent root-pair queries, vertex 0 to each other
+    vertex and back, each capped at the best value so far: the routine the
+    sink sequence replaced, and the set :class:`IncrementalConnectivity`
+    keeps as its witness."""
+    g = separator.network(h, o)
+    best = h.m + 1 if cap is None else cap
+    found = None
+    for src, snk in separator._root_pairs(h.n):
+        if best == 0:
+            break
+        value, sep = separator._solve(
+            h,
+            o,
+            "out",
+            VertexSet.singleton(h.n, src),
+            VertexSet.singleton(h.n, snk),
+            limit=best,
+            g=g,
+        )
+        if value < best:
+            best, found = value, sep
+    return best, found
+
+
+class TestSinkSequence:
+    def test_matches_root_pairs_on_walks(self):
+        rng = random.Random(48)
+        values = set()
+        for seed in range(12):
+            n, k = rng.choice([8, 16, 32, 48]), rng.randint(1, 4)
+            spec = GenSpec(n=n, k=k, extra_edges=rng.randint(0, n), max_edge_size=min(5, n), seed=seed)
+            h = gen_instance(spec)
+            if seed % 3:  # connectivity at least k, then walks down and up
+                o = perturbed_cycle_orientation(h, k, rng)
+            else:
+                o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
+            for step in range(10):
+                cap = rng.choice([None, rng.randint(0, k + 2)])
+                value, x = connectivity(h, o, cap=cap)
+                assert value == root_pair_connectivity(h, o, cap=cap)[0], (seed, step)
+                if x is None:
+                    assert value == (h.m + 1 if cap is None else cap)
+                else:
+                    assert out_degree(h, o, x) == value
+                values.add(value)
+                o = reorient(o, *walk_step(rng, h, o, k + 1))
+        assert set(range(5)) <= values
+
+    def test_witness_side_of_vertex_zero(self):
+        """The first pass (sets containing vertex 0) keeps its set unless the
+        second pass finds a strictly smaller out-degree."""
+        sides = set()
+        for h, o in random_instances(17, 120, n_max=6, m_max=8):
+            n = h.n
+            degrees = {
+                mask: out_degree(h, o, VertexSet.from_mask(n, mask)) for mask in range(1, (1 << n) - 1)
+            }
+            with_root = min(d for mask, d in degrees.items() if mask & 1)
+            without_root = min(d for mask, d in degrees.items() if not mask & 1)
+            value, x = connectivity(h, o)
+            assert value == min(with_root, without_root) and out_degree(h, o, x) == value
+            assert (0 in x) == (with_root <= without_root)
+            sides.add(0 in x)
+        assert sides == {False, True}
+
+    def test_one_kept_residual_per_pass(self, monkeypatch):
+        h = gen_instance(GenSpec(n=12, k=3, extra_edges=6, max_edge_size=4, seed=12))
+        o = gen_orientation(h, seed=12)
+        calls = []
+        original = separator.max_flow_min_cut
+
+        def recorded(g, sources, sinks, limit=None, residual=None):
+            calls.append((list(sources), sinks, id(residual)))
+            return original(g, sources, sinks, limit=limit, residual=residual)
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
+        connectivity(h, o)
+        assert len(calls) == 2 * (h.n - 1)
+        for half in (calls[: h.n - 1], calls[h.n - 1 :]):
+            assert [(sources, sink) for sources, sink, _ in half] == [
+                (list(range(t)), t) for t in range(1, h.n)
+            ]
+            assert len({res for _, _, res in half}) == 1
+
+
 def walk_step(rng, h, o, cap):
     """One single reorientation: a random one (these often lower the
     connectivity) or, half of the time, the best capped connectivity among
@@ -328,13 +488,15 @@ class TestIncrementalConnectivity:
             o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
             cap = connectivity(h, o)[0] + rng.randint(1, 3)
             check = IncrementalConnectivity(h, o, cap)
-            assert (check.value, check.witness()) == connectivity(h, o, cap=cap)
+            assert (check.value, check.witness()) == root_pair_connectivity(h, o, cap)
+            assert check.value == connectivity(h, o, cap=cap)[0]
             for step in range(1, 31):
                 e, head = walk_step(rng, h, o, cap)
                 before = check.value
                 o = reorient(o, e, head)
                 assert check.reorient(e, head) == check.value
-                assert (check.value, check.witness()) == connectivity(h, o, cap=cap), (seed, step)
+                assert (check.value, check.witness()) == root_pair_connectivity(h, o, cap), (seed, step)
+                assert check.value == connectivity(h, o, cap=cap)[0], (seed, step)
                 if check.value != before:
                     moved[check.value - before] += 1
         assert moved[-1] > 0 and moved[1] > 0

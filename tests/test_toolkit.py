@@ -14,7 +14,6 @@ from hyperorient import (
     format_trace,
     gen_instance,
     gen_orientation,
-    hyperarc_connectivity,
     hypergraph,
     parse_hypergraph,
     parse_orientation,
@@ -299,6 +298,39 @@ class TestCli:
         code, out, err = run_cli(
             capsys, "gen", "--n", "4", "--k", "1", "--out", str(tmp_path)
         )
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in out + err
+
+    @pytest.mark.parametrize("token", ["١_0", "1_0", "+1", "-1", "１０", "1.0", "x"])
+    @pytest.mark.parametrize(
+        "operation, flag",
+        [
+            ("separator", "--sinks"),
+            ("separator", "--source"),
+            ("safe-source", "--set"),
+            ("safe-source", "--vertex"),
+        ],
+    )
+    def test_oracle_vertices_must_be_ascii_digits(self, capsys, tmp_path, operation, flag, token):
+        # twelve vertices, so that int() would read '١_0' and '1_0' as vertex 10
+        hg, orf = tmp_path / "c.hg", tmp_path / "c.or"
+        hg.write_text("n 12\n" + "".join(f"e {v} {(v + 1) % 12}\n" for v in range(12)))
+        orf.write_text("".join(f"o {v} {(v + 1) % 12}\n" for v in range(12)))
+        if operation == "separator":
+            args = {"--source": "0", "--sinks": "10"}
+        else:
+            args = {"--set": "10", "--vertex": "10"}
+        args[flag] = token
+        argv = ["oracle", operation, "--input", str(hg), "--orientation", str(orf)]
+        code, out, err = run_cli(capsys, *argv, *(f"{key}={value}" for key, value in args.items()))
+        assert code == 1 and err.startswith(f"error: {flag}: expected a vertex")
+        assert "Traceback" not in out + err
+
+    def test_oracle_vertex_lists_accept_ascii_digits(self, capsys, tmp_path):
+        hg, orf = self.write_three_cycle(tmp_path)
+        base = ["oracle", "separator", "--input", hg, "--orientation", orf, "--json"]
+        code, out, _ = run_cli(capsys, *base, "--source=0", "--sinks=1,,2")
+        assert code == 0 and json.loads(out)["minimal"] == [0]
+        code, out, err = run_cli(capsys, *base, "--source=0", "--sinks=1,3")
         assert code == 1 and err.startswith("error: ") and "Traceback" not in out + err
 
     def test_oracle_operations(self, capsys, tmp_path):
