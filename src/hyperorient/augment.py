@@ -6,12 +6,15 @@ level ``k``, pick the canonically smallest region of the ``r_family``, find
 an admissible path in it, and reorient the path's hyperarcs one by one
 toward their recorded tails (end to start inside an in-tight region, start
 to end inside an out-tight one).  After every single reorientation the
-connectivity is checked to stay at least ``k``: the level keeps the
-2(n - 1) flows of its connectivity check, capped at ``k + 1``, and repairs
-them after each step instead of recomputing them
-(:class:`~hyperorient.separator.IncrementalConnectivity`).  Reaching ``k + 1``
-mid-path ends the level immediately, which keeps the per-step connectivity
-sequence non-decreasing.  :func:`verify_trace` recomputes every step's
+connectivity is checked to stay at least ``k``: one step check
+(:class:`~hyperorient.separator.IncrementalConnectivity`) keeps 2(n - 1)
+root-pair flows for the whole run and repairs them after each step instead
+of recomputing them.  :func:`augment_to` builds it once; each level raises
+its cap to ``k + 1``, which adds at most one unit to each flow at the old
+cap, and takes the level's connectivity from it.  The level's cut families
+are read from the same flows.  Reaching ``k + 1`` mid-path ends the level
+immediately, which keeps the per-step connectivity sequence
+non-decreasing.  :func:`verify_trace` recomputes every step's
 connectivity from scratch instead, so the verifier shares none of the
 repair code.  Each full path strictly shrinks the potential
 ``(|m_all|, -covered vertices)``, so a level finishes within ``n^2``
@@ -110,18 +113,30 @@ def augment_one(
     o: Orientation,
     level: Optional[int] = None,
     observer: Optional[Observer] = None,
+    *,
+    check: Optional[IncrementalConnectivity] = None,
 ) -> tuple[Orientation, ReorientationTrace]:
     """Raise the connectivity from ``level`` (the current exact value by
     default) to ``level + 1`` by single-hyperarc reorientations.
 
     Returns the new orientation and a trace whose per-step connectivity is
     non-decreasing and never below ``level``.  If the orientation is already
-    above ``level`` the trace is empty.
+    above ``level`` the trace is empty.  ``check`` is a step check for ``o``
+    with a cap of at most ``level + 1``, kept from an earlier level; its cap
+    is raised to ``level + 1`` and it is left current for the returned
+    orientation.  Without one, one is built.
     """
-    lam0 = hyperarc_connectivity(h, o)
-    k = lam0 if level is None else level
-    if k > lam0:
+    k = hyperarc_connectivity(h, o) if level is None else level
+    if check is None:
+        check = IncrementalConnectivity(h, o, cap=k + 1)
+    elif check.heads != list(o.heads):
+        raise PreconditionError("the step check is for another orientation")
+    check.raise_cap(k + 1)
+    lam0 = check.value
+    if lam0 < k:
         raise PreconditionError(f"orientation has connectivity {lam0}, below level {k}")
+    if lam0 > k:  # already above the level; the trace records the exact value
+        lam0 = hyperarc_connectivity(h, o)
 
     n = h.n
     budget = n**3 + n
@@ -130,10 +145,9 @@ def augment_one(
     lam_cur = lam0
     prev_potential: Optional[tuple[int, int]] = None
     iteration = 0
-    check: Optional[IncrementalConnectivity] = None
 
     while lam_cur == k:
-        fam = compute_families(h, cur, level=None)
+        fam = compute_families(h, cur, check=check)
         if fam.k != k:  # lam_cur is exact here
             raise InvariantViolation(
                 f"level {k}, iteration {iteration + 1}: families at {fam.k}, connectivity {lam_cur}"
@@ -178,11 +192,7 @@ def augment_one(
             if old_head != arc.head:
                 raise InvariantViolation(f"edge {arc.edge} changed head mid-path")
             cur = reorient(cur, arc.edge, arc.tail)
-            if check is None:  # the level's first step; later steps repair its flows
-                check = IncrementalConnectivity(h, cur, cap=k + 1)
-            else:
-                check.reorient(arc.edge, arc.tail)
-            lam_after = check.value
+            lam_after = check.reorient(arc.edge, arc.tail)
             if lam_after < k:
                 raise NotPartitionConnectedError(
                     f"connectivity dropped to {lam_after} during a path at level {k}",
@@ -224,8 +234,10 @@ def augment_to(
     steps: list[ReorientationStep] = []
     cur = o
     lam = lam0
+    check = IncrementalConnectivity(h, o, cap=lam0 + 1) if lam0 < k_target else None
     while lam < k_target:
-        cur, partial = augment_one(h, cur, level=lam, observer=observer)
+        # one call per level, through the module global: a wrapped augment_one sees each level
+        cur, partial = augment_one(h, cur, level=lam, observer=observer, check=check)
         steps.extend(partial.steps)
         lam = partial.lambda_final
     if len(steps) > (k_target - lam0) * h.n**3:

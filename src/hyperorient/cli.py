@@ -115,14 +115,15 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_orient(args) -> int:
+    target_k, seed = _integer(args.target_k, "--target-k"), _integer(args.seed, "--seed")
     h = _load_instance(args)
     if args.orientation is not None:
         o = parse_orientation(_read(args.orientation), h)
     else:
-        o = gen_orientation(h, seed=args.seed)
+        o = gen_orientation(h, seed=seed)
     if args.orientation_out:
         _write(args.orientation_out, format_orientation(o))
-    trace = augment_to(h, o, args.target_k)
+    trace = augment_to(h, o, target_k)
     _write(args.trace_out, format_trace(trace))
     summary = {
         "lambda_initial": trace.lambda_initial,
@@ -161,31 +162,32 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = GenSpec(
-        n=args.n,
-        k=args.k,
-        extra_edges=args.extra_edges,
-        max_edge_size=args.max_edge_size,
-        seed=args.seed,
+        n=_integer(args.n, "--n"),
+        k=_integer(args.k, "--k"),
+        extra_edges=_integer(args.extra_edges, "--extra-edges"),
+        max_edge_size=_integer(args.max_edge_size, "--max-edge-size"),
+        seed=_integer(args.seed, "--seed"),
     )
     _write(args.out, format_hypergraph(gen_instance(spec)))
     return 0
 
 
-def _vertex(token: str, flag: str) -> int:
-    """A vertex given on the command line, as ASCII digits like the file
+def _integer(token: str, flag: str, expected: str = "a non-negative integer") -> int:
+    """A number given on the command line, as ASCII digits like the file
     formats' numbers."""
     v = _ascii_number(token)
     if v is None:
-        raise PreconditionError(f"{flag}: expected a vertex, got {token[:20]!r}")
+        raise PreconditionError(f"{flag}: expected {expected}, got {token[:20]!r}")
     return v
 
 
 def _parse_vertex_list(text: str, n: int, flag: str) -> VertexSet:
-    return VertexSet(n, [_vertex(t, flag) for t in text.split(",") if t != ""])
+    return VertexSet(n, [_integer(t, flag, "a vertex") for t in text.split(",") if t != ""])
 
 
 def _cmd_oracle(args) -> int:
     op = args.operation
+    k = _integer(args.k, "--k")
     h = _load_instance(args)
     if op == "lambda":
         o = parse_orientation(_read(args.orientation), h)
@@ -201,7 +203,7 @@ def _cmd_oracle(args) -> int:
     elif op == "separator":
         o = parse_orientation(_read(args.orientation), h)
         sinks = _parse_vertex_list(args.sinks, h.n, "--sinks")
-        source = _vertex(args.source, "--source")
+        source = _integer(args.source, "--source", "a vertex")
         value, minimizers, minimal = bf_min_separator(h, o, source, sinks, args.side)
         result = {
             "value": value,
@@ -209,12 +211,12 @@ def _cmd_oracle(args) -> int:
             "minimizers": [list(x) for x in minimizers],
         }
     elif op == "partition-connected":
-        ok, witness = bf_partition_connected(h, args.k)
+        ok, witness = bf_partition_connected(h, k)
         result = {"partition_connected": ok}
         if witness is not None:
             result["witness"] = [list(c) for c in witness.classes]
     elif op == "orientation-exists":
-        ok, witness = bf_orientation_exists(h, args.k)
+        ok, witness = bf_orientation_exists(h, k)
         result = {"orientation_exists": ok}
         if witness is not None:
             result["heads"] = list(witness.heads)
@@ -223,7 +225,7 @@ def _cmd_oracle(args) -> int:
         fam = bf_families(h, o)
         member = _parse_vertex_list(args.set, h.n, "--set")
         test = bf_safe_source if op == "safe-source" else bf_safe_sink
-        result = {"safe": test(h, o, fam, member, _vertex(args.vertex, "--vertex"))}
+        result = {"safe": test(h, o, fam, member, _integer(args.vertex, "--vertex", "a vertex"))}
     else:  # pragma: no cover - argparse restricts choices
         raise PreconditionError(f"unknown oracle operation {op!r}")
     if args.json:
@@ -262,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orient", help="raise connectivity to a target and write a trace")
     add_common(p, orientation_required=False)
-    p.add_argument("--target-k", type=int, required=True, help="target connectivity")
-    p.add_argument("--seed", type=int, default=0, help="seed for a generated start orientation")
+    p.add_argument("--target-k", required=True, help="target connectivity")
+    p.add_argument("--seed", default="0", help="seed for a generated start orientation")
     p.add_argument("--trace-out", default=None, help="trace output path (default stdout)")
     p.add_argument(
         "--orientation-out",
@@ -278,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a feasible instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--extra-edges", type=int, default=0)
-    p.add_argument("--max-edge-size", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", required=True)
+    p.add_argument("--k", required=True)
+    p.add_argument("--extra-edges", default="0")
+    p.add_argument("--max-edge-size", default="3")
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_gen)
 
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True)
     p.add_argument("--orientation", default=None)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", default="1")
     p.add_argument("--side", choices=["out", "in"], default="out")
     p.add_argument("--source", default="0")
     p.add_argument("--sinks", default="", help="comma-separated vertex list")

@@ -18,6 +18,14 @@ The computed families:
 * ``q_minus[v]`` / ``q_plus[v]``: the unique minimal in-tight / out-tight
   set containing ``v`` (the full set when none exists).
 
+:func:`compute_families` reads the q sets from the root-pair flows that an
+:class:`~hyperorient.separator.IncrementalConnectivity` keeps, capped above
+``k``: ``q_plus[v]`` is the residual reach of ``v`` in the ``v -> 0`` flow
+and ``q_minus[v]`` the set that reaches ``v`` in the ``0 -> v`` flow, where
+that flow's value is ``k``.  Each ``r_family`` candidate adds at most one
+unit to a copy of one such flow.  The connectivity is recomputed from
+scratch once per call, as a cross-check of the kept flows.
+
 A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
 out-tight set containing ``u`` strictly contains ``S``, and every dangerous
 out-set ``X`` containing ``u`` with ``S - X`` nonempty has an out-tight
@@ -40,7 +48,7 @@ from .core import (
     minimal_members,
     out_degree,
 )
-from .separator import _solve, hyperarc_connectivity, network
+from .separator import IncrementalConnectivity, _solve, hyperarc_connectivity, network
 
 ROOT = 0
 
@@ -90,29 +98,18 @@ def is_out_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int
     return out_degree(h, o, x) == k + 1
 
 
-def _minimal_tight(
-    h: Hypergraph, o: Orientation, k: int, side: str, x: VertexSet, g=None
-) -> VertexSet | None:
-    """Inclusion-minimal set of ``side``-degree ``k`` that contains ``x`` and
-    avoids the root, or ``None``.
-
-    Minimality comes from a capped separator query: at level ``k`` the
-    minimum degree over such sets is at least ``k``, and the
-    inclusion-minimal minimizer is unique by submodularity.  ``g`` is the
-    prebuilt ``network(h, o)``, if any; both sides run on it.
-    """
-    value, sep = _solve(h, o, side, x, VertexSet.singleton(h.n, ROOT), limit=k + 1, g=g)
-    return sep if value == k else None
-
-
-def _q(h: Hypergraph, o: Orientation, k: int, v: int, side: str, g=None) -> VertexSet:
+def _q(h: Hypergraph, o: Orientation, k: int, v: int, side: str) -> VertexSet:
+    """``q_minus[v]``/``q_plus[v]`` by one capped separator query: at level
+    ``k`` the minimum ``side``-degree over sets containing ``v`` and avoiding
+    the root is at least ``k``, and its inclusion-minimal minimizer is
+    unique by submodularity."""
     if not 0 <= v < h.n:
         raise PreconditionError(f"vertex {v} out of range")
     full = VertexSet.full(h.n)
     if v == ROOT:
         return full
-    sep = _minimal_tight(h, o, k, side, VertexSet.singleton(h.n, v), g)
-    return full if sep is None else sep
+    value, sep = _solve(h, o, side, VertexSet.singleton(h.n, v), VertexSet.singleton(h.n, ROOT), limit=k + 1)
+    return sep if value == k else full
 
 
 def q_minus(h: Hypergraph, o: Orientation, k: int, v: int) -> VertexSet:
@@ -132,16 +129,27 @@ def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
                 raise InvariantViolation(f"{name} members overlap: {a} and {b}")
 
 
-def compute_families(h: Hypergraph, o: Orientation, level: int | None = None) -> CutFamilies:
+def compute_families(
+    h: Hypergraph, o: Orientation, level: int | None = None, *, check: IncrementalConnectivity | None = None
+) -> CutFamilies:
     """All cut families at level ``k`` (the exact connectivity by default).
+
+    The per-vertex minimal tight sets are residual reaches of the root-pair
+    flows that ``check`` keeps, and each ``r_family`` candidate adds at most
+    one unit to a copy of one of them (see
+    :meth:`~hyperorient.separator.IncrementalConnectivity.minimal_tight`).
+    Without a ``check``, one is built at cap ``k + 1``.  A ``check`` must be
+    for ``o``, with a cap above ``k`` (else :class:`PreconditionError`).
+    The connectivity is recomputed from scratch, and a ``check`` whose value
+    is not that value capped at its cap raises :class:`InvariantViolation`
+    naming the level.
 
     Minimal tight families come from the per-vertex minimal tight sets.  The
     ``r_family`` members are found as minimal tight supersets of the
-    opposite-sign minimal members, computed by separator queries whose
-    source side is forced to contain the whole member; each such superset is
-    minimal with the defining property, and every defining-property set
-    contains one of them, so taking inclusion-minimal candidates gives
-    exactly the family.
+    opposite-sign minimal members, by queries whose source side is forced
+    to contain the whole member; each such superset is minimal with the
+    defining property, and every defining-property set contains one of
+    them, so taking inclusion-minimal candidates gives exactly the family.
     """
     lam = hyperarc_connectivity(h, o)
     if level is None:
@@ -150,11 +158,16 @@ def compute_families(h: Hypergraph, o: Orientation, level: int | None = None) ->
         if level > lam:
             raise PreconditionError(f"orientation has connectivity {lam}, below level {level}")
         k = level
+    if check is None:
+        check = IncrementalConnectivity(h, o, cap=k + 1)
+    elif check.heads != list(o.heads) or check.hypergraph != h or check.cap <= k:
+        raise PreconditionError(f"level {k} needs kept flows for this orientation, capped above {k}")
+    if check.value != min(lam, check.cap):
+        raise InvariantViolation(f"level {k}: kept flows give {check.value} at cap {check.cap}, connectivity {lam}")
     n = h.n
     full = VertexSet.full(n)
-    g = network(h, o)
-    qm = [_q(h, o, k, v, "in", g) for v in range(n)]
-    qp = [_q(h, o, k, v, "out", g) for v in range(n)]
+    qm = [check.minimal_tight(VertexSet.singleton(n, v), "in", k) or full for v in range(n)]
+    qp = [check.minimal_tight(VertexSet.singleton(n, v), "out", k) or full for v in range(n)]
 
     proper_m_minus = minimal_members(s for s in qm if not s.is_full)
     proper_m_plus = minimal_members(s for s in qp if not s.is_full)
@@ -162,8 +175,8 @@ def compute_families(h: Hypergraph, o: Orientation, level: int | None = None) ->
     m_plus = proper_m_plus if proper_m_plus else (full,)
     m_all = minimal_members(m_minus + m_plus)
 
-    candidates = [_minimal_tight(h, o, k, "in", t_set, g) for t_set in proper_m_plus]
-    candidates += [_minimal_tight(h, o, k, "out", s_set, g) for s_set in proper_m_minus]
+    candidates = [check.minimal_tight(t_set, "in", k) for t_set in proper_m_plus]
+    candidates += [check.minimal_tight(s_set, "out", k) for s_set in proper_m_minus]
     proper_r = minimal_members(c for c in candidates if c is not None)
     r_family = proper_r if proper_r else (full,)
 

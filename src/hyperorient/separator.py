@@ -386,6 +386,16 @@ class IncrementalConnectivity:
     residual-reachable side) is a subset of it; otherwise the query
     augments toward the cap, which also yields its reachable side.  Every
     push is a :func:`max_flow_min_cut` call.
+
+    :meth:`raise_cap` lifts the cap from one level to the next: a query
+    below the old cap is already maximum, and one at it resumes its flow
+    toward the new cap, so the flows outlive a level.  Below the cap each
+    kept flow is a maximum flow, so its residual holds the minimal sides of
+    the query's minimum cut.  :func:`~hyperorient.families.compute_families`
+    reads its minimal tight sets from them through :meth:`minimal_tight`,
+    after checking :attr:`heads` and :attr:`cap`: the forward reach of ``v``
+    in the ``v -> 0`` residual, the set that reaches ``v`` in the ``0 -> v``
+    one, and one more unit on copies of them.
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
@@ -394,7 +404,7 @@ class IncrementalConnectivity:
         n = h.n
         self.hypergraph = h
         self.cap = cap
-        self._heads = list(o.heads)
+        self.heads = list(o.heads)
         self._g = network(h, o)
         self._blocks: list[list[tuple[int, int]]] = [[] for _ in range(h.m)]
         for j, (u, v, _) in enumerate(self._g.arcs):  # a tail's u -> w_e or the head's w_e -> v
@@ -409,10 +419,56 @@ class IncrementalConnectivity:
             self._augment(p)
         self.value = min(self._value, default=cap)
 
+    def minimal_tight(self, x: VertexSet, side: str, k: int) -> Optional[VertexSet]:
+        """The inclusion-minimal set of ``side``-degree ``k`` that contains
+        ``x`` and avoids vertex 0, or ``None``, from the kept query of the
+        root pair of ``x``'s smallest vertex ``s`` (``s -> 0`` for
+        ``side='out'``, ``0 -> s`` for ``'in'``), which must not be below
+        ``k``.  At value ``k`` the query's flow is maximum: for ``x = {s}``
+        the set is the reach of ``s`` in its residual, forward or backward,
+        with no flow; a larger ``x`` adds at most one unit to a copy of it
+        with all of ``x`` as sources (on the in side, with each residual
+        pair swapped)."""
+        n, g = self.hypergraph.n, self._g
+        s = next(iter(x))
+        p = 2 * s - 1 if side == "out" else 2 * s - 2
+        if s == 0 or self._value[p] != k:
+            return None
+        res = self._res[p]
+        if len(x) == 1:
+            scan, ahead = (g.adj, g.arc_head) if side == "out" else (g.adj_in, g.arc_tail)
+            seen = [False] * g.n_nodes
+            seen[s] = True
+            queue = [s]
+            for u in queue:  # the list grows while it is scanned
+                for i in scan[u]:
+                    if res[i] > 0 and not seen[v := ahead[i]]:
+                        seen[v] = True
+                        queue.append(v)
+            reach: Optional[frozenset[int]] = frozenset(queue)
+        else:
+            res = list(res)
+            if side == "in":
+                res[0::2], res[1::2] = res[1::2], res[0::2]
+            reach = max_flow_min_cut(g, x, 0, limit=1, residual=res)[1]
+        return None if reach is None else _separator(n, reach, x, VertexSet.singleton(n, 0))
+
+    def raise_cap(self, cap: int) -> int:
+        """Raise :attr:`cap` to ``cap``; each query at the old cap augments
+        from its kept flow.  Returns the new :attr:`value`."""
+        if cap < self.cap:
+            raise PreconditionError(f"cap {cap} is below the current cap {self.cap}")
+        old, self.cap = self.cap, cap
+        for p, value in enumerate(self._value):
+            if value == old < cap:
+                self._augment(p)
+        self.value = min(self._value, default=cap)
+        return self.value
+
     def _write(self, res: list[int], e: int) -> None:
         """Set ``e``'s block to its capacities under the current head, with
         no flow through ``w_e``."""
-        big, head = self.hypergraph.m + 1, self._heads[e]
+        big, head = self.hypergraph.m + 1, self.heads[e]
         for i, x in self._blocks[e]:
             res[i], res[i ^ 1] = (0, 1) if x == head else (big, 0)
 
@@ -435,12 +491,12 @@ class IncrementalConnectivity:
         h = self.hypergraph
         if not 0 <= e < h.m:
             raise PreconditionError(f"edge {e} out of range")
-        a, b, w = self._heads[e], new_head, h.n + e
+        a, b, w = self.heads[e], new_head, h.n + e
         if b not in h.edges[e] or b == a:
             raise PreconditionError(f"illegal new head {b} for edge {e}")
         block = self._blocks[e]
         into_a = next(i for i, x in block if x == a)  # residual w_e -> a is into_a ^ 1
-        self._heads[e] = b
+        self.heads[e] = b
         for p, (s, t) in enumerate(self._pairs):
             res, before, cut = self._res[p], self._value[p], self._cut[p]
             carrier = next((x for i, x in block if res[i ^ 1]), None) if res[into_a] else None

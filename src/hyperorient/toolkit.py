@@ -2,7 +2,9 @@
 
 Hypergraph format (``.hg``): a ``n <count>`` line, then one
 ``e <v1> <v2> ...`` line per hyperedge.  Line order defines edge ids,
-``#`` starts a comment, tokens are whitespace-separated.
+``#`` starts a comment, tokens are whitespace-separated.  Every vertex must
+lie in some hyperedge, so a network built from a file is bounded by its
+size.
 
 Orientation format (``.or``): one ``o <edge_id> <head>`` line per edge,
 every edge id exactly once, any order.
@@ -119,8 +121,9 @@ def _number(lineno: int, token: str, expected: str) -> int:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse the ``.hg`` format."""
-    n = None
+    """Parse the ``.hg`` format.  Every vertex must lie in some hyperedge."""
+    n = n_line = None
+    covered = 0  # the vertices of the edges so far, as a mask
     edges: list[VertexSet] = []
     for lineno, tokens in _tokenize(text):
         kind = tokens[0]
@@ -129,7 +132,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(f"line {lineno}: duplicate n line")
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: expected 'n <count>'")
-            n = _number(lineno, tokens[1], "'n <count>'")
+            n, n_line = _number(lineno, tokens[1], "'n <count>'"), lineno
             if n < 2:
                 raise ParseError(f"line {lineno}: need at least two vertices")
         elif kind == "e":
@@ -143,10 +146,14 @@ def parse_hypergraph(text: str) -> Hypergraph:
             if any(not 0 <= v < n for v in members):
                 raise ParseError(f"line {lineno}: vertex outside 0..{n - 1}")
             edges.append(VertexSet(n, members))
+            covered |= edges[-1].mask
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
     if n is None:
         raise ParseError("line 1: missing n line")
+    v = (~covered & (covered + 1)).bit_length() - 1  # the lowest bit not set
+    if v < n:
+        raise ParseError(f"line {n_line}: the n line declares vertex {v}, which lies in no hyperedge")
     return Hypergraph(n, tuple(edges))
 
 

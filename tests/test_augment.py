@@ -1,6 +1,7 @@
 import pytest
 
 from hyperorient import (
+    GenSpec,
     InvariantViolation,
     NotPartitionConnectedError,
     Orientation,
@@ -12,9 +13,12 @@ from hyperorient import (
     augment_to,
     bf_lambda,
     format_trace,
+    gen_instance,
+    gen_orientation,
     hyperarc_connectivity,
     hypergraph,
     parse_trace,
+    reorient,
     separator,
     verify_trace,
 )
@@ -70,7 +74,7 @@ class TestAugmentOne:
         o1, _ = augment_one(h, o)  # connectivity 1
         real = augment_module.compute_families
         monkeypatch.setattr(
-            augment_module, "compute_families", lambda h, o, level=None: real(h, o, level=0)
+            augment_module, "compute_families", lambda h, o, level=None, **kwargs: real(h, o, level=0)
         )
         with pytest.raises(InvariantViolation, match="level 1, iteration 1: families at 0"):
             augment_one(h, o1)
@@ -108,6 +112,33 @@ class TestAugmentTo:
         o = Orientation(h, (1, 2, 0))
         with pytest.raises(NotPartitionConnectedError):
             augment_to(h, o, 2)
+
+    def test_one_step_check_per_run(self, monkeypatch):
+        builds = []
+        real_init = separator.IncrementalConnectivity.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(separator.IncrementalConnectivity, "__init__", counted)
+        h = gen_instance(GenSpec(n=10, k=3, extra_edges=4, max_edge_size=4, seed=2))
+        o = gen_orientation(h, mode="min-head")
+        lam0 = hyperarc_connectivity(h, o)
+        trace = augment_to(h, o, 3)
+        assert trace.lambda_final == 3 > lam0 + 1 and verify_trace(h, trace).ok
+        assert len(builds) == 1
+        builds.clear()
+        assert augment_to(h, apply_trace(trace), 3).steps == () and builds == []
+
+    def test_step_check_for_another_orientation_rejected(self):
+        h, o = doubled_triangle_flat()
+        check = separator.IncrementalConnectivity(h, reorient(o, 0, 0), cap=1)
+        with pytest.raises(PreconditionError, match="another orientation"):
+            augment_one(h, o, level=0, check=check)
+        check = separator.IncrementalConnectivity(h, o, cap=1)
+        o1, trace = augment_one(h, o, level=0, check=check)
+        assert check.heads == list(o1.heads) and check.value == trace.lambda_final == 1
 
     def test_deterministic(self):
         h, o = doubled_triangle_flat()

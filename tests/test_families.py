@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from hyperorient import (
+    GenSpec,
     InvariantViolation,
     Orientation,
     PreconditionError,
@@ -11,10 +14,13 @@ from hyperorient import (
     bf_safe_sink,
     bf_safe_source,
     bf_tight_families,
+    augment_to,
     compute_families,
     crossing,
     find_safe_sink,
     find_safe_source,
+    gen_instance,
+    gen_orientation,
     hyperarc_connectivity,
     hypergraph,
     in_degree,
@@ -24,10 +30,13 @@ from hyperorient import (
     is_out_tight,
     is_safe_sink,
     is_safe_source,
+    minimal_members,
     out_degree,
     q_minus,
     q_plus,
+    reorient,
 )
+from hyperorient.separator import IncrementalConnectivity, _solve
 from corpus import random_instances, vs
 
 
@@ -119,6 +128,106 @@ class TestComputeFamilies:
                 for i, a in enumerate(members):
                     for b in members[i + 1 :]:
                         assert not a.mask & b.mask
+
+
+def minimal_tight(h, o, k, side, x):
+    """The minimal set of ``side``-degree ``k`` containing ``x`` and avoiding
+    the root, or ``None``, from one fresh capped separator query: how
+    :func:`compute_families` found its ``r_family`` candidates before it
+    read the kept root-pair flows."""
+    value, sep = _solve(h, o, side, x, VertexSet.singleton(h.n, 0), limit=k + 1)
+    return sep if value == k else None
+
+
+def single_query_families(h, o, k):
+    """The q sets and ``r_family`` at level ``k`` from one fresh separator
+    query each, as :func:`compute_families` found them before it read the
+    kept root-pair flows."""
+    qm = tuple(q_minus(h, o, k, v) for v in range(h.n))
+    qp = tuple(q_plus(h, o, k, v) for v in range(h.n))
+    candidates = [minimal_tight(h, o, k, "in", t) for t in minimal_members(t for t in qp if not t.is_full)]
+    candidates += [minimal_tight(h, o, k, "out", s) for s in minimal_members(s for s in qm if not s.is_full)]
+    r_family = minimal_members(c for c in candidates if c is not None)
+    return qm, qp, r_family or (VertexSet.full(h.n),)
+
+
+def climbing_step(rng, h, o):
+    """The best of four random reorientations by connectivity, or one random
+    reorientation (which often lowers it), with even odds."""
+    moves = []
+    for _ in range(1 if rng.random() < 0.5 else 4):
+        e = rng.randrange(h.m)
+        moves.append((e, rng.choice([x for x in h.edges[e] if x != o.heads[e]])))
+    return max(moves, key=lambda move: hyperarc_connectivity(h, reorient(o, *move)))
+
+
+class TestKeptFlows:
+    def test_carried_check_matches_single_queries(self):
+        levels = set()
+        for seed in range(10):
+            rng = random.Random(300 + seed)
+            n, k = rng.randint(3, 14), rng.randint(1, 3)
+            spec = GenSpec(n=n, k=k, extra_edges=rng.randint(0, n), max_edge_size=min(4, n), seed=seed)
+            h = gen_instance(spec)
+            o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
+            check = IncrementalConnectivity(h, o, cap=hyperarc_connectivity(h, o) + 1)
+            for step in range(15):
+                lam = hyperarc_connectivity(h, o)
+                if check.cap <= lam:  # the next level keeps the same flows
+                    check.raise_cap(lam + 1)
+                level = rng.choice([None, None, max(lam - 1, 0)])
+                fam = compute_families(h, o, level, check=check)
+                qm, qp, r_family = single_query_families(h, o, fam.k)
+                assert (fam.q_minus, fam.q_plus, fam.r_family) == (qm, qp, r_family), (seed, step)
+                assert families_tuple(fam) == families_tuple(compute_families(h, o, level))
+                for side, members in (("in", fam.m_plus), ("out", fam.m_minus)):
+                    for x in members:
+                        if not x.is_full:
+                            expected = minimal_tight(h, o, fam.k, side, x)
+                            assert check.minimal_tight(x, side, fam.k) == expected
+                levels.add((fam.k, check.cap - fam.k))
+                e, head = climbing_step(rng, h, o)
+                o = reorient(o, e, head)
+                check.reorient(e, head)
+        assert {1, 2} <= {k for k, _ in levels} and {1, 2} <= {gap for _, gap in levels}
+
+    def test_families_along_augmentation_match_single_queries(self):
+        seen = 0
+        for seed in range(6):
+            h = gen_instance(GenSpec(n=9 + seed, k=3, extra_edges=4, max_edge_size=4, seed=seed))
+            o = gen_orientation(h, mode="min-head")
+
+            def observe(event):
+                nonlocal seen
+                fam = event.families
+                expected = single_query_families(h, event.orientation, fam.k)
+                assert (fam.q_minus, fam.q_plus, fam.r_family) == expected
+                seen += 1
+
+            augment_to(h, o, 3, observer=observe)
+        assert seen > 20
+
+    def test_check_for_another_state_is_rejected(self):
+        h = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
+        o = Orientation(h, (1, 0, 2, 1, 0, 2))  # connectivity 2
+        with pytest.raises(PreconditionError, match="kept flows for this orientation"):
+            compute_families(h, o, check=IncrementalConnectivity(h, reorient(o, 0, 0), cap=3))
+        other = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2), (0, 1)])
+        with pytest.raises(PreconditionError, match="kept flows for this orientation"):
+            compute_families(h, o, check=IncrementalConnectivity(other, Orientation(other, o.heads + (0,)), 3))
+        for cap in (0, 1, 2):
+            with pytest.raises(PreconditionError, match="capped above"):
+                compute_families(h, o, check=IncrementalConnectivity(h, o, cap=cap))
+        with pytest.raises(PreconditionError, match="capped above"):
+            compute_families(h, o, level=1, check=IncrementalConnectivity(h, o, cap=1))
+        assert compute_families(h, o, level=1, check=IncrementalConnectivity(h, o, cap=2)).trivial
+
+    def test_corrupted_check_value_is_an_invariant_violation(self):
+        h, o = three_cycle()
+        check = IncrementalConnectivity(h, o, cap=2)
+        check.value = 0
+        with pytest.raises(InvariantViolation, match="level 1: kept flows give 0 at cap 2, connectivity 1"):
+            compute_families(h, o, check=check)
 
 
 class TestClaims:

@@ -1,7 +1,9 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no command
+line option under ``src/`` is parsed by ``int``.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
-Package ``__init__.py`` files are skipped: their imports are re-exports.
+Package ``__init__.py`` files are skipped by the import scan: their imports
+are re-exports.
 """
 
 import ast
@@ -68,3 +70,33 @@ def test_the_scan_sees_the_modules():
     assert len(MODULES) > 20
     tree = ast.parse("import os\nfrom typing import Optional, List\nx: 'Optional[int]' = 1\n")
     assert [name for name, _ in imported_names(tree) if name not in used_names(tree)] == ["os", "List"]
+
+
+def int_typed_options(tree):
+    """Line of each ``add_argument(..., type=int)`` call.  ``int`` also reads
+    other scripts' digits and underscores (``'١_0'`` is 10), so options are
+    parsed as ASCII digits after argparse instead."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ):
+            for kw in node.keywords:
+                if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int":
+                    yield node.lineno
+
+
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_int_typed_options(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(int_typed_options(tree))
+    assert not lines, f"{path.relative_to(ROOT)} parses options with type=int at lines {lines}"
+
+
+def test_the_option_scan_sees_int_types():
+    tree = ast.parse("p.add_argument('--n', type=int)\np.add_argument('--m', type=str)\n")
+    assert list(int_typed_options(tree)) == [1]

@@ -501,6 +501,49 @@ class TestIncrementalConnectivity:
                     moved[check.value - before] += 1
         assert moved[-1] > 0 and moved[1] > 0
 
+    def test_raise_cap_matches_from_scratch(self):
+        raised = 0
+        for seed in range(12):
+            rng = random.Random(100 + seed)
+            n, k = rng.randint(3, 24), rng.randint(1, 4)
+            spec = GenSpec(n=n, k=k, extra_edges=rng.randint(0, n), max_edge_size=min(4, n), seed=seed)
+            h = gen_instance(spec)
+            o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
+            cap = rng.randint(0, connectivity(h, o)[0] + 1)
+            check = IncrementalConnectivity(h, o, cap)
+            for step in range(1, 25):
+                if rng.random() < 0.3:
+                    at_cap = check.value == check.cap
+                    cap += rng.randint(1, 2)
+                    assert check.raise_cap(cap) == check.value and check.cap == cap
+                    raised += at_cap
+                else:
+                    e, head = walk_step(rng, h, o, cap)
+                    o = reorient(o, e, head)
+                    check.reorient(e, head)
+                assert (check.value, check.witness()) == root_pair_connectivity(h, o, cap), (seed, step)
+                assert check.value == connectivity(h, o, cap=cap)[0], (seed, step)
+        assert raised > 0
+
+    def test_raise_cap_augments_only_the_queries_at_the_cap(self, monkeypatch):
+        h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
+        o = gen_orientation(h, seed=3, mode="min-head")
+        check = IncrementalConnectivity(h, o, 1)
+        at_cap = sum(value == 1 for value in check._value)
+        limits = []
+        original = separator.max_flow_min_cut
+
+        def recorded(g, sources, sinks, limit=None, residual=None):
+            limits.append(limit)
+            return original(g, sources, sinks, limit=limit, residual=residual)
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
+        check.raise_cap(2)
+        assert 0 < at_cap == len(limits) and set(limits) == {1}
+        assert check.raise_cap(2) == check.value and len(limits) == at_cap
+        with pytest.raises(PreconditionError):
+            check.raise_cap(1)
+
     def test_cap_zero_and_edge_cases(self):
         h, o = three_cycle()
         check = IncrementalConnectivity(h, o, 0)

@@ -18,6 +18,7 @@ from hyperorient import (
     parse_hypergraph,
     parse_orientation,
     parse_trace,
+    separator,
 )
 from hyperorient.cli import cli
 
@@ -111,6 +112,14 @@ class TestFormats:
             parse_orientation(f"o 0 0\no {token} 3\n", h)
         with pytest.raises(ParseError, match="line 2: expected a vertex"):
             parse_orientation(f"o 1 0\no 0 {token}\n", h)
+
+    @pytest.mark.parametrize(
+        "text, line, vertex",
+        [("n 2000\ne 0 1\n", 1, 2), ("# gap\nn 4\ne 0 1\ne 3 0\n", 2, 2), ("n 2\n", 1, 0)],
+    )
+    def test_vertex_in_no_hyperedge_is_a_parse_error(self, text, line, vertex):
+        with pytest.raises(ParseError, match=f"line {line}: the n line declares vertex {vertex},"):
+            parse_hypergraph(text)
 
     def test_number_beyond_the_digit_limit_is_a_parse_error(self):
         with pytest.raises(ParseError, match="line 1: expected 'n <count>'"):
@@ -299,6 +308,43 @@ class TestCli:
             capsys, "gen", "--n", "4", "--k", "1", "--out", str(tmp_path)
         )
         assert code == 1 and err.startswith("error: ") and "Traceback" not in out + err
+
+    @pytest.mark.parametrize("token", ["١_0", "1_0", "x"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("gen", "--n"),
+            ("gen", "--k"),
+            ("gen", "--extra-edges"),
+            ("gen", "--max-edge-size"),
+            ("gen", "--seed"),
+            ("orient", "--target-k"),
+            ("orient", "--seed"),
+            ("oracle", "--k"),
+        ],
+    )
+    def test_integer_options_must_be_ascii_digits(self, capsys, tmp_path, command, flag, token):
+        hg = tmp_path / "c.hg"
+        hg.write_text("n 12\n" + "".join(f"e {v} {(v + 1) % 12}\n" for v in range(12)))
+        argv = {
+            "gen": ["gen", "--n=12", "--k=1", "--out", str(tmp_path / "out.hg")],
+            "orient": ["orient", "--input", str(hg), "--target-k=1", "--trace-out", str(tmp_path / "t")],
+            "oracle": ["oracle", "partition-connected", "--input", str(hg)],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, f"{flag}={token}")
+        assert code == 1 and err.startswith(f"error: {flag}: expected a non-negative integer")
+        assert "Traceback" not in out + err
+        assert not (tmp_path / "out.hg").exists() and not (tmp_path / "t").exists()
+
+    def test_vertex_in_no_hyperedge_exits_one_before_any_network(self, capsys, tmp_path, monkeypatch):
+        hg = tmp_path / "wide.hg"
+        hg.write_text("n 2000\ne 0 1\n")
+        builds = []
+        real = separator.incidence_digraph
+        monkeypatch.setattr(separator, "incidence_digraph", lambda *a: builds.append(a) or real(*a))
+        code, out, err = run_cli(capsys, "families", "--input", str(hg), "--orientation", str(hg))
+        assert code == 1 and err.startswith("error: line 1: the n line declares vertex 2,")
+        assert "Traceback" not in out + err and builds == []
 
     @pytest.mark.parametrize("token", ["١_0", "1_0", "+1", "-1", "１０", "1.0", "x"])
     @pytest.mark.parametrize(
