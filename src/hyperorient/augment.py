@@ -14,17 +14,22 @@ its cap to ``k + 1``, which adds at most one unit to each flow at the old
 cap, and takes the level's connectivity from it.  The level's cut families
 are read from the same flows.  Reaching ``k + 1`` mid-path ends the level
 immediately, which keeps the per-step connectivity sequence
-non-decreasing.  :func:`verify_trace` recomputes every step's
-connectivity from scratch instead, so the verifier shares none of the
-repair code.  Each full path strictly shrinks the potential
+non-decreasing.  :func:`verify_trace` shares none of the repair code: it
+decides each step's connectivity with one capped flow and a set kept from
+an earlier from-scratch computation, and recomputes from scratch only when
+no kept set is tight.  Each full path strictly shrinks the potential
 ``(|m_all|, -covered vertices)``, so a level finishes within ``n^2``
 iterations and ``n^3`` single-hyperarc steps.
 
 The input hypergraph must be sufficiently partition-connected for the target
 level; that precondition is not tested exactly (deliberately out of scope).
-Violations surface as :class:`NotPartitionConnectedError` through fail-fast
-guards: a missing safe endpoint, a stuck search, a connectivity drop, a
-non-decreasing potential, or a blown step budget.
+One necessary part is tested before any flow: a vertex in fewer than
+``2 * target`` hyperedges has in- plus out-degree below ``2 * target``, so
+no orientation reaches the target, and the two-class partition that cuts
+it off is the certificate.  Other violations surface as
+:class:`NotPartitionConnectedError` through fail-fast guards: a missing safe
+endpoint, a stuck search, a connectivity drop, a non-decreasing potential,
+or a blown step budget.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import separator
 from .core import (
     Hypergraph,
     InvariantViolation,
@@ -39,6 +45,9 @@ from .core import (
     Partition,
     PreconditionError,
     VertexSet,
+    crossing_edges,
+    degree,
+    out_degree,
     reorient,
 )
 from .families import CutFamilies, compute_families, is_in_tight
@@ -108,6 +117,24 @@ def _potential(fam: CutFamilies) -> tuple[int, int]:
     return (len(fam.m_all), -sum(len(x) for x in fam.m_all))
 
 
+def _reject_low_degree(h: Hypergraph, target: int) -> None:
+    """Raise :class:`NotPartitionConnectedError` when some vertex lies in
+    fewer than ``2 * target`` hyperedges, with the partition ``{v}, V - {v}``
+    of the smallest such ``v`` as its certificate: its crossing edges are
+    the ``in + out`` degree of ``{v}`` under every orientation."""
+    for v in range(h.n):
+        d = degree(h, VertexSet.singleton(h.n, v))
+        if d < 2 * target:
+            p = Partition(h.n, [VertexSet.singleton(h.n, v), h.vertices().remove(v)])
+            if crossing_edges(h, p) >= 2 * target:
+                raise InvariantViolation(f"the degree certificate of vertex {v} does not hold")
+            raise NotPartitionConnectedError(
+                f"vertex {v} lies in {d} hyperedges, fewer than 2 * {target}: "
+                f"no orientation reaches connectivity {target}",
+                certificate=p,
+            )
+
+
 def augment_one(
     h: Hypergraph,
     o: Orientation,
@@ -124,9 +151,11 @@ def augment_one(
     above ``level`` the trace is empty.  ``check`` is a step check for ``o``
     with a cap of at most ``level + 1``, kept from an earlier level; its cap
     is raised to ``level + 1`` and it is left current for the returned
-    orientation.  Without one, one is built.
+    orientation.  Without one, one is built.  A vertex in fewer than
+    ``2 * (level + 1)`` hyperedges is rejected before the check is touched.
     """
     k = hyperarc_connectivity(h, o) if level is None else level
+    _reject_low_degree(h, k + 1)
     if check is None:
         check = IncrementalConnectivity(h, o, cap=k + 1)
     elif check.heads != list(o.heads):
@@ -226,8 +255,10 @@ def augment_to(
     """Raise the connectivity to ``k_target`` by repeated single increments.
 
     The concatenated trace uses at most ``(k_target - lambda_initial) * n^3``
-    steps.  ``k_target`` below the initial connectivity is rejected.
+    steps.  ``k_target`` below the initial connectivity is rejected, and so
+    is, before any flow, one that some vertex's degree rules out.
     """
+    _reject_low_degree(h, k_target)
     lam0 = hyperarc_connectivity(h, o)
     if k_target < lam0:
         raise PreconditionError(f"target {k_target} is below the initial connectivity {lam0}")
@@ -291,10 +322,28 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
 
     First checks that the step count respects the ``(k_target -
     lambda_initial) * n^3`` bound, so an over-long trace is rejected before
-    any replay.  Then replays every step, recomputes the connectivity after
-    each, and checks: steps are single legal reorientations, the recomputed
-    connectivity matches the recorded one and never decreases, and the final
-    connectivity equals the claim and reaches the target.
+    any replay.  Then replays every step, computes the exact connectivity
+    after each, and checks: steps are single legal reorientations, the
+    computed connectivity matches the recorded one and never decreases, and
+    the final connectivity equals the claim and reaches the target.
+
+    Each step's value comes from two bounds where they meet.  Turning edge
+    ``e`` from head ``a`` to head ``b`` lowers by one the out-degree of
+    exactly the sets ``X`` with ``b`` in ``X`` and ``a`` not, raises it by
+    one for the sets with ``a`` in and ``b`` out, and leaves every other set
+    alone (the hypergraph form of the single-reorientation lemma behind Ito
+    et al. 2022).  So the new connectivity is at least the old ``lam`` if
+    and only if the new ``b -> a`` max flow is at least ``lam``: one flow
+    capped at ``lam`` on one network per trace, ``network(h,
+    trace.initial)``, whose capacities are rewritten in ``e``'s block only.
+    From above, a set of out-degree ``lam`` after the step shows the value
+    is at most ``lam``.  The sets tried are every set :func:`connectivity`
+    has returned in this call; a kept set is never trusted for its old
+    value, only ever shown tight again by :func:`~hyperorient.core.out_degree`.
+    When either bound fails, ``connectivity(h, cur, cap=lam + 2)`` computes
+    the value from scratch, exact because one step moves it by at most one,
+    and its set is kept.  Either way the value is exact, so the report does
+    not depend on which bound decided it.
     """
     if trace.initial.hypergraph != h:
         return VerifyReport((VerifyFailure(None, "trace initial orientation is for a different hypergraph"),))
@@ -302,11 +351,14 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     if len(trace.steps) > bound:
         return VerifyReport((VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"),))
     failures: list[VerifyFailure] = []
-    lam = hyperarc_connectivity(h, trace.initial)
+    lam, x = connectivity(h, trace.initial)
+    kept = [x]  # every set connectivity returned, each shown tight again by out_degree
     if lam != trace.lambda_initial:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")
         )
+    g = separator.network(h, trace.initial)
+    blocks, res = separator._blocks(g, h.n), list(g.arc_cap)  # res: the capacities of cur
     cur = trace.initial
     for i, step in enumerate(trace.steps, start=1):
         if not 0 <= step.edge < h.m:
@@ -322,8 +374,17 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
         if step.new_head not in h.edges[step.edge] or step.new_head == cur.heads[step.edge]:
             failures.append(VerifyFailure(i, f"illegal new head {step.new_head} for edge {step.edge}"))
             break
-        cur = reorient(cur, step.edge, step.new_head)
-        lam_after = connectivity(h, cur, cap=lam + 2)[0]
+        a, b = cur.heads[step.edge], step.new_head
+        cur = reorient(cur, step.edge, b)
+        separator._write(res, blocks[step.edge], b, h.m + 1)
+        if (
+            any(out_degree(h, cur, x) == lam for x in kept)
+            and separator.max_flow_min_cut(g, b, a, limit=lam, residual=list(res))[0] == lam
+        ):
+            lam_after = lam
+        else:
+            lam_after, x = connectivity(h, cur, cap=lam + 2)
+            kept.append(x)
         if lam_after != step.lambda_after:
             failures.append(
                 VerifyFailure(i, f"connectivity after step is {lam_after}, step claims {step.lambda_after}")

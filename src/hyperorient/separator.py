@@ -358,6 +358,28 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
     return connectivity(h, o)[0]
 
 
+def _blocks(g: IncidenceDigraph, n: int) -> list[list[tuple[int, int]]]:
+    """Per edge ``e`` of ``g = network(h, o)`` on ``n`` vertices, its block:
+    one ``(i, x)`` per incidence ``(e, x)``, where ``i`` indexes the residual
+    ``x -> w_e`` arc (``2j`` for a tail's input arc ``j``, ``2j + 1`` for the
+    head's)."""
+    blocks: list[list[tuple[int, int]]] = [[] for _ in range(g.n_nodes - n)]
+    for j, (u, v, _) in enumerate(g.arcs):  # a tail's u -> w_e or the head's w_e -> v
+        x, w, i = (u, v, 2 * j) if v >= n else (v, u, 2 * j + 1)
+        blocks[w - n].append((i, x))
+    return blocks
+
+
+def _write(res: list[int], block: list[tuple[int, int]], head: int, big: int) -> None:
+    """Set one edge's block of ``res`` to its capacities with head ``head``
+    (a tail's pair ``(big, 0)``, the head's ``(0, 1)``, ``big = m + 1``), with
+    no flow through ``w_e``.  Every residual pair holds the capacities a
+    fresh build under that head would give it, and each node's residual
+    heads are distinct, so searches run as on the fresh build."""
+    for i, x in block:
+        res[i], res[i ^ 1] = (0, 1) if x == head else (big, 0)
+
+
 class IncrementalConnectivity:
     """The value of ``connectivity(h, o, cap)`` kept current across
     single-hyperarc reorientations, by repairing flows instead of
@@ -367,10 +389,13 @@ class IncrementalConnectivity:
     ``(e, x)``; ``i`` indexes its ``x -> w_e`` arc (``2j`` for a tail's input
     arc ``j``, ``2j + 1`` for the head's).  The orientation then lives only in
     the capacities: a tail's ``(i, i ^ 1)`` holds ``(m + 1, 0)``, the head's
-    ``(0, 1)``, so a reorientation rewrites only ``e``'s block.  It keeps
-    one query per root pair, vertex 0 to each other vertex and back (not
-    :func:`connectivity`'s sink sequence, whose queries build on each
-    other).  Each keeps a residual array holding a flow capped at ``cap``
+    ``(0, 1)``, so a reorientation rewrites only ``e``'s block.  The blocks
+    and that rewrite are the module helpers ``_blocks`` and ``_write``,
+    shared with :func:`~hyperorient.augment.verify_trace`, which rewrites
+    one capacity array per trace with them: one capacity encoding, and no
+    shared flow.  It keeps one query per root pair, vertex 0 to each other
+    vertex and back (not :func:`connectivity`'s sink sequence, whose
+    queries build on each other).  Each keeps a residual array holding a flow capped at ``cap``
     and, below the cap, a minimum cut (a node set whose capacity equals the
     flow).
 
@@ -406,10 +431,7 @@ class IncrementalConnectivity:
         self.cap = cap
         self.heads = list(o.heads)
         self._g = network(h, o)
-        self._blocks: list[list[tuple[int, int]]] = [[] for _ in range(h.m)]
-        for j, (u, v, _) in enumerate(self._g.arcs):  # a tail's u -> w_e or the head's w_e -> v
-            x, w, i = (u, v, 2 * j) if v >= n else (v, u, 2 * j + 1)
-            self._blocks[w - n].append((i, x))
+        self._blocks = _blocks(self._g, n)
         self._pairs = _root_pairs(n)
         self._res = [list(self._g.arc_cap) for _ in self._pairs]
         self._value = [0] * len(self._pairs)
@@ -428,7 +450,12 @@ class IncrementalConnectivity:
         the set is the reach of ``s`` in its residual, forward or backward,
         with no flow; a larger ``x`` adds at most one unit to a copy of it
         with all of ``x`` as sources (on the in side, with each residual
-        pair swapped)."""
+        pair swapped).  An empty ``x`` or a ``side`` other than ``'out'``
+        and ``'in'`` raises :class:`PreconditionError`."""
+        if side not in ("out", "in"):
+            raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
+        if not x:
+            raise PreconditionError("minimal_tight needs a nonempty set")
         n, g = self.hypergraph.n, self._g
         s = next(iter(x))
         p = 2 * s - 1 if side == "out" else 2 * s - 2
@@ -465,13 +492,6 @@ class IncrementalConnectivity:
         self.value = min(self._value, default=cap)
         return self.value
 
-    def _write(self, res: list[int], e: int) -> None:
-        """Set ``e``'s block to its capacities under the current head, with
-        no flow through ``w_e``."""
-        big, head = self.hypergraph.m + 1, self.heads[e]
-        for i, x in self._blocks[e]:
-            res[i], res[i ^ 1] = (0, 1) if x == head else (big, 0)
-
     def _augment(self, p: int) -> None:
         """Push query ``p`` up to the cap, recording its reachable side."""
         s, t = self._pairs[p]
@@ -500,7 +520,7 @@ class IncrementalConnectivity:
         for p, (s, t) in enumerate(self._pairs):
             res, before, cut = self._res[p], self._value[p], self._cut[p]
             carrier = next((x for i, x in block if res[i ^ 1]), None) if res[into_a] else None
-            self._write(res, e)
+            _write(res, block, b, h.m + 1)
             if carrier is not None and not self._push_unit(res, carrier, a):
                 for src, dst in ((carrier, s), (t, a)):  # hand the unit back
                     if src != dst and not self._push_unit(res, src, dst):

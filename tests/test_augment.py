@@ -5,6 +5,7 @@ from hyperorient import (
     InvariantViolation,
     NotPartitionConnectedError,
     Orientation,
+    Partition,
     PreconditionError,
     ReorientationStep,
     ReorientationTrace,
@@ -12,6 +13,8 @@ from hyperorient import (
     augment_one,
     augment_to,
     bf_lambda,
+    crossing_edges,
+    format_hypergraph,
     format_trace,
     gen_instance,
     gen_orientation,
@@ -23,6 +26,7 @@ from hyperorient import (
     verify_trace,
 )
 from hyperorient import augment as augment_module
+from hyperorient.cli import cli
 from corpus import random_instances
 
 
@@ -110,8 +114,38 @@ class TestAugmentTo:
     def test_insufficiently_connected_input_raises(self):
         h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
         o = Orientation(h, (1, 2, 0))
-        with pytest.raises(NotPartitionConnectedError):
+        with pytest.raises(NotPartitionConnectedError) as info:
             augment_to(h, o, 2)
+        assert info.value.certificate == Partition(3, [[0], [1, 2]])
+        assert crossing_edges(h, info.value.certificate) < 2 * 2
+
+    def test_low_degree_rejected_before_any_flow(self, monkeypatch):
+        h = gen_instance(GenSpec(n=8, k=2, extra_edges=3, max_edge_size=3, seed=1))
+        o = gen_orientation(h, mode="min-head")
+        degree = [sum(v in e for e in h.edges) for v in range(h.n)]
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the degrees were checked")
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", no_flow)
+        target = min(degree) // 2 + 1
+        v = min(v for v in range(h.n) if degree[v] < 2 * target)
+        assert v > 0  # vertex 0 passes, so the certificate names the first vertex that fails
+        for run in (lambda: augment_to(h, o, target), lambda: augment_one(h, o, level=target - 1)):
+            message = f"vertex {v} lies in {degree[v]} hyperedges, fewer than 2 \\* {target}"
+            with pytest.raises(NotPartitionConnectedError, match=message) as info:
+                run()
+            assert info.value.certificate == Partition(h.n, [[v], [x for x in range(h.n) if x != v]])
+            assert crossing_edges(h, info.value.certificate) == degree[v] < 2 * target
+
+    def test_low_degree_rejected_by_the_cli_with_a_certificate(self, capsys, tmp_path):
+        hg = tmp_path / "h.hg"
+        hg.write_text(format_hypergraph(gen_instance(GenSpec(n=8, k=2, seed=1))))
+        code = cli(["orient", "--input", str(hg), "--target-k", "99999999999"])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "fewer than 2 * 99999999999" in err
+        assert any(line.startswith("certificate: Partition(") for line in err.splitlines())
 
     def test_one_step_check_per_run(self, monkeypatch):
         builds = []

@@ -1,8 +1,10 @@
-"""Property fuzz of the input boundaries: the three text parsers and the CLI.
+"""Property fuzz of the input boundaries: the three text parsers, the CLI and
+``verify_trace``.
 
 A parser may reject its input only with ``ParseError`` or
 ``PreconditionError``; the CLI must exit with 0, 1 or 2 and never print a
-traceback.  Every test is derandomized with a bounded example count, so each
+traceback; ``verify_trace`` must report exactly what the from-scratch replay
+reports.  Every test is derandomized with a bounded example count, so each
 run replays the same inputs.  Numbers in the generated text stay small, so no
 example asks for unbounded work.
 """
@@ -10,6 +12,7 @@ example asks for unbounded work.
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -30,8 +33,10 @@ from hyperorient import (  # noqa: E402
     parse_hypergraph,
     parse_orientation,
     parse_trace,
+    verify_trace,
 )
 from hyperorient.cli import cli  # noqa: E402
+from replay import MUTATIONS, instance_trace, mutate, reference_verify_trace  # noqa: E402
 
 FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -169,3 +174,11 @@ def test_cli_on_fuzzed_arguments_exits_cleanly(tokens):
         code, output = run([paths.get(t, t) for t in tokens])
     assert code in (0, 1, 2)
     assert "Traceback" not in output
+
+
+@FUZZ
+@given(st.integers(0, 2**20), st.sampled_from(MUTATIONS))
+def test_verify_trace_reports_what_the_replay_reports(seed, kind):
+    h, trace = instance_trace(seed, n_range=(4, 9))
+    mutated = mutate(random.Random(seed), h, trace, kind)
+    assert verify_trace(h, mutated) == reference_verify_trace(h, mutated)

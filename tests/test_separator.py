@@ -477,6 +477,31 @@ def walk_step(rng, h, o, cap):
     return max(moves, key=lambda move: connectivity(h, reorient(o, *move), cap=cap)[0])
 
 
+def test_block_rewrites_describe_a_fresh_build():
+    """The capacities of one network with each step's block rewritten
+    (``_blocks``/``_write``, as ``verify_trace`` and the step check keep
+    them) give every vertex pair the flow and minimal side of a fresh
+    ``network(h, cur)``."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = rng.randint(3, 12)
+        spec = GenSpec(n=n, k=rng.randint(1, 3), extra_edges=n // 2, max_edge_size=min(4, n), seed=seed)
+        h = gen_instance(spec)
+        o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
+        g = separator.network(h, o)
+        blocks, res = separator._blocks(g, n), list(g.arc_cap)
+        for _ in range(6):
+            e, head = walk_step(rng, h, o, h.m)
+            o = reorient(o, e, head)
+            separator._write(res, blocks[e], head, h.m + 1)
+            fresh = separator.network(h, o)
+            for s in range(n):
+                for t in range(n):
+                    if s != t:
+                        kept = max_flow_min_cut(g, s, t, residual=list(res))
+                        assert kept == max_flow_min_cut(fresh, s, t), (seed, s, t)
+
+
 class TestIncrementalConnectivity:
     def test_random_walks_match_from_scratch(self):
         moved = {-1: 0, 1: 0}
@@ -555,6 +580,18 @@ class TestIncrementalConnectivity:
             with pytest.raises(PreconditionError):
                 check.reorient(e, head)
         assert check.reorient(0, 0) == 0 == connectivity(h, reorient(o, 0, 0), cap=2)[0]
+
+    def test_minimal_tight_rejects_an_empty_set(self):
+        h, o = three_cycle()
+        check = IncrementalConnectivity(h, o, 2)
+        with pytest.raises(PreconditionError, match="nonempty"):
+            check.minimal_tight(VertexSet.empty(3), "out", 1)
+
+    def test_minimal_tight_rejects_an_unknown_side(self):
+        h, o = three_cycle()
+        check = IncrementalConnectivity(h, o, 2)
+        with pytest.raises(PreconditionError, match="side"):
+            check.minimal_tight(vs(3, [1]), "up", 1)
 
     def test_every_push_is_a_max_flow_call(self, monkeypatch):
         h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
