@@ -17,7 +17,10 @@ immediately, which keeps the per-step connectivity sequence
 non-decreasing.  :func:`verify_trace` shares none of the repair code: it
 decides each step's connectivity with one capped flow and a set kept from
 an earlier from-scratch computation, and recomputes from scratch only when
-no kept set is tight.  Each full path strictly shrinks the potential
+no kept set is tight.  Every flow of a run, in the step check, the families
+and the verifier, runs on the hypergraph's one incidence network
+(:func:`~hyperorient.separator.network`); an orientation is only a
+capacity array on it.  Each full path strictly shrinks the potential
 ``(|m_all|, -covered vertices)``, so a level finishes within ``n^2``
 iterations and ``n^3`` single-hyperarc steps.
 
@@ -29,7 +32,8 @@ no orientation reaches the target, and the two-class partition that cuts
 it off is the certificate.  Other violations surface as
 :class:`NotPartitionConnectedError` through fail-fast guards: a missing safe
 endpoint, a stuck search, a connectivity drop, a non-decreasing potential,
-or a blown step budget.
+or a blown step budget.  Each guard inside :func:`augment_one`'s loop names
+the level, the iteration and the search region it fired in.
 """
 
 from __future__ import annotations
@@ -181,17 +185,18 @@ def augment_one(
             raise InvariantViolation(
                 f"level {k}, iteration {iteration + 1}: families at {fam.k}, connectivity {lam_cur}"
             )
+        iteration += 1
+        region = fam.r_family[0]
+        where = f"level {k}, iteration {iteration}, region {region}"  # every guard below names it
         pot = _potential(fam)
         if prev_potential is not None and not pot < prev_potential:
             raise NotPartitionConnectedError(
-                f"families potential did not decrease: {prev_potential} -> {pot}"
+                f"{where}: families potential did not decrease: {prev_potential} -> {pot}"
             )
         prev_potential = pot
-        iteration += 1
         if iteration > n * n:
-            raise NotPartitionConnectedError(f"more than {n * n} path iterations at level {k}")
+            raise NotPartitionConnectedError(f"{where}: more than {n * n} path iterations")
 
-        region = fam.r_family[0]
         in_branch = is_in_tight(h, cur, k, region, fam.r)
         try:
             if in_branch:
@@ -199,7 +204,7 @@ def augment_one(
             else:
                 result = admissible_path_in_tplus(h, cur, fam, region)
         except InvariantViolation as exc:
-            raise NotPartitionConnectedError(str(exc)) from exc
+            raise NotPartitionConnectedError(f"{where}: {exc}") from exc
         if observer is not None:
             observer(
                 PathEvent(
@@ -216,7 +221,7 @@ def augment_one(
         order = tuple(reversed(result.path.arcs)) if in_branch else result.path.arcs
         for arc in order:
             if len(steps) >= budget:
-                raise NotPartitionConnectedError(f"step budget {budget} exhausted at level {k}")
+                raise NotPartitionConnectedError(f"{where}: step budget {budget} exhausted")
             old_head = cur.heads[arc.edge]
             if old_head != arc.head:
                 raise InvariantViolation(f"edge {arc.edge} changed head mid-path")
@@ -224,7 +229,7 @@ def augment_one(
             lam_after = check.reorient(arc.edge, arc.tail)
             if lam_after < k:
                 raise NotPartitionConnectedError(
-                    f"connectivity dropped to {lam_after} during a path at level {k}",
+                    f"{where}: connectivity dropped to {lam_after} during a path",
                     certificate=check.witness(),
                 )
             steps.append(ReorientationStep(arc.edge, old_head, arc.tail, lam_after))
@@ -334,15 +339,17 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     alone (the hypergraph form of the single-reorientation lemma behind Ito
     et al. 2022).  So the new connectivity is at least the old ``lam`` if
     and only if the new ``b -> a`` max flow is at least ``lam``: one flow
-    capped at ``lam`` on one network per trace, ``network(h,
-    trace.initial)``, whose capacities are rewritten in ``e``'s block only.
+    capped at ``lam`` on one network per trace, the hypergraph's one
+    incidence digraph with the capacities of ``network(h, trace.initial)``,
+    which are rewritten in ``e``'s block only.
     From above, a set of out-degree ``lam`` after the step shows the value
     is at most ``lam``.  The sets tried are every set :func:`connectivity`
     has returned in this call; a kept set is never trusted for its old
     value, only ever shown tight again by :func:`~hyperorient.core.out_degree`.
     When either bound fails, ``connectivity(h, cur, cap=lam + 2)`` computes
     the value from scratch, exact because one step moves it by at most one,
-    and its set is kept.  Either way the value is exact, so the report does
+    and its set is kept; it runs on the same digraph, with ``cur``'s
+    capacities written afresh, so no step builds a network.  Either way the value is exact, so the report does
     not depend on which bound decided it.
     """
     if trace.initial.hypergraph != h:
@@ -357,8 +364,8 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")
         )
-    g = separator.network(h, trace.initial)
-    blocks, res = separator._blocks(g, h.n), list(g.arc_cap)  # res: the capacities of cur
+    g, res = separator.network(h, trace.initial)  # res: the capacities of cur
+    blocks = separator._topology(h)[1]
     cur = trace.initial
     for i, step in enumerate(trace.steps, start=1):
         if not 0 <= step.edge < h.m:

@@ -219,12 +219,12 @@ def _safe_endpoint(
     if deg(h, o, member_set) == k:
         return False
     q_sets = fam.q_plus if side == "out" else fam.q_minus
-    g = network(h, o)
+    net = network(h, o)
     for v in member_set:
         if v == u:
             continue
         avoid = VertexSet(h.n, (v, fam.r))
-        value, sep = _solve(h, o, side, VertexSet.singleton(h.n, u), avoid, limit=k + 2, g=g)
+        value, sep = _solve(h, o, side, VertexSet.singleton(h.n, u), avoid, limit=k + 2, net=net)
         if value == k:
             return False
         if value == k + 1 and sep is not None:

@@ -13,9 +13,15 @@ digraph: the same residual network with each pair's capacities swapped.
 Vertex ``i`` is node ``i``; the node for edge ``e`` is ``n + e``.  A query
 with several sources or sinks runs one multi-terminal flow: every node of
 the smaller terminal set seeds the residual search and reaching any node of
-the other ends it.  The digraph builds its residual arrays once, so every
-query on one orientation, of either side, shares one
-:class:`IncidenceDigraph`.
+the other ends it.
+
+The digraph's shape depends only on the hypergraph: edge ``e`` has one
+residual pair per incidence ``(e, x)``, and its head only decides their
+capacities.  So a hypergraph has one :class:`IncidenceDigraph`, built once
+for a reference orientation and kept for the last hypergraph seen, and an
+orientation is only a capacity array on it (:func:`network`).  Every query,
+of either side and on any orientation, runs on that digraph with a
+``residual=`` array; ``arc_cap`` belongs to the reference orientation.
 
 The hyperarc-connectivity is a sink sequence (Hao and Orlin, J. Algorithms
 1994, in augmenting-path form): per side, ``n - 1`` flows into one vertex
@@ -90,16 +96,6 @@ class IncidenceDigraph:
         # about 1 MB more held by the interpreter after the networks died
         return tuple([tuple([i ^ 1 for i in arcs]) for arcs in self.adj])
 
-    @cached_property
-    def reversed_cap(self) -> tuple[int, ...]:
-        """``arc_cap`` of the arc-reversed digraph, derived on first use: each
-        residual pair's capacities swapped.  When no two arcs join the same
-        two nodes, each node's residual heads are distinct, so a search on
-        these capacities runs as on a freshly built reversed digraph."""
-        cap = list(self.arc_cap)
-        cap[0::2], cap[1::2] = cap[1::2], cap[0::2]
-        return tuple(cap)
-
 
 def incidence_digraph(h: Hypergraph, o: Orientation) -> IncidenceDigraph:
     """Incidence digraph of a directed hypergraph."""
@@ -117,9 +113,51 @@ def incidence_digraph(h: Hypergraph, o: Orientation) -> IncidenceDigraph:
     return IncidenceDigraph(n + m, tuple(arcs))
 
 
-def network(h: Hypergraph, o: Orientation) -> IncidenceDigraph:
-    """The digraph of every query on ``o``, from :func:`incidence_digraph`."""
-    return incidence_digraph(h, o)
+# (h, g, blocks, ref_heads) of the last hypergraph :func:`_topology` saw
+_memo: Optional[tuple[Hypergraph, IncidenceDigraph, list[list[tuple[int, int]]], tuple[int, ...]]] = None
+
+
+def _topology(h: Hypergraph) -> tuple[IncidenceDigraph, list[list[tuple[int, int]]], tuple[int, ...]]:
+    """``(g, blocks, ref_heads)``: ``g`` is ``incidence_digraph(h, o_ref)``
+    for the orientation ``o_ref`` that points every edge at its smallest
+    vertex, ``blocks`` its :func:`_blocks` and ``ref_heads`` the heads of
+    ``o_ref``.  Kept for the last hypergraph seen, by identity, in one slot
+    read once per call, so threads on other hypergraphs only cost rebuilds.
+    The slot holds ``h`` itself, which is immutable, so its identity cannot
+    pass to another hypergraph while the slot keeps it."""
+    global _memo
+    memo = _memo
+    if memo is None or memo[0] is not h:
+        ref = Orientation(h, tuple(min(e) for e in h.edges))
+        g = incidence_digraph(h, ref)  # the module global, so a patched builder counts it
+        _memo = memo = (h, g, _blocks(g, h.n), ref.heads)
+    return memo[1:]
+
+
+def network(h: Hypergraph, o: Orientation) -> tuple[IncidenceDigraph, list[int]]:
+    """``(g, cap)``: the one incidence digraph of ``h`` from
+    :func:`_topology`, and a fresh list of ``o``'s capacities on it (``g``'s
+    ``arc_cap`` with each edge whose head differs from the reference
+    rewritten by :func:`_write`).  Every query on ``o`` runs on ``g`` with
+    ``residual=`` a copy of ``cap``, or of ``_swapped(cap)`` for the in
+    side; each node's residual heads are distinct, so it runs as on a
+    fresh ``incidence_digraph(h, o)``."""
+    _same_instance(h, o)
+    g, blocks, ref_heads = _topology(h)
+    cap, big = list(g.arc_cap), h.m + 1
+    for e, head in enumerate(o.heads):
+        if head != ref_heads[e]:
+            _write(cap, blocks[e], head, big)
+    return g, cap
+
+
+def _swapped(cap: list[int]) -> list[int]:
+    """A copy of ``cap`` with each residual pair's capacities swapped: the
+    capacities of the arc-reversed digraph, on which in-degree queries run
+    as out-degree ones."""
+    cap = list(cap)
+    cap[0::2], cap[1::2] = cap[1::2], cap[0::2]
+    return cap
 
 
 def _terminals(nodes: Iterable[int]) -> list[int]:
@@ -243,18 +281,18 @@ def _solve(
     source_set: VertexSet,
     avoid_set: VertexSet,
     limit: Optional[int] = None,
-    g: Optional[IncidenceDigraph] = None,
+    net: Optional[tuple[IncidenceDigraph, list[int]]] = None,
 ) -> tuple[int, Optional[VertexSet]]:
     """Minimize out-degree (``side='out'``) or in-degree (``side='in'``) over
     vertex sets that contain all of ``source_set`` and avoid ``avoid_set``.
 
     Returns ``(value, minimal minimizer)``; ``(limit, None)`` when the
-    minimum is at least ``limit``.  ``g`` is ``network(h, o)`` when the caller
-    already holds it; an in-side query runs on its ``reversed_cap``.
+    minimum is at least ``limit``.  ``net`` is ``network(h, o)`` when the
+    caller already holds it; an in-side query runs on its capacities
+    ``_swapped``, and neither query changes them.
     """
-    if g is None:
-        g = network(h, o)
-    residual = list(g.reversed_cap) if side == "in" else None
+    g, cap = network(h, o) if net is None else net
+    residual = _swapped(cap) if side == "in" else list(cap)
     value, reach = max_flow_min_cut(g, source_set, avoid_set, limit=limit, residual=residual)
     if reach is None:
         return value, None
@@ -317,9 +355,10 @@ def connectivity(
     ``cap`` means "at least ``cap``").  ``x`` is a vertex set of out-degree
     ``value``, or ``None`` when no set has out-degree below ``cap``.
 
-    A sink sequence in the manner of Hao and Orlin: one pass covers the sets
-    that contain vertex 0, on ``arc_cap``, and one the sets that miss it, as
-    the in-degree of their complements, on ``reversed_cap``.  A pass starts
+    A sink sequence in the manner of Hao and Orlin, on ``network(h, o)``:
+    one pass covers the sets that contain vertex 0, on ``o``'s capacities,
+    and one the sets that miss it, as the in-degree of their complements, on
+    those capacities ``_swapped``.  A pass starts
     with sources ``[0]`` and, for ``t = 1 .. n - 1``, runs one flow from the
     sources to ``t`` capped at the best value so far, then adds ``t`` to the
     sources.  It is exact: if ``X`` attains the minimum and ``t`` is the
@@ -333,13 +372,13 @@ def connectivity(
     the second pass, that side's complement.
     """
     n = h.n
-    g = network(h, o)
+    g, arc_cap = network(h, o)
     best = h.m + 1 if cap is None else cap
     found = None
     for reverse in (False, True):
         if best == 0:
             break
-        residual = list(g.reversed_cap if reverse else g.arc_cap)
+        residual = _swapped(arc_cap) if reverse else list(arc_cap)
         sources = [0]
         for t in range(1, n):
             value, reach = max_flow_min_cut(g, sources, t, limit=best, residual=residual)
@@ -359,7 +398,7 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
 
 
 def _blocks(g: IncidenceDigraph, n: int) -> list[list[tuple[int, int]]]:
-    """Per edge ``e`` of ``g = network(h, o)`` on ``n`` vertices, its block:
+    """Per edge ``e`` of an incidence digraph ``g`` on ``n`` vertices, its block:
     one ``(i, x)`` per incidence ``(e, x)``, where ``i`` indexes the residual
     ``x -> w_e`` arc (``2j`` for a tail's input arc ``j``, ``2j + 1`` for the
     head's)."""
@@ -385,19 +424,20 @@ class IncrementalConnectivity:
     single-hyperarc reorientations, by repairing flows instead of
     recomputing them.
 
-    It runs on ``network(h, o)``, which has one residual pair per incidence
-    ``(e, x)``; ``i`` indexes its ``x -> w_e`` arc (``2j`` for a tail's input
-    arc ``j``, ``2j + 1`` for the head's).  The orientation then lives only in
-    the capacities: a tail's ``(i, i ^ 1)`` holds ``(m + 1, 0)``, the head's
+    It runs on ``network(h, o)``: the hypergraph's one digraph, which has
+    one residual pair per incidence ``(e, x)``, and ``o``'s capacities on
+    it; ``i`` indexes the ``x -> w_e`` arc (``2j`` for a tail's input arc
+    ``j``, ``2j + 1`` for the head's).  The orientation lives only in the
+    capacities: a tail's ``(i, i ^ 1)`` holds ``(m + 1, 0)``, the head's
     ``(0, 1)``, so a reorientation rewrites only ``e``'s block.  The blocks
-    and that rewrite are the module helpers ``_blocks`` and ``_write``,
-    shared with :func:`~hyperorient.augment.verify_trace`, which rewrites
-    one capacity array per trace with them: one capacity encoding, and no
-    shared flow.  It keeps one query per root pair, vertex 0 to each other
-    vertex and back (not :func:`connectivity`'s sink sequence, whose
-    queries build on each other).  Each keeps a residual array holding a flow capped at ``cap``
-    and, below the cap, a minimum cut (a node set whose capacity equals the
-    flow).
+    (from :func:`_topology`) and that rewrite (:func:`_write`) are shared
+    with :func:`network` and :func:`~hyperorient.augment.verify_trace`,
+    which rewrites one capacity array per trace with them: one capacity
+    encoding, and no shared flow.  It keeps one query per root pair, vertex
+    0 to each other vertex and back (not :func:`connectivity`'s sink
+    sequence, whose queries build on each other).  Each keeps a residual
+    array holding a flow capped at ``cap`` and, below the cap, a minimum
+    cut (a node set whose capacity equals the flow).
 
     One reorientation moves every out-degree by at most one, so it moves
     every query's value by at most one, and at most one flow unit crosses
@@ -430,10 +470,10 @@ class IncrementalConnectivity:
         self.hypergraph = h
         self.cap = cap
         self.heads = list(o.heads)
-        self._g = network(h, o)
-        self._blocks = _blocks(self._g, n)
+        self._g, arc_cap = network(h, o)
+        self._blocks = _topology(h)[1]
         self._pairs = _root_pairs(n)
-        self._res = [list(self._g.arc_cap) for _ in self._pairs]
+        self._res = [list(arc_cap) for _ in self._pairs]
         self._value = [0] * len(self._pairs)
         self._cut: list[Optional[frozenset[int]]] = [None] * len(self._pairs)
         self._exact = [False] * len(self._pairs)  # the cut is the reachable side
@@ -474,9 +514,7 @@ class IncrementalConnectivity:
                         queue.append(v)
             reach: Optional[frozenset[int]] = frozenset(queue)
         else:
-            res = list(res)
-            if side == "in":
-                res[0::2], res[1::2] = res[1::2], res[0::2]
+            res = _swapped(res) if side == "in" else list(res)
             reach = max_flow_min_cut(g, x, 0, limit=1, residual=res)[1]
         return None if reach is None else _separator(n, reach, x, VertexSet.singleton(n, 0))
 

@@ -138,6 +138,36 @@ class TestAugmentTo:
             assert info.value.certificate == Partition(h.n, [[v], [x for x in range(h.n) if x != v]])
             assert crossing_edges(h, info.value.certificate) == degree[v] < 2 * target
 
+    def test_guard_names_level_iteration_and_region(self):
+        """A guard that fires in the path loop says where: here the wrapped
+        search finds no safe sink, on an infeasible target that every
+        vertex's degree allows, so no certificate is at hand."""
+        h = gen_instance(GenSpec(n=6, k=1, extra_edges=5, max_edge_size=4, seed=119))
+        o = gen_orientation(h, mode="min-head")
+        with pytest.raises(NotPartitionConnectedError) as info:
+            augment_to(h, o, 2)
+        assert str(info.value).startswith(
+            "level 1, iteration 5, region VertexSet(n=6, {0, 1, 2, 3, 4, 5}): no safe sink in VertexSet(n=6, {4, 5})"
+        )
+        assert info.value.certificate is None
+
+    def test_potential_guard_names_level_iteration_and_region(self, monkeypatch):
+        h = gen_instance(GenSpec(n=10, k=3, extra_edges=4, max_edge_size=4, seed=2))
+        o = gen_orientation(h, mode="min-head")
+        first = []
+        real = augment_module.compute_families
+
+        def stuck(h, o, level=None, **kwargs):  # the first families, over and over
+            first.append(real(h, o, level, **kwargs))
+            return first[0]
+
+        monkeypatch.setattr(augment_module, "compute_families", stuck)
+        with pytest.raises(NotPartitionConnectedError) as info:
+            augment_to(h, o, 1)
+        assert str(info.value).startswith(
+            f"level 0, iteration 2, region {first[0].r_family[0]}: families potential did not decrease"
+        )
+
     def test_low_degree_rejected_by_the_cli_with_a_certificate(self, capsys, tmp_path):
         hg = tmp_path / "h.hg"
         hg.write_text(format_hypergraph(gen_instance(GenSpec(n=8, k=2, seed=1))))

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no command line
-option under ``src/`` is parsed by ``int``, and no module under ``src/`` but
-``separator.py`` binds the flow or the network builder to a name of its own.
+option under ``src/`` is parsed by ``int``, no module under ``src/`` but
+``separator.py`` binds the flow or the network builder to a name of its own,
+and every flow under ``src/`` runs on an explicit capacity array.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
 Package ``__init__.py`` files are skipped by the import scan: their imports
@@ -137,3 +138,33 @@ def test_the_separator_scan_sees_local_bindings():
         "from . import separator\n"
     )
     assert list(separator_private_imports(tree)) == [(1, "max_flow_min_cut"), (2, "incidence_digraph")]
+
+
+def flows_without_residual(tree):
+    """Line of each ``max_flow_min_cut(...)`` call, bare or as an attribute,
+    that does not pass ``residual=``.  A hypergraph's one digraph carries the
+    reference orientation's ``arc_cap``, so such a call would run silently
+    on that orientation instead of the caller's."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "max_flow_min_cut" and not any(kw.arg == "residual" for kw in node.keywords):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_flow_passes_its_capacities(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(flows_without_residual(tree))
+    assert not lines, f"{path.relative_to(ROOT)} runs max_flow_min_cut without residual= at lines {lines}"
+
+
+def test_the_flow_scan_sees_bare_calls():
+    tree = ast.parse(
+        "max_flow_min_cut(g, s, t)\n"
+        "separator.max_flow_min_cut(g, s, t, limit=1)\n"
+        "max_flow_min_cut(g, s, t, residual=res)\n"
+        "separator.max_flow_min_cut(g, s, t, limit=1, residual=list(res))\n"
+    )
+    assert list(flows_without_residual(tree)) == [1, 2]

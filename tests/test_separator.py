@@ -135,13 +135,13 @@ def reversed_digraph(g):
 class TestMultiTerminalAgainstSuperNodes:
     def check(self, rng, g, reverse=False):
         """Flows on ``g`` against the references on ``g``, or with
-        ``reverse`` flows on ``g.reversed_cap`` against the references on an
-        explicitly arc-reversed digraph."""
+        ``reverse`` flows on ``_swapped(g.arc_cap)`` against the references
+        on an explicitly arc-reversed digraph."""
         ref = reversed_digraph(g) if reverse else g
         sources, sinks = random_terminals(rng, g.n_nodes)
 
         def flow(limit=None):
-            residual = list(g.reversed_cap) if reverse else None
+            residual = separator._swapped(g.arc_cap) if reverse else None
             return max_flow_min_cut(g, sources, sinks, limit=limit, residual=residual)
 
         value, reach = flow()
@@ -255,10 +255,10 @@ class TestIncidenceDigraph:
                 assert [i ^ 1 for i in g.adj_in[u]] == list(g.adj[u])
                 assert all(g.arc_head[i] == u for i in g.adj_in[u])
 
-    def test_reversed_cap_is_the_reversed_digraph(self):
+    def test_swapped_cap_is_the_reversed_digraph(self):
         """Per node, the residual arcs in search order with their heads and
-        capacities: ``reversed_cap`` on ``g`` reads exactly like ``arc_cap``
-        on the arc-reversed digraph."""
+        capacities: ``_swapped(arc_cap)`` on ``g`` reads exactly like
+        ``arc_cap`` on the arc-reversed digraph."""
 
         def residual_view(g, cap):
             return [[(g.arc_head[i], cap[i]) for i in g.adj[u]] for u in range(g.n_nodes)]
@@ -266,7 +266,7 @@ class TestIncidenceDigraph:
         for h, o in random_instances(5, 40, n_max=7, m_max=9, size_max=4):
             g = incidence_digraph(h, o)
             rev = reversed_digraph(g)
-            assert residual_view(g, g.reversed_cap) == residual_view(rev, rev.arc_cap)
+            assert residual_view(g, separator._swapped(g.arc_cap)) == residual_view(rev, rev.arc_cap)
             assert residual_view(g, g.arc_cap) != residual_view(rev, rev.arc_cap)
 
 
@@ -385,7 +385,7 @@ def root_pair_connectivity(h, o, cap=None):
     vertex and back, each capped at the best value so far: the routine the
     sink sequence replaced, and the set :class:`IncrementalConnectivity`
     keeps as its witness."""
-    g = separator.network(h, o)
+    net = separator.network(h, o)
     best = h.m + 1 if cap is None else cap
     found = None
     for src, snk in separator._root_pairs(h.n):
@@ -398,7 +398,7 @@ def root_pair_connectivity(h, o, cap=None):
             VertexSet.singleton(h.n, src),
             VertexSet.singleton(h.n, snk),
             limit=best,
-            g=g,
+            net=net,
         )
         if value < best:
             best, found = value, sep
@@ -481,20 +481,20 @@ def test_block_rewrites_describe_a_fresh_build():
     """The capacities of one network with each step's block rewritten
     (``_blocks``/``_write``, as ``verify_trace`` and the step check keep
     them) give every vertex pair the flow and minimal side of a fresh
-    ``network(h, cur)``."""
+    ``incidence_digraph(h, cur)``."""
     for seed in range(8):
         rng = random.Random(seed)
         n = rng.randint(3, 12)
         spec = GenSpec(n=n, k=rng.randint(1, 3), extra_edges=n // 2, max_edge_size=min(4, n), seed=seed)
         h = gen_instance(spec)
         o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
-        g = separator.network(h, o)
-        blocks, res = separator._blocks(g, n), list(g.arc_cap)
+        g, res = separator.network(h, o)
+        blocks = separator._topology(h)[1]
         for _ in range(6):
             e, head = walk_step(rng, h, o, h.m)
             o = reorient(o, e, head)
             separator._write(res, blocks[e], head, h.m + 1)
-            fresh = separator.network(h, o)
+            fresh = incidence_digraph(h, o)
             for s in range(n):
                 for t in range(n):
                     if s != t:
