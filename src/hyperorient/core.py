@@ -369,7 +369,10 @@ def crossing_edges(h: Hypergraph, p: Partition) -> int:
 
 def reorient(o: Orientation, e: int, u: int) -> Orientation:
     """Reorient edge ``e`` toward ``u``: replace hyperarc ``(X, v)`` by
-    ``(X - u + v, u)``.  The underlying hyperedge is unchanged."""
+    ``(X - u + v, u)``.  The underlying hyperedge is unchanged.
+
+    Only the changed head is checked; the others were checked when ``o`` was
+    built, so the result skips ``Orientation``'s full O(m) validation."""
     h = o.hypergraph
     if not 0 <= e < h.m:
         raise PreconditionError(f"edge id {e} out of range")
@@ -377,9 +380,10 @@ def reorient(o: Orientation, e: int, u: int) -> Orientation:
         raise InvalidReorientation(f"vertex {u} not in edge {e}")
     if u == o.heads[e]:
         raise InvalidReorientation(f"vertex {u} is already the head of edge {e}")
-    heads = list(o.heads)
-    heads[e] = u
-    return Orientation(h, tuple(heads))
+    out = object.__new__(Orientation)
+    object.__setattr__(out, "hypergraph", h)
+    object.__setattr__(out, "heads", o.heads[:e] + (u,) + o.heads[e + 1 :])
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,29 @@
 """Admissible hyperpath search inside a region of the ``r_family``.
 
-Both searches grow an arborescence over explored vertices while an
-exploration window shrinks onto ever smaller tight sets:
+Every search here is one exploration over vertex bitmasks.  It grows an
+arborescence from one start vertex, scanning hyperarcs in ascending edge id
+and restarting the scan after each hyperarc it takes.  It runs in one of two directions:
 
-* the forward search starts from a safe source of a minimal in-tight set and
-  only explores heads inside the window; whenever it enters a vertex whose
-  minimal out-tight set is strictly smaller than the window, the window
-  shrinks to it.  The final window is a minimal out-tight set and a safe
-  sink inside it ends the path.
-* the backward search mirrors this: it grows from a safe sink toward tails,
-  shrinking the window onto minimal in-tight sets, and ends at a safe
-  source.
+* forward, a hyperarc whose tail meets the explored set yields its head;
+* backward, a hyperarc whose head is explored yields its tails.
+
+Only vertices inside the exploration window are taken, smallest first.
+After each new vertex ``v`` the window may shrink onto ``v``'s minimal tight
+set of the opposite sign when that set lies strictly inside it.
+
+:func:`admissible_path_in_tminus` explores forward from a safe source of a
+minimal in-tight set, shrinking onto ``q_plus``; the final window is a
+minimal out-tight set and a safe sink inside it ends the path.
+:func:`admissible_path_in_tplus` explores backward from a safe sink,
+shrinking onto ``q_minus``, and ends at a safe source of a minimal in-tight
+set.  :func:`reachability_check` is the same exploration with a fixed
+window.
 
 Shrinking is what makes the resulting trimmed path *admissible*: once the
 search enters a tight set of the opposite sign it never leaves it again, so
 reorienting the path one hyperarc at a time never pushes a cut below the
-current connectivity level.
-
-Every tie is broken deterministically: hyperarcs are scanned in ascending
-edge id (restarting after each mutation) and the smallest eligible vertex is
-taken, so identical inputs produce identical paths.
+current connectivity level.  Every tie is broken by edge id and then by
+vertex, so identical inputs produce identical paths.
 """
 
 from __future__ import annotations
@@ -51,11 +55,98 @@ class AdmissiblePath:
     path: Hyperpath
 
 
-def _pick_member(fam_members: tuple[VertexSet, ...], region: VertexSet) -> VertexSet:
-    for member in fam_members:
-        if member <= region:
-            return member
-    raise InvariantViolation(f"no minimal member inside region {region}")
+def _explore(
+    o: Orientation, start: int, window: int, forward: bool, shrink: tuple[VertexSet, ...] = ()
+) -> tuple[int, int, dict[int, tuple[int, int]]]:
+    """Explored mask, final window mask, and for each reached vertex its
+    link ``(edge, via)``: ``via`` is the explored tail that reached the head
+    (forward) or the explored head the tail leads to (backward).  The window
+    shrinks onto ``shrink[u]`` after each new ``u``; empty ``shrink`` keeps
+    it fixed."""
+    edges = o.hypergraph.edges
+    tails = [edges[e].mask & ~(1 << v) for e, v in enumerate(o.heads)]
+    explored = 1 << start
+    links: dict[int, tuple[int, int]] = {}
+    while True:
+        for e, v in enumerate(o.heads):
+            if forward:
+                new = 1 << v & window & ~explored if tails[e] & explored else 0
+            else:
+                new = tails[e] & window & ~explored if explored >> v & 1 else 0
+            if new:
+                break
+        else:
+            return explored, window, links
+        reach = tails[e] & explored
+        via = (reach & -reach).bit_length() - 1 if forward else v
+        while new:
+            bit = new & -new
+            u = bit.bit_length() - 1
+            explored |= bit
+            links[u] = (e, via)
+            if shrink:
+                q = shrink[u].mask
+                if q != window and q & ~window == 0:
+                    window = q
+            new &= window & ~explored
+
+
+def _search(
+    h: Hypergraph, o: Orientation, fam: CutFamilies, region: VertexSet, forward: bool
+) -> AdmissiblePath:
+    """The search behind both public functions; ``forward`` picks the
+    direction, the families, the safe-endpoint finders and the messages."""
+    sign, other = ("in", "out") if forward else ("out", "in")
+    if region not in fam.r_family:
+        raise PreconditionError("region is not a member of r_family")
+    degree = in_degree if forward else out_degree
+    if not region.is_full and degree(h, o, region) != fam.k:
+        raise PreconditionError(f"region is not {sign}-tight")
+    starts, ends = (fam.m_minus, fam.m_plus) if forward else (fam.m_plus, fam.m_minus)
+    find_start, find_end = (
+        (find_safe_source, find_safe_sink) if forward else (find_safe_sink, find_safe_source)
+    )
+    start_set = next((x for x in starts if x <= region), None)
+    if start_set is None:
+        raise InvariantViolation(f"no minimal member inside region {region}")
+    start = find_start(h, o, fam, start_set)
+
+    shrink = fam.q_plus if forward else fam.q_minus
+    _, window, links = _explore(o, start, region.mask, forward, shrink)
+    end_set = VertexSet.from_mask(h.n, window)
+    if end_set not in ends:
+        raise InvariantViolation(
+            f"search window did not settle on a minimal {other}-tight set: "
+            "instance is not sufficiently partition-connected, or bug"
+        )
+    if not region.is_full and end_set == region:
+        raise InvariantViolation("final window equals the region")
+    end = find_end(h, o, fam, end_set)
+    if end == start:
+        raise InvariantViolation("safe source and safe sink coincide")
+
+    arcs = []
+    cur = end
+    while cur != start:
+        if cur not in links:
+            raise InvariantViolation(
+                f"sink {end} was never explored from {start}"
+                if forward
+                else f"source {end} was never explored toward {start}"
+            )
+        e, via = links[cur]
+        arcs.append(PathArc(e, via, cur) if forward else PathArc(e, cur, via))
+        cur = via
+    if forward:
+        arcs.reverse()
+    path = Hyperpath(tuple(arcs))
+    if len(arcs) >= h.n:
+        raise InvariantViolation("path has as many arcs as vertices")
+    if any(arc.tail not in region or arc.head not in region for arc in arcs):
+        raise InvariantViolation("trimming leaves the region")
+    if forward:
+        return AdmissiblePath(start_set, end_set, start, end, path)
+    return AdmissiblePath(end_set, start_set, end, start, path)
 
 
 def admissible_path_in_tminus(
@@ -67,57 +158,7 @@ def admissible_path_in_tminus(
     and never leaves any out-tight window it enters, and the final window
     must be a member of ``m_plus`` holding a safe sink.
     """
-    if region not in fam.r_family:
-        raise PreconditionError("region is not a member of r_family")
-    if not region.is_full and in_degree(h, o, region) != fam.k:
-        raise PreconditionError("region is not in-tight")
-    s_set = _pick_member(fam.m_minus, region)
-    source = find_safe_source(h, o, fam, s_set)
-
-    explored = VertexSet.singleton(h.n, source)
-    parent: dict[int, tuple[int, int]] = {}
-    window = region
-    while True:
-        pick = None
-        for e in range(h.m):
-            v = o.heads[e]
-            if v in window and v not in explored and o.tail(e).mask & explored.mask:
-                pick = e
-                break
-        if pick is None:
-            break
-        v = o.heads[pick]
-        u = min(iter(VertexSet.from_mask(h.n, o.tail(pick).mask & explored.mask)))
-        explored = explored.add(v)
-        parent[v] = (u, pick)
-        q = fam.q_plus[v]
-        if q < window:
-            window = q
-
-    t_set = window
-    if t_set not in fam.m_plus:
-        raise InvariantViolation(
-            "search window did not settle on a minimal out-tight set: "
-            "instance is not sufficiently partition-connected, or bug"
-        )
-    if not region.is_full and t_set == region:
-        raise InvariantViolation("final window equals the region")
-    sink = find_safe_sink(h, o, fam, t_set)
-    if sink == source:
-        raise InvariantViolation("safe source and safe sink coincide")
-
-    arcs = []
-    cur = sink
-    while cur != source:
-        if cur not in parent:
-            raise InvariantViolation(f"sink {sink} was never explored from {source}")
-        u, e = parent[cur]
-        arcs.append(PathArc(edge=e, tail=u, head=cur))
-        cur = u
-    arcs.reverse()
-    path = Hyperpath(tuple(arcs))
-    _check_path(h, fam, region, path)
-    return AdmissiblePath(s_set, t_set, source, sink, path)
+    return _search(h, o, fam, region, forward=True)
 
 
 def admissible_path_in_tplus(
@@ -130,68 +171,7 @@ def admissible_path_in_tplus(
     scan restarts, and the window shrinks onto minimal in-tight sets.  The
     final window must be a member of ``m_minus`` holding a safe source.
     """
-    if region not in fam.r_family:
-        raise PreconditionError("region is not a member of r_family")
-    if not region.is_full and out_degree(h, o, region) != fam.k:
-        raise PreconditionError("region is not out-tight")
-    t_set = _pick_member(fam.m_plus, region)
-    sink = find_safe_sink(h, o, fam, t_set)
-
-    explored = VertexSet.singleton(h.n, sink)
-    onward: dict[int, tuple[int, int]] = {}
-    window = region
-    while True:
-        pick = None
-        for e in range(h.m):
-            v = o.heads[e]
-            if v in explored and o.tail(e).mask & window.mask & ~explored.mask:
-                pick = e
-                break
-        if pick is None:
-            break
-        v = o.heads[pick]
-        while True:
-            eligible = o.tail(pick).mask & window.mask & ~explored.mask
-            if not eligible:
-                break
-            u = min(iter(VertexSet.from_mask(h.n, eligible)))
-            explored = explored.add(u)
-            onward[u] = (pick, v)
-            q = fam.q_minus[u]
-            if q < window:
-                window = q
-
-    s_set = window
-    if s_set not in fam.m_minus:
-        raise InvariantViolation(
-            "search window did not settle on a minimal in-tight set: "
-            "instance is not sufficiently partition-connected, or bug"
-        )
-    if not region.is_full and s_set == region:
-        raise InvariantViolation("final window equals the region")
-    source = find_safe_source(h, o, fam, s_set)
-    if source == sink:
-        raise InvariantViolation("safe source and safe sink coincide")
-
-    arcs = []
-    cur = source
-    while cur != sink:
-        if cur not in onward:
-            raise InvariantViolation(f"source {source} was never explored toward {sink}")
-        e, v = onward[cur]
-        arcs.append(PathArc(edge=e, tail=cur, head=v))
-        cur = v
-    path = Hyperpath(tuple(arcs))
-    _check_path(h, fam, region, path)
-    return AdmissiblePath(s_set, t_set, source, sink, path)
-
-
-def _check_path(h: Hypergraph, fam: CutFamilies, region: VertexSet, path: Hyperpath) -> None:
-    if len(path.arcs) >= h.n:
-        raise InvariantViolation("path has as many arcs as vertices")
-    vertices = {path.s} | {arc.head for arc in path.arcs}
-    if any(v not in region for v in vertices):
-        raise InvariantViolation("trimming leaves the region")
+    return _search(h, o, fam, region, forward=False)
 
 
 def reachability_check(
@@ -217,24 +197,5 @@ def reachability_check(
     )
     if v not in region:
         raise PreconditionError("vertex lies outside the region")
-    explored = VertexSet.singleton(h.n, v)
-    changed = True
-    while changed:
-        changed = False
-        for e in range(h.m):
-            head = o.heads[e]
-            if side == "out":
-                if (
-                    head in region
-                    and head not in explored
-                    and o.tail(e).mask & explored.mask
-                ):
-                    explored = explored.add(head)
-                    changed = True
-            else:
-                if head in explored:
-                    gain = o.tail(e).mask & region.mask & ~explored.mask
-                    if gain:
-                        explored = VertexSet.from_mask(h.n, explored.mask | gain)
-                        changed = True
-    return region <= explored
+    explored, _, _ = _explore(o, v, region.mask, side == "out")
+    return region <= VertexSet.from_mask(h.n, explored)

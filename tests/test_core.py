@@ -174,6 +174,24 @@ class TestReorient:
         with pytest.raises(InvalidReorientation):
             reorient(o, 0, 3)
 
+    def test_checks_only_the_changed_head(self, monkeypatch):
+        m = 3000
+        h = hypergraph(4, [(i % 4, (i + 1) % 4) for i in range(m)])
+        o = Orientation(h, tuple(i % 4 for i in range(m)))
+        calls = 0
+        contains = VertexSet.__contains__
+
+        def counting(self, v):
+            nonlocal calls
+            calls += 1
+            return contains(self, v)
+
+        monkeypatch.setattr(VertexSet, "__contains__", counting)
+        o2 = reorient(o, m // 2, (m // 2 + 1) % 4)
+        assert calls <= 2
+        assert o2.heads[m // 2] == (m // 2 + 1) % 4
+        assert o2 == Orientation(h, o2.heads)
+
 
 class TestTrim:
     def test_single_arc(self):

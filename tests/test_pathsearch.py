@@ -3,6 +3,7 @@ import pytest
 from hyperorient import (
     InvariantViolation,
     Orientation,
+    PreconditionError,
     VertexSet,
     admissible_path_in_tminus,
     admissible_path_in_tplus,
@@ -15,6 +16,7 @@ from hyperorient import (
     reachability_check,
     trim,
 )
+from hyperorient.pathsearch import _explore
 from corpus import random_instances, vs
 
 
@@ -143,6 +145,30 @@ class TestBackwardSearch:
         assert [(a.edge, a.tail, a.head) for a in res.path.arcs] == [(0, 0, 1), (2, 1, 2)]
 
 
+class TestExplore:
+    # edge 0 is the hyperarc {2} -> 1, edge 1 the hyperarc {1, 2} -> 0
+    h = hypergraph(3, [(1, 2), (0, 1, 2)])
+    o = Orientation(h, (1, 0))
+
+    def test_forward_links_each_head_to_its_smallest_explored_tail(self):
+        explored, window, links = _explore(self.o, 2, 0b111, True)
+        assert (explored, window) == (0b111, 0b111)
+        assert links == {1: (0, 2), 0: (1, 1)}
+
+    def test_backward_takes_every_tail_of_a_hyperarc_before_rescanning(self):
+        # rescanning after vertex 1 would reach 2 through edge 0 instead
+        explored, window, links = _explore(self.o, 0, 0b111, False)
+        assert (explored, window) == (0b111, 0b111)
+        assert links == {1: (1, 0), 2: (1, 0)}
+
+    def test_window_shrinks_between_the_tails_of_one_hyperarc(self):
+        full = VertexSet.full(3)
+        shrink = (full, vs(3, [0, 1]), full)
+        explored, window, links = _explore(self.o, 0, 0b111, False, shrink)
+        assert (explored, window) == (0b011, 0b011)
+        assert links == {1: (1, 0)}
+
+
 class TestReachability:
     def test_three_cycle(self):
         h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -151,6 +177,14 @@ class TestReachability:
         assert reachability_check(h, o, fam, 1)
         assert reachability_check(h, o, fam, 1, side="in")
         assert reachability_check(h, o, fam, 1, target_region=VertexSet.full(3))
+
+    def test_region_over_another_ground_set_is_rejected(self):
+        h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
+        o = Orientation(h, (1, 2, 0))
+        fam = compute_families(h, o)
+        for side in ("out", "in"):
+            with pytest.raises(PreconditionError, match="different ground sets"):
+                reachability_check(h, o, fam, 1, target_region=VertexSet(5, [1, 3]), side=side)
 
     def test_unreachable_region_fails(self):
         h = hypergraph(3, [(0, 1), (1, 2)])

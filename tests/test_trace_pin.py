@@ -1,20 +1,27 @@
-"""Pins the solver's outputs on a small seeded corpus to one SHA-256.
+"""Pins the solver's outputs on a small seeded corpus to SHA-256 digests.
 
-The digest covers the formatted ``augment_to`` traces, the cut families of
+``PINNED`` covers the formatted ``augment_to`` traces, the cut families of
 the start and end orientations, and separator answers on both sides.  It
 was recorded before the in-side queries moved onto the out network, so any
 change in search order, trace or answer shows here without running the
-full benchmark.  A deliberate change of output must re-record it.
+full benchmark.  ``PATHS_PINNED`` covers both admissible-path searches on
+every ``r_family`` region of the same orientations and of the one halfway
+through each trace (the path, or the error it raised) and ``reachability_check`` for every vertex on both sides; it
+was recorded before the three searches became one exploration.  A
+deliberate change of output must re-record them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 
 from hyperorient import (
     GenSpec,
     VertexSet,
+    admissible_path_in_tminus,
+    admissible_path_in_tplus,
     apply_trace,
     augment_to,
     compute_families,
@@ -23,9 +30,11 @@ from hyperorient import (
     gen_orientation,
     min_in_separator,
     min_out_separator,
+    reachability_check,
 )
 
 PINNED = "5dbb3ebdf3deddf7028e9c2154e6dc6fee508a6c1ccc8ed9c555abd9288a8029"
+PATHS_PINNED = "cf700bfe0cfaf7f033dc4557919f2ea92de7415e7bb090495e37845afb486154"
 
 
 def corpus():
@@ -68,3 +77,42 @@ def corpus_text() -> str:
 
 def test_outputs_match_the_pinned_digest():
     assert hashlib.sha256(corpus_text().encode()).hexdigest() == PINNED
+
+
+def path_outcome(search, h, o, fam, region) -> str:
+    try:
+        res = search(h, o, fam, region)
+    except Exception as exc:
+        return f"{search.__name__} {list(region)} {type(exc).__name__}: {exc}"
+    arcs = [(a.edge, a.tail, a.head) for a in res.path.arcs]
+    return (
+        f"{search.__name__} {list(region)} {res.source} {res.sink} "
+        f"{list(res.s_set)} {list(res.t_set)} {arcs}"
+    )
+
+
+def paths_text(h, o) -> str:
+    fam = compute_families(h, o)
+    lines = [
+        path_outcome(search, h, o, fam, region)
+        for region in fam.r_family
+        for search in (admissible_path_in_tminus, admissible_path_in_tplus)
+    ]
+    lines.append(
+        " ".join(
+            str(int(reachability_check(h, o, fam, v, side=side)))
+            for side in ("out", "in")
+            for v in range(h.n)
+        )
+    )
+    return "\n".join(lines)
+
+
+def test_paths_match_the_pinned_digest():
+    chunks = []
+    for h, k, o in corpus():
+        trace = augment_to(h, o, k)
+        half = replace(trace, steps=trace.steps[: len(trace.steps) // 2])
+        for cur in (o, apply_trace(half), apply_trace(trace)):
+            chunks.append(paths_text(h, cur))
+    assert hashlib.sha256("\n".join(chunks).encode()).hexdigest() == PATHS_PINNED
