@@ -188,12 +188,13 @@ def _parse_vertex_list(text: str, n: int, flag: str) -> VertexSet:
 def _cmd_oracle(args) -> int:
     op = args.operation
     k = _integer(args.k, "--k")
-    h = _load_instance(args)
+    if op in ("partition-connected", "orientation-exists"):
+        h = _load_instance(args)
+    else:
+        h, o = _load_oriented(args)
     if op == "lambda":
-        o = parse_orientation(_read(args.orientation), h)
         result = {"lambda": bf_lambda(h, o)}
     elif op == "families":
-        o = parse_orientation(_read(args.orientation), h)
         fam = bf_families(h, o)
         if args.json:
             print(json.dumps(_families_payload(fam)))
@@ -201,7 +202,6 @@ def _cmd_oracle(args) -> int:
             _print_families(fam, False)
         return 0
     elif op == "separator":
-        o = parse_orientation(_read(args.orientation), h)
         sinks = _parse_vertex_list(args.sinks, h.n, "--sinks")
         source = _integer(args.source, "--source", "a vertex")
         value, minimizers, minimal = bf_min_separator(h, o, source, sinks, args.side)
@@ -221,7 +221,6 @@ def _cmd_oracle(args) -> int:
         if witness is not None:
             result["heads"] = list(witness.heads)
     elif op in ("safe-source", "safe-sink"):
-        o = parse_orientation(_read(args.orientation), h)
         fam = bf_families(h, o)
         member = _parse_vertex_list(args.set, h.n, "--set")
         test = bf_safe_source if op == "safe-source" else bf_safe_sink

@@ -22,9 +22,10 @@ The computed families:
 :class:`~hyperorient.separator.IncrementalConnectivity` keeps, capped above
 ``k``: ``q_plus[v]`` is the residual reach of ``v`` in the ``v -> 0`` flow
 and ``q_minus[v]`` the set that reaches ``v`` in the ``0 -> v`` flow, where
-that flow's value is ``k``.  Each ``r_family`` candidate adds at most one
-unit to a copy of one such flow.  The connectivity is recomputed from
-scratch once per call, as a cross-check of the kept flows.
+that flow's value is ``k``.  Each ``r_family`` candidate is one more
+residual search on one such flow, from the whole member.  The connectivity
+is recomputed from scratch once per call, as a cross-check of the kept
+flows.
 
 A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
 out-tight set containing ``u`` strictly contains ``S``, and every dangerous
@@ -102,7 +103,10 @@ def _q(h: Hypergraph, o: Orientation, k: int, v: int, side: str) -> VertexSet:
     """``q_minus[v]``/``q_plus[v]`` by one capped separator query: at level
     ``k`` the minimum ``side``-degree over sets containing ``v`` and avoiding
     the root is at least ``k``, and its inclusion-minimal minimizer is
-    unique by submodularity."""
+    unique by submodularity.  A negative ``k`` raises
+    :class:`PreconditionError`."""
+    if k < 0:
+        raise PreconditionError(f"level {k} is negative")
     if not 0 <= v < h.n:
         raise PreconditionError(f"vertex {v} out of range")
     full = VertexSet.full(h.n)
@@ -134,11 +138,11 @@ def compute_families(
 ) -> CutFamilies:
     """All cut families at level ``k`` (the exact connectivity by default).
 
-    The per-vertex minimal tight sets are residual reaches of the root-pair
-    flows that ``check`` keeps, and each ``r_family`` candidate adds at most
-    one unit to a copy of one of them (see
+    The per-vertex minimal tight sets and the ``r_family`` candidates are
+    residual reaches of the root-pair flows that ``check`` keeps (see
     :meth:`~hyperorient.separator.IncrementalConnectivity.minimal_tight`).
-    Without a ``check``, one is built at cap ``k + 1``.  A ``check`` must be
+    Without a ``check``, one is built at cap ``k + 1``.  A negative
+    ``level`` raises :class:`PreconditionError`.  A ``check`` must be
     for ``o``, with a cap above ``k`` (else :class:`PreconditionError`).
     The connectivity is recomputed from scratch, and a ``check`` whose value
     is not that value capped at its cap raises :class:`InvariantViolation`
@@ -151,6 +155,8 @@ def compute_families(
     defining property, and every defining-property set contains one of
     them, so taking inclusion-minimal candidates gives exactly the family.
     """
+    if level is not None and level < 0:
+        raise PreconditionError(f"level {level} is negative")
     lam = hyperarc_connectivity(h, o)
     if level is None:
         k = lam

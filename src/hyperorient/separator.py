@@ -10,10 +10,11 @@ reachable from the sources in the final residual network is the unique
 inclusion-minimal minimizer.  In-degree separators use the arc-reversed
 digraph: the same residual network with each pair's capacities swapped.
 
-Vertex ``i`` is node ``i``; the node for edge ``e`` is ``n + e``.  A query
-with several sources or sinks runs one multi-terminal flow: every node of
-the smaller terminal set seeds the residual search and reaching any node of
-the other ends it.
+Vertex ``i`` is node ``i``; the node for edge ``e`` is ``n + e``.  Every
+residual search runs forward, in one routine (:func:`_search`): a
+breadth-first search seeded with every source that ends at the first sink.
+A question about the reversed digraph, or one better asked from the sink
+side, is the same search on the capacities with each pair swapped.
 
 The digraph's shape depends only on the hypergraph: edge ``e`` has one
 residual pair per incidence ``(e, x)``, and its head only decides their
@@ -24,15 +25,15 @@ of either side and on any orientation, runs on that digraph with a
 ``residual=`` array; ``arc_cap`` belongs to the reference orientation.
 
 The hyperarc-connectivity is a sink sequence (Hao and Orlin, J. Algorithms
-1994, in augmenting-path form): per side, ``n - 1`` flows into one vertex
-each from a growing source set, on one kept residual array, so that after
-the first few each flow is a short search backward from its sink.
+1994, in augmenting-path form), run mirrored: per side, ``n - 1`` flows
+from one new vertex each into the growing set of earlier ones, on one kept
+residual array, so that after the first few each flow is a short search
+from its new vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .core import (
@@ -50,17 +51,18 @@ class IncidenceDigraph:
     """Capacitated digraph as a plain arc list ``(from, to, capacity)``.
 
     The residual arrays are derived once: residual arc ``2j`` is input arc
-    ``j`` and ``2j + 1`` its reverse, so arc ``i``'s partner is ``i ^ 1``;
-    ``arc_head``, ``arc_tail`` and ``arc_cap`` (the capacities before any
-    flow) are indexed by residual arc, and ``adj[u]`` lists the residual
-    arcs leaving ``u`` in ascending ``(head, index)`` order, so every flow
-    explores in a reproducible order.
+    ``j`` and ``2j + 1`` its reverse, so arc ``i``'s partner is ``i ^ 1``
+    and its tail is ``arc_head[i ^ 1]``; ``arc_head`` and ``arc_cap`` (the
+    capacities before any flow) are indexed by residual arc, and ``adj[u]``
+    lists the residual arcs leaving ``u`` in ascending ``(head, index)``
+    order, so every flow explores in a reproducible order.  The digraph is
+    only ever searched forward; its reverse is the same arrays with each
+    residual pair's capacities swapped (:func:`_swapped`).
     """
 
     n_nodes: int
     arcs: tuple[tuple[int, int, int], ...]
     arc_head: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    arc_tail: tuple[int, ...] = field(init=False, repr=False, compare=False)
     arc_cap: tuple[int, ...] = field(init=False, repr=False, compare=False)
     adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
@@ -81,20 +83,9 @@ class IncidenceDigraph:
             cap.append(0)
         for lst in adj:
             lst.sort(key=head.__getitem__)  # stable: ties keep ascending index
-        tail = head[:]
-        tail[0::2], tail[1::2] = head[1::2], head[0::2]
         object.__setattr__(self, "arc_head", tuple(head))
-        object.__setattr__(self, "arc_tail", tuple(tail))
         object.__setattr__(self, "arc_cap", tuple(cap))
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
-
-    @cached_property
-    def adj_in(self) -> tuple[tuple[int, ...], ...]:
-        """``adj_in[u]`` lists the residual arcs entering ``u``: the partners
-        of ``adj[u]``, in its order.  Derived on first use."""
-        # from lists, not generators: tuples built from generators here left
-        # about 1 MB more held by the interpreter after the networks died
-        return tuple([tuple([i ^ 1 for i in arcs]) for arcs in self.adj])
 
 
 def incidence_digraph(h: Hypergraph, o: Orientation) -> IncidenceDigraph:
@@ -169,6 +160,35 @@ def _terminals(nodes: Iterable[int]) -> list[int]:
         raise PreconditionError("sources and sinks must be node collections or single nodes") from None
 
 
+def _search(
+    g: IncidenceDigraph, cap: list[int], roots: list[int], is_sink: list[bool]
+) -> tuple[list[int], list[int], int]:
+    """One breadth-first search from every root over the residual arcs of
+    ``g`` with capacity left in ``cap``, stopping at the first sink.
+
+    Returns ``(parent, labelled, hit)``: ``parent[v]`` is the residual arc
+    that labelled ``v`` (``-2`` for a root, ``-1`` if unlabelled), ``hit``
+    the sink reached or ``-1``, and ``labelled`` the search's queue, roots
+    first.  When no sink is reached, ``labelled`` is every node reachable
+    from the roots.
+    """
+    parent = [-1] * g.n_nodes
+    for s in roots:
+        parent[s] = -2
+    labelled = list(roots)
+    adj, head = g.adj, g.arc_head
+    for u in labelled:  # the list grows while it is scanned
+        for i in adj[u]:
+            if cap[i] > 0:
+                v = head[i]
+                if parent[v] == -1:
+                    parent[v] = i
+                    if is_sink[v]:
+                        return parent, labelled, v
+                    labelled.append(v)
+    return parent, labelled, -1
+
+
 def max_flow_min_cut(
     g: IncidenceDigraph,
     sources: Iterable[int],
@@ -190,14 +210,12 @@ def max_flow_min_cut(
     flow already in place instead of from ``g.arc_cap``, and is updated in
     place; ``value`` then counts only the units this call adds.
 
-    Each round is a breadth-first search seeded with every node of the
-    smaller terminal set.  From the sources it follows residual arcs
-    forward (``adj``) and stops at the first sink it labels; from the sinks
-    (when there are fewer sinks than sources) it follows them backward
-    (``adj_in``, the partners ``i ^ 1`` of ``adj``) and stops at the first
-    source.  The forward round that labels no sink has labelled exactly the
-    residual-reachable side; a backward round that labels no source is
-    followed by one such forward round.
+    Each round is one :func:`_search` from all the sources that stops at the
+    first sink; its path is walked back along arc tails and augmented.  The
+    round that reaches no sink has labelled exactly the residual-reachable
+    side.  A query with many sources and one sink is cheaper mirrored: from
+    the sink to the sources on the capacities ``_swapped``, where the
+    labelled side is the complement of the maximal minimum-cut side.
     """
     n_nodes = g.n_nodes
     roots, targets = _terminals(sources), _terminals(sinks)
@@ -205,13 +223,11 @@ def max_flow_min_cut(
         raise PreconditionError("sources and sinks must be nonempty")
     if min(roots + targets) < 0 or max(roots + targets) >= n_nodes:
         raise PreconditionError("source or sink out of range")
-    is_source, is_sink = [False] * n_nodes, [False] * n_nodes
-    for s in roots:
-        is_source[s] = True
+    is_sink = [False] * n_nodes
     for t in targets:
-        if is_source[t]:
-            raise PreconditionError("sources and sinks must be disjoint")
         is_sink[t] = True
+    if any(is_sink[s] for s in roots):
+        raise PreconditionError("sources and sinks must be disjoint")
     if residual is None:
         cap = list(g.arc_cap)
     elif len(residual) == len(g.arc_cap):
@@ -219,48 +235,23 @@ def max_flow_min_cut(
     else:
         raise PreconditionError("residual needs one capacity per residual arc")
 
-    # Forward, a search scans the arcs leaving a node and steps to their
-    # heads, and a path is walked back along tails; backward, the reverse.
-    back = len(targets) < len(roots)
+    head = g.arc_head
     flow = 0
     while limit is None or flow < limit:
-        if back:
-            starts, is_end, scan, ahead, behind = targets, is_source, g.adj_in, g.arc_tail, g.arc_head
-        else:
-            starts, is_end, scan, ahead, behind = roots, is_sink, g.adj, g.arc_head, g.arc_tail
-        parent = [-1] * n_nodes  # the residual arc a labelled node was reached by
-        for s in starts:
-            parent[s] = -2
-        queue = list(starts)
-        hit = -1
-        for u in queue:  # the list grows while it is scanned
-            for i in scan[u]:
-                if cap[i] > 0:
-                    v = ahead[i]
-                    if parent[v] == -1:
-                        parent[v] = i
-                        if is_end[v]:
-                            hit = v
-                            break
-                        queue.append(v)
-            if hit >= 0:
-                break
+        parent, labelled, hit = _search(g, cap, roots, is_sink)
         if hit < 0:
-            if back:
-                back = False  # the flow is maximum; label the sources' side
-                continue
-            return flow, frozenset(v for v in range(n_nodes) if parent[v] != -1)
+            return flow, frozenset(labelled)
         bottleneck = None if limit is None else limit - flow
         v = hit
         while (i := parent[v]) >= 0:
             if bottleneck is None or cap[i] < bottleneck:
                 bottleneck = cap[i]
-            v = behind[i]
+            v = head[i ^ 1]
         v = hit
         while (i := parent[v]) >= 0:
             cap[i] -= bottleneck
             cap[i ^ 1] += bottleneck
-            v = behind[i]
+            v = head[i ^ 1]
         flow += bottleneck
     return flow, None
 
@@ -299,7 +290,7 @@ def _solve(
     return value, _separator(h.n, reach, source_set, avoid_set)
 
 
-def _separator(n: int, reach: frozenset[int], source_set: VertexSet, avoid_set: VertexSet) -> VertexSet:
+def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: VertexSet) -> VertexSet:
     """The vertices of a residual-reachable node set, checked against the
     query's constraints."""
     mask = 0
@@ -355,39 +346,42 @@ def connectivity(
     ``cap`` means "at least ``cap``").  ``x`` is a vertex set of out-degree
     ``value``, or ``None`` when no set has out-degree below ``cap``.
 
-    A sink sequence in the manner of Hao and Orlin, on ``network(h, o)``:
-    one pass covers the sets that contain vertex 0, on ``o``'s capacities,
-    and one the sets that miss it, as the in-degree of their complements, on
-    those capacities ``_swapped``.  A pass starts
-    with sources ``[0]`` and, for ``t = 1 .. n - 1``, runs one flow from the
-    sources to ``t`` capped at the best value so far, then adds ``t`` to the
-    sources.  It is exact: if ``X`` attains the minimum and ``t`` is the
-    first sink outside ``X``, every source of that query lies in ``X``.  A
-    pass keeps one residual array throughout.  Every unit of the flow in it
-    runs between nodes that are sources of the next query, so the flow is
-    net zero across each of that query's cuts, every cut keeps its
+    A sink sequence in the manner of Hao and Orlin, run mirrored on
+    ``network(h, o)``: each query flows from one new vertex ``t`` into all
+    the earlier ones, ``[0 .. t - 1]``, capped at the best value so far, for
+    ``t = 1 .. n - 1``.  One pass covers the sets that contain vertex 0, as
+    the in-degree of their complements, on ``o``'s capacities ``_swapped``;
+    the other the sets that miss it, on those capacities as they are.  It is
+    exact: if ``Y`` (a complement in the first pass) attains the minimum and
+    ``t`` is its smallest vertex, every sink of that query lies outside
+    ``Y``.  A pass keeps one residual array throughout.  Every unit of the
+    flow in it runs between nodes that are sinks of the next query, so the
+    flow is net zero across each of that query's cuts, every cut keeps its
     capacity, and the next query resumes from it without a reset.
 
-    ``x`` is the minimal side of the query that last lowered the value; on
-    the second pass, that side's complement.
+    ``x`` comes from the query that last lowered the value: on the first
+    pass, the complement of its minimal side, which is the maximal set of
+    that out-degree holding ``[0 .. t - 1]`` and missing ``t``; on the
+    second, its minimal side.  Either has out-degree ``value``, but another
+    sink order may find another such set.
     """
     n = h.n
     g, arc_cap = network(h, o)
     best = h.m + 1 if cap is None else cap
     found = None
-    for reverse in (False, True):
+    for holds_0 in (True, False):
         if best == 0:
             break
-        residual = _swapped(arc_cap) if reverse else list(arc_cap)
-        sources = [0]
+        residual = _swapped(arc_cap) if holds_0 else list(arc_cap)
+        sinks = [0]
         for t in range(1, n):
-            value, reach = max_flow_min_cut(g, sources, t, limit=best, residual=residual)
+            value, reach = max_flow_min_cut(g, t, sinks, limit=best, residual=residual)
             if reach is not None:  # below the best value so far
-                side = _separator(n, reach, VertexSet(n, sources), VertexSet.singleton(n, t))
-                best, found = value, side.complement() if reverse else side
+                side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet(n, sinks))
+                best, found = value, side.complement() if holds_0 else side
                 if best == 0:
                     break
-            sources.append(t)
+            sinks.append(t)
     return best, found
 
 
@@ -458,9 +452,8 @@ class IncrementalConnectivity:
     kept flow is a maximum flow, so its residual holds the minimal sides of
     the query's minimum cut.  :func:`~hyperorient.families.compute_families`
     reads its minimal tight sets from them through :meth:`minimal_tight`,
-    after checking :attr:`heads` and :attr:`cap`: the forward reach of ``v``
-    in the ``v -> 0`` residual, the set that reaches ``v`` in the ``0 -> v``
-    one, and one more unit on copies of them.
+    after checking :attr:`heads` and :attr:`cap`: one residual search each,
+    with no flow.
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
@@ -476,7 +469,6 @@ class IncrementalConnectivity:
         self._res = [list(arc_cap) for _ in self._pairs]
         self._value = [0] * len(self._pairs)
         self._cut: list[Optional[frozenset[int]]] = [None] * len(self._pairs)
-        self._exact = [False] * len(self._pairs)  # the cut is the reachable side
         for p in range(len(self._pairs)):
             self._augment(p)
         self.value = min(self._value, default=cap)
@@ -486,12 +478,12 @@ class IncrementalConnectivity:
         ``x`` and avoids vertex 0, or ``None``, from the kept query of the
         root pair of ``x``'s smallest vertex ``s`` (``s -> 0`` for
         ``side='out'``, ``0 -> s`` for ``'in'``), which must not be below
-        ``k``.  At value ``k`` the query's flow is maximum: for ``x = {s}``
-        the set is the reach of ``s`` in its residual, forward or backward,
-        with no flow; a larger ``x`` adds at most one unit to a copy of it
-        with all of ``x`` as sources (on the in side, with each residual
-        pair swapped).  An empty ``x`` or a ``side`` other than ``'out'``
-        and ``'in'`` raises :class:`PreconditionError`."""
+        ``k``.  At value ``k`` the query's flow is maximum, and it is also a
+        flow from all of ``x``: so the set is what one :func:`_search` from
+        ``x`` labels in its residual (on the in side, with each residual
+        pair swapped), and ``None`` when that search reaches vertex 0.  An
+        empty ``x`` or a ``side`` other than ``'out'`` and ``'in'`` raises
+        :class:`PreconditionError`."""
         if side not in ("out", "in"):
             raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
         if not x:
@@ -501,22 +493,11 @@ class IncrementalConnectivity:
         p = 2 * s - 1 if side == "out" else 2 * s - 2
         if s == 0 or self._value[p] != k:
             return None
-        res = self._res[p]
-        if len(x) == 1:
-            scan, ahead = (g.adj, g.arc_head) if side == "out" else (g.adj_in, g.arc_tail)
-            seen = [False] * g.n_nodes
-            seen[s] = True
-            queue = [s]
-            for u in queue:  # the list grows while it is scanned
-                for i in scan[u]:
-                    if res[i] > 0 and not seen[v := ahead[i]]:
-                        seen[v] = True
-                        queue.append(v)
-            reach: Optional[frozenset[int]] = frozenset(queue)
-        else:
-            res = _swapped(res) if side == "in" else list(res)
-            reach = max_flow_min_cut(g, x, 0, limit=1, residual=res)[1]
-        return None if reach is None else _separator(n, reach, x, VertexSet.singleton(n, 0))
+        res = self._res[p] if side == "out" else _swapped(self._res[p])
+        is_sink = [False] * g.n_nodes
+        is_sink[0] = True
+        _, labelled, hit = _search(g, res, list(x), is_sink)
+        return None if hit >= 0 else _separator(n, labelled, x, VertexSet.singleton(n, 0))
 
     def raise_cap(self, cap: int) -> int:
         """Raise :attr:`cap` to ``cap``; each query at the old cap augments
@@ -538,7 +519,6 @@ class IncrementalConnectivity:
         )
         self._value[p] += value
         self._cut[p] = reach
-        self._exact[p] = reach is not None
 
     def _push_unit(self, res: list[int], src: int, dst: int) -> bool:
         return max_flow_min_cut(self._g, src, dst, limit=1, residual=res)[0] == 1
@@ -575,7 +555,6 @@ class IncrementalConnectivity:
                 else:
                     capacity = before
                 if capacity == self._value[p]:
-                    self._exact[p] = False
                     continue
             self._augment(p)
         self.value = min(self._value, default=self.cap)
@@ -583,15 +562,16 @@ class IncrementalConnectivity:
 
     def witness(self) -> Optional[VertexSet]:
         """A set of out-degree :attr:`value`: the minimal minimizer of the
-        first root pair attaining it, or ``None`` at the cap.  It may
-        differ from the set :func:`connectivity` returns."""
+        first root pair attaining it, or ``None`` at the cap.  That query's
+        flow is maximum, so resuming it adds nothing and its one failing
+        search labels the minimal side.  It may differ from the set
+        :func:`connectivity` returns."""
         if self.value >= self.cap:
             return None
         p = self._value.index(self.value)
-        if not self._exact[p]:
-            self._augment(p)
-            if self._value[p] != self.value:
-                raise InvariantViolation("a kept cut was not a minimum cut")
+        self._augment(p)
+        if self._value[p] != self.value:
+            raise InvariantViolation("a kept cut was not a minimum cut")
         s, t = self._pairs[p]
         n = self.hypergraph.n
         return _separator(n, self._cut[p], VertexSet.singleton(n, s), VertexSet.singleton(n, t))

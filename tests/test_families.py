@@ -105,6 +105,15 @@ class TestComputeFamilies:
         with pytest.raises(PreconditionError):
             compute_families(h, o, level=2)
 
+    @pytest.mark.parametrize("level", [-1, -5])
+    def test_negative_level_rejected(self, level):
+        h, o = three_cycle()
+        with pytest.raises(PreconditionError, match=f"level {level} is negative"):
+            compute_families(h, o, level=level)
+        for q in (q_minus, q_plus):
+            with pytest.raises(PreconditionError, match=f"level {level} is negative"):
+                q(h, o, level, 1)
+
     def test_r_family_full_fallback(self):
         # arcs 1->2, 2->1, 1->0, 2->0: m_minus={{1,2}}, m_plus={V}, so the
         # only region available is the full vertex set.

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from hyperorient import (  # noqa: E402
     Orientation,
@@ -161,6 +161,7 @@ ARGV_TOKEN = st.sampled_from(
 
 @FUZZ
 @given(st.lists(ARGV_TOKEN, max_size=9))
+@example(["oracle", "lambda", "--input", "@HG"])
 def test_cli_on_fuzzed_arguments_exits_cleanly(tokens):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)

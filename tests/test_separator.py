@@ -176,18 +176,9 @@ def random_digraph(rng, n_max):
     return IncidenceDigraph(n_nodes, tuple(arcs))
 
 
-class TestBackwardSearch:
-    """Queries with fewer sinks than sources search from the sinks."""
-
-    def test_searches_from_the_sink(self):
-        # two disjoint two-arc paths into sink 4, from sources 0 and 1: the
-        # forward search reaches 4 through 0's path first, the backward one
-        # reaches source 1 first (4's residual arcs are scanned by head)
-        g = IncidenceDigraph(5, ((0, 3, 1), (3, 4, 1), (1, 2, 1), (2, 4, 1)))
-        res = list(g.arc_cap)
-        assert max_flow_min_cut(g, [0, 1], [4], limit=1, residual=res) == (1, None)
-        assert res[4] == 0 and res[0] == 1  # 1 -> 2 carries the unit, 0 -> 3 does not
-        assert max_flow_min_cut(g, [0, 1], [4], residual=res) == (1, frozenset({0, 1}))
+class TestManySourcesOneSink:
+    """Queries with many sources and one sink search forward from all the
+    sources at once."""
 
     def test_many_sources_one_sink(self):
         rng = random.Random(5)
@@ -233,6 +224,29 @@ class TestBackwardSearch:
                     assert got == brute_force_cut(g, sources, sink)
 
 
+    def test_mirrored_query_labels_the_maximal_side(self):
+        """Asked from the sink on the swapped capacities, a query has the
+        same value and labels the complement of the union of its minimum
+        cuts' source sides."""
+        rng = random.Random(8)
+        for _ in range(100):
+            g = random_digraph(rng, 8)
+            nodes = rng.sample(range(g.n_nodes), rng.randint(3, g.n_nodes))
+            sources, sink = nodes[1:], nodes[0]
+            cuts = {
+                mask: sum(c for u, v, c in g.arcs if mask >> u & 1 and not mask >> v & 1)
+                for mask in range(1 << g.n_nodes)
+                if all(mask >> s & 1 for s in sources) and not mask >> sink & 1
+            }
+            best, union = min(cuts.values()), 0
+            for mask, value in cuts.items():
+                if value == best:
+                    union |= mask
+            value, reach = max_flow_min_cut(g, sink, sources, residual=separator._swapped(g.arc_cap))
+            assert value == best
+            assert set(range(g.n_nodes)) - reach == {x for x in range(g.n_nodes) if union >> x & 1}
+
+
 class TestIncidenceDigraph:
     def test_structure(self):
         h = hypergraph(4, [(0, 1, 2), (2, 3)])
@@ -246,14 +260,6 @@ class TestIncidenceDigraph:
             tails = [(u, v, c) for (u, v, c) in g.arcs if v == w]
             assert all(c == h.m + 1 for (_, _, c) in tails)
             assert {u for (u, _, _) in tails} == set(o.tail(e))
-
-    def test_tails_and_entering_arcs(self):
-        for h, o in random_instances(4, 20, n_max=7, m_max=9, size_max=4):
-            g = incidence_digraph(h, o)
-            assert all(g.arc_tail[i] == g.arc_head[i ^ 1] for i in range(len(g.arc_head)))
-            for u in range(g.n_nodes):
-                assert [i ^ 1 for i in g.adj_in[u]] == list(g.adj[u])
-                assert all(g.arc_head[i] == u for i in g.adj_in[u])
 
     def test_swapped_cap_is_the_reversed_digraph(self):
         """Per node, the residual arcs in search order with their heads and
@@ -453,15 +459,15 @@ class TestSinkSequence:
         original = separator.max_flow_min_cut
 
         def recorded(g, sources, sinks, limit=None, residual=None):
-            calls.append((list(sources), sinks, id(residual)))
+            calls.append((sources, list(sinks), id(residual)))
             return original(g, sources, sinks, limit=limit, residual=residual)
 
         monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
         connectivity(h, o)
         assert len(calls) == 2 * (h.n - 1)
         for half in (calls[: h.n - 1], calls[h.n - 1 :]):
-            assert [(sources, sink) for sources, sink, _ in half] == [
-                (list(range(t)), t) for t in range(1, h.n)
+            assert [(source, sinks) for source, sinks, _ in half] == [
+                (t, list(range(t))) for t in range(1, h.n)
             ]
             assert len({res for _, _, res in half}) == 1
 
@@ -592,6 +598,24 @@ class TestIncrementalConnectivity:
         check = IncrementalConnectivity(h, o, 2)
         with pytest.raises(PreconditionError, match="side"):
             check.minimal_tight(vs(3, [1]), "up", 1)
+
+    def test_minimal_tight_runs_no_flow(self, monkeypatch):
+        h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
+        o = gen_orientation(h, seed=3)
+        k = connectivity(h, o)[0]
+        check = IncrementalConnectivity(h, o, k + 1)
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("minimal_tight ran a flow")
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", no_flow)
+        found = [
+            check.minimal_tight(vs(h.n, xs), side, k)
+            for v in range(1, h.n)
+            for xs in ([v], [v, v % (h.n - 1) + 1])
+            for side in ("out", "in")
+        ]
+        assert any(x is not None and len(x) > 1 for x in found)
 
     def test_every_push_is_a_max_flow_call(self, monkeypatch):
         h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))

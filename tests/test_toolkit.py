@@ -379,6 +379,13 @@ class TestCli:
         code, out, err = run_cli(capsys, *base, "--source=0", "--sinks=1,3")
         assert code == 1 and err.startswith("error: ") and "Traceback" not in out + err
 
+    @pytest.mark.parametrize("operation", ["lambda", "families", "separator", "safe-source", "safe-sink"])
+    def test_oracle_without_orientation_exits_one(self, capsys, tmp_path, operation):
+        hg, _ = self.write_three_cycle(tmp_path)
+        code, out, err = run_cli(capsys, "oracle", operation, "--input", hg, "--sinks", "1", "--set", "1")
+        assert code == 1 and err == "error: --orientation is required here\n"
+        assert "Traceback" not in out + err
+
     def test_oracle_operations(self, capsys, tmp_path):
         hg, orf = self.write_three_cycle(tmp_path)
         code, out, _ = run_cli(
