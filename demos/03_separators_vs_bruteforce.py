@@ -1,10 +1,12 @@
-"""The incidence-digraph reduction, checked against subset enumeration.
+"""Max flow on a directed hypergraph, checked against subset enumeration.
 
-A hyperarc (X, v) becomes a unit arc w -> v plus unsaturable arcs x -> w
-from each tail.  Minimum cuts in that digraph are minimum-degree
-separators of the directed hypergraph, and the residual-reachable side is
-the unique minimal minimizer.  We print the reduction for a small instance
-and compare every query against brute force.
+Every hyperarc carries at most one unit of flow, in through a tail and out
+through its head.  The residual of a flow is again an orientation: each
+hyperarc that carries a unit is turned toward the tail it entered by, so
+augmenting along a hyperpath reverses it.  The vertices still reachable
+from the source in that orientation are the unique minimal minimum-degree
+separator.  We print the hyperarcs of a small instance and the orientation
+one flow leaves, then compare every query against brute force.
 """
 
 import hyperorient as ho
@@ -19,10 +21,18 @@ for e in range(h.m):
     print(f"  edge {e}: tails {sorted(tail)} -> head {head}")
 print()
 
-g = ho.incidence_digraph(h, o)
-print(f"incidence digraph: {g.n_nodes} nodes (vertices 0..{h.n - 1}, edge nodes {h.n}..)")
-for u, v, c in g.arcs:
-    print(f"  {u} -> {v}  cap {c}")
+g = ho.incidence_digraph(h)
+heads = list(o.heads)
+value, reach = ho.max_flow_min_cut(g, 0, 3, residual=heads)
+after = ho.Orientation(h, heads)
+print(f"max flow 0 -> 3: {value}; the orientation it leaves:")
+for e in range(h.m):
+    tail, head = after.hyperarc(e)
+    turned = "" if head == o.heads[e] else f"   (turned from head {o.heads[e]})"
+    print(f"  edge {e}: tails {sorted(tail)} -> head {head}{turned}")
+print(f"vertices still reachable from 0: {sorted(reach)}")
+bf_value, _, bf_minimal = ho.bf_min_separator(h, o, 0, ho.VertexSet(h.n, [3]), "out")
+assert (value, ho.VertexSet(h.n, reach)) == (bf_value, bf_minimal)
 print()
 
 for s in range(h.n):

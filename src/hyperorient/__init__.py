@@ -6,8 +6,9 @@ at a time without ever decreasing the connectivity.  This package computes
 such sequences and everything they rest on:
 
 * exact hypergraph/orientation primitives and degree functions (``core``),
-* minimum-degree separators and hyperarc-connectivity by max flow on an
-  incidence digraph (``separator``),
+* minimum-degree separators and hyperarc-connectivity by max flow, each
+  flow a list of heads whose augmenting hyperpaths it reverses
+  (``separator``),
 * tight-set families, per-vertex minimal tight sets, and safe endpoint
   tests (``families``),
 * admissible hyperpath search (``pathsearch``),

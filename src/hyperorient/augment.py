@@ -18,11 +18,11 @@ non-decreasing.  :func:`verify_trace` shares none of the repair code: it
 decides each step's connectivity with one capped flow and a set kept from
 an earlier from-scratch computation, and recomputes from scratch only when
 no kept set is tight.  Every flow of a run, in the step check, the families
-and the verifier, runs on the hypergraph's one incidence network
-(:func:`~hyperorient.separator.network`); an orientation is only a
-capacity array on it.  Each full path strictly shrinks the potential
-``(|m_all|, -covered vertices)``, so a level finishes within ``n^2``
-iterations and ``n^3`` single-hyperarc steps.
+and the verifier, runs on the hypergraph's one incidence structure
+(:func:`~hyperorient.separator.network`) with a copy of an orientation's
+heads, which the flow turns in place.  Each full path strictly shrinks the
+potential ``(|m_all|, -covered vertices)``, so a level finishes within
+``n^2`` iterations and ``n^3`` single-hyperarc steps.
 
 The input hypergraph must be sufficiently partition-connected for the target
 level; that precondition is not tested exactly (deliberately out of scope).
@@ -339,18 +339,17 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     alone (the hypergraph form of the single-reorientation lemma behind Ito
     et al. 2022).  So the new connectivity is at least the old ``lam`` if
     and only if the new ``b -> a`` max flow is at least ``lam``: one flow
-    capped at ``lam`` on one network per trace, the hypergraph's one
-    incidence digraph with the capacities of ``network(h, trace.initial)``,
-    which are rewritten in ``e``'s block only.
+    capped at ``lam``, on the hypergraph's one ``network(h)`` and a copy of
+    the new orientation's heads.
     From above, a set of out-degree ``lam`` after the step shows the value
     is at most ``lam``.  The sets tried are every set :func:`connectivity`
     has returned in this call; a kept set is never trusted for its old
     value, only ever shown tight again by :func:`~hyperorient.core.out_degree`.
     When either bound fails, ``connectivity(h, cur, cap=lam + 2)`` computes
     the value from scratch, exact because one step moves it by at most one,
-    and its set is kept; it runs on the same digraph, with ``cur``'s
-    capacities written afresh, so no step builds a network.  Either way the value is exact, so the report does
-    not depend on which bound decided it.
+    and its set is kept; it runs on the same network, so no step builds
+    one.  Either way the value is exact, so the report does not depend on
+    which bound decided it.
     """
     if trace.initial.hypergraph != h:
         return VerifyReport((VerifyFailure(None, "trace initial orientation is for a different hypergraph"),))
@@ -364,8 +363,7 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")
         )
-    g, res = separator.network(h, trace.initial)  # res: the capacities of cur
-    blocks = separator._topology(h)[1]
+    g = separator.network(h)
     cur = trace.initial
     for i, step in enumerate(trace.steps, start=1):
         if not 0 <= step.edge < h.m:
@@ -383,10 +381,9 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
             break
         a, b = cur.heads[step.edge], step.new_head
         cur = reorient(cur, step.edge, b)
-        separator._write(res, blocks[step.edge], b, h.m + 1)
         if (
             any(out_degree(h, cur, x) == lam for x in kept)
-            and separator.max_flow_min_cut(g, b, a, limit=lam, residual=list(res))[0] == lam
+            and separator.max_flow_min_cut(g, b, a, limit=lam, residual=list(cur.heads))[0] == lam
         ):
             lam_after = lam
         else:

@@ -22,10 +22,13 @@ The computed families:
 :class:`~hyperorient.separator.IncrementalConnectivity` keeps, capped above
 ``k``: ``q_plus[v]`` is the residual reach of ``v`` in the ``v -> 0`` flow
 and ``q_minus[v]`` the set that reaches ``v`` in the ``0 -> v`` flow, where
-that flow's value is ``k``.  Each ``r_family`` candidate is one more
-residual search on one such flow, from the whole member.  The connectivity
-is recomputed from scratch once per call, as a cross-check of the kept
-flows.
+that flow's value is ``k``.  Each flow is a heads list, the orientation
+with every hyperarc that carries a unit turned to the tail it entered by,
+and each such read is one search in it, run backward for ``q_minus``.
+Each ``r_family`` candidate is one more residual search on one such flow,
+from the whole member.  :func:`q_minus` and :func:`q_plus` read one q set
+the same way.  The connectivity is recomputed from scratch once per call,
+as a cross-check of the kept flows.
 
 A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
 out-tight set containing ``u`` strictly contains ``S``, and every dangerous
@@ -49,7 +52,7 @@ from .core import (
     minimal_members,
     out_degree,
 )
-from .separator import IncrementalConnectivity, _solve, hyperarc_connectivity, network
+from .separator import IncrementalConnectivity, _solve, hyperarc_connectivity
 
 ROOT = 0
 
@@ -100,20 +103,18 @@ def is_out_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int
 
 
 def _q(h: Hypergraph, o: Orientation, k: int, v: int, side: str) -> VertexSet:
-    """``q_minus[v]``/``q_plus[v]`` by one capped separator query: at level
-    ``k`` the minimum ``side``-degree over sets containing ``v`` and avoiding
-    the root is at least ``k``, and its inclusion-minimal minimizer is
-    unique by submodularity.  A negative ``k`` raises
-    :class:`PreconditionError`."""
+    """``q_minus[v]``/``q_plus[v]`` from the root-pair flows of an
+    :class:`~hyperorient.separator.IncrementalConnectivity` capped at
+    ``k + 1``, as :func:`compute_families` reads them.  A negative ``k``, or
+    one above the connectivity, raises :class:`PreconditionError`."""
     if k < 0:
         raise PreconditionError(f"level {k} is negative")
     if not 0 <= v < h.n:
         raise PreconditionError(f"vertex {v} out of range")
-    full = VertexSet.full(h.n)
-    if v == ROOT:
-        return full
-    value, sep = _solve(h, o, side, VertexSet.singleton(h.n, v), VertexSet.singleton(h.n, ROOT), limit=k + 1)
-    return sep if value == k else full
+    check = IncrementalConnectivity(h, o, cap=k + 1)
+    if check.value < k:
+        raise PreconditionError(f"orientation has connectivity {check.value}, below level {k}")
+    return check.minimal_tight(VertexSet.singleton(h.n, v), side, k) or VertexSet.full(h.n)
 
 
 def q_minus(h: Hypergraph, o: Orientation, k: int, v: int) -> VertexSet:
@@ -225,12 +226,11 @@ def _safe_endpoint(
     if deg(h, o, member_set) == k:
         return False
     q_sets = fam.q_plus if side == "out" else fam.q_minus
-    net = network(h, o)
     for v in member_set:
         if v == u:
             continue
         avoid = VertexSet(h.n, (v, fam.r))
-        value, sep = _solve(h, o, side, VertexSet.singleton(h.n, u), avoid, limit=k + 2, net=net)
+        value, sep = _solve(h, o, side, VertexSet.singleton(h.n, u), avoid, limit=k + 2)
         if value == k:
             return False
         if value == k + 1 and sep is not None:

@@ -1,39 +1,40 @@
 """Minimum-degree separators and hyperarc-connectivity via max flow.
 
-A directed hypergraph expands into a capacitated incidence digraph with one
-extra node per hyperarc: hyperarc ``(X, v)`` on edge ``e`` becomes the
-unit-capacity arc ``w_e -> v`` plus an unsaturable arc ``x -> w_e`` for every
-tail ``x`` in ``X`` (capacity ``m + 1``, which no flow can fill because every
-source-sink path crosses some unit arc).  A minimum cut in that digraph is a
-minimum out-degree separator of the hypergraph, and the set of nodes
-reachable from the sources in the final residual network is the unique
-inclusion-minimal minimizer.  In-degree separators use the arc-reversed
-digraph: the same residual network with each pair's capacities swapped.
+A directed hypergraph is a flow network in which every hyperarc carries at
+most one unit, entering through one of its tails and leaving through its
+head (as an incidence digraph: a node ``w_e`` per hyperarc, a unit arc
+``w_e -> head`` and an unsaturable arc ``x -> w_e`` per tail ``x``).  A
+minimum cut is a minimum out-degree separator of the hypergraph, and the
+vertices reachable from the sources in the final residual network are the
+unique inclusion-minimal minimizer.
 
-Vertex ``i`` is node ``i``; the node for edge ``e`` is ``n + e``.  Every
-residual search runs forward, in one routine (:func:`_search`): a
-breadth-first search seeded with every source that ends at the first sink.
-A question about the reversed digraph, or one better asked from the sink
-side, is the same search on the capacities with each pair swapped.
+The residual of such a flow is again an orientation: each hyperarc that
+carries a unit is turned toward the tail the unit entered by, and every
+other hyperarc keeps its head.  So a flow here is only a list of heads, one
+per edge.  An augmenting path is a directed hyperpath in the orientation it
+holds, and augmenting reverses that path in place, one hyperarc at a time,
+as the single-hyperarc reorientations of the source paper and of Ito et al.
+2022 do.  Every residual search is one breadth-first search over the
+hypergraph's incidences (:func:`_search`), seeded with every source and
+ending at the first sink.  It runs forward, from tails to heads, or
+backward, from heads to tails: the in-degree queries, and the ones better
+asked from the sink side, are the same search run backward.
 
-The digraph's shape depends only on the hypergraph: edge ``e`` has one
-residual pair per incidence ``(e, x)``, and its head only decides their
-capacities.  So a hypergraph has one :class:`IncidenceDigraph`, built once
-for a reference orientation and kept for the last hypergraph seen, and an
-orientation is only a capacity array on it (:func:`network`).  Every query,
-of either side and on any orientation, runs on that digraph with a
-``residual=`` array; ``arc_cap`` belongs to the reference orientation.
+The incidences depend only on the hypergraph, so it has one
+:class:`IncidenceDigraph`, kept for the last hypergraph seen
+(:func:`network`), and every query on any orientation runs on it with
+``residual=`` a copy of that orientation's heads.
 
 The hyperarc-connectivity is a sink sequence (Hao and Orlin, J. Algorithms
 1994, in augmenting-path form), run mirrored: per side, ``n - 1`` flows
 from one new vertex each into the growing set of earlier ones, on one kept
-residual array, so that after the first few each flow is a short search
-from its new vertex.
+heads list, so that after the first few each flow is a short search from
+its new vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
@@ -48,107 +49,45 @@ from .core import (
 
 @dataclass(frozen=True)
 class IncidenceDigraph:
-    """Capacitated digraph as a plain arc list ``(from, to, capacity)``.
+    """The incidences of a hypergraph on ``n`` vertices: ``members[e]`` holds
+    edge ``e``'s vertices and ``inc[v]`` the edges at vertex ``v``, both
+    ascending, so every search explores in a reproducible order.  ``arcs``
+    lists the incidences ``(x, e)``, one per arc of the incidence digraph
+    (``x -> w_e`` for a tail, ``w_e -> x`` for the head).  The orientation
+    is not part of it: each search takes one as a list of heads."""
 
-    The residual arrays are derived once: residual arc ``2j`` is input arc
-    ``j`` and ``2j + 1`` its reverse, so arc ``i``'s partner is ``i ^ 1``
-    and its tail is ``arc_head[i ^ 1]``; ``arc_head`` and ``arc_cap`` (the
-    capacities before any flow) are indexed by residual arc, and ``adj[u]``
-    lists the residual arcs leaving ``u`` in ascending ``(head, index)``
-    order, so every flow explores in a reproducible order.  The digraph is
-    only ever searched forward; its reverse is the same arrays with each
-    residual pair's capacities swapped (:func:`_swapped`).
-    """
-
-    n_nodes: int
-    arcs: tuple[tuple[int, int, int], ...]
-    arc_head: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    arc_cap: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        head: list[int] = []
-        cap: list[int] = []
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v, c in self.arcs:
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                raise PreconditionError("arc endpoint out of range")
-            if u == v or c <= 0:
-                raise PreconditionError("arcs need distinct endpoints and positive capacity")
-            adj[u].append(len(head))
-            head.append(v)
-            cap.append(c)
-            adj[v].append(len(head))
-            head.append(u)
-            cap.append(0)
-        for lst in adj:
-            lst.sort(key=head.__getitem__)  # stable: ties keep ascending index
-        object.__setattr__(self, "arc_head", tuple(head))
-        object.__setattr__(self, "arc_cap", tuple(cap))
-        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
+    n: int
+    members: tuple[tuple[int, ...], ...]
+    inc: tuple[tuple[int, ...], ...]
+    arcs: tuple[tuple[int, int], ...]
 
 
-def incidence_digraph(h: Hypergraph, o: Orientation) -> IncidenceDigraph:
-    """Incidence digraph of a directed hypergraph."""
-    _same_instance(h, o)
-    n, m = h.n, h.m
-    big = m + 1
-    arcs = []
-    for e in range(m):
-        w = n + e
-        head = o.heads[e]
-        for x in h.edges[e]:
-            if x != head:
-                arcs.append((x, w, big))
-        arcs.append((w, head, 1))
-    return IncidenceDigraph(n + m, tuple(arcs))
+def incidence_digraph(h: Hypergraph) -> IncidenceDigraph:
+    """The incidences of ``h``."""
+    members = tuple(tuple(edge) for edge in h.edges)
+    inc: list[list[int]] = [[] for _ in range(h.n)]
+    for e, edge in enumerate(members):
+        for x in edge:
+            inc[x].append(e)
+    arcs = tuple((x, e) for e, edge in enumerate(members) for x in edge)
+    return IncidenceDigraph(h.n, members, tuple(map(tuple, inc)), arcs)
 
 
-# (h, g, blocks, ref_heads) of the last hypergraph :func:`_topology` saw
-_memo: Optional[tuple[Hypergraph, IncidenceDigraph, list[list[tuple[int, int]]], tuple[int, ...]]] = None
+# (h, g) for the last hypergraph :func:`network` saw
+_memo: Optional[tuple[Hypergraph, IncidenceDigraph]] = None
 
 
-def _topology(h: Hypergraph) -> tuple[IncidenceDigraph, list[list[tuple[int, int]]], tuple[int, ...]]:
-    """``(g, blocks, ref_heads)``: ``g`` is ``incidence_digraph(h, o_ref)``
-    for the orientation ``o_ref`` that points every edge at its smallest
-    vertex, ``blocks`` its :func:`_blocks` and ``ref_heads`` the heads of
-    ``o_ref``.  Kept for the last hypergraph seen, by identity, in one slot
-    read once per call, so threads on other hypergraphs only cost rebuilds.
-    The slot holds ``h`` itself, which is immutable, so its identity cannot
-    pass to another hypergraph while the slot keeps it."""
+def network(h: Hypergraph) -> IncidenceDigraph:
+    """The one :class:`IncidenceDigraph` of ``h``.  Kept for the last
+    hypergraph seen, by identity, in one slot read once per call, so threads
+    on other hypergraphs only cost rebuilds.  The slot holds ``h`` itself,
+    which is immutable, so its identity cannot pass to another hypergraph
+    while the slot keeps it."""
     global _memo
     memo = _memo
     if memo is None or memo[0] is not h:
-        ref = Orientation(h, tuple(min(e) for e in h.edges))
-        g = incidence_digraph(h, ref)  # the module global, so a patched builder counts it
-        _memo = memo = (h, g, _blocks(g, h.n), ref.heads)
-    return memo[1:]
-
-
-def network(h: Hypergraph, o: Orientation) -> tuple[IncidenceDigraph, list[int]]:
-    """``(g, cap)``: the one incidence digraph of ``h`` from
-    :func:`_topology`, and a fresh list of ``o``'s capacities on it (``g``'s
-    ``arc_cap`` with each edge whose head differs from the reference
-    rewritten by :func:`_write`).  Every query on ``o`` runs on ``g`` with
-    ``residual=`` a copy of ``cap``, or of ``_swapped(cap)`` for the in
-    side; each node's residual heads are distinct, so it runs as on a
-    fresh ``incidence_digraph(h, o)``."""
-    _same_instance(h, o)
-    g, blocks, ref_heads = _topology(h)
-    cap, big = list(g.arc_cap), h.m + 1
-    for e, head in enumerate(o.heads):
-        if head != ref_heads[e]:
-            _write(cap, blocks[e], head, big)
-    return g, cap
-
-
-def _swapped(cap: list[int]) -> list[int]:
-    """A copy of ``cap`` with each residual pair's capacities swapped: the
-    capacities of the arc-reversed digraph, on which in-degree queries run
-    as out-degree ones."""
-    cap = list(cap)
-    cap[0::2], cap[1::2] = cap[1::2], cap[0::2]
-    return cap
+        _memo = memo = (h, incidence_digraph(h))  # the module global, so a patched builder counts it
+    return memo[1]
 
 
 def _terminals(nodes: Iterable[int]) -> list[int]:
@@ -157,32 +96,43 @@ def _terminals(nodes: Iterable[int]) -> list[int]:
     try:
         return list(nodes)
     except TypeError:
-        raise PreconditionError("sources and sinks must be node collections or single nodes") from None
+        raise PreconditionError("sources and sinks must be vertex collections or single vertices") from None
 
 
 def _search(
-    g: IncidenceDigraph, cap: list[int], roots: list[int], is_sink: list[bool]
-) -> tuple[list[int], list[int], int]:
-    """One breadth-first search from every root over the residual arcs of
-    ``g`` with capacity left in ``cap``, stopping at the first sink.
+    g: IncidenceDigraph, heads: list[int], roots: list[int], is_sink: list[bool], forward: bool
+) -> tuple[list, list[int], int]:
+    """One breadth-first search from every root over the orientation
+    ``heads``, stopping at the first sink.  Forward, a labelled vertex ``u``
+    fires each edge at ``u`` whose head is not ``u`` and labels that head;
+    backward, it fires each edge whose head is ``u`` and labels the edge's
+    other vertices in ascending order.
 
-    Returns ``(parent, labelled, hit)``: ``parent[v]`` is the residual arc
-    that labelled ``v`` (``-2`` for a root, ``-1`` if unlabelled), ``hit``
-    the sink reached or ``-1``, and ``labelled`` the search's queue, roots
-    first.  When no sink is reached, ``labelled`` is every node reachable
-    from the roots.
+    Returns ``(parent, labelled, hit)``: ``parent[v]`` is ``(e, u)`` when
+    vertex ``u`` labelled ``v`` through edge ``e``, ``()`` for a root and
+    ``None`` if unlabelled; ``hit`` the sink reached or ``-1``, and
+    ``labelled`` the search's queue, roots first.  When no sink is reached,
+    ``labelled`` is every vertex reachable from the roots.
     """
-    parent = [-1] * g.n_nodes
+    parent: list = [None] * g.n
     for s in roots:
-        parent[s] = -2
+        parent[s] = ()
     labelled = list(roots)
-    adj, head = g.adj, g.arc_head
+    inc, members = g.inc, g.members
     for u in labelled:  # the list grows while it is scanned
-        for i in adj[u]:
-            if cap[i] > 0:
-                v = head[i]
-                if parent[v] == -1:
-                    parent[v] = i
+        for e in inc[u]:
+            head = heads[e]
+            if forward:
+                if head == u:
+                    continue
+                reached = (head,)
+            elif head == u:
+                reached = members[e]
+            else:
+                continue
+            for v in reached:
+                if parent[v] is None:
+                    parent[v] = (e, u)
                     if is_sink[v]:
                         return parent, labelled, v
                     labelled.append(v)
@@ -194,65 +144,60 @@ def max_flow_min_cut(
     sources: Iterable[int],
     sinks: Iterable[int],
     limit: Optional[int] = None,
-    residual: Optional[list[int]] = None,
+    *,
+    residual: list[int],
+    forward: bool = True,
 ) -> tuple[int, Optional[frozenset[int]]]:
-    """Shortest-augmenting-path max flow from a node set to a disjoint node
-    set, with the minimal min-cut side.  A single node may stand for a
-    one-node set.
+    """Shortest-augmenting-path max flow from a vertex set to a disjoint
+    vertex set, with the minimal min-cut side.  A single vertex may stand
+    for a one-vertex set.
 
-    Returns ``(value, nodes)`` where ``nodes`` is everything reachable from
-    the sources in the final residual network: the source side of the unique
+    ``residual`` is the orientation the flow starts from, one head per edge,
+    and is updated in place: each augmenting hyperpath is reversed in it, so
+    afterwards it is the residual of the flow this call adds.  ``forward``
+    runs the query on the hyperarcs as they are (an out-degree query);
+    without it, on the hyperarcs reversed (an in-degree query), where a
+    reversed hyperarc is turned to the vertex it was left by.
+
+    Returns ``(value, vertices)`` where ``vertices`` is everything reachable
+    from the sources in the final residual: the source side of the unique
     inclusion-minimal minimum cut.  With ``limit`` set, augmentation stops
     once ``limit`` units flow; the result is then ``(limit, None)`` and means
-    "the max flow is at least ``limit``".
-
-    ``residual`` (one capacity per residual arc) starts the search from a
-    flow already in place instead of from ``g.arc_cap``, and is updated in
-    place; ``value`` then counts only the units this call adds.
+    "the max flow is at least ``limit``".  ``value`` counts only the units
+    this call adds.
 
     Each round is one :func:`_search` from all the sources that stops at the
-    first sink; its path is walked back along arc tails and augmented.  The
-    round that reaches no sink has labelled exactly the residual-reachable
-    side.  A query with many sources and one sink is cheaper mirrored: from
-    the sink to the sources on the capacities ``_swapped``, where the
-    labelled side is the complement of the maximal minimum-cut side.
+    first sink; its path is walked back along the parents and reversed, one
+    unit per path.  The round that reaches no sink has labelled exactly the
+    residual-reachable side.
     """
-    n_nodes = g.n_nodes
+    n = g.n
     roots, targets = _terminals(sources), _terminals(sinks)
     if not roots or not targets:
         raise PreconditionError("sources and sinks must be nonempty")
-    if min(roots + targets) < 0 or max(roots + targets) >= n_nodes:
+    if min(roots + targets) < 0 or max(roots + targets) >= n:
         raise PreconditionError("source or sink out of range")
-    is_sink = [False] * n_nodes
+    is_sink = [False] * n
     for t in targets:
         is_sink[t] = True
     if any(is_sink[s] for s in roots):
         raise PreconditionError("sources and sinks must be disjoint")
-    if residual is None:
-        cap = list(g.arc_cap)
-    elif len(residual) == len(g.arc_cap):
-        cap = residual
-    else:
-        raise PreconditionError("residual needs one capacity per residual arc")
+    if limit is not None and limit < 0:
+        raise PreconditionError(f"limit {limit} is negative")
+    if len(residual) != len(g.members):
+        raise PreconditionError("residual needs one head per edge")
 
-    head = g.arc_head
     flow = 0
     while limit is None or flow < limit:
-        parent, labelled, hit = _search(g, cap, roots, is_sink)
+        parent, labelled, hit = _search(g, residual, roots, is_sink, forward)
         if hit < 0:
             return flow, frozenset(labelled)
-        bottleneck = None if limit is None else limit - flow
         v = hit
-        while (i := parent[v]) >= 0:
-            if bottleneck is None or cap[i] < bottleneck:
-                bottleneck = cap[i]
-            v = head[i ^ 1]
-        v = hit
-        while (i := parent[v]) >= 0:
-            cap[i] -= bottleneck
-            cap[i ^ 1] += bottleneck
-            v = head[i ^ 1]
-        flow += bottleneck
+        while parent[v]:
+            e, u = parent[v]
+            residual[e] = u if forward else v
+            v = u
+        flow += 1
     return flow, None
 
 
@@ -272,32 +217,27 @@ def _solve(
     source_set: VertexSet,
     avoid_set: VertexSet,
     limit: Optional[int] = None,
-    net: Optional[tuple[IncidenceDigraph, list[int]]] = None,
 ) -> tuple[int, Optional[VertexSet]]:
     """Minimize out-degree (``side='out'``) or in-degree (``side='in'``) over
     vertex sets that contain all of ``source_set`` and avoid ``avoid_set``.
 
     Returns ``(value, minimal minimizer)``; ``(limit, None)`` when the
-    minimum is at least ``limit``.  ``net`` is ``network(h, o)`` when the
-    caller already holds it; an in-side query runs on its capacities
-    ``_swapped``, and neither query changes them.
+    minimum is at least ``limit``.  An in-side query is the same flow run
+    backward.
     """
-    g, cap = network(h, o) if net is None else net
-    residual = _swapped(cap) if side == "in" else list(cap)
-    value, reach = max_flow_min_cut(g, source_set, avoid_set, limit=limit, residual=residual)
+    _same_instance(h, o)
+    value, reach = max_flow_min_cut(
+        network(h), source_set, avoid_set, limit=limit, residual=list(o.heads), forward=side == "out"
+    )
     if reach is None:
         return value, None
     return value, _separator(h.n, reach, source_set, avoid_set)
 
 
 def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: VertexSet) -> VertexSet:
-    """The vertices of a residual-reachable node set, checked against the
-    query's constraints."""
-    mask = 0
-    for node in reach:
-        if node < n:
-            mask |= 1 << node
-    separator = VertexSet.from_mask(n, mask)
+    """A residual-reachable vertex set, checked against the query's
+    constraints."""
+    separator = VertexSet(n, reach)
     if not source_set <= separator or separator.mask & avoid_set.mask:
         raise InvariantViolation("separator missed its constraints")
     return separator
@@ -344,20 +284,21 @@ def connectivity(
 
     ``value`` is exact whenever it is below ``cap`` (a value equal to
     ``cap`` means "at least ``cap``").  ``x`` is a vertex set of out-degree
-    ``value``, or ``None`` when no set has out-degree below ``cap``.
+    ``value``, or ``None`` when no set has out-degree below ``cap``.  A
+    negative ``cap`` raises :class:`PreconditionError`.
 
-    A sink sequence in the manner of Hao and Orlin, run mirrored on
-    ``network(h, o)``: each query flows from one new vertex ``t`` into all
-    the earlier ones, ``[0 .. t - 1]``, capped at the best value so far, for
+    A sink sequence in the manner of Hao and Orlin, run mirrored: each query
+    flows from one new vertex ``t`` into all the earlier ones,
+    ``[0 .. t - 1]``, capped at the best value so far, for
     ``t = 1 .. n - 1``.  One pass covers the sets that contain vertex 0, as
-    the in-degree of their complements, on ``o``'s capacities ``_swapped``;
-    the other the sets that miss it, on those capacities as they are.  It is
-    exact: if ``Y`` (a complement in the first pass) attains the minimum and
-    ``t`` is its smallest vertex, every sink of that query lies outside
-    ``Y``.  A pass keeps one residual array throughout.  Every unit of the
-    flow in it runs between nodes that are sinks of the next query, so the
-    flow is net zero across each of that query's cuts, every cut keeps its
-    capacity, and the next query resumes from it without a reset.
+    the in-degree of their complements, with the flows run backward; the
+    other the sets that miss it, with them run forward.  It is exact: if
+    ``Y`` (a complement in the first pass) attains the minimum and ``t`` is
+    its smallest vertex, every sink of that query lies outside ``Y``.  A
+    pass keeps one heads list throughout.  Every unit of the flow in it runs
+    between vertices that are sinks of the next query, so the flow is net
+    zero across each of that query's cuts, every cut keeps its degree, and
+    the next query resumes from it without a reset.
 
     ``x`` comes from the query that last lowered the value: on the first
     pass, the complement of its minimal side, which is the maximal set of
@@ -365,17 +306,19 @@ def connectivity(
     second, its minimal side.  Either has out-degree ``value``, but another
     sink order may find another such set.
     """
-    n = h.n
-    g, arc_cap = network(h, o)
+    _same_instance(h, o)
+    if cap is not None and cap < 0:
+        raise PreconditionError(f"cap {cap} is negative")
+    n, g = h.n, network(h)
     best = h.m + 1 if cap is None else cap
     found = None
     for holds_0 in (True, False):
         if best == 0:
             break
-        residual = _swapped(arc_cap) if holds_0 else list(arc_cap)
+        residual = list(o.heads)
         sinks = [0]
         for t in range(1, n):
-            value, reach = max_flow_min_cut(g, t, sinks, limit=best, residual=residual)
+            value, reach = max_flow_min_cut(g, t, sinks, limit=best, residual=residual, forward=not holds_0)
             if reach is not None:  # below the best value so far
                 side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet(n, sinks))
                 best, found = value, side.complement() if holds_0 else side
@@ -391,60 +334,34 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
     return connectivity(h, o)[0]
 
 
-def _blocks(g: IncidenceDigraph, n: int) -> list[list[tuple[int, int]]]:
-    """Per edge ``e`` of an incidence digraph ``g`` on ``n`` vertices, its block:
-    one ``(i, x)`` per incidence ``(e, x)``, where ``i`` indexes the residual
-    ``x -> w_e`` arc (``2j`` for a tail's input arc ``j``, ``2j + 1`` for the
-    head's)."""
-    blocks: list[list[tuple[int, int]]] = [[] for _ in range(g.n_nodes - n)]
-    for j, (u, v, _) in enumerate(g.arcs):  # a tail's u -> w_e or the head's w_e -> v
-        x, w, i = (u, v, 2 * j) if v >= n else (v, u, 2 * j + 1)
-        blocks[w - n].append((i, x))
-    return blocks
-
-
-def _write(res: list[int], block: list[tuple[int, int]], head: int, big: int) -> None:
-    """Set one edge's block of ``res`` to its capacities with head ``head``
-    (a tail's pair ``(big, 0)``, the head's ``(0, 1)``, ``big = m + 1``), with
-    no flow through ``w_e``.  Every residual pair holds the capacities a
-    fresh build under that head would give it, and each node's residual
-    heads are distinct, so searches run as on the fresh build."""
-    for i, x in block:
-        res[i], res[i ^ 1] = (0, 1) if x == head else (big, 0)
-
-
 class IncrementalConnectivity:
     """The value of ``connectivity(h, o, cap)`` kept current across
     single-hyperarc reorientations, by repairing flows instead of
     recomputing them.
 
-    It runs on ``network(h, o)``: the hypergraph's one digraph, which has
-    one residual pair per incidence ``(e, x)``, and ``o``'s capacities on
-    it; ``i`` indexes the ``x -> w_e`` arc (``2j`` for a tail's input arc
-    ``j``, ``2j + 1`` for the head's).  The orientation lives only in the
-    capacities: a tail's ``(i, i ^ 1)`` holds ``(m + 1, 0)``, the head's
-    ``(0, 1)``, so a reorientation rewrites only ``e``'s block.  The blocks
-    (from :func:`_topology`) and that rewrite (:func:`_write`) are shared
-    with :func:`network` and :func:`~hyperorient.augment.verify_trace`,
-    which rewrites one capacity array per trace with them: one capacity
-    encoding, and no shared flow.  It keeps one query per root pair, vertex
-    0 to each other vertex and back (not :func:`connectivity`'s sink
-    sequence, whose queries build on each other).  Each keeps a residual
-    array holding a flow capped at ``cap`` and, below the cap, a minimum
-    cut (a node set whose capacity equals the flow).
+    It keeps one query per root pair, vertex 0 to each other vertex and back
+    (not :func:`connectivity`'s sink sequence, whose queries build on each
+    other), on the hypergraph's :func:`network`.  Each holds a heads list
+    with a flow capped at ``cap`` in it and, below the cap, a minimum cut
+    (the vertex set reachable in its residual).  A hyperarc carries the
+    query's flow exactly where its head there differs from :attr:`heads`,
+    and then that head is the tail the unit entered by.
 
     One reorientation moves every out-degree by at most one, so it moves
     every query's value by at most one, and at most one flow unit crosses
-    ``w_e``.  When ``e`` turns from head ``a`` to head ``b``, every query
-    writes ``e``'s new capacities with no flow through ``w_e``.  A query
-    whose flow sent a unit ``x -> w_e -> a`` then reroutes it from ``x`` to
-    ``a``; if no path exists it hands the unit back, along ``x`` to the
-    source and the sink to ``a``, and loses it.  A query still at the cap is
-    done.  Below the cap, the kept cut still proves the flow maximum when
-    its new capacity equals the flow, and the minimal cut (the
-    residual-reachable side) is a subset of it; otherwise the query
-    augments toward the cap, which also yields its reachable side.  Every
-    push is a :func:`max_flow_min_cut` call.
+    edge ``e``.  When ``e`` turns from head ``a`` to head ``b``, every query
+    sets its head of ``e`` to ``b``, with no flow through ``e``.  A query
+    whose flow sent a unit through ``e`` from a carrier ``x`` to ``a`` then
+    reroutes it from ``x`` to ``a``; if no path exists it hands the unit
+    back, along ``x`` to the source and the sink to ``a``, and loses it.  A
+    query still at the cap is done.  Below the cap, the kept cut ``X`` still
+    proves the flow maximum when its new out-degree equals the flow.  By the
+    single-reorientation lemma that degree is the old one, less one when
+    ``b`` is in ``X`` and ``a`` is not, plus one when ``a`` is in ``X`` and
+    ``b`` is not.  The minimal cut (the residual-reachable side) is then a
+    subset of ``X``.  Otherwise the query augments toward the cap, which
+    also yields its reachable side.  Every push is a
+    :func:`max_flow_min_cut` call.
 
     :meth:`raise_cap` lifts the cap from one level to the next: a query
     below the old cap is already maximum, and one at it resumes its flow
@@ -459,14 +376,13 @@ class IncrementalConnectivity:
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
         if cap < 0:
             raise PreconditionError("cap must be non-negative")
-        n = h.n
+        _same_instance(h, o)
         self.hypergraph = h
         self.cap = cap
         self.heads = list(o.heads)
-        self._g, arc_cap = network(h, o)
-        self._blocks = _topology(h)[1]
-        self._pairs = _root_pairs(n)
-        self._res = [list(arc_cap) for _ in self._pairs]
+        self._g = network(h)
+        self._pairs = _root_pairs(h.n)
+        self._res = [list(o.heads) for _ in self._pairs]
         self._value = [0] * len(self._pairs)
         self._cut: list[Optional[frozenset[int]]] = [None] * len(self._pairs)
         for p in range(len(self._pairs)):
@@ -480,23 +396,22 @@ class IncrementalConnectivity:
         ``side='out'``, ``0 -> s`` for ``'in'``), which must not be below
         ``k``.  At value ``k`` the query's flow is maximum, and it is also a
         flow from all of ``x``: so the set is what one :func:`_search` from
-        ``x`` labels in its residual (on the in side, with each residual
-        pair swapped), and ``None`` when that search reaches vertex 0.  An
-        empty ``x`` or a ``side`` other than ``'out'`` and ``'in'`` raises
+        ``x`` labels in its residual (on the in side, run backward), and
+        ``None`` when that search reaches vertex 0.  An empty ``x`` or a
+        ``side`` other than ``'out'`` and ``'in'`` raises
         :class:`PreconditionError`."""
         if side not in ("out", "in"):
             raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
         if not x:
             raise PreconditionError("minimal_tight needs a nonempty set")
-        n, g = self.hypergraph.n, self._g
+        n = self.hypergraph.n
         s = next(iter(x))
         p = 2 * s - 1 if side == "out" else 2 * s - 2
         if s == 0 or self._value[p] != k:
             return None
-        res = self._res[p] if side == "out" else _swapped(self._res[p])
-        is_sink = [False] * g.n_nodes
+        is_sink = [False] * n
         is_sink[0] = True
-        _, labelled, hit = _search(g, res, list(x), is_sink)
+        _, labelled, hit = _search(self._g, self._res[p], list(x), is_sink, side == "out")
         return None if hit >= 0 else _separator(n, labelled, x, VertexSet.singleton(n, 0))
 
     def raise_cap(self, cap: int) -> int:
@@ -529,16 +444,14 @@ class IncrementalConnectivity:
         h = self.hypergraph
         if not 0 <= e < h.m:
             raise PreconditionError(f"edge {e} out of range")
-        a, b, w = self.heads[e], new_head, h.n + e
+        a, b = self.heads[e], new_head
         if b not in h.edges[e] or b == a:
             raise PreconditionError(f"illegal new head {b} for edge {e}")
-        block = self._blocks[e]
-        into_a = next(i for i, x in block if x == a)  # residual w_e -> a is into_a ^ 1
         self.heads[e] = b
         for p, (s, t) in enumerate(self._pairs):
             res, before, cut = self._res[p], self._value[p], self._cut[p]
-            carrier = next((x for i, x in block if res[i ^ 1]), None) if res[into_a] else None
-            _write(res, block, b, h.m + 1)
+            carrier = res[e] if res[e] != a else None
+            res[e] = b
             if carrier is not None and not self._push_unit(res, carrier, a):
                 for src, dst in ((carrier, s), (t, a)):  # hand the unit back
                     if src != dst and not self._push_unit(res, src, dst):
@@ -547,14 +460,8 @@ class IncrementalConnectivity:
             if self._value[p] == self.cap:
                 continue
             if cut is not None:
-                # the kept cut's capacity after the step: only e's share moves
-                if w in cut:
-                    capacity = before - (a not in cut) + (b not in cut)
-                elif a in cut:
-                    capacity = None  # the new tail a inside, w_e outside: unbounded
-                else:
-                    capacity = before
-                if capacity == self._value[p]:
+                # the kept cut's out-degree after the step, by the single-reorientation lemma
+                if self._value[p] == before - (b in cut and a not in cut) + (a in cut and b not in cut):
                     continue
             self._augment(p)
         self.value = min(self._value, default=self.cap)

@@ -1,4 +1,5 @@
-"""Shared instance corpora for the test suite.
+"""Shared instance corpora for the test suite, and an independent
+network-flow reference.
 
 Everything is seeded, so every run sees exactly the same instances.
 """
@@ -61,3 +62,37 @@ def all_orientations(h: Hypergraph):
 
 def all_proper_subsets(n):
     return (VertexSet.from_mask(n, m) for m in range(1, (1 << n) - 1))
+
+
+# Above the brute-force oracles' reach: an independent max flow (networkx's
+# default preflow-push) on the incidence-digraph reduction, with the
+# residual-reachable side computed here from its flow.
+
+
+def nx_incidence(nx, h, o, reverse):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(h.n + h.m))
+    for e in range(h.m):
+        w = h.n + e
+        g.add_edges_from((x, w) for x in o.tail(e))  # no capacity: unbounded
+        g.add_edge(w, o.heads[e], capacity=1)
+    return g.reverse(copy=True) if reverse else g
+
+
+def nx_min_side(nx, g, sources, sinks, n):
+    """Max flow value between vertex sets and the vertices reachable from
+    the sources in its residual network."""
+    g = g.copy()
+    g.add_edges_from(("s", x) for x in sources)
+    g.add_edges_from((y, "t") for y in sinks)
+    value, flow = nx.maximum_flow(g, "s", "t")
+    seen, stack = {"s"}, ["s"]
+    while stack:
+        u = stack.pop()
+        forward = (v for v, d in g[u].items() if flow[u][v] < d.get("capacity", float("inf")))
+        backward = (v for v in g.predecessors(u) if flow[v][u] > 0)
+        for v in (*forward, *backward):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return value, VertexSet(n, [v for v in seen if isinstance(v, int) and v < n])

@@ -69,6 +69,19 @@ class TestQSets:
         assert q_plus(h, o, 1, 2) == VertexSet.full(3)
         assert q_minus(h, o, 1, 2) == vs(3, [1, 2])
 
+    def test_level_above_connectivity_rejected(self):
+        # connectivity 1, and {1} avoids the root with out-degree exactly 3
+        h = hypergraph(3, [(0, 1), (1, 2), (0, 2), (1, 2), (1, 2)])
+        o = Orientation(h, (1, 2, 0, 2, 2))
+        assert hyperarc_connectivity(h, o) == 1 and out_degree(h, o, vs(3, [1])) == 3
+        for level in (2, 3):
+            with pytest.raises(PreconditionError, match=f"below level {level}"):
+                compute_families(h, o, level=level)
+            for q in (q_minus, q_plus):
+                for v in range(3):
+                    with pytest.raises(PreconditionError, match=f"below level {level}"):
+                        q(h, o, level, v)
+
     def test_contained_in_every_tight_superset(self):
         for h, o in random_instances(314, 40, n_max=6, m_max=6):
             fam = compute_families(h, o)
@@ -152,8 +165,11 @@ def single_query_families(h, o, k):
     """The q sets and ``r_family`` at level ``k`` from one fresh separator
     query each, as :func:`compute_families` found them before it read the
     kept root-pair flows."""
-    qm = tuple(q_minus(h, o, k, v) for v in range(h.n))
-    qp = tuple(q_plus(h, o, k, v) for v in range(h.n))
+    full = VertexSet.full(h.n)
+    qm, qp = (
+        (full,) + tuple(minimal_tight(h, o, k, side, vs(h.n, [v])) or full for v in range(1, h.n))
+        for side in ("in", "out")
+    )
     candidates = [minimal_tight(h, o, k, "in", t) for t in minimal_members(t for t in qp if not t.is_full)]
     candidates += [minimal_tight(h, o, k, "out", s) for s in minimal_members(s for s in qm if not s.is_full)]
     r_family = minimal_members(c for c in candidates if c is not None)

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no command line
 option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 ``separator.py`` binds the flow or the network builder to a name of its own,
-and every flow under ``src/`` runs on an explicit capacity array.
+and every flow under ``src/`` names the orientation it runs on.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
 Package ``__init__.py`` files are skipped by the import scan: their imports
@@ -142,9 +142,9 @@ def test_the_separator_scan_sees_local_bindings():
 
 def flows_without_residual(tree):
     """Line of each ``max_flow_min_cut(...)`` call, bare or as an attribute,
-    that does not pass ``residual=``.  A hypergraph's one digraph carries the
-    reference orientation's ``arc_cap``, so such a call would run silently
-    on that orientation instead of the caller's."""
+    that does not pass ``residual=``.  A hypergraph's one network holds no
+    orientation: the heads list passed as ``residual=`` is the only one a
+    flow has, so such a call has no orientation to run on."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
@@ -157,7 +157,10 @@ def flows_without_residual(tree):
 def test_every_flow_passes_its_capacities(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = list(flows_without_residual(tree))
-    assert not lines, f"{path.relative_to(ROOT)} runs max_flow_min_cut without residual= at lines {lines}"
+    assert not lines, (
+        f"{path.relative_to(ROOT)} runs max_flow_min_cut with no orientation "
+        f"(no residual= heads list) at lines {lines}"
+    )
 
 
 def test_the_flow_scan_sees_bare_calls():

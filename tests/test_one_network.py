@@ -1,32 +1,29 @@
-"""One incidence network per hypergraph: an orientation is a capacity array.
+"""One incidence network per hypergraph: an orientation is a heads list.
 
-``separator.network(h, o)`` returns the hypergraph's one digraph, kept in a
-single slot for the last hypergraph seen, with a fresh list of ``o``'s
-capacities on it.  Every answer must equal the one on a freshly built
-``incidence_digraph(h, o)``, whatever the slot holds.
+``separator.network(h)`` returns the hypergraph's one structure, kept in a
+single slot for the last hypergraph seen.  Every flow on it, run on a copy
+of an orientation's heads, must answer as the independent network-flow
+reference in ``corpus``, whatever the slot holds.
 """
 
 import random
 import sys
 import threading
 
+import pytest
+
 from hyperorient import (
     GenSpec,
-    IncidenceDigraph,
     augment_to,
     gen_instance,
     gen_orientation,
-    incidence_digraph,
     max_flow_min_cut,
     reorient,
     separator,
     verify_trace,
 )
+from corpus import nx_incidence, nx_min_side
 from replay import MUTATIONS, instance_trace, mutate, reference_verify_trace
-
-
-def reversed_digraph(g):
-    return IncidenceDigraph(g.n_nodes, tuple((v, u, c) for u, v, c in g.arcs))
 
 
 def random_step(rng, h, o):
@@ -42,37 +39,38 @@ def walk_instance(seed, mode):
     return rng, h, gen_orientation(h, seed=seed, mode=mode)
 
 
-def assert_fresh_answers(net, h, o):
-    """Every vertex pair's out-side flow on ``net``'s capacities, and its
-    in-side flow on them swapped, against a fresh build and its reversal."""
-    g, cap = net
-    fresh = incidence_digraph(h, o)
-    rev = reversed_digraph(fresh)
+def assert_reference_answers(nx, rng, g, h, o):
+    """From every vertex to a random other one, the forward flow on ``g``
+    and ``o``'s heads, and the backward one, against networkx on the
+    incidence digraph and its reversal."""
+    fwd, rev = nx_incidence(nx, h, o, False), nx_incidence(nx, h, o, True)
     for s in range(h.n):
-        for t in range(h.n):
-            if s != t:
-                assert max_flow_min_cut(g, s, t, residual=list(cap)) == max_flow_min_cut(fresh, s, t), (s, t)
-                assert max_flow_min_cut(g, s, t, residual=separator._swapped(cap)) == max_flow_min_cut(rev, s, t)
+        t = rng.choice([v for v in range(h.n) if v != s])
+        for forward, ref in ((True, fwd), (False, rev)):
+            value, side = max_flow_min_cut(g, s, t, residual=list(o.heads), forward=forward)
+            ref_value, ref_side = nx_min_side(nx, ref, [s], [t], h.n)
+            assert (value, side) == (ref_value, frozenset(ref_side)), (s, t, forward)
 
 
-def test_network_capacities_answer_as_a_fresh_build(monkeypatch):
+def test_network_answers_as_the_reference(monkeypatch):
     """Walks on two hypergraphs at a time, one per start mode.  Each state is
-    checked with its topology built while the slot held the other
-    hypergraph, and after the other took the slot back while ``net`` was
-    held, so the two alternate throughout."""
+    checked on a network fetched while the slot held the other hypergraph,
+    and after the other took the slot back while it was held, so the two
+    alternate throughout."""
+    nx = pytest.importorskip("networkx")
     monkeypatch.setattr(separator, "_memo", None)
     for seed in range(6):
         walks = [list(walk_instance(2 * seed + j, mode)) for j, mode in enumerate(("random", "min-head"))]
         for _ in range(3):
             for j, (rng, h, o) in enumerate(walks):
                 other = walks[1 - j][1]
-                separator._topology(other)
-                net = separator.network(h, o)  # built while the slot holds the other hypergraph
+                separator.network(other)
+                g = separator.network(h)  # built while the slot holds the other hypergraph
                 assert separator._memo[0] is h
-                separator._topology(other)
+                separator.network(other)
                 assert separator._memo[0] is other
-                assert_fresh_answers(net, h, o)
-                assert_fresh_answers(separator.network(h, o), h, o)
+                assert_reference_answers(nx, rng, g, h, o)
+                assert_reference_answers(nx, rng, separator.network(h), h, o)
                 walks[j][2] = reorient(o, *random_step(rng, h, o))
 
 
@@ -81,7 +79,7 @@ def test_one_build_per_run(monkeypatch):
     o = gen_orientation(h, mode="min-head")
     builds = []
     real = separator.incidence_digraph
-    monkeypatch.setattr(separator, "incidence_digraph", lambda h, o: builds.append(o) or real(h, o))
+    monkeypatch.setattr(separator, "incidence_digraph", lambda h: builds.append(h) or real(h))
     monkeypatch.setattr(separator, "_memo", None)
     trace = augment_to(h, o, 3)
     assert verify_trace(h, trace).ok and len(trace.steps) == 18
@@ -98,9 +96,9 @@ def test_verify_reports_do_not_depend_on_the_slot(monkeypatch):
             mutated = mutate(rng, h, trace, kind)
             monkeypatch.setattr(separator, "_memo", None)
             empty = verify_trace(h, mutated)
-            separator._topology(h)
+            separator.network(h)
             holding = verify_trace(h, mutated)
-            separator._topology(other)
+            separator.network(other)
             report = verify_trace(h, mutated)
             assert report == holding == empty == reference_verify_trace(h, mutated), (seed, kind)
 

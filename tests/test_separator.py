@@ -4,7 +4,6 @@ import pytest
 
 from hyperorient import (
     GenSpec,
-    IncidenceDigraph,
     InvariantViolation,
     Orientation,
     PreconditionError,
@@ -15,6 +14,7 @@ from hyperorient import (
     gen_orientation,
     hyperarc_connectivity,
     hypergraph,
+    in_degree,
     incidence_digraph,
     max_flow_min_cut,
     min_in_separator,
@@ -24,7 +24,7 @@ from hyperorient import (
     separator,
 )
 from hyperorient.separator import IncrementalConnectivity, connectivity
-from corpus import random_instances, vs
+from corpus import nx_incidence, nx_min_side, random_instances, vs
 
 
 def three_cycle():
@@ -32,248 +32,220 @@ def three_cycle():
     return h, Orientation(h, (1, 2, 0))
 
 
+def flow_on(h, heads, sources, sinks, limit=None, forward=True):
+    """A flow on a copy of ``heads``: ``(value, side, heads after)``."""
+    res = list(heads)
+    g = incidence_digraph(h)
+    value, side = max_flow_min_cut(g, sources, sinks, limit=limit, residual=res, forward=forward)
+    return value, side, res
+
+
 class TestMaxFlow:
     def test_parallel_arcs_as_capacity(self):
-        g = IncidenceDigraph(2, ((0, 1, 2),))
-        assert max_flow_min_cut(g, [0], [1]) == (2, frozenset({0}))
+        h = hypergraph(2, [(0, 1), (0, 1)])
+        assert flow_on(h, [1, 1], [0], [1]) == (2, frozenset({0}), [0, 0])
 
     def test_unit_path(self):
-        g = IncidenceDigraph(3, ((0, 1, 1), (1, 2, 1)))
-        assert max_flow_min_cut(g, [0], [2]) == (1, frozenset({0}))
+        h = hypergraph(3, [(0, 1), (1, 2)])
+        assert flow_on(h, [1, 2], [0], [2]) == (1, frozenset({0}), [0, 1])
 
     def test_disconnected_source_component(self):
-        g = IncidenceDigraph(4, ((0, 1, 3), (2, 3, 1)))
-        value, side = max_flow_min_cut(g, [0], [3])
-        assert value == 0 and side == frozenset({0, 1})
+        h = hypergraph(4, [(0, 1), (0, 1), (0, 1), (2, 3)])
+        assert flow_on(h, [1, 1, 1, 3], [0], [3]) == (0, frozenset({0, 1}), [1, 1, 1, 3])
 
     def test_limit_caps_work(self):
-        g = IncidenceDigraph(2, ((0, 1, 5),))
-        assert max_flow_min_cut(g, [0], [1], limit=3) == (3, None)
-        assert max_flow_min_cut(g, [0], [1], limit=9) == (5, frozenset({0}))
+        h = hypergraph(2, [(0, 1)] * 5)
+        assert flow_on(h, [1] * 5, [0], [1], limit=3) == (3, None, [0, 0, 0, 1, 1])
+        assert flow_on(h, [1] * 5, [0], [1], limit=9) == (5, frozenset({0}), [0] * 5)
+        assert flow_on(h, [1] * 5, [0], [1], limit=0) == (0, None, [1] * 5)
+
+    def test_negative_limit_rejected(self):
+        g = incidence_digraph(hypergraph(2, [(0, 1)]))
+        with pytest.raises(PreconditionError, match="negative"):
+            max_flow_min_cut(g, 0, 1, limit=-2, residual=[1])
 
     def test_source_equals_sink_rejected(self):
-        g = IncidenceDigraph(2, ((0, 1, 1),))
+        g = incidence_digraph(hypergraph(2, [(0, 1)]))
         with pytest.raises(PreconditionError):
-            max_flow_min_cut(g, [1], [1])
+            max_flow_min_cut(g, [1], [1], residual=[1])
 
     def test_terminal_sets_validated(self):
-        g = IncidenceDigraph(3, ((0, 1, 1), (1, 2, 1)))
+        g = incidence_digraph(hypergraph(3, [(0, 1), (1, 2)]))
         for sources, sinks in (([], [2]), ([0], []), ([0], [3]), ([-1], [2]), ([0, 2], [2, 1])):
             with pytest.raises(PreconditionError):
-                max_flow_min_cut(g, sources, sinks)
+                max_flow_min_cut(g, sources, sinks, residual=[1, 2])
 
     def test_single_node_terminals(self):
-        g = IncidenceDigraph(3, ((0, 1, 1), (1, 2, 1)))
-        assert max_flow_min_cut(g, 0, 2) == max_flow_min_cut(g, [0], [2])
-        assert max_flow_min_cut(g, 0, [1, 2]) == (1, frozenset({0}))
+        h = hypergraph(3, [(0, 1), (1, 2)])
+        assert flow_on(h, [1, 2], 0, 2) == flow_on(h, [1, 2], [0], [2])
+        assert flow_on(h, [1, 2], 0, [1, 2]) == (1, frozenset({0}), [0, 2])
 
     def test_non_collection_terminals_rejected(self):
-        g = IncidenceDigraph(3, ((0, 1, 1), (1, 2, 1)))
+        g = incidence_digraph(hypergraph(3, [(0, 1), (1, 2)]))
         for sources, sinks in ((None, [2]), ([0], 2.0)):
-            with pytest.raises(PreconditionError, match="node collections"):
-                max_flow_min_cut(g, sources, sinks)
+            with pytest.raises(PreconditionError, match="vertex collections"):
+                max_flow_min_cut(g, sources, sinks, residual=[1, 2])
 
     def test_residual_resumes_and_is_updated_in_place(self):
-        g = IncidenceDigraph(4, ((0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 3, 2), (1, 2, 1)))
-        res = list(g.arc_cap)
+        # 0 -> 1 twice, 0 -> 2, 1 -> 3, 2 -> 3 twice, 1 -> 2: max flow 3
+        h = hypergraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3), (1, 2)])
+        heads = [1, 1, 2, 3, 3, 3, 2]
+        g, res = incidence_digraph(h), list(heads)
         assert max_flow_min_cut(g, [0], [3], limit=1, residual=res) == (1, None)
-        assert res != list(g.arc_cap)
+        assert res != heads
         assert max_flow_min_cut(g, [0], [3], residual=res) == (2, frozenset({0}))
-        assert max_flow_min_cut(g, [0], [3]) == (3, frozenset({0}))
+        assert flow_on(h, heads, [0], [3])[:2] == (3, frozenset({0}))
         # the residual now holds a maximum flow: nothing more to push
         assert max_flow_min_cut(g, [0], [3], residual=res) == (0, frozenset({0}))
 
     def test_residual_length_validated(self):
-        g = IncidenceDigraph(2, ((0, 1, 1),))
-        with pytest.raises(PreconditionError, match="one capacity per residual arc"):
+        g = incidence_digraph(hypergraph(2, [(0, 1), (0, 1)]))
+        with pytest.raises(PreconditionError, match="one head per edge"):
             max_flow_min_cut(g, [0], [1], residual=[1])
 
     def test_multi_terminal(self):
-        # two sources feeding one sink through separate unit arcs
-        g = IncidenceDigraph(4, ((0, 2, 1), (1, 2, 1), (2, 3, 5)))
-        assert max_flow_min_cut(g, [0, 1], [3]) == (2, frozenset({0, 1}))
-        assert max_flow_min_cut(g, [0, 1], [2, 3]) == (2, frozenset({0, 1}))
-        assert max_flow_min_cut(g, [2], [0, 3]) == (5, frozenset({2}))
+        # two sources feeding one sink through separate hyperarcs
+        h = hypergraph(4, [(0, 2), (1, 2)] + [(2, 3)] * 5)
+        heads = [2, 2] + [3] * 5
+        assert flow_on(h, heads, [0, 1], [3])[:2] == (2, frozenset({0, 1}))
+        assert flow_on(h, heads, [0, 1], [2, 3])[:2] == (2, frozenset({0, 1}))
+        assert flow_on(h, heads, [2], [0, 3])[:2] == (5, frozenset({2}))
+
+    def test_backward_runs_on_the_reversed_hyperarcs(self):
+        # 0 -> 1 -> 2 run backward: from 2 back to 0, turning each hyperarc to its tail
+        h = hypergraph(3, [(0, 1), (1, 2)])
+        assert flow_on(h, [1, 2], [2], [0], forward=False) == (1, frozenset({2}), [0, 1])
+        assert flow_on(h, [1, 2], [0], [2], forward=False) == (0, frozenset({0}), [1, 2])
 
 
-def super_node_flow(g, sources, sinks, limit=None):
-    """Reference formulation: one super-source and one super-sink, joined to
-    the terminals by arcs larger than any flow, and a single-terminal flow
-    between them.  The reachable side drops the super-source."""
-    big = sum(c for _, _, c in g.arcs) + 1
-    ss, tt = g.n_nodes, g.n_nodes + 1
-    arcs = g.arcs + tuple((ss, x, big) for x in sources) + tuple((y, tt, big) for y in sinks)
-    value, reach = max_flow_min_cut(IncidenceDigraph(g.n_nodes + 2, arcs), [ss], [tt], limit=limit)
-    return value, None if reach is None else reach - {ss}
+def random_terminals(rng, n):
+    vertices = rng.sample(range(n), rng.randint(2, min(n, 6)))
+    cut = rng.randint(1, len(vertices) - 1)
+    return vertices[:cut], vertices[cut:]
 
 
-def random_terminals(rng, n_nodes):
-    nodes = rng.sample(range(n_nodes), rng.randint(2, min(n_nodes, 6)))
-    cut = rng.randint(1, len(nodes) - 1)
-    return nodes[:cut], nodes[cut:]
-
-
-def brute_force_cut(g, sources, sinks):
-    """Minimum cut capacity over node sets containing the sources and
-    avoiding the sinks, and the intersection of all minimizers."""
+def brute_force_cut(h, heads, sources, sinks, forward=True):
+    """Minimum out-degree (in-degree when not ``forward``) over vertex sets
+    containing the sources and avoiding the sinks, and the intersection of
+    all minimizers."""
+    o = Orientation(h, tuple(heads))
+    degree = out_degree if forward else in_degree
     best, side = None, None
-    for mask in range(1 << g.n_nodes):
+    for mask in range(1 << h.n):
         if any(not mask >> s & 1 for s in sources) or any(mask >> t & 1 for t in sinks):
             continue
-        value = sum(c for u, v, c in g.arcs if mask >> u & 1 and not mask >> v & 1)
+        value = degree(h, o, VertexSet.from_mask(h.n, mask))
         if best is None or value < best:
             best, side = value, mask
         elif value == best:
             side &= mask
-    return best, frozenset(x for x in range(g.n_nodes) if side >> x & 1)
+    return best, frozenset(VertexSet.from_mask(h.n, side))
 
 
-def reversed_digraph(g):
-    return IncidenceDigraph(g.n_nodes, tuple((v, u, c) for u, v, c in g.arcs))
+def capped(value, side, limit):
+    """What a flow of ``value`` with minimal side ``side`` returns at ``limit``."""
+    return (limit, None) if limit is not None and limit <= value else (value, side)
 
 
 class TestMultiTerminalAgainstSuperNodes:
-    def check(self, rng, g, reverse=False):
-        """Flows on ``g`` against the references on ``g``, or with
-        ``reverse`` flows on ``_swapped(g.arc_cap)`` against the references
-        on an explicitly arc-reversed digraph."""
-        ref = reversed_digraph(g) if reverse else g
-        sources, sinks = random_terminals(rng, g.n_nodes)
-
-        def flow(limit=None):
-            residual = separator._swapped(g.arc_cap) if reverse else None
-            return max_flow_min_cut(g, sources, sinks, limit=limit, residual=residual)
-
-        value, reach = flow()
-        assert (value, reach) == super_node_flow(ref, sources, sinks)
-        if g.n_nodes <= 10:
-            assert (value, reach) == brute_force_cut(ref, sources, sinks)
-        for limit in range(value + 2):
-            assert flow(limit) == super_node_flow(ref, sources, sinks, limit=limit)
-
     def test_incidence_digraphs(self):
+        """Flows from vertex sets on heads lists, forward and backward,
+        against brute force and against networkx's max flow on the
+        incidence digraph with one super-source and one super-sink (arc
+        reversed for a backward flow)."""
+        nx = pytest.importorskip("networkx")
         rng = random.Random(2024)
         for h, o in random_instances(2024, 150, n_max=7, m_max=9, size_max=4):
-            self.check(rng, incidence_digraph(h, o), reverse=rng.random() < 0.5)
-
-    def test_general_capacities(self):
-        rng = random.Random(77)
-        for _ in range(150):
-            n_nodes = rng.randint(2, 9)
-            arcs = []
-            for _ in range(rng.randint(0, 3 * n_nodes)):
-                u, v = rng.sample(range(n_nodes), 2)
-                arcs.append((u, v, rng.randint(1, 4)))
-            self.check(rng, IncidenceDigraph(n_nodes, tuple(arcs)))
-
-
-def random_digraph(rng, n_max):
-    n_nodes = rng.randint(3, n_max)
-    arcs = []
-    for _ in range(rng.randint(n_nodes, 3 * n_nodes)):
-        u, v = rng.sample(range(n_nodes), 2)
-        arcs.append((u, v, rng.randint(1, 3)))
-    return IncidenceDigraph(n_nodes, tuple(arcs))
+            forward = rng.random() < 0.5
+            sources, sinks = random_terminals(rng, h.n)
+            value, side, _ = flow_on(h, o.heads, sources, sinks, forward=forward)
+            assert (value, side) == brute_force_cut(h, o.heads, sources, sinks, forward)
+            ref_value, ref_side = nx_min_side(nx, nx_incidence(nx, h, o, not forward), sources, sinks, h.n)
+            assert (value, side) == (ref_value, frozenset(ref_side))
+            for limit in range(value + 2):
+                got = flow_on(h, o.heads, sources, sinks, limit=limit, forward=forward)[:2]
+                assert got == capped(value, side, limit)
 
 
 class TestManySourcesOneSink:
-    """Queries with many sources and one sink search forward from all the
-    sources at once."""
+    """Queries with many sources and one sink search from all the sources
+    at once."""
+
+    @staticmethod
+    def instances(seed, count):
+        rng = random.Random(seed)
+        for h, o in random_instances(seed, count, n_max=8, m_max=14, size_max=4):
+            if h.n >= 3:
+                yield rng, h, o
 
     def test_many_sources_one_sink(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            g = random_digraph(rng, 9)
-            nodes = rng.sample(range(g.n_nodes), rng.randint(3, g.n_nodes))
-            sources, sink = nodes[1:], nodes[:1]
-            value, reach = max_flow_min_cut(g, sources, sink)
-            assert (value, reach) == super_node_flow(g, sources, sink)
-            assert (value, reach) == brute_force_cut(g, sources, sink)
+        for rng, h, o in self.instances(5, 200):
+            vertices = rng.sample(range(h.n), rng.randint(3, h.n))
+            sources, sink = vertices[1:], vertices[:1]
+            forward = rng.random() < 0.5
+            value, side, _ = flow_on(h, o.heads, sources, sink, forward=forward)
+            assert (value, side) == brute_force_cut(h, o.heads, sources, sink, forward)
             for limit in range(value + 2):
-                assert max_flow_min_cut(g, sources, sink, limit=limit) == super_node_flow(
-                    g, sources, sink, limit=limit
-                )
+                got = flow_on(h, o.heads, sources, sink, limit=limit, forward=forward)[:2]
+                assert got == capped(value, side, limit)
 
     def test_resumes_from_a_residual(self):
-        rng = random.Random(6)
-        for _ in range(200):
-            g = random_digraph(rng, 9)
-            nodes = rng.sample(range(g.n_nodes), rng.randint(3, g.n_nodes))
-            sources, sink = nodes[1:], nodes[:1]
-            value = super_node_flow(g, sources, sink)[0]
-            res = list(g.arc_cap)
+        for rng, h, o in self.instances(6, 200):
+            vertices = rng.sample(range(h.n), rng.randint(3, h.n))
+            sources, sink = vertices[1:], vertices[:1]
+            forward = rng.random() < 0.5
+            value, side = brute_force_cut(h, o.heads, sources, sink, forward)
+            g, res = incidence_digraph(h), list(o.heads)
             first = rng.randint(0, value)
-            assert max_flow_min_cut(g, sources, sink, limit=first, residual=res) == (first, None)
-            rest, reach = max_flow_min_cut(g, sources, sink, residual=res)
-            assert (first + rest, reach) == brute_force_cut(g, sources, sink)
+            got = max_flow_min_cut(g, sources, sink, limit=first, residual=res, forward=forward)
+            rest, reach = max_flow_min_cut(g, sources, sink, residual=res, forward=forward)
+            assert got == (first, None)
+            assert (first + rest, reach) == (value, side)
 
     def test_sink_sequence_on_one_residual(self):
-        """A flow between nodes that are all sources of the next query leaves
-        that query's cuts at their capacity, so it resumes without a reset."""
-        rng = random.Random(7)
-        for _ in range(100):
-            g = random_digraph(rng, 8)
-            order = rng.sample(range(g.n_nodes), g.n_nodes)
-            res = list(g.arc_cap)
-            for i in range(1, g.n_nodes):
+        """A flow between vertices that are all sources of the next query
+        leaves that query's cuts at their degree, so it resumes without a
+        reset."""
+        for rng, h, o in self.instances(7, 100):
+            order = rng.sample(range(h.n), h.n)
+            forward = rng.random() < 0.5
+            g, res = incidence_digraph(h), list(o.heads)
+            for i in range(1, h.n):
                 sources, sink = order[:i], order[i : i + 1]
                 limit = rng.choice([None, rng.randint(0, 4)])
-                got = max_flow_min_cut(g, sources, sink, limit=limit, residual=res)
-                assert got == super_node_flow(g, sources, sink, limit=limit)
-                if got[1] is not None:
-                    assert got == brute_force_cut(g, sources, sink)
-
+                got = max_flow_min_cut(g, sources, sink, limit=limit, residual=res, forward=forward)
+                assert got == capped(*brute_force_cut(h, o.heads, sources, sink, forward), limit)
 
     def test_mirrored_query_labels_the_maximal_side(self):
-        """Asked from the sink on the swapped capacities, a query has the
+        """Asked from the sink with the flow run backward, a query has the
         same value and labels the complement of the union of its minimum
         cuts' source sides."""
-        rng = random.Random(8)
-        for _ in range(100):
-            g = random_digraph(rng, 8)
-            nodes = rng.sample(range(g.n_nodes), rng.randint(3, g.n_nodes))
-            sources, sink = nodes[1:], nodes[0]
+        for rng, h, o in self.instances(8, 100):
+            vertices = rng.sample(range(h.n), rng.randint(3, h.n))
+            sources, sink = vertices[1:], vertices[0]
             cuts = {
-                mask: sum(c for u, v, c in g.arcs if mask >> u & 1 and not mask >> v & 1)
-                for mask in range(1 << g.n_nodes)
+                mask: out_degree(h, o, VertexSet.from_mask(h.n, mask))
+                for mask in range(1 << h.n)
                 if all(mask >> s & 1 for s in sources) and not mask >> sink & 1
             }
             best, union = min(cuts.values()), 0
             for mask, value in cuts.items():
                 if value == best:
                     union |= mask
-            value, reach = max_flow_min_cut(g, sink, sources, residual=separator._swapped(g.arc_cap))
+            value, reach, _ = flow_on(h, o.heads, sink, sources, forward=False)
             assert value == best
-            assert set(range(g.n_nodes)) - reach == {x for x in range(g.n_nodes) if union >> x & 1}
+            assert set(range(h.n)) - reach == set(VertexSet.from_mask(h.n, union))
 
 
 class TestIncidenceDigraph:
     def test_structure(self):
         h = hypergraph(4, [(0, 1, 2), (2, 3)])
-        o = Orientation(h, (2, 3))
-        g = incidence_digraph(h, o)
-        assert g.n_nodes == h.n + h.m
-        for e in range(h.m):
-            w = h.n + e
-            out = [(u, v, c) for (u, v, c) in g.arcs if u == w]
-            assert out == [(w, o.heads[e], 1)]
-            tails = [(u, v, c) for (u, v, c) in g.arcs if v == w]
-            assert all(c == h.m + 1 for (_, _, c) in tails)
-            assert {u for (u, _, _) in tails} == set(o.tail(e))
-
-    def test_swapped_cap_is_the_reversed_digraph(self):
-        """Per node, the residual arcs in search order with their heads and
-        capacities: ``_swapped(arc_cap)`` on ``g`` reads exactly like
-        ``arc_cap`` on the arc-reversed digraph."""
-
-        def residual_view(g, cap):
-            return [[(g.arc_head[i], cap[i]) for i in g.adj[u]] for u in range(g.n_nodes)]
-
-        for h, o in random_instances(5, 40, n_max=7, m_max=9, size_max=4):
-            g = incidence_digraph(h, o)
-            rev = reversed_digraph(g)
-            assert residual_view(g, separator._swapped(g.arc_cap)) == residual_view(rev, rev.arc_cap)
-            assert residual_view(g, g.arc_cap) != residual_view(rev, rev.arc_cap)
+        g = incidence_digraph(h)
+        assert g.n == h.n
+        assert g.members == ((0, 1, 2), (2, 3))
+        assert g.inc == ((0,), (0,), (0, 1), (1,))
+        # one entry per incidence, as many as the incidence digraph has arcs
+        assert sorted(g.arcs) == [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]
 
 
 class TestSeparators:
@@ -338,9 +310,11 @@ class TestSeparators:
 
     def test_missed_constraint_is_an_invariant_violation(self, monkeypatch):
         h, o = three_cycle()
-        monkeypatch.setattr(
-            separator, "max_flow_min_cut", lambda g, s, t, limit=None, residual=None: (0, frozenset())
-        )
+
+        def no_side(g, sources, sinks, limit=None, *, residual, forward=True):
+            return 0, frozenset()
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", no_side)
         with pytest.raises(InvariantViolation, match="missed its constraints"):
             min_out_separator(h, o, 0, vs(3, [1]))
 
@@ -385,26 +359,24 @@ class TestConnectivity:
                 else:
                     assert witness is None
 
+    def test_negative_cap_rejected(self):
+        h, o = three_cycle()
+        with pytest.raises(PreconditionError, match="negative"):
+            connectivity(h, o, cap=-1)
+
 
 def root_pair_connectivity(h, o, cap=None):
     """Connectivity by independent root-pair queries, vertex 0 to each other
     vertex and back, each capped at the best value so far: the routine the
     sink sequence replaced, and the set :class:`IncrementalConnectivity`
     keeps as its witness."""
-    net = separator.network(h, o)
     best = h.m + 1 if cap is None else cap
     found = None
     for src, snk in separator._root_pairs(h.n):
         if best == 0:
             break
         value, sep = separator._solve(
-            h,
-            o,
-            "out",
-            VertexSet.singleton(h.n, src),
-            VertexSet.singleton(h.n, snk),
-            limit=best,
-            net=net,
+            h, o, "out", VertexSet.singleton(h.n, src), VertexSet.singleton(h.n, snk), limit=best
         )
         if value < best:
             best, found = value, sep
@@ -458,18 +430,19 @@ class TestSinkSequence:
         calls = []
         original = separator.max_flow_min_cut
 
-        def recorded(g, sources, sinks, limit=None, residual=None):
-            calls.append((sources, list(sinks), id(residual)))
-            return original(g, sources, sinks, limit=limit, residual=residual)
+        def recorded(g, sources, sinks, limit=None, *, residual, forward=True):
+            calls.append((sources, list(sinks), id(residual), forward))
+            return original(g, sources, sinks, limit=limit, residual=residual, forward=forward)
 
         monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
         connectivity(h, o)
         assert len(calls) == 2 * (h.n - 1)
-        for half in (calls[: h.n - 1], calls[h.n - 1 :]):
-            assert [(source, sinks) for source, sinks, _ in half] == [
+        for half, forward in ((calls[: h.n - 1], False), (calls[h.n - 1 :], True)):
+            assert [(source, sinks) for source, sinks, _, _ in half] == [
                 (t, list(range(t))) for t in range(1, h.n)
             ]
-            assert len({res for _, _, res in half}) == 1
+            assert len({res for _, _, res, _ in half}) == 1
+            assert {direction for *_, direction in half} == {forward}
 
 
 def walk_step(rng, h, o, cap):
@@ -481,31 +454,6 @@ def walk_step(rng, h, o, cap):
         e = rng.randrange(h.m)
         moves.append((e, rng.choice([x for x in h.edges[e] if x != o.heads[e]])))
     return max(moves, key=lambda move: connectivity(h, reorient(o, *move), cap=cap)[0])
-
-
-def test_block_rewrites_describe_a_fresh_build():
-    """The capacities of one network with each step's block rewritten
-    (``_blocks``/``_write``, as ``verify_trace`` and the step check keep
-    them) give every vertex pair the flow and minimal side of a fresh
-    ``incidence_digraph(h, cur)``."""
-    for seed in range(8):
-        rng = random.Random(seed)
-        n = rng.randint(3, 12)
-        spec = GenSpec(n=n, k=rng.randint(1, 3), extra_edges=n // 2, max_edge_size=min(4, n), seed=seed)
-        h = gen_instance(spec)
-        o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
-        g, res = separator.network(h, o)
-        blocks = separator._topology(h)[1]
-        for _ in range(6):
-            e, head = walk_step(rng, h, o, h.m)
-            o = reorient(o, e, head)
-            separator._write(res, blocks[e], head, h.m + 1)
-            fresh = incidence_digraph(h, o)
-            for s in range(n):
-                for t in range(n):
-                    if s != t:
-                        kept = max_flow_min_cut(g, s, t, residual=list(res))
-                        assert kept == max_flow_min_cut(fresh, s, t), (seed, s, t)
 
 
 class TestIncrementalConnectivity:
@@ -564,9 +512,9 @@ class TestIncrementalConnectivity:
         limits = []
         original = separator.max_flow_min_cut
 
-        def recorded(g, sources, sinks, limit=None, residual=None):
+        def recorded(g, sources, sinks, limit=None, *, residual, forward=True):
             limits.append(limit)
-            return original(g, sources, sinks, limit=limit, residual=residual)
+            return original(g, sources, sinks, limit=limit, residual=residual, forward=forward)
 
         monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
         check.raise_cap(2)
@@ -637,40 +585,6 @@ class TestIncrementalConnectivity:
             o = reorient(o, e, rng.choice([x for x in h.edges[e] if x != o.heads[e]]))
             check.reorient(e, o.heads[e])
         assert all(calls) and len(calls) < 2 * (h.n - 1) * 21
-
-
-# Above the brute-force oracles' reach: an independent max flow (networkx's
-# default preflow-push) on the same reduction, with the residual-reachable
-# side computed here from its flow.
-
-
-def nx_incidence(nx, h, o, reverse):
-    g = nx.DiGraph()
-    g.add_nodes_from(range(h.n + h.m))
-    for e in range(h.m):
-        w = h.n + e
-        g.add_edges_from((x, w) for x in o.tail(e))  # no capacity: unbounded
-        g.add_edge(w, o.heads[e], capacity=1)
-    return g.reverse(copy=True) if reverse else g
-
-
-def nx_min_side(nx, g, sources, sinks, n):
-    """Max flow value between vertex sets and the vertices reachable from
-    the sources in its residual network."""
-    g = g.copy()
-    g.add_edges_from(("s", x) for x in sources)
-    g.add_edges_from((y, "t") for y in sinks)
-    value, flow = nx.maximum_flow(g, "s", "t")
-    seen, stack = {"s"}, ["s"]
-    while stack:
-        u = stack.pop()
-        forward = (v for v, d in g[u].items() if flow[u][v] < d.get("capacity", float("inf")))
-        backward = (v for v in g.predecessors(u) if flow[v][u] > 0)
-        for v in (*forward, *backward):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return value, VertexSet(n, [v for v in seen if isinstance(v, int) and v < n])
 
 
 def perturbed_cycle_orientation(h, k, rng):

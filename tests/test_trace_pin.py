@@ -7,8 +7,16 @@ change in search order, trace or answer shows here without running the
 full benchmark.  ``PATHS_PINNED`` covers both admissible-path searches on
 every ``r_family`` region of the same orientations and of the one halfway
 through each trace (the path, or the error it raised) and ``reachability_check`` for every vertex on both sides; it
-was recorded before the three searches became one exploration.  A
-deliberate change of output must re-record them.
+was recorded before the three searches became one exploration.
+``FLOWS_PINNED`` covers single flows: the value, the minimal side and the
+heads after each call, over random hypergraphs and heads, both directions,
+limits, multi-terminal sets and a heads list resumed across calls.  It was
+recorded while flows still ran on capacity arrays over the incidence
+digraph's residual arc pairs: a backward flow ran forward with each pair's
+capacities swapped, and the heads after a call were read off the residual
+capacities, edge ``e``'s head being the one vertex ``x`` whose residual arc
+``w_e -> x`` had capacity left.  A deliberate change of output must
+re-record them.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ from hyperorient import (
     format_trace,
     gen_instance,
     gen_orientation,
+    hypergraph,
+    incidence_digraph,
+    max_flow_min_cut,
     min_in_separator,
     min_out_separator,
     reachability_check,
@@ -35,6 +46,7 @@ from hyperorient import (
 
 PINNED = "5dbb3ebdf3deddf7028e9c2154e6dc6fee508a6c1ccc8ed9c555abd9288a8029"
 PATHS_PINNED = "cf700bfe0cfaf7f033dc4557919f2ea92de7415e7bb090495e37845afb486154"
+FLOWS_PINNED = "59cc4db5174c1641ca3633a7ef9ea8a26795815e3b4c30a0d590e2beb4642af8"
 
 
 def corpus():
@@ -116,3 +128,29 @@ def test_paths_match_the_pinned_digest():
         for cur in (o, apply_trace(half), apply_trace(trace)):
             chunks.append(paths_text(h, cur))
     assert hashlib.sha256("\n".join(chunks).encode()).hexdigest() == PATHS_PINNED
+
+
+def flows_text() -> str:
+    rng = random.Random(2026)
+    lines = []
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        edges = [rng.sample(range(n), rng.randint(2, min(4, n))) for _ in range(rng.randint(1, 2 * n))]
+        h = hypergraph(n, edges)
+        heads = [rng.choice(sorted(e)) for e in edges]
+        g = incidence_digraph(h)
+        for forward in (True, False):
+            res = list(heads)
+            for _ in range(4):  # each call resumes from the heads the last one left
+                vertices = rng.sample(range(n), rng.randint(2, min(n, 5)))
+                cut = rng.randint(1, len(vertices) - 1)
+                sources, sinks = vertices[:cut], vertices[cut:]
+                limit = rng.choice([None, None, rng.randint(0, 3)])
+                value, reach = max_flow_min_cut(g, sources, sinks, limit=limit, residual=res, forward=forward)
+                side = None if reach is None else sorted(reach)
+                lines.append(f"{int(forward)} {sources} {sinks} {limit} {value} {side} {res}")
+    return "\n".join(lines)
+
+
+def test_flows_match_the_pinned_digest():
+    assert hashlib.sha256(flows_text().encode()).hexdigest() == FLOWS_PINNED
