@@ -40,14 +40,11 @@ for s in range(h.n):
         if s == t:
             continue
         sinks = ho.VertexSet(h.n, [t])
-        res = ho.min_out_separator(h, o, s, sinks)
-        value, minimizers, minimal = ho.bf_min_separator(h, o, s, sinks, "out")
-        assert (res.value, res.separator) == (value, minimal)
+        value, side = ho.min_separator(h, o, ho.VertexSet(h.n, [s]), sinks, "out")
+        bf_value, minimizers, minimal = ho.bf_min_separator(h, o, s, sinks, "out")
+        assert (value, side) == (bf_value, minimal)
         tag = "" if len(minimizers) == 1 else f"   (minimal of {len(minimizers)} minimizers)"
-        print(
-            f"min out-degree separator {s} vs {t}: value {res.value}, "
-            f"side {sorted(res.separator)}{tag}"
-        )
+        print(f"min out-degree separator {s} vs {t}: value {value}, side {sorted(side)}{tag}")
 print()
 print("every query above matched the brute-force enumeration")
 print()

@@ -75,8 +75,6 @@ from .families import (
     is_out_tight,
     is_safe_sink,
     is_safe_source,
-    q_minus,
-    q_plus,
 )
 from .oracle import (
     bf_families,
@@ -97,12 +95,10 @@ from .pathsearch import (
 )
 from .separator import (
     IncidenceDigraph,
-    SeparatorResult,
     hyperarc_connectivity,
     incidence_digraph,
     max_flow_min_cut,
-    min_in_separator,
-    min_out_separator,
+    min_separator,
 )
 from .toolkit import (
     GenSpec,
@@ -137,7 +133,6 @@ __all__ = [
     "PreconditionError",
     "ReorientationStep",
     "ReorientationTrace",
-    "SeparatorResult",
     "VerifyFailure",
     "VerifyReport",
     "VertexSet",
@@ -178,15 +173,12 @@ __all__ = [
     "is_safe_source",
     "iter_partitions",
     "max_flow_min_cut",
-    "min_in_separator",
-    "min_out_separator",
+    "min_separator",
     "minimal_members",
     "out_degree",
     "parse_hypergraph",
     "parse_orientation",
     "parse_trace",
-    "q_minus",
-    "q_plus",
     "reachability_check",
     "reorient",
     "trim",

@@ -156,8 +156,11 @@ def augment_one(
     with a cap of at most ``level + 1``, kept from an earlier level; its cap
     is raised to ``level + 1`` and it is left current for the returned
     orientation.  Without one, one is built.  A vertex in fewer than
-    ``2 * (level + 1)`` hyperedges is rejected before the check is touched.
+    ``2 * (level + 1)`` hyperedges is rejected before the check is touched,
+    and a negative ``level`` raises :class:`PreconditionError`.
     """
+    if level is not None and level < 0:
+        raise PreconditionError(f"level {level} is negative")
     k = hyperarc_connectivity(h, o) if level is None else level
     _reject_low_degree(h, k + 1)
     if check is None:

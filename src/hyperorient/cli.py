@@ -300,15 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
             "safe-sink",
         ],
     )
-    p.add_argument("--input", required=True)
-    p.add_argument("--orientation", default=None)
+    add_common(p, orientation_required=False)
     p.add_argument("--k", default="1")
     p.add_argument("--side", choices=["out", "in"], default="out")
     p.add_argument("--source", default="0")
     p.add_argument("--sinks", default="", help="comma-separated vertex list")
     p.add_argument("--set", default="", help="comma-separated vertex list")
     p.add_argument("--vertex", default="0")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

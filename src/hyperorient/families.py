@@ -26,15 +26,17 @@ that flow's value is ``k``.  Each flow is a heads list, the orientation
 with every hyperarc that carries a unit turned to the tail it entered by,
 and each such read is one search in it, run backward for ``q_minus``.
 Each ``r_family`` candidate is one more residual search on one such flow,
-from the whole member.  :func:`q_minus` and :func:`q_plus` read one q set
-the same way.  The connectivity is recomputed from scratch once per call,
-as a cross-check of the kept flows.
+from the whole member.  The q sets come only from :func:`compute_families`.
+The connectivity is recomputed from scratch once per call, as a
+cross-check of the kept flows.
 
 A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
 out-tight set containing ``u`` strictly contains ``S``, and every dangerous
 out-set ``X`` containing ``u`` with ``S - X`` nonempty has an out-tight
 subset avoiding ``u``.  Reorienting a path leaving a safe source cannot push
-any out-degree below ``k``.  Safe sinks mirror this with in-degrees.
+any out-degree below ``k``.  Safe sinks mirror this with in-degrees.  Each
+test asks one capped :func:`~hyperorient.separator.min_separator` query per
+other vertex of ``S``, on the test's side.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .core import (
     minimal_members,
     out_degree,
 )
-from .separator import IncrementalConnectivity, _solve, hyperarc_connectivity
+from .separator import IncrementalConnectivity, hyperarc_connectivity, min_separator
 
 ROOT = 0
 
@@ -100,31 +102,6 @@ def is_out_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int
     if x.is_empty or x.is_full or r in x:
         return False
     return out_degree(h, o, x) == k + 1
-
-
-def _q(h: Hypergraph, o: Orientation, k: int, v: int, side: str) -> VertexSet:
-    """``q_minus[v]``/``q_plus[v]`` from the root-pair flows of an
-    :class:`~hyperorient.separator.IncrementalConnectivity` capped at
-    ``k + 1``, as :func:`compute_families` reads them.  A negative ``k``, or
-    one above the connectivity, raises :class:`PreconditionError`."""
-    if k < 0:
-        raise PreconditionError(f"level {k} is negative")
-    if not 0 <= v < h.n:
-        raise PreconditionError(f"vertex {v} out of range")
-    check = IncrementalConnectivity(h, o, cap=k + 1)
-    if check.value < k:
-        raise PreconditionError(f"orientation has connectivity {check.value}, below level {k}")
-    return check.minimal_tight(VertexSet.singleton(h.n, v), side, k) or VertexSet.full(h.n)
-
-
-def q_minus(h: Hypergraph, o: Orientation, k: int, v: int) -> VertexSet:
-    """Unique minimal in-tight set containing ``v`` (the full set if none)."""
-    return _q(h, o, k, v, "in")
-
-
-def q_plus(h: Hypergraph, o: Orientation, k: int, v: int) -> VertexSet:
-    """Unique minimal out-tight set containing ``v`` (the full set if none)."""
-    return _q(h, o, k, v, "out")
 
 
 def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
@@ -222,15 +199,15 @@ def _safe_endpoint(
     full = VertexSet.full(h.n)
     if member_set == full:
         return u == fam.r
-    deg = out_degree if side == "out" else in_degree
-    if deg(h, o, member_set) == k:
+    tight = is_out_tight if side == "out" else is_in_tight
+    if tight(h, o, k, member_set, fam.r):
         return False
     q_sets = fam.q_plus if side == "out" else fam.q_minus
     for v in member_set:
         if v == u:
             continue
         avoid = VertexSet(h.n, (v, fam.r))
-        value, sep = _solve(h, o, side, VertexSet.singleton(h.n, u), avoid, limit=k + 2)
+        value, sep = min_separator(h, o, VertexSet.singleton(h.n, u), avoid, side, limit=k + 2)
         if value == k:
             return False
         if value == k + 1 and sep is not None:

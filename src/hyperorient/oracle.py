@@ -17,6 +17,7 @@ from .core import (
     Partition,
     PreconditionError,
     VertexSet,
+    crossing_edges,
     in_degree,
     minimal_members,
     out_degree,
@@ -206,15 +207,11 @@ def bf_partition_connected(
     Returns the first violating partition as a witness.  The trivial
     one-class partition is excluded: no hyperedge can cross it.
     """
-    bound = BF_PARTITION_MAX_N if max_n is None else max_n
-    if h.n > bound:
-        raise PreconditionError(f"brute force refused: n={h.n} exceeds bound {bound}")
+    _guard_n(h, BF_PARTITION_MAX_N if max_n is None else max_n)
     if k < 0:
         raise PreconditionError("k must be non-negative")
     if k == 0:
         return True, None
-    from .core import crossing_edges
-
     for p in iter_partitions(h.n):
         if crossing_edges(h, p) < k * len(p):
             return False, p

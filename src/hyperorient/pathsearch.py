@@ -38,10 +38,8 @@ from .core import (
     PathArc,
     PreconditionError,
     VertexSet,
-    in_degree,
-    out_degree,
 )
-from .families import CutFamilies, find_safe_sink, find_safe_source
+from .families import CutFamilies, find_safe_sink, find_safe_source, is_in_tight, is_out_tight
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,8 @@ def _search(
     sign, other = ("in", "out") if forward else ("out", "in")
     if region not in fam.r_family:
         raise PreconditionError("region is not a member of r_family")
-    degree = in_degree if forward else out_degree
-    if not region.is_full and degree(h, o, region) != fam.k:
+    tight = is_in_tight if forward else is_out_tight
+    if not tight(h, o, fam.k, region, fam.r):
         raise PreconditionError(f"region is not {sign}-tight")
     starts, ends = (fam.m_minus, fam.m_plus) if forward else (fam.m_plus, fam.m_minus)
     find_start, find_end = (

@@ -6,7 +6,9 @@ head (as an incidence digraph: a node ``w_e`` per hyperarc, a unit arc
 ``w_e -> head`` and an unsaturable arc ``x -> w_e`` per tail ``x``).  A
 minimum cut is a minimum out-degree separator of the hypergraph, and the
 vertices reachable from the sources in the final residual network are the
-unique inclusion-minimal minimizer.
+unique inclusion-minimal minimizer.  :func:`min_separator` asks this for the
+sets that contain one vertex set and avoid another, on either side: the
+minimum out-degree, or the minimum in-degree as the same flow run backward.
 
 The residual of such a flow is again an orientation: each hyperarc that
 carries a unit is turned toward the tail the unit entered by, and every
@@ -201,37 +203,34 @@ def max_flow_min_cut(
     return flow, None
 
 
-@dataclass(frozen=True)
-class SeparatorResult:
-    """Minimum degree over the constrained separators plus the unique
-    inclusion-minimal minimizer."""
-
-    value: int
-    separator: VertexSet
-
-
-def _solve(
+def min_separator(
     h: Hypergraph,
     o: Orientation,
-    side: str,
-    source_set: VertexSet,
-    avoid_set: VertexSet,
+    x: VertexSet,
+    avoid: VertexSet,
+    side: str = "out",
     limit: Optional[int] = None,
 ) -> tuple[int, Optional[VertexSet]]:
-    """Minimize out-degree (``side='out'``) or in-degree (``side='in'``) over
-    vertex sets that contain all of ``source_set`` and avoid ``avoid_set``.
+    """Minimum out-degree (``side='out'``) or in-degree (``side='in'``) over
+    the vertex sets that contain ``x`` and avoid ``avoid``, with the unique
+    inclusion-minimal minimizer (the residual-reachable side).
 
     Returns ``(value, minimal minimizer)``; ``(limit, None)`` when the
     minimum is at least ``limit``.  An in-side query is the same flow run
-    backward.
+    backward.  Empty or overlapping sets, sets over another ground set, or
+    another ``side`` raise :class:`PreconditionError`.
     """
     _same_instance(h, o)
+    if side not in ("out", "in"):
+        raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
+    if x.n != h.n or avoid.n != h.n:
+        raise PreconditionError("vertex set over a different ground set")
     value, reach = max_flow_min_cut(
-        network(h), source_set, avoid_set, limit=limit, residual=list(o.heads), forward=side == "out"
+        network(h), x, avoid, limit=limit, residual=list(o.heads), forward=side == "out"
     )
     if reach is None:
         return value, None
-    return value, _separator(h.n, reach, source_set, avoid_set)
+    return value, _separator(h.n, reach, x, avoid)
 
 
 def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: VertexSet) -> VertexSet:
@@ -241,34 +240,6 @@ def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: V
     if not source_set <= separator or separator.mask & avoid_set.mask:
         raise InvariantViolation("separator missed its constraints")
     return separator
-
-
-def min_out_separator(h: Hypergraph, o: Orientation, s: int, sinks: VertexSet) -> SeparatorResult:
-    """Minimum out-degree over sets containing ``s`` and avoiding ``sinks``,
-    together with the inclusion-minimal minimizer."""
-    if not 0 <= s < h.n:
-        raise PreconditionError(f"vertex {s} out of range")
-    if sinks.is_empty:
-        raise PreconditionError("sink set must be nonempty")
-    if s in sinks:
-        raise PreconditionError("source lies in the sink set")
-    value, separator = _solve(h, o, "out", VertexSet.singleton(h.n, s), sinks)
-    assert separator is not None
-    return SeparatorResult(value, separator)
-
-
-def min_in_separator(h: Hypergraph, o: Orientation, t: int, sources: VertexSet) -> SeparatorResult:
-    """Minimum in-degree over sets containing ``t`` and avoiding ``sources``,
-    together with the inclusion-minimal minimizer."""
-    if not 0 <= t < h.n:
-        raise PreconditionError(f"vertex {t} out of range")
-    if sources.is_empty:
-        raise PreconditionError("source set must be nonempty")
-    if t in sources:
-        raise PreconditionError("sink lies in the source set")
-    value, separator = _solve(h, o, "in", VertexSet.singleton(h.n, t), sources)
-    assert separator is not None
-    return SeparatorResult(value, separator)
 
 
 def _root_pairs(n: int) -> list[tuple[int, int]]:
@@ -397,14 +368,16 @@ class IncrementalConnectivity:
         ``k``.  At value ``k`` the query's flow is maximum, and it is also a
         flow from all of ``x``: so the set is what one :func:`_search` from
         ``x`` labels in its residual (on the in side, run backward), and
-        ``None`` when that search reaches vertex 0.  An empty ``x`` or a
-        ``side`` other than ``'out'`` and ``'in'`` raises
-        :class:`PreconditionError`."""
+        ``None`` when that search reaches vertex 0.  An empty ``x``, one
+        over another ground set, or a ``side`` other than ``'out'`` and
+        ``'in'`` raises :class:`PreconditionError`."""
         if side not in ("out", "in"):
             raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
         if not x:
             raise PreconditionError("minimal_tight needs a nonempty set")
         n = self.hypergraph.n
+        if x.n != n:
+            raise PreconditionError("vertex set over a different ground set")
         s = next(iter(x))
         p = 2 * s - 1 if side == "out" else 2 * s - 2
         if s == 0 or self._value[p] != k:

@@ -66,6 +66,11 @@ class TestAugmentOne:
         with pytest.raises(PreconditionError):
             augment_one(h, o, level=1)
 
+    def test_negative_level_rejected(self):
+        h, o = doubled_triangle_flat()
+        with pytest.raises(PreconditionError, match="level -1 is negative"):
+            augment_one(h, o, level=-1)
+
     def test_full_region_fallback_instance(self):
         h = hypergraph(3, [(1, 2), (1, 2), (0, 1), (0, 2)])
         o = Orientation(h, (2, 1, 0, 0))

@@ -31,12 +31,11 @@ from hyperorient import (
     is_safe_sink,
     is_safe_source,
     minimal_members,
+    min_separator,
     out_degree,
-    q_minus,
-    q_plus,
     reorient,
 )
-from hyperorient.separator import IncrementalConnectivity, _solve
+from hyperorient.separator import IncrementalConnectivity
 from corpus import random_instances, vs
 
 
@@ -52,22 +51,25 @@ def families_tuple(fam):
 class TestQSets:
     def test_root_maps_to_full(self):
         h, o = three_cycle()
-        assert q_minus(h, o, 1, 0) == VertexSet.full(3)
-        assert q_plus(h, o, 1, 0) == VertexSet.full(3)
+        fam = compute_families(h, o, level=1)
+        assert fam.q_minus[0] == VertexSet.full(3)
+        assert fam.q_plus[0] == VertexSet.full(3)
 
     def test_three_cycle_singletons(self):
         h, o = three_cycle()
-        assert q_minus(h, o, 1, 1) == vs(3, [1])
-        assert q_plus(h, o, 1, 1) == vs(3, [1])
+        fam = compute_families(h, o, level=1)
+        assert fam.q_minus[1] == vs(3, [1])
+        assert fam.q_plus[1] == vs(3, [1])
 
     def test_fallback_when_no_tight_set(self):
         # arcs 0->1, 1->2, 1->2, 2->0, 2->0: no out-tight set avoids the root
         h = hypergraph(3, [(0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
         o = Orientation(h, (1, 2, 2, 0, 0))
         assert hyperarc_connectivity(h, o) == 1
-        assert q_plus(h, o, 1, 1) == VertexSet.full(3)
-        assert q_plus(h, o, 1, 2) == VertexSet.full(3)
-        assert q_minus(h, o, 1, 2) == vs(3, [1, 2])
+        fam = compute_families(h, o, level=1)
+        assert fam.q_plus[1] == VertexSet.full(3)
+        assert fam.q_plus[2] == VertexSet.full(3)
+        assert fam.q_minus[2] == vs(3, [1, 2])
 
     def test_level_above_connectivity_rejected(self):
         # connectivity 1, and {1} avoids the root with out-degree exactly 3
@@ -77,10 +79,9 @@ class TestQSets:
         for level in (2, 3):
             with pytest.raises(PreconditionError, match=f"below level {level}"):
                 compute_families(h, o, level=level)
-            for q in (q_minus, q_plus):
-                for v in range(3):
-                    with pytest.raises(PreconditionError, match=f"below level {level}"):
-                        q(h, o, level, v)
+            check = IncrementalConnectivity(h, o, cap=level + 1)
+            with pytest.raises(PreconditionError, match=f"below level {level}"):
+                compute_families(h, o, level=level, check=check)
 
     def test_contained_in_every_tight_superset(self):
         for h, o in random_instances(314, 40, n_max=6, m_max=6):
@@ -123,9 +124,8 @@ class TestComputeFamilies:
         h, o = three_cycle()
         with pytest.raises(PreconditionError, match=f"level {level} is negative"):
             compute_families(h, o, level=level)
-        for q in (q_minus, q_plus):
-            with pytest.raises(PreconditionError, match=f"level {level} is negative"):
-                q(h, o, level, 1)
+        with pytest.raises(PreconditionError, match=f"level {level} is negative"):
+            compute_families(h, o, level=level, check=IncrementalConnectivity(h, o, cap=1))
 
     def test_r_family_full_fallback(self):
         # arcs 1->2, 2->1, 1->0, 2->0: m_minus={{1,2}}, m_plus={V}, so the
@@ -157,7 +157,7 @@ def minimal_tight(h, o, k, side, x):
     the root, or ``None``, from one fresh capped separator query: how
     :func:`compute_families` found its ``r_family`` candidates before it
     read the kept root-pair flows."""
-    value, sep = _solve(h, o, side, x, VertexSet.singleton(h.n, 0), limit=k + 1)
+    value, sep = min_separator(h, o, x, VertexSet.singleton(h.n, 0), side, limit=k + 1)
     return sep if value == k else None
 
 

@@ -17,8 +17,7 @@ from hyperorient import (
     in_degree,
     incidence_digraph,
     max_flow_min_cut,
-    min_in_separator,
-    min_out_separator,
+    min_separator,
     out_degree,
     reorient,
     separator,
@@ -251,48 +250,49 @@ class TestIncidenceDigraph:
 class TestSeparators:
     def test_three_cycle_out(self):
         h, o = three_cycle()
-        res = min_out_separator(h, o, 0, vs(3, [1]))
-        assert res.value == 1 and res.separator == vs(3, [0])
+        assert min_separator(h, o, vs(3, [0]), vs(3, [1])) == (1, vs(3, [0]))
+        assert min_separator(h, o, vs(3, [0]), vs(3, [1]), limit=1) == (1, None)
 
     def test_three_cycle_in(self):
         h, o = three_cycle()
-        res = min_in_separator(h, o, 1, vs(3, [0]))
-        assert res.value == 1 and res.separator == vs(3, [1])
+        assert min_separator(h, o, vs(3, [1]), vs(3, [0]), "in") == (1, vs(3, [1]))
 
     def test_single_hyperarc(self):
         h = hypergraph(3, [(0, 1, 2)])
         o = Orientation(h, (2,))
-        out = min_out_separator(h, o, 0, vs(3, [2]))
-        assert out.value == 1 and out.separator == vs(3, [0])
-        inn = min_in_separator(h, o, 2, vs(3, [0]))
-        assert inn.value == 1 and inn.separator == vs(3, [2])
+        assert min_separator(h, o, vs(3, [0]), vs(3, [2]), "out") == (1, vs(3, [0]))
+        assert min_separator(h, o, vs(3, [2]), vs(3, [0]), "in") == (1, vs(3, [2]))
 
     def test_source_without_outgoing_incidence(self):
         # 1 -> 0 only: nothing leaves {0}, the reachable-closed side is {0}
         h = hypergraph(3, [(0, 1), (1, 2)])
         o = Orientation(h, (0, 2))
-        res = min_out_separator(h, o, 0, vs(3, [2]))
-        assert res.value == 0 and res.separator == vs(3, [0])
+        assert min_separator(h, o, vs(3, [0]), vs(3, [2])) == (0, vs(3, [0]))
 
     def test_preconditions(self):
         h, o = three_cycle()
         with pytest.raises(PreconditionError):
-            min_out_separator(h, o, 0, vs(3, []))
+            min_separator(h, o, vs(3, [0]), vs(3, []))
         with pytest.raises(PreconditionError):
-            min_out_separator(h, o, 0, vs(3, [0, 1]))
+            min_separator(h, o, vs(3, [0]), vs(3, [0, 1]))
+        with pytest.raises(PreconditionError, match="side must be"):
+            min_separator(h, o, vs(3, [0]), vs(3, [1]), "up")
+        for x, avoid in ((vs(4, [0]), vs(3, [1])), (vs(3, [0]), vs(2, [1]))):
+            with pytest.raises(PreconditionError, match="different ground set"):
+                min_separator(h, o, x, avoid)
 
     def test_in_out_duality(self):
         from hyperorient import out_degree
 
         for h, o in random_instances(404, 20, n_max=5, m_max=5):
             for t in range(1, h.n):
-                res = min_in_separator(h, o, t, vs(h.n, [0]))
+                value, _ = min_separator(h, o, vs(h.n, [t]), vs(h.n, [0]), "in")
                 best = min(
                     out_degree(h, o, VertexSet.from_mask(h.n, m).complement())
                     for m in range(1, (1 << h.n) - 1)
                     if m >> t & 1 and not m & 1
                 )
-                assert res.value == best
+                assert value == best
 
     def test_matches_brute_force_with_minimal_set(self):
         for h, o in random_instances(11, 60, n_max=6, m_max=6):
@@ -301,12 +301,12 @@ class TestSeparators:
                     if s == t:
                         continue
                     sinks = vs(h.n, [t])
-                    for side, fn in (("out", min_out_separator), ("in", min_in_separator)):
-                        res = fn(h, o, s, sinks)
-                        value, minimizers, minimal = bf_min_separator(h, o, s, sinks, side)
-                        assert res.value == value
-                        assert res.separator == minimal
-                        assert all(res.separator <= x for x in minimizers)
+                    for side in ("out", "in"):
+                        value, sep = min_separator(h, o, vs(h.n, [s]), sinks, side)
+                        bf_value, minimizers, minimal = bf_min_separator(h, o, s, sinks, side)
+                        assert value == bf_value
+                        assert sep == minimal
+                        assert all(sep <= x for x in minimizers)
 
     def test_missed_constraint_is_an_invariant_violation(self, monkeypatch):
         h, o = three_cycle()
@@ -316,17 +316,17 @@ class TestSeparators:
 
         monkeypatch.setattr(separator, "max_flow_min_cut", no_side)
         with pytest.raises(InvariantViolation, match="missed its constraints"):
-            min_out_separator(h, o, 0, vs(3, [1]))
+            min_separator(h, o, vs(3, [0]), vs(3, [1]))
 
     def test_merged_sinks_never_contain_a_sink(self):
         for h, o in random_instances(88, 40, n_max=6, m_max=6):
             if h.n < 3:
                 continue
             sinks = vs(h.n, [1, 2])
-            res = min_out_separator(h, o, 0, sinks)
-            assert not res.separator.mask & sinks.mask
-            value, _, minimal = bf_min_separator(h, o, 0, sinks, "out")
-            assert (res.value, res.separator) == (value, minimal)
+            value, sep = min_separator(h, o, vs(h.n, [0]), sinks)
+            assert not sep.mask & sinks.mask
+            bf_value, _, minimal = bf_min_separator(h, o, 0, sinks, "out")
+            assert (value, sep) == (bf_value, minimal)
 
 
 class TestConnectivity:
@@ -375,8 +375,8 @@ def root_pair_connectivity(h, o, cap=None):
     for src, snk in separator._root_pairs(h.n):
         if best == 0:
             break
-        value, sep = separator._solve(
-            h, o, "out", VertexSet.singleton(h.n, src), VertexSet.singleton(h.n, snk), limit=best
+        value, sep = min_separator(
+            h, o, VertexSet.singleton(h.n, src), VertexSet.singleton(h.n, snk), limit=best
         )
         if value < best:
             best, found = value, sep
@@ -547,6 +547,13 @@ class TestIncrementalConnectivity:
         with pytest.raises(PreconditionError, match="side"):
             check.minimal_tight(vs(3, [1]), "up", 1)
 
+    def test_minimal_tight_rejects_another_ground_set(self):
+        h, o = three_cycle()
+        check = IncrementalConnectivity(h, o, 2)
+        for x in (vs(5, [4]), vs(2, [1])):
+            with pytest.raises(PreconditionError, match="different ground set"):
+                check.minimal_tight(x, "out", 1)
+
     def test_minimal_tight_runs_no_flow(self, monkeypatch):
         h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
         o = gen_orientation(h, seed=3)
@@ -625,7 +632,5 @@ def test_networkx_cross_check_above_oracle_bound(n):
     for _ in range(8):
         s = rng.randrange(n)
         sinks = VertexSet(n, rng.sample([v for v in range(n) if v != s], rng.randint(1, 3)))
-        out = min_out_separator(h, o, s, sinks)
-        assert (out.value, out.separator) == nx_min_side(nx, fwd, [s], sinks, n)
-        inn = min_in_separator(h, o, s, sinks)
-        assert (inn.value, inn.separator) == nx_min_side(nx, rev, [s], sinks, n)
+        assert min_separator(h, o, vs(n, [s]), sinks, "out") == nx_min_side(nx, fwd, [s], sinks, n)
+        assert min_separator(h, o, vs(n, [s]), sinks, "in") == nx_min_side(nx, rev, [s], sinks, n)

@@ -39,8 +39,7 @@ from hyperorient import (
     hypergraph,
     incidence_digraph,
     max_flow_min_cut,
-    min_in_separator,
-    min_out_separator,
+    min_separator,
     reachability_check,
 )
 
@@ -67,9 +66,9 @@ def separator_text(h, o, rng) -> str:
     for _ in range(6):
         v = rng.randrange(h.n)
         others = VertexSet(h.n, rng.sample([u for u in range(h.n) if u != v], rng.randint(1, 3)))
-        for fn in (min_in_separator, min_out_separator):
-            res = fn(h, o, v, others)
-            lines.append(f"{fn.__name__} {v} {list(others)} {res.value} {list(res.separator)}")
+        for side in ("in", "out"):
+            value, sep = min_separator(h, o, VertexSet(h.n, [v]), others, side)
+            lines.append(f"min_{side}_separator {v} {list(others)} {value} {list(sep)}")
     return "\n".join(lines)
 
 
