@@ -17,12 +17,14 @@ immediately, which keeps the per-step connectivity sequence
 non-decreasing.  :func:`verify_trace` shares none of the repair code: it
 decides each step's connectivity with one capped flow and a set kept from
 an earlier from-scratch computation, and recomputes from scratch only when
-no kept set is tight.  Every flow of a run, in the step check, the families
-and the verifier, runs on the hypergraph's one incidence structure
-(:func:`~hyperorient.separator.network`) with a copy of an orientation's
-heads, which the flow turns in place.  Each full path strictly shrinks the
-potential ``(|m_all|, -covered vertices)``, so a level finishes within
-``n^2`` iterations and ``n^3`` single-hyperarc steps.
+no kept set is tight.  It tracks the kept sets' out-degrees through the
+steps by the single-reorientation lemma and confirms the one set it relies
+on with one ``out_degree`` call.  Every flow of a run, in the step check,
+the families and the verifier, runs on the hypergraph's one incidence
+structure (:func:`~hyperorient.separator.network`) with a copy of an
+orientation's heads, which the flow turns in place.  Each full path
+strictly shrinks the potential ``(|m_all|, -covered vertices)``, so a level
+finishes within ``n^2`` iterations and ``n^3`` single-hyperarc steps.
 
 The input hypergraph must be sufficiently partition-connected for the target
 level; that precondition is not tested exactly (deliberately out of scope).
@@ -346,8 +348,13 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     the new orientation's heads.
     From above, a set of out-degree ``lam`` after the step shows the value
     is at most ``lam``.  The sets tried are every set :func:`connectivity`
-    has returned in this call; a kept set is never trusted for its old
-    value, only ever shown tight again by :func:`~hyperorient.core.out_degree`.
+    has returned in this call, each kept with its out-degree, which the same
+    lemma updates on every step with two bit tests.  The first set whose
+    tracked degree is ``lam`` is tried, and only after one
+    :func:`~hyperorient.core.out_degree` call confirms that degree, so a
+    kept set is never trusted on its tracked value alone; a call that
+    disagrees raises :class:`InvariantViolation` naming the step and the
+    set.  The flow runs only when such a set exists.
     When either bound fails, ``connectivity(h, cur, cap=lam + 2)`` computes
     the value from scratch, exact because one step moves it by at most one,
     and its set is kept; it runs on the same network, so no step builds
@@ -361,7 +368,7 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
         return VerifyReport((VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"),))
     failures: list[VerifyFailure] = []
     lam, x = connectivity(h, trace.initial)
-    kept = [x]  # every set connectivity returned, each shown tight again by out_degree
+    kept = [[x.mask, lam]]  # each set connectivity returned, with its out-degree tracked by the lemma
     if lam != trace.lambda_initial:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")
@@ -384,14 +391,22 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
             break
         a, b = cur.heads[step.edge], step.new_head
         cur = reorient(cur, step.edge, b)
+        for entry in kept:  # the lemma: +1 with a in and b out, -1 with b in and a out
+            entry[1] += (entry[0] >> a & 1) - (entry[0] >> b & 1)
+        tight = next((mask for mask, d in kept if d == lam), None)
+        if tight is not None:
+            x = VertexSet.from_mask(h.n, tight)
+            d = out_degree(h, cur, x)
+            if d != lam:
+                raise InvariantViolation(f"step {i}: kept set {x} has out-degree {d}, tracked as {lam}")
         if (
-            any(out_degree(h, cur, x) == lam for x in kept)
+            tight is not None
             and separator.max_flow_min_cut(g, b, a, limit=lam, residual=list(cur.heads))[0] == lam
         ):
             lam_after = lam
         else:
             lam_after, x = connectivity(h, cur, cap=lam + 2)
-            kept.append(x)
+            kept.append([x.mask, lam_after])
         if lam_after != step.lambda_after:
             failures.append(
                 VerifyFailure(i, f"connectivity after step is {lam_after}, step claims {step.lambda_after}")

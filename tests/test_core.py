@@ -193,6 +193,45 @@ class TestReorient:
         assert o2 == Orientation(h, o2.heads)
 
 
+class TestSingleReorientationLemma:
+    """Turning edge ``e`` from head ``a`` to head ``b`` lowers the
+    out-degree of exactly the sets holding ``b`` but not ``a`` by one,
+    raises it for the sets holding ``a`` but not ``b`` by one, and leaves
+    every other set alone; in-degrees move the opposite way.  The verifier
+    tracks its kept sets' degrees by it, and the step check repairs its
+    flows by it."""
+
+    def test_every_step_on_random_small_instances(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def instances(draw):
+            n = draw(st.integers(2, 7))
+            edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
+            edges = draw(st.lists(edge, min_size=1, max_size=6))
+            h = hypergraph(n, edges)
+            return h, Orientation(h, tuple(draw(st.sampled_from(sorted(e))) for e in h.edges))
+
+        @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(instances())
+        def check(instance):
+            h, o = instance
+            sets = [VertexSet.from_mask(h.n, mask) for mask in range(1, (1 << h.n) - 1)]
+            before = [(out_degree(h, o, x), in_degree(h, o, x)) for x in sets]
+            for e, a in enumerate(o.heads):
+                for b in h.edges[e]:
+                    if b == a:
+                        continue
+                    o2 = reorient(o, e, b)
+                    for x, (out_d, in_d) in zip(sets, before):
+                        delta = (a in x and b not in x) - (b in x and a not in x)
+                        assert out_degree(h, o2, x) == out_d + delta, (e, a, b, x)
+                        assert in_degree(h, o2, x) == in_d - delta, (e, a, b, x)
+
+        check()
+
+
 class TestTrim:
     def test_single_arc(self):
         h = hypergraph(3, [(0, 1, 2)])

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no command line
 option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 ``separator.py`` binds the flow or the network builder to a name of its own,
-and every flow under ``src/`` names the orientation it runs on.
+every flow under ``src/`` names the orientation it runs on, and the
+verifier names none of the solver's repair code.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
 Package ``__init__.py`` files are skipped by the import scan: their imports
@@ -12,6 +13,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from hyperorient import augment
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -171,3 +174,34 @@ def test_the_flow_scan_sees_bare_calls():
         "separator.max_flow_min_cut(g, s, t, limit=1, residual=list(res))\n"
     )
     assert list(flows_without_residual(tree)) == [1, 2]
+
+
+REPAIR_CODE = (
+    "IncrementalConnectivity",
+    "compute_families",
+    "admissible_path_in_tminus",
+    "admissible_path_in_tplus",
+)
+
+
+def repair_names(code):
+    """The names in ``REPAIR_CODE`` that a function's code object reads, as
+    globals or attributes, with those of the code nested in it (its
+    generator expressions).  The verifier must share none of them, so a bug
+    in the step check, the families or the path search cannot also fool
+    it."""
+    names = set(code.co_names) & set(REPAIR_CODE)
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names.update(repair_names(const))
+    return sorted(names)
+
+
+def test_the_verifier_shares_no_repair_code():
+    assert repair_names(augment.verify_trace.__code__) == []
+
+
+def test_the_repair_scan_sees_the_solver():
+    assert repair_names(augment.augment_one.__code__) == sorted(REPAIR_CODE)
+    nested = compile("def f(xs):\n    return any(compute_families(x) for x in xs)\n", "<scan>", "exec")
+    assert repair_names(nested) == ["compute_families"]
