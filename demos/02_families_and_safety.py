@@ -76,6 +76,9 @@ print()
 print("one level down the search is always available:")
 o_low = ho.gen_orientation(h, mode="min-head")
 fam_low = ho.compute_families(h, o_low)
+for side, name, members in (("out", "source", fam_low.m_minus), ("in", "sink", fam_low.m_plus)):
+    for x in members:
+        print(f"  smallest safe {name} of {sorted(x)}: {ho.find_safe_endpoint(h, o_low, fam_low, x, side)}")
 region = fam_low.r_family[0]
 branch_in = region.is_full or ho.is_in_tight(h, o_low, fam_low.k, region)
 search = ho.admissible_path_in_tminus if branch_in else ho.admissible_path_in_tplus

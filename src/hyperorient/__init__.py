@@ -67,8 +67,7 @@ from .core import (
 from .families import (
     CutFamilies,
     compute_families,
-    find_safe_sink,
-    find_safe_source,
+    find_safe_endpoint,
     is_in_dangerous,
     is_in_tight,
     is_out_dangerous,
@@ -154,8 +153,7 @@ __all__ = [
     "crossing",
     "crossing_edges",
     "degree",
-    "find_safe_sink",
-    "find_safe_source",
+    "find_safe_endpoint",
     "format_hypergraph",
     "format_orientation",
     "format_trace",

@@ -34,9 +34,11 @@ A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
 out-tight set containing ``u`` strictly contains ``S``, and every dangerous
 out-set ``X`` containing ``u`` with ``S - X`` nonempty has an out-tight
 subset avoiding ``u``.  Reorienting a path leaving a safe source cannot push
-any out-degree below ``k``.  Safe sinks mirror this with in-degrees.  Each
-test asks one capped :func:`~hyperorient.separator.min_separator` query per
-other vertex of ``S``, on the test's side.
+any out-degree below ``k``.  Safe sinks mirror this with in-degrees.  The
+tight half is one subset test against ``q_plus[u]`` (``q_minus[u]`` for a
+sink); only the dangerous half asks one capped
+:func:`~hyperorient.separator.min_separator` query per other vertex of
+``S``, on the test's side.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .core import (
     Orientation,
     PreconditionError,
     VertexSet,
-    canonical_sorted,
     in_degree,
     minimal_members,
     out_degree,
@@ -71,13 +72,6 @@ class CutFamilies:
     r_family: tuple[VertexSet, ...]
     q_minus: tuple[VertexSet, ...]
     q_plus: tuple[VertexSet, ...]
-
-    @property
-    def trivial(self) -> bool:
-        """True when both minimal families are ``{V}``: every set avoiding
-        the root has in- and out-degree at least ``k + 1``."""
-        full = VertexSet.full(self.q_minus[0].n)
-        return self.m_minus == (full,) and self.m_plus == (full,)
 
 
 def is_in_tight(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
@@ -112,19 +106,17 @@ def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
 
 
 def compute_families(
-    h: Hypergraph, o: Orientation, level: int | None = None, *, check: IncrementalConnectivity | None = None
+    h: Hypergraph, o: Orientation, *, check: IncrementalConnectivity | None = None
 ) -> CutFamilies:
-    """All cut families at level ``k`` (the exact connectivity by default).
+    """All cut families at level ``k``, the exact connectivity.
 
     The per-vertex minimal tight sets and the ``r_family`` candidates are
     residual reaches of the root-pair flows that ``check`` keeps (see
     :meth:`~hyperorient.separator.IncrementalConnectivity.minimal_tight`).
-    Without a ``check``, one is built at cap ``k + 1``.  A negative
-    ``level`` raises :class:`PreconditionError`.  A ``check`` must be
+    Without a ``check``, one is built at cap ``k + 1``.  A ``check`` must be
     for ``o``, with a cap above ``k`` (else :class:`PreconditionError`).
     The connectivity is recomputed from scratch, and a ``check`` whose value
-    is not that value capped at its cap raises :class:`InvariantViolation`
-    naming the level.
+    is not that value raises :class:`InvariantViolation` naming the level.
 
     Minimal tight families come from the per-vertex minimal tight sets.  The
     ``r_family`` members are found as minimal tight supersets of the
@@ -133,21 +125,13 @@ def compute_families(
     defining property, and every defining-property set contains one of
     them, so taking inclusion-minimal candidates gives exactly the family.
     """
-    if level is not None and level < 0:
-        raise PreconditionError(f"level {level} is negative")
-    lam = hyperarc_connectivity(h, o)
-    if level is None:
-        k = lam
-    else:
-        if level > lam:
-            raise PreconditionError(f"orientation has connectivity {lam}, below level {level}")
-        k = level
+    k = hyperarc_connectivity(h, o)
     if check is None:
         check = IncrementalConnectivity(h, o, cap=k + 1)
     elif check.heads != list(o.heads) or check.hypergraph != h or check.cap <= k:
         raise PreconditionError(f"level {k} needs kept flows for this orientation, capped above {k}")
-    if check.value != min(lam, check.cap):
-        raise InvariantViolation(f"level {k}: kept flows give {check.value} at cap {check.cap}, connectivity {lam}")
+    if check.value != k:
+        raise InvariantViolation(f"level {k}: kept flows give {check.value} at cap {check.cap}, connectivity {k}")
     n = h.n
     full = VertexSet.full(n)
     qm = [check.minimal_tight(VertexSet.singleton(n, v), "in", k) or full for v in range(n)]
@@ -167,8 +151,8 @@ def compute_families(
     fam = CutFamilies(
         k=k,
         r=ROOT,
-        m_minus=canonical_sorted(m_minus),
-        m_plus=canonical_sorted(m_plus),
+        m_minus=m_minus,
+        m_plus=m_plus,
         m_all=m_all,
         r_family=r_family,
         q_minus=tuple(qm),
@@ -190,27 +174,38 @@ def _safe_endpoint(
 ) -> bool:
     """Shared safe-source (``side='out'``) / safe-sink (``side='in'``) test.
 
-    ``u`` is unsafe exactly when the member set itself is tight on the
-    opposite side, or some ``v`` in the member set yields a minimal
-    minimum-degree separator around ``u`` (avoiding ``v`` and the root) that
-    is tight, or dangerous without a tight subset avoiding ``u``.
+    The tight half is ``member_set < q[u]``, with ``q`` the q sets of the
+    test's side.  Two tight sets holding ``u`` meet in ``u``, and their
+    union avoids the root, so its degree is at least the connectivity
+    ``k``; by submodularity their intersection has degree at most ``k``,
+    so it is tight too.  The tight sets holding ``u`` are thus closed under
+    intersection, and ``q[u]`` (the least of them, or the full set when
+    there is none) lies in each.  So every one strictly contains the member
+    set exactly when ``q[u]`` does.
+
+    For the dangerous half each other ``v`` of the member set gives the
+    minimal minimum-degree separator around ``u`` avoiding ``v`` and the
+    root.  Once the tight half holds, no tight set holds ``u`` and misses
+    ``v``, so a value of ``k`` or less raises :class:`InvariantViolation`;
+    at ``k + 1`` the separator is dangerous, and ``u`` is unsafe unless it
+    has a tight subset avoiding ``u``.
     """
-    k = fam.k
-    full = VertexSet.full(h.n)
-    if member_set == full:
+    if member_set.is_full:
         return u == fam.r
-    tight = is_out_tight if side == "out" else is_in_tight
-    if tight(h, o, k, member_set, fam.r):
-        return False
     q_sets = fam.q_plus if side == "out" else fam.q_minus
+    if not member_set < q_sets[u]:
+        return False
     for v in member_set:
         if v == u:
             continue
         avoid = VertexSet(h.n, (v, fam.r))
-        value, sep = min_separator(h, o, VertexSet.singleton(h.n, u), avoid, side, limit=k + 2)
-        if value == k:
-            return False
-        if value == k + 1 and sep is not None:
+        value, sep = min_separator(h, o, VertexSet.singleton(h.n, u), avoid, side, limit=fam.k + 2)
+        if value <= fam.k:
+            raise InvariantViolation(
+                f"a set around {u} avoiding {v} has {side}-degree {value}, "
+                f"but the minimal tight set {q_sets[u]} of {u} holds {v}"
+            )
+        if value == fam.k + 1:
             inner = sep.remove(u)
             if not any(not q_sets[w].is_full and q_sets[w] <= inner for w in inner):
                 return False
@@ -239,22 +234,18 @@ def is_safe_sink(
     return _safe_endpoint(h, o, fam, t_set, u, "in")
 
 
-def find_safe_source(h: Hypergraph, o: Orientation, fam: CutFamilies, s_set: VertexSet) -> int:
-    """Smallest safe source of ``s_set``; a safe source always exists when
-    the instance has the required partition-connectivity."""
-    for u in s_set:
-        if is_safe_source(h, o, fam, s_set, u):
+def find_safe_endpoint(
+    h: Hypergraph, o: Orientation, fam: CutFamilies, member_set: VertexSet, side: str
+) -> int:
+    """Smallest safe source (``side='out'``, ``member_set`` in ``m_minus``)
+    or safe sink (``side='in'``, in ``m_plus``); one always exists when the
+    instance has the required partition-connectivity."""
+    if side not in ("out", "in"):
+        raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
+    is_safe, name = (is_safe_source, "source") if side == "out" else (is_safe_sink, "sink")
+    for u in member_set:
+        if is_safe(h, o, fam, member_set, u):
             return u
     raise InvariantViolation(
-        f"no safe source in {s_set}: instance is not sufficiently partition-connected, or bug"
-    )
-
-
-def find_safe_sink(h: Hypergraph, o: Orientation, fam: CutFamilies, t_set: VertexSet) -> int:
-    """Smallest safe sink of ``t_set``; mirror of :func:`find_safe_source`."""
-    for u in t_set:
-        if is_safe_sink(h, o, fam, t_set, u):
-            return u
-    raise InvariantViolation(
-        f"no safe sink in {t_set}: instance is not sufficiently partition-connected, or bug"
+        f"no safe {name} in {member_set}: instance is not sufficiently partition-connected, or bug"
     )

@@ -22,15 +22,14 @@ from .core import (
     minimal_members,
     out_degree,
 )
-from .families import CutFamilies
+from .families import ROOT, CutFamilies
 
 BF_MAX_N = 12
 BF_PARTITION_MAX_N = 8
 BF_ORIENTATIONS_MAX = 1_000_000
 
 
-def _guard_n(h: Hypergraph, max_n: Optional[int]) -> None:
-    bound = BF_MAX_N if max_n is None else max_n
+def _guard_n(h: Hypergraph, bound: int = BF_MAX_N) -> None:
     if h.n > bound:
         raise PreconditionError(f"brute force refused: n={h.n} exceeds bound {bound}")
 
@@ -39,27 +38,28 @@ def _proper_masks(n: int) -> range:
     return range(1, (1 << n) - 1)
 
 
-def bf_lambda(h: Hypergraph, o: Orientation, max_n: Optional[int] = None) -> int:
+def bf_lambda(h: Hypergraph, o: Orientation) -> int:
     """Hyperarc-connectivity by minimizing out-degree over all 2^n - 2
     nonempty proper vertex sets."""
-    _guard_n(h, max_n)
+    _guard_n(h)
     return min(out_degree(h, o, VertexSet.from_mask(h.n, m)) for m in _proper_masks(h.n))
 
 
 def bf_tight_families(
-    h: Hypergraph, o: Orientation, k: int, r: int = 0
+    h: Hypergraph, o: Orientation, k: int
 ) -> tuple[tuple[VertexSet, ...], tuple[VertexSet, ...], tuple[VertexSet, ...], tuple[VertexSet, ...]]:
-    """``(t_minus, t_plus, d_minus, d_plus)`` by subset enumeration.
+    """``(t_minus, t_plus, d_minus, d_plus)`` at level ``k``, root 0, by
+    subset enumeration.
 
     The tight families include the full vertex set; the dangerous families
     (degree exactly ``k + 1``) do not.
     """
-    _guard_n(h, None)
+    _guard_n(h)
     n = h.n
     full = VertexSet.full(n)
     t_minus, t_plus, d_minus, d_plus = [full], [full], [], []
     for mask in _proper_masks(n):
-        if mask >> r & 1:
+        if mask >> ROOT & 1:
             continue
         x = VertexSet.from_mask(n, mask)
         din = in_degree(h, o, x)
@@ -81,25 +81,13 @@ def bf_tight_families(
     )
 
 
-def bf_families(
-    h: Hypergraph,
-    o: Orientation,
-    r: int = 0,
-    level: Optional[int] = None,
-    max_n: Optional[int] = None,
-) -> CutFamilies:
-    """All cut families by literal enumeration of the tight families."""
-    _guard_n(h, max_n)
-    lam = bf_lambda(h, o, max_n=max_n)
-    if level is None:
-        k = lam
-    else:
-        if level > lam:
-            raise PreconditionError(f"orientation has connectivity {lam}, below level {level}")
-        k = level
+def bf_families(h: Hypergraph, o: Orientation) -> CutFamilies:
+    """All cut families at the connectivity, root 0, by literal enumeration
+    of the tight families."""
+    k = bf_lambda(h, o)
     n = h.n
     full = VertexSet.full(n)
-    t_minus, t_plus, _, _ = bf_tight_families(h, o, k, r)
+    t_minus, t_plus, _, _ = bf_tight_families(h, o, k)
 
     m_minus = minimal_members(t_minus)
     m_plus = minimal_members(t_plus)
@@ -124,7 +112,7 @@ def bf_families(
 
     return CutFamilies(
         k=k,
-        r=r,
+        r=ROOT,
         m_minus=m_minus if m_minus else (full,),
         m_plus=m_plus if m_plus else (full,),
         m_all=m_all,
@@ -140,7 +128,6 @@ def bf_min_separator(
     s: int,
     sinks: VertexSet,
     side: str,
-    max_n: Optional[int] = None,
 ) -> tuple[int, tuple[VertexSet, ...], VertexSet]:
     """``(value, all minimizers, minimal minimizer)`` by subset enumeration.
 
@@ -148,7 +135,7 @@ def bf_min_separator(
     intersection is itself a minimizer (a submodularity consequence) is
     checked on every call.
     """
-    _guard_n(h, max_n)
+    _guard_n(h)
     if side not in ("out", "in"):
         raise PreconditionError("side must be 'out' or 'in'")
     if not 0 <= s < h.n:
@@ -198,16 +185,14 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     yield from rec(1, 0)
 
 
-def bf_partition_connected(
-    h: Hypergraph, k: int, max_n: Optional[int] = None
-) -> tuple[bool, Optional[Partition]]:
+def bf_partition_connected(h: Hypergraph, k: int) -> tuple[bool, Optional[Partition]]:
     """Whether every partition into at least two classes is crossed by at
     least ``k`` times its class count many hyperedges.
 
     Returns the first violating partition as a witness.  The trivial
     one-class partition is excluded: no hyperedge can cross it.
     """
-    _guard_n(h, BF_PARTITION_MAX_N if max_n is None else max_n)
+    _guard_n(h, BF_PARTITION_MAX_N)
     if k < 0:
         raise PreconditionError("k must be non-negative")
     if k == 0:
@@ -218,9 +203,7 @@ def bf_partition_connected(
     return True, None
 
 
-def bf_orientation_exists(
-    h: Hypergraph, k: int, max_orientations: Optional[int] = None
-) -> tuple[bool, Optional[Orientation]]:
+def bf_orientation_exists(h: Hypergraph, k: int) -> tuple[bool, Optional[Orientation]]:
     """Whether some orientation has connectivity at least ``k``, by
     exhaustive head assignment with pruning.
 
@@ -228,12 +211,11 @@ def bf_orientation_exists(
     some vertex set can no longer collect ``k`` out-arcs even if every
     remaining crossing edge donates one.
     """
-    bound = BF_ORIENTATIONS_MAX if max_orientations is None else max_orientations
     total = 1
     for e in h.edges:
         total *= len(e)
-        if total > bound:
-            raise PreconditionError(f"brute force refused: orientation count exceeds {bound}")
+        if total > BF_ORIENTATIONS_MAX:
+            raise PreconditionError(f"brute force refused: orientation count exceeds {BF_ORIENTATIONS_MAX}")
     if k < 0:
         raise PreconditionError("k must be non-negative")
     min_heads = tuple(min(e) for e in h.edges)
@@ -290,7 +272,7 @@ def _bf_safe(
 ) -> bool:
     """Literal safe-endpoint definition, quantified over every subset of the
     root's complement."""
-    _guard_n(h, None)
+    _guard_n(h)
     k, r = fam.k, fam.r
     full = VertexSet.full(h.n)
     if member_set == full:

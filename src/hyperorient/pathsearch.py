@@ -39,7 +39,7 @@ from .core import (
     PreconditionError,
     VertexSet,
 )
-from .families import CutFamilies, find_safe_sink, find_safe_source, is_in_tight, is_out_tight
+from .families import CutFamilies, find_safe_endpoint, is_in_tight, is_out_tight
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def _search(
     h: Hypergraph, o: Orientation, fam: CutFamilies, region: VertexSet, forward: bool
 ) -> AdmissiblePath:
     """The search behind both public functions; ``forward`` picks the
-    direction, the families, the safe-endpoint finders and the messages."""
+    direction, the families, the sides of the safe endpoints (``other`` for
+    the start, ``sign`` for the end) and the messages."""
     sign, other = ("in", "out") if forward else ("out", "in")
     if region not in fam.r_family:
         raise PreconditionError("region is not a member of r_family")
@@ -101,13 +102,10 @@ def _search(
     if not tight(h, o, fam.k, region, fam.r):
         raise PreconditionError(f"region is not {sign}-tight")
     starts, ends = (fam.m_minus, fam.m_plus) if forward else (fam.m_plus, fam.m_minus)
-    find_start, find_end = (
-        (find_safe_source, find_safe_sink) if forward else (find_safe_sink, find_safe_source)
-    )
     start_set = next((x for x in starts if x <= region), None)
     if start_set is None:
         raise InvariantViolation(f"no minimal member inside region {region}")
-    start = find_start(h, o, fam, start_set)
+    start = find_safe_endpoint(h, o, fam, start_set, other)
 
     shrink = fam.q_plus if forward else fam.q_minus
     _, window, links = _explore(o, start, region.mask, forward, shrink)
@@ -119,7 +117,7 @@ def _search(
         )
     if not region.is_full and end_set == region:
         raise InvariantViolation("final window equals the region")
-    end = find_end(h, o, fam, end_set)
+    end = find_safe_endpoint(h, o, fam, end_set, sign)
     if end == start:
         raise InvariantViolation("safe source and safe sink coincide")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hyperorient import (
@@ -83,7 +85,7 @@ class TestAugmentOne:
         o1, _ = augment_one(h, o)  # connectivity 1
         real = augment_module.compute_families
         monkeypatch.setattr(
-            augment_module, "compute_families", lambda h, o, level=None, **kwargs: real(h, o, level=0)
+            augment_module, "compute_families", lambda h, o, **kwargs: replace(real(h, o, **kwargs), k=0)
         )
         with pytest.raises(InvariantViolation, match="level 1, iteration 1: families at 0"):
             augment_one(h, o1)
@@ -145,8 +147,9 @@ class TestAugmentTo:
 
     def test_guard_names_level_iteration_and_region(self):
         """A guard that fires in the path loop says where: here the wrapped
-        search finds no safe sink, on an infeasible target that every
-        vertex's degree allows, so no certificate is at hand."""
+        search's ``find_safe_endpoint`` finds no safe sink, on an infeasible
+        target that every vertex's degree allows, so no certificate is at
+        hand."""
         h = gen_instance(GenSpec(n=6, k=1, extra_edges=5, max_edge_size=4, seed=119))
         o = gen_orientation(h, mode="min-head")
         with pytest.raises(NotPartitionConnectedError) as info:
@@ -162,8 +165,8 @@ class TestAugmentTo:
         first = []
         real = augment_module.compute_families
 
-        def stuck(h, o, level=None, **kwargs):  # the first families, over and over
-            first.append(real(h, o, level, **kwargs))
+        def stuck(h, o, **kwargs):  # the first families, over and over
+            first.append(real(h, o, **kwargs))
             return first[0]
 
         monkeypatch.setattr(augment_module, "compute_families", stuck)

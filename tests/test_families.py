@@ -1,10 +1,13 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
 from hyperorient import (
     GenSpec,
     InvariantViolation,
+    NotPartitionConnectedError,
     Orientation,
     PreconditionError,
     VertexSet,
@@ -17,8 +20,7 @@ from hyperorient import (
     augment_to,
     compute_families,
     crossing,
-    find_safe_sink,
-    find_safe_source,
+    find_safe_endpoint,
     gen_instance,
     gen_orientation,
     hyperarc_connectivity,
@@ -34,7 +36,9 @@ from hyperorient import (
     min_separator,
     out_degree,
     reorient,
+    separator,
 )
+from hyperorient import augment as augment_module
 from hyperorient.separator import IncrementalConnectivity
 from corpus import random_instances, vs
 
@@ -51,13 +55,13 @@ def families_tuple(fam):
 class TestQSets:
     def test_root_maps_to_full(self):
         h, o = three_cycle()
-        fam = compute_families(h, o, level=1)
+        fam = compute_families(h, o)
         assert fam.q_minus[0] == VertexSet.full(3)
         assert fam.q_plus[0] == VertexSet.full(3)
 
     def test_three_cycle_singletons(self):
         h, o = three_cycle()
-        fam = compute_families(h, o, level=1)
+        fam = compute_families(h, o)
         assert fam.q_minus[1] == vs(3, [1])
         assert fam.q_plus[1] == vs(3, [1])
 
@@ -66,22 +70,10 @@ class TestQSets:
         h = hypergraph(3, [(0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
         o = Orientation(h, (1, 2, 2, 0, 0))
         assert hyperarc_connectivity(h, o) == 1
-        fam = compute_families(h, o, level=1)
+        fam = compute_families(h, o)
         assert fam.q_plus[1] == VertexSet.full(3)
         assert fam.q_plus[2] == VertexSet.full(3)
         assert fam.q_minus[2] == vs(3, [1, 2])
-
-    def test_level_above_connectivity_rejected(self):
-        # connectivity 1, and {1} avoids the root with out-degree exactly 3
-        h = hypergraph(3, [(0, 1), (1, 2), (0, 2), (1, 2), (1, 2)])
-        o = Orientation(h, (1, 2, 0, 2, 2))
-        assert hyperarc_connectivity(h, o) == 1 and out_degree(h, o, vs(3, [1])) == 3
-        for level in (2, 3):
-            with pytest.raises(PreconditionError, match=f"below level {level}"):
-                compute_families(h, o, level=level)
-            check = IncrementalConnectivity(h, o, cap=level + 1)
-            with pytest.raises(PreconditionError, match=f"below level {level}"):
-                compute_families(h, o, level=level, check=check)
 
     def test_contained_in_every_tight_superset(self):
         for h, o in random_instances(314, 40, n_max=6, m_max=6):
@@ -106,26 +98,6 @@ class TestComputeFamilies:
         assert fam.m_plus == expected
         assert fam.m_all == expected
         assert fam.r_family == expected
-        assert not fam.trivial
-
-    def test_below_connectivity_families_trivial(self):
-        h = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
-        o = Orientation(h, (1, 0, 2, 1, 0, 2))
-        fam = compute_families(h, o, level=1)
-        assert fam.trivial and fam.r_family == (VertexSet.full(3),)
-
-    def test_level_above_connectivity_rejected(self):
-        h, o = three_cycle()
-        with pytest.raises(PreconditionError):
-            compute_families(h, o, level=2)
-
-    @pytest.mark.parametrize("level", [-1, -5])
-    def test_negative_level_rejected(self, level):
-        h, o = three_cycle()
-        with pytest.raises(PreconditionError, match=f"level {level} is negative"):
-            compute_families(h, o, level=level)
-        with pytest.raises(PreconditionError, match=f"level {level} is negative"):
-            compute_families(h, o, level=level, check=IncrementalConnectivity(h, o, cap=1))
 
     def test_r_family_full_fallback(self):
         # arcs 1->2, 2->1, 1->0, 2->0: m_minus={{1,2}}, m_plus={V}, so the
@@ -141,6 +113,14 @@ class TestComputeFamilies:
     def test_matches_brute_force(self):
         for h, o in random_instances(271, 150, n_max=5, m_max=5):
             assert families_tuple(compute_families(h, o)) == families_tuple(bf_families(h, o))
+
+    def test_a_minimal_family_holds_a_proper_set(self):
+        """A set of out-degree the connectivity avoids the root, or its
+        complement does and has that in-degree: at the connectivity one of
+        ``m_minus`` / ``m_plus`` is never ``{V}``."""
+        for h, o in random_instances(99, 60, n_max=6, m_max=6):
+            fam = compute_families(h, o)
+            assert not (fam.m_minus[0].is_full and fam.m_plus[0].is_full)
 
     def test_families_are_subpartitions(self):
         for h, o in random_instances(99, 60, n_max=6, m_max=6):
@@ -200,11 +180,10 @@ class TestKeptFlows:
                 lam = hyperarc_connectivity(h, o)
                 if check.cap <= lam:  # the next level keeps the same flows
                     check.raise_cap(lam + 1)
-                level = rng.choice([None, None, max(lam - 1, 0)])
-                fam = compute_families(h, o, level, check=check)
+                fam = compute_families(h, o, check=check)
                 qm, qp, r_family = single_query_families(h, o, fam.k)
                 assert (fam.q_minus, fam.q_plus, fam.r_family) == (qm, qp, r_family), (seed, step)
-                assert families_tuple(fam) == families_tuple(compute_families(h, o, level))
+                assert families_tuple(fam) == families_tuple(compute_families(h, o))
                 for side, members in (("in", fam.m_plus), ("out", fam.m_minus)):
                     for x in members:
                         if not x.is_full:
@@ -243,9 +222,6 @@ class TestKeptFlows:
         for cap in (0, 1, 2):
             with pytest.raises(PreconditionError, match="capped above"):
                 compute_families(h, o, check=IncrementalConnectivity(h, o, cap=cap))
-        with pytest.raises(PreconditionError, match="capped above"):
-            compute_families(h, o, level=1, check=IncrementalConnectivity(h, o, cap=1))
-        assert compute_families(h, o, level=1, check=IncrementalConnectivity(h, o, cap=2)).trivial
 
     def test_corrupted_check_value_is_an_invariant_violation(self):
         h, o = three_cycle()
@@ -311,6 +287,25 @@ def feasible_instances(seed, count, **kwargs):
     return out
 
 
+def tight_half_failures(seed, count):
+    """``(h, o, fam, side, member, u)`` wherever a member of ``m_minus``
+    (``side='out'``) or ``m_plus`` (``side='in'``) with at least two vertices
+    is neither inside ``u``'s minimal tight set on that side nor tight on it
+    itself: a tight set holds ``u`` and misses a vertex of the member, and
+    no degree probe of the member shows it."""
+    for h, o in random_instances(seed, count, n_max=6, m_max=7):
+        fam = compute_families(h, o)
+        for side, members, q_sets, tight in (
+            ("out", fam.m_minus, fam.q_plus, is_out_tight),
+            ("in", fam.m_plus, fam.q_minus, is_in_tight),
+        ):
+            for member in members:
+                for u in member:
+                    if len(member) < 2 or member <= q_sets[u] or tight(h, o, fam.k, member):
+                        continue
+                    yield h, o, fam, side, member, u
+
+
 class TestSafeEndpoints:
     def test_matches_brute_force_everywhere(self):
         for h, o in random_instances(31337, 120, n_max=5, m_max=6):
@@ -339,8 +334,78 @@ class TestSafeEndpoints:
         h, o = three_cycle()
         fam = compute_families(h, o)
         assert not is_safe_source(h, o, fam, vs(3, [1]), 1)
-        with pytest.raises(InvariantViolation):
-            find_safe_source(h, o, fam, vs(3, [1]))
+        with pytest.raises(InvariantViolation, match=r"no safe source in VertexSet\(n=3, \{1\}\)"):
+            find_safe_endpoint(h, o, fam, vs(3, [1]), "out")
+
+    def test_tight_half_is_read_from_the_q_sets(self, monkeypatch):
+        """The tight set that holds ``u`` and misses part of the member is
+        ``q[u]`` itself, so the test rejects ``u`` without a flow."""
+        flows = []
+        real = separator.max_flow_min_cut
+
+        def counted(*args, **kwargs):
+            flows.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", counted)
+        seen = 0
+        for h, o, fam, side, member, u in tight_half_failures(5, 60):
+            is_safe = is_safe_source if side == "out" else is_safe_sink
+            flows.clear()
+            assert not is_safe(h, o, fam, member, u)
+            assert flows == [], (side, member, u)
+            seen += 1
+        assert seen >= 2
+
+    def test_flows_cross_check_the_q_sets(self):
+        """A q set widened to the full set passes the tight half, and the flow
+        around ``u`` avoiding ``v`` then finds the tight set it hid."""
+        seen = 0
+        for h, o, fam, side, member, u in tight_half_failures(5, 60):
+            if len(member) != 2:
+                continue
+            (v,) = member.remove(u)
+            name = "q_plus" if side == "out" else "q_minus"
+            q_sets = list(getattr(fam, name))
+            q_sets[u] = VertexSet.full(h.n)
+            widened = replace(fam, **{name: tuple(q_sets)})
+            is_safe = is_safe_source if side == "out" else is_safe_sink
+            message = (
+                f"around {u} avoiding {v} has {side}-degree {fam.k}, "
+                f"but the minimal tight set {re.escape(str(q_sets[u]))} of {u} holds {v}"
+            )
+            with pytest.raises(InvariantViolation, match=message):
+                is_safe(h, o, widened, member, u)
+            seen += 1
+        assert seen >= 2
+
+    def test_find_rejects_an_unknown_side(self):
+        h, o = three_cycle()
+        fam = compute_families(h, o)
+        with pytest.raises(PreconditionError, match="side must be 'out' or 'in', not 'up'"):
+            find_safe_endpoint(h, o, fam, vs(3, [1]), "up")
+
+    def test_no_safe_sink_names_the_member(self, monkeypatch):
+        """On an infeasible target that every vertex's degree allows, the
+        search at level 1, iteration 5 finds no safe sink in ``{4, 5}``."""
+        h = gen_instance(GenSpec(n=6, k=1, extra_edges=5, max_edge_size=4, seed=119))
+        last = []
+        real = augment_module.compute_families
+
+        def recorded(h, o, **kwargs):
+            last[:] = [o, real(h, o, **kwargs)]
+            return last[1]
+
+        monkeypatch.setattr(augment_module, "compute_families", recorded)
+        with pytest.raises(NotPartitionConnectedError):
+            augment_to(h, gen_orientation(h, mode="min-head"), 2)
+        o, fam = last
+        with pytest.raises(InvariantViolation) as info:
+            find_safe_endpoint(h, o, fam, vs(6, [4, 5]), "in")
+        assert str(info.value) == (
+            "no safe sink in VertexSet(n=6, {4, 5}): "
+            "instance is not sufficiently partition-connected, or bug"
+        )
 
     def test_requires_family_membership(self):
         h, o = three_cycle()
@@ -352,10 +417,10 @@ class TestSafeEndpoints:
         for h, o, k in feasible_instances(5551, 80, n_max=6, m_max=7):
             fam = compute_families(h, o)
             for s_set in fam.m_minus:
-                u = find_safe_source(h, o, fam, s_set)
+                u = find_safe_endpoint(h, o, fam, s_set, "out")
                 assert u == min(w for w in s_set if bf_safe_source(h, o, fam, s_set, w))
             for t_set in fam.m_plus:
-                u = find_safe_sink(h, o, fam, t_set)
+                u = find_safe_endpoint(h, o, fam, t_set, "in")
                 assert u == min(w for w in t_set if bf_safe_sink(h, o, fam, t_set, w))
 
 
@@ -396,13 +461,13 @@ class TestStructuralLemmas:
                 if is_in_tight(h, o, k, region):
                     for t_set in fam.m_plus:
                         if t_set <= region and not t_set.is_full:
-                            t = find_safe_sink(h, o, fam, t_set)
+                            t = find_safe_endpoint(h, o, fam, t_set, "in")
                             assert fam.q_minus[t] == region
                             hits_in += 1
                 if is_out_tight(h, o, k, region):
                     for s_set in fam.m_minus:
                         if s_set <= region and not s_set.is_full:
-                            s = find_safe_source(h, o, fam, s_set)
+                            s = find_safe_endpoint(h, o, fam, s_set, "out")
                             assert fam.q_plus[s] == region
                             hits_out += 1
         assert hits_in >= 3 and hits_out >= 3
@@ -416,8 +481,8 @@ class TestStructuralLemmas:
                 t_sets = [x for x in fam.m_plus if x <= region]
                 if not s_sets or not t_sets:
                     continue
-                s = find_safe_source(h, o, fam, s_sets[0])
-                t = find_safe_sink(h, o, fam, t_sets[0])
+                s = find_safe_endpoint(h, o, fam, s_sets[0], "out")
+                t = find_safe_endpoint(h, o, fam, t_sets[0], "in")
                 if s == t:
                     continue
                 for mask in range(1, (1 << h.n) - 1):

@@ -1,8 +1,10 @@
 """Source hygiene: no module imports a name it never uses, no command line
 option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 ``separator.py`` binds the flow or the network builder to a name of its own,
-every flow under ``src/`` names the orientation it runs on, and the
-verifier names none of the solver's repair code.
+every flow under ``src/`` names the orientation it runs on, the
+verifier names none of the solver's repair code, and the package's
+``__all__`` is sorted, free of duplicates and exactly what its
+``__init__.py`` imports.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
 Package ``__init__.py`` files are skipped by the import scan: their imports
@@ -205,3 +207,44 @@ def test_the_repair_scan_sees_the_solver():
     assert repair_names(augment.augment_one.__code__) == sorted(REPAIR_CODE)
     nested = compile("def f(xs):\n    return any(compute_families(x) for x in xs)\n", "<scan>", "exec")
     assert repair_names(nested) == ["compute_families"]
+
+
+def export_problems(tree):
+    """What is wrong with a package ``__init__``'s ``__all__``: out of
+    order, a name listed twice, an imported name not listed, or a listed
+    name not imported.  A renamed export must change both places."""
+    exported = next(
+        [c.value for c in node.value.elts]
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    imported = {name for name, _ in imported_names(tree)}
+    problems = []
+    if exported != sorted(exported):
+        problems.append("not sorted")
+    problems += [f"listed twice: {name}" for name in sorted({n for n in exported if exported.count(n) > 1})]
+    problems += [f"imported, not listed: {name}" for name in sorted(imported - set(exported))]
+    problems += [f"listed, not imported: {name}" for name in sorted(set(exported) - imported)]
+    return problems
+
+
+def test_the_package_exports_what_it_imports():
+    init = ROOT / "src" / "hyperorient" / "__init__.py"
+    assert export_problems(ast.parse(init.read_text(encoding="utf-8"))) == []
+
+
+def test_the_export_scan_sees_each_fault():
+    tree = ast.parse(
+        "from .a import alpha, beta, gamma\n"
+        "from .b import Delta\n"
+        "__version__ = '1'\n"
+        "__all__ = ['Delta', 'beta', 'alpha', 'beta', 'omega']\n"
+    )
+    assert export_problems(tree) == [
+        "not sorted",
+        "listed twice: beta",
+        "imported, not listed: gamma",
+        "listed, not imported: omega",
+    ]
+    assert export_problems(ast.parse("from .a import b, a\n__all__ = ['a', 'b']\n")) == []

@@ -42,7 +42,6 @@ class TestBfLambda:
         o = Orientation(h, tuple(i + 1 for i in range(12)))
         with pytest.raises(PreconditionError):
             bf_lambda(h, o)
-        assert bf_lambda(h, o, max_n=13) == 0
 
 
 class TestPartitions:
@@ -120,19 +119,6 @@ class TestBfFamilies:
         assert fam.m_plus == expected
         assert fam.m_all == expected
         assert fam.r_family == expected
-
-    def test_below_connectivity_families_are_trivial(self):
-        h = doubled_triangle()
-        o = Orientation(h, (1, 0, 2, 1, 0, 2))
-        assert bf_lambda(h, o) == 2
-        fam = bf_families(h, o, level=1)
-        full = (VertexSet.full(3),)
-        assert fam.m_minus == full and fam.m_plus == full and fam.r_family == full
-
-    def test_level_above_connectivity_rejected(self):
-        h, o = three_cycle()
-        with pytest.raises(PreconditionError):
-            bf_families(h, o, level=2)
 
 
 class TestBfSafe:

@@ -114,8 +114,6 @@ class TestPostconditions:
         ran_in = ran_out = 0
         for h, o, k in feasible_instances(2468, 140):
             fam = compute_families(h, o)
-            if fam.trivial:
-                continue
             for region in fam.r_family:
                 if region.is_full or is_in_tight(h, o, k, region):
                     res = admissible_path_in_tminus(h, o, fam, region)
