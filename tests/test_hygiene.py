@@ -1,9 +1,10 @@
 """Source hygiene: no module imports a name it never uses, no command line
 option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 ``separator.py`` binds the flow or the network builder to a name of its own,
-every flow under ``src/`` names the orientation it runs on, the
-verifier names none of the solver's repair code, and the package's
-``__all__`` is sorted, free of duplicates and exactly what its
+every flow under ``src/`` names the orientation it runs on, every residual
+search under ``src/`` runs inside a flow (or is ``minimal_tight``'s one
+search), the verifier names none of the solver's repair code, and the
+package's ``__all__`` is sorted, free of duplicates and exactly what its
 ``__init__.py`` imports.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
@@ -176,6 +177,73 @@ def test_the_flow_scan_sees_bare_calls():
         "separator.max_flow_min_cut(g, s, t, limit=1, residual=list(res))\n"
     )
     assert list(flows_without_residual(tree)) == [1, 2]
+
+
+SEARCH_CALLERS = ("max_flow_min_cut", "IncrementalConnectivity.minimal_tight")
+
+
+def stray_searches(tree, in_separator):
+    """``(line, caller)`` for each use of ``separator._search`` outside
+    ``SEARCH_CALLERS``: a bare call inside ``separator.py``
+    (``in_separator``), and anywhere else an import of it from a
+    ``separator`` module or a ``separator._search`` attribute.  Every
+    augmenting search must run inside a ``max_flow_min_cut`` call, so that a
+    patch of that global (perfbench's tracer, the counting tests) sees every
+    flow; ``minimal_tight`` runs one search and no flow."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "separator":
+            found.extend((node.lineno, scope) for alias in node.names if alias.name == "_search")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "_search"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "separator"
+        ) or (
+            in_separator
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_search"
+            and scope not in SEARCH_CALLERS
+        ):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_residual_search_is_behind_the_flow_global(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = stray_searches(tree, path.name == "separator.py")
+    assert not found, f"{path.relative_to(ROOT)} runs separator._search outside {SEARCH_CALLERS}: {found}"
+
+
+def test_the_search_scan_sees_stray_calls():
+    separator_like = ast.parse(
+        "def max_flow_min_cut(g):\n"
+        "    return _search(g)\n"
+        "class IncrementalConnectivity:\n"
+        "    def minimal_tight(self):\n"
+        "        return _search(self)\n"
+        "    def _augment(self):\n"
+        "        return _search(self)\n"
+        "def connectivity(g):\n"
+        "    return _search(g)\n"
+    )
+    assert stray_searches(separator_like, True) == [(7, "IncrementalConnectivity._augment"), (9, "connectivity")]
+    other = ast.parse(
+        "from .separator import _search as search\n"
+        "from . import separator\n"
+        "def f(g):\n"
+        "    return separator._search(g), _search(g)\n"
+    )
+    assert stray_searches(other, False) == [(1, ""), (4, "f")]
 
 
 REPAIR_CODE = (

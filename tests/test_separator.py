@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -84,6 +85,18 @@ class TestMaxFlow:
         for sources, sinks in ((None, [2]), ([0], 2.0)):
             with pytest.raises(PreconditionError, match="vertex collections"):
                 max_flow_min_cut(g, sources, sinks, residual=[1, 2])
+
+    def test_bool_and_non_int_terminals_rejected(self):
+        # a bool is not a vertex, though Python counts it as an int
+        h, o = three_cycle()
+        g = incidence_digraph(h)
+        bad = ((True, [2]), ([0], False), ([True], [2]), ([0.5], [2]), ([0], [1, 2.0]), (["0"], [2]))
+        for sources, sinks in bad:
+            with pytest.raises(PreconditionError):
+                max_flow_min_cut(g, sources, sinks, residual=list(o.heads))
+        # an int subclass other than bool is still a vertex
+        one = IntEnum("Vertex", "ONE")
+        assert flow_on(h, o.heads, [0], [one.ONE]) == flow_on(h, o.heads, [0], [1])
 
     def test_residual_resumes_and_is_updated_in_place(self):
         # 0 -> 1 twice, 0 -> 2, 1 -> 3, 2 -> 3 twice, 1 -> 2: max flow 3
