@@ -21,9 +21,12 @@ for e in range(h.m):
     print(f"  edge {e}: tails {sorted(tail)} -> head {head}")
 print()
 
-g = ho.incidence_digraph(h)
+# The max-flow kernel is internal: it trusts its callers to pass valid
+# heads and terminals, so it is reached here through its module.  The
+# public, checked entry is ho.min_separator, used below.
+g = ho.separator.network(h)
 heads = list(o.heads)
-value, reach = ho.max_flow_min_cut(g, 0, 3, residual=heads)
+value, reach = ho.separator.max_flow_min_cut(g, [0], [3], residual=heads)
 after = ho.Orientation(h, heads)
 print(f"max flow 0 -> 3: {value}; the orientation it leaves:")
 for e in range(h.m):

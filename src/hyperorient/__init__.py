@@ -8,7 +8,8 @@ such sequences and everything they rest on:
 * exact hypergraph/orientation primitives and degree functions (``core``),
 * minimum-degree separators and hyperarc-connectivity by max flow, each
   flow a list of heads whose augmenting hyperpaths it reverses
-  (``separator``),
+  (``separator``; its max-flow kernel is internal, and ``min_separator``
+  is the public flow entry that checks its inputs),
 * tight-set families, per-vertex minimal tight sets, and safe endpoint
   tests (``families``),
 * admissible hyperpath search (``pathsearch``),
@@ -92,13 +93,7 @@ from .pathsearch import (
     admissible_path_in_tplus,
     reachability_check,
 )
-from .separator import (
-    IncidenceDigraph,
-    hyperarc_connectivity,
-    incidence_digraph,
-    max_flow_min_cut,
-    min_separator,
-)
+from .separator import hyperarc_connectivity, min_separator
 from .toolkit import (
     GenSpec,
     ParseError,
@@ -120,7 +115,6 @@ __all__ = [
     "GenSpec",
     "Hypergraph",
     "Hyperpath",
-    "IncidenceDigraph",
     "InvalidReorientation",
     "InvariantViolation",
     "NotPartitionConnectedError",
@@ -162,7 +156,6 @@ __all__ = [
     "hyperarc_connectivity",
     "hypergraph",
     "in_degree",
-    "incidence_digraph",
     "is_in_dangerous",
     "is_in_tight",
     "is_out_dangerous",
@@ -170,7 +163,6 @@ __all__ = [
     "is_safe_sink",
     "is_safe_source",
     "iter_partitions",
-    "max_flow_min_cut",
     "min_separator",
     "minimal_members",
     "out_degree",

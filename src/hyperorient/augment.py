@@ -401,7 +401,7 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
                 raise InvariantViolation(f"step {i}: kept set {x} has out-degree {d}, tracked as {lam}")
         if (
             tight is not None
-            and separator.max_flow_min_cut(g, b, a, limit=lam, residual=list(cur.heads))[0] == lam
+            and separator.max_flow_min_cut(g, [b], [a], limit=lam, residual=list(cur.heads))[0] == lam
         ):
             lam_after = lam
         else:

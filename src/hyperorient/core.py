@@ -188,11 +188,13 @@ def canonical_sorted(sets: Iterable[VertexSet]) -> tuple[VertexSet, ...]:
 
 
 def minimal_members(sets: Iterable[VertexSet]) -> tuple[VertexSet, ...]:
-    """Inclusion-minimal members of a family, canonically sorted."""
-    pool = canonical_sorted(sets)
-    out = []
-    for s in pool:
-        if not any(t.mask != s.mask and t.mask & ~s.mask == 0 for t in pool):
+    """Inclusion-minimal members of a family over one ground set,
+    canonically sorted.  Canonical order puts every proper subset of a set
+    before it, and a set with a proper subset in the family also has a
+    minimal one, so each set is tested only against those already kept."""
+    out: list[VertexSet] = []
+    for s in canonical_sorted(sets):
+        if not any(t.mask & ~s.mask == 0 for t in out):
             out.append(s)
     return tuple(out)
 

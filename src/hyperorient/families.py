@@ -134,8 +134,8 @@ def compute_families(
         raise InvariantViolation(f"level {k}: kept flows give {check.value} at cap {check.cap}, connectivity {k}")
     n = h.n
     full = VertexSet.full(n)
-    qm = [check.minimal_tight(VertexSet.singleton(n, v), "in", k) or full for v in range(n)]
-    qp = [check.minimal_tight(VertexSet.singleton(n, v), "out", k) or full for v in range(n)]
+    qm = [check.minimal_tight(VertexSet.singleton(n, v), "in") or full for v in range(n)]
+    qp = [check.minimal_tight(VertexSet.singleton(n, v), "out") or full for v in range(n)]
 
     proper_m_minus = minimal_members(s for s in qm if not s.is_full)
     proper_m_plus = minimal_members(s for s in qp if not s.is_full)
@@ -143,8 +143,8 @@ def compute_families(
     m_plus = proper_m_plus if proper_m_plus else (full,)
     m_all = minimal_members(m_minus + m_plus)
 
-    candidates = [check.minimal_tight(t_set, "in", k) for t_set in proper_m_plus]
-    candidates += [check.minimal_tight(s_set, "out", k) for s_set in proper_m_minus]
+    candidates = [check.minimal_tight(t_set, "in") for t_set in proper_m_plus]
+    candidates += [check.minimal_tight(s_set, "out") for s_set in proper_m_minus]
     proper_r = minimal_members(c for c in candidates if c is not None)
     r_family = proper_r if proper_r else (full,)
 

@@ -25,7 +25,10 @@ are the package's hot loop, so the direction is picked once per search and
 each has its own loop: forward an edge labels only its head, backward all
 of its vertices.  Every flow still goes through the module global
 :func:`max_flow_min_cut`, so a patch of it (a tracer, a counting test) sees
-them all.
+them all.  That kernel is internal and checks nothing: its callers are
+in-package and pass valid heads.  :func:`min_separator`,
+:func:`connectivity` and :class:`IncrementalConnectivity` are the entries
+that check what they are given.
 
 The incidences depend only on the hypergraph, so it has one
 :class:`IncidenceDigraph`, kept for the last hypergraph seen
@@ -97,26 +100,6 @@ def network(h: Hypergraph) -> IncidenceDigraph:
     return memo[1]
 
 
-def _terminals(nodes: Iterable[int]) -> list[int]:
-    if type(nodes) is int:  # the common case: one vertex
-        return [nodes]
-    try:
-        return list(nodes)
-    except TypeError:
-        raise PreconditionError("sources and sinks must be vertex collections or single vertices") from None
-
-
-def _reject_vertex(v: object, n: int) -> None:
-    """Raise unless ``v`` is a vertex of ``range(n)``: the slow half of
-    :func:`max_flow_min_cut`'s check, for a terminal that is not an ``int``
-    in range.  A ``bool`` is not a vertex, though Python counts it as an
-    ``int``."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise PreconditionError(f"source or sink {v!r} is not a vertex")
-    if not 0 <= v < n:
-        raise PreconditionError("source or sink out of range")
-
-
 def _search(
     g: IncidenceDigraph, heads: list[int], roots: list[int], is_sink: list[bool], forward: bool
 ) -> tuple[list, list[int], int]:
@@ -169,31 +152,27 @@ def _search(
 
 def max_flow_min_cut(
     g: IncidenceDigraph,
-    sources: Iterable[int],
+    sources: list[int],
     sinks: Iterable[int],
     limit: Optional[int] = None,
     *,
     residual: list[int],
     forward: bool = True,
 ) -> tuple[int, Optional[frozenset[int]]]:
-    """Shortest-augmenting-path max flow from a vertex set to a disjoint
-    vertex set, with the minimal min-cut side.  A single vertex may stand
-    for a one-vertex set.  Every terminal must be an ``int`` in
-    ``range(g.n)``; a ``bool`` is not a vertex.
+    """Shortest-augmenting-path max flow from a list of vertices to a
+    disjoint collection of vertices, with the minimal min-cut side.
 
     ``residual`` is the orientation the flow starts from, one head per edge,
     and is updated in place: each augmenting hyperpath is reversed in it, so
-    afterwards it is the residual of the flow this call adds.  Each head
-    must lie in its edge, and that is not checked, only the length of
-    ``residual``.  A check costs O(m) per call: ``min`` and ``max`` over the
-    heads alone, which would catch only heads out of range, measured about
-    5 us per call at m = 87 (CPython 3.11, shared 2-core x86-64), and the
-    benchmark's ``augment-deep`` pass makes about 30,000 flows.  The
-    package's callers pass only copies of an
-    :class:`~hyperorient.core.Orientation`'s heads.  ``forward`` runs the
-    query on the hyperarcs as they are (an out-degree query); without it, on
-    the hyperarcs reversed (an in-degree query), where a reversed hyperarc
-    is turned to the vertex it was left by.
+    afterwards it is the residual of the flow this call adds.  ``forward``
+    runs the query on the hyperarcs as they are (an out-degree query);
+    without it, on the hyperarcs reversed (an in-degree query), where a
+    reversed hyperarc is turned to the vertex it was left by.
+
+    This kernel is internal and checks nothing: its callers are in-package
+    and pass valid heads, nonempty disjoint terminals and a non-negative
+    ``int`` limit.  :func:`min_separator` is the public entry, and checks
+    what it is given.
 
     Returns ``(value, vertices)`` where ``vertices`` is everything reachable
     from the sources in the final residual: the source side of the unique
@@ -207,28 +186,12 @@ def max_flow_min_cut(
     unit per path.  The round that reaches no sink has labelled exactly the
     residual-reachable side.
     """
-    n = g.n
-    roots, targets = _terminals(sources), _terminals(sinks)
-    if not roots or not targets:
-        raise PreconditionError("sources and sinks must be nonempty")
-    is_sink = [False] * n
-    for t in targets:  # one pass over the terminals: type, range, disjointness
-        if type(t) is not int or not 0 <= t < n:
-            _reject_vertex(t, n)
+    is_sink = [False] * g.n
+    for t in sinks:
         is_sink[t] = True
-    for s in roots:
-        if type(s) is not int or not 0 <= s < n:
-            _reject_vertex(s, n)
-        if is_sink[s]:
-            raise PreconditionError("sources and sinks must be disjoint")
-    if limit is not None and limit < 0:
-        raise PreconditionError(f"limit {limit} is negative")
-    if len(residual) != len(g.members):
-        raise PreconditionError("residual needs one head per edge")
-
     flow = 0
     while limit is None or flow < limit:
-        parent, labelled, hit = _search(g, residual, roots, is_sink, forward)
+        parent, labelled, hit = _search(g, residual, sources, is_sink, forward)
         if hit < 0:
             return flow, frozenset(labelled)
         v = hit
@@ -254,20 +217,39 @@ def min_separator(
 
     Returns ``(value, minimal minimizer)``; ``(limit, None)`` when the
     minimum is at least ``limit``.  An in-side query is the same flow run
-    backward.  Empty or overlapping sets, sets over another ground set, or
-    another ``side`` raise :class:`PreconditionError`.
+    backward.  This is the package's public flow entry, so it checks what
+    the kernel trusts: ``x`` or ``avoid`` that is not a
+    :class:`~hyperorient.core.VertexSet`, is empty, lies over another ground
+    set or overlaps the other, another ``side``, or a ``limit`` that is not a
+    non-negative ``int`` (a ``bool`` is not one) raises
+    :class:`PreconditionError`.
     """
     _same_instance(h, o)
     if side not in ("out", "in"):
         raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
+    if not isinstance(x, VertexSet) or not isinstance(avoid, VertexSet):
+        raise PreconditionError("x and avoid must be vertex sets")
     if x.n != h.n or avoid.n != h.n:
         raise PreconditionError("vertex set over a different ground set")
+    if not x or not avoid:
+        raise PreconditionError("x and avoid must be nonempty")
+    if x.mask & avoid.mask:
+        raise PreconditionError("x and avoid must be disjoint")
+    _check_count("limit", limit)
     value, reach = max_flow_min_cut(
-        network(h), x, avoid, limit=limit, residual=list(o.heads), forward=side == "out"
+        network(h), list(x), avoid, limit=limit, residual=list(o.heads), forward=side == "out"
     )
     if reach is None:
         return value, None
     return value, _separator(h.n, reach, x, avoid)
+
+
+def _check_count(name: str, value: Optional[int]) -> None:
+    """Raise unless ``value`` is ``None`` or a non-negative ``int``: the
+    limit or cap a public entry hands on to the unchecked kernel.  A
+    ``bool`` is not a count, though Python counts it as an ``int``."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+        raise PreconditionError(f"{name} must be a non-negative int, not {value!r}")
 
 
 def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: VertexSet) -> VertexSet:
@@ -293,7 +275,8 @@ def connectivity(
     ``value`` is exact whenever it is below ``cap`` (a value equal to
     ``cap`` means "at least ``cap``").  ``x`` is a vertex set of out-degree
     ``value``, or ``None`` when no set has out-degree below ``cap``.  A
-    negative ``cap`` raises :class:`PreconditionError`.
+    ``cap`` that is not a non-negative ``int`` raises
+    :class:`PreconditionError`.
 
     A sink sequence in the manner of Hao and Orlin, run mirrored: each query
     flows from one new vertex ``t`` into all the earlier ones,
@@ -315,8 +298,7 @@ def connectivity(
     sink order may find another such set.
     """
     _same_instance(h, o)
-    if cap is not None and cap < 0:
-        raise PreconditionError(f"cap {cap} is negative")
+    _check_count("cap", cap)
     n, g = h.n, network(h)
     best = h.m + 1 if cap is None else cap
     found = None
@@ -326,7 +308,7 @@ def connectivity(
         residual = list(o.heads)
         sinks = [0]
         for t in range(1, n):
-            value, reach = max_flow_min_cut(g, t, sinks, limit=best, residual=residual, forward=not holds_0)
+            value, reach = max_flow_min_cut(g, [t], sinks, limit=best, residual=residual, forward=not holds_0)
             if reach is not None:  # below the best value so far
                 side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet(n, sinks))
                 best, found = value, side.complement() if holds_0 else side
@@ -382,8 +364,7 @@ class IncrementalConnectivity:
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
-        if cap < 0:
-            raise PreconditionError("cap must be non-negative")
+        _check_count("cap", cap)
         _same_instance(h, o)
         self.hypergraph = h
         self.cap = cap
@@ -397,17 +378,18 @@ class IncrementalConnectivity:
             self._augment(p)
         self.value = min(self._value, default=cap)
 
-    def minimal_tight(self, x: VertexSet, side: str, k: int) -> Optional[VertexSet]:
-        """The inclusion-minimal set of ``side``-degree ``k`` that contains
-        ``x`` and avoids vertex 0, or ``None``, from the kept query of the
-        root pair of ``x``'s smallest vertex ``s`` (``s -> 0`` for
-        ``side='out'``, ``0 -> s`` for ``'in'``), which must not be below
-        ``k``.  At value ``k`` the query's flow is maximum, and it is also a
-        flow from all of ``x``: so the set is what one :func:`_search` from
-        ``x`` labels in its residual (on the in side, run backward), and
-        ``None`` when that search reaches vertex 0.  An empty ``x``, one
-        over another ground set, or a ``side`` other than ``'out'`` and
-        ``'in'`` raises :class:`PreconditionError`."""
+    def minimal_tight(self, x: VertexSet, side: str) -> Optional[VertexSet]:
+        """The inclusion-minimal set of ``side``-degree :attr:`value` (the
+        connectivity ``k``, exact below the cap) that contains ``x`` and
+        avoids vertex 0, or ``None``, from the kept query of the root pair
+        of ``x``'s smallest vertex ``s`` (``s -> 0`` for ``side='out'``,
+        ``0 -> s`` for ``'in'``), which is never below ``k``.  At value
+        ``k`` the query's flow is maximum, and it is also a flow from all of
+        ``x``: so the set is what one :func:`_search` from ``x`` labels in
+        its residual (on the in side, run backward), and ``None`` when that
+        search reaches vertex 0.  An empty ``x``, one over another ground
+        set, a ``side`` other than ``'out'`` and ``'in'``, or a value at the
+        cap, where it is not exact, raises :class:`PreconditionError`."""
         if side not in ("out", "in"):
             raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
         if not x:
@@ -415,9 +397,11 @@ class IncrementalConnectivity:
         n = self.hypergraph.n
         if x.n != n:
             raise PreconditionError("vertex set over a different ground set")
+        if self.value >= self.cap:
+            raise PreconditionError(f"value {self.value} is at the cap {self.cap}, so not exact")
         s = next(iter(x))
         p = 2 * s - 1 if side == "out" else 2 * s - 2
-        if s == 0 or self._value[p] != k:
+        if s == 0 or self._value[p] != self.value:
             return None
         is_sink = [False] * n
         is_sink[0] = True
@@ -427,6 +411,7 @@ class IncrementalConnectivity:
     def raise_cap(self, cap: int) -> int:
         """Raise :attr:`cap` to ``cap``; each query at the old cap augments
         from its kept flow.  Returns the new :attr:`value`."""
+        _check_count("cap", cap)
         if cap < self.cap:
             raise PreconditionError(f"cap {cap} is below the current cap {self.cap}")
         old, self.cap = self.cap, cap
@@ -440,13 +425,13 @@ class IncrementalConnectivity:
         """Push query ``p`` up to the cap, recording its reachable side."""
         s, t = self._pairs[p]
         value, reach = max_flow_min_cut(
-            self._g, s, t, limit=self.cap - self._value[p], residual=self._res[p]
+            self._g, [s], [t], limit=self.cap - self._value[p], residual=self._res[p]
         )
         self._value[p] += value
         self._cut[p] = reach
 
     def _push_unit(self, res: list[int], src: int, dst: int) -> bool:
-        return max_flow_min_cut(self._g, src, dst, limit=1, residual=res)[0] == 1
+        return max_flow_min_cut(self._g, [src], [dst], limit=1, residual=res)[0] == 1
 
     def reorient(self, e: int, new_head: int) -> int:
         """Turn edge ``e`` toward ``new_head``; returns the new :attr:`value`,

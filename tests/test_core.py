@@ -8,11 +8,13 @@ from hyperorient import (
     PathArc,
     PreconditionError,
     VertexSet,
+    canonical_sorted,
     crossing,
     crossing_edges,
     degree,
     hypergraph,
     in_degree,
+    minimal_members,
     out_degree,
     reorient,
     trim,
@@ -228,6 +230,38 @@ class TestSingleReorientationLemma:
                         delta = (a in x and b not in x) - (b in x and a not in x)
                         assert out_degree(h, o2, x) == out_d + delta, (e, a, b, x)
                         assert in_degree(h, o2, x) == in_d - delta, (e, a, b, x)
+
+        check()
+
+
+def all_pairs_minimal_members(sets):
+    """The definition ``minimal_members`` had before it tested each set
+    only against the sets it kept: a set is minimal when no member of the
+    whole family is a proper subset of it."""
+    pool = canonical_sorted(sets)
+    return tuple(s for s in pool if not any(t.mask != s.mask and t.mask & ~s.mask == 0 for t in pool))
+
+
+class TestMinimalMembers:
+    def test_nested_and_disjoint(self):
+        family = [vs(5, [0, 1, 2]), vs(5, [3]), vs(5, [0, 1]), vs(5, [3, 4]), vs(5, [0, 1]), vs(5, [2, 4])]
+        assert minimal_members(family) == (vs(5, [3]), vs(5, [0, 1]), vs(5, [2, 4]))
+        assert minimal_members([]) == ()
+
+    def test_matches_the_all_pairs_definition(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def families(draw):
+            n = draw(st.integers(1, 7))
+            masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+            return [VertexSet.from_mask(n, mask) for mask in masks]
+
+        @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(families())
+        def check(family):
+            assert minimal_members(iter(family)) == all_pairs_minimal_members(family)
 
         check()
 

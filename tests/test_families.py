@@ -188,7 +188,7 @@ class TestKeptFlows:
                     for x in members:
                         if not x.is_full:
                             expected = minimal_tight(h, o, fam.k, side, x)
-                            assert check.minimal_tight(x, side, fam.k) == expected
+                            assert check.minimal_tight(x, side) == expected
                 levels.add((fam.k, check.cap - fam.k))
                 e, head = climbing_step(rng, h, o)
                 o = reorient(o, e, head)

@@ -4,8 +4,8 @@ option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 every flow under ``src/`` names the orientation it runs on, every residual
 search under ``src/`` runs inside a flow (or is ``minimal_tight``'s one
 search), the verifier names none of the solver's repair code, and the
-package's ``__all__`` is sorted, free of duplicates and exactly what its
-``__init__.py`` imports.
+package's ``__all__`` is sorted, free of duplicates, exactly what its
+``__init__.py`` imports and free of the max-flow kernel's names.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
 Package ``__init__.py`` files are skipped by the import scan: their imports
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import hyperorient
 from hyperorient import augment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,15 +127,19 @@ def separator_private_imports(tree):
 
 
 @pytest.mark.parametrize(
-    # the package __init__ re-exports them for users; no package code calls them there
-    "path",
-    [p for p in SOURCES if p.name not in ("separator.py", "__init__.py")],
-    ids=lambda p: str(p.relative_to(ROOT)),
+    "path", [p for p in SOURCES if p.name != "separator.py"], ids=lambda p: str(p.relative_to(ROOT))
 )
 def test_flows_and_builds_stay_behind_the_separator_globals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = list(separator_private_imports(tree))
     assert not found, f"{path.relative_to(ROOT)} imports separator internals: {found}"
+
+
+def test_the_package_does_not_export_the_flow_kernel():
+    """The max-flow kernel trusts its in-package callers, so it is not part
+    of the public API: ``min_separator`` is the flow entry that checks its
+    inputs."""
+    assert set(hyperorient.__all__).isdisjoint(("max_flow_min_cut", "incidence_digraph", "IncidenceDigraph"))
 
 
 def test_the_separator_scan_sees_local_bindings():

@@ -17,11 +17,11 @@ from hyperorient import (
     augment_to,
     gen_instance,
     gen_orientation,
-    max_flow_min_cut,
     reorient,
     separator,
     verify_trace,
 )
+from hyperorient.separator import max_flow_min_cut
 from corpus import nx_incidence, nx_min_side
 from replay import MUTATIONS, instance_trace, mutate, reference_verify_trace
 
@@ -47,7 +47,7 @@ def assert_reference_answers(nx, rng, g, h, o):
     for s in range(h.n):
         t = rng.choice([v for v in range(h.n) if v != s])
         for forward, ref in ((True, fwd), (False, rev)):
-            value, side = max_flow_min_cut(g, s, t, residual=list(o.heads), forward=forward)
+            value, side = max_flow_min_cut(g, [s], [t], residual=list(o.heads), forward=forward)
             ref_value, ref_side = nx_min_side(nx, ref, [s], [t], h.n)
             assert (value, side) == (ref_value, frozenset(ref_side)), (s, t, forward)
 

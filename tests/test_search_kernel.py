@@ -16,7 +16,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hyperorient import hypergraph, incidence_digraph, max_flow_min_cut, separator  # noqa: E402
+from hyperorient import hypergraph, separator  # noqa: E402
+from hyperorient.separator import incidence_digraph, max_flow_min_cut  # noqa: E402
 
 KERNEL = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -110,8 +111,7 @@ def test_the_kernel_matches_the_reference(case):
     residual, reference = list(heads), list(heads)
     with mock.patch.object(separator, "_search", recorded):
         for roots, sinks, forward, limit in queries:
-            sources = roots[0] if len(roots) == 1 else roots  # a bare int as well
-            result = max_flow_min_cut(g, sources, sinks, limit, residual=residual, forward=forward)
+            result = max_flow_min_cut(g, roots, sinks, limit, residual=residual, forward=forward)
             assert result == reference_flow(g, roots, sinks, limit, reference, forward, expected)
             assert residual == reference
             assert got == expected

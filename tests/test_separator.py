@@ -16,14 +16,12 @@ from hyperorient import (
     hyperarc_connectivity,
     hypergraph,
     in_degree,
-    incidence_digraph,
-    max_flow_min_cut,
     min_separator,
     out_degree,
     reorient,
     separator,
 )
-from hyperorient.separator import IncrementalConnectivity, connectivity
+from hyperorient.separator import IncrementalConnectivity, connectivity, incidence_digraph, max_flow_min_cut
 from corpus import nx_incidence, nx_min_side, random_instances, vs
 
 
@@ -59,44 +57,40 @@ class TestMaxFlow:
         assert flow_on(h, [1] * 5, [0], [1], limit=9) == (5, frozenset({0}), [0] * 5)
         assert flow_on(h, [1] * 5, [0], [1], limit=0) == (0, None, [1] * 5)
 
+    # The kernel trusts its in-package callers: min_separator, the public
+    # flow entry, makes the checks below.
+
     def test_negative_limit_rejected(self):
-        g = incidence_digraph(hypergraph(2, [(0, 1)]))
+        h, o = three_cycle()
         with pytest.raises(PreconditionError, match="negative"):
-            max_flow_min_cut(g, 0, 1, limit=-2, residual=[1])
+            min_separator(h, o, vs(3, [0]), vs(3, [1]), limit=-2)
 
     def test_source_equals_sink_rejected(self):
-        g = incidence_digraph(hypergraph(2, [(0, 1)]))
-        with pytest.raises(PreconditionError):
-            max_flow_min_cut(g, [1], [1], residual=[1])
+        h, o = three_cycle()
+        with pytest.raises(PreconditionError, match="disjoint"):
+            min_separator(h, o, vs(3, [1]), vs(3, [1]))
 
     def test_terminal_sets_validated(self):
-        g = incidence_digraph(hypergraph(3, [(0, 1), (1, 2)]))
-        for sources, sinks in (([], [2]), ([0], []), ([0], [3]), ([-1], [2]), ([0, 2], [2, 1])):
+        h, o = three_cycle()
+        for x, avoid in ((vs(3, []), vs(3, [2])), (vs(3, [0]), vs(3, [])), (vs(3, [0, 2]), vs(3, [2, 1]))):
             with pytest.raises(PreconditionError):
-                max_flow_min_cut(g, sources, sinks, residual=[1, 2])
-
-    def test_single_node_terminals(self):
-        h = hypergraph(3, [(0, 1), (1, 2)])
-        assert flow_on(h, [1, 2], 0, 2) == flow_on(h, [1, 2], [0], [2])
-        assert flow_on(h, [1, 2], 0, [1, 2]) == (1, frozenset({0}), [0, 2])
+                min_separator(h, o, x, avoid)
 
     def test_non_collection_terminals_rejected(self):
-        g = incidence_digraph(hypergraph(3, [(0, 1), (1, 2)]))
-        for sources, sinks in ((None, [2]), ([0], 2.0)):
-            with pytest.raises(PreconditionError, match="vertex collections"):
-                max_flow_min_cut(g, sources, sinks, residual=[1, 2])
+        h, o = three_cycle()
+        for x, avoid in ((None, vs(3, [2])), (vs(3, [0]), 2.0), (0, vs(3, [2])), ([0], vs(3, [2]))):
+            with pytest.raises(PreconditionError, match="vertex sets"):
+                min_separator(h, o, x, avoid)
 
     def test_bool_and_non_int_terminals_rejected(self):
-        # a bool is not a vertex, though Python counts it as an int
+        # a bool is not a vertex set, though Python counts it as an int
         h, o = three_cycle()
-        g = incidence_digraph(h)
-        bad = ((True, [2]), ([0], False), ([True], [2]), ([0.5], [2]), ([0], [1, 2.0]), (["0"], [2]))
-        for sources, sinks in bad:
+        for x, avoid in ((True, vs(3, [2])), (vs(3, [0]), False), ([True], vs(3, [2])), (["0"], vs(3, [2]))):
             with pytest.raises(PreconditionError):
-                max_flow_min_cut(g, sources, sinks, residual=list(o.heads))
+                min_separator(h, o, x, avoid)
         # an int subclass other than bool is still a vertex
         one = IntEnum("Vertex", "ONE")
-        assert flow_on(h, o.heads, [0], [one.ONE]) == flow_on(h, o.heads, [0], [1])
+        assert min_separator(h, o, vs(3, [0]), vs(3, [one.ONE])) == (1, vs(3, [0]))
 
     def test_residual_resumes_and_is_updated_in_place(self):
         # 0 -> 1 twice, 0 -> 2, 1 -> 3, 2 -> 3 twice, 1 -> 2: max flow 3
@@ -109,11 +103,6 @@ class TestMaxFlow:
         assert flow_on(h, heads, [0], [3])[:2] == (3, frozenset({0}))
         # the residual now holds a maximum flow: nothing more to push
         assert max_flow_min_cut(g, [0], [3], residual=res) == (0, frozenset({0}))
-
-    def test_residual_length_validated(self):
-        g = incidence_digraph(hypergraph(2, [(0, 1), (0, 1)]))
-        with pytest.raises(PreconditionError, match="one head per edge"):
-            max_flow_min_cut(g, [0], [1], residual=[1])
 
     def test_multi_terminal(self):
         # two sources feeding one sink through separate hyperarcs
@@ -244,7 +233,7 @@ class TestManySourcesOneSink:
             for mask, value in cuts.items():
                 if value == best:
                     union |= mask
-            value, reach, _ = flow_on(h, o.heads, sink, sources, forward=False)
+            value, reach, _ = flow_on(h, o.heads, [sink], sources, forward=False)
             assert value == best
             assert set(range(h.n)) - reach == set(VertexSet.from_mask(h.n, union))
 
@@ -293,6 +282,16 @@ class TestSeparators:
         for x, avoid in ((vs(4, [0]), vs(3, [1])), (vs(3, [0]), vs(2, [1]))):
             with pytest.raises(PreconditionError, match="different ground set"):
                 min_separator(h, o, x, avoid)
+
+    def test_limit_must_be_a_non_negative_int(self):
+        h = hypergraph(2, [(0, 1)] * 3)
+        o = Orientation(h, (1, 1, 1))
+        for limit in (1.5, True, "2"):
+            with pytest.raises(PreconditionError, match="limit"):
+                min_separator(h, o, vs(2, [0]), vs(2, [1]), limit=limit)
+        assert min_separator(h, o, vs(2, [0]), vs(2, [1]), limit=1) == (1, None)
+        assert min_separator(h, o, vs(2, [0]), vs(2, [1]), limit=0) == (0, None)
+        assert min_separator(h, o, vs(2, [0]), vs(2, [1]), limit=4) == (3, vs(2, [0]))
 
     def test_in_out_duality(self):
         from hyperorient import out_degree
@@ -377,6 +376,16 @@ class TestConnectivity:
         with pytest.raises(PreconditionError, match="negative"):
             connectivity(h, o, cap=-1)
 
+    def test_cap_must_be_a_non_negative_int(self):
+        h, o = three_cycle()
+        for cap in (1.5, True, "2"):
+            with pytest.raises(PreconditionError, match="cap"):
+                connectivity(h, o, cap=cap)
+            with pytest.raises(PreconditionError, match="cap"):
+                IncrementalConnectivity(h, o, cap)
+            with pytest.raises(PreconditionError, match="cap"):
+                IncrementalConnectivity(h, o, 0).raise_cap(cap)
+
 
 def root_pair_connectivity(h, o, cap=None):
     """Connectivity by independent root-pair queries, vertex 0 to each other
@@ -452,7 +461,7 @@ class TestSinkSequence:
         assert len(calls) == 2 * (h.n - 1)
         for half, forward in ((calls[: h.n - 1], False), (calls[h.n - 1 :], True)):
             assert [(source, sinks) for source, sinks, _, _ in half] == [
-                (t, list(range(t))) for t in range(1, h.n)
+                ([t], list(range(t))) for t in range(1, h.n)
             ]
             assert len({res for _, _, res, _ in half}) == 1
             assert {direction for *_, direction in half} == {forward}
@@ -552,20 +561,28 @@ class TestIncrementalConnectivity:
         h, o = three_cycle()
         check = IncrementalConnectivity(h, o, 2)
         with pytest.raises(PreconditionError, match="nonempty"):
-            check.minimal_tight(VertexSet.empty(3), "out", 1)
+            check.minimal_tight(VertexSet.empty(3), "out")
 
     def test_minimal_tight_rejects_an_unknown_side(self):
         h, o = three_cycle()
         check = IncrementalConnectivity(h, o, 2)
         with pytest.raises(PreconditionError, match="side"):
-            check.minimal_tight(vs(3, [1]), "up", 1)
+            check.minimal_tight(vs(3, [1]), "up")
 
     def test_minimal_tight_rejects_another_ground_set(self):
         h, o = three_cycle()
         check = IncrementalConnectivity(h, o, 2)
         for x in (vs(5, [4]), vs(2, [1])):
             with pytest.raises(PreconditionError, match="different ground set"):
-                check.minimal_tight(x, "out", 1)
+                check.minimal_tight(x, "out")
+
+    def test_minimal_tight_rejects_a_value_at_the_cap(self):
+        h, o = three_cycle()  # connectivity 1
+        check = IncrementalConnectivity(h, o, 1)
+        with pytest.raises(PreconditionError, match="at the cap"):
+            check.minimal_tight(vs(3, [1]), "out")
+        assert check.raise_cap(2) == 1
+        assert check.minimal_tight(vs(3, [1]), "out") == vs(3, [1])
 
     def test_minimal_tight_runs_no_flow(self, monkeypatch):
         h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
@@ -578,7 +595,7 @@ class TestIncrementalConnectivity:
 
         monkeypatch.setattr(separator, "max_flow_min_cut", no_flow)
         found = [
-            check.minimal_tight(vs(h.n, xs), side, k)
+            check.minimal_tight(vs(h.n, xs), side)
             for v in range(1, h.n)
             for xs in ([v], [v, v % (h.n - 1) + 1])
             for side in ("out", "in")

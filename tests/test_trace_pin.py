@@ -37,11 +37,10 @@ from hyperorient import (
     gen_instance,
     gen_orientation,
     hypergraph,
-    incidence_digraph,
-    max_flow_min_cut,
     min_separator,
     reachability_check,
 )
+from hyperorient.separator import incidence_digraph, max_flow_min_cut
 
 PINNED = "5dbb3ebdf3deddf7028e9c2154e6dc6fee508a6c1ccc8ed9c555abd9288a8029"
 PATHS_PINNED = "cf700bfe0cfaf7f033dc4557919f2ea92de7415e7bb090495e37845afb486154"
