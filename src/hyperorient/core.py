@@ -37,8 +37,10 @@ class InvariantViolation(RuntimeError):
 class VertexSet:
     """Immutable subset of ``{0, .., n-1}`` backed by a bitmask.
 
-    Comparison operators follow set semantics (``<=`` is subset, ``<`` is
-    proper subset).  Deterministic tie-breaking everywhere in this package
+    Members are ``int`` vertices (an ``IntEnum`` is one, a ``bool`` is
+    not); anything else raises :class:`PreconditionError`.  Comparison
+    operators follow set semantics (``<=`` is subset, ``<`` is proper
+    subset).  Deterministic tie-breaking everywhere in this package
     uses :meth:`sort_key`, which orders by size first and then
     lexicographically on the sorted member tuple.
     """
@@ -50,6 +52,8 @@ class VertexSet:
             raise PreconditionError("vertex count must be non-negative")
         mask = 0
         for v in members:
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+                raise PreconditionError(f"vertex {v!r} is not an int")
             if not 0 <= v < n:
                 raise PreconditionError(f"vertex {v} outside 0..{n - 1}")
             mask |= 1 << v

@@ -24,11 +24,15 @@ The computed families:
 and ``q_minus[v]`` the set that reaches ``v`` in the ``0 -> v`` flow, where
 that flow's value is ``k``.  Each flow is a heads list, the orientation
 with every hyperarc that carries a unit turned to the tail it entered by,
-and each such read is one search in it, run backward for ``q_minus``.
-Each ``r_family`` candidate is one more residual search on one such flow,
-from the whole member.  The q sets come only from :func:`compute_families`.
-The connectivity is recomputed from scratch once per call, as a
-cross-check of the kept flows.
+and each such read is one search in it, run backward for ``q_minus``.  The
+q sets are computed on read: :class:`QSets` holds a snapshot of the kept
+residuals (:class:`~hyperorient.separator.KeptReaches`) and runs an
+entry's search the first time it is read.  The minimal families come from
+an early-exit descent over those searches (:attr:`QSets.minimal`), which
+needs only a few of the q sets.  Each ``r_family`` candidate is one more
+residual search on one such flow, from the whole member.  The q sets come
+only from :func:`compute_families`.  The connectivity is recomputed from
+scratch once per call, as a cross-check of the kept flows.
 
 A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
 out-tight set containing ``u`` strictly contains ``S``, and every dangerous
@@ -43,6 +47,7 @@ sink); only the dangerous half asks one capped
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import (
@@ -55,14 +60,126 @@ from .core import (
     minimal_members,
     out_degree,
 )
-from .separator import IncrementalConnectivity, hyperarc_connectivity, min_separator
+from .separator import IncrementalConnectivity, KeptReaches, hyperarc_connectivity, min_separator
 
 ROOT = 0
 
 
+class QSets(Sequence):
+    """The q sets of one side, computed on read: entry ``v`` is the least
+    tight set of the side that holds ``v``, or the full set when none does.
+
+    Built on a snapshot of the kept residuals, it first finds the
+    inclusion-minimal proper q sets, :attr:`minimal`, canonically sorted,
+    by an early-exit descent.  At level ``k`` the tight sets holding a
+    vertex are closed under intersection (see :func:`_safe_endpoint`), so
+    ``x`` in ``q[v]`` gives ``q[x] <= q[v]``.  A vertex is *resolved* once
+    its q set is known not to be minimal, or to be a minimal set already
+    found.  The search from an unresolved ``v`` stops at the first resolved
+    vertex it labels: that vertex's q set lies in ``q[v]`` and is not
+    ``q[v]`` (each member of a found minimal set is resolved), so ``q[v]``
+    is not minimal.  A search that meets none has labelled ``S = q[v]``.
+    Every ``q[w]`` with ``w`` in ``S`` lies in ``S``, and equals it exactly
+    when it holds ``v``, or any ``x`` with ``q[x] = S`` already; so ``S``
+    is minimal when every other ``w`` in ``S`` reaches ``v``, each search
+    stopping at the first vertex of ``v``'s class found so far.  The first
+    ``w`` that does not has ``q[w]`` strictly inside ``S``, and the descent
+    goes on from ``w``.  The sets found are minimal and distinct, so
+    disjoint.
+
+    Every q set the descent learns is kept.  Any other entry is one
+    :meth:`~hyperorient.separator.KeptReaches.reach` search the first time
+    it is read, and is kept too.  The snapshot is the sequence's own and is
+    only read, so a later read gives what an earlier one would have, and
+    two threads that fill one entry store equal sets.  Once every entry is
+    set the snapshot is let go, so a caller that reads them all does not
+    keep the residuals alive with the families.  The sequence is
+    immutable, compares equal to the tuple of the same sets and hashes as
+    that tuple, so a :class:`CutFamilies` holding it equals and hashes as
+    one built from tuples."""
+
+    __slots__ = ("_reaches", "_sets", "_unset", "minimal")
+
+    def __init__(self, reaches: KeptReaches) -> None:
+        n = reaches.n
+        self._reaches = reaches
+        self._sets: list[VertexSet | None] = [None] * n
+        resolved = [not t for t in reaches.tight]
+        in_class = [False] * n
+        found = []
+        for start in range(n):
+            if resolved[start]:
+                continue
+            resolved[start] = True
+            v, s = start, reaches.reach(start, resolved)
+            while s is not None:  # s is q[v]
+                self._sets[v] = s
+                in_class[v] = True
+                below = None
+                for w in s:
+                    if w != v:
+                        resolved[w] = True
+                        below = reaches.reach(w, in_class)
+                        if below is not None:  # q[w] misses v
+                            break
+                        self._sets[w] = s
+                        in_class[w] = True
+                for x in s:
+                    in_class[x] = False
+                if below is None:
+                    found.append(s)
+                    break
+                v, s = w, below
+        self.minimal: tuple[VertexSet, ...] = tuple(sorted(found, key=VertexSet.sort_key))
+        self._unset = {v for v, q in enumerate(self._sets) if q is None}
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            return tuple(self)[v]
+        reaches = self._reaches  # read before the entry: it is let go only once every entry is set
+        q = self._sets[v]
+        if q is None:
+            n = len(self._sets)
+            v = range(n)[v]
+            if reaches.tight[v]:
+                root = [False] * n
+                root[0] = True
+                q = reaches.reach(v, root)
+            if q is None:
+                q = VertexSet.full(n)
+            self._sets[v] = q
+            self._unset.discard(v)
+            if not self._unset:
+                self._reaches = None
+        return q
+
+    def __iter__(self):
+        return (self[v] for v in range(len(self._sets)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, QSets)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"QSets({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class CutFamilies:
-    """All cut families of one directed hypergraph at level ``k``, root ``r``."""
+    """All cut families of one directed hypergraph at level ``k``, root ``r``.
+
+    From :func:`compute_families`, ``q_minus`` and ``q_plus`` are
+    :class:`QSets`, computed on read, and ``m_minus`` and ``m_plus`` come
+    from their early-exit descent; from
+    :func:`~hyperorient.oracle.bf_families`, every field is a tuple.  The
+    two compare equal when they hold the same sets."""
 
     k: int
     r: int
@@ -70,8 +187,8 @@ class CutFamilies:
     m_plus: tuple[VertexSet, ...]
     m_all: tuple[VertexSet, ...]
     r_family: tuple[VertexSet, ...]
-    q_minus: tuple[VertexSet, ...]
-    q_plus: tuple[VertexSet, ...]
+    q_minus: QSets | tuple[VertexSet, ...]
+    q_plus: QSets | tuple[VertexSet, ...]
 
 
 def is_in_tight(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
@@ -112,13 +229,17 @@ def compute_families(
 
     The per-vertex minimal tight sets and the ``r_family`` candidates are
     residual reaches of the root-pair flows that ``check`` keeps (see
+    :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches` and
     :meth:`~hyperorient.separator.IncrementalConnectivity.minimal_tight`).
     Without a ``check``, one is built at cap ``k + 1``.  A ``check`` must be
     for ``o``, with a cap above ``k`` (else :class:`PreconditionError`).
     The connectivity is recomputed from scratch, and a ``check`` whose value
     is not that value raises :class:`InvariantViolation` naming the level.
 
-    Minimal tight families come from the per-vertex minimal tight sets.  The
+    The q sets are :class:`QSets` over a snapshot of the kept residuals,
+    copied from a given ``check``, which its owner moves on; the lists of
+    one built here are taken as they are.  ``m_minus`` and ``m_plus`` come
+    from the descent of :attr:`QSets.minimal`, which reads few q sets.  The
     ``r_family`` members are found as minimal tight supersets of the
     opposite-sign minimal members, by queries whose source side is forced
     to contain the whole member; each such superset is minimal with the
@@ -126,19 +247,19 @@ def compute_families(
     them, so taking inclusion-minimal candidates gives exactly the family.
     """
     k = hyperarc_connectivity(h, o)
-    if check is None:
+    owned = check is None
+    if owned:
         check = IncrementalConnectivity(h, o, cap=k + 1)
     elif check.heads != list(o.heads) or check.hypergraph != h or check.cap <= k:
         raise PreconditionError(f"level {k} needs kept flows for this orientation, capped above {k}")
     if check.value != k:
         raise InvariantViolation(f"level {k}: kept flows give {check.value} at cap {check.cap}, connectivity {k}")
-    n = h.n
-    full = VertexSet.full(n)
-    qm = [check.minimal_tight(VertexSet.singleton(n, v), "in") or full for v in range(n)]
-    qp = [check.minimal_tight(VertexSet.singleton(n, v), "out") or full for v in range(n)]
+    full = VertexSet.full(h.n)
+    qm = QSets(check.kept_reaches("in", copy=not owned))
+    qp = QSets(check.kept_reaches("out", copy=not owned))
 
-    proper_m_minus = minimal_members(s for s in qm if not s.is_full)
-    proper_m_plus = minimal_members(s for s in qp if not s.is_full)
+    proper_m_minus = qm.minimal
+    proper_m_plus = qp.minimal
     m_minus = proper_m_minus if proper_m_minus else (full,)
     m_plus = proper_m_plus if proper_m_plus else (full,)
     m_all = minimal_members(m_minus + m_plus)
@@ -155,8 +276,8 @@ def compute_families(
         m_plus=m_plus,
         m_all=m_all,
         r_family=r_family,
-        q_minus=tuple(qm),
-        q_plus=tuple(qp),
+        q_minus=qm,
+        q_plus=qp,
     )
     _check_subpartition("m_minus", fam.m_minus)
     _check_subpartition("m_plus", fam.m_plus)

@@ -252,10 +252,19 @@ def _check_count(name: str, value: Optional[int]) -> None:
         raise PreconditionError(f"{name} must be a non-negative int, not {value!r}")
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitmask of vertices a search labelled: they are in range by
+    construction, so this skips :class:`VertexSet`'s per-member checks."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: VertexSet) -> VertexSet:
     """A residual-reachable vertex set, checked against the query's
     constraints."""
-    separator = VertexSet(n, reach)
+    separator = VertexSet.from_mask(n, _mask(reach))
     if not source_set <= separator or separator.mask & avoid_set.mask:
         raise InvariantViolation("separator missed its constraints")
     return separator
@@ -310,7 +319,7 @@ def connectivity(
         for t in range(1, n):
             value, reach = max_flow_min_cut(g, [t], sinks, limit=best, residual=residual, forward=not holds_0)
             if reach is not None:  # below the best value so far
-                side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet(n, sinks))
+                side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet.from_mask(n, (1 << t) - 1))
                 best, found = value, side.complement() if holds_0 else side
                 if best == 0:
                     break
@@ -322,6 +331,33 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
     """Largest ``k`` such that every nonempty proper vertex set has
     out-degree at least ``k``."""
     return connectivity(h, o)[0]
+
+
+class KeptReaches:
+    """The residuals of one side's root-pair flows, frozen at the level
+    ``k`` of the :class:`IncrementalConnectivity` that kept them (see
+    :meth:`IncrementalConnectivity.kept_reaches`).
+
+    ``tight[v]`` tells whether some set of degree ``k`` on the side (out-
+    or in-degree) that avoids vertex 0 holds ``v``: ``v`` is not 0 and the
+    value of its kept query (``v -> 0`` on the out side, ``0 -> v`` on the
+    in side) is ``k``.  That flow is then maximum, so :meth:`reach` from
+    ``v`` labels the inclusion-minimal such set.  Built on copies of the
+    residuals, its answers do not change when the step check moves on."""
+
+    def __init__(self, g: IncidenceDigraph, residuals: list[Optional[list[int]]], forward: bool) -> None:
+        self.n = g.n
+        self.tight = tuple(r is not None for r in residuals)
+        self._g = g
+        self._res = residuals
+        self._forward = forward
+
+    def reach(self, v: int, stop: list[bool]) -> Optional[VertexSet]:
+        """What one :func:`_search` from ``v``, a vertex with ``tight[v]``,
+        labels in its kept residual (run backward on the in side), or
+        ``None`` once it labels a vertex marked in ``stop``."""
+        _, labelled, hit = _search(self._g, self._res[v], [v], stop, self._forward)
+        return None if hit >= 0 else VertexSet.from_mask(self.n, _mask(labelled))
 
 
 class IncrementalConnectivity:
@@ -358,9 +394,10 @@ class IncrementalConnectivity:
     toward the new cap, so the flows outlive a level.  Below the cap each
     kept flow is a maximum flow, so its residual holds the minimal sides of
     the query's minimum cut.  :func:`~hyperorient.families.compute_families`
-    reads its minimal tight sets from them through :meth:`minimal_tight`,
-    after checking :attr:`heads` and :attr:`cap`: one residual search each,
-    with no flow.
+    reads its minimal tight sets from them, after checking :attr:`heads`
+    and :attr:`cap`: the per-vertex ones through a :meth:`kept_reaches`
+    snapshot, those around a whole set through :meth:`minimal_tight`.  Each
+    is one residual search, with no flow.
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
@@ -407,6 +444,25 @@ class IncrementalConnectivity:
         is_sink[0] = True
         _, labelled, hit = _search(self._g, self._res[p], list(x), is_sink, side == "out")
         return None if hit >= 0 else _separator(n, labelled, x, VertexSet.singleton(n, 0))
+
+    def kept_reaches(self, side: str, copy: bool = True) -> KeptReaches:
+        """A :class:`KeptReaches` of ``side`` at :attr:`value`, the
+        connectivity.  With ``copy`` it holds copies of the residuals it
+        needs, so it outlives the next :meth:`reorient`; without, it takes
+        this check's own lists, for a caller that moves the check no
+        further.  A ``side`` other than ``'out'`` and ``'in'``, or a value
+        at the cap, where it is not exact, raises :class:`PreconditionError`."""
+        if side not in ("out", "in"):
+            raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
+        if self.value >= self.cap:
+            raise PreconditionError(f"value {self.value} is at the cap {self.cap}, so not exact")
+        shift = 1 if side == "out" else 2
+        residuals: list[Optional[list[int]]] = [None] * self.hypergraph.n
+        for v in range(1, self.hypergraph.n):
+            p = 2 * v - shift
+            if self._value[p] == self.value:
+                residuals[v] = list(self._res[p]) if copy else self._res[p]
+        return KeptReaches(self._g, residuals, side == "out")
 
     def raise_cap(self, cap: int) -> int:
         """Raise :attr:`cap` to ``cap``; each query at the old cap augments

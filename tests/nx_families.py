@@ -1,0 +1,64 @@
+"""An independent reference for the q sets and minimal tight families above
+the brute-force oracles' reach, built on networkx's ``edmonds_karp``.
+
+The incidence digraph (``corpus.nx_incidence``) has a node ``w_e`` per
+hyperarc, a unit arc ``w_e -> head`` and an uncapacitated arc
+``x -> w_e`` per tail ``x``.  ``q_plus[v]`` is the vertex part of what
+``v`` reaches in the residual of the ``v -> 0`` max flow, when that flow's
+value is the connectivity ``k``, and the full set when it is above ``k``.
+``q_minus`` is the same on the reversed digraph, where a cut's capacity is
+an in-degree.  The minimal families are the inclusion-minimal proper q
+sets, by set logic alone.  Nothing here runs the package's flows.
+"""
+
+from __future__ import annotations
+
+from hyperorient import VertexSet
+from corpus import nx_incidence
+
+
+def nx_q_sets(nx, h, o):
+    """``(values, q_minus, q_plus)``: the flow values ``v -> 0`` per side,
+    each at the smallest of them, and the q sets at that level."""
+    from networkx.algorithms.flow import edmonds_karp
+
+    n = h.n
+    flows = {}
+    for side, reverse in (("in", True), ("out", False)):
+        g = nx_incidence(nx, h, o, reverse)
+        for v in range(1, n):
+            r = edmonds_karp(g, v, 0)
+            seen, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for w, arc in r[u].items():
+                    if arc["flow"] < arc["capacity"] and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            flows[side, v] = (r.graph["flow_value"], VertexSet(n, [x for x in seen if x < n]))
+    k = min(value for value, _ in flows.values())
+    full = VertexSet.full(n)
+    q = {
+        side: (full,) + tuple(reach if value == k else full for value, reach in (flows[side, v] for v in range(1, n)))
+        for side in ("in", "out")
+    }
+    return k, q["in"], q["out"]
+
+
+def minimal_proper(sets):
+    """The inclusion-minimal sets among the proper ones, canonically sorted."""
+    proper = {s for s in sets if not s.is_full}
+    return tuple(sorted((s for s in proper if not any(t < s for t in proper)), key=VertexSet.sort_key))
+
+
+def nx_family_mismatches(nx, h, o, fam):
+    """Where ``fam`` disagrees with the networkx reference: its level, each
+    q set, and the proper members of ``m_minus`` and ``m_plus``."""
+    k, qm, qp = nx_q_sets(nx, h, o)
+    problems = [] if fam.k == k else [f"level {fam.k}, networkx {k}"]
+    for name, got, ref in (("q_minus", fam.q_minus, qm), ("q_plus", fam.q_plus, qp)):
+        problems += [f"{name}[{v}] {got[v]}, networkx {ref[v]}" for v in range(h.n) if got[v] != ref[v]]
+    for name, got, ref in (("m_minus", fam.m_minus, minimal_proper(qm)), ("m_plus", fam.m_plus, minimal_proper(qp))):
+        if tuple(x for x in got if not x.is_full) != ref:
+            problems.append(f"{name} {got}, networkx {ref}")
+    return problems

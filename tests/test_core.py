@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 
 from hyperorient import (
@@ -49,6 +51,18 @@ class TestVertexSet:
             vs(3, [3])
         with pytest.raises(PreconditionError):
             vs(3, [0]) & vs(4, [0])
+
+    def test_members_must_be_ints(self):
+        for bad in (True, False, 0.5, 1.0, "1", None):
+            with pytest.raises(PreconditionError, match="not an int"):
+                VertexSet(3, [0, bad])
+
+        class Vertex(enum.IntEnum):
+            A = 1
+            B = 2
+
+        assert VertexSet(3, [Vertex.A, Vertex.B]) == vs(3, [1, 2])
+        assert hypergraph(3, [(Vertex.A, 0)]).edges[0] == vs(3, [0, 1])
 
 
 class TestConstruction:

@@ -2,8 +2,8 @@
 option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 ``separator.py`` binds the flow or the network builder to a name of its own,
 every flow under ``src/`` names the orientation it runs on, every residual
-search under ``src/`` runs inside a flow (or is ``minimal_tight``'s one
-search), the verifier names none of the solver's repair code, and the
+search under ``src/`` runs inside a flow (or is the one search of
+``minimal_tight`` or ``KeptReaches.reach``), the verifier names none of the solver's repair code, and the
 package's ``__all__`` is sorted, free of duplicates, exactly what its
 ``__init__.py`` imports and free of the max-flow kernel's names.
 
@@ -184,7 +184,7 @@ def test_the_flow_scan_sees_bare_calls():
     assert list(flows_without_residual(tree)) == [1, 2]
 
 
-SEARCH_CALLERS = ("max_flow_min_cut", "IncrementalConnectivity.minimal_tight")
+SEARCH_CALLERS = ("max_flow_min_cut", "IncrementalConnectivity.minimal_tight", "KeptReaches.reach")
 
 
 def stray_searches(tree, in_separator):
@@ -194,7 +194,8 @@ def stray_searches(tree, in_separator):
     ``separator`` module or a ``separator._search`` attribute.  Every
     augmenting search must run inside a ``max_flow_min_cut`` call, so that a
     patch of that global (perfbench's tracer, the counting tests) sees every
-    flow; ``minimal_tight`` runs one search and no flow."""
+    flow; ``minimal_tight`` and ``KeptReaches.reach`` each run one search
+    and no flow."""
     found = []
 
     def visit(node, scope):
@@ -240,8 +241,17 @@ def test_the_search_scan_sees_stray_calls():
         "        return _search(self)\n"
         "def connectivity(g):\n"
         "    return _search(g)\n"
+        "class KeptReaches:\n"
+        "    def reach(self):\n"
+        "        return _search(self)\n"
+        "    def minimal(self):\n"
+        "        return _search(self)\n"
     )
-    assert stray_searches(separator_like, True) == [(7, "IncrementalConnectivity._augment"), (9, "connectivity")]
+    assert stray_searches(separator_like, True) == [
+        (7, "IncrementalConnectivity._augment"),
+        (9, "connectivity"),
+        (14, "KeptReaches.minimal"),
+    ]
     other = ast.parse(
         "from .separator import _search as search\n"
         "from . import separator\n"
