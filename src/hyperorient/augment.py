@@ -52,7 +52,6 @@ from .core import (
     PreconditionError,
     VertexSet,
     crossing_edges,
-    degree,
     out_degree,
     reorient,
 )
@@ -127,9 +126,14 @@ def _reject_low_degree(h: Hypergraph, target: int) -> None:
     """Raise :class:`NotPartitionConnectedError` when some vertex lies in
     fewer than ``2 * target`` hyperedges, with the partition ``{v}, V - {v}``
     of the smallest such ``v`` as its certificate: its crossing edges are
-    the ``in + out`` degree of ``{v}`` under every orientation."""
-    for v in range(h.n):
-        d = degree(h, VertexSet.singleton(h.n, v))
+    the ``in + out`` degree of ``{v}`` under every orientation.  Every
+    edge has two vertices or more, so that degree is the number of edges
+    holding ``v``, and one pass over the edges counts them all."""
+    held = [0] * h.n
+    for edge in h.edges:
+        for v in edge:
+            held[v] += 1
+    for v, d in enumerate(held):
         if d < 2 * target:
             p = Partition(h.n, [VertexSet.singleton(h.n, v), h.vertices().remove(v)])
             if crossing_edges(h, p) >= 2 * target:
@@ -159,10 +163,11 @@ def augment_one(
     is raised to ``level + 1`` and it is left current for the returned
     orientation.  Without one, one is built.  A vertex in fewer than
     ``2 * (level + 1)`` hyperedges is rejected before the check is touched,
-    and a negative ``level`` raises :class:`PreconditionError`.
+    and a ``level`` that is not a non-negative ``int`` (a ``bool`` is not
+    one) raises :class:`PreconditionError`.
     """
-    if level is not None and level < 0:
-        raise PreconditionError(f"level {level} is negative")
+    if level is not None:
+        separator._check_count("level", level)
     k = hyperarc_connectivity(h, o) if level is None else level
     _reject_low_degree(h, k + 1)
     if check is None:
@@ -265,9 +270,12 @@ def augment_to(
     """Raise the connectivity to ``k_target`` by repeated single increments.
 
     The concatenated trace uses at most ``(k_target - lambda_initial) * n^3``
-    steps.  ``k_target`` below the initial connectivity is rejected, and so
-    is, before any flow, one that some vertex's degree rules out.
+    steps.  A ``k_target`` that is not a non-negative ``int`` (a ``bool``
+    is not one) raises :class:`PreconditionError`.  One below the initial
+    connectivity is rejected, and so is, before any flow, one that some
+    vertex's degree rules out.
     """
+    separator._check_count("k_target", k_target)
     _reject_low_degree(h, k_target)
     lam0 = hyperarc_connectivity(h, o)
     if k_target < lam0:

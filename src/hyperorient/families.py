@@ -24,14 +24,15 @@ The computed families:
 and ``q_minus[v]`` the set that reaches ``v`` in the ``0 -> v`` flow, where
 that flow's value is ``k``.  Each flow is a heads list, the orientation
 with every hyperarc that carries a unit turned to the tail it entered by,
-and each such read is one search in it, run backward for ``q_minus``.  The
-q sets are computed on read: :class:`QSets` holds a snapshot of the kept
-residuals (:class:`~hyperorient.separator.KeptReaches`) and runs an
-entry's search the first time it is read.  The minimal families come from
-an early-exit descent over those searches (:attr:`QSets.minimal`), which
-needs only a few of the q sets.  Each ``r_family`` candidate is one more
-residual search on one such flow, from the whole member.  The q sets come
-only from :func:`compute_families`.  The connectivity is recomputed from
+and each such read is one search in it, run backward for ``q_minus``.
+Every read goes through one snapshot of the kept residuals per side
+(:class:`~hyperorient.separator.KeptReaches`).  The q sets are computed on
+read: :class:`QSets` holds a side's snapshot and runs an entry's search
+the first time it is read.  The minimal families come from an early-exit
+descent over those searches (:attr:`QSets.minimal`), which needs only a
+few of the q sets.  Each ``r_family`` candidate is one more search in the
+opposite side's snapshot, from the whole member.  The q sets come only
+from :func:`compute_families`.  The connectivity is recomputed from
 scratch once per call, as a cross-check of the kept flows.
 
 A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
@@ -47,7 +48,7 @@ sink); only the dangerous half asks one capped
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .core import (
@@ -111,7 +112,7 @@ class QSets(Sequence):
             if resolved[start]:
                 continue
             resolved[start] = True
-            v, s = start, reaches.reach(start, resolved)
+            v, s = start, reaches.reach([start], resolved)
             while s is not None:  # s is q[v]
                 self._sets[v] = s
                 in_class[v] = True
@@ -119,7 +120,7 @@ class QSets(Sequence):
                 for w in s:
                     if w != v:
                         resolved[w] = True
-                        below = reaches.reach(w, in_class)
+                        below = reaches.reach([w], in_class)
                         if below is not None:  # q[w] misses v
                             break
                         self._sets[w] = s
@@ -145,9 +146,7 @@ class QSets(Sequence):
             n = len(self._sets)
             v = range(n)[v]
             if reaches.tight[v]:
-                root = [False] * n
-                root[0] = True
-                q = reaches.reach(v, root)
+                q = reaches.reach([v])
             if q is None:
                 q = VertexSet.full(n)
             self._sets[v] = q
@@ -191,28 +190,33 @@ class CutFamilies:
     q_plus: QSets | tuple[VertexSet, ...]
 
 
+def _rootless_degree(h: Hypergraph, o: Orientation, x: VertexSet, r: int, degree: Callable[..., int]) -> int | None:
+    """``degree(h, o, x)``, or ``None`` when ``x`` is empty, full or holds
+    the root ``r``.  A set over another ground set raises
+    :class:`PreconditionError` before any of those shortcuts."""
+    if x.n != h.n:
+        raise PreconditionError("vertex set over a different ground set")
+    if x.is_empty or x.is_full or r in x:
+        return None
+    return degree(h, o, x)
+
+
 def is_in_tight(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
-    if x.is_full:
-        return True
-    return not x.is_empty and r not in x and in_degree(h, o, x) == k
+    d = _rootless_degree(h, o, x, r, in_degree)
+    return x.is_full if d is None else d == k
 
 
 def is_out_tight(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
-    if x.is_full:
-        return True
-    return not x.is_empty and r not in x and out_degree(h, o, x) == k
+    d = _rootless_degree(h, o, x, r, out_degree)
+    return x.is_full if d is None else d == k
 
 
 def is_in_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
-    if x.is_empty or x.is_full or r in x:
-        return False
-    return in_degree(h, o, x) == k + 1
+    return _rootless_degree(h, o, x, r, in_degree) == k + 1
 
 
 def is_out_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
-    if x.is_empty or x.is_full or r in x:
-        return False
-    return out_degree(h, o, x) == k + 1
+    return _rootless_degree(h, o, x, r, out_degree) == k + 1
 
 
 def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
@@ -222,27 +226,40 @@ def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
                 raise InvariantViolation(f"{name} members overlap: {a} and {b}")
 
 
+def _minimal_tight(reaches: KeptReaches, x: VertexSet) -> VertexSet | None:
+    """The inclusion-minimal tight set of ``reaches``' side that holds the
+    proper tight set ``x``, or ``None``: one search from all of ``x`` in
+    the kept residual of its smallest vertex, when that vertex is tight."""
+    roots = list(x)
+    if not reaches.tight[roots[0]]:
+        return None
+    found = reaches.reach(roots)
+    if found is not None and (not x <= found or ROOT in found):
+        raise InvariantViolation(f"the minimal tight set {found} around {x} misses it or holds the root")
+    return found
+
+
 def compute_families(
     h: Hypergraph, o: Orientation, *, check: IncrementalConnectivity | None = None
 ) -> CutFamilies:
     """All cut families at level ``k``, the exact connectivity.
 
     The per-vertex minimal tight sets and the ``r_family`` candidates are
-    residual reaches of the root-pair flows that ``check`` keeps (see
-    :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches` and
-    :meth:`~hyperorient.separator.IncrementalConnectivity.minimal_tight`).
+    residual reaches of the root-pair flows that ``check`` keeps, read
+    through one snapshot per side (see
+    :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches`).
     Without a ``check``, one is built at cap ``k + 1``.  A ``check`` must be
     for ``o``, with a cap above ``k`` (else :class:`PreconditionError`).
     The connectivity is recomputed from scratch, and a ``check`` whose value
     is not that value raises :class:`InvariantViolation` naming the level.
 
-    The q sets are :class:`QSets` over a snapshot of the kept residuals,
-    copied from a given ``check``, which its owner moves on; the lists of
-    one built here are taken as they are.  ``m_minus`` and ``m_plus`` come
-    from the descent of :attr:`QSets.minimal`, which reads few q sets.  The
-    ``r_family`` members are found as minimal tight supersets of the
-    opposite-sign minimal members, by queries whose source side is forced
-    to contain the whole member; each such superset is minimal with the
+    The snapshots hold copies of a given ``check``'s residuals, which its
+    owner moves on; the lists of one built here are taken as they are.
+    The q sets are :class:`QSets` over them, and ``m_minus`` and ``m_plus``
+    come from the descent of :attr:`QSets.minimal`, which reads few q sets.
+    The ``r_family`` members are found as minimal tight supersets of the
+    opposite-sign minimal members, each one search from the whole member
+    in the opposite side's snapshot; each such superset is minimal with the
     defining property, and every defining-property set contains one of
     them, so taking inclusion-minimal candidates gives exactly the family.
     """
@@ -255,8 +272,9 @@ def compute_families(
     if check.value != k:
         raise InvariantViolation(f"level {k}: kept flows give {check.value} at cap {check.cap}, connectivity {k}")
     full = VertexSet.full(h.n)
-    qm = QSets(check.kept_reaches("in", copy=not owned))
-    qp = QSets(check.kept_reaches("out", copy=not owned))
+    in_reaches = check.kept_reaches("in", copy=not owned)
+    out_reaches = check.kept_reaches("out", copy=not owned)
+    qm, qp = QSets(in_reaches), QSets(out_reaches)
 
     proper_m_minus = qm.minimal
     proper_m_plus = qp.minimal
@@ -264,8 +282,8 @@ def compute_families(
     m_plus = proper_m_plus if proper_m_plus else (full,)
     m_all = minimal_members(m_minus + m_plus)
 
-    candidates = [check.minimal_tight(t_set, "in") for t_set in proper_m_plus]
-    candidates += [check.minimal_tight(s_set, "out") for s_set in proper_m_minus]
+    candidates = [_minimal_tight(in_reaches, t_set) for t_set in proper_m_plus]
+    candidates += [_minimal_tight(out_reaches, s_set) for s_set in proper_m_minus]
     proper_r = minimal_members(c for c in candidates if c is not None)
     r_family = proper_r if proper_r else (full,)
 

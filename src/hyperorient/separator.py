@@ -40,6 +40,12 @@ The hyperarc-connectivity is a sink sequence (Hao and Orlin, J. Algorithms
 from one new vertex each into the growing set of earlier ones, on one kept
 heads list, so that after the first few each flow is a short search from
 its new vertex.
+
+:class:`IncrementalConnectivity` keeps one flow per root pair, vertex 0 to
+each other vertex and back, across single-hyperarc reorientations.  A
+:class:`KeptReaches` is a snapshot of one side's kept residuals; every
+minimal tight set the families need is one :meth:`KeptReaches.reach`
+search in it, with no flow.
 """
 
 from __future__ import annotations
@@ -235,7 +241,8 @@ def min_separator(
         raise PreconditionError("x and avoid must be nonempty")
     if x.mask & avoid.mask:
         raise PreconditionError("x and avoid must be disjoint")
-    _check_count("limit", limit)
+    if limit is not None:
+        _check_count("limit", limit)
     value, reach = max_flow_min_cut(
         network(h), list(x), avoid, limit=limit, residual=list(o.heads), forward=side == "out"
     )
@@ -244,12 +251,14 @@ def min_separator(
     return value, _separator(h.n, reach, x, avoid)
 
 
-def _check_count(name: str, value: Optional[int]) -> None:
-    """Raise unless ``value`` is ``None`` or a non-negative ``int``: the
-    limit or cap a public entry hands on to the unchecked kernel.  A
-    ``bool`` is not a count, though Python counts it as an ``int``."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+def _check_count(name: str, value: int) -> None:
+    """Raise unless ``value`` is a non-negative ``int``: a limit, cap,
+    level or target that a public entry hands on to code that trusts it.
+    A ``bool`` is not a count, though Python counts it as an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise PreconditionError(f"{name} must be a non-negative int, not {value!r}")
+    if value < 0:
+        raise PreconditionError(f"{name} {value} is negative")
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -268,12 +277,6 @@ def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: V
     if not source_set <= separator or separator.mask & avoid_set.mask:
         raise InvariantViolation("separator missed its constraints")
     return separator
-
-
-def _root_pairs(n: int) -> list[tuple[int, int]]:
-    """The (source, sink) queries against vertex 0 that
-    :class:`IncrementalConnectivity` keeps, in its order."""
-    return [(s, t) for v in range(1, n) for s, t in ((0, v), (v, 0))]
 
 
 def connectivity(
@@ -307,7 +310,8 @@ def connectivity(
     sink order may find another such set.
     """
     _same_instance(h, o)
-    _check_count("cap", cap)
+    if cap is not None:
+        _check_count("cap", cap)
     n, g = h.n, network(h)
     best = h.m + 1 if cap is None else cap
     found = None
@@ -341,9 +345,13 @@ class KeptReaches:
     ``tight[v]`` tells whether some set of degree ``k`` on the side (out-
     or in-degree) that avoids vertex 0 holds ``v``: ``v`` is not 0 and the
     value of its kept query (``v -> 0`` on the out side, ``0 -> v`` on the
-    in side) is ``k``.  That flow is then maximum, so :meth:`reach` from
-    ``v`` labels the inclusion-minimal such set.  Built on copies of the
-    residuals, its answers do not change when the step check moves on."""
+    in side) is ``k``.  That flow is then maximum, and it is also a flow
+    of value ``k`` from any set ``X`` that holds ``v`` and avoids 0.  Every
+    set that holds ``X`` and avoids 0 has degree ``k`` or more, so
+    :meth:`reach` from ``X``, with ``v`` its smallest vertex, labels the
+    inclusion-minimal one of degree ``k``, and reaches vertex 0 when none
+    has.  Built on copies of the residuals, its answers do not change when
+    the step check moves on."""
 
     def __init__(self, g: IncidenceDigraph, residuals: list[Optional[list[int]]], forward: bool) -> None:
         self.n = g.n
@@ -351,12 +359,16 @@ class KeptReaches:
         self._g = g
         self._res = residuals
         self._forward = forward
+        self._root = [False] * g.n
+        self._root[0] = True
 
-    def reach(self, v: int, stop: list[bool]) -> Optional[VertexSet]:
-        """What one :func:`_search` from ``v``, a vertex with ``tight[v]``,
-        labels in its kept residual (run backward on the in side), or
-        ``None`` once it labels a vertex marked in ``stop``."""
-        _, labelled, hit = _search(self._g, self._res[v], [v], stop, self._forward)
+    def reach(self, roots: list[int], stop: Optional[list[bool]] = None) -> Optional[VertexSet]:
+        """What one :func:`_search` from ``roots`` labels in the kept
+        residual of ``roots[0]``, a vertex with ``tight[roots[0]]`` (run
+        backward on the in side), or ``None`` once it labels a vertex
+        marked in ``stop``, by default vertex 0."""
+        stop = self._root if stop is None else stop
+        _, labelled, hit = _search(self._g, self._res[roots[0]], roots, stop, self._forward)
         return None if hit >= 0 else VertexSet.from_mask(self.n, _mask(labelled))
 
 
@@ -395,9 +407,10 @@ class IncrementalConnectivity:
     kept flow is a maximum flow, so its residual holds the minimal sides of
     the query's minimum cut.  :func:`~hyperorient.families.compute_families`
     reads its minimal tight sets from them, after checking :attr:`heads`
-    and :attr:`cap`: the per-vertex ones through a :meth:`kept_reaches`
-    snapshot, those around a whole set through :meth:`minimal_tight`.  Each
-    is one residual search, with no flow.
+    and :attr:`cap`, through one :meth:`kept_reaches` snapshot per side:
+    the per-vertex ones and those around a whole set alike are one
+    residual search each, with no flow.  :meth:`kept_reaches` is the one
+    place that maps a side and a vertex to its kept query.
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
@@ -407,43 +420,13 @@ class IncrementalConnectivity:
         self.cap = cap
         self.heads = list(o.heads)
         self._g = network(h)
-        self._pairs = _root_pairs(h.n)
+        self._pairs = [(s, t) for v in range(1, h.n) for s, t in ((0, v), (v, 0))]
         self._res = [list(o.heads) for _ in self._pairs]
         self._value = [0] * len(self._pairs)
         self._cut: list[Optional[frozenset[int]]] = [None] * len(self._pairs)
         for p in range(len(self._pairs)):
             self._augment(p)
         self.value = min(self._value, default=cap)
-
-    def minimal_tight(self, x: VertexSet, side: str) -> Optional[VertexSet]:
-        """The inclusion-minimal set of ``side``-degree :attr:`value` (the
-        connectivity ``k``, exact below the cap) that contains ``x`` and
-        avoids vertex 0, or ``None``, from the kept query of the root pair
-        of ``x``'s smallest vertex ``s`` (``s -> 0`` for ``side='out'``,
-        ``0 -> s`` for ``'in'``), which is never below ``k``.  At value
-        ``k`` the query's flow is maximum, and it is also a flow from all of
-        ``x``: so the set is what one :func:`_search` from ``x`` labels in
-        its residual (on the in side, run backward), and ``None`` when that
-        search reaches vertex 0.  An empty ``x``, one over another ground
-        set, a ``side`` other than ``'out'`` and ``'in'``, or a value at the
-        cap, where it is not exact, raises :class:`PreconditionError`."""
-        if side not in ("out", "in"):
-            raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
-        if not x:
-            raise PreconditionError("minimal_tight needs a nonempty set")
-        n = self.hypergraph.n
-        if x.n != n:
-            raise PreconditionError("vertex set over a different ground set")
-        if self.value >= self.cap:
-            raise PreconditionError(f"value {self.value} is at the cap {self.cap}, so not exact")
-        s = next(iter(x))
-        p = 2 * s - 1 if side == "out" else 2 * s - 2
-        if s == 0 or self._value[p] != self.value:
-            return None
-        is_sink = [False] * n
-        is_sink[0] = True
-        _, labelled, hit = _search(self._g, self._res[p], list(x), is_sink, side == "out")
-        return None if hit >= 0 else _separator(n, labelled, x, VertexSet.singleton(n, 0))
 
     def kept_reaches(self, side: str, copy: bool = True) -> KeptReaches:
         """A :class:`KeptReaches` of ``side`` at :attr:`value`, the

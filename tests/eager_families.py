@@ -1,11 +1,13 @@
 """The eager cut-family computation, kept as the reference for
 ``compute_families``.
 
-``eager_families`` reads every q set with one ``minimal_tight`` search per
-vertex and side, takes the minimal families with ``minimal_members`` over
-all of them, and returns plain tuples.  ``compute_families`` computes the
-q sets on read and finds the minimal families by an early-exit descent;
-it must return equal families on every input.
+``eager_families`` reads every q set up front, with one search per vertex
+and side in a snapshot of the check's kept residuals, takes the minimal
+families with ``minimal_members`` over all of them, and returns plain
+tuples.  Every search passes its own stop list for vertex 0.
+``compute_families`` computes the q sets on read and finds the minimal
+families by an early-exit descent; it must return equal families on every
+input.
 """
 
 from __future__ import annotations
@@ -23,14 +25,21 @@ def eager_families(h, o, check=None):
         check = IncrementalConnectivity(h, o, cap=k + 1)
     n = h.n
     full = VertexSet.full(n)
-    qm = [check.minimal_tight(VertexSet.singleton(n, v), "in") or full for v in range(n)]
-    qp = [check.minimal_tight(VertexSet.singleton(n, v), "out") or full for v in range(n)]
+    root = [v == ROOT for v in range(n)]
+    reaches = {side: check.kept_reaches(side, copy=False) for side in ("in", "out")}
+
+    def minimal_tight(x, side):
+        roots = list(x)
+        return reaches[side].reach(roots, root) if reaches[side].tight[roots[0]] else None
+
+    qm = [minimal_tight(VertexSet.singleton(n, v), "in") or full for v in range(n)]
+    qp = [minimal_tight(VertexSet.singleton(n, v), "out") or full for v in range(n)]
     proper_m_minus = minimal_members(s for s in qm if not s.is_full)
     proper_m_plus = minimal_members(s for s in qp if not s.is_full)
     m_minus = proper_m_minus or (full,)
     m_plus = proper_m_plus or (full,)
-    candidates = [check.minimal_tight(t_set, "in") for t_set in proper_m_plus]
-    candidates += [check.minimal_tight(s_set, "out") for s_set in proper_m_minus]
+    candidates = [minimal_tight(t_set, "in") for t_set in proper_m_plus]
+    candidates += [minimal_tight(s_set, "out") for s_set in proper_m_minus]
     proper_r = minimal_members(c for c in candidates if c is not None)
     return CutFamilies(
         k=k,

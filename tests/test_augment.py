@@ -11,6 +11,7 @@ from hyperorient import (
     PreconditionError,
     ReorientationStep,
     ReorientationTrace,
+    VertexSet,
     apply_trace,
     augment_one,
     augment_to,
@@ -72,6 +73,20 @@ class TestAugmentOne:
         h, o = doubled_triangle_flat()
         with pytest.raises(PreconditionError, match="level -1 is negative"):
             augment_one(h, o, level=-1)
+
+    def test_non_int_targets_and_levels_rejected(self):
+        """A float target would make a trace that verifies but that the
+        trace format rejects, and a ``bool`` one counts as 0 or 1; both
+        entries take only a non-negative ``int``."""
+        h, o = doubled_triangle_flat()
+        for bad in (1.5, True, "2", None):
+            with pytest.raises(PreconditionError, match="k_target must be a non-negative int"):
+                augment_to(h, o, bad)
+        for bad in (1.5, True, False, "0"):
+            with pytest.raises(PreconditionError, match="level must be a non-negative int"):
+                augment_one(h, o, level=bad)
+        assert augment_to(h, o, 2).k_target == 2
+        assert augment_one(h, o, level=0)[1].k_target == 1
 
     def test_full_region_fallback_instance(self):
         h = hypergraph(3, [(1, 2), (1, 2), (0, 1), (0, 2)])
@@ -144,6 +159,26 @@ class TestAugmentTo:
                 run()
             assert info.value.certificate == Partition(h.n, [[v], [x for x in range(h.n) if x != v]])
             assert crossing_edges(h, info.value.certificate) == degree[v] < 2 * target
+
+    def test_low_degree_matches_the_singleton_degrees(self):
+        """The one-pass edge count rejects exactly when some singleton's
+        ``degree`` is below ``2 * target``, and names the smallest such
+        vertex, on instances with repeated and wide edges."""
+        from hyperorient import degree
+
+        seen = set()
+        for h, o in random_instances(126, 40, n_max=6, m_max=8):
+            degrees = [degree(h, VertexSet.singleton(h.n, v)) for v in range(h.n)]
+            for target in range(1, max(degrees) // 2 + 2):
+                low = [v for v in range(h.n) if degrees[v] < 2 * target]
+                try:
+                    augment_module._reject_low_degree(h, target)
+                except NotPartitionConnectedError as exc:
+                    assert low and str(exc).startswith(f"vertex {low[0]} lies in {degrees[low[0]]} hyperedges")
+                    seen.add(low[0])
+                else:
+                    assert not low
+        assert len(seen) > 2
 
     def test_guard_names_level_iteration_and_region(self):
         """A guard that fires in the path loop says where: here the wrapped

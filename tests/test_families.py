@@ -185,10 +185,12 @@ class TestKeptFlows:
                 assert (fam.q_minus, fam.q_plus, fam.r_family) == (qm, qp, r_family), (seed, step)
                 assert families_tuple(fam) == families_tuple(compute_families(h, o))
                 for side, members in (("in", fam.m_plus), ("out", fam.m_minus)):
+                    reaches = check.kept_reaches(side)
                     for x in members:
                         if not x.is_full:
-                            expected = minimal_tight(h, o, fam.k, side, x)
-                            assert check.minimal_tight(x, side) == expected
+                            roots = list(x)
+                            found = reaches.reach(roots) if reaches.tight[roots[0]] else None
+                            assert found == minimal_tight(h, o, fam.k, side, x), (seed, step, side, x)
                 levels.add((fam.k, check.cap - fam.k))
                 e, head = climbing_step(rng, h, o)
                 o = reorient(o, e, head)
@@ -229,6 +231,28 @@ class TestKeptFlows:
         check.value = 0
         with pytest.raises(InvariantViolation, match="level 1: kept flows give 0 at cap 2, connectivity 1"):
             compute_families(h, o, check=check)
+
+
+class TestPredicates:
+    PREDICATES = (is_in_tight, is_out_tight, is_in_dangerous, is_out_dangerous)
+
+    def test_a_foreign_ground_set_is_rejected(self):
+        """Every set over another ground set is rejected, the full and the
+        empty one included, which the predicates would otherwise answer
+        without a degree."""
+        h, o = three_cycle()
+        for x in (VertexSet.full(5), VertexSet.empty(5), vs(5, [1]), vs(5, [0, 4]), VertexSet.full(2)):
+            for predicate in self.PREDICATES:
+                with pytest.raises(PreconditionError, match="different ground set"):
+                    predicate(h, o, 1, x)
+
+    def test_full_empty_and_root_sets(self):
+        h, o = three_cycle()  # connectivity 1: {1} and {2} have in- and out-degree 1
+        for predicate, full in zip(self.PREDICATES, (True, True, False, False)):
+            assert predicate(h, o, 1, VertexSet.full(3)) is full
+            assert predicate(h, o, 1, VertexSet.empty(3)) is False
+            assert predicate(h, o, 0, vs(3, [0])) is False
+        assert is_in_tight(h, o, 1, vs(3, [1])) and is_out_dangerous(h, o, 0, vs(3, [2]))
 
 
 class TestClaims:

@@ -3,9 +3,9 @@ option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 ``separator.py`` binds the flow or the network builder to a name of its own,
 every flow under ``src/`` names the orientation it runs on, every residual
 search under ``src/`` runs inside a flow (or is the one search of
-``minimal_tight`` or ``KeptReaches.reach``), the verifier names none of the solver's repair code, and the
-package's ``__all__`` is sorted, free of duplicates, exactly what its
-``__init__.py`` imports and free of the max-flow kernel's names.
+``KeptReaches.reach``), the verifier names none of the solver's repair
+code, and the package's ``__all__`` is sorted, free of duplicates, exactly
+what its ``__init__.py`` imports and free of the max-flow kernel's names.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
 Package ``__init__.py`` files are skipped by the import scan: their imports
@@ -184,7 +184,7 @@ def test_the_flow_scan_sees_bare_calls():
     assert list(flows_without_residual(tree)) == [1, 2]
 
 
-SEARCH_CALLERS = ("max_flow_min_cut", "IncrementalConnectivity.minimal_tight", "KeptReaches.reach")
+SEARCH_CALLERS = ("max_flow_min_cut", "KeptReaches.reach")
 
 
 def stray_searches(tree, in_separator):
@@ -194,8 +194,7 @@ def stray_searches(tree, in_separator):
     ``separator`` module or a ``separator._search`` attribute.  Every
     augmenting search must run inside a ``max_flow_min_cut`` call, so that a
     patch of that global (perfbench's tracer, the counting tests) sees every
-    flow; ``minimal_tight`` and ``KeptReaches.reach`` each run one search
-    and no flow."""
+    flow; ``KeptReaches.reach`` runs one search and no flow."""
     found = []
 
     def visit(node, scope):
@@ -248,6 +247,7 @@ def test_the_search_scan_sees_stray_calls():
         "        return _search(self)\n"
     )
     assert stray_searches(separator_like, True) == [
+        (5, "IncrementalConnectivity.minimal_tight"),
         (7, "IncrementalConnectivity._augment"),
         (9, "connectivity"),
         (14, "KeptReaches.minimal"),

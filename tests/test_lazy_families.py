@@ -146,23 +146,36 @@ class TestEqualityAndHash:
         assert repr(q) == f"QSets({ref!r})"
 
     def test_each_entry_is_one_search_at_most(self, monkeypatch):
-        """The descent finds the minimal families with at most one search
-        per vertex and side and leaves some q sets unread; each of those is
-        one search on its first read and none after."""
+        """The descent finds the minimal families with at most one
+        single-root search per vertex and side and leaves some q sets
+        unread; each of those is one search on its first read and none
+        after.  Each ``r_family`` candidate whose member's smallest vertex
+        is tight on the opposite side is one search from the whole member,
+        and every other candidate is none."""
         from hyperorient import separator
 
         h = gen_instance(GenSpec(n=40, k=3, extra_edges=20, max_edge_size=4, seed=1))
         o = gen_orientation(h, mode="min-head")
         ref = eager_families(h, o)
+        check = IncrementalConnectivity(h, o, ref.k + 1)
+        tight = {side: check.kept_reaches(side).tight for side in ("in", "out")}
+        members = [(x, "in") for x in ref.m_plus] + [(x, "out") for x in ref.m_minus]
+        expected = [list(x) for x, side in members if not x.is_full and tight[side][min(x)]]
         searches = []
         reach = separator.KeptReaches.reach
-        monkeypatch.setattr(
-            separator.KeptReaches, "reach", lambda self, v, stop: searches.append(v) or reach(self, v, stop)
-        )
+
+        def counted(self, roots, stop=None):
+            searches.append((list(roots), stop is None))
+            return reach(self, roots, stop)
+
+        monkeypatch.setattr(separator.KeptReaches, "reach", counted)
         fam = compute_families(h, o)
+        descent = [roots for roots, default_stop in searches if not default_stop]
+        candidates = [roots for roots, default_stop in searches if default_stop]
         during = len(searches)
         assert (fam.m_minus, fam.m_plus) == (ref.m_minus, ref.m_plus)
-        assert 0 < during <= 2 * (h.n - 1)
+        assert all(len(roots) == 1 for roots in descent) and 0 < len(descent) <= 2 * (h.n - 1)
+        assert sorted(candidates) == sorted(expected) != []
         assert fam == ref
         after = len(searches)
         assert during < after <= during + 2 * (h.n - 1)
@@ -255,6 +268,22 @@ class TestKeptReaches:
             IncrementalConnectivity(h, o, k + 1).kept_reaches("up")
         with pytest.raises(PreconditionError, match="at the cap"):
             IncrementalConnectivity(h, o, k).kept_reaches("out")
+
+    def test_a_reach_stops_at_vertex_0_unless_told_otherwise(self):
+        h = gen_instance(GenSpec(n=10, k=1, extra_edges=4, max_edge_size=3, seed=9))
+        o = gen_orientation(h, seed=9)
+        check = IncrementalConnectivity(h, o, hyperarc_connectivity(h, o) + 1)
+        ref = eager_families(h, o, check)
+        for side, q in (("out", ref.q_plus), ("in", ref.q_minus)):
+            reaches = check.kept_reaches(side)
+            tight = [v for v in range(h.n) if reaches.tight[v]]
+            assert tight and all(reaches.reach([v]) == q[v] for v in tight)
+            for v in tight:
+                beyond = [w not in q[v] for w in range(h.n)]  # stop only outside q[v]: the same search
+                inside = [w in q[v] and w != v for w in range(h.n)]
+                assert reaches.reach([v], beyond) == q[v]
+                assert (reaches.reach([v], inside) is None) == (len(q[v]) > 1)
+            assert any(len(q[v]) > 1 for v in tight)
 
     def test_a_copy_outlives_a_reorientation(self):
         h = gen_instance(GenSpec(n=10, k=2, extra_edges=5, max_edge_size=3, seed=4))

@@ -394,7 +394,7 @@ def root_pair_connectivity(h, o, cap=None):
     keeps as its witness."""
     best = h.m + 1 if cap is None else cap
     found = None
-    for src, snk in separator._root_pairs(h.n):
+    for src, snk in ((s, t) for v in range(1, h.n) for s, t in ((0, v), (v, 0))):
         if best == 0:
             break
         value, sep = min_separator(
@@ -557,50 +557,28 @@ class TestIncrementalConnectivity:
                 check.reorient(e, head)
         assert check.reorient(0, 0) == 0 == connectivity(h, reorient(o, 0, 0), cap=2)[0]
 
-    def test_minimal_tight_rejects_an_empty_set(self):
-        h, o = three_cycle()
-        check = IncrementalConnectivity(h, o, 2)
-        with pytest.raises(PreconditionError, match="nonempty"):
-            check.minimal_tight(VertexSet.empty(3), "out")
+    def test_families_run_no_flow_but_the_lambda_recompute(self, monkeypatch):
+        """Every minimal tight set ``compute_families`` finds, in every field
+        and every q set, is a residual search in the kept flows: the call's
+        one flow-backed read is its connectivity recompute."""
+        from hyperorient import compute_families, families
 
-    def test_minimal_tight_rejects_an_unknown_side(self):
-        h, o = three_cycle()
-        check = IncrementalConnectivity(h, o, 2)
-        with pytest.raises(PreconditionError, match="side"):
-            check.minimal_tight(vs(3, [1]), "up")
-
-    def test_minimal_tight_rejects_another_ground_set(self):
-        h, o = three_cycle()
-        check = IncrementalConnectivity(h, o, 2)
-        for x in (vs(5, [4]), vs(2, [1])):
-            with pytest.raises(PreconditionError, match="different ground set"):
-                check.minimal_tight(x, "out")
-
-    def test_minimal_tight_rejects_a_value_at_the_cap(self):
-        h, o = three_cycle()  # connectivity 1
-        check = IncrementalConnectivity(h, o, 1)
-        with pytest.raises(PreconditionError, match="at the cap"):
-            check.minimal_tight(vs(3, [1]), "out")
-        assert check.raise_cap(2) == 1
-        assert check.minimal_tight(vs(3, [1]), "out") == vs(3, [1])
-
-    def test_minimal_tight_runs_no_flow(self, monkeypatch):
-        h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
-        o = gen_orientation(h, seed=3)
+        h = gen_instance(GenSpec(n=10, k=1, extra_edges=4, max_edge_size=3, seed=9))
+        o = gen_orientation(h, seed=9)
         k = connectivity(h, o)[0]
         check = IncrementalConnectivity(h, o, k + 1)
+        recomputes = []
 
         def no_flow(*args, **kwargs):
-            raise AssertionError("minimal_tight ran a flow")
+            raise AssertionError("compute_families ran a flow")
 
+        monkeypatch.setattr(families, "hyperarc_connectivity", lambda *args: recomputes.append(args) or k)
         monkeypatch.setattr(separator, "max_flow_min_cut", no_flow)
-        found = [
-            check.minimal_tight(vs(h.n, xs), side)
-            for v in range(1, h.n)
-            for xs in ([v], [v, v % (h.n - 1) + 1])
-            for side in ("out", "in")
-        ]
-        assert any(x is not None and len(x) > 1 for x in found)
+        fam = compute_families(h, o, check=check)
+        assert (fam.k, len(recomputes)) == (k, 1)
+        assert all(len(q) > 0 for q in (*fam.q_minus, *fam.q_plus))
+        members = [x for x in fam.m_minus + fam.m_plus if not x.is_full]
+        assert any(len(x) > 1 for x in members) and not fam.r_family[0].is_full  # a search from a whole set ran
 
     def test_every_push_is_a_max_flow_call(self, monkeypatch):
         h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
