@@ -40,7 +40,6 @@ from .augment import (
     VerifyFailure,
     VerifyReport,
     apply_trace,
-    augment_one,
     augment_to,
     verify_trace,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "admissible_path_in_tminus",
     "admissible_path_in_tplus",
     "apply_trace",
-    "augment_one",
     "augment_to",
     "bf_families",
     "bf_lambda",

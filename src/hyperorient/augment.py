@@ -1,12 +1,16 @@
 """Connectivity-raising reorientation: one level at a time, one hyperarc at
 a time, never letting the connectivity drop.
 
-Raising the level from ``k`` to ``k + 1`` loops: compute the cut families at
-level ``k``, pick the canonically smallest region of the ``r_family``, find
-an admissible path in it, and reorient the path's hyperarcs one by one
-toward their recorded tails (end to start inside an in-tight region, start
-to end inside an out-tight one).  After every single reorientation the
-connectivity is checked to stay at least ``k``: one step check
+:func:`augment_to` is the one entry.  It checks the target, computes the
+initial connectivity once and calls :func:`augment_one`, its per-level
+loop, once for each level up to the target; each level starts at exactly
+``k`` and ends at exactly ``k + 1``.  Raising the level from ``k`` to
+``k + 1`` loops: compute the cut families at level ``k``, pick the
+canonically smallest region of the ``r_family``, find an admissible path in
+it, and reorient the path's hyperarcs one by one toward their recorded
+tails (end to start inside an in-tight region, start to end inside an
+out-tight one).  After every single reorientation the connectivity is
+checked to stay at least ``k``: one step check
 (:class:`~hyperorient.separator.IncrementalConnectivity`) keeps 2(n - 1)
 root-pair flows for the whole run and repairs them after each step instead
 of recomputing them.  :func:`augment_to` builds it once; each level raises
@@ -34,8 +38,8 @@ no orientation reaches the target, and the two-class partition that cuts
 it off is the certificate.  Other violations surface as
 :class:`NotPartitionConnectedError` through fail-fast guards: a missing safe
 endpoint, a stuck search, a connectivity drop, a non-decreasing potential,
-or a blown step budget.  Each guard inside :func:`augment_one`'s loop names
-the level, the iteration and the search region it fired in.
+or a blown step budget.  Each guard inside a level's loop names the level,
+the iteration and the search region it fired in.
 """
 
 from __future__ import annotations
@@ -104,7 +108,12 @@ class ReorientationTrace:
 @dataclass(frozen=True)
 class PathEvent:
     """Observer record emitted once per admissible path, before it is
-    applied.  ``families`` and ``orientation`` are the pre-path state."""
+    applied.  ``families`` and ``orientation`` are the pre-path state.
+
+    The families' q sets are computed on read from residual snapshots that
+    they hold (see :class:`~hyperorient.families.QSets`), so an observer
+    that keeps events also keeps each event's snapshots, until every q set
+    of it has been read."""
 
     level: int
     iteration: int
@@ -148,44 +157,29 @@ def _reject_low_degree(h: Hypergraph, target: int) -> None:
 def augment_one(
     h: Hypergraph,
     o: Orientation,
-    level: Optional[int] = None,
+    k: int,
+    check: IncrementalConnectivity,
     observer: Optional[Observer] = None,
-    *,
-    check: Optional[IncrementalConnectivity] = None,
-) -> tuple[Orientation, ReorientationTrace]:
-    """Raise the connectivity from ``level`` (the current exact value by
-    default) to ``level + 1`` by single-hyperarc reorientations.
+) -> tuple[Orientation, list[ReorientationStep]]:
+    """One level of :func:`augment_to`: raise the connectivity of ``o`` from
+    exactly ``k`` to exactly ``k + 1`` by single-hyperarc reorientations.
 
-    Returns the new orientation and a trace whose per-step connectivity is
-    non-decreasing and never below ``level``.  If the orientation is already
-    above ``level`` the trace is empty.  ``check`` is a step check for ``o``
-    with a cap of at most ``level + 1``, kept from an earlier level; its cap
-    is raised to ``level + 1`` and it is left current for the returned
-    orientation.  Without one, one is built.  A vertex in fewer than
-    ``2 * (level + 1)`` hyperedges is rejected before the check is touched,
-    and a ``level`` that is not a non-negative ``int`` (a ``bool`` is not
-    one) raises :class:`PreconditionError`.
+    ``check`` is the run's step check, current for ``o`` with a cap of at
+    most ``k + 1``; its cap is raised to ``k + 1`` and it is left current
+    for the returned orientation.  Returns the new orientation and the
+    level's steps, whose connectivity is non-decreasing and never below
+    ``k``.  A check whose value is not ``k`` raises
+    :class:`InvariantViolation`.
     """
-    if level is not None:
-        separator._check_count("level", level)
-    k = hyperarc_connectivity(h, o) if level is None else level
-    _reject_low_degree(h, k + 1)
-    if check is None:
-        check = IncrementalConnectivity(h, o, cap=k + 1)
-    elif check.heads != list(o.heads):
-        raise PreconditionError("the step check is for another orientation")
     check.raise_cap(k + 1)
-    lam0 = check.value
-    if lam0 < k:
-        raise PreconditionError(f"orientation has connectivity {lam0}, below level {k}")
-    if lam0 > k:  # already above the level; the trace records the exact value
-        lam0 = hyperarc_connectivity(h, o)
+    if check.value != k:
+        raise InvariantViolation(f"level {k} starts at connectivity {check.value}")
 
     n = h.n
     budget = n**3 + n
     steps: list[ReorientationStep] = []
     cur = o
-    lam_cur = lam0
+    lam_cur = k
     prev_potential: Optional[tuple[int, int]] = None
     iteration = 0
 
@@ -251,14 +245,7 @@ def augment_one(
         raise InvariantViolation("augmentation loop ended below its target")
     if len(steps) > n**3:
         raise InvariantViolation(f"level used {len(steps)} steps, above the n^3 bound")
-    trace = ReorientationTrace(
-        initial=o,
-        k_target=k + 1,
-        lambda_initial=lam0,
-        lambda_final=lam_cur,
-        steps=tuple(steps),
-    )
-    return cur, trace
+    return cur, steps
 
 
 def augment_to(
@@ -267,13 +254,14 @@ def augment_to(
     k_target: int,
     observer: Optional[Observer] = None,
 ) -> ReorientationTrace:
-    """Raise the connectivity to ``k_target`` by repeated single increments.
+    """Raise the connectivity to ``k_target``, one level at a time.
 
-    The concatenated trace uses at most ``(k_target - lambda_initial) * n^3``
-    steps.  A ``k_target`` that is not a non-negative ``int`` (a ``bool``
-    is not one) raises :class:`PreconditionError`.  One below the initial
-    connectivity is rejected, and so is, before any flow, one that some
-    vertex's degree rules out.
+    The trace uses at most ``(k_target - lambda_initial) * n^3`` steps.  A
+    ``k_target`` that is not a non-negative ``int`` (a ``bool`` is not one)
+    raises :class:`PreconditionError`.  One below the initial connectivity
+    is rejected, and so is, before any flow, one that some vertex's degree
+    rules out.  Each level ends at exactly one above the last, so one step
+    check, built here, serves every level.
     """
     separator._check_count("k_target", k_target)
     _reject_low_degree(h, k_target)
@@ -282,20 +270,18 @@ def augment_to(
         raise PreconditionError(f"target {k_target} is below the initial connectivity {lam0}")
     steps: list[ReorientationStep] = []
     cur = o
-    lam = lam0
     check = IncrementalConnectivity(h, o, cap=lam0 + 1) if lam0 < k_target else None
-    while lam < k_target:
+    for k in range(lam0, k_target):
         # one call per level, through the module global: a wrapped augment_one sees each level
-        cur, partial = augment_one(h, cur, level=lam, observer=observer, check=check)
-        steps.extend(partial.steps)
-        lam = partial.lambda_final
+        cur, level_steps = augment_one(h, cur, k, check, observer)
+        steps.extend(level_steps)
     if len(steps) > (k_target - lam0) * h.n**3:
         raise InvariantViolation("total steps exceed the (k - lambda) * n^3 bound")
     return ReorientationTrace(
         initial=o,
         k_target=k_target,
         lambda_initial=lam0,
-        lambda_final=lam,
+        lambda_final=k_target,
         steps=tuple(steps),
     )
 
@@ -335,15 +321,29 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _non_int_field(trace: ReorientationTrace) -> Optional[VerifyFailure]:
+    """The first field of ``trace`` that is not an ``int``, by
+    :func:`~hyperorient.toolkit.parse_trace`'s rule (``type(x) is int``, so
+    a ``bool`` is not one), or ``None``."""
+    records = [(None, {name: getattr(trace, name) for name in ("lambda_initial", "k_target", "lambda_final")})]
+    records += [(i, vars(step)) for i, step in enumerate(trace.steps, start=1)]
+    for i, record in records:
+        for name, value in record.items():
+            if type(value) is not int:
+                return VerifyFailure(i, f"{name} is {value!r}, not an int")
+    return None
+
+
 def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     """Independent certification of a trace.
 
-    First checks that the step count respects the ``(k_target -
-    lambda_initial) * n^3`` bound, so an over-long trace is rejected before
-    any replay.  Then replays every step, computes the exact connectivity
-    after each, and checks: steps are single legal reorientations, the
-    computed connectivity matches the recorded one and never decreases, and
-    the final connectivity equals the claim and reaches the target.
+    First checks that every count, head and edge id is an ``int``, and then
+    that the step count respects the ``(k_target - lambda_initial) * n^3``
+    bound, so a malformed or over-long trace is rejected before any replay.
+    Then replays every step, computes the exact connectivity after each, and
+    checks: steps are single legal reorientations, the computed connectivity
+    matches the recorded one and never decreases, and the final connectivity
+    equals the claim and reaches the target.
 
     Each step's value comes from two bounds where they meet.  Turning edge
     ``e`` from head ``a`` to head ``b`` lowers by one the out-degree of
@@ -371,6 +371,9 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     """
     if trace.initial.hypergraph != h:
         return VerifyReport((VerifyFailure(None, "trace initial orientation is for a different hypergraph"),))
+    bad = _non_int_field(trace)
+    if bad is not None:
+        return VerifyReport((bad,))
     bound = max(0, trace.k_target - trace.lambda_initial) * h.n**3
     if len(trace.steps) > bound:
         return VerifyReport((VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"),))

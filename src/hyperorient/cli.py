@@ -195,11 +195,7 @@ def _cmd_oracle(args) -> int:
     if op == "lambda":
         result = {"lambda": bf_lambda(h, o)}
     elif op == "families":
-        fam = bf_families(h, o)
-        if args.json:
-            print(json.dumps(_families_payload(fam)))
-        else:
-            _print_families(fam, False)
+        _print_families(bf_families(h, o), args.json)
         return 0
     elif op == "separator":
         sinks = _parse_vertex_list(args.sinks, h.n, "--sinks")

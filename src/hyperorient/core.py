@@ -34,13 +34,22 @@ class InvariantViolation(RuntimeError):
     """
 
 
+def _as_int(what: str, x: object) -> int:
+    """``x`` as a plain ``int``: an ``IntEnum`` member is one, a ``bool`` is
+    not, and anything else raises :class:`PreconditionError`.  Callers test
+    ``type(x) is int`` first, so a plain ``int`` costs no call."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise PreconditionError(f"{what} is {x!r}, not an int")
+    return int(x)
+
+
 class VertexSet:
     """Immutable subset of ``{0, .., n-1}`` backed by a bitmask.
 
-    Members are ``int`` vertices (an ``IntEnum`` is one, a ``bool`` is
-    not); anything else raises :class:`PreconditionError`.  Comparison
-    operators follow set semantics (``<=`` is subset, ``<`` is proper
-    subset).  Deterministic tie-breaking everywhere in this package
+    The count and the members are ``int`` (an ``IntEnum`` is one, a
+    ``bool`` is not); anything else raises :class:`PreconditionError`.
+    Comparison operators follow set semantics (``<=`` is subset, ``<`` is
+    proper subset).  Deterministic tie-breaking everywhere in this package
     uses :meth:`sort_key`, which orders by size first and then
     lexicographically on the sorted member tuple.
     """
@@ -48,12 +57,14 @@ class VertexSet:
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, members: Iterable[int] = ()) -> None:
+        if type(n) is not int:
+            n = _as_int("vertex count", n)
         if n < 0:
             raise PreconditionError("vertex count must be non-negative")
         mask = 0
         for v in members:
-            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
-                raise PreconditionError(f"vertex {v!r} is not an int")
+            if type(v) is not int:
+                v = _as_int("vertex", v)
             if not 0 <= v < n:
                 raise PreconditionError(f"vertex {v} outside 0..{n - 1}")
             mask |= 1 << v
@@ -206,12 +217,15 @@ def minimal_members(sets: Iterable[VertexSet]) -> tuple[VertexSet, ...]:
 @dataclass(frozen=True)
 class Hypergraph:
     """Undirected hypergraph: a vertex count and an ordered multiset of
-    hyperedges, each a vertex set of size at least two."""
+    hyperedges, each a vertex set of size at least two.  The vertex count
+    is an ``int`` (an ``IntEnum`` is one, a ``bool`` is not)."""
 
     n: int
     edges: tuple[VertexSet, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _as_int("vertex count", self.n))
         if self.n < 2:
             raise PreconditionError("hypergraph needs at least two vertices")
         if not isinstance(self.edges, tuple):
@@ -244,7 +258,8 @@ class Orientation:
     """Head assignment for every edge of a hypergraph.
 
     Together with its hypergraph this is a directed hypergraph: edge ``e``
-    becomes the hyperarc ``(edges[e] - heads[e], heads[e])``.
+    becomes the hyperarc ``(edges[e] - heads[e], heads[e])``.  Each head is
+    an ``int`` (an ``IntEnum`` is one, a ``bool`` is not).
     """
 
     hypergraph: Hypergraph
@@ -252,13 +267,15 @@ class Orientation:
 
     def __post_init__(self) -> None:
         h = self.hypergraph
-        if not isinstance(self.heads, tuple):
-            object.__setattr__(self, "heads", tuple(self.heads))
-        if len(self.heads) != h.m:
-            raise PreconditionError(f"expected {h.m} heads, got {len(self.heads)}")
-        for e, v in enumerate(self.heads):
-            if v not in h.edges[e]:
+        heads = list(self.heads)
+        if len(heads) != h.m:
+            raise PreconditionError(f"expected {h.m} heads, got {len(heads)}")
+        for e, v in enumerate(heads):
+            if type(v) is not int:
+                v = heads[e] = _as_int(f"head of edge {e}", v)
+            if v < 0 or not h.edges[e].mask >> v & 1:  # ``v in h.edges[e]``, without a method call per head
                 raise PreconditionError(f"head {v} not in edge {e}")
+        object.__setattr__(self, "heads", tuple(heads))
 
     def tail(self, e: int) -> VertexSet:
         return self.hypergraph.edges[e].remove(self.heads[e])
@@ -378,7 +395,10 @@ def reorient(o: Orientation, e: int, u: int) -> Orientation:
     ``(X - u + v, u)``.  The underlying hyperedge is unchanged.
 
     Only the changed head is checked; the others were checked when ``o`` was
-    built, so the result skips ``Orientation``'s full O(m) validation."""
+    built, so the result skips ``Orientation``'s full O(m) validation.  ``e``
+    and ``u`` are ``int`` (an ``IntEnum`` is one, a ``bool`` is not)."""
+    if type(e) is not int or type(u) is not int:
+        e, u = _as_int("edge id", e), _as_int("vertex", u)
     h = o.hypergraph
     if not 0 <= e < h.m:
         raise PreconditionError(f"edge id {e} out of range")

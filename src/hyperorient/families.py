@@ -57,6 +57,7 @@ from .core import (
     Orientation,
     PreconditionError,
     VertexSet,
+    _same_instance,
     in_degree,
     minimal_members,
     out_degree,
@@ -192,8 +193,10 @@ class CutFamilies:
 
 def _rootless_degree(h: Hypergraph, o: Orientation, x: VertexSet, r: int, degree: Callable[..., int]) -> int | None:
     """``degree(h, o, x)``, or ``None`` when ``x`` is empty, full or holds
-    the root ``r``.  A set over another ground set raises
-    :class:`PreconditionError` before any of those shortcuts."""
+    the root ``r``.  An orientation of another hypergraph, or a set over
+    another ground set, raises :class:`PreconditionError` before any of
+    those shortcuts."""
+    _same_instance(h, o)
     if x.n != h.n:
         raise PreconditionError("vertex set over a different ground set")
     if x.is_empty or x.is_full or r in x:
@@ -248,8 +251,10 @@ def compute_families(
     residual reaches of the root-pair flows that ``check`` keeps, read
     through one snapshot per side (see
     :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches`).
-    Without a ``check``, one is built at cap ``k + 1``.  A ``check`` must be
-    for ``o``, with a cap above ``k`` (else :class:`PreconditionError`).
+    :func:`~hyperorient.augment.augment_to` passes the step check of its
+    run; without a ``check``, one is built at cap ``k + 1``.  A ``check``
+    must be for ``o``, with a cap above ``k`` (else
+    :class:`PreconditionError`).
     The connectivity is recomputed from scratch, and a ``check`` whose value
     is not that value raises :class:`InvariantViolation` naming the level.
 

@@ -403,13 +403,15 @@ class IncrementalConnectivity:
 
     :meth:`raise_cap` lifts the cap from one level to the next: a query
     below the old cap is already maximum, and one at it resumes its flow
-    toward the new cap, so the flows outlive a level.  Below the cap each
-    kept flow is a maximum flow, so its residual holds the minimal sides of
-    the query's minimum cut.  :func:`~hyperorient.families.compute_families`
-    reads its minimal tight sets from them, after checking :attr:`heads`
-    and :attr:`cap`, through one :meth:`kept_reaches` snapshot per side:
-    the per-vertex ones and those around a whole set alike are one
-    residual search each, with no flow.  :meth:`kept_reaches` is the one
+    toward the new cap, so the flows outlive a level, and
+    :func:`~hyperorient.augment.augment_to` builds one check per run.
+    Below the cap each kept flow is a maximum flow, so its residual holds
+    the minimal sides of the query's minimum cut.
+    :func:`~hyperorient.families.compute_families` reads its minimal tight
+    sets from them, after checking :attr:`heads` and :attr:`cap`, through
+    one :meth:`kept_reaches` snapshot per side: the per-vertex ones and
+    those around a whole set alike are one residual search each, with no
+    flow.  :meth:`kept_reaches` is the one
     place that maps a side and a vertex to its kept query.
     """
 

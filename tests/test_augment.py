@@ -7,13 +7,14 @@ from hyperorient import (
     InvariantViolation,
     NotPartitionConnectedError,
     Orientation,
+    ParseError,
     Partition,
     PreconditionError,
     ReorientationStep,
     ReorientationTrace,
+    VerifyFailure,
     VertexSet,
     apply_trace,
-    augment_one,
     augment_to,
     bf_lambda,
     crossing_edges,
@@ -43,71 +44,48 @@ class TestAugmentOne:
     def test_doubled_triangle_single_increment(self):
         h, o = doubled_triangle_flat()
         assert hyperarc_connectivity(h, o) == 0
-        o2, trace = augment_one(h, o)
+        trace = augment_to(h, o, 1)
+        o2 = apply_trace(trace)
         assert trace.lambda_initial == 0
         assert trace.lambda_final == 1
         assert hyperarc_connectivity(h, o2) == 1
         assert len(trace.steps) <= 27
-        assert apply_trace(trace) == o2
         # recorded connectivities match an independent brute-force replay
         cur = o
-        from hyperorient import reorient
-
         for step in trace.steps:
             cur = reorient(cur, step.edge, step.new_head)
             assert bf_lambda(h, cur) == step.lambda_after
 
-    def test_already_above_level_is_empty(self):
-        h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
-        o = Orientation(h, (1, 2, 0))
-        o2, trace = augment_one(h, o, level=0)
-        assert o2 == o and trace.steps == ()
-        assert trace.lambda_final == 1
-
-    def test_level_above_connectivity_rejected(self):
-        h, o = doubled_triangle_flat()
-        with pytest.raises(PreconditionError):
-            augment_one(h, o, level=1)
-
-    def test_negative_level_rejected(self):
-        h, o = doubled_triangle_flat()
-        with pytest.raises(PreconditionError, match="level -1 is negative"):
-            augment_one(h, o, level=-1)
-
     def test_non_int_targets_and_levels_rejected(self):
         """A float target would make a trace that verifies but that the
-        trace format rejects, and a ``bool`` one counts as 0 or 1; both
-        entries take only a non-negative ``int``."""
+        trace format rejects, and a ``bool`` one counts as 0 or 1; the entry
+        takes only a non-negative ``int``."""
         h, o = doubled_triangle_flat()
         for bad in (1.5, True, "2", None):
             with pytest.raises(PreconditionError, match="k_target must be a non-negative int"):
                 augment_to(h, o, bad)
-        for bad in (1.5, True, False, "0"):
-            with pytest.raises(PreconditionError, match="level must be a non-negative int"):
-                augment_one(h, o, level=bad)
         assert augment_to(h, o, 2).k_target == 2
-        assert augment_one(h, o, level=0)[1].k_target == 1
 
     def test_full_region_fallback_instance(self):
         h = hypergraph(3, [(1, 2), (1, 2), (0, 1), (0, 2)])
         o = Orientation(h, (2, 1, 0, 0))
-        o2, trace = augment_one(h, o)
+        trace = augment_to(h, o, 1)
         assert trace.lambda_initial == 0 and trace.lambda_final == 1
         assert verify_trace(h, trace).ok
 
     def test_families_off_level_are_an_invariant_violation(self, monkeypatch):
         h, o = doubled_triangle_flat()
-        o1, _ = augment_one(h, o)  # connectivity 1
+        o1 = apply_trace(augment_to(h, o, 1))  # connectivity 1
         real = augment_module.compute_families
         monkeypatch.setattr(
             augment_module, "compute_families", lambda h, o, **kwargs: replace(real(h, o, **kwargs), k=0)
         )
         with pytest.raises(InvariantViolation, match="level 1, iteration 1: families at 0"):
-            augment_one(h, o1)
+            augment_to(h, o1, 2)
 
     def test_monotone_per_step(self):
         for h, o in [doubled_triangle_flat()]:
-            _, trace = augment_one(h, o)
+            trace = augment_to(h, o, 1)
             lams = [trace.lambda_initial] + [s.lambda_after for s in trace.steps]
             assert all(a <= b for a, b in zip(lams, lams[1:]))
 
@@ -153,12 +131,11 @@ class TestAugmentTo:
         target = min(degree) // 2 + 1
         v = min(v for v in range(h.n) if degree[v] < 2 * target)
         assert v > 0  # vertex 0 passes, so the certificate names the first vertex that fails
-        for run in (lambda: augment_to(h, o, target), lambda: augment_one(h, o, level=target - 1)):
-            message = f"vertex {v} lies in {degree[v]} hyperedges, fewer than 2 \\* {target}"
-            with pytest.raises(NotPartitionConnectedError, match=message) as info:
-                run()
-            assert info.value.certificate == Partition(h.n, [[v], [x for x in range(h.n) if x != v]])
-            assert crossing_edges(h, info.value.certificate) == degree[v] < 2 * target
+        message = f"vertex {v} lies in {degree[v]} hyperedges, fewer than 2 \\* {target}"
+        with pytest.raises(NotPartitionConnectedError, match=message) as info:
+            augment_to(h, o, target)
+        assert info.value.certificate == Partition(h.n, [[v], [x for x in range(h.n) if x != v]])
+        assert crossing_edges(h, info.value.certificate) == degree[v] < 2 * target
 
     def test_low_degree_matches_the_singleton_degrees(self):
         """The one-pass edge count rejects exactly when some singleton's
@@ -237,15 +214,6 @@ class TestAugmentTo:
         assert len(builds) == 1
         builds.clear()
         assert augment_to(h, apply_trace(trace), 3).steps == () and builds == []
-
-    def test_step_check_for_another_orientation_rejected(self):
-        h, o = doubled_triangle_flat()
-        check = separator.IncrementalConnectivity(h, reorient(o, 0, 0), cap=1)
-        with pytest.raises(PreconditionError, match="another orientation"):
-            augment_one(h, o, level=0, check=check)
-        check = separator.IncrementalConnectivity(h, o, cap=1)
-        o1, trace = augment_one(h, o, level=0, check=check)
-        assert check.heads == list(o1.heads) and check.value == trace.lambda_final == 1
 
     def test_deterministic(self):
         h, o = doubled_triangle_flat()
@@ -366,6 +334,40 @@ class TestVerifyTrace:
             (None, "400 steps exceed the bound 54")
         ]
 
+    def test_non_int_fields_rejected_before_replay(self, monkeypatch):
+        """A field that is not an ``int`` (a ``bool`` is not one either) is
+        named before any flow runs, by ``parse_trace``'s rule: a float edge
+        or head would crash the replay, and a float connectivity would pass
+        a trace that the text format rejects."""
+        h, o = doubled_triangle_flat()
+        trace = augment_to(h, o, 1)
+        last = len(trace.steps)
+
+        def with_step(i, **changes):
+            steps = list(trace.steps)
+            steps[i - 1] = replace(steps[i - 1], **changes)
+            return replace(trace, steps=tuple(steps))
+
+        cases = [
+            (with_step(1, edge=float(trace.steps[0].edge)), 1, "edge"),
+            (with_step(1, new_head=float(trace.steps[0].new_head)), 1, "new_head"),
+            (with_step(last, lambda_after=1.0), last, "lambda_after"),
+            (replace(trace, lambda_initial=0.0), None, "lambda_initial"),
+            (replace(trace, k_target=True), None, "k_target"),
+        ]
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the fields were checked")
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", no_flow)
+        for bad, step, name in cases:
+            value = getattr(bad, name) if step is None else getattr(bad.steps[step - 1], name)
+            assert verify_trace(h, bad).failures == (VerifyFailure(step, f"{name} is {value!r}, not an int"),)
+        monkeypatch.undo()
+        for bad, _, _ in cases:  # each formats, and the text format rejects it
+            with pytest.raises(ParseError, match="must be an integer"):
+                parse_trace(format_trace(bad), o)
+
     def test_empty_trace_on_connected_input_passes(self):
         h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
         o = Orientation(h, (1, 2, 0))
@@ -389,7 +391,8 @@ class TestRandomFeasible:
             lam = bf_lambda(h, o)
             if not bf_partition_connected(h, lam + 1)[0]:
                 continue
-            o2, trace = augment_one(h, o)
+            trace = augment_to(h, o, lam + 1)
+            o2 = apply_trace(trace)
             assert trace.lambda_final == lam + 1
             assert bf_lambda(h, o2) == lam + 1
             assert verify_trace(h, trace).ok

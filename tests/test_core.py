@@ -3,6 +3,7 @@ import enum
 import pytest
 
 from hyperorient import (
+    Hypergraph,
     Hyperpath,
     InvalidReorientation,
     Orientation,
@@ -80,8 +81,32 @@ class TestConstruction:
 
     def test_head_must_lie_in_edge(self):
         h = hypergraph(3, [(0, 1)])
-        with pytest.raises(PreconditionError):
-            Orientation(h, (2,))
+        for head in (2, -1, 7):
+            with pytest.raises(PreconditionError, match=f"head {head} not in edge 0"):
+                Orientation(h, (head,))
+
+    def test_counts_and_heads_must_be_ints(self):
+        """A float count or head used to be accepted and to break a later
+        call with a raw ``TypeError``, and a ``bool`` head was written as
+        ``True``, which the ``.or`` format rejects."""
+        for bad in (3.0, True, "3"):
+            with pytest.raises(PreconditionError, match="vertex count is .*, not an int"):
+                hypergraph(bad, [(0, 1), (1, 2), (0, 2)])
+        h, _ = three_cycle()
+        with pytest.raises(PreconditionError, match="vertex count is 3.0, not an int"):
+            Hypergraph(3.0, h.edges)
+        for heads in ((True, 2, 0), (1.0, 2, 0), (1, 2, "0"), (1, None, 0)):
+            with pytest.raises(PreconditionError, match="head of edge [0-2] is .*, not an int"):
+                Orientation(h, heads)
+
+        class Vertex(enum.IntEnum):
+            A = 1
+            B = 2
+
+        h2 = hypergraph(Vertex.B, [(0, 1)])
+        assert type(h2.n) is int and h2 == hypergraph(2, [(0, 1)])
+        o = Orientation(h, (Vertex.A, Vertex.B, 0))
+        assert [type(v) for v in o.heads] == [int] * 3 and o == three_cycle()[1]
 
 
 class TestDegree:
@@ -189,6 +214,18 @@ class TestReorient:
             reorient(o, 0, 2)
         with pytest.raises(InvalidReorientation):
             reorient(o, 0, 3)
+
+    def test_edge_ids_and_heads_must_be_ints(self):
+        h, o = three_cycle()
+        for e, u in ((0, 1.0), (1.5, 2), (0, True), (False, 0), ("0", 0)):
+            with pytest.raises(PreconditionError, match="(edge id|vertex) is .*, not an int"):
+                reorient(o, e, u)
+
+        class Id(enum.IntEnum):
+            ZERO = 0
+
+        o2 = reorient(o, Id.ZERO, Id.ZERO)
+        assert o2 == reorient(o, 0, 0) and type(o2.heads[0]) is int
 
     def test_checks_only_the_changed_head(self, monkeypatch):
         m = 3000

@@ -246,6 +246,17 @@ class TestPredicates:
                 with pytest.raises(PreconditionError, match="different ground set"):
                     predicate(h, o, 1, x)
 
+    def test_a_foreign_orientation_is_rejected(self):
+        """An orientation of another hypergraph is rejected before the
+        full, empty and root shortcuts, which need no degree."""
+        h, _ = three_cycle()
+        h4 = hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        o4 = Orientation(h4, (1, 2, 3, 0))
+        for x in (VertexSet.full(3), VertexSet.empty(3), vs(3, [0]), vs(3, [0, 2]), vs(3, [1])):
+            for predicate in self.PREDICATES:
+                with pytest.raises(PreconditionError, match="does not belong to this hypergraph"):
+                    predicate(h, o4, 1, x)
+
     def test_full_empty_and_root_sets(self):
         h, o = three_cycle()  # connectivity 1: {1} and {2} have in- and out-degree 1
         for predicate, full in zip(self.PREDICATES, (True, True, False, False)):

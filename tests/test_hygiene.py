@@ -4,8 +4,10 @@ option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 every flow under ``src/`` names the orientation it runs on, every residual
 search under ``src/`` runs inside a flow (or is the one search of
 ``KeptReaches.reach``), the verifier names none of the solver's repair
-code, and the package's ``__all__`` is sorted, free of duplicates, exactly
-what its ``__init__.py`` imports and free of the max-flow kernel's names.
+code, no code under ``src/`` or ``demos/`` but ``augment_to`` reaches the
+per-level loop ``augment_one``, and the package's ``__all__`` is sorted,
+free of duplicates, exactly what its ``__init__.py`` imports and free of
+the max-flow kernel's names and of ``augment_one``.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
 Package ``__init__.py`` files are skipped by the import scan: their imports
@@ -287,9 +289,68 @@ def test_the_verifier_shares_no_repair_code():
 
 
 def test_the_repair_scan_sees_the_solver():
-    assert repair_names(augment.augment_one.__code__) == sorted(REPAIR_CODE)
+    solver = set(repair_names(augment.augment_one.__code__)) | set(repair_names(augment.augment_to.__code__))
+    assert sorted(solver) == sorted(REPAIR_CODE)
     nested = compile("def f(xs):\n    return any(compute_families(x) for x in xs)\n", "<scan>", "exec")
     assert repair_names(nested) == ["compute_families"]
+
+
+def level_loop_uses(tree, in_augment):
+    """``(line, scope)`` for each call of ``augment_one``, bare or as an
+    attribute, and each import of it, except the one call from
+    ``augment_to`` in ``augment.py`` (``in_augment``).  ``augment_to`` is
+    the one augmentation entry: it checks the target and computes the
+    exact level that its per-level loop takes on trust."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, scope) for alias in node.names if alias.name == "augment_one")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "augment_one" and not (in_augment and scope == "augment_to"):
+                found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    SOURCES + sorted((ROOT / "demos").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_only_augment_to_runs_the_level_loop(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = level_loop_uses(tree, path.name == "augment.py")
+    assert not found, f"{path.relative_to(ROOT)} reaches augment_one outside augment_to: {found}"
+
+
+def test_the_package_does_not_export_the_level_loop():
+    assert "augment_one" not in hyperorient.__all__ and not hasattr(hyperorient, "augment_one")
+
+
+def test_the_level_loop_scan_sees_stray_calls():
+    augment_like = ast.parse(
+        "def augment_to(h, o, k):\n"
+        "    return augment_one(h, o, k, None)\n"
+        "def other(h, o):\n"
+        "    return augment_one(h, o, 0, None)\n"
+    )
+    assert level_loop_uses(augment_like, True) == [(4, "other")]
+    assert level_loop_uses(augment_like, False) == [(2, "augment_to"), (4, "other")]
+    demo = ast.parse(
+        "from hyperorient.augment import augment_one\n"
+        "import hyperorient.augment as aug\n"
+        "def main(h, o):\n"
+        "    return aug.augment_one(h, o, 0, None)\n"
+    )
+    assert level_loop_uses(demo, False) == [(1, ""), (4, "main")]
 
 
 def export_problems(tree):

@@ -92,7 +92,7 @@ class TestAgainstTheEagerReference:
         check()
 
     def test_along_augmentation_with_the_kept_check(self, monkeypatch):
-        """Every call ``augment_one`` makes, with the step check it passes,
+        """Every call a run's levels make, with the step check they pass,
         against the eager computation from the same check."""
         from hyperorient import augment as augment_module
 
