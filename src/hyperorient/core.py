@@ -73,6 +73,8 @@ class VertexSet:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "VertexSet":
+        if type(n) is not int:
+            n = _as_int("vertex count", n)
         if mask < 0 or mask >> n:
             raise PreconditionError("mask has bits outside 0..n-1")
         out = cls.__new__(cls)
@@ -86,10 +88,14 @@ class VertexSet:
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
+        if type(n) is not int:
+            n = _as_int("vertex count", n)
         return cls.from_mask(n, (1 << n) - 1)
 
     @classmethod
     def singleton(cls, n: int, v: int) -> "VertexSet":
+        if type(v) is not int:
+            v = _as_int("vertex", v)
         if not 0 <= v < n:
             raise PreconditionError(f"vertex {v} outside 0..{n - 1}")
         return cls.from_mask(n, 1 << v)
@@ -156,11 +162,15 @@ class VertexSet:
         return VertexSet.from_mask(self.n, ~self.mask & ((1 << self.n) - 1))
 
     def add(self, v: int) -> "VertexSet":
+        if type(v) is not int:
+            v = _as_int("vertex", v)
         if not 0 <= v < self.n:
             raise PreconditionError(f"vertex {v} outside 0..{self.n - 1}")
         return VertexSet.from_mask(self.n, self.mask | 1 << v)
 
     def remove(self, v: int) -> "VertexSet":
+        if type(v) is not int:
+            v = _as_int("vertex", v)
         if not 0 <= v < self.n:
             raise PreconditionError(f"vertex {v} outside 0..{self.n - 1}")
         return VertexSet.from_mask(self.n, self.mask & ~(1 << v))

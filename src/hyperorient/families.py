@@ -18,22 +18,28 @@ The computed families:
 * ``q_minus[v]`` / ``q_plus[v]``: the unique minimal in-tight / out-tight
   set containing ``v`` (the full set when none exists).
 
-:func:`compute_families` reads the q sets from the root-pair flows that an
-:class:`~hyperorient.separator.IncrementalConnectivity` keeps, capped above
+:func:`compute_families` reads the q sets from root-pair flows capped above
 ``k``: ``q_plus[v]`` is the residual reach of ``v`` in the ``v -> 0`` flow
 and ``q_minus[v]`` the set that reaches ``v`` in the ``0 -> v`` flow, where
 that flow's value is ``k``.  Each flow is a heads list, the orientation
 with every hyperarc that carries a unit turned to the tail it entered by,
 and each such read is one search in it, run backward for ``q_minus``.
-Every read goes through one snapshot of the kept residuals per side
-(:class:`~hyperorient.separator.KeptReaches`).  The q sets are computed on
-read: :class:`QSets` holds a side's snapshot and runs an entry's search
-the first time it is read.  The minimal families come from an early-exit
-descent over those searches (:attr:`QSets.minimal`), which needs only a
-few of the q sets.  Each ``r_family`` candidate is one more search in the
-opposite side's snapshot, from the whole member.  The q sets come only
-from :func:`compute_families`.  The connectivity is recomputed from
-scratch once per call, as a cross-check of the kept flows.
+Every read goes through one snapshot of the residuals per side
+(:class:`~hyperorient.separator.KeptReaches`), made in one of two places.
+With the step check of an augmentation, it copies the flows that the
+:class:`~hyperorient.separator.IncrementalConnectivity` keeps for every
+root pair.  Without one, :func:`~hyperorient.separator.tight_reaches` finds
+the tight vertices by a sink sequence per side and runs a root-pair flow
+for those alone, since no other vertex's flow is ever read.  The q sets
+are computed on read: :class:`QSets` holds a side's snapshot and runs an
+entry's search the first time it is read.  The minimal families come from
+an early-exit descent over those searches (:attr:`QSets.minimal`), which
+needs only a few of the q sets.  Each ``r_family`` candidate is one more
+search in the opposite side's snapshot, from the whole member.  The q
+sets come only from :func:`compute_families`.  The connectivity is
+recomputed from scratch once per call, as a cross-check of the flows: the
+step check's value must equal it, and without a step check the sink
+sequences check it exactly.
 
 A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
 out-tight set containing ``u`` strictly contains ``S``, and every dangerous
@@ -62,7 +68,7 @@ from .core import (
     minimal_members,
     out_degree,
 )
-from .separator import IncrementalConnectivity, KeptReaches, hyperarc_connectivity, min_separator
+from .separator import IncrementalConnectivity, KeptReaches, hyperarc_connectivity, min_separator, tight_reaches
 
 ROOT = 0
 
@@ -248,20 +254,22 @@ def compute_families(
     """All cut families at level ``k``, the exact connectivity.
 
     The per-vertex minimal tight sets and the ``r_family`` candidates are
-    residual reaches of the root-pair flows that ``check`` keeps, read
-    through one snapshot per side (see
-    :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches`).
+    residual reaches of root-pair flows, read through one snapshot per
+    side (a :class:`~hyperorient.separator.KeptReaches`).
     :func:`~hyperorient.augment.augment_to` passes the step check of its
-    run; without a ``check``, one is built at cap ``k + 1``.  A ``check``
-    must be for ``o``, with a cap above ``k`` (else
-    :class:`PreconditionError`).
-    The connectivity is recomputed from scratch, and a ``check`` whose value
-    is not that value raises :class:`InvariantViolation` naming the level.
+    run, and the snapshots copy the flows it keeps (see
+    :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches`),
+    which its owner moves on.  A ``check`` must be for ``o``, with a cap
+    above ``k`` (else :class:`PreconditionError`).  Without a ``check``,
+    :func:`~hyperorient.separator.tight_reaches` builds them, with a flow
+    for each tight vertex and none for the others.  The connectivity is
+    recomputed from scratch; a ``check`` whose value is not that value, or
+    sink sequences that find another, raise :class:`InvariantViolation`
+    naming the level.
 
-    The snapshots hold copies of a given ``check``'s residuals, which its
-    owner moves on; the lists of one built here are taken as they are.
-    The q sets are :class:`QSets` over them, and ``m_minus`` and ``m_plus``
-    come from the descent of :attr:`QSets.minimal`, which reads few q sets.
+    The q sets are :class:`QSets` over the snapshots, and ``m_minus`` and
+    ``m_plus`` come from the descent of :attr:`QSets.minimal`, which reads
+    few q sets.
     The ``r_family`` members are found as minimal tight supersets of the
     opposite-sign minimal members, each one search from the whole member
     in the opposite side's snapshot; each such superset is minimal with the
@@ -269,16 +277,15 @@ def compute_families(
     them, so taking inclusion-minimal candidates gives exactly the family.
     """
     k = hyperarc_connectivity(h, o)
-    owned = check is None
-    if owned:
-        check = IncrementalConnectivity(h, o, cap=k + 1)
-    elif check.heads != list(o.heads) or check.hypergraph != h or check.cap <= k:
-        raise PreconditionError(f"level {k} needs kept flows for this orientation, capped above {k}")
-    if check.value != k:
-        raise InvariantViolation(f"level {k}: kept flows give {check.value} at cap {check.cap}, connectivity {k}")
+    if check is None:
+        in_reaches, out_reaches = tight_reaches(h, o, k)
+    else:
+        if check.heads != list(o.heads) or check.hypergraph != h or check.cap <= k:
+            raise PreconditionError(f"level {k} needs kept flows for this orientation, capped above {k}")
+        if check.value != k:
+            raise InvariantViolation(f"level {k}: kept flows give {check.value} at cap {check.cap}, connectivity {k}")
+        in_reaches, out_reaches = check.kept_reaches("in"), check.kept_reaches("out")
     full = VertexSet.full(h.n)
-    in_reaches = check.kept_reaches("in", copy=not owned)
-    out_reaches = check.kept_reaches("out", copy=not owned)
     qm, qp = QSets(in_reaches), QSets(out_reaches)
 
     proper_m_minus = qm.minimal

@@ -27,8 +27,9 @@ of its vertices.  Every flow still goes through the module global
 :func:`max_flow_min_cut`, so a patch of it (a tracer, a counting test) sees
 them all.  That kernel is internal and checks nothing: its callers are
 in-package and pass valid heads.  :func:`min_separator`,
-:func:`connectivity` and :class:`IncrementalConnectivity` are the entries
-that check what they are given.
+:func:`connectivity`, :func:`tight_reaches` and
+:class:`IncrementalConnectivity` are the entries that check what they are
+given.
 
 The incidences depend only on the hypergraph, so it has one
 :class:`IncidenceDigraph`, kept for the last hypergraph seen
@@ -43,9 +44,13 @@ its new vertex.
 
 :class:`IncrementalConnectivity` keeps one flow per root pair, vertex 0 to
 each other vertex and back, across single-hyperarc reorientations.  A
-:class:`KeptReaches` is a snapshot of one side's kept residuals; every
-minimal tight set the families need is one :meth:`KeptReaches.reach`
-search in it, with no flow.
+:class:`KeptReaches` is a snapshot of one side's root-pair residuals at
+the connectivity; every minimal tight set the families need is one
+:meth:`KeptReaches.reach` search in it, with no flow.  Two places make
+one: :meth:`IncrementalConnectivity.kept_reaches` copies a step check's
+flows, and :func:`tight_reaches`, for an orientation with no step check,
+runs the same sink sequences capped just above a given level to find the
+tight vertices, then a root-pair flow for each of those alone.
 """
 
 from __future__ import annotations
@@ -338,9 +343,10 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
 
 
 class KeptReaches:
-    """The residuals of one side's root-pair flows, frozen at the level
-    ``k`` of the :class:`IncrementalConnectivity` that kept them (see
-    :meth:`IncrementalConnectivity.kept_reaches`).
+    """The residuals of one side's root-pair flows at level ``k``, the
+    connectivity: copies of those an :class:`IncrementalConnectivity`
+    keeps (:meth:`IncrementalConnectivity.kept_reaches`), or the flows of
+    the tight vertices alone (:func:`tight_reaches`).
 
     ``tight[v]`` tells whether some set of degree ``k`` on the side (out-
     or in-degree) that avoids vertex 0 holds ``v``: ``v`` is not 0 and the
@@ -350,8 +356,8 @@ class KeptReaches:
     set that holds ``X`` and avoids 0 has degree ``k`` or more, so
     :meth:`reach` from ``X``, with ``v`` its smallest vertex, labels the
     inclusion-minimal one of degree ``k``, and reaches vertex 0 when none
-    has.  Built on copies of the residuals, its answers do not change when
-    the step check moves on."""
+    has.  Its residuals are its own, so its answers do not change when a
+    step check moves on."""
 
     def __init__(self, g: IncidenceDigraph, residuals: list[Optional[list[int]]], forward: bool) -> None:
         self.n = g.n
@@ -370,6 +376,86 @@ class KeptReaches:
         stop = self._root if stop is None else stop
         _, labelled, hit = _search(self._g, self._res[roots[0]], roots, stop, self._forward)
         return None if hit >= 0 else VertexSet.from_mask(self.n, _mask(labelled))
+
+
+def _tight_vertices(g: IncidenceDigraph, heads: tuple[int, ...], k: int, forward: bool) -> tuple[list[bool], bool]:
+    """One side's sink sequence at cap ``k + 1`` (see :func:`tight_reaches`):
+    ``(tight, at_k)``, the vertices some set of degree ``k`` that avoids
+    vertex 0 holds, and whether any query's value is ``k``."""
+    n = g.n
+    residual = list(heads)
+    tight = [False] * n
+    at_k = False
+    sinks = [0]
+    for t in range(1, n):
+        value, _ = max_flow_min_cut(g, [t], sinks, limit=k + 1, residual=residual, forward=forward)
+        if value < k:
+            side = "out" if forward else "in"
+            raise InvariantViolation(f"level {k}: a set holding {t} and avoiding 0..{t - 1} has {side}-degree {value}")
+        if value == k:
+            at_k = True
+            if not tight[t]:
+                extra, outside = max_flow_min_cut(g, sinks, [t], limit=1, residual=residual, forward=not forward)
+                if extra:
+                    raise InvariantViolation(f"level {k}: the flow into 0..{t - 1} from {t} was not maximum")
+                for v in range(t, n):
+                    if v not in outside:
+                        tight[v] = True
+        sinks.append(t)
+    return tight, at_k
+
+
+def tight_reaches(h: Hypergraph, o: Orientation, k: int) -> tuple[KeptReaches, KeptReaches]:
+    """The ``(in, out)`` :class:`KeptReaches` of ``o`` at level ``k``, the
+    connectivity, built with no :class:`IncrementalConnectivity`: one
+    root-pair flow per tight vertex, and none for the others.  A ``k``
+    that is not a non-negative ``int`` raises :class:`PreconditionError`;
+    one that is not the connectivity raises :class:`InvariantViolation`.
+
+    The tight vertices of a side come from one sink sequence on one kept
+    heads list, as in :func:`connectivity`: the in side run backward, the
+    out side forward, each query ``t -> [0 .. t - 1]`` capped at ``k + 1``.
+    A query below ``k`` raises, and so does a run in which no query of
+    either side reaches ``k``: every proper set avoids vertex 0 or its
+    complement does, so this checks that ``k`` is the connectivity
+    exactly.  A query at ``k`` has a maximal minimizer ``M_t``, the
+    complement of what reaches its sinks in its residual: one more flow,
+    from the sinks to ``t`` run the other way, which must add nothing,
+    since the flow is maximum.  Every vertex of ``M_t`` is tight.
+
+    That finds every tight vertex.  At level ``k`` two tight sets that
+    share a vertex have a tight union and intersection: both are proper
+    and avoid vertex 0, so each degree is at least ``k``, and by
+    submodularity they sum to at most ``2k`` (the argument of
+    :func:`~hyperorient.families._safe_endpoint`).  So a tight ``v`` has a
+    maximal tight set ``X``; with ``t`` its smallest vertex, ``X`` is a
+    minimizer of query ``t``, so ``v`` is in ``M_t``.  No earlier ``M_s``
+    holds that ``t``, or its union with ``X`` would be a larger tight set,
+    so a query whose ``t`` is tight already needs no ``M_t``.
+
+    Each tight ``v`` then gets the root-pair flow that
+    :class:`IncrementalConnectivity` keeps, from ``o``'s heads, capped at
+    ``k + 1``: ``v -> 0`` on the out side, ``0 -> v`` on the in side.  Its
+    value must be ``k``.  The snapshots own these residuals.
+    """
+    _same_instance(h, o)
+    _check_count("k", k)
+    g = network(h)
+    sides = [(forward, *_tight_vertices(g, o.heads, k, forward)) for forward in (False, True)]
+    if not any(at_k for _, _, at_k in sides):
+        raise InvariantViolation(f"level {k}: no set has degree {k}, so the connectivity is above it")
+    reaches = []
+    for forward, tight, _ in sides:
+        residuals: list[Optional[list[int]]] = [None] * h.n
+        for v in range(1, h.n):
+            if tight[v]:
+                residual = list(o.heads)
+                s, t = (v, 0) if forward else (0, v)
+                if max_flow_min_cut(g, [s], [t], limit=k + 1, residual=residual)[0] != k:
+                    raise InvariantViolation(f"level {k}: the root-pair flow {s} -> {t} of a tight vertex is not {k}")
+                residuals[v] = residual
+        reaches.append(KeptReaches(g, residuals, forward))
+    return reaches[0], reaches[1]
 
 
 class IncrementalConnectivity:
@@ -407,12 +493,15 @@ class IncrementalConnectivity:
     :func:`~hyperorient.augment.augment_to` builds one check per run.
     Below the cap each kept flow is a maximum flow, so its residual holds
     the minimal sides of the query's minimum cut.
-    :func:`~hyperorient.families.compute_families` reads its minimal tight
-    sets from them, after checking :attr:`heads` and :attr:`cap`, through
-    one :meth:`kept_reaches` snapshot per side: the per-vertex ones and
-    those around a whole set alike are one residual search each, with no
-    flow.  :meth:`kept_reaches` is the one
-    place that maps a side and a vertex to its kept query.
+    :func:`~hyperorient.families.compute_families`, given this check,
+    reads its minimal tight sets from them, after checking :attr:`heads`
+    and :attr:`cap`, through one :meth:`kept_reaches` snapshot per side:
+    the per-vertex ones and those around a whole set alike are one residual
+    search each, with no flow.  :meth:`kept_reaches` is the one place that
+    maps a side and a vertex to its kept query.  Without a check,
+    ``compute_families`` builds none of these: most of its 2(n - 1) flows
+    belong to vertices that are not tight, and are never read, so
+    :func:`tight_reaches` runs flows only for the tight ones.
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
@@ -430,13 +519,12 @@ class IncrementalConnectivity:
             self._augment(p)
         self.value = min(self._value, default=cap)
 
-    def kept_reaches(self, side: str, copy: bool = True) -> KeptReaches:
+    def kept_reaches(self, side: str) -> KeptReaches:
         """A :class:`KeptReaches` of ``side`` at :attr:`value`, the
-        connectivity.  With ``copy`` it holds copies of the residuals it
-        needs, so it outlives the next :meth:`reorient`; without, it takes
-        this check's own lists, for a caller that moves the check no
-        further.  A ``side`` other than ``'out'`` and ``'in'``, or a value
-        at the cap, where it is not exact, raises :class:`PreconditionError`."""
+        connectivity.  It holds copies of the residuals it needs, so it
+        outlives the next :meth:`reorient`.  A ``side`` other than
+        ``'out'`` and ``'in'``, or a value at the cap, where it is not
+        exact, raises :class:`PreconditionError`."""
         if side not in ("out", "in"):
             raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
         if self.value >= self.cap:
@@ -446,7 +534,7 @@ class IncrementalConnectivity:
         for v in range(1, self.hypergraph.n):
             p = 2 * v - shift
             if self._value[p] == self.value:
-                residuals[v] = list(self._res[p]) if copy else self._res[p]
+                residuals[v] = list(self._res[p])
         return KeptReaches(self._g, residuals, side == "out")
 
     def raise_cap(self, cap: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, combinations_with_replacement
 
-from hyperorient import Hypergraph, Orientation, VertexSet, hypergraph
+from hyperorient import Hypergraph, Orientation, VertexSet, gen_instance, gen_orientation, hypergraph, reorient
 
 
 def vs(n, members):
@@ -32,6 +32,45 @@ def random_instance(rng: random.Random, n_max=6, m_max=6, size_max=3, m_min=1):
 def random_instances(seed, count, **kwargs):
     rng = random.Random(seed)
     return [random_instance(rng, **kwargs) for _ in range(count)]
+
+
+def walk_states(spec, mode, seed, steps):
+    """An orientation of ``gen_instance(spec)`` (``mode`` start) and
+    ``steps`` seeded single-hyperarc reorientations from it."""
+    h = gen_instance(spec)
+    o = gen_orientation(h, seed=seed, mode=mode)
+    rng = random.Random(seed)
+    states = [o]
+    for _ in range(steps):
+        e = rng.randrange(h.m)
+        o = reorient(o, e, rng.choice([x for x in h.edges[e] if x != o.heads[e]]))
+        states.append(o)
+    return h, states
+
+
+def cyclic_orientation(h, k):
+    """The orientation of ``gen_instance(GenSpec(k=k, ...))`` that walks
+    each of its ``k`` spanning cycles (its first ``k * n`` edges) around
+    itself: edge ``i`` of a cycle points to the vertex it shares with edge
+    ``i + 1``.  A directed spanning cycle leaves every proper vertex set,
+    so the connectivity is at least ``k``.  Every other edge points to its
+    smallest vertex."""
+    n, heads = h.n, []
+    for c in range(k):
+        for i in range(n):
+            shared = h.edges[c * n + i].mask & h.edges[c * n + (i + 1) % n].mask
+            heads.append(shared.bit_length() - 1)
+    heads.extend(min(e) for e in h.edges[k * n :])
+    return Orientation(h, tuple(heads))
+
+
+def flipped(o, rng):
+    """``o`` after 1 to 4 random head changes drawn from ``rng``."""
+    h = o.hypergraph
+    for _ in range(rng.randint(1, 4)):
+        e = rng.randrange(h.m)
+        o = reorient(o, e, rng.choice([v for v in h.edges[e] if v != o.heads[e]]))
+    return o
 
 
 def all_hypergraphs(n_values=(2, 3, 4), m_max=4, sizes=(2, 3)):

@@ -26,7 +26,7 @@ def eager_families(h, o, check=None):
     n = h.n
     full = VertexSet.full(n)
     root = [v == ROOT for v in range(n)]
-    reaches = {side: check.kept_reaches(side, copy=False) for side in ("in", "out")}
+    reaches = {side: check.kept_reaches(side) for side in ("in", "out")}
 
     def minimal_tight(x, side):
         roots = list(x)

@@ -65,6 +65,58 @@ class TestVertexSet:
         assert VertexSet(3, [Vertex.A, Vertex.B]) == vs(3, [1, 2])
         assert hypergraph(3, [(Vertex.A, 0)]).edges[0] == vs(3, [0, 1])
 
+    # each of these used to raise a raw TypeError, or (``empty(True)``) to
+    # return a set over ``n=True``
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: VertexSet.full(3.0),
+            lambda: VertexSet.full(True),
+            lambda: VertexSet.empty(True),
+            lambda: VertexSet.empty("3"),
+            lambda: VertexSet.from_mask(3.0, 1),
+            lambda: VertexSet.from_mask(True, 1),
+            lambda: VertexSet.singleton(3, 1.0),
+            lambda: VertexSet.singleton(3, True),
+            lambda: VertexSet.singleton(3.0, 1),
+            lambda: vs(3, [0]).add(1.0),
+            lambda: vs(3, [0]).add(False),
+            lambda: vs(3, [0, 1]).remove(1.0),
+        ],
+        ids=[
+            "full-float",
+            "full-bool",
+            "empty-bool",
+            "empty-str",
+            "from_mask-float",
+            "from_mask-bool",
+            "singleton-float-vertex",
+            "singleton-bool-vertex",
+            "singleton-float-count",
+            "add-float",
+            "add-bool",
+            "remove-float",
+        ],
+    )
+    def test_class_methods_and_editors_take_ints_only(self, make):
+        with pytest.raises(PreconditionError, match="not an int"):
+            make()
+
+    def test_class_methods_and_editors_take_int_enums(self):
+        class Vertex(enum.IntEnum):
+            A = 1
+            N = 3
+
+        for made, expected in (
+            (VertexSet.full(Vertex.N), vs(3, [0, 1, 2])),
+            (VertexSet.empty(Vertex.N), vs(3, [])),
+            (VertexSet.from_mask(Vertex.N, 2), vs(3, [1])),
+            (VertexSet.singleton(3, Vertex.A), vs(3, [1])),
+            (vs(3, [0]).add(Vertex.A), vs(3, [0, 1])),
+            (vs(3, [0, 1]).remove(Vertex.A), vs(3, [0])),
+        ):
+            assert made == expected and type(made.n) is int
+
 
 class TestConstruction:
     def test_size_one_edges_rejected(self):

@@ -193,23 +193,34 @@ def stray_searches(tree, in_separator):
     """``(line, caller)`` for each use of ``separator._search`` outside
     ``SEARCH_CALLERS``: a bare call inside ``separator.py``
     (``in_separator``), and anywhere else an import of it from a
-    ``separator`` module or a ``separator._search`` attribute.  Every
-    augmenting search must run inside a ``max_flow_min_cut`` call, so that a
-    patch of that global (perfbench's tracer, the counting tests) sees every
-    flow; ``KeptReaches.reach`` runs one search and no flow."""
+    ``separator`` module or a ``_search`` attribute of a separator module,
+    under whatever name the module imports it (``from . import separator as
+    S``, ``import hyperorient.separator as sep``, or ``hyperorient.separator``
+    itself).  Every augmenting search must run inside a
+    ``max_flow_min_cut`` call, so that a patch of that global (perfbench's
+    tracer, the counting tests) sees every flow; ``KeptReaches.reach`` runs
+    one search and no flow."""
     found = []
+    modules = {"separator"}  # the names bound to a separator module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "separator")
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.asname for alias in node.names if alias.asname and alias.name.split(".")[-1] == "separator"
+            )
+
+    def is_separator(node):
+        if isinstance(node, ast.Name):
+            return node.id in modules
+        return isinstance(node, ast.Attribute) and node.attr == "separator"
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "separator":
             found.extend((node.lineno, scope) for alias in node.names if alias.name == "_search")
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr == "_search"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "separator"
-        ) or (
+        elif (isinstance(node, ast.Attribute) and node.attr == "_search" and is_separator(node.value)) or (
             in_separator
             and isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -261,6 +272,18 @@ def test_the_search_scan_sees_stray_calls():
         "    return separator._search(g), _search(g)\n"
     )
     assert stray_searches(other, False) == [(1, ""), (4, "f")]
+    aliased = ast.parse(
+        "from . import separator as S\n"
+        "def f(g):\n"
+        "    return S._search(g)\n"
+        "import hyperorient.separator as sep\n"
+        "def h(g):\n"
+        "    return sep._search(g)\n"
+        "import hyperorient.separator\n"
+        "def k(g):\n"
+        "    return hyperorient.separator._search(g), other._search(g)\n"
+    )
+    assert stray_searches(aliased, False) == [(3, "f"), (6, "h"), (9, "k")]
 
 
 REPAIR_CODE = (

@@ -1,9 +1,11 @@
 """``compute_families`` computes the q sets on read and finds the minimal
 families by an early-exit descent.  These tests hold it to the eager
-reference (``eager_families``), to the brute-force oracle within its
-bound, and to an independent networkx reference above it, and check that
-the q sets a kept ``PathEvent`` holds do not change when the step check
-moves on.
+reference (``eager_families``, which reads a flow per root pair from an
+``IncrementalConnectivity``, where ``compute_families`` without a step
+check runs flows only for the tight vertices ``tight_reaches`` finds), to
+the brute-force oracle within its bound, and to an independent networkx
+reference above it, and check that the q sets a kept ``PathEvent`` holds
+do not change when the step check moves on.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from hyperorient import (
     gen_instance,
     gen_orientation,
     hyperarc_connectivity,
-    reorient,
 )
 from hyperorient.families import QSets
 from hyperorient.oracle import BF_MAX_N
-from hyperorient.separator import IncrementalConnectivity
+from hyperorient.separator import IncrementalConnectivity, tight_reaches
+from corpus import walk_states
 from eager_families import eager_families
 from nx_families import nx_family_mismatches
 
@@ -39,20 +41,6 @@ FIELDS = ("k", "r", "m_minus", "m_plus", "m_all", "r_family", "q_minus", "q_plus
 def as_tuples(fam):
     """The same families with the q sets as plain tuples."""
     return replace(fam, q_minus=tuple(fam.q_minus), q_plus=tuple(fam.q_plus))
-
-
-def walk_states(spec, mode, seed, steps):
-    """An orientation of ``gen_instance(spec)`` (``mode`` start) and
-    ``steps`` seeded single-hyperarc reorientations from it."""
-    h = gen_instance(spec)
-    o = gen_orientation(h, seed=seed, mode=mode)
-    rng = random.Random(seed)
-    states = [o]
-    for _ in range(steps):
-        e = rng.randrange(h.m)
-        o = reorient(o, e, rng.choice([x for x in h.edges[e] if x != o.heads[e]]))
-        states.append(o)
-    return h, states
 
 
 class TestAgainstTheEagerReference:
@@ -80,6 +68,9 @@ class TestAgainstTheEagerReference:
             for o in states:
                 fam = compute_families(h, o)
                 ref = eager_families(h, o)
+                kept = IncrementalConnectivity(h, o, ref.k + 1)
+                tight = tuple(reaches.tight for reaches in tight_reaches(h, o, ref.k))
+                assert tight == (kept.kept_reaches("in").tight, kept.kept_reaches("out").tight)
                 order = [(side, v) for side in ("q_minus", "q_plus") for v in range(h.n)]
                 rng.shuffle(order)
                 for side, v in order:  # read in random order, each once
@@ -249,9 +240,14 @@ class TestSnapshot:
         """The same check on a snapshot that reads the live residuals of
         the step check must find stale q sets."""
         kept_reaches = IncrementalConnectivity.kept_reaches
-        monkeypatch.setattr(
-            IncrementalConnectivity, "kept_reaches", lambda self, side, copy=True: kept_reaches(self, side, copy=False)
-        )
+
+        def aliased(self, side):
+            reaches = kept_reaches(self, side)
+            pair = (lambda v: (v, 0)) if side == "out" else (lambda v: (0, v))
+            reaches._res = [r if r is None else self._res[self._pairs.index(pair(v))] for v, r in enumerate(reaches._res)]
+            return reaches
+
+        monkeypatch.setattr(IncrementalConnectivity, "kept_reaches", aliased)
         bad = []
         for seed, n in self.CASES:
             h = gen_instance(GenSpec(n=n, k=3, extra_edges=n // 2, max_edge_size=4, seed=seed))
