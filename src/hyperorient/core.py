@@ -46,8 +46,9 @@ def _as_int(what: str, x: object) -> int:
 class VertexSet:
     """Immutable subset of ``{0, .., n-1}`` backed by a bitmask.
 
-    The count and the members are ``int`` (an ``IntEnum`` is one, a
-    ``bool`` is not); anything else raises :class:`PreconditionError`.
+    The count, the members, a vertex tested with ``in`` and a mask are
+    ``int`` (an ``IntEnum`` is one, a ``bool`` is not); anything else
+    raises :class:`PreconditionError`.
     Comparison operators follow set semantics (``<=`` is subset, ``<`` is
     proper subset).  Deterministic tie-breaking everywhere in this package
     uses :meth:`sort_key`, which orders by size first and then
@@ -75,6 +76,8 @@ class VertexSet:
     def from_mask(cls, n: int, mask: int) -> "VertexSet":
         if type(n) is not int:
             n = _as_int("vertex count", n)
+        if type(mask) is not int:
+            mask = _as_int("mask", mask)
         if mask < 0 or mask >> n:
             raise PreconditionError("mask has bits outside 0..n-1")
         out = cls.__new__(cls)
@@ -107,6 +110,8 @@ class VertexSet:
             raise PreconditionError("vertex sets over different ground sets")
 
     def __contains__(self, v: int) -> bool:
+        if type(v) is not int:
+            v = _as_int("vertex", v)
         return 0 <= v < self.n and self.mask >> v & 1 == 1
 
     def __iter__(self) -> Iterator[int]:

@@ -29,17 +29,19 @@ Every read goes through one snapshot of the residuals per side
 With the step check of an augmentation, it copies the flows that the
 :class:`~hyperorient.separator.IncrementalConnectivity` keeps for every
 root pair.  Without one, :func:`~hyperorient.separator.tight_reaches` finds
-the tight vertices by a sink sequence per side and runs a root-pair flow
-for those alone, since no other vertex's flow is ever read.  The q sets
-are computed on read: :class:`QSets` holds a side's snapshot and runs an
-entry's search the first time it is read.  The minimal families come from
-an early-exit descent over those searches (:attr:`QSets.minimal`), which
-needs only a few of the q sets.  Each ``r_family`` candidate is one more
-search in the opposite side's snapshot, from the whole member.  The q
-sets come only from :func:`compute_families`.  The connectivity is
-recomputed from scratch once per call, as a cross-check of the flows: the
-step check's value must equal it, and without a step check the sink
-sequences check it exactly.
+the connectivity and the tight vertices in one run of the sink sequences,
+one per side, and runs a root-pair flow for those vertices alone, since
+no other vertex's flow is ever read.  The q sets are computed on read:
+:class:`QSets` holds a side's snapshot and runs an entry's search the
+first time it is read.  The minimal families come from an early-exit
+descent over those searches (:attr:`QSets.minimal`), which needs only a
+few of the q sets.  Each ``r_family`` candidate is one more search in the
+opposite side's snapshot, from the whole member.  The q sets come only
+from :func:`compute_families`.  With a step check, the connectivity is
+recomputed from scratch once per call, as a cross-check of the kept
+flows, whose value must equal it.  Without one it is computed once, by
+the sink sequences that find the tight vertices, and the flows of those
+vertices must reach it.
 
 A vertex ``u`` of ``S`` in ``m_minus`` is a *safe source* when every
 out-tight set containing ``u`` strictly contains ``S``, and every dangerous
@@ -260,12 +262,13 @@ def compute_families(
     run, and the snapshots copy the flows it keeps (see
     :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches`),
     which its owner moves on.  A ``check`` must be for ``o``, with a cap
-    above ``k`` (else :class:`PreconditionError`).  Without a ``check``,
-    :func:`~hyperorient.separator.tight_reaches` builds them, with a flow
-    for each tight vertex and none for the others.  The connectivity is
-    recomputed from scratch; a ``check`` whose value is not that value, or
-    sink sequences that find another, raise :class:`InvariantViolation`
-    naming the level.
+    above ``k`` (else :class:`PreconditionError`).  The connectivity is
+    then recomputed from scratch, and a ``check`` whose value is not that
+    value raises :class:`InvariantViolation` naming the level.  Without a
+    ``check``, :func:`~hyperorient.separator.tight_reaches` gives ``k``
+    and the snapshots from one run of the sink sequences, with a flow for
+    each tight vertex and none for the others; a flow that disagrees with
+    ``k`` raises :class:`InvariantViolation` naming the level.
 
     The q sets are :class:`QSets` over the snapshots, and ``m_minus`` and
     ``m_plus`` come from the descent of :attr:`QSets.minimal`, which reads
@@ -276,10 +279,10 @@ def compute_families(
     defining property, and every defining-property set contains one of
     them, so taking inclusion-minimal candidates gives exactly the family.
     """
-    k = hyperarc_connectivity(h, o)
     if check is None:
-        in_reaches, out_reaches = tight_reaches(h, o, k)
+        k, in_reaches, out_reaches = tight_reaches(h, o)
     else:
+        k = hyperarc_connectivity(h, o)
         if check.heads != list(o.heads) or check.hypergraph != h or check.cap <= k:
             raise PreconditionError(f"level {k} needs kept flows for this orientation, capped above {k}")
         if check.value != k:

@@ -40,7 +40,10 @@ The hyperarc-connectivity is a sink sequence (Hao and Orlin, J. Algorithms
 1994, in augmenting-path form), run mirrored: per side, ``n - 1`` flows
 from one new vertex each into the growing set of earlier ones, on one kept
 heads list, so that after the first few each flow is a short search from
-its new vertex.
+its new vertex.  The package has one such loop, :func:`_sink_sequences`:
+:func:`connectivity` runs it capped at the best value so far, and
+:func:`tight_reaches` capped one above, so that the same run also finds
+the tight vertices.
 
 :class:`IncrementalConnectivity` keeps one flow per root pair, vertex 0 to
 each other vertex and back, across single-hyperarc reorientations.  A
@@ -49,8 +52,8 @@ the connectivity; every minimal tight set the families need is one
 :meth:`KeptReaches.reach` search in it, with no flow.  Two places make
 one: :meth:`IncrementalConnectivity.kept_reaches` copies a step check's
 flows, and :func:`tight_reaches`, for an orientation with no step check,
-runs the same sink sequences capped just above a given level to find the
-tight vertices, then a root-pair flow for each of those alone.
+finds the connectivity and the tight vertices in one run of the sink
+sequences, then runs a root-pair flow for each tight vertex alone.
 """
 
 from __future__ import annotations
@@ -284,6 +287,48 @@ def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: V
     return separator
 
 
+def _sink_sequences(
+    h: Hypergraph, o: Orientation, cap: int, mark: bool
+) -> tuple[int, Optional[VertexSet], list[list[bool]]]:
+    """The package's one sink sequence (see :func:`connectivity`), run on
+    each side: ``(value, x, tight)``.  ``value`` and ``x`` are
+    :func:`connectivity`'s.  Without ``mark`` each query is capped at the
+    best value so far, ``tight`` is all ``False``, and a value of 0 ends
+    the run.  With ``mark`` each query is capped one above it, and
+    ``tight`` is ``[in, out]``, the vertices some set of degree ``value``
+    on that side that avoids vertex 0 holds (see :func:`tight_reaches`):
+    a query below the best clears every flag, and a query at it marks its
+    maximal minimizer."""
+    n, g = h.n, network(h)
+    best, found = cap, None
+    tight = [[False] * n, [False] * n]
+    for forward in (False, True):
+        if best == 0 and not mark:
+            break
+        marks = tight[forward]
+        residual = list(o.heads)
+        sinks = [0]
+        for t in range(1, n):
+            value, reach = max_flow_min_cut(g, [t], sinks, limit=best + mark, residual=residual, forward=forward)
+            if value < best:
+                side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet.from_mask(n, (1 << t) - 1))
+                best, found = value, side if forward else side.complement()
+                if mark:
+                    for flags in tight:
+                        flags[:] = [False] * n
+                elif best == 0:
+                    break
+            if mark and value == best and not marks[t]:
+                extra, outside = max_flow_min_cut(g, sinks, [t], limit=1, residual=residual, forward=not forward)
+                if extra:
+                    raise InvariantViolation(f"level {best}: the flow into 0..{t - 1} from {t} was not maximum")
+                for v in range(t, n):
+                    if v not in outside:
+                        marks[v] = True
+            sinks.append(t)
+    return best, found, tight
+
+
 def connectivity(
     h: Hypergraph, o: Orientation, cap: Optional[int] = None
 ) -> tuple[int, Optional[VertexSet]]:
@@ -306,7 +351,9 @@ def connectivity(
     pass keeps one heads list throughout.  Every unit of the flow in it runs
     between vertices that are sinks of the next query, so the flow is net
     zero across each of that query's cuts, every cut keeps its degree, and
-    the next query resumes from it without a reset.
+    the next query resumes from it without a reset.  A value of 0 ends the
+    run.  The loop is the package's one sink sequence, which
+    :func:`tight_reaches` runs too, capped one higher.
 
     ``x`` comes from the query that last lowered the value: on the first
     pass, the complement of its minimal side, which is the maximal set of
@@ -317,23 +364,7 @@ def connectivity(
     _same_instance(h, o)
     if cap is not None:
         _check_count("cap", cap)
-    n, g = h.n, network(h)
-    best = h.m + 1 if cap is None else cap
-    found = None
-    for holds_0 in (True, False):
-        if best == 0:
-            break
-        residual = list(o.heads)
-        sinks = [0]
-        for t in range(1, n):
-            value, reach = max_flow_min_cut(g, [t], sinks, limit=best, residual=residual, forward=not holds_0)
-            if reach is not None:  # below the best value so far
-                side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet.from_mask(n, (1 << t) - 1))
-                best, found = value, side.complement() if holds_0 else side
-                if best == 0:
-                    break
-            sinks.append(t)
-    return best, found
+    return _sink_sequences(h, o, h.m + 1 if cap is None else cap, False)[:2]
 
 
 def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
@@ -378,50 +409,22 @@ class KeptReaches:
         return None if hit >= 0 else VertexSet.from_mask(self.n, _mask(labelled))
 
 
-def _tight_vertices(g: IncidenceDigraph, heads: tuple[int, ...], k: int, forward: bool) -> tuple[list[bool], bool]:
-    """One side's sink sequence at cap ``k + 1`` (see :func:`tight_reaches`):
-    ``(tight, at_k)``, the vertices some set of degree ``k`` that avoids
-    vertex 0 holds, and whether any query's value is ``k``."""
-    n = g.n
-    residual = list(heads)
-    tight = [False] * n
-    at_k = False
-    sinks = [0]
-    for t in range(1, n):
-        value, _ = max_flow_min_cut(g, [t], sinks, limit=k + 1, residual=residual, forward=forward)
-        if value < k:
-            side = "out" if forward else "in"
-            raise InvariantViolation(f"level {k}: a set holding {t} and avoiding 0..{t - 1} has {side}-degree {value}")
-        if value == k:
-            at_k = True
-            if not tight[t]:
-                extra, outside = max_flow_min_cut(g, sinks, [t], limit=1, residual=residual, forward=not forward)
-                if extra:
-                    raise InvariantViolation(f"level {k}: the flow into 0..{t - 1} from {t} was not maximum")
-                for v in range(t, n):
-                    if v not in outside:
-                        tight[v] = True
-        sinks.append(t)
-    return tight, at_k
+def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, KeptReaches]:
+    """``(k, in, out)``: the connectivity ``k`` of ``o`` and its ``(in,
+    out)`` :class:`KeptReaches`, built with no
+    :class:`IncrementalConnectivity`: one root-pair flow per tight vertex,
+    and none for the others.
 
-
-def tight_reaches(h: Hypergraph, o: Orientation, k: int) -> tuple[KeptReaches, KeptReaches]:
-    """The ``(in, out)`` :class:`KeptReaches` of ``o`` at level ``k``, the
-    connectivity, built with no :class:`IncrementalConnectivity`: one
-    root-pair flow per tight vertex, and none for the others.  A ``k``
-    that is not a non-negative ``int`` raises :class:`PreconditionError`;
-    one that is not the connectivity raises :class:`InvariantViolation`.
-
-    The tight vertices of a side come from one sink sequence on one kept
-    heads list, as in :func:`connectivity`: the in side run backward, the
-    out side forward, each query ``t -> [0 .. t - 1]`` capped at ``k + 1``.
-    A query below ``k`` raises, and so does a run in which no query of
-    either side reaches ``k``: every proper set avoids vertex 0 or its
-    complement does, so this checks that ``k`` is the connectivity
-    exactly.  A query at ``k`` has a maximal minimizer ``M_t``, the
-    complement of what reaches its sinks in its residual: one more flow,
-    from the sinks to ``t`` run the other way, which must add nothing,
-    since the flow is maximum.  Every vertex of ``M_t`` is tight.
+    One run of :func:`connectivity`'s sink sequences gives both ``k`` and
+    the tight vertices: per side, one kept heads list, the in side run
+    backward, the out side forward, each query ``t -> [0 .. t - 1]``
+    capped one above the best value so far.  A query below the best lowers
+    it and clears every tight flag, so the flags left at the end are those
+    of the final value, ``k``, and a side that ended above ``k`` has none.
+    A query at the best has a maximal minimizer ``M_t``, the complement of
+    what reaches its sinks in its residual: one more flow, from the sinks
+    to ``t`` run the other way, which must add nothing, since the flow is
+    maximum.  Every vertex of ``M_t`` is tight.
 
     That finds every tight vertex.  At level ``k`` two tight sets that
     share a vertex have a tight union and intersection: both are proper
@@ -429,33 +432,33 @@ def tight_reaches(h: Hypergraph, o: Orientation, k: int) -> tuple[KeptReaches, K
     submodularity they sum to at most ``2k`` (the argument of
     :func:`~hyperorient.families._safe_endpoint`).  So a tight ``v`` has a
     maximal tight set ``X``; with ``t`` its smallest vertex, ``X`` is a
-    minimizer of query ``t``, so ``v`` is in ``M_t``.  No earlier ``M_s``
-    holds that ``t``, or its union with ``X`` would be a larger tight set,
-    so a query whose ``t`` is tight already needs no ``M_t``.
+    minimizer of query ``t``, whose value is ``k``, so ``v`` is in
+    ``M_t``.  No earlier ``M_s`` holds that ``t``, or its union with ``X``
+    would be a larger tight set, so a query whose ``t`` is tight already
+    needs no ``M_t``.
 
     Each tight ``v`` then gets the root-pair flow that
     :class:`IncrementalConnectivity` keeps, from ``o``'s heads, capped at
     ``k + 1``: ``v -> 0`` on the out side, ``0 -> v`` on the in side.  Its
-    value must be ``k``.  The snapshots own these residuals.
+    value must be ``k``; that and the ``M_t`` flows cross-check the
+    sequences, and a failure raises :class:`InvariantViolation` naming the
+    level.  The snapshots own these residuals.
     """
     _same_instance(h, o)
-    _check_count("k", k)
+    k, _, tight = _sink_sequences(h, o, h.m + 1, True)
     g = network(h)
-    sides = [(forward, *_tight_vertices(g, o.heads, k, forward)) for forward in (False, True)]
-    if not any(at_k for _, _, at_k in sides):
-        raise InvariantViolation(f"level {k}: no set has degree {k}, so the connectivity is above it")
     reaches = []
-    for forward, tight, _ in sides:
+    for forward, marks in zip((False, True), tight):
         residuals: list[Optional[list[int]]] = [None] * h.n
         for v in range(1, h.n):
-            if tight[v]:
+            if marks[v]:
                 residual = list(o.heads)
                 s, t = (v, 0) if forward else (0, v)
                 if max_flow_min_cut(g, [s], [t], limit=k + 1, residual=residual)[0] != k:
                     raise InvariantViolation(f"level {k}: the root-pair flow {s} -> {t} of a tight vertex is not {k}")
                 residuals[v] = residual
         reaches.append(KeptReaches(g, residuals, forward))
-    return reaches[0], reaches[1]
+    return k, reaches[0], reaches[1]
 
 
 class IncrementalConnectivity:
@@ -501,7 +504,8 @@ class IncrementalConnectivity:
     maps a side and a vertex to its kept query.  Without a check,
     ``compute_families`` builds none of these: most of its 2(n - 1) flows
     belong to vertices that are not tight, and are never read, so
-    :func:`tight_reaches` runs flows only for the tight ones.
+    :func:`tight_reaches` runs flows only for the tight ones, and takes
+    the connectivity from the same sink sequences that find them.
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:

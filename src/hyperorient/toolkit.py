@@ -3,8 +3,9 @@
 Hypergraph format (``.hg``): a ``n <count>`` line, then one
 ``e <v1> <v2> ...`` line per hyperedge.  Line order defines edge ids,
 ``#`` starts a comment, tokens are whitespace-separated.  Every vertex must
-lie in some hyperedge, so a network built from a file is bounded by its
-size.
+lie in some hyperedge, and the parser checks that before it builds a
+vertex set, so its memory, like a network built from a file, is bounded by
+the file's size.
 
 Orientation format (``.or``): one ``o <edge_id> <head>`` line per edge,
 every edge id exactly once, any order.
@@ -121,10 +122,15 @@ def _number(lineno: int, token: str, expected: str) -> int:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse the ``.hg`` format.  Every vertex must lie in some hyperedge."""
+    """Parse the ``.hg`` format.  Every vertex must lie in some hyperedge.
+
+    The edges are kept as lists of ints until that is checked, and only
+    then become vertex sets over ``n``: a covered ``n`` is at most the
+    number of vertex tokens, so the masks are bounded by the text, whatever
+    count its ``n`` line declares."""
     n = n_line = None
-    covered = 0  # the vertices of the edges so far, as a mask
-    edges: list[VertexSet] = []
+    covered: set[int] = set()  # the vertices of the edges so far
+    edges: list[list[int]] = []
     for lineno, tokens in _tokenize(text):
         kind = tokens[0]
         if kind == "n":
@@ -145,16 +151,16 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(f"line {lineno}: repeated vertex in edge")
             if any(not 0 <= v < n for v in members):
                 raise ParseError(f"line {lineno}: vertex outside 0..{n - 1}")
-            edges.append(VertexSet(n, members))
-            covered |= edges[-1].mask
+            edges.append(members)
+            covered.update(members)
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
     if n is None:
         raise ParseError("line 1: missing n line")
-    v = (~covered & (covered + 1)).bit_length() - 1  # the lowest bit not set
+    v = next(v for v in range(len(covered) + 1) if v not in covered)  # the lowest vertex in no edge
     if v < n:
         raise ParseError(f"line {n_line}: the n line declares vertex {v}, which lies in no hyperedge")
-    return Hypergraph(n, tuple(edges))
+    return Hypergraph(n, tuple(VertexSet(n, members) for members in edges))
 
 
 def format_hypergraph(h: Hypergraph) -> str:

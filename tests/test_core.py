@@ -102,6 +102,33 @@ class TestVertexSet:
         with pytest.raises(PreconditionError, match="not an int"):
             make()
 
+    # a float raised a raw TypeError; ``True in`` and a ``True`` mask gave
+    # an answer, as if they were 1
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda: 1.0 in vs(3, [1]),
+            lambda: True in vs(3, [1]),
+            lambda: "1" in vs(3, [1]),
+            lambda: VertexSet.from_mask(3, 1.0),
+            lambda: VertexSet.from_mask(3, True),
+            lambda: VertexSet.from_mask(3, None),
+        ],
+        ids=["in-float", "in-bool", "in-str", "mask-float", "mask-bool", "mask-none"],
+    )
+    def test_membership_and_masks_take_ints_only(self, read):
+        with pytest.raises(PreconditionError, match="not an int"):
+            read()
+
+    def test_membership_and_masks_take_int_enums(self):
+        class Bit(enum.IntEnum):
+            ONE = 1
+            TWO = 2
+
+        assert Bit.ONE in vs(3, [1]) and Bit.TWO not in vs(3, [1])
+        made = VertexSet.from_mask(3, Bit.TWO)
+        assert made == vs(3, [1]) and type(made.mask) is int
+
     def test_class_methods_and_editors_take_int_enums(self):
         class Vertex(enum.IntEnum):
             A = 1

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no command line
 option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 ``separator.py`` binds the flow or the network builder to a name of its own,
-every flow under ``src/`` names the orientation it runs on, every residual
-search under ``src/`` runs inside a flow (or is the one search of
+every flow under ``src/`` names the orientation it runs on, one function
+under ``src/`` runs a sink-sequence loop, every residual search under
+``src/`` runs inside a flow (or is the one search of
 ``KeptReaches.reach``), the verifier names none of the solver's repair
 code, no code under ``src/`` or ``demos/`` but ``augment_to`` reaches the
 per-level loop ``augment_one``, and the package's ``__all__`` is sorted,
@@ -184,6 +185,70 @@ def test_the_flow_scan_sees_bare_calls():
         "separator.max_flow_min_cut(g, s, t, limit=1, residual=list(res))\n"
     )
     assert list(flows_without_residual(tree)) == [1, 2]
+
+
+def sink_sequence_loops(tree):
+    """``(line, scope)`` of each ``for`` loop that runs a sink sequence: it
+    calls ``max_flow_min_cut``, bare or as an attribute, with a name that it
+    also grows with ``append``, a sink list that takes each new vertex.  A
+    loop nested in such a loop counts too; a function holds a sink
+    sequence when it holds one such loop or more."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.For):
+            flowed, grown = set(), set()
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "max_flow_min_cut":
+                    args = call.args + [kw.value for kw in call.keywords]
+                    flowed.update(a.id for a in args if isinstance(a, ast.Name))
+                elif name == "append" and isinstance(func.value, ast.Name):
+                    grown.add(func.value.id)
+            if flowed & grown:
+                found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_src_has_one_sink_sequence_loop():
+    """``connectivity`` and ``tight_reaches`` share one sink-sequence loop,
+    so the connectivity is computed one way, and a fix to that loop is a
+    fix to both."""
+    holders = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        holders.update(f"{path.name}:{scope}" for _, scope in sink_sequence_loops(tree))
+    assert sorted(holders) == ["separator.py:_sink_sequences"]
+
+
+def test_the_sink_sequence_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "def _sink_sequences(g, heads, best):\n"
+        "    for forward in (False, True):\n"
+        "        sinks = [0]\n"
+        "        for t in range(1, g.n):\n"
+        "            value, _ = max_flow_min_cut(g, [t], sinks, limit=best, residual=heads)\n"
+        "            sinks.append(t)\n"
+        "def _tight_vertices(g, heads, k):\n"
+        "    done = [0]\n"
+        "    for t in range(1, g.n):\n"
+        "        separator.max_flow_min_cut(g, [t], sinks=done, limit=k + 1, residual=heads)\n"
+        "        done.append(t)\n"
+        "def root_pairs(g, heads, k):\n"
+        "    values = []\n"
+        "    for v in range(1, g.n):\n"
+        "        values.append(max_flow_min_cut(g, [v], [0], limit=k + 1, residual=list(heads)))\n"
+    )
+    assert sink_sequence_loops(tree) == [(2, "_sink_sequences"), (4, "_sink_sequences"), (9, "_tight_vertices")]
 
 
 SEARCH_CALLERS = ("max_flow_min_cut", "KeptReaches.reach")

@@ -2,10 +2,10 @@
 families by an early-exit descent.  These tests hold it to the eager
 reference (``eager_families``, which reads a flow per root pair from an
 ``IncrementalConnectivity``, where ``compute_families`` without a step
-check runs flows only for the tight vertices ``tight_reaches`` finds), to
-the brute-force oracle within its bound, and to an independent networkx
-reference above it, and check that the q sets a kept ``PathEvent`` holds
-do not change when the step check moves on.
+check runs flows only for the tight vertices that ``tight_reaches`` finds
+with the connectivity), to the brute-force oracle within its bound, and to
+an independent networkx reference above it, and check that the q sets a
+kept ``PathEvent`` holds do not change when the step check moves on.
 """
 
 from __future__ import annotations
@@ -69,8 +69,12 @@ class TestAgainstTheEagerReference:
                 fam = compute_families(h, o)
                 ref = eager_families(h, o)
                 kept = IncrementalConnectivity(h, o, ref.k + 1)
-                tight = tuple(reaches.tight for reaches in tight_reaches(h, o, ref.k))
-                assert tight == (kept.kept_reaches("in").tight, kept.kept_reaches("out").tight)
+                k, in_reaches, out_reaches = tight_reaches(h, o)
+                assert k == ref.k
+                assert (in_reaches.tight, out_reaches.tight) == (
+                    kept.kept_reaches("in").tight,
+                    kept.kept_reaches("out").tight,
+                )
                 order = [(side, v) for side in ("q_minus", "q_plus") for v in range(h.n)]
                 rng.shuffle(order)
                 for side, v in order:  # read in random order, each once

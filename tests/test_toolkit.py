@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperorient
 from hyperorient import (
     GenSpec,
     Orientation,
@@ -124,6 +129,40 @@ class TestFormats:
     def test_number_beyond_the_digit_limit_is_a_parse_error(self):
         with pytest.raises(ParseError, match="line 1: expected 'n <count>'"):
             parse_hypergraph("n " + "9" * 5000 + "\ne 0 1\n")
+
+    def test_a_huge_declared_count_costs_memory_by_the_text(self):
+        """40 edge lines under ``n 40000000`` leave vertex 1 in no edge.
+        The masks used to be built over n before that was checked, 50 MB
+        and more for this 531-byte file; a child process parses it and
+        reports the peak RSS of its own address space (``VmHWM``, which,
+        unlike ``ru_maxrss``, does not count the forking process's)."""
+        status = Path("/proc/self/status")
+        if not status.is_file() or "VmHWM:" not in status.read_text():
+            pytest.skip("no VmHWM in /proc/self/status")
+        text = "n 40000000\n" + "e 0 9999999\n" * 40
+        child = (
+            "import re, sys\n"
+            "from hyperorient import ParseError, parse_hypergraph\n"
+            "try:\n"
+            "    parse_hypergraph(sys.stdin.read())\n"
+            "except ParseError as err:\n"
+            "    print(err)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+        )
+        src = Path(hyperorient.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            input=text,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        message, peak_kb = done.stdout.splitlines()
+        assert message == "line 1: the n line declares vertex 1, which lies in no hyperedge"
+        assert int(peak_kb) < 60 * 1024
 
 
 def doubled_triangle_trace():
