@@ -4,8 +4,8 @@ Hypergraph format (``.hg``): a ``n <count>`` line, then one
 ``e <v1> <v2> ...`` line per hyperedge.  Line order defines edge ids,
 ``#`` starts a comment, tokens are whitespace-separated.  Every vertex must
 lie in some hyperedge, and the parser checks that before it builds a
-vertex set, so its memory, like a network built from a file, is bounded by
-the file's size.
+vertex set, so the vertex count it works with, like a network built from a
+file, is bounded by the file's size.
 
 Orientation format (``.or``): one ``o <edge_id> <head>`` line per edge,
 every edge id exactly once, any order.
@@ -126,8 +126,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
     The edges are kept as lists of ints until that is checked, and only
     then become vertex sets over ``n``: a covered ``n`` is at most the
-    number of vertex tokens, so the masks are bounded by the text, whatever
-    count its ``n`` line declares."""
+    number of vertex tokens, so no mask is wider than the text has vertex
+    tokens, whatever count its ``n`` line declares."""
     n = n_line = None
     covered: set[int] = set()  # the vertices of the edges so far
     edges: list[list[int]] = []
