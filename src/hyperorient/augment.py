@@ -55,6 +55,7 @@ from .core import (
     Partition,
     PreconditionError,
     VertexSet,
+    _as_count,
     crossing_edges,
     out_degree,
     reorient,
@@ -257,13 +258,14 @@ def augment_to(
     """Raise the connectivity to ``k_target``, one level at a time.
 
     The trace uses at most ``(k_target - lambda_initial) * n^3`` steps.  A
-    ``k_target`` that is not a non-negative ``int`` (a ``bool`` is not one)
-    raises :class:`PreconditionError`.  One below the initial connectivity
+    ``k_target`` that is not a non-negative ``int`` (an ``IntEnum`` is one,
+    and the trace holds it as a plain ``int``; a ``bool`` is not) raises
+    :class:`PreconditionError`.  One below the initial connectivity
     is rejected, and so is, before any flow, one that some vertex's degree
     rules out.  Each level ends at exactly one above the last, so one step
     check, built here, serves every level.
     """
-    separator._check_count("k_target", k_target)
+    k_target = _as_count("k_target", k_target)
     _reject_low_degree(h, k_target)
     lam0 = hyperarc_connectivity(h, o)
     if k_target < lam0:

@@ -43,6 +43,34 @@ def _as_int(what: str, x: object) -> int:
     return int(x)
 
 
+def _as_count(what: str, x: object) -> int:
+    """``x`` as a plain non-negative ``int``: a count, limit, cap, level or
+    target.  The ``int`` rule is :func:`_as_int`'s, so an ``IntEnum``
+    member is one and a ``bool`` is not, though Python counts it as an
+    ``int``."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise PreconditionError(f"{what} must be a non-negative int, not {x!r}")
+    return int(x)
+
+
+def _as_vertex(v: object, n: int) -> int:
+    """``v`` as a plain ``int`` in ``0..n-1``, by :func:`_as_int`'s rule."""
+    if type(v) is not int:
+        v = _as_int("vertex", v)
+    if not 0 <= v < n:
+        raise PreconditionError(f"vertex {v} outside 0..{n - 1}")
+    return v
+
+
+def _is_out(side: object) -> bool:
+    """Whether ``side`` is ``'out'`` rather than ``'in'``: the direction
+    of a query, forward on the out side.  Any other value raises
+    :class:`PreconditionError`."""
+    if side not in ("out", "in"):
+        raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
+    return side == "out"
+
+
 class VertexSet:
     """Immutable subset of ``{0, .., n-1}`` backed by a bitmask.
 
@@ -97,11 +125,7 @@ class VertexSet:
 
     @classmethod
     def singleton(cls, n: int, v: int) -> "VertexSet":
-        if type(v) is not int:
-            v = _as_int("vertex", v)
-        if not 0 <= v < n:
-            raise PreconditionError(f"vertex {v} outside 0..{n - 1}")
-        return cls.from_mask(n, 1 << v)
+        return cls.empty(n).add(v)
 
     def _check(self, other: "VertexSet") -> None:
         if not isinstance(other, VertexSet):
@@ -167,18 +191,10 @@ class VertexSet:
         return VertexSet.from_mask(self.n, ~self.mask & ((1 << self.n) - 1))
 
     def add(self, v: int) -> "VertexSet":
-        if type(v) is not int:
-            v = _as_int("vertex", v)
-        if not 0 <= v < self.n:
-            raise PreconditionError(f"vertex {v} outside 0..{self.n - 1}")
-        return VertexSet.from_mask(self.n, self.mask | 1 << v)
+        return VertexSet.from_mask(self.n, self.mask | 1 << _as_vertex(v, self.n))
 
     def remove(self, v: int) -> "VertexSet":
-        if type(v) is not int:
-            v = _as_int("vertex", v)
-        if not 0 <= v < self.n:
-            raise PreconditionError(f"vertex {v} outside 0..{self.n - 1}")
-        return VertexSet.from_mask(self.n, self.mask & ~(1 << v))
+        return VertexSet.from_mask(self.n, self.mask & ~(1 << _as_vertex(v, self.n)))
 
     @property
     def is_empty(self) -> bool:

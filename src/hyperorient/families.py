@@ -65,6 +65,8 @@ from .core import (
     Orientation,
     PreconditionError,
     VertexSet,
+    _as_count,
+    _is_out,
     _same_instance,
     in_degree,
     minimal_members,
@@ -199,11 +201,14 @@ class CutFamilies:
     q_plus: QSets | tuple[VertexSet, ...]
 
 
-def _rootless_degree(h: Hypergraph, o: Orientation, x: VertexSet, r: int, degree: Callable[..., int]) -> int | None:
+def _rootless_degree(
+    h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int, degree: Callable[..., int]
+) -> int | None:
     """``degree(h, o, x)``, or ``None`` when ``x`` is empty, full or holds
-    the root ``r``.  An orientation of another hypergraph, or a set over
-    another ground set, raises :class:`PreconditionError` before any of
-    those shortcuts."""
+    the root ``r``.  A level ``k`` that is not a count, an orientation of
+    another hypergraph, or a set over another ground set, raises
+    :class:`PreconditionError` before any of those shortcuts."""
+    _as_count("k", k)
     _same_instance(h, o)
     if x.n != h.n:
         raise PreconditionError("vertex set over a different ground set")
@@ -213,21 +218,21 @@ def _rootless_degree(h: Hypergraph, o: Orientation, x: VertexSet, r: int, degree
 
 
 def is_in_tight(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
-    d = _rootless_degree(h, o, x, r, in_degree)
+    d = _rootless_degree(h, o, k, x, r, in_degree)
     return x.is_full if d is None else d == k
 
 
 def is_out_tight(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
-    d = _rootless_degree(h, o, x, r, out_degree)
+    d = _rootless_degree(h, o, k, x, r, out_degree)
     return x.is_full if d is None else d == k
 
 
 def is_in_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
-    return _rootless_degree(h, o, x, r, in_degree) == k + 1
+    return _rootless_degree(h, o, k, x, r, in_degree) == k + 1
 
 
 def is_out_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int = ROOT) -> bool:
-    return _rootless_degree(h, o, x, r, out_degree) == k + 1
+    return _rootless_degree(h, o, k, x, r, out_degree) == k + 1
 
 
 def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
@@ -394,9 +399,7 @@ def find_safe_endpoint(
     """Smallest safe source (``side='out'``, ``member_set`` in ``m_minus``)
     or safe sink (``side='in'``, in ``m_plus``); one always exists when the
     instance has the required partition-connectivity."""
-    if side not in ("out", "in"):
-        raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
-    is_safe, name = (is_safe_source, "source") if side == "out" else (is_safe_sink, "sink")
+    is_safe, name = (is_safe_source, "source") if _is_out(side) else (is_safe_sink, "sink")
     for u in member_set:
         if is_safe(h, o, fam, member_set, u):
             return u

@@ -17,6 +17,9 @@ from .core import (
     Partition,
     PreconditionError,
     VertexSet,
+    _as_count,
+    _as_vertex,
+    _is_out,
     crossing_edges,
     in_degree,
     minimal_members,
@@ -55,6 +58,7 @@ def bf_tight_families(
     (degree exactly ``k + 1``) do not.
     """
     _guard_n(h)
+    k = _as_count("k", k)
     n = h.n
     full = VertexSet.full(n)
     t_minus, t_plus, d_minus, d_plus = [full], [full], [], []
@@ -136,13 +140,11 @@ def bf_min_separator(
     checked on every call.
     """
     _guard_n(h)
-    if side not in ("out", "in"):
-        raise PreconditionError("side must be 'out' or 'in'")
-    if not 0 <= s < h.n:
-        raise PreconditionError(f"vertex {s} out of range")
+    forward = _is_out(side)
+    s = _as_vertex(s, h.n)
     if sinks.is_empty or s in sinks:
         raise PreconditionError("sink set must be nonempty and avoid the source")
-    deg = out_degree if side == "out" else in_degree
+    deg = out_degree if forward else in_degree
     best = None
     minimizers: list[VertexSet] = []
     for mask in _proper_masks(h.n):
@@ -193,8 +195,7 @@ def bf_partition_connected(h: Hypergraph, k: int) -> tuple[bool, Optional[Partit
     one-class partition is excluded: no hyperedge can cross it.
     """
     _guard_n(h, BF_PARTITION_MAX_N)
-    if k < 0:
-        raise PreconditionError("k must be non-negative")
+    k = _as_count("k", k)
     if k == 0:
         return True, None
     for p in iter_partitions(h.n):
@@ -216,8 +217,7 @@ def bf_orientation_exists(h: Hypergraph, k: int) -> tuple[bool, Optional[Orienta
         total *= len(e)
         if total > BF_ORIENTATIONS_MAX:
             raise PreconditionError(f"brute force refused: orientation count exceeds {BF_ORIENTATIONS_MAX}")
-    if k < 0:
-        raise PreconditionError("k must be non-negative")
+    k = _as_count("k", k)
     min_heads = tuple(min(e) for e in h.edges)
     if k == 0:
         return True, Orientation(h, min_heads)
@@ -273,6 +273,7 @@ def _bf_safe(
     """Literal safe-endpoint definition, quantified over every subset of the
     root's complement."""
     _guard_n(h)
+    u = _as_vertex(u, h.n)
     k, r = fam.k, fam.r
     full = VertexSet.full(h.n)
     if member_set == full:

@@ -38,6 +38,8 @@ from .core import (
     PathArc,
     PreconditionError,
     VertexSet,
+    _as_vertex,
+    _is_out,
 )
 from .families import CutFamilies, find_safe_endpoint, is_in_tight, is_out_tight
 
@@ -184,14 +186,12 @@ def reachability_check(
     that a forward search from ``v`` staying inside the region reaches all
     of it; ``side='in'`` mirrors this backward inside ``q_minus[v]``.
     """
-    if side not in ("out", "in"):
-        raise PreconditionError("side must be 'out' or 'in'")
-    if not 0 <= v < h.n:
-        raise PreconditionError(f"vertex {v} out of range")
+    forward = _is_out(side)
+    v = _as_vertex(v, h.n)
     region = target_region if target_region is not None else (
-        fam.q_plus[v] if side == "out" else fam.q_minus[v]
+        fam.q_plus[v] if forward else fam.q_minus[v]
     )
     if v not in region:
         raise PreconditionError("vertex lies outside the region")
-    explored, _, _ = _explore(o, v, region.mask, side == "out")
+    explored, _, _ = _explore(o, v, region.mask, forward)
     return region <= VertexSet.from_mask(h.n, explored)

@@ -67,6 +67,8 @@ from .core import (
     Orientation,
     PreconditionError,
     VertexSet,
+    _as_count,
+    _is_out,
     _same_instance,
 )
 
@@ -235,12 +237,11 @@ def min_separator(
     the kernel trusts: ``x`` or ``avoid`` that is not a
     :class:`~hyperorient.core.VertexSet`, is empty, lies over another ground
     set or overlaps the other, another ``side``, or a ``limit`` that is not a
-    non-negative ``int`` (a ``bool`` is not one) raises
-    :class:`PreconditionError`.
+    count (``core``'s count rule: a non-negative ``int``; an ``IntEnum`` is
+    one, a ``bool`` is not) raises :class:`PreconditionError`.
     """
     _same_instance(h, o)
-    if side not in ("out", "in"):
-        raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
+    forward = _is_out(side)
     if not isinstance(x, VertexSet) or not isinstance(avoid, VertexSet):
         raise PreconditionError("x and avoid must be vertex sets")
     if x.n != h.n or avoid.n != h.n:
@@ -250,23 +251,13 @@ def min_separator(
     if x.mask & avoid.mask:
         raise PreconditionError("x and avoid must be disjoint")
     if limit is not None:
-        _check_count("limit", limit)
+        limit = _as_count("limit", limit)
     value, reach = max_flow_min_cut(
-        network(h), list(x), avoid, limit=limit, residual=list(o.heads), forward=side == "out"
+        network(h), list(x), avoid, limit=limit, residual=list(o.heads), forward=forward
     )
     if reach is None:
         return value, None
     return value, _separator(h.n, reach, x, avoid)
-
-
-def _check_count(name: str, value: int) -> None:
-    """Raise unless ``value`` is a non-negative ``int``: a limit, cap,
-    level or target that a public entry hands on to code that trusts it.
-    A ``bool`` is not a count, though Python counts it as an ``int``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PreconditionError(f"{name} must be a non-negative int, not {value!r}")
-    if value < 0:
-        raise PreconditionError(f"{name} {value} is negative")
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -337,7 +328,7 @@ def connectivity(
     ``value`` is exact whenever it is below ``cap`` (a value equal to
     ``cap`` means "at least ``cap``").  ``x`` is a vertex set of out-degree
     ``value``, or ``None`` when no set has out-degree below ``cap``.  A
-    ``cap`` that is not a non-negative ``int`` raises
+    ``cap`` that is not a count (``core``'s count rule) raises
     :class:`PreconditionError`.
 
     A sink sequence in the manner of Hao and Orlin, run mirrored: each query
@@ -362,9 +353,7 @@ def connectivity(
     sink order may find another such set.
     """
     _same_instance(h, o)
-    if cap is not None:
-        _check_count("cap", cap)
-    return _sink_sequences(h, o, h.m + 1 if cap is None else cap, False)[:2]
+    return _sink_sequences(h, o, h.m + 1 if cap is None else _as_count("cap", cap), False)[:2]
 
 
 def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
@@ -509,7 +498,7 @@ class IncrementalConnectivity:
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
-        _check_count("cap", cap)
+        cap = _as_count("cap", cap)
         _same_instance(h, o)
         self.hypergraph = h
         self.cap = cap
@@ -529,22 +518,21 @@ class IncrementalConnectivity:
         outlives the next :meth:`reorient`.  A ``side`` other than
         ``'out'`` and ``'in'``, or a value at the cap, where it is not
         exact, raises :class:`PreconditionError`."""
-        if side not in ("out", "in"):
-            raise PreconditionError(f"side must be 'out' or 'in', not {side!r}")
+        forward = _is_out(side)
         if self.value >= self.cap:
             raise PreconditionError(f"value {self.value} is at the cap {self.cap}, so not exact")
-        shift = 1 if side == "out" else 2
+        shift = 1 if forward else 2
         residuals: list[Optional[list[int]]] = [None] * self.hypergraph.n
         for v in range(1, self.hypergraph.n):
             p = 2 * v - shift
             if self._value[p] == self.value:
                 residuals[v] = list(self._res[p])
-        return KeptReaches(self._g, residuals, side == "out")
+        return KeptReaches(self._g, residuals, forward)
 
     def raise_cap(self, cap: int) -> int:
         """Raise :attr:`cap` to ``cap``; each query at the old cap augments
         from its kept flow.  Returns the new :attr:`value`."""
-        _check_count("cap", cap)
+        cap = _as_count("cap", cap)
         if cap < self.cap:
             raise PreconditionError(f"cap {cap} is below the current cap {self.cap}")
         old, self.cap = self.cap, cap

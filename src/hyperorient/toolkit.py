@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .augment import ReorientationStep, ReorientationTrace
-from .core import Hypergraph, Orientation, PreconditionError, VertexSet
+from .core import Hypergraph, Orientation, PreconditionError, VertexSet, _as_count
 
 
 class ParseError(ValueError):
@@ -34,7 +34,9 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters for the guaranteed-feasible instance generator."""
+    """Parameters for the guaranteed-feasible instance generator.  Every
+    field but ``seed`` is a count: a non-negative ``int``, kept as a plain
+    one (an ``IntEnum`` is one, a ``bool`` is not)."""
 
     n: int
     k: int
@@ -43,12 +45,12 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "extra_edges", "max_edge_size"):
+            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         if self.n < 3:
             raise PreconditionError("generator needs n >= 3")
         if self.k < 1:
             raise PreconditionError("generator needs k >= 1")
-        if self.extra_edges < 0:
-            raise PreconditionError("extra_edges must be non-negative")
         if not 2 <= self.max_edge_size <= self.n:
             raise PreconditionError("max_edge_size must be in 2..n")
 

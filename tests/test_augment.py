@@ -1,4 +1,5 @@
 from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 
@@ -65,6 +66,15 @@ class TestAugmentOne:
             with pytest.raises(PreconditionError, match="k_target must be a non-negative int"):
                 augment_to(h, o, bad)
         assert augment_to(h, o, 2).k_target == 2
+
+    def test_an_int_enum_target_gives_a_trace_that_verifies(self):
+        """The trace holds the target as a plain ``int``, which the trace
+        rule requires; it used to keep the enum, and ``verify_trace``
+        rejected the solver's own trace."""
+        h, o = doubled_triangle_flat()
+        trace = augment_to(h, o, IntEnum("Level", "ONE TWO").TWO)
+        assert type(trace.k_target) is int and trace == augment_to(h, o, 2)
+        assert verify_trace(h, trace).ok
 
     def test_full_region_fallback_instance(self):
         h = hypergraph(3, [(1, 2), (1, 2), (0, 1), (0, 2)])

@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 
@@ -264,6 +265,22 @@ class TestPredicates:
             assert predicate(h, o, 1, VertexSet.empty(3)) is False
             assert predicate(h, o, 0, vs(3, [0])) is False
         assert is_in_tight(h, o, 1, vs(3, [1])) and is_out_dangerous(h, o, 0, vs(3, [2]))
+
+    def test_a_level_must_be_a_count(self):
+        """On the doubled triangle ``{1}`` has in- and out-degree 2.  A
+        level of ``2.0`` used to call it tight, ``True`` (``True + 1 == 2``)
+        dangerous, and ``"2"`` failed with a raw ``TypeError``; an
+        ``IntEnum`` level answers as its ``int``."""
+        h = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
+        o = Orientation(h, (1, 1, 2, 2, 2, 2))
+        x = vs(3, [1])
+        for predicate in self.PREDICATES:
+            for k in (True, False, 2.0, "2", None, -1):
+                with pytest.raises(PreconditionError, match="^k must be a non-negative int"):
+                    predicate(h, o, k, x)
+            for k in IntEnum("Level", "ONE TWO"):
+                assert predicate(h, o, k, x) is predicate(h, o, int(k), x)
+        assert is_in_tight(h, o, 2, x) and is_in_dangerous(h, o, 1, x)
 
 
 class TestClaims:

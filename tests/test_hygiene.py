@@ -8,7 +8,8 @@ under ``src/`` runs a sink-sequence loop, every residual search under
 code, no code under ``src/`` or ``demos/`` but ``augment_to`` reaches the
 per-level loop ``augment_one``, and the package's ``__all__`` is sorted,
 free of duplicates, exactly what its ``__init__.py`` imports and free of
-the max-flow kernel's names and of ``augment_one``.
+the max-flow kernel's names and of ``augment_one``, and no module under
+``src/`` but ``core.py`` holds a copy of an argument rule.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``demos/``.
 Package ``__init__.py`` files are skipped by the import scan: their imports
@@ -16,6 +17,7 @@ are re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -480,3 +482,73 @@ def test_the_export_scan_sees_each_fault():
         "listed, not imported: omega",
     ]
     assert export_problems(ast.parse("from .a import b, a\n__all__ = ['a', 'b']\n")) == []
+
+
+def argument_rule_copies(tree):
+    """``(line, what)`` for each copy of a ``core`` argument rule: an
+    ``isinstance`` test against ``bool``, a comparison with the sides
+    ``("out", "in")``, or a function named like a rule (``_check_count``,
+    ``_as_vertex``, ``_is_out``).  ``core`` holds the one count, vertex and
+    side rule, so every entry takes an ``IntEnum`` and rejects a ``bool``
+    alike.  The trace rule's exact-``int`` tests (``type(x) is int``) are a
+    stricter rule of their own, and no copy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                found.append((node.lineno, "isinstance bool"))
+        elif isinstance(node, ast.Compare):
+            for other in node.comparators:
+                if isinstance(other, (ast.Tuple, ast.List, ast.Set)) and {
+                    getattr(e, "value", None) for e in other.elts
+                } == {"in", "out"}:
+                    found.append((node.lineno, "side compare"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.search(
+            r"(check|as)_(count|int|vertex|side)|^_?is_out$", node.name
+        ):
+            found.append((node.lineno, f"def {node.name}"))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_core_holds_the_only_argument_rules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = argument_rule_copies(tree)
+    assert not found, f"{path.relative_to(ROOT)} copies an argument rule of core: {found}"
+
+
+def test_the_argument_rule_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "def _check_count(name, value):\n"
+        "    if isinstance(value, bool) or not isinstance(value, int):\n"
+        "        raise ValueError(name)\n"
+        "def kept(side, v):\n"
+        "    if side not in ('out', 'in') or isinstance(v, (int, bool)):\n"
+        "        raise ValueError(side)\n"
+        "    return side in ['in', 'out'], side == 'out', isinstance(v, int)\n"
+        "def _as_vertex(v, n):\n"
+        "    return v\n"
+        "def _int_record(rec):\n"
+        "    sign, other = ('in', 'out') if rec else ('out', 'in')\n"
+        "    return type(rec) is int, sign, other\n"
+    )
+    assert sorted(argument_rule_copies(tree)) == [
+        (1, "def _check_count"),
+        (2, "isinstance bool"),
+        (5, "isinstance bool"),
+        (5, "side compare"),
+        (7, "side compare"),
+        (8, "def _as_vertex"),
+    ]
+    core = ast.parse((ROOT / "src" / "hyperorient" / "core.py").read_text(encoding="utf-8"))
+    assert {what for _, what in argument_rule_copies(core)} >= {
+        "isinstance bool",
+        "side compare",
+        "def _as_int",
+        "def _as_count",
+        "def _as_vertex",
+        "def _is_out",
+    }

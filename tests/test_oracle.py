@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 
 from hyperorient import (
@@ -12,6 +14,7 @@ from hyperorient import (
     bf_partition_connected,
     bf_safe_sink,
     bf_safe_source,
+    bf_tight_families,
     hyperarc_connectivity,
     hypergraph,
     iter_partitions,
@@ -151,3 +154,48 @@ class TestBfSafe:
                 assert any(bf_safe_sink(h, o, fam, t_set, u) for u in t_set)
             found += 1
         assert found >= 20
+
+
+class TestArgumentRules:
+    """The oracles take a level, a vertex and a side by the rules every
+    other entry takes them by.  Each case below used to give an answer or
+    fail with a raw ``TypeError``."""
+
+    def test_a_level_must_be_a_count(self):
+        h = doubled_triangle()
+        o = Orientation(h, (1, 1, 2, 2, 2, 2))
+        for k in (True, False, 1.0, "1", None, -1):
+            for call in (bf_partition_connected, bf_orientation_exists):
+                with pytest.raises(PreconditionError, match="^k must be a non-negative int"):
+                    call(h, k)
+            with pytest.raises(PreconditionError, match="^k must be a non-negative int"):
+                bf_tight_families(h, o, k)
+        level = IntEnum("Level", "ONE TWO THREE")
+        for k in level:
+            assert bf_partition_connected(h, k) == bf_partition_connected(h, int(k))
+            assert bf_orientation_exists(h, k) == bf_orientation_exists(h, int(k))
+            assert bf_tight_families(h, o, k) == bf_tight_families(h, o, int(k))
+
+    def test_a_source_and_a_side_are_checked(self):
+        h, o = three_cycle()
+        for s in (1.0, True, "0", None, 3, -1):
+            with pytest.raises(PreconditionError, match="^vertex"):
+                bf_min_separator(h, o, s, vs(3, [2]), "out")
+        with pytest.raises(PreconditionError, match="side must be 'out' or 'in', not 'up'"):
+            bf_min_separator(h, o, 0, vs(3, [2]), "up")
+        vertex = IntEnum("Vertex", "ONE")
+        assert bf_min_separator(h, o, vertex.ONE, vs(3, [2]), "in") == bf_min_separator(h, o, 1, vs(3, [2]), "in")
+
+    def test_a_safe_endpoint_must_be_a_vertex(self):
+        """The full member set used to answer ``u == root`` for any ``u``:
+        ``False`` read as the root 0, ``1.0`` as a vertex that is not."""
+        h = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2)])
+        full = VertexSet.full(3)
+        for heads, call, members in (((1, 1, 2, 2), bf_safe_source, "m_minus"), ((0, 0, 1, 1), bf_safe_sink, "m_plus")):
+            o = Orientation(h, heads)
+            fam = bf_families(h, o)
+            assert getattr(fam, members) == (full,)
+            for u in (1.0, False, True, "0", None, 3, -1):
+                with pytest.raises(PreconditionError, match="^vertex"):
+                    call(h, o, fam, full, u)
+            assert call(h, o, fam, full, IntEnum("Root", [("ZERO", 0)]).ZERO)

@@ -184,6 +184,18 @@ class TestReachability:
             with pytest.raises(PreconditionError, match="different ground sets"):
                 reachability_check(h, o, fam, 1, target_region=VertexSet(5, [1, 3]), side=side)
 
+    def test_a_vertex_and_a_side_are_checked(self):
+        """A float vertex used to fail with a raw ``TypeError``, and
+        ``True`` to be read as vertex 1."""
+        h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
+        o = Orientation(h, (1, 2, 0))
+        fam = compute_families(h, o)
+        for v in (1.0, True, "1", None, 3, -1):
+            with pytest.raises(PreconditionError, match="^vertex"):
+                reachability_check(h, o, fam, v)
+        with pytest.raises(PreconditionError, match="side must be 'out' or 'in', not 'up'"):
+            reachability_check(h, o, fam, 1, side="up")
+
     def test_unreachable_region_fails(self):
         h = hypergraph(3, [(0, 1), (1, 2)])
         o = Orientation(h, (0, 1))  # arcs 1->0, 2->1

@@ -386,6 +386,22 @@ class TestConnectivity:
             with pytest.raises(PreconditionError, match="cap"):
                 IncrementalConnectivity(h, o, 0).raise_cap(cap)
 
+    def test_int_enum_counts_are_kept_as_plain_ints(self):
+        """A cap or limit that is an ``IntEnum`` member gives the answers of
+        its ``int``; a cap used to be kept as the enum, and returned as the
+        connectivity when no set lies below it."""
+        count = IntEnum("Count", "ONE TWO")
+        h, o = three_cycle()
+        assert connectivity(h, o, cap=count.ONE) == connectivity(h, o, cap=1) == (1, None)
+        assert type(connectivity(h, o, cap=count.ONE)[0]) is int
+        for limit in count:
+            got = min_separator(h, o, vs(3, [0]), vs(3, [1]), limit=limit)
+            assert got == min_separator(h, o, vs(3, [0]), vs(3, [1]), limit=int(limit))
+            assert type(got[0]) is int
+        assert type(IncrementalConnectivity(h, o, count.TWO).cap) is int
+        check = IncrementalConnectivity(h, o, 1)
+        assert check.raise_cap(count.TWO) == 1 and type(check.cap) is int and check.cap == 2
+
 
 def root_pair_connectivity(h, o, cap=None):
     """Connectivity by independent root-pair queries, vertex 0 to each other

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,21 @@ class TestGenerator:
             GenSpec(n=4, k=0)
         with pytest.raises(PreconditionError):
             GenSpec(n=4, k=1, max_edge_size=5)
+
+    # ``k=True`` used to build a one-cycle instance, and a float or a
+    # string count failed inside ``gen_instance`` with a raw TypeError
+    @pytest.mark.parametrize("field", ["n", "k", "extra_edges", "max_edge_size"])
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, "1", None], ids=repr)
+    def test_spec_counts_must_be_ints(self, field, bad):
+        fields = {"n": 4, "k": 1, "extra_edges": 1, "max_edge_size": 3, field: bad}
+        with pytest.raises(PreconditionError, match=f"^{field} must be a non-negative int"):
+            GenSpec(**fields)
+
+    def test_spec_keeps_int_enum_counts_as_plain_ints(self):
+        count = IntEnum("Count", "ONE TWO THREE FOUR")
+        spec = GenSpec(n=count.FOUR, k=count.TWO, extra_edges=count.ONE, max_edge_size=count.THREE, seed=2)
+        assert all(type(getattr(spec, name)) is int for name in ("n", "k", "extra_edges", "max_edge_size"))
+        assert gen_instance(spec) == gen_instance(GenSpec(n=4, k=2, extra_edges=1, max_edge_size=3, seed=2))
 
     def test_orientation_modes(self):
         h = gen_instance(GenSpec(n=6, k=2, extra_edges=2, seed=3))
