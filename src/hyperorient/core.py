@@ -62,6 +62,17 @@ def _as_vertex(v: object, n: int) -> int:
     return v
 
 
+def _as_edge(e: object, m: int) -> int:
+    """``e`` as a plain ``int`` edge id in ``0..m-1``, by :func:`_as_int`'s
+    rule, so a ``bool`` is no edge id and a negative one does not count
+    from the end."""
+    if type(e) is not int:
+        e = _as_int("edge id", e)
+    if not 0 <= e < m:
+        raise PreconditionError(f"edge id {e} out of range")
+    return e
+
+
 def _is_out(side: object) -> bool:
     """Whether ``side`` is ``'out'`` rather than ``'in'``: the direction
     of a query, forward on the out side.  Any other value raises
@@ -309,6 +320,7 @@ class Orientation:
         object.__setattr__(self, "heads", tuple(heads))
 
     def tail(self, e: int) -> VertexSet:
+        e = _as_edge(e, self.hypergraph.m)
         return self.hypergraph.edges[e].remove(self.heads[e])
 
     def hyperarc(self, e: int) -> tuple[VertexSet, int]:
@@ -427,12 +439,13 @@ def reorient(o: Orientation, e: int, u: int) -> Orientation:
 
     Only the changed head is checked; the others were checked when ``o`` was
     built, so the result skips ``Orientation``'s full O(m) validation.  ``e``
-    and ``u`` are ``int`` (an ``IntEnum`` is one, a ``bool`` is not)."""
-    if type(e) is not int or type(u) is not int:
-        e, u = _as_int("edge id", e), _as_int("vertex", u)
+    is an edge id (:func:`_as_edge`) and ``u`` an ``int`` (an ``IntEnum``
+    is one, a ``bool`` is not)."""
     h = o.hypergraph
-    if not 0 <= e < h.m:
-        raise PreconditionError(f"edge id {e} out of range")
+    if type(e) is not int or not 0 <= e < h.m:
+        e = _as_edge(e, h.m)
+    if type(u) is not int:
+        u = _as_int("vertex", u)
     if u not in h.edges[e]:
         raise InvalidReorientation(f"vertex {u} not in edge {e}")
     if u == o.heads[e]:
@@ -478,13 +491,12 @@ class Hyperpath:
 def trim(h: Hypergraph, path: Hyperpath) -> tuple[int, ...]:
     """Vertex sequence ``s, a_1, .., a_l`` of the induced plain directed path.
 
-    Rejects malformed hyperpaths: tail or head outside the edge, a chosen
-    tail that is not the previous head, or repeated vertices.
+    Rejects malformed hyperpaths: an edge id that is not one
+    (:func:`_as_edge`), tail or head outside the edge, a chosen tail that is
+    not the previous head, or repeated vertices.
     """
     for i, arc in enumerate(path.arcs):
-        if not 0 <= arc.edge < h.m:
-            raise PreconditionError(f"arc {i}: edge id {arc.edge} out of range")
-        e = h.edges[arc.edge]
+        e = h.edges[_as_edge(arc.edge, h.m)]
         if arc.head not in e:
             raise PreconditionError(f"arc {i}: head {arc.head} not in edge {arc.edge}")
         if arc.tail not in e or arc.tail == arc.head:

@@ -66,6 +66,7 @@ from .core import (
     PreconditionError,
     VertexSet,
     _as_count,
+    _as_vertex,
     _is_out,
     _same_instance,
     in_degree,
@@ -206,10 +207,12 @@ def _rootless_degree(
 ) -> int | None:
     """``degree(h, o, x)``, or ``None`` when ``x`` is empty, full or holds
     the root ``r``.  A level ``k`` that is not a count, an orientation of
-    another hypergraph, or a set over another ground set, raises
+    another hypergraph, a root that is not a vertex (``core``'s vertex
+    rule), or a set over another ground set, raises
     :class:`PreconditionError` before any of those shortcuts."""
     _as_count("k", k)
     _same_instance(h, o)
+    r = _as_vertex(r, h.n)
     if x.n != h.n:
         raise PreconditionError("vertex set over a different ground set")
     if x.is_empty or x.is_full or r in x:

@@ -169,11 +169,13 @@ def bf_min_separator(
 
 def iter_partitions(n: int) -> Iterator[Partition]:
     """All partitions of ``0..n-1`` into at least two classes, in restricted
-    growth string order."""
+    growth string order.  An ``n`` that is not a count (``core``'s count
+    rule) raises :class:`PreconditionError`."""
+    n = _as_count("n", n)
     code = [0] * n
 
     def rec(i: int, maxc: int) -> Iterator[Partition]:
-        if i == n:
+        if i >= n:  # vertex 0 is in class 0, so ``n = 0`` starts past the end
             if maxc > 0:
                 classes: list[list[int]] = [[] for _ in range(maxc + 1)]
                 for v, c in enumerate(code):
@@ -184,7 +186,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
             code[i] = c
             yield from rec(i + 1, max(maxc, c))
 
-    yield from rec(1, 0)
+    return rec(1, 0)
 
 
 def bf_partition_connected(h: Hypergraph, k: int) -> tuple[bool, Optional[Partition]]:

@@ -1,8 +1,11 @@
 """Admissible hyperpath search inside a region of the ``r_family``.
 
 Every search here is one exploration over vertex bitmasks.  It grows an
-arborescence from one start vertex, scanning hyperarcs in ascending edge id
-and restarting the scan after each hyperarc it takes.  It runs in one of two directions:
+arborescence from one start vertex, always taking the hyperarc of smallest
+edge id that yields a new vertex.  Its candidates are the hyperarcs at the
+explored vertices, kept as one mask of edge ids that each new vertex adds
+its own to, so the scan never starts again from edge 0.  It runs in one of
+two directions:
 
 * forward, a hyperarc whose tail meets the explored set yields its head;
 * backward, a hyperarc whose head is explored yields its tails.
@@ -42,6 +45,7 @@ from .core import (
     _is_out,
 )
 from .families import CutFamilies, find_safe_endpoint, is_in_tight, is_out_tight
+from .separator import network
 
 
 @dataclass(frozen=True)
@@ -62,33 +66,51 @@ def _explore(
     link ``(edge, via)``: ``via`` is the explored tail that reached the head
     (forward) or the explored head the tail leads to (backward).  The window
     shrinks onto ``shrink[u]`` after each new ``u``; empty ``shrink`` keeps
-    it fixed."""
+    it fixed.
+
+    ``candidates`` is a mask of edge ids: those the explored vertices can
+    fire, from each one's incidences as it is explored (forward, the edges
+    it is a tail of; backward, those headed at it).  The lowest is popped
+    and tested; one that yields nothing never will, since ``explored`` only
+    grows and the window only shrinks, and a hyperarc taken is spent.  So
+    each pop is the smallest edge id a scan of every hyperarc would take."""
+    heads = o.heads
     edges = o.hypergraph.edges
-    tails = [edges[e].mask & ~(1 << v) for e, v in enumerate(o.heads)]
+    inc = network(o.hypergraph).inc
+
+    def fires(u: int) -> int:
+        mask = 0
+        for e in inc[u]:
+            if (heads[e] != u) is forward:
+                mask |= 1 << e
+        return mask
+
     explored = 1 << start
+    candidates = fires(start)
     links: dict[int, tuple[int, int]] = {}
-    while True:
-        for e, v in enumerate(o.heads):
-            if forward:
-                new = 1 << v & window & ~explored if tails[e] & explored else 0
-            else:
-                new = tails[e] & window & ~explored if explored >> v & 1 else 0
-            if new:
-                break
-        else:
-            return explored, window, links
-        reach = tails[e] & explored
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        e = low.bit_length() - 1
+        v = heads[e]
+        tails = edges[e].mask & ~(1 << v)
+        new = (1 << v if forward else tails) & window & ~explored
+        if not new:
+            continue
+        reach = tails & explored
         via = (reach & -reach).bit_length() - 1 if forward else v
         while new:
             bit = new & -new
             u = bit.bit_length() - 1
             explored |= bit
             links[u] = (e, via)
+            candidates |= fires(u)
             if shrink:
                 q = shrink[u].mask
                 if q != window and q & ~window == 0:
                     window = q
             new &= window & ~explored
+    return explored, window, links
 
 
 def _search(
@@ -166,8 +188,9 @@ def admissible_path_in_tplus(
 
     Backward search from a safe sink over hyperarcs entering the explored
     set; every eligible tail of the picked hyperarc is consumed before the
-    scan restarts, and the window shrinks onto minimal in-tight sets.  The
-    final window must be a member of ``m_minus`` holding a safe source.
+    next hyperarc is picked, and the window shrinks onto minimal in-tight
+    sets.  The final window must be a member of ``m_minus`` holding a safe
+    source.
     """
     return _search(h, o, fam, region, forward=False)
 

@@ -23,7 +23,11 @@ backward, from heads to tails: the in-degree queries, and the ones better
 asked from the sink side, are the same search run backward.  These searches
 are the package's hot loop, so the direction is picked once per search and
 each has its own loop: forward an edge labels only its head, backward all
-of its vertices.  Every flow still goes through the module global
+of its vertices.  Many paths are a single hyperarc from a source to a sink,
+so before its first search a flow takes those in one pass over the
+sources' incidences: they are the paths its searches would find first, in
+the same order, so only those searches go (see :func:`max_flow_min_cut`).
+Every flow still goes through the module global
 :func:`max_flow_min_cut`, so a patch of it (a tracer, a counting test) sees
 them all.  That kernel is internal and checks nothing: its callers are
 in-package and pass valid heads.  :func:`min_separator`,
@@ -59,6 +63,7 @@ sequences, then runs a root-pair flow for each tight vertex alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .core import (
@@ -68,6 +73,7 @@ from .core import (
     PreconditionError,
     VertexSet,
     _as_count,
+    _as_edge,
     _is_out,
     _same_instance,
 )
@@ -77,15 +83,20 @@ from .core import (
 class IncidenceDigraph:
     """The incidences of a hypergraph on ``n`` vertices: ``members[e]`` holds
     edge ``e``'s vertices and ``inc[v]`` the edges at vertex ``v``, both
-    ascending, so every search explores in a reproducible order.  ``arcs``
-    lists the incidences ``(x, e)``, one per arc of the incidence digraph
-    (``x -> w_e`` for a tail, ``w_e -> x`` for the head).  The orientation
-    is not part of it: each search takes one as a list of heads."""
+    ascending, so every search explores in a reproducible order.  The
+    orientation is not part of it: each search takes one as a list of
+    heads."""
 
     n: int
     members: tuple[tuple[int, ...], ...]
     inc: tuple[tuple[int, ...], ...]
-    arcs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """The incidences ``(x, e)``, one per arc of the incidence digraph
+        (``x -> w_e`` for a tail, ``w_e -> x`` for the head).  No flow reads
+        them, so they are built on the first read and kept after it."""
+        return tuple((x, e) for e, edge in enumerate(self.members) for x in edge)
 
 
 def incidence_digraph(h: Hypergraph) -> IncidenceDigraph:
@@ -95,8 +106,7 @@ def incidence_digraph(h: Hypergraph) -> IncidenceDigraph:
     for e, edge in enumerate(members):
         for x in edge:
             inc[x].append(e)
-    arcs = tuple((x, e) for e, edge in enumerate(members) for x in edge)
-    return IncidenceDigraph(h.n, members, tuple(map(tuple, inc)), arcs)
+    return IncidenceDigraph(h.n, members, tuple(map(tuple, inc)))
 
 
 # (h, g) for the last hypergraph :func:`network` saw
@@ -197,15 +207,52 @@ def max_flow_min_cut(
     "the max flow is at least ``limit``".  ``value`` counts only the units
     this call adds.
 
-    Each round is one :func:`_search` from all the sources that stops at the
-    first sink; its path is walked back along the parents and reversed, one
-    unit per path.  The round that reaches no sink has labelled exactly the
-    residual-reachable side.
+    Most paths are one hyperarc from a source straight to a sink, so one
+    pass over the sources' incidences takes those first, with no search:
+    sources in order, each one's edges in ``inc`` order, until ``limit``.
+    Forward, an edge whose head is a sink is turned to the source; backward,
+    an edge headed at the source is turned to its smallest sink member.
+    These are the paths the search loop would find first, in its order.  A
+    search labels all its roots before any other vertex, so it returns a
+    one-arc path whenever one exists, and the first one in that order.
+    Taking one turns its edge to a source (forward) or a sink (backward), so
+    it creates no other; nor does reversing a longer path, which turns its
+    edges toward the roots or toward labelled vertices that are not sinks,
+    and its last edge backward toward the sink.  So the flow, the residual
+    and every later search are those of the search loop alone.
+
+    Then each round is one :func:`_search` from all the sources that stops
+    at the first sink; its path is walked back along the parents and
+    reversed, one unit per path.  The round that reaches no sink has
+    labelled exactly the residual-reachable side.
     """
+    if limit == 0:
+        return 0, None
     is_sink = [False] * g.n
     for t in sinks:
         is_sink[t] = True
     flow = 0
+    inc = g.inc
+    if forward:
+        for s in sources:
+            for e in inc[s]:
+                if is_sink[residual[e]]:
+                    residual[e] = s
+                    flow += 1
+                    if flow == limit:
+                        return flow, None
+    else:
+        members = g.members
+        for s in sources:
+            for e in inc[s]:
+                if residual[e] == s:
+                    for t in members[e]:
+                        if is_sink[t]:
+                            residual[e] = t
+                            flow += 1
+                            break
+                    if flow == limit:
+                        return flow, None
     while limit is None or flow < limit:
         parent, labelled, hit = _search(g, residual, sources, is_sink, forward)
         if hit < 0:
@@ -556,10 +603,11 @@ class IncrementalConnectivity:
 
     def reorient(self, e: int, new_head: int) -> int:
         """Turn edge ``e`` toward ``new_head``; returns the new :attr:`value`,
-        the connectivity capped at :attr:`cap`."""
+        the connectivity capped at :attr:`cap`.  An ``e`` that is not an edge
+        id (``core``'s edge rule), or a ``new_head`` that is not another
+        vertex of the edge, raises :class:`PreconditionError`."""
         h = self.hypergraph
-        if not 0 <= e < h.m:
-            raise PreconditionError(f"edge {e} out of range")
+        e = _as_edge(e, h.m)
         a, b = self.heads[e], new_head
         if b not in h.edges[e] or b == a:
             raise PreconditionError(f"illegal new head {b} for edge {e}")

@@ -396,6 +396,34 @@ class TestMinimalMembers:
         check()
 
 
+class TestEdgeIds:
+    """Every ``core`` entry that takes an edge id takes it by one rule: an
+    ``int`` in ``0..m-1``, where an ``IntEnum`` is one and a ``bool`` is
+    not.  A float or a string used to fail with a raw ``TypeError``,
+    ``True`` was read as edge 1, and ``-1`` as the last edge."""
+
+    def test_every_entry_checks_its_edge_id(self):
+        h, o = three_cycle()
+        for e in (1.0, True, "1", -1, h.m):
+            entries = (
+                lambda: o.tail(e),
+                lambda: o.hyperarc(e),
+                lambda: reorient(o, e, 1),
+                lambda: trim(h, Hyperpath((PathArc(e, 1, 2),))),
+            )
+            for entry in entries:
+                with pytest.raises(PreconditionError, match="^edge id"):
+                    entry()
+
+    def test_an_int_enum_edge_id_is_its_int(self):
+        h, o = three_cycle()
+        one = enum.IntEnum("Edge", "ONE").ONE
+        assert o.tail(one) == o.tail(1) == vs(3, [1])
+        assert o.hyperarc(one) == o.hyperarc(1)
+        assert reorient(o, one, 1) == reorient(o, 1, 1)
+        assert trim(h, Hyperpath((PathArc(one, 1, 2),))) == (1, 2)
+
+
 class TestTrim:
     def test_single_arc(self):
         h = hypergraph(3, [(0, 1, 2)])

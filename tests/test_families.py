@@ -283,6 +283,22 @@ class TestPredicates:
         assert is_in_tight(h, o, 2, x) and is_in_dangerous(h, o, 1, x)
 
 
+    def test_a_root_must_be_a_vertex(self):
+        """On the three-cycle ``{0}`` has in- and out-degree 1.  A root of
+        5, no vertex, used to let it avoid the root, so ``is_in_tight``
+        called it tight at level 1, and ``r=-1`` did the same for the
+        dangerous ones at level 0; a float or a string failed with a raw
+        ``TypeError``.  An ``IntEnum`` root answers as its ``int``."""
+        h, o = three_cycle()
+        x = vs(3, [0])
+        for predicate, k in zip(self.PREDICATES, (1, 1, 0, 0)):
+            for r in (5, 3, -1, 1.0, True, "0", None):
+                with pytest.raises(PreconditionError, match="^vertex"):
+                    predicate(h, o, k, x, r=r)
+            for r in IntEnum("Root", "ONE TWO"):
+                assert predicate(h, o, k, x, r=r) is predicate(h, o, k, x, r=int(r)) is True
+
+
 class TestClaims:
     """Closure laws for crossing tight/dangerous sets."""
 

@@ -53,6 +53,17 @@ class TestPartitions:
         assert len(list(iter_partitions(3))) == 4
         assert len(list(iter_partitions(4))) == 14
 
+    def test_a_vertex_count_must_be_a_count(self):
+        """``iter_partitions(2.5)`` used to fail with a raw ``TypeError`` and
+        ``iter_partitions(True)`` to yield nothing; both are refused when
+        called.  Below two vertices there is no partition to yield."""
+        for n in (2.5, True, False, "2", None, -1):
+            with pytest.raises(PreconditionError, match="^n must be a non-negative int"):
+                iter_partitions(n)
+        assert list(iter_partitions(0)) == list(iter_partitions(1)) == []
+        three = IntEnum("Count", "ONE TWO THREE").THREE
+        assert list(iter_partitions(three)) == list(iter_partitions(3))
+
     def test_two_identical_triples_not_connected(self):
         h = hypergraph(3, [(0, 1, 2), (0, 1, 2)])
         ok, witness = bf_partition_connected(h, 1)

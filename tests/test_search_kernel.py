@@ -3,10 +3,14 @@
 ``separator._search`` picks its direction once and runs one loop per
 direction.  ``reference_search`` below is the single loop over both
 directions that it replaced, and ``reference_flow`` the flow loop on top of
-it.  Every search a flow makes, and every flow's result and residual, must
-equal theirs: the same parents, the same labelling order, the same sink hit.
-The property is derandomized with a bounded example count, so each run
-replays the same inputs.
+it, with a search for every path.  ``max_flow_min_cut`` takes the paths of
+one hyperarc from a source straight to a sink in one pass before it
+searches, so each flow's searches must be the reference's with its leading
+one-arc hits removed, and nothing else: the same parents, the same
+labelling order, the same sink hit.  No one-arc hit may follow the
+reference's first longer path or failing search, and every flow's result
+and residual must equal the reference's.  The property is derandomized
+with a bounded example count, so each run replays the same inputs.
 """
 
 from unittest import mock
@@ -95,13 +99,27 @@ def flows(draw):
     return n, edges, heads, queries
 
 
+def one_arc(found):
+    """Whether a search's path is one hyperarc from a root to a sink."""
+    parent, _, hit = found
+    return hit >= 0 and parent[parent[hit][1]] == ()
+
+
+def leading_one_arc_hits(searches):
+    """How many of a flow's searches, from the first, found one-arc paths."""
+    lead = 0
+    while lead < len(searches) and one_arc(searches[lead]):
+        lead += 1
+    return lead
+
+
 @KERNEL
 @given(flows())
 def test_the_kernel_matches_the_reference(case):
     n, edges, heads, queries = case
     g = incidence_digraph(hypergraph(n, edges))
     kernel = separator._search
-    got, expected = [], []
+    got = []
 
     def recorded(*args):
         found = kernel(*args)
@@ -111,10 +129,29 @@ def test_the_kernel_matches_the_reference(case):
     residual, reference = list(heads), list(heads)
     with mock.patch.object(separator, "_search", recorded):
         for roots, sinks, forward, limit in queries:
+            got.clear()
+            expected = []
             result = max_flow_min_cut(g, roots, sinks, limit, residual=residual, forward=forward)
             assert result == reference_flow(g, roots, sinks, limit, reference, forward, expected)
             assert residual == reference
-            assert got == expected
+            lead = leading_one_arc_hits(expected)
+            assert not any(one_arc(found) for found in expected[lead:])
+            assert got == expected[lead:]
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_one_arc_paths_run_no_search(forward):
+    """Three hyperarcs from source 0 straight to the sinks 1, 2 and 3 (run
+    backward, headed at 0): capped at three the flow runs no search, and
+    uncapped only the one that fails and labels the source side."""
+    g = incidence_digraph(hypergraph(5, [(0, 1), (0, 2, 4), (0, 3), (1, 4)]))
+    heads = [1, 2, 3, 4] if forward else [0, 0, 0, 4]
+    for limit, searches, reach in ((3, 0, None), (None, 1, frozenset({0}))):
+        residual = list(heads)
+        with mock.patch.object(separator, "_search", wraps=separator._search) as search:
+            assert max_flow_min_cut(g, [0], [1, 2, 3], limit, residual=residual, forward=forward) == (3, reach)
+        assert search.call_count == searches
+        assert residual == ([0, 0, 0, 4] if forward else [1, 2, 3, 4])
 
 
 def test_the_property_covers_both_directions_and_limits():
@@ -127,3 +164,24 @@ def test_the_property_covers_both_directions_and_limits():
 
     collect()
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_the_property_sees_one_arc_hits_before_longer_paths():
+    """Some flows start with one-arc paths and go on to longer ones, some
+    take one-arc paths alone, and some find no path at all."""
+    seen = set()
+
+    @KERNEL
+    @given(flows())
+    def collect(case):
+        n, edges, heads, queries = case
+        g = incidence_digraph(hypergraph(n, edges))
+        reference = list(heads)
+        for roots, sinks, forward, limit in queries:
+            searches = []
+            reference_flow(g, roots, sinks, limit, reference, forward, searches)
+            lead = leading_one_arc_hits(searches)
+            seen.add((lead > 0, any(hit >= 0 for _, _, hit in searches[lead:])))
+
+    collect()
+    assert {(True, True), (True, False), (False, False)} <= seen

@@ -573,6 +573,21 @@ class TestIncrementalConnectivity:
                 check.reorient(e, head)
         assert check.reorient(0, 0) == 0 == connectivity(h, reorient(o, 0, 0), cap=2)[0]
 
+    def test_reorient_checks_its_edge_id(self):
+        """On the doubled triangle ``reorient(True, 0)`` used to turn edge
+        1; a float or a string failed with a raw ``TypeError``.  A refused
+        id leaves the check as it was."""
+        h = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
+        o = Orientation(h, (1, 1, 2, 2, 2, 2))
+        check = IncrementalConnectivity(h, o, 3)
+        for e in (1.0, True, "1", -1, h.m):
+            with pytest.raises(PreconditionError, match="^edge id"):
+                check.reorient(e, 0)
+            assert (check.heads, check.value) == (list(o.heads), connectivity(h, o, cap=3)[0])
+        one = IntEnum("Edge", "ONE").ONE
+        assert check.reorient(one, 0) == connectivity(h, reorient(o, 1, 0), cap=3)[0]
+        assert check.heads == [1, 0, 2, 2, 2, 2]
+
     def test_families_run_no_flow_but_the_lambda_recompute(self, monkeypatch):
         """Every minimal tight set ``compute_families`` finds, in every field
         and every q set, is a residual search in the kept flows: the call's
