@@ -81,7 +81,7 @@ def _explore(
     def fires(u: int) -> int:
         mask = 0
         for e in inc[u]:
-            if (heads[e] != u) is forward:
+            if (heads[e] != u) == forward:
                 mask |= 1 << e
         return mask
 

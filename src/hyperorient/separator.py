@@ -115,13 +115,15 @@ _memo: Optional[tuple[Hypergraph, IncidenceDigraph]] = None
 
 def network(h: Hypergraph) -> IncidenceDigraph:
     """The one :class:`IncidenceDigraph` of ``h``.  Kept for the last
-    hypergraph seen, by identity, in one slot read once per call, so threads
-    on other hypergraphs only cost rebuilds.  The slot holds ``h`` itself,
-    which is immutable, so its identity cannot pass to another hypergraph
-    while the slot keeps it."""
+    hypergraph seen, in one slot read once per call, so threads on other
+    hypergraphs only cost rebuilds.  The slot holds ``h`` itself, which is
+    immutable, so its identity cannot pass to another hypergraph while the
+    slot keeps it.  An equal hypergraph has the same incidences, so it
+    reuses the slot too: flows run on a query's ``h``, the path search on
+    its orientation's, and the two may be equal copies."""
     global _memo
     memo = _memo
-    if memo is None or memo[0] is not h:
+    if memo is None or memo[0] is not h and memo[0] != h:
         _memo = memo = (h, incidence_digraph(h))  # the module global, so a patched builder counts it
     return memo[1]
 
@@ -207,7 +209,7 @@ def max_flow_min_cut(
     "the max flow is at least ``limit``".  ``value`` counts only the units
     this call adds.
 
-    Most paths are one hyperarc from a source straight to a sink, so one
+    Many paths are one hyperarc from a source straight to a sink, so one
     pass over the sources' incidences takes those first, with no search:
     sources in order, each one's edges in ``inc`` order, until ``limit``.
     Forward, an edge whose head is a sink is turned to the source; backward,

@@ -14,6 +14,8 @@ import pytest
 
 from hyperorient import (
     GenSpec,
+    Hypergraph,
+    Orientation,
     augment_to,
     gen_instance,
     gen_orientation,
@@ -84,6 +86,21 @@ def test_one_build_per_run(monkeypatch):
     trace = augment_to(h, o, 3)
     assert verify_trace(h, trace).ok and len(trace.steps) == 18
     # with one build per query, this run made 29 builds
+    assert len(builds) == 1
+
+
+def test_an_equal_copy_shares_the_build(monkeypatch):
+    """An orientation may hold an equal copy of the hypergraph it is
+    queried with: the flows then run on one, the path search on the other,
+    and the slot serves both without a rebuild."""
+    h = gen_instance(GenSpec(n=10, k=3, extra_edges=4, max_edge_size=4, seed=2))
+    copy = Hypergraph(h.n, tuple(h.edges))
+    o = Orientation(copy, gen_orientation(h, mode="min-head").heads)
+    builds = []
+    real = separator.incidence_digraph
+    monkeypatch.setattr(separator, "incidence_digraph", lambda h: builds.append(h) or real(h))
+    monkeypatch.setattr(separator, "_memo", None)
+    assert copy is not h and len(augment_to(h, o, 3).steps) == 18
     assert len(builds) == 1
 
 
