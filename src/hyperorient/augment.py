@@ -323,23 +323,35 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _non_int_field(trace: ReorientationTrace) -> Optional[VerifyFailure]:
-    """The first field of ``trace`` that is not an ``int``, by
+def _malformed_entry(trace: ReorientationTrace) -> Optional[VerifyFailure]:
+    """The first entry of ``trace`` that a parsed trace cannot hold, or
+    ``None``: a field that is not an ``int``, by
     :func:`~hyperorient.toolkit.parse_trace`'s rule (``type(x) is int``, so
-    a ``bool`` is not one), or ``None``."""
+    a ``bool`` is not one), ``steps`` that are not a tuple, or a step that
+    is not a :class:`ReorientationStep`."""
+    steps = trace.steps if type(trace.steps) is tuple else ()
     records = [(None, {name: getattr(trace, name) for name in ("lambda_initial", "k_target", "lambda_final")})]
-    records += [(i, vars(step)) for i, step in enumerate(trace.steps, start=1)]
+    records += enumerate(steps, start=1)
     for i, record in records:
+        if i is not None:
+            if type(record) is not ReorientationStep:
+                return VerifyFailure(i, f"step is a {type(record).__name__}, not a ReorientationStep")
+            record = vars(record)
         for name, value in record.items():
             if type(value) is not int:
                 return VerifyFailure(i, f"{name} is {value!r}, not an int")
+    if type(trace.steps) is not tuple:
+        return VerifyFailure(None, f"steps is a {type(trace.steps).__name__}, not a tuple")
     return None
 
 
 def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     """Independent certification of a trace.
 
-    First checks that every count, head and edge id is an ``int``, and then
+    A ``trace`` that is not a :class:`ReorientationTrace` from an
+    :class:`~hyperorient.core.Orientation` raises :class:`PreconditionError`.  Otherwise it first checks that ``steps``
+    is a tuple of :class:`ReorientationStep` and that every count, head and
+    edge id is an ``int``, and then
     that the step count respects the ``(k_target - lambda_initial) * n^3``
     bound, so a malformed or over-long trace is rejected before any replay.
     Then replays every step, computes the exact connectivity after each, and
@@ -371,9 +383,11 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     one.  Either way the value is exact, so the report does not depend on
     which bound decided it.
     """
+    if not isinstance(trace, ReorientationTrace) or not isinstance(trace.initial, Orientation):
+        raise PreconditionError("trace must be a ReorientationTrace that starts from an Orientation")
     if trace.initial.hypergraph != h:
         return VerifyReport((VerifyFailure(None, "trace initial orientation is for a different hypergraph"),))
-    bad = _non_int_field(trace)
+    bad = _malformed_entry(trace)
     if bad is not None:
         return VerifyReport((bad,))
     bound = max(0, trace.k_target - trace.lambda_initial) * h.n**3

@@ -9,12 +9,20 @@ receives, every other vertex of the edge is a tail.
 All quantities are exact integer counts, every iteration order is ascending,
 and every value is immutable, so each operation is a pure deterministic
 function of its inputs and values can be shared freely between threads.
+
+Arguments are checked by seven private rules, each written once, here, on
+top of the ``int`` rule of :func:`_as_int` (an ``IntEnum`` is an ``int``, a
+``bool`` is not): a count (:func:`_as_count`), a vertex count
+(:func:`_as_vertex_count`), a vertex (:func:`_as_vertex`), a vertex set of a
+ground set (:func:`_as_vertex_set`), an edge id (:func:`_as_edge`), a new
+head of an edge (:func:`_as_new_head`) and a side (:func:`_is_out`).  A
+value that breaks one raises :class:`PreconditionError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class PreconditionError(ValueError):
@@ -73,6 +81,26 @@ def _as_edge(e: object, m: int) -> int:
     return e
 
 
+def _as_vertex_count(n: object) -> int:
+    """``n`` as a vertex count, by :func:`_as_count`'s rule.  Callers test
+    ``type(n) is not int or n < 0`` first, so a valid count costs no
+    call."""
+    return _as_count("vertex count", n)
+
+
+def _as_new_head(h: Hypergraph, heads: Sequence[int], e: int, u: object) -> int:
+    """``u`` as a plain ``int`` (:func:`_as_int`'s rule) that is a vertex of
+    edge ``e`` (an edge id already) other than its current head
+    ``heads[e]``; any other ``int`` raises :class:`InvalidReorientation`."""
+    if type(u) is not int:
+        u = _as_int("new head", u)
+    if u < 0 or not h.edges[e].mask >> u & 1:
+        raise InvalidReorientation(f"vertex {u} not in edge {e}")
+    if u == heads[e]:
+        raise InvalidReorientation(f"vertex {u} is already the head of edge {e}")
+    return u
+
+
 def _is_out(side: object) -> bool:
     """Whether ``side`` is ``'out'`` rather than ``'in'``: the direction
     of a query, forward on the out side.  Any other value raises
@@ -85,9 +113,10 @@ def _is_out(side: object) -> bool:
 class VertexSet:
     """Immutable subset of ``{0, .., n-1}`` backed by a bitmask.
 
-    The count, the members, a vertex tested with ``in`` and a mask are
-    ``int`` (an ``IntEnum`` is one, a ``bool`` is not); anything else
-    raises :class:`PreconditionError`.
+    The count is a vertex count (:func:`_as_vertex_count`), and the
+    members, a vertex tested with ``in`` and a mask are ``int`` (an
+    ``IntEnum`` is one, a ``bool`` is not); anything else raises
+    :class:`PreconditionError`.
     Comparison operators follow set semantics (``<=`` is subset, ``<`` is
     proper subset).  Deterministic tie-breaking everywhere in this package
     uses :meth:`sort_key`, which orders by size first and then
@@ -97,24 +126,20 @@ class VertexSet:
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, members: Iterable[int] = ()) -> None:
-        if type(n) is not int:
-            n = _as_int("vertex count", n)
-        if n < 0:
-            raise PreconditionError("vertex count must be non-negative")
+        if type(n) is not int or n < 0:
+            n = _as_vertex_count(n)
         mask = 0
         for v in members:
-            if type(v) is not int:
-                v = _as_int("vertex", v)
-            if not 0 <= v < n:
-                raise PreconditionError(f"vertex {v} outside 0..{n - 1}")
+            if type(v) is not int or not 0 <= v < n:
+                v = _as_vertex(v, n)
             mask |= 1 << v
         self.n = n
         self.mask = mask
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "VertexSet":
-        if type(n) is not int:
-            n = _as_int("vertex count", n)
+        if type(n) is not int or n < 0:
+            n = _as_vertex_count(n)
         if type(mask) is not int:
             mask = _as_int("mask", mask)
         if mask < 0 or mask >> n:
@@ -130,19 +155,13 @@ class VertexSet:
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
-        if type(n) is not int:
-            n = _as_int("vertex count", n)
+        if type(n) is not int or n < 0:
+            n = _as_vertex_count(n)
         return cls.from_mask(n, (1 << n) - 1)
 
     @classmethod
     def singleton(cls, n: int, v: int) -> "VertexSet":
         return cls.empty(n).add(v)
-
-    def _check(self, other: "VertexSet") -> None:
-        if not isinstance(other, VertexSet):
-            raise PreconditionError(f"expected VertexSet, got {type(other).__name__}")
-        if other.n != self.n:
-            raise PreconditionError("vertex sets over different ground sets")
 
     def __contains__(self, v: int) -> bool:
         if type(v) is not int:
@@ -173,26 +192,26 @@ class VertexSet:
         return hash((self.n, self.mask))
 
     def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
+        _as_vertex_set("operand", other, self.n)
         return VertexSet.from_mask(self.n, self.mask & other.mask)
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
+        _as_vertex_set("operand", other, self.n)
         return VertexSet.from_mask(self.n, self.mask | other.mask)
 
     def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
+        _as_vertex_set("operand", other, self.n)
         return VertexSet.from_mask(self.n, self.mask & ~other.mask)
 
     def __le__(self, other: "VertexSet") -> bool:
-        self._check(other)
+        _as_vertex_set("operand", other, self.n)
         return self.mask & ~other.mask == 0
 
     def __lt__(self, other: "VertexSet") -> bool:
         return self <= other and self.mask != other.mask
 
     def __ge__(self, other: "VertexSet") -> bool:
-        self._check(other)
+        _as_vertex_set("operand", other, self.n)
         return other <= self
 
     def __gt__(self, other: "VertexSet") -> bool:
@@ -225,10 +244,20 @@ class VertexSet:
         return f"VertexSet(n={self.n}, {{{', '.join(map(str, self))}}})"
 
 
+def _as_vertex_set(what: str, x: object, n: int, kind: type = VertexSet) -> object:
+    """Check that ``x`` is a ``kind`` (a :class:`VertexSet` unless a
+    :class:`Partition` is asked for) over the ground set ``0..n-1``, else
+    raise :class:`PreconditionError`.  :class:`Hypergraph` tests each edge
+    inline first, so a valid edge costs no call."""
+    if not isinstance(x, kind) or x.n != n:
+        raise PreconditionError(f"{what} must be a {kind.__name__} over 0..{n - 1}, not {x!r}")
+    return x
+
+
 def crossing(x: VertexSet, y: VertexSet) -> bool:
     """Whether two vertex sets cross: they overlap, neither contains the
     other, and their union is not everything."""
-    x._check(y)
+    _as_vertex_set("operand", y, x.n)
     full = (1 << x.n) - 1
     return (
         x.mask & y.mask != 0
@@ -260,22 +289,20 @@ def minimal_members(sets: Iterable[VertexSet]) -> tuple[VertexSet, ...]:
 class Hypergraph:
     """Undirected hypergraph: a vertex count and an ordered multiset of
     hyperedges, each a vertex set of size at least two.  The vertex count
-    is an ``int`` (an ``IntEnum`` is one, a ``bool`` is not)."""
+    is at least two, by :func:`_as_vertex_count`'s rule."""
 
     n: int
     edges: tuple[VertexSet, ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            object.__setattr__(self, "n", _as_int("vertex count", self.n))
+        object.__setattr__(self, "n", _as_vertex_count(self.n))
         if self.n < 2:
             raise PreconditionError("hypergraph needs at least two vertices")
         if not isinstance(self.edges, tuple):
             object.__setattr__(self, "edges", tuple(self.edges))
         for i, e in enumerate(self.edges):
-            if not isinstance(e, VertexSet) or e.n != self.n:
-                raise PreconditionError(f"edge {i} is not a vertex set over 0..{self.n - 1}")
-            if len(e) < 2:
+            if not isinstance(e, VertexSet) or e.n != self.n or len(e) < 2:
+                _as_vertex_set(f"edge {i}", e, self.n)
                 raise PreconditionError(f"edge {i} has fewer than two vertices")
 
     @property
@@ -336,8 +363,7 @@ def _same_instance(h: Hypergraph, o: Orientation) -> None:
 
 
 def _proper_nonempty(h: Hypergraph, x: VertexSet) -> None:
-    if x.n != h.n:
-        raise PreconditionError("vertex set over a different ground set")
+    _as_vertex_set("x", x, h.n)
     if x.is_empty or x.is_full:
         raise PreconditionError("degree functions need a nonempty proper vertex set")
 
@@ -378,11 +404,10 @@ class Partition:
     __slots__ = ("n", "classes")
 
     def __init__(self, n: int, classes: Iterable[Iterable[int] | VertexSet]) -> None:
+        n = _as_vertex_count(n)
         parts = []
         for c in classes:
-            part = c if isinstance(c, VertexSet) else VertexSet(n, c)
-            if part.n != n:
-                raise PreconditionError("partition class over a different ground set")
+            part = _as_vertex_set("partition class", c, n) if isinstance(c, VertexSet) else VertexSet(n, c)
             if part.is_empty:
                 raise PreconditionError("partition classes must be nonempty")
             parts.append(part)
@@ -419,8 +444,7 @@ class Partition:
 
 def crossing_edges(h: Hypergraph, p: Partition) -> int:
     """Number of hyperedges that intersect at least two classes of ``p``."""
-    if p.n != h.n:
-        raise PreconditionError("partition over a different ground set")
+    _as_vertex_set("p", p, h.n, Partition)
     count = 0
     for e in h.edges:
         hit = 0
@@ -439,17 +463,12 @@ def reorient(o: Orientation, e: int, u: int) -> Orientation:
 
     Only the changed head is checked; the others were checked when ``o`` was
     built, so the result skips ``Orientation``'s full O(m) validation.  ``e``
-    is an edge id (:func:`_as_edge`) and ``u`` an ``int`` (an ``IntEnum``
-    is one, a ``bool`` is not)."""
+    is an edge id (:func:`_as_edge`) and ``u`` a new head of it
+    (:func:`_as_new_head`)."""
     h = o.hypergraph
     if type(e) is not int or not 0 <= e < h.m:
         e = _as_edge(e, h.m)
-    if type(u) is not int:
-        u = _as_int("vertex", u)
-    if u not in h.edges[e]:
-        raise InvalidReorientation(f"vertex {u} not in edge {e}")
-    if u == o.heads[e]:
-        raise InvalidReorientation(f"vertex {u} is already the head of edge {e}")
+    u = _as_new_head(h, o.heads, e, u)
     out = object.__new__(Orientation)
     object.__setattr__(out, "hypergraph", h)
     object.__setattr__(out, "heads", o.heads[:e] + (u,) + o.heads[e + 1 :])

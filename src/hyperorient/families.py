@@ -67,6 +67,7 @@ from .core import (
     VertexSet,
     _as_count,
     _as_vertex,
+    _as_vertex_set,
     _is_out,
     _same_instance,
     in_degree,
@@ -213,8 +214,7 @@ def _rootless_degree(
     _as_count("k", k)
     _same_instance(h, o)
     r = _as_vertex(r, h.n)
-    if x.n != h.n:
-        raise PreconditionError("vertex set over a different ground set")
+    _as_vertex_set("x", x, h.n)
     if x.is_empty or x.is_full or r in x:
         return None
     return degree(h, o, x)
@@ -334,7 +334,10 @@ def _safe_endpoint(
     u: int,
     side: str,
 ) -> bool:
-    """Shared safe-source (``side='out'``) / safe-sink (``side='in'``) test.
+    """Shared safe-source (``side='out'``, ``member_set`` in ``m_minus``) /
+    safe-sink (``side='in'``, in ``m_plus``) test of a vertex ``u`` of
+    ``member_set``; a set that is no such member, or a ``u`` outside it,
+    raises :class:`PreconditionError`.
 
     The tight half is ``member_set < q[u]``, with ``q`` the q sets of the
     test's side.  Two tight sets holding ``u`` meet in ``u``, and their
@@ -352,9 +355,13 @@ def _safe_endpoint(
     at ``k + 1`` the separator is dangerous, and ``u`` is unsafe unless it
     has a tight subset avoiding ``u``.
     """
+    members, name, q_sets = (fam.m_minus, "m_minus", fam.q_plus) if side == "out" else (fam.m_plus, "m_plus", fam.q_minus)
+    if member_set not in members:
+        raise PreconditionError(f"set is not a member of {name}")
+    if u not in member_set:
+        raise PreconditionError(f"vertex {u} is not in the set")
     if member_set.is_full:
         return u == fam.r
-    q_sets = fam.q_plus if side == "out" else fam.q_minus
     if not member_set < q_sets[u]:
         return False
     for v in member_set:
@@ -378,10 +385,6 @@ def is_safe_source(
     h: Hypergraph, o: Orientation, fam: CutFamilies, s_set: VertexSet, u: int
 ) -> bool:
     """Whether ``u`` is a safe source of ``s_set`` (a member of ``m_minus``)."""
-    if s_set not in fam.m_minus:
-        raise PreconditionError("set is not a member of m_minus")
-    if u not in s_set:
-        raise PreconditionError(f"vertex {u} is not in the set")
     return _safe_endpoint(h, o, fam, s_set, u, "out")
 
 
@@ -389,10 +392,6 @@ def is_safe_sink(
     h: Hypergraph, o: Orientation, fam: CutFamilies, t_set: VertexSet, u: int
 ) -> bool:
     """Whether ``u`` is a safe sink of ``t_set`` (a member of ``m_plus``)."""
-    if t_set not in fam.m_plus:
-        raise PreconditionError("set is not a member of m_plus")
-    if u not in t_set:
-        raise PreconditionError(f"vertex {u} is not in the set")
     return _safe_endpoint(h, o, fam, t_set, u, "in")
 
 

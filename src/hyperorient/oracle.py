@@ -19,6 +19,7 @@ from .core import (
     VertexSet,
     _as_count,
     _as_vertex,
+    _as_vertex_set,
     _is_out,
     crossing_edges,
     in_degree,
@@ -142,6 +143,7 @@ def bf_min_separator(
     _guard_n(h)
     forward = _is_out(side)
     s = _as_vertex(s, h.n)
+    _as_vertex_set("sinks", sinks, h.n)
     if sinks.is_empty or s in sinks:
         raise PreconditionError("sink set must be nonempty and avoid the source")
     deg = out_degree if forward else in_degree
@@ -273,7 +275,11 @@ def _bf_safe(
     side: str,
 ) -> bool:
     """Literal safe-endpoint definition, quantified over every subset of the
-    root's complement."""
+    root's complement: a safe source (``side='out'``) of a member of
+    ``m_minus`` or a safe sink (``side='in'``) of a member of ``m_plus``."""
+    name, members = ("m_minus", fam.m_minus) if side == "out" else ("m_plus", fam.m_plus)
+    if member_set not in members:
+        raise PreconditionError(f"set is not a member of {name}")
     _guard_n(h)
     u = _as_vertex(u, h.n)
     k, r = fam.k, fam.r
@@ -308,8 +314,6 @@ def bf_safe_source(
     h: Hypergraph, o: Orientation, fam: CutFamilies, s_set: VertexSet, u: int
 ) -> bool:
     """Safe-source test straight from the definition."""
-    if s_set not in fam.m_minus:
-        raise PreconditionError("set is not a member of m_minus")
     return _bf_safe(h, o, fam, s_set, u, "out")
 
 
@@ -317,6 +321,4 @@ def bf_safe_sink(
     h: Hypergraph, o: Orientation, fam: CutFamilies, t_set: VertexSet, u: int
 ) -> bool:
     """Safe-sink test straight from the definition."""
-    if t_set not in fam.m_plus:
-        raise PreconditionError("set is not a member of m_plus")
     return _bf_safe(h, o, fam, t_set, u, "in")

@@ -42,6 +42,7 @@ from .core import (
     PreconditionError,
     VertexSet,
     _as_vertex,
+    _as_vertex_set,
     _is_out,
 )
 from .families import CutFamilies, find_safe_endpoint, is_in_tight, is_out_tight
@@ -211,7 +212,7 @@ def reachability_check(
     """
     forward = _is_out(side)
     v = _as_vertex(v, h.n)
-    region = target_region if target_region is not None else (
+    region = _as_vertex_set("target_region", target_region, h.n) if target_region is not None else (
         fam.q_plus[v] if forward else fam.q_minus[v]
     )
     if v not in region:

@@ -74,6 +74,8 @@ from .core import (
     VertexSet,
     _as_count,
     _as_edge,
+    _as_new_head,
+    _as_vertex_set,
     _is_out,
     _same_instance,
 )
@@ -291,10 +293,8 @@ def min_separator(
     """
     _same_instance(h, o)
     forward = _is_out(side)
-    if not isinstance(x, VertexSet) or not isinstance(avoid, VertexSet):
-        raise PreconditionError("x and avoid must be vertex sets")
-    if x.n != h.n or avoid.n != h.n:
-        raise PreconditionError("vertex set over a different ground set")
+    _as_vertex_set("x", x, h.n)
+    _as_vertex_set("avoid", avoid, h.n)
     if not x or not avoid:
         raise PreconditionError("x and avoid must be nonempty")
     if x.mask & avoid.mask:
@@ -606,13 +606,11 @@ class IncrementalConnectivity:
     def reorient(self, e: int, new_head: int) -> int:
         """Turn edge ``e`` toward ``new_head``; returns the new :attr:`value`,
         the connectivity capped at :attr:`cap`.  An ``e`` that is not an edge
-        id (``core``'s edge rule), or a ``new_head`` that is not another
-        vertex of the edge, raises :class:`PreconditionError`."""
-        h = self.hypergraph
-        e = _as_edge(e, h.m)
-        a, b = self.heads[e], new_head
-        if b not in h.edges[e] or b == a:
-            raise PreconditionError(f"illegal new head {b} for edge {e}")
+        id (``core``'s edge rule) raises :class:`PreconditionError`, and a
+        ``new_head`` that is not another vertex of the edge (``core``'s new
+        head rule) :class:`~hyperorient.core.InvalidReorientation`."""
+        e = _as_edge(e, self.hypergraph.m)
+        a, b = self.heads[e], _as_new_head(self.hypergraph, self.heads, e, new_head)
         self.heads[e] = b
         for p, (s, t) in enumerate(self._pairs):
             res, before, cut = self._res[p], self._value[p], self._cut[p]

@@ -249,8 +249,8 @@ def parse_trace(text: str, initial: Orientation) -> ReorientationTrace:
             continue
         try:
             records.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # a JSON syntax error, or a number beyond the interpreter's digit limit
+            raise ParseError(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
         except RecursionError:
             raise ParseError(f"line {lineno}: JSON nested too deeply") from None
     if len(records) < 2:

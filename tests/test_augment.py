@@ -378,6 +378,30 @@ class TestVerifyTrace:
             with pytest.raises(ParseError, match="must be an integer"):
                 parse_trace(format_trace(bad), o)
 
+    def test_malformed_trace_objects_rejected_before_replay(self, monkeypatch):
+        """A trace built in Python that is no ``ReorientationTrace``, or
+        does not start from an ``Orientation``, is refused, and ``steps`` that are not a tuple of steps are named in
+        the report, before any flow runs.  Each used to raise a raw
+        ``AttributeError`` or ``TypeError``."""
+        h, o = doubled_triangle_flat()
+        step = augment_to(h, o, 1).steps[0]
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the steps were checked")
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", no_flow)
+        for bad in (None, (o, 1, 0, 1, ()), ReorientationTrace(None, 1, 0, 1, ())):
+            with pytest.raises(PreconditionError, match="^trace must be a ReorientationTrace that starts from an Orientation"):
+                verify_trace(h, bad)
+        cases = [
+            (("x",), VerifyFailure(1, "step is a str, not a ReorientationStep")),
+            ((step, None), VerifyFailure(2, "step is a NoneType, not a ReorientationStep")),
+            (None, VerifyFailure(None, "steps is a NoneType, not a tuple")),
+            ([step], VerifyFailure(None, "steps is a list, not a tuple")),
+        ]
+        for steps, failure in cases:
+            assert verify_trace(h, ReorientationTrace(o, 2, 0, 2, steps)).failures == (failure,)
+
     def test_empty_trace_on_connected_input_passes(self):
         h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
         o = Orientation(h, (1, 2, 0))

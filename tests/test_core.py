@@ -66,7 +66,7 @@ class TestVertexSet:
         assert hypergraph(3, [(Vertex.A, 0)]).edges[0] == vs(3, [0, 1])
 
     # each of these used to raise a raw TypeError, or (``empty(True)``) to
-    # return a set over ``n=True``
+    # return a set over ``n=True``, or (a negative count) a raw ValueError
     @pytest.mark.parametrize(
         "make",
         [
@@ -82,6 +82,10 @@ class TestVertexSet:
             lambda: vs(3, [0]).add(1.0),
             lambda: vs(3, [0]).add(False),
             lambda: vs(3, [0, 1]).remove(1.0),
+            lambda: VertexSet.from_mask(-1, 0),
+            lambda: VertexSet.full(-1),
+            lambda: VertexSet.empty(-1),
+            lambda: VertexSet.singleton(-1, 0),
         ],
         ids=[
             "full-float",
@@ -96,11 +100,16 @@ class TestVertexSet:
             "add-float",
             "add-bool",
             "remove-float",
+            "from_mask-negative",
+            "full-negative",
+            "empty-negative",
+            "singleton-negative-count",
         ],
     )
     def test_class_methods_and_editors_take_ints_only(self, make):
-        with pytest.raises(PreconditionError, match="not an int"):
+        with pytest.raises(PreconditionError, match="not an int|must be a non-negative int") as info:
             make()
+        assert type(info.value) is PreconditionError
 
     # a float raised a raw TypeError; ``True in`` and a ``True`` mask gave
     # an answer, as if they were 1
@@ -169,10 +178,10 @@ class TestConstruction:
         call with a raw ``TypeError``, and a ``bool`` head was written as
         ``True``, which the ``.or`` format rejects."""
         for bad in (3.0, True, "3"):
-            with pytest.raises(PreconditionError, match="vertex count is .*, not an int"):
+            with pytest.raises(PreconditionError, match="vertex count must be a non-negative int, not "):
                 hypergraph(bad, [(0, 1), (1, 2), (0, 2)])
         h, _ = three_cycle()
-        with pytest.raises(PreconditionError, match="vertex count is 3.0, not an int"):
+        with pytest.raises(PreconditionError, match="vertex count must be a non-negative int, not 3.0"):
             Hypergraph(3.0, h.edges)
         for heads in ((True, 2, 0), (1.0, 2, 0), (1, 2, "0"), (1, None, 0)):
             with pytest.raises(PreconditionError, match="head of edge [0-2] is .*, not an int"):
@@ -256,6 +265,11 @@ class TestPartition:
             Partition(3, [[0, 1], [1, 2]])
         with pytest.raises(PreconditionError):
             Partition(3, [[0, 1, 2], []])
+        # a negative count raised a raw ValueError, and ``True`` was kept as the count
+        for n, classes in ((-1, []), (True, [VertexSet(1, [0])]), (3, [VertexSet(2, [0, 1]), [2]])):
+            with pytest.raises(PreconditionError) as info:
+                Partition(n, classes)
+            assert type(info.value) is PreconditionError
 
     def test_crossing_edges_examples(self):
         h = hypergraph(3, [(0, 1, 2), (0, 1, 2)])
@@ -297,7 +311,7 @@ class TestReorient:
     def test_edge_ids_and_heads_must_be_ints(self):
         h, o = three_cycle()
         for e, u in ((0, 1.0), (1.5, 2), (0, True), (False, 0), ("0", 0)):
-            with pytest.raises(PreconditionError, match="(edge id|vertex) is .*, not an int"):
+            with pytest.raises(PreconditionError, match="(edge id|new head) is .*, not an int"):
                 reorient(o, e, u)
 
         class Id(enum.IntEnum):

@@ -487,11 +487,16 @@ def test_the_export_scan_sees_each_fault():
 def argument_rule_copies(tree):
     """``(line, what)`` for each copy of a ``core`` argument rule: an
     ``isinstance`` test against ``bool``, a comparison with the sides
-    ``("out", "in")``, or a function named like a rule (``_check_count``,
-    ``_as_vertex``, ``_is_out``).  ``core`` holds the one count, vertex and
-    side rule, so every entry takes an ``IntEnum`` and rejects a ``bool``
+    ``("out", "in")``, a comparison of two ``.n`` attributes (a ground-set
+    test), a raise of ``InvalidReorientation`` (a new-head test), or a
+    function named like a rule (``_check_count``, ``_as_vertex``,
+    ``_as_vertex_count``, ``_as_vertex_set``, ``_as_edge``,
+    ``_as_new_head``, ``_is_out``).  ``core`` holds the one count, vertex
+    count, vertex, vertex set, edge id, new head and side rule, so every
+    entry takes an ``IntEnum``, rejects a ``bool`` and words a refusal
     alike.  The trace rule's exact-``int`` tests (``type(x) is int``) are a
-    stricter rule of their own, and no copy."""
+    stricter rule of their own, and no copy; so is the verifier's report of
+    an illegal step, a failure in its report rather than a raise."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
@@ -504,8 +509,14 @@ def argument_rule_copies(tree):
                     getattr(e, "value", None) for e in other.elts
                 } == {"in", "out"}:
                     found.append((node.lineno, "side compare"))
+            if sum(isinstance(e, ast.Attribute) and e.attr == "n" for e in [node.left, *node.comparators]) >= 2:
+                found.append((node.lineno, "n compare"))
+        elif isinstance(node, ast.Raise) and "InvalidReorientation" in {
+            getattr(e, "id", getattr(e, "attr", None)) for e in ast.walk(node)
+        }:
+            found.append((node.lineno, "new head raise"))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.search(
-            r"(check|as)_(count|int|vertex|side)|^_?is_out$", node.name
+            r"(check|as)_(count|int|vertex|side|edge|new_head|head|ground)|^_?is_out$", node.name
         ):
             found.append((node.lineno, f"def {node.name}"))
     return found
@@ -534,6 +545,18 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         "def _int_record(rec):\n"
         "    sign, other = ('in', 'out') if rec else ('out', 'in')\n"
         "    return type(rec) is int, sign, other\n"
+        "def _as_edge(e, m):\n"
+        "    return e\n"
+        "def _as_vertex_count(n):\n"
+        "    return n\n"
+        "def _as_vertex_set(what, x, n):\n"
+        "    return x\n"
+        "def _as_new_head(h, heads, e, u):\n"
+        "    return u\n"
+        "def kept(h, x, p, e, u):\n"
+        "    if x.n != h.n or h.n == p.n or x.n == len(p) or x == h.n:\n"
+        "        raise core.InvalidReorientation(f'illegal new head {u} for edge {e}')\n"
+        "    raise InvalidReorientation\n"
     )
     assert sorted(argument_rule_copies(tree)) == [
         (1, "def _check_count"),
@@ -542,6 +565,14 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         (5, "side compare"),
         (7, "side compare"),
         (8, "def _as_vertex"),
+        (13, "def _as_edge"),
+        (15, "def _as_vertex_count"),
+        (17, "def _as_vertex_set"),
+        (19, "def _as_new_head"),
+        (22, "n compare"),
+        (22, "n compare"),
+        (23, "new head raise"),
+        (24, "new head raise"),
     ]
     core = ast.parse((ROOT / "src" / "hyperorient" / "core.py").read_text(encoding="utf-8"))
     assert {what for _, what in argument_rule_copies(core)} >= {
@@ -550,5 +581,11 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         "def _as_int",
         "def _as_count",
         "def _as_vertex",
+        "def _as_vertex_count",
+        "def _as_vertex_set",
+        "def _as_edge",
+        "def _as_new_head",
         "def _is_out",
+        "n compare",
+        "new head raise",
     }

@@ -194,6 +194,10 @@ class TestArgumentRules:
                 bf_min_separator(h, o, s, vs(3, [2]), "out")
         with pytest.raises(PreconditionError, match="side must be 'out' or 'in', not 'up'"):
             bf_min_separator(h, o, 0, vs(3, [2]), "up")
+        # sinks over another ground set used to be answered, as if over this one
+        for sinks in (vs(5, [4]), vs(2, [1]), None):
+            with pytest.raises(PreconditionError, match="^sinks must be a VertexSet over 0..2, not "):
+                bf_min_separator(h, o, 0, sinks, "out")
         vertex = IntEnum("Vertex", "ONE")
         assert bf_min_separator(h, o, vertex.ONE, vs(3, [2]), "in") == bf_min_separator(h, o, 1, vs(3, [2]), "in")
 

@@ -5,6 +5,7 @@ import pytest
 
 from hyperorient import (
     GenSpec,
+    InvalidReorientation,
     InvariantViolation,
     Orientation,
     PreconditionError,
@@ -79,7 +80,7 @@ class TestMaxFlow:
     def test_non_collection_terminals_rejected(self):
         h, o = three_cycle()
         for x, avoid in ((None, vs(3, [2])), (vs(3, [0]), 2.0), (0, vs(3, [2])), ([0], vs(3, [2]))):
-            with pytest.raises(PreconditionError, match="vertex sets"):
+            with pytest.raises(PreconditionError, match="^(x|avoid) must be a VertexSet over 0..2, not "):
                 min_separator(h, o, x, avoid)
 
     def test_bool_and_non_int_terminals_rejected(self):
@@ -280,7 +281,7 @@ class TestSeparators:
         with pytest.raises(PreconditionError, match="side must be"):
             min_separator(h, o, vs(3, [0]), vs(3, [1]), "up")
         for x, avoid in ((vs(4, [0]), vs(3, [1])), (vs(3, [0]), vs(2, [1]))):
-            with pytest.raises(PreconditionError, match="different ground set"):
+            with pytest.raises(PreconditionError, match="^(x|avoid) must be a VertexSet over 0..2, not "):
                 min_separator(h, o, x, avoid)
 
     def test_limit_must_be_a_non_negative_int(self):
@@ -568,9 +569,11 @@ class TestIncrementalConnectivity:
         with pytest.raises(PreconditionError):
             IncrementalConnectivity(h, o, -1)
         check = IncrementalConnectivity(h, o, 2)
-        for e, head in ((3, 0), (0, 1), (0, 2)):  # out of range, same head, not in edge
-            with pytest.raises(PreconditionError):
+        # out of range, same head, not in edge: a refused head is refused as ``reorient`` refuses it
+        for e, head, error in ((3, 0, PreconditionError), (0, 1, InvalidReorientation), (0, 2, InvalidReorientation)):
+            with pytest.raises(error) as info:
                 check.reorient(e, head)
+            assert type(info.value) is error
         assert check.reorient(0, 0) == 0 == connectivity(h, reorient(o, 0, 0), cap=2)[0]
 
     def test_reorient_checks_its_edge_id(self):

@@ -303,7 +303,10 @@ class TestCli:
             )
             assert code == 1 and "FAIL" in out
 
-    @pytest.mark.parametrize("index, key, raw", NON_INTEGER_FIELDS)
+    # a number past the interpreter's digit limit used to print a traceback
+    @pytest.mark.parametrize(
+        "index, key, raw", NON_INTEGER_FIELDS + [pytest.param(0, "k_target", "9" * 5000, id="over-long-int")]
+    )
     def test_verify_non_integer_field_exits_one(self, capsys, tmp_path, index, key, raw):
         h, o, text = doubled_triangle_trace()
         paths = {}
@@ -318,7 +321,8 @@ class TestCli:
             capsys, "verify", "--input", str(paths["h.hg"]), "--orientation",
             str(paths["o.or"]), str(paths["t.trace"]),
         )
-        assert code == 1 and err.startswith("error: line ")
+        lineno = index + 1 if index >= 0 else len(text.splitlines())
+        assert code == 1 and err.startswith(f"error: line {lineno}: ")
         assert "Traceback" not in out + err
 
     def test_orient_infeasible_exits_one(self, capsys, tmp_path):
