@@ -37,9 +37,11 @@ One necessary part is tested before any flow: a vertex in fewer than
 no orientation reaches the target, and the two-class partition that cuts
 it off is the certificate.  Other violations surface as
 :class:`NotPartitionConnectedError` through fail-fast guards: a missing safe
-endpoint, a stuck search, a connectivity drop, a non-decreasing potential,
-or a blown step budget.  Each guard inside a level's loop names the level,
-the iteration and the search region it fired in.
+endpoint, a stuck search, a connectivity drop, whose certificate is a set of
+the lower out-degree from :func:`~hyperorient.separator.connectivity`, a
+non-decreasing potential, or a level that would take more than its ``n^3``
+steps.  Each guard inside a level's loop names the level, the iteration and
+the search region it fired in.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .core import (
     PreconditionError,
     VertexSet,
     _as_count,
+    _as_hypergraph,
     crossing_edges,
     out_degree,
     reorient,
@@ -170,14 +173,18 @@ def augment_one(
     for the returned orientation.  Returns the new orientation and the
     level's steps, whose connectivity is non-decreasing and never below
     ``k``.  A check whose value is not ``k`` raises
-    :class:`InvariantViolation`.
+    :class:`InvariantViolation`.  A step that lowers the connectivity raises
+    :class:`NotPartitionConnectedError` with the set that
+    :func:`~hyperorient.separator.connectivity` returns after it, and
+    :class:`InvariantViolation` when that routine's value is not the step
+    check's: the check answers values only.
     """
     check.raise_cap(k + 1)
     if check.value != k:
         raise InvariantViolation(f"level {k} starts at connectivity {check.value}")
 
     n = h.n
-    budget = n**3 + n
+    budget = n**3
     steps: list[ReorientationStep] = []
     cur = o
     lam_cur = k
@@ -233,19 +240,18 @@ def augment_one(
             cur = reorient(cur, arc.edge, arc.tail)
             lam_after = check.reorient(arc.edge, arc.tail)
             if lam_after < k:
+                lam, x = connectivity(h, cur)
+                if lam != lam_after:
+                    raise InvariantViolation(
+                        f"{where}, step {len(steps) + 1}: the step check reads {lam_after}, connectivity is {lam}"
+                    )
                 raise NotPartitionConnectedError(
-                    f"{where}: connectivity dropped to {lam_after} during a path",
-                    certificate=check.witness(),
+                    f"{where}: connectivity dropped to {lam_after} during a path", certificate=x
                 )
             steps.append(ReorientationStep(arc.edge, old_head, arc.tail, lam_after))
             lam_cur = lam_after
             if lam_cur > k:
                 break
-
-    if lam_cur <= k:
-        raise InvariantViolation("augmentation loop ended below its target")
-    if len(steps) > n**3:
-        raise InvariantViolation(f"level used {len(steps)} steps, above the n^3 bound")
     return cur, steps
 
 
@@ -257,15 +263,19 @@ def augment_to(
 ) -> ReorientationTrace:
     """Raise the connectivity to ``k_target``, one level at a time.
 
-    The trace uses at most ``(k_target - lambda_initial) * n^3`` steps.  A
-    ``k_target`` that is not a non-negative ``int`` (an ``IntEnum`` is one,
-    and the trace holds it as a plain ``int``; a ``bool`` is not) raises
-    :class:`PreconditionError`.  One below the initial connectivity
-    is rejected, and so is, before any flow, one that some vertex's degree
-    rules out.  Each level ends at exactly one above the last, so one step
-    check, built here, serves every level.
+    The trace uses at most ``(k_target - lambda_initial) * n^3`` steps, since
+    a level that would take more than ``n^3`` raises
+    :class:`NotPartitionConnectedError`.  An ``h`` that is not a
+    :class:`~hyperorient.core.Hypergraph`, an ``o`` that is not an
+    orientation of it, and a ``k_target`` that is not a non-negative
+    ``int`` (an ``IntEnum`` is one, and the trace holds it as a plain
+    ``int``; a ``bool`` is not) raise :class:`PreconditionError`.  A target
+    below the initial connectivity is rejected, and so is, before any flow,
+    one that some vertex's degree rules out.  Each level ends at exactly one
+    above the last, so one step check, built here, serves every level.
     """
     k_target = _as_count("k_target", k_target)
+    _as_hypergraph(h)
     _reject_low_degree(h, k_target)
     lam0 = hyperarc_connectivity(h, o)
     if k_target < lam0:
@@ -277,8 +287,6 @@ def augment_to(
         # one call per level, through the module global: a wrapped augment_one sees each level
         cur, level_steps = augment_one(h, cur, k, check, observer)
         steps.extend(level_steps)
-    if len(steps) > (k_target - lam0) * h.n**3:
-        raise InvariantViolation("total steps exceed the (k - lambda) * n^3 bound")
     return ReorientationTrace(
         initial=o,
         k_target=k_target,
@@ -289,7 +297,14 @@ def augment_to(
 
 
 def apply_trace(trace: ReorientationTrace) -> Orientation:
-    """Replay a trace's steps from its initial orientation."""
+    """Replay a trace's steps from its initial orientation.  What
+    :func:`verify_trace` refuses or reports before any replay, a trace that
+    is no :class:`ReorientationTrace` from an
+    :class:`~hyperorient.core.Orientation` or a malformed entry, raises
+    :class:`PreconditionError`, and so does an illegal step."""
+    bad = _malformed_entry(trace)
+    if bad is not None:
+        raise PreconditionError(VerifyReport((bad,)).render())
     cur = trace.initial
     for step in trace.steps:
         cur = reorient(cur, step.edge, step.new_head)
@@ -323,12 +338,22 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _as_trace(trace: object) -> None:
+    """Check that ``trace`` is a :class:`ReorientationTrace` from an
+    :class:`~hyperorient.core.Orientation`, else raise
+    :class:`PreconditionError`."""
+    if not isinstance(trace, ReorientationTrace) or not isinstance(trace.initial, Orientation):
+        raise PreconditionError("trace must be a ReorientationTrace that starts from an Orientation")
+
+
 def _malformed_entry(trace: ReorientationTrace) -> Optional[VerifyFailure]:
     """The first entry of ``trace`` that a parsed trace cannot hold, or
     ``None``: a field that is not an ``int``, by
     :func:`~hyperorient.toolkit.parse_trace`'s rule (``type(x) is int``, so
     a ``bool`` is not one), ``steps`` that are not a tuple, or a step that
-    is not a :class:`ReorientationStep`."""
+    is not a :class:`ReorientationStep`.  A ``trace`` that is not a trace
+    (:func:`_as_trace`) raises :class:`PreconditionError`."""
+    _as_trace(trace)
     steps = trace.steps if type(trace.steps) is tuple else ()
     records = [(None, {name: getattr(trace, name) for name in ("lambda_initial", "k_target", "lambda_final")})]
     records += enumerate(steps, start=1)
@@ -383,11 +408,9 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     one.  Either way the value is exact, so the report does not depend on
     which bound decided it.
     """
-    if not isinstance(trace, ReorientationTrace) or not isinstance(trace.initial, Orientation):
-        raise PreconditionError("trace must be a ReorientationTrace that starts from an Orientation")
+    bad = _malformed_entry(trace)
     if trace.initial.hypergraph != h:
         return VerifyReport((VerifyFailure(None, "trace initial orientation is for a different hypergraph"),))
-    bad = _malformed_entry(trace)
     if bad is not None:
         return VerifyReport((bad,))
     bound = max(0, trace.k_target - trace.lambda_initial) * h.n**3

@@ -10,19 +10,21 @@ All quantities are exact integer counts, every iteration order is ascending,
 and every value is immutable, so each operation is a pure deterministic
 function of its inputs and values can be shared freely between threads.
 
-Arguments are checked by seven private rules, each written once, here, on
+Arguments are checked by ten private rules, each written once, here, on
 top of the ``int`` rule of :func:`_as_int` (an ``IntEnum`` is an ``int``, a
 ``bool`` is not): a count (:func:`_as_count`), a vertex count
 (:func:`_as_vertex_count`), a vertex (:func:`_as_vertex`), a vertex set of a
 ground set (:func:`_as_vertex_set`), an edge id (:func:`_as_edge`), a new
-head of an edge (:func:`_as_new_head`) and a side (:func:`_is_out`).  A
-value that breaks one raises :class:`PreconditionError`.
+head of an edge (:func:`_as_new_head`), a side (:func:`_is_out`), a
+collection (:func:`_as_tuple`), a hypergraph (:func:`_as_hypergraph`) and
+an orientation of a hypergraph (:func:`_same_instance`).  A value that
+breaks one raises :class:`PreconditionError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 
 class PreconditionError(ValueError):
@@ -99,6 +101,21 @@ def _as_new_head(h: Hypergraph, heads: Sequence[int], e: int, u: object) -> int:
     if u == heads[e]:
         raise InvalidReorientation(f"vertex {u} is already the head of edge {e}")
     return u
+
+
+def _as_tuple(what: str, x: object) -> tuple:
+    """The items of ``x`` as a tuple; an ``x`` that is not iterable raises
+    :class:`PreconditionError`."""
+    if not isinstance(x, Iterable):
+        raise PreconditionError(f"{what} must be iterable, not {x!r}")
+    return tuple(x)
+
+
+def _as_hypergraph(h: object) -> None:
+    """Check that ``h`` is a :class:`Hypergraph`, else raise
+    :class:`PreconditionError`."""
+    if not isinstance(h, Hypergraph):
+        raise PreconditionError(f"h is a {type(h).__name__}, not a Hypergraph")
 
 
 def _is_out(side: object) -> bool:
@@ -299,7 +316,7 @@ class Hypergraph:
         if self.n < 2:
             raise PreconditionError("hypergraph needs at least two vertices")
         if not isinstance(self.edges, tuple):
-            object.__setattr__(self, "edges", tuple(self.edges))
+            object.__setattr__(self, "edges", _as_tuple("edges", self.edges))
         for i, e in enumerate(self.edges):
             if not isinstance(e, VertexSet) or e.n != self.n or len(e) < 2:
                 _as_vertex_set(f"edge {i}", e, self.n)
@@ -327,8 +344,9 @@ class Orientation:
     """Head assignment for every edge of a hypergraph.
 
     Together with its hypergraph this is a directed hypergraph: edge ``e``
-    becomes the hyperarc ``(edges[e] - heads[e], heads[e])``.  Each head is
-    an ``int`` (an ``IntEnum`` is one, a ``bool`` is not).
+    becomes the hyperarc ``(edges[e] - heads[e], heads[e])``.  The
+    hypergraph is a :class:`Hypergraph`, and each head is an ``int`` (an
+    ``IntEnum`` is one, a ``bool`` is not).
     """
 
     hypergraph: Hypergraph
@@ -336,7 +354,8 @@ class Orientation:
 
     def __post_init__(self) -> None:
         h = self.hypergraph
-        heads = list(self.heads)
+        _as_hypergraph(h)
+        heads = list(_as_tuple("heads", self.heads))
         if len(heads) != h.m:
             raise PreconditionError(f"expected {h.m} heads, got {len(heads)}")
         for e, v in enumerate(heads):
@@ -357,7 +376,13 @@ class Orientation:
         return f"Orientation(heads={list(self.heads)})"
 
 
-def _same_instance(h: Hypergraph, o: Orientation) -> None:
+def _same_instance(h: Hypergraph, o: object) -> None:
+    """The "orientation of ``h``" rule: ``o`` must be an
+    :class:`Orientation` of ``h`` or of an equal hypergraph.  Anything else
+    raises :class:`PreconditionError`; a valid ``o`` costs one type test and
+    one identity test."""
+    if not isinstance(o, Orientation):
+        raise PreconditionError(f"o is a {type(o).__name__}, not an Orientation")
     if o.hypergraph is not h and o.hypergraph != h:
         raise PreconditionError("orientation does not belong to this hypergraph")
 
@@ -370,6 +395,7 @@ def _proper_nonempty(h: Hypergraph, x: VertexSet) -> None:
 
 def degree(h: Hypergraph, x: VertexSet) -> int:
     """Number of hyperedges meeting both ``x`` and its complement."""
+    _as_hypergraph(h)
     _proper_nonempty(h, x)
     xm = x.mask
     return sum(1 for e in h.edges if e.mask & xm and e.mask & ~xm)
@@ -391,7 +417,8 @@ def in_degree(h: Hypergraph, o: Orientation, x: VertexSet) -> int:
 def out_degree(h: Hypergraph, o: Orientation, x: VertexSet) -> int:
     """Number of hyperarcs whose head lies outside ``x`` and whose tail set
     meets ``x``: the in-degree of its complement."""
-    return in_degree(h, o, x.complement())
+    _same_instance(h, o)
+    return in_degree(h, o, _as_vertex_set("x", x, h.n).complement())
 
 
 class Partition:
@@ -406,7 +433,7 @@ class Partition:
     def __init__(self, n: int, classes: Iterable[Iterable[int] | VertexSet]) -> None:
         n = _as_vertex_count(n)
         parts = []
-        for c in classes:
+        for c in _as_tuple("classes", classes):
             part = _as_vertex_set("partition class", c, n) if isinstance(c, VertexSet) else VertexSet(n, c)
             if part.is_empty:
                 raise PreconditionError("partition classes must be nonempty")
@@ -444,6 +471,7 @@ class Partition:
 
 def crossing_edges(h: Hypergraph, p: Partition) -> int:
     """Number of hyperedges that intersect at least two classes of ``p``."""
+    _as_hypergraph(h)
     _as_vertex_set("p", p, h.n, Partition)
     count = 0
     for e in h.edges:

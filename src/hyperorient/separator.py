@@ -630,19 +630,3 @@ class IncrementalConnectivity:
             self._augment(p)
         self.value = min(self._value, default=self.cap)
         return self.value
-
-    def witness(self) -> Optional[VertexSet]:
-        """A set of out-degree :attr:`value`: the minimal minimizer of the
-        first root pair attaining it, or ``None`` at the cap.  That query's
-        flow is maximum, so resuming it adds nothing and its one failing
-        search labels the minimal side.  It may differ from the set
-        :func:`connectivity` returns."""
-        if self.value >= self.cap:
-            return None
-        p = self._value.index(self.value)
-        self._augment(p)
-        if self._value[p] != self.value:
-            raise InvariantViolation("a kept cut was not a minimum cut")
-        s, t = self._pairs[p]
-        n = self.hypergraph.n
-        return _separator(n, self._cut[p], VertexSet.singleton(n, s), VertexSet.singleton(n, t))

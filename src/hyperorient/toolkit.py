@@ -24,7 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .augment import ReorientationStep, ReorientationTrace
+from .augment import ReorientationStep, ReorientationTrace, _as_trace
 from .core import Hypergraph, Orientation, PreconditionError, VertexSet, _as_count
 
 
@@ -198,6 +198,15 @@ def format_orientation(o: Orientation) -> str:
 
 
 def format_trace(trace: ReorientationTrace) -> str:
+    """The trace format of ``trace``.  A ``trace`` that is no
+    :class:`~hyperorient.augment.ReorientationTrace` from an
+    :class:`~hyperorient.core.Orientation`, ``steps`` that are not a tuple,
+    and a step that is not a
+    :class:`~hyperorient.augment.ReorientationStep` raise
+    :class:`PreconditionError`; its fields are written as they are."""
+    _as_trace(trace)
+    if type(trace.steps) is not tuple:
+        raise PreconditionError(f"steps is a {type(trace.steps).__name__}, not a tuple")
     lines = [
         json.dumps(
             {
@@ -209,6 +218,8 @@ def format_trace(trace: ReorientationTrace) -> str:
         )
     ]
     for i, step in enumerate(trace.steps, start=1):
+        if type(step) is not ReorientationStep:
+            raise PreconditionError(f"step {i} is a {type(step).__name__}, not a ReorientationStep")
         lines.append(
             json.dumps(
                 {
@@ -240,7 +251,11 @@ def _int_record(lineno: int, rec, what: str, keys: tuple[str, ...]) -> None:
 
 
 def parse_trace(text: str, initial: Orientation) -> ReorientationTrace:
-    """Parse a trace file against the orientation it starts from."""
+    """Parse a trace file against the orientation it starts from.  An
+    ``initial`` that is not an :class:`~hyperorient.core.Orientation`
+    raises :class:`PreconditionError`."""
+    if not isinstance(initial, Orientation):
+        raise PreconditionError(f"initial is a {type(initial).__name__}, not an Orientation")
     h = initial.hypergraph
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -4,12 +4,15 @@ from enum import IntEnum
 import pytest
 
 from hyperorient import (
+    AdmissiblePath,
     GenSpec,
+    Hyperpath,
     InvariantViolation,
     NotPartitionConnectedError,
     Orientation,
     ParseError,
     Partition,
+    PathArc,
     PreconditionError,
     ReorientationStep,
     ReorientationTrace,
@@ -25,6 +28,7 @@ from hyperorient import (
     gen_orientation,
     hyperarc_connectivity,
     hypergraph,
+    out_degree,
     parse_trace,
     reorient,
     separator,
@@ -197,6 +201,31 @@ class TestAugmentTo:
         assert str(info.value).startswith(
             f"level 0, iteration 2, region {first[0].r_family[0]}: families potential did not decrease"
         )
+
+    def test_a_connectivity_drop_carries_a_set_from_connectivity(self, monkeypatch):
+        """A step that lowers the connectivity is the fail-fast guard of an
+        infeasible input.  Here both patched searches hand level 1 a one-arc
+        path that turns edge 2 to head 0, which drops the connectivity to 0.
+        The certificate is the set ``connectivity`` returns after the step,
+        so its out-degree is 0, and a ``connectivity`` that disagrees with
+        the step check is an :class:`InvariantViolation` naming the step."""
+        h = gen_instance(GenSpec(n=6, k=2, extra_edges=3, seed=1))
+        cur = apply_trace(augment_to(h, gen_orientation(h, mode="min-head"), 1))
+        assert hyperarc_connectivity(h, cur) == 1 and cur.heads[2] == 5
+        path = Hyperpath((PathArc(edge=2, tail=0, head=5),))
+        drop = AdmissiblePath(VertexSet.singleton(h.n, 0), VertexSet.singleton(h.n, 5), 0, 5, path)
+        for search in ("admissible_path_in_tminus", "admissible_path_in_tplus"):
+            monkeypatch.setattr(augment_module, search, lambda *args: drop)
+        with pytest.raises(NotPartitionConnectedError) as info:
+            augment_to(h, cur, 2)
+        assert str(info.value).startswith("level 1, iteration 1, region ")
+        assert str(info.value).endswith(": connectivity dropped to 0 during a path")
+        x = info.value.certificate
+        assert isinstance(x, VertexSet) and out_degree(h, reorient(cur, 2, 0), x) == 0
+        monkeypatch.setattr(augment_module, "connectivity", lambda h, o: (1, x))
+        with pytest.raises(InvariantViolation, match=", step 1: the step check reads 0, connectivity is 1$") as info:
+            augment_to(h, cur, 2)
+        assert str(info.value).startswith("level 1, iteration 1, region ")
 
     def test_low_degree_rejected_by_the_cli_with_a_certificate(self, capsys, tmp_path):
         hg = tmp_path / "h.hg"
@@ -401,6 +430,49 @@ class TestVerifyTrace:
         ]
         for steps, failure in cases:
             assert verify_trace(h, ReorientationTrace(o, 2, 0, 2, steps)).failures == (failure,)
+
+    def test_foreign_start_and_edge_id_out_of_range_reported(self):
+        h, o = doubled_triangle_flat()
+        trace = augment_to(h, o, 1)
+        other = hypergraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2)])
+        assert verify_trace(other, trace).failures == (
+            VerifyFailure(None, "trace initial orientation is for a different hypergraph"),
+        )
+        steps = list(trace.steps)
+        steps[-1] = replace(steps[-1], edge=h.m)
+        report = verify_trace(h, replace(trace, steps=tuple(steps)))
+        assert report.failures == (VerifyFailure(len(steps), f"edge id {h.m} out of range"),)
+
+    def test_trace_helpers_refuse_malformed_traces(self):
+        """``apply_trace`` refuses, by ``verify_trace``'s own rule, what that
+        refuses or reports before any replay; ``format_trace`` refuses a
+        trace that is none or holds a step that is none, and ``parse_trace``
+        an ``initial`` that is no orientation.  Each used to raise a raw
+        ``AttributeError``."""
+        h, o = doubled_triangle_flat()
+        trace = augment_to(h, o, 1)
+
+        def refused(call, message):
+            with pytest.raises(PreconditionError) as info:
+                call()
+            assert type(info.value) is PreconditionError and str(info.value) == message
+
+        for bad in (None, ReorientationTrace(None, 1, 0, 1, ())):
+            with pytest.raises(PreconditionError, match="^trace must be a ReorientationTrace that"):
+                verify_trace(h, bad)
+            for helper in (apply_trace, format_trace):
+                refused(lambda: helper(bad), "trace must be a ReorientationTrace that starts from an Orientation")
+        for bad in (
+            ReorientationTrace(o, 1, 1, 1, ("x",)),
+            replace(trace, lambda_final=1.0),
+            replace(trace, steps=list(trace.steps)),
+        ):
+            (failure,) = verify_trace(h, bad).failures
+            where = "trace" if failure.step is None else f"step {failure.step}"
+            refused(lambda: apply_trace(bad), f"FAIL {where}: {failure.message}")
+        refused(lambda: format_trace(ReorientationTrace(o, 1, 1, 1, ("x",))), "step 1 is a str, not a ReorientationStep")
+        refused(lambda: format_trace(replace(trace, steps=None)), "steps is a NoneType, not a tuple")
+        refused(lambda: parse_trace(format_trace(trace), None), "initial is a NoneType, not an Orientation")
 
     def test_empty_trace_on_connected_input_passes(self):
         h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])

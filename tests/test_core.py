@@ -197,6 +197,38 @@ class TestConstruction:
         assert [type(v) for v in o.heads] == [int] * 3 and o == three_cycle()[1]
 
 
+def foreign_object_calls():
+    """Each entry handed an object of another kind, with the refusal it
+    gives.  Each used to raise a raw ``AttributeError`` or ``TypeError``."""
+    from hyperorient import augment_to, compute_families, hyperarc_connectivity
+
+    h, o = three_cycle()
+    x, p = vs(3, [0]), Partition(3, [[0], [1, 2]])
+    not_o, not_h = "o is a NoneType, not an Orientation", "h is a NoneType, not a Hypergraph"
+    return [
+        pytest.param(lambda: compute_families(h, None), not_o, id="compute_families"),
+        pytest.param(lambda: augment_to(h, None, 1), not_o, id="augment_to"),
+        pytest.param(lambda: augment_to(None, o, 1), not_h, id="augment_to-h"),
+        pytest.param(lambda: hyperarc_connectivity(h, None), not_o, id="hyperarc_connectivity"),
+        pytest.param(lambda: in_degree(h, None, x), not_o, id="in_degree"),
+        pytest.param(lambda: out_degree(h, None, x), not_o, id="out_degree"),
+        pytest.param(lambda: out_degree(h, o, None), "x must be a VertexSet over 0..2, not None", id="out_degree-x"),
+        pytest.param(lambda: degree(None, x), not_h, id="degree"),
+        pytest.param(lambda: crossing_edges(None, p), not_h, id="crossing_edges"),
+        pytest.param(lambda: Orientation(None, (1,)), not_h, id="Orientation"),
+        pytest.param(lambda: Orientation(h, None), "heads must be iterable, not None", id="Orientation-heads"),
+        pytest.param(lambda: Hypergraph(3, None), "edges must be iterable, not None", id="Hypergraph"),
+        pytest.param(lambda: Partition(3, None), "classes must be iterable, not None", id="Partition"),
+    ]
+
+
+@pytest.mark.parametrize("call, message", foreign_object_calls())
+def test_foreign_objects_are_precondition_errors(call, message):
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert type(info.value) is PreconditionError and str(info.value) == message
+
+
 class TestDegree:
     def test_two_identical_triples(self):
         h = hypergraph(3, [(0, 1, 2), (0, 1, 2)])

@@ -491,10 +491,11 @@ def argument_rule_copies(tree):
     test), a raise of ``InvalidReorientation`` (a new-head test), or a
     function named like a rule (``_check_count``, ``_as_vertex``,
     ``_as_vertex_count``, ``_as_vertex_set``, ``_as_edge``,
-    ``_as_new_head``, ``_is_out``).  ``core`` holds the one count, vertex
-    count, vertex, vertex set, edge id, new head and side rule, so every
-    entry takes an ``IntEnum``, rejects a ``bool`` and words a refusal
-    alike.  The trace rule's exact-``int`` tests (``type(x) is int``) are a
+    ``_as_new_head``, ``_is_out``, ``_as_tuple``, ``_as_hypergraph``,
+    ``_same_instance``).  ``core`` holds the one count, vertex count,
+    vertex, vertex set, edge id, new head, side, collection, hypergraph and
+    orientation rule, so every entry takes an ``IntEnum``, rejects a
+    ``bool`` and a foreign object, and words a refusal alike.  The trace rule's exact-``int`` tests (``type(x) is int``) are a
     stricter rule of their own, and no copy; so is the verifier's report of
     an illegal step, a failure in its report rather than a raise."""
     found = []
@@ -516,7 +517,8 @@ def argument_rule_copies(tree):
         }:
             found.append((node.lineno, "new head raise"))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.search(
-            r"(check|as)_(count|int|vertex|side|edge|new_head|head|ground)|^_?is_out$", node.name
+            r"(check|as)_(count|int|vertex|side|edge|new_head|head|ground|tuple|hypergraph)|^_?(is_out|same_instance)$",
+            node.name,
         ):
             found.append((node.lineno, f"def {node.name}"))
     return found
@@ -553,6 +555,8 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         "    return x\n"
         "def _as_new_head(h, heads, e, u):\n"
         "    return u\n"
+        "def _same_instance(h, o):\n"
+        "    return o\n"
         "def kept(h, x, p, e, u):\n"
         "    if x.n != h.n or h.n == p.n or x.n == len(p) or x == h.n:\n"
         "        raise core.InvalidReorientation(f'illegal new head {u} for edge {e}')\n"
@@ -569,10 +573,11 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         (15, "def _as_vertex_count"),
         (17, "def _as_vertex_set"),
         (19, "def _as_new_head"),
-        (22, "n compare"),
-        (22, "n compare"),
-        (23, "new head raise"),
-        (24, "new head raise"),
+        (21, "def _same_instance"),
+        (24, "n compare"),
+        (24, "n compare"),
+        (25, "new head raise"),
+        (26, "new head raise"),
     ]
     core = ast.parse((ROOT / "src" / "hyperorient" / "core.py").read_text(encoding="utf-8"))
     assert {what for _, what in argument_rule_copies(core)} >= {
@@ -586,6 +591,9 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         "def _as_edge",
         "def _as_new_head",
         "def _is_out",
+        "def _as_tuple",
+        "def _as_hypergraph",
+        "def _same_instance",
         "n compare",
         "new head raise",
     }

@@ -407,19 +407,15 @@ class TestConnectivity:
 def root_pair_connectivity(h, o, cap=None):
     """Connectivity by independent root-pair queries, vertex 0 to each other
     vertex and back, each capped at the best value so far: the routine the
-    sink sequence replaced, and the set :class:`IncrementalConnectivity`
-    keeps as its witness."""
+    sink sequence replaced, and the queries :class:`IncrementalConnectivity`
+    keeps."""
     best = h.m + 1 if cap is None else cap
-    found = None
     for src, snk in ((s, t) for v in range(1, h.n) for s, t in ((0, v), (v, 0))):
         if best == 0:
             break
-        value, sep = min_separator(
-            h, o, VertexSet.singleton(h.n, src), VertexSet.singleton(h.n, snk), limit=best
-        )
-        if value < best:
-            best, found = value, sep
-    return best, found
+        value, _ = min_separator(h, o, VertexSet.singleton(h.n, src), VertexSet.singleton(h.n, snk), limit=best)
+        best = min(best, value)
+    return best
 
 
 class TestSinkSequence:
@@ -437,7 +433,7 @@ class TestSinkSequence:
             for step in range(10):
                 cap = rng.choice([None, rng.randint(0, k + 2)])
                 value, x = connectivity(h, o, cap=cap)
-                assert value == root_pair_connectivity(h, o, cap=cap)[0], (seed, step)
+                assert value == root_pair_connectivity(h, o, cap=cap), (seed, step)
                 if x is None:
                     assert value == (h.m + 1 if cap is None else cap)
                 else:
@@ -506,14 +502,14 @@ class TestIncrementalConnectivity:
             o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
             cap = connectivity(h, o)[0] + rng.randint(1, 3)
             check = IncrementalConnectivity(h, o, cap)
-            assert (check.value, check.witness()) == root_pair_connectivity(h, o, cap)
+            assert check.value == root_pair_connectivity(h, o, cap)
             assert check.value == connectivity(h, o, cap=cap)[0]
             for step in range(1, 31):
                 e, head = walk_step(rng, h, o, cap)
                 before = check.value
                 o = reorient(o, e, head)
                 assert check.reorient(e, head) == check.value
-                assert (check.value, check.witness()) == root_pair_connectivity(h, o, cap), (seed, step)
+                assert check.value == root_pair_connectivity(h, o, cap), (seed, step)
                 assert check.value == connectivity(h, o, cap=cap)[0], (seed, step)
                 if check.value != before:
                     moved[check.value - before] += 1
@@ -539,7 +535,7 @@ class TestIncrementalConnectivity:
                     e, head = walk_step(rng, h, o, cap)
                     o = reorient(o, e, head)
                     check.reorient(e, head)
-                assert (check.value, check.witness()) == root_pair_connectivity(h, o, cap), (seed, step)
+                assert check.value == root_pair_connectivity(h, o, cap), (seed, step)
                 assert check.value == connectivity(h, o, cap=cap)[0], (seed, step)
         assert raised > 0
 
@@ -565,7 +561,7 @@ class TestIncrementalConnectivity:
     def test_cap_zero_and_edge_cases(self):
         h, o = three_cycle()
         check = IncrementalConnectivity(h, o, 0)
-        assert (check.value, check.witness()) == connectivity(h, o, cap=0) == (0, None)
+        assert check.value == connectivity(h, o, cap=0)[0] == 0
         with pytest.raises(PreconditionError):
             IncrementalConnectivity(h, o, -1)
         check = IncrementalConnectivity(h, o, 2)

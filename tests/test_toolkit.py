@@ -90,6 +90,19 @@ class TestGenerator:
             gen_orientation(h, mode="roulette")
 
 
+THREE_CYCLE_HG = "n 3\ne 0 1\ne 1 2\ne 0 2\n"
+THREE_CYCLE_OR = "o 0 1\no 1 2\no 2 0\n"
+
+# (file kind, text, line-numbered refusal), each against the three-cycle in the other format
+MALFORMED_FILES = [
+    pytest.param("hg", "n 3 4\ne 0 1\ne 1 2\ne 0 2\n", "line 1: expected 'n <count>'", id="n-line-extra-token"),
+    pytest.param("hg", "n 3\ne 0 1\ne 1 1\ne 0 2\n", "line 3: repeated vertex in edge", id="repeated-vertex"),
+    pytest.param("hg", "n 3\ne 0 1\ne 1 3\ne 0 2\n", "line 3: vertex outside 0..2", id="vertex-out-of-range"),
+    pytest.param("or", "o 0 1\no 1 2\no 3 0\n", "line 3: edge id 3 out of range", id="edge-id-out-of-range"),
+    pytest.param("or", "o 0 1\no 1 0\no 2 0\n", "line 2: vertex 0 not in edge 1", id="head-not-in-edge"),
+]
+
+
 class TestFormats:
     def test_hypergraph_roundtrip(self):
         h = hypergraph(5, [(0, 1, 4), (2, 3), (2, 3)])
@@ -119,7 +132,7 @@ class TestFormats:
         with pytest.raises(ParseError, match="no orientation for edge 1"):
             parse_orientation("o 0 1\n", h)
 
-    @pytest.mark.parametrize("token", ["\u00b2", "\u0663", "+3", "3.0"])
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0663", "+3", "3.0", "3 4"])
     def test_vertex_count_must_be_ascii_digits(self, token):
         with pytest.raises(ParseError, match="line 2: expected 'n <count>'"):
             parse_hypergraph(f"# count\nn {token}\ne 0 1\n")
@@ -141,6 +154,15 @@ class TestFormats:
     def test_vertex_in_no_hyperedge_is_a_parse_error(self, text, line, vertex):
         with pytest.raises(ParseError, match=f"line {line}: the n line declares vertex {vertex},"):
             parse_hypergraph(text)
+
+    @pytest.mark.parametrize("kind, text, message", MALFORMED_FILES)
+    def test_malformed_files_are_line_numbered_parse_errors(self, kind, text, message):
+        with pytest.raises(ParseError) as info:
+            if kind == "hg":
+                parse_hypergraph(text)
+            else:
+                parse_orientation(text, parse_hypergraph(THREE_CYCLE_HG))
+        assert str(info.value) == message
 
     def test_number_beyond_the_digit_limit_is_a_parse_error(self):
         with pytest.raises(ParseError, match="line 1: expected 'n <count>'"):
@@ -222,6 +244,17 @@ class TestTraceFormat:
         lines[1] = "[" * 100_000
         with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
             parse_trace("\n".join(lines), o)
+
+    @pytest.mark.parametrize(
+        "index, key, raw, message",
+        [(0, "n", "4", "line 1: header is for a different hypergraph"), (-1, "steps", "99", "footer claims 99 steps")],
+    )
+    def test_trace_for_another_run_rejected_with_line(self, index, key, raw, message):
+        _, o, text = doubled_triangle_trace()
+        lineno = index + 1 if index >= 0 else len(text.splitlines())
+        with pytest.raises(ParseError, match=f"^line {lineno}: ") as info:
+            parse_trace(with_raw_field(text, index, key, raw), o)
+        assert message in str(info.value)
 
     def test_line_that_is_not_an_object_rejected(self):
         _, o, text = doubled_triangle_trace()
@@ -305,7 +338,13 @@ class TestCli:
 
     # a number past the interpreter's digit limit used to print a traceback
     @pytest.mark.parametrize(
-        "index, key, raw", NON_INTEGER_FIELDS + [pytest.param(0, "k_target", "9" * 5000, id="over-long-int")]
+        "index, key, raw",
+        NON_INTEGER_FIELDS
+        + [
+            pytest.param(0, "k_target", "9" * 5000, id="over-long-int"),
+            pytest.param(0, "n", "4", id="header-for-another-hypergraph"),
+            pytest.param(-1, "steps", "99", id="footer-step-count"),
+        ],
     )
     def test_verify_non_integer_field_exits_one(self, capsys, tmp_path, index, key, raw):
         h, o, text = doubled_triangle_trace()
@@ -324,6 +363,14 @@ class TestCli:
         lineno = index + 1 if index >= 0 else len(text.splitlines())
         assert code == 1 and err.startswith(f"error: line {lineno}: ")
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("kind, text, message", MALFORMED_FILES)
+    def test_malformed_files_exit_one(self, capsys, tmp_path, kind, text, message):
+        hg, orf = tmp_path / "h.hg", tmp_path / "o.or"
+        hg.write_text(text if kind == "hg" else THREE_CYCLE_HG)
+        orf.write_text(text if kind == "or" else THREE_CYCLE_OR)
+        code, out, err = run_cli(capsys, "check", "--input", str(hg), "--orientation", str(orf))
+        assert code == 1 and err == f"error: {message}\n" and "Traceback" not in out
 
     def test_orient_infeasible_exits_one(self, capsys, tmp_path):
         hg, orf = self.write_three_cycle(tmp_path)
