@@ -130,10 +130,10 @@ def _is_out(side: object) -> bool:
 class VertexSet:
     """Immutable subset of ``{0, .., n-1}`` backed by a bitmask.
 
-    The count is a vertex count (:func:`_as_vertex_count`), and the
-    members, a vertex tested with ``in`` and a mask are ``int`` (an
-    ``IntEnum`` is one, a ``bool`` is not); anything else raises
-    :class:`PreconditionError`.
+    The count is a vertex count (:func:`_as_vertex_count`), the members a
+    collection (:func:`_as_tuple`), and the members, a vertex tested with
+    ``in`` and a mask are ``int`` (an ``IntEnum`` is one, a ``bool`` is
+    not); anything else raises :class:`PreconditionError`.
     Comparison operators follow set semantics (``<=`` is subset, ``<`` is
     proper subset).  Deterministic tie-breaking everywhere in this package
     uses :meth:`sort_key`, which orders by size first and then
@@ -146,10 +146,14 @@ class VertexSet:
         if type(n) is not int or n < 0:
             n = _as_vertex_count(n)
         mask = 0
-        for v in members:
-            if type(v) is not int or not 0 <= v < n:
-                v = _as_vertex(v, n)
-            mask |= 1 << v
+        try:
+            for v in members:
+                if type(v) is not int or not 0 <= v < n:
+                    v = _as_vertex(v, n)
+                mask |= 1 << v
+        except TypeError:  # the members are checked only when iterating them failed
+            _as_tuple("members", members)
+            raise
         self.n = n
         self.mask = mask
 
@@ -336,7 +340,7 @@ class Hypergraph:
 
 def hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Convenience constructor from plain vertex collections."""
-    return Hypergraph(n, tuple(VertexSet(n, e) for e in edges))
+    return Hypergraph(n, tuple(VertexSet(n, e) for e in _as_tuple("edges", edges)))
 
 
 @dataclass(frozen=True)
@@ -538,10 +542,14 @@ class Hyperpath:
 def trim(h: Hypergraph, path: Hyperpath) -> tuple[int, ...]:
     """Vertex sequence ``s, a_1, .., a_l`` of the induced plain directed path.
 
-    Rejects malformed hyperpaths: an edge id that is not one
-    (:func:`_as_edge`), tail or head outside the edge, a chosen tail that is
-    not the previous head, or repeated vertices.
+    Rejects a ``path`` that is not a :class:`Hyperpath` and malformed
+    hyperpaths: an edge id that is not one (:func:`_as_edge`), tail or head
+    outside the edge, a chosen tail that is not the previous head, or
+    repeated vertices.  ``h`` is a hypergraph (:func:`_as_hypergraph`).
     """
+    _as_hypergraph(h)
+    if not isinstance(path, Hyperpath):
+        raise PreconditionError(f"path is a {type(path).__name__}, not a Hyperpath")
     for i, arc in enumerate(path.arcs):
         e = h.edges[_as_edge(arc.edge, h.m)]
         if arc.head not in e:

@@ -336,8 +336,9 @@ def _safe_endpoint(
 ) -> bool:
     """Shared safe-source (``side='out'``, ``member_set`` in ``m_minus``) /
     safe-sink (``side='in'``, in ``m_plus``) test of a vertex ``u`` of
-    ``member_set``; a set that is no such member, or a ``u`` outside it,
-    raises :class:`PreconditionError`.
+    ``member_set``; a ``fam`` that is no :class:`CutFamilies`, a set that is
+    no such member, or a ``u`` outside it, raises
+    :class:`PreconditionError`.
 
     The tight half is ``member_set < q[u]``, with ``q`` the q sets of the
     test's side.  Two tight sets holding ``u`` meet in ``u``, and their
@@ -355,6 +356,8 @@ def _safe_endpoint(
     at ``k + 1`` the separator is dangerous, and ``u`` is unsafe unless it
     has a tight subset avoiding ``u``.
     """
+    if not isinstance(fam, CutFamilies):
+        raise PreconditionError(f"fam is a {type(fam).__name__}, not a CutFamilies")
     members, name, q_sets = (fam.m_minus, "m_minus", fam.q_plus) if side == "out" else (fam.m_plus, "m_plus", fam.q_minus)
     if member_set not in members:
         raise PreconditionError(f"set is not a member of {name}")

@@ -47,7 +47,12 @@ heads list, so that after the first few each flow is a short search from
 its new vertex.  The package has one such loop, :func:`_sink_sequences`:
 :func:`connectivity` runs it capped at the best value so far, and
 :func:`tight_reaches` capped one above, so that the same run also finds
-the tight vertices.
+the tight vertices.  Every run starts from :func:`_degree_bound`, the
+least out-degree of a set ``{v}`` or ``V - {v}``, read from the heads in
+O(m + n).  The connectivity is never above it, so the start is exact.
+Where the two are equal, as on every orientation the benchmark passes to
+:func:`hyperarc_connectivity` on seeds 0 and 7, its queries each stop at
+the bound, and none ends in a search that finds no path.
 
 :class:`IncrementalConnectivity` keeps one flow per root pair, vertex 0 to
 each other vertex and back, across single-hyperarc reorientations.  A
@@ -327,6 +332,18 @@ def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: V
     return separator
 
 
+def _degree_bound(h: Hypergraph, o: Orientation) -> int:
+    """The least out-degree of a set ``{v}`` or ``V - {v}``, an upper bound
+    on the connectivity.  Every edge headed at ``v`` enters ``{v}``, and
+    every other edge at ``v`` leaves it, so with ``d`` the number headed at
+    ``v`` the two degrees are ``len(inc[v]) - d`` and ``d``."""
+    into = [0] * h.n
+    for v in o.heads:
+        into[v] += 1
+    inc = network(h).inc
+    return min(min(d, len(inc[v]) - d) for v, d in enumerate(into))
+
+
 def _sink_sequences(
     h: Hypergraph, o: Orientation, cap: int, mark: bool
 ) -> tuple[int, Optional[VertexSet], list[list[bool]]]:
@@ -395,20 +412,38 @@ def connectivity(
     run.  The loop is the package's one sink sequence, which
     :func:`tight_reaches` runs too, capped one higher.
 
+    The run starts at one above :func:`_degree_bound`, or at ``cap`` when
+    that is lower.  The connectivity is at most the bound, so the start
+    changes no value: a query's value is its maximum flow, or the best
+    value so far when that is lower, and the first query whose flow is the
+    connectivity lowers the value to it from any start above it.
+
     ``x`` comes from the query that last lowered the value: on the first
     pass, the complement of its minimal side, which is the maximal set of
     that out-degree holding ``[0 .. t - 1]`` and missing ``t``; on the
     second, its minimal side.  Either has out-degree ``value``, but another
-    sink order may find another such set.
+    sink order may find another such set.  The start does not move ``x``
+    either: it is the first query whose flow is the connectivity, and the
+    minimal side of a maximum flow is its unique minimal minimum cut,
+    whatever flow the kept heads held before the query.
     """
     _same_instance(h, o)
-    return _sink_sequences(h, o, h.m + 1 if cap is None else _as_count("cap", cap), False)[:2]
+    start = _degree_bound(h, o) + 1
+    if cap is not None:
+        start = min(start, _as_count("cap", cap))
+    return _sink_sequences(h, o, start, False)[:2]
 
 
 def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
     """Largest ``k`` such that every nonempty proper vertex set has
-    out-degree at least ``k``."""
-    return connectivity(h, o)[0]
+    out-degree at least ``k``.
+
+    It is :func:`connectivity` capped at :func:`_degree_bound`, which the
+    connectivity never exceeds, so the capped value is exact: when the two
+    are equal, as they mostly are, every query stops at the cap and none
+    ends in a search that finds no path."""
+    _same_instance(h, o)
+    return _sink_sequences(h, o, _degree_bound(h, o), False)[0]
 
 
 class KeptReaches:
@@ -464,6 +499,13 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     to ``t`` run the other way, which must add nothing, since the flow is
     maximum.  Every vertex of ``M_t`` is tight.
 
+    The run starts with the best value at :func:`_degree_bound`, not
+    above it.  The connectivity is at most the bound, so the run still ends
+    at ``k``, and the flags left are those of the queries at ``k``, whose
+    maximal minimizers do not depend on the flow kept before them.  A side
+    whose minimum is above the bound marks nothing; one whose minimum is at
+    most the bound but above ``k`` marks and is cleared, as before.
+
     That finds every tight vertex.  At level ``k`` two tight sets that
     share a vertex have a tight union and intersection: both are proper
     and avoid vertex 0, so each degree is at least ``k``, and by
@@ -483,7 +525,7 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     level.  The snapshots own these residuals.
     """
     _same_instance(h, o)
-    k, _, tight = _sink_sequences(h, o, h.m + 1, True)
+    k, _, tight = _sink_sequences(h, o, _degree_bound(h, o), True)
     g = network(h)
     reaches = []
     for forward, marks in zip((False, True), tight):

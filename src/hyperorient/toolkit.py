@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .augment import ReorientationStep, ReorientationTrace, _as_trace
-from .core import Hypergraph, Orientation, PreconditionError, VertexSet, _as_count
+from .core import Hypergraph, Orientation, PreconditionError, VertexSet, _as_count, _as_hypergraph, _same_instance
 
 
 class ParseError(ValueError):
@@ -83,8 +83,10 @@ def gen_orientation(h: Hypergraph, seed: int = 0, mode: str = "random") -> Orien
     """Seeded orientation: one uniform head pick per edge in edge order.
 
     ``mode='min-head'`` ignores the seed and orients every edge toward its
-    smallest vertex, a deterministic adversarial start.
+    smallest vertex, a deterministic adversarial start.  An ``h`` that is
+    not a :class:`Hypergraph` raises :class:`PreconditionError`.
     """
+    _as_hypergraph(h)
     if mode == "min-head":
         return Orientation(h, tuple(min(e) for e in h.edges))
     if mode != "random":
@@ -166,6 +168,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 
 def format_hypergraph(h: Hypergraph) -> str:
+    _as_hypergraph(h)
     lines = [f"n {h.n}"]
     for e in h.edges:
         lines.append("e " + " ".join(map(str, e)))
@@ -173,7 +176,9 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_orientation(text: str, h: Hypergraph) -> Orientation:
-    """Parse the ``.or`` format against its hypergraph."""
+    """Parse the ``.or`` format against its hypergraph.  An ``h`` that is
+    not a :class:`Hypergraph` raises :class:`PreconditionError`."""
+    _as_hypergraph(h)
     heads: dict[int, int] = {}
     for lineno, tokens in _tokenize(text):
         if tokens[0] != "o" or len(tokens) != 3:
@@ -193,6 +198,7 @@ def parse_orientation(text: str, h: Hypergraph) -> Orientation:
 
 
 def format_orientation(o: Orientation) -> str:
+    _same_instance(getattr(o, "hypergraph", None), o)  # an orientation of its own hypergraph: the type test alone
     lines = [f"o {e} {v}" for e, v in enumerate(o.heads)]
     return "\n".join(lines) + "\n"
 

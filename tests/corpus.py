@@ -9,7 +9,16 @@ from __future__ import annotations
 import random
 from itertools import combinations, combinations_with_replacement
 
-from hyperorient import Hypergraph, Orientation, VertexSet, gen_instance, gen_orientation, hypergraph, reorient
+from hyperorient import (
+    GenSpec,
+    Hypergraph,
+    Orientation,
+    VertexSet,
+    gen_instance,
+    gen_orientation,
+    hypergraph,
+    reorient,
+)
 
 
 def vs(n, members):
@@ -71,6 +80,16 @@ def flipped(o, rng):
         e = rng.randrange(h.m)
         o = reorient(o, e, rng.choice([v for v in h.edges[e] if v != o.heads[e]]))
     return o
+
+
+def benchmark_like_orientations(seed, count, n=64):
+    """``count`` orientations of one hypergraph made like those of the
+    ``query-families`` benchmark: n=64 by default, k=2, ``n // 2`` extra
+    edges of up to six vertices, the cyclic orientation after 1 to 4
+    seeded head changes."""
+    h = gen_instance(GenSpec(n=n, k=2, extra_edges=n // 2, max_edge_size=6, seed=seed))
+    base, rng = cyclic_orientation(h, 2), random.Random(seed)
+    return h, [flipped(base, rng) for _ in range(count)]
 
 
 def all_hypergraphs(n_values=(2, 3, 4), m_max=4, sizes=(2, 3)):

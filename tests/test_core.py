@@ -200,7 +200,16 @@ class TestConstruction:
 def foreign_object_calls():
     """Each entry handed an object of another kind, with the refusal it
     gives.  Each used to raise a raw ``AttributeError`` or ``TypeError``."""
-    from hyperorient import augment_to, compute_families, hyperarc_connectivity
+    from hyperorient import (
+        augment_to,
+        compute_families,
+        find_safe_endpoint,
+        format_hypergraph,
+        format_orientation,
+        gen_orientation,
+        hyperarc_connectivity,
+        parse_orientation,
+    )
 
     h, o = three_cycle()
     x, p = vs(3, [0]), Partition(3, [[0], [1, 2]])
@@ -219,6 +228,20 @@ def foreign_object_calls():
         pytest.param(lambda: Orientation(h, None), "heads must be iterable, not None", id="Orientation-heads"),
         pytest.param(lambda: Hypergraph(3, None), "edges must be iterable, not None", id="Hypergraph"),
         pytest.param(lambda: Partition(3, None), "classes must be iterable, not None", id="Partition"),
+        pytest.param(lambda: VertexSet(3, None), "members must be iterable, not None", id="VertexSet"),
+        pytest.param(lambda: Partition(3, [None]), "members must be iterable, not None", id="Partition-class"),
+        pytest.param(lambda: hypergraph(3, None), "edges must be iterable, not None", id="hypergraph"),
+        pytest.param(lambda: format_hypergraph(None), not_h, id="format_hypergraph"),
+        pytest.param(lambda: format_orientation(None), not_o, id="format_orientation"),
+        pytest.param(lambda: parse_orientation("o 0 1\n", None), not_h, id="parse_orientation"),
+        pytest.param(lambda: gen_orientation(None), not_h, id="gen_orientation"),
+        pytest.param(lambda: trim(h, None), "path is a NoneType, not a Hyperpath", id="trim"),
+        pytest.param(lambda: trim(None, None), not_h, id="trim-h"),
+        pytest.param(
+            lambda: find_safe_endpoint(h, o, None, x, "out"),
+            "fam is a NoneType, not a CutFamilies",
+            id="find_safe_endpoint",
+        ),
     ]
 
 

@@ -29,7 +29,14 @@ from hyperorient import (
 )
 from hyperorient.oracle import BF_MAX_N
 from hyperorient.separator import IncrementalConnectivity, tight_reaches
-from corpus import all_proper_subsets, cyclic_orientation, flipped, random_instances, walk_states
+from corpus import (
+    all_proper_subsets,
+    benchmark_like_orientations,
+    cyclic_orientation,
+    flipped,
+    random_instances,
+    walk_states,
+)
 from eager_families import eager_families
 from nx_families import nx_family_mismatches, nx_q_sets
 
@@ -80,10 +87,12 @@ class TestLevel:
         assert levels >= {0, 1, 2}
 
     def test_a_side_above_the_connectivity_comes_back_untight(self, monkeypatch):
-        """The in side runs first, and marks the tight vertices of its own
-        minimum.  When the out side then finds a lower value, those marks
-        are at a level above the connectivity, and are cleared: no set
-        that avoids vertex 0 has in-degree ``k``."""
+        """The in side runs first, from the least one-vertex degree, and
+        marks the tight vertices of its own minimum exactly when that
+        minimum is at most the bound.  When the out side then finds a lower
+        value, those marks are at a level above the connectivity, and are
+        cleared: no set that avoids vertex 0 has in-degree ``k``.  Such
+        cases are rare, so the corpus is large."""
         from hyperorient import separator
 
         flow, in_side_marks = separator.max_flow_min_cut, []
@@ -97,17 +106,18 @@ class TestLevel:
 
         monkeypatch.setattr(separator, "max_flow_min_cut", counted)
         reset = 0
-        for h, o in random_instances(5, 200, n_max=6, m_max=9):
-            in_side_marks.clear()
-            k, in_reaches, out_reaches = tight_reaches(h, o)
-            in_minimum = min(in_degree(h, o, x) for x in all_proper_subsets(h.n) if 0 not in x)
-            assert in_side_marks  # the in side marked the vertices of its minimum
-            if in_minimum > k:
-                reset += 1
-                assert not any(in_reaches.tight) and any(out_reaches.tight)
-                assert compute_families(h, o) == bf_families(h, o)
-            else:
-                assert any(in_reaches.tight)
+        for seed in range(20):
+            for h, o in random_instances(seed, 200, n_max=7, m_max=12):
+                in_side_marks.clear()
+                k, in_reaches, out_reaches = tight_reaches(h, o)
+                in_minimum = min(in_degree(h, o, x) for x in all_proper_subsets(h.n) if 0 not in x)
+                assert bool(in_side_marks) == (in_minimum <= separator._degree_bound(h, o))
+                if in_minimum > k:
+                    reset += bool(in_side_marks)
+                    assert not any(in_reaches.tight) and any(out_reaches.tight)
+                    assert compute_families(h, o) == bf_families(h, o)
+                else:
+                    assert any(in_reaches.tight)
         assert reset >= 5
 
 
@@ -281,16 +291,6 @@ class TestWrongLevel:
         other = gen_instance(GenSpec(n=6, k=1, extra_edges=3, max_edge_size=3, seed=1))
         with pytest.raises(PreconditionError):
             tight_reaches(other, o)
-
-
-def benchmark_like_orientations(seed, count, n=64):
-    """``count`` orientations of one hypergraph made like those of the
-    ``query-families`` benchmark: n=64 by default, k=2, ``n // 2`` extra
-    edges of up to six vertices, the cyclic orientation after 1 to 4
-    seeded head changes."""
-    h = gen_instance(GenSpec(n=n, k=2, extra_edges=n // 2, max_edge_size=6, seed=seed))
-    base, rng = cyclic_orientation(h, 2), random.Random(seed)
-    return h, [flipped(base, rng) for _ in range(count)]
 
 
 def test_networkx_reference_on_benchmark_like_orientations():
