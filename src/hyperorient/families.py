@@ -35,9 +35,12 @@ no other vertex's flow is ever read.  The q sets are computed on read:
 :class:`QSets` holds a side's snapshot and runs an entry's search the
 first time it is read.  The minimal families come from an early-exit
 descent over those searches (:attr:`QSets.minimal`), which needs only a
-few of the q sets.  Each ``r_family`` candidate is one more search in the
-opposite side's snapshot, from the whole member.  The q sets come only
-from :func:`compute_families`.  With a step check, the connectivity is
+few of the q sets.  Each ``r_family`` candidate is one q set of the
+opposite side, read at the member's smallest vertex, by a crossing lemma:
+for a proper minimal member ``x`` and any ``v`` in it, the opposite
+``q[v]``, when proper, holds ``x`` or lies strictly inside it, never
+crosses it (the proof is in :func:`compute_families`).  The q sets come
+only from :func:`compute_families`.  With a step check, the connectivity is
 recomputed from scratch once per call, as a cross-check of the kept
 flows, whose value must equal it.  Without one it is computed once, by
 the sink sequences that find the tight vertices, and the flows of those
@@ -245,27 +248,14 @@ def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
                 raise InvariantViolation(f"{name} members overlap: {a} and {b}")
 
 
-def _minimal_tight(reaches: KeptReaches, x: VertexSet) -> VertexSet | None:
-    """The inclusion-minimal tight set of ``reaches``' side that holds the
-    proper tight set ``x``, or ``None``: one search from all of ``x`` in
-    the kept residual of its smallest vertex, when that vertex is tight."""
-    roots = list(x)
-    if not reaches.tight[roots[0]]:
-        return None
-    found = reaches.reach(roots)
-    if found is not None and (not x <= found or ROOT in found):
-        raise InvariantViolation(f"the minimal tight set {found} around {x} misses it or holds the root")
-    return found
-
-
 def compute_families(
     h: Hypergraph, o: Orientation, *, check: IncrementalConnectivity | None = None
 ) -> CutFamilies:
     """All cut families at level ``k``, the exact connectivity.
 
-    The per-vertex minimal tight sets and the ``r_family`` candidates are
-    residual reaches of root-pair flows, read through one snapshot per
-    side (a :class:`~hyperorient.separator.KeptReaches`).
+    The per-vertex minimal tight sets are residual reaches of root-pair
+    flows, read through one snapshot per side (a
+    :class:`~hyperorient.separator.KeptReaches`).
     :func:`~hyperorient.augment.augment_to` passes the step check of its
     run, and the snapshots copy the flows it keeps (see
     :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches`),
@@ -281,11 +271,36 @@ def compute_families(
     The q sets are :class:`QSets` over the snapshots, and ``m_minus`` and
     ``m_plus`` come from the descent of :attr:`QSets.minimal`, which reads
     few q sets.
-    The ``r_family`` members are found as minimal tight supersets of the
-    opposite-sign minimal members, each one search from the whole member
-    in the opposite side's snapshot; each such superset is minimal with the
-    defining property, and every defining-property set contains one of
-    them, so taking inclusion-minimal candidates gives exactly the family.
+    The ``r_family`` members are the inclusion-minimal ones among the
+    least opposite-tight supersets of the proper minimal members: each such
+    superset is minimal with the defining property, and every set with it
+    holds one.  The superset of a member ``x`` is read from the opposite
+    side's q sets, as ``q = q_opp[min(x)]``, by a crossing lemma (Frank,
+    *Connections in Combinatorial Optimization*, 2011, uncrossing).
+
+    *Lemma.*  Let ``x`` be in ``m_plus``, ``v`` in ``x``, and
+    ``Y = q_minus[v]`` proper.  Then ``x <= Y`` or ``Y < x``.  *Proof.*
+    Suppose ``x - Y`` and ``Y - x`` are both nonempty.  Both avoid vertex
+    0 and are proper, so ``d_in(Y - x)`` and ``d_out(x - Y)`` are at least
+    ``k``.  In-degree is submodular, and ``d_out(S) = d_in(V - S)`` for
+    every ``S``.  The sets ``Y`` and ``V - x`` meet in ``Y - x``, and their
+    union is ``V - (x - Y)``, so ``d_in(Y - x) + d_out(x - Y) <= d_in(Y) +
+    d_out(x) = 2k``.  Then ``x - Y`` is out-tight and misses ``v``,
+    against the minimality of ``x``.  A member of ``m_minus`` with
+    ``q_plus`` is the mirror image.
+
+    So when ``q`` is proper and holds ``x`` it is the least opposite-tight
+    set that does (any such set holds ``min(x)``, so it holds ``q``).  When
+    ``q`` is full, no opposite-tight set holds ``x``.  When ``q < x``, a
+    minimal member ``y`` of the opposite sign lies in ``q``.  The q set
+    read for ``y`` cannot lie strictly inside ``y``, or it would be a tight
+    set of ``x``'s sign strictly inside ``x``, so it is the candidate of
+    ``y``.  It lies in ``x``, so in any candidate of ``x``, and leaving
+    out the candidate of ``x`` changes no minimal member.  A proper ``q``
+    that neither holds ``x`` nor lies strictly inside it breaks the lemma
+    and raises :class:`InvariantViolation` naming the level.  A candidate
+    read is one single-root search at most, and it fills the q entry that
+    the path search and the safe tests read later.
     """
     if check is None:
         k, in_reaches, out_reaches = tight_reaches(h, o)
@@ -305,9 +320,16 @@ def compute_families(
     m_plus = proper_m_plus if proper_m_plus else (full,)
     m_all = minimal_members(m_minus + m_plus)
 
-    candidates = [_minimal_tight(in_reaches, t_set) for t_set in proper_m_plus]
-    candidates += [_minimal_tight(out_reaches, s_set) for s_set in proper_m_minus]
-    proper_r = minimal_members(c for c in candidates if c is not None)
+    candidates = []
+    for members, q_opp in ((proper_m_plus, qm), (proper_m_minus, qp)):
+        for x in members:
+            q = q_opp[min(x)]
+            if q.is_full or q < x:
+                continue
+            if not x <= q:
+                raise InvariantViolation(f"level {k}: the minimal tight set {q} of {min(x)} crosses the member {x}")
+            candidates.append(q)
+    proper_r = minimal_members(candidates)
     r_family = proper_r if proper_r else (full,)
 
     fam = CutFamilies(

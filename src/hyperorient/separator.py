@@ -460,8 +460,11 @@ class KeptReaches:
     set that holds ``X`` and avoids 0 has degree ``k`` or more, so
     :meth:`reach` from ``X``, with ``v`` its smallest vertex, labels the
     inclusion-minimal one of degree ``k``, and reaches vertex 0 when none
-    has.  Its residuals are its own, so its answers do not change when a
-    step check moves on."""
+    has.  The package reads it from single vertices only, through
+    :class:`~hyperorient.families.QSets`; a search from a whole set is an
+    independent reference for the ``r_family`` candidates.  Its residuals
+    are its own, so its answers do not change when a step check moves
+    on."""
 
     def __init__(self, g: IncidenceDigraph, residuals: list[Optional[list[int]]], forward: bool) -> None:
         self.n = g.n
@@ -579,9 +582,10 @@ class IncrementalConnectivity:
     :func:`~hyperorient.families.compute_families`, given this check,
     reads its minimal tight sets from them, after checking :attr:`heads`
     and :attr:`cap`, through one :meth:`kept_reaches` snapshot per side:
-    the per-vertex ones and those around a whole set alike are one residual
-    search each, with no flow.  :meth:`kept_reaches` is the one place that
-    maps a side and a vertex to its kept query.  Without a check,
+    each per-vertex one is one residual search, with no flow, and the
+    ``r_family`` candidates are per-vertex ones too.
+    :meth:`kept_reaches` is the one place that maps a side and a vertex to
+    its kept query.  Without a check,
     ``compute_families`` builds none of these: most of its 2(n - 1) flows
     belong to vertices that are not tight, and are never read, so
     :func:`tight_reaches` runs flows only for the tight ones, and takes

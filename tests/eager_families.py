@@ -4,10 +4,12 @@
 ``eager_families`` reads every q set up front, with one search per vertex
 and side in a snapshot of the check's kept residuals, takes the minimal
 families with ``minimal_members`` over all of them, and returns plain
-tuples.  Every search passes its own stop list for vertex 0.
-``compute_families`` computes the q sets on read and finds the minimal
-families by an early-exit descent; it must return equal families on every
-input.
+tuples.  Every search passes its own stop list for vertex 0.  Each
+``r_family`` candidate is one search from the whole minimal member, so it
+does not rest on the crossing lemma that ``compute_families`` reads its
+candidates from the q sets by.  ``compute_families`` computes the q sets
+on read and finds the minimal families by an early-exit descent; it must
+return equal families on every input.
 """
 
 from __future__ import annotations

@@ -8,7 +8,13 @@ hyperarc, a unit arc ``w_e -> head`` and an uncapacitated arc
 value is the connectivity ``k``, and the full set when it is above ``k``.
 ``q_minus`` is the same on the reversed digraph, where a cut's capacity is
 an in-degree.  The minimal families are the inclusion-minimal proper q
-sets, by set logic alone.  Nothing here runs the package's flows.
+sets, by set logic alone.  Each ``r_family`` candidate is one more flow:
+from a proper minimal member, contracted into one source, to ``0`` on the
+opposite side's digraph.  Where its value is ``k``, what the source
+reaches in its residual is the least opposite-tight set that holds the
+member; the family is the inclusion-minimal candidates.  This takes no q
+set, so it does not rest on the crossing lemma that ``compute_families``
+reads its candidates by.  Nothing here runs the package's flows.
 """
 
 from __future__ import annotations
@@ -27,15 +33,7 @@ def nx_q_sets(nx, h, o):
     for side, reverse in (("in", True), ("out", False)):
         g = nx_incidence(nx, h, o, reverse)
         for v in range(1, n):
-            r = edmonds_karp(g, v, 0)
-            seen, stack = {v}, [v]
-            while stack:
-                u = stack.pop()
-                for w, arc in r[u].items():
-                    if arc["flow"] < arc["capacity"] and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            flows[side, v] = (r.graph["flow_value"], VertexSet(n, [x for x in seen if x < n]))
+            flows[side, v] = residual_reach(edmonds_karp(g, v, 0), v, n)
     k = min(value for value, _ in flows.values())
     full = VertexSet.full(n)
     q = {
@@ -43,6 +41,37 @@ def nx_q_sets(nx, h, o):
         for side in ("in", "out")
     }
     return k, q["in"], q["out"]
+
+
+def residual_reach(r, source, n):
+    """``(value, reach)`` of an ``edmonds_karp`` residual network ``r``: its
+    flow value and the vertices its ``source`` reaches in it."""
+    seen, stack = {source}, [source]
+    while stack:
+        u = stack.pop()
+        for w, arc in r[u].items():
+            if arc["flow"] < arc["capacity"] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return r.graph["flow_value"], VertexSet(n, [x for x in seen if isinstance(x, int) and x < n])
+
+
+def nx_r_family(nx, h, o, k, m_minus, m_plus):
+    """The proper ``r_family`` members at level ``k``, from the proper
+    minimal members ``m_minus`` and ``m_plus``: one flow per member, out of
+    it contracted, into ``0``, on the opposite side's digraph."""
+    from networkx.algorithms.flow import edmonds_karp
+
+    candidates = []
+    for members, reverse in ((m_plus, True), (m_minus, False)):
+        g = nx_incidence(nx, h, o, reverse)
+        for x in members:
+            g.add_edges_from(("x", v) for v in x)  # no capacity: the member is one source
+            value, reach = residual_reach(edmonds_karp(g, "x", 0), "x", h.n)
+            g.remove_node("x")
+            if value == k:
+                candidates.append(reach)
+    return minimal_proper(candidates)
 
 
 def minimal_proper(sets):
@@ -53,12 +82,15 @@ def minimal_proper(sets):
 
 def nx_family_mismatches(nx, h, o, fam):
     """Where ``fam`` disagrees with the networkx reference: its level, each
-    q set, and the proper members of ``m_minus`` and ``m_plus``."""
+    q set, and the proper members of ``m_minus``, ``m_plus`` and
+    ``r_family``."""
     k, qm, qp = nx_q_sets(nx, h, o)
     problems = [] if fam.k == k else [f"level {fam.k}, networkx {k}"]
     for name, got, ref in (("q_minus", fam.q_minus, qm), ("q_plus", fam.q_plus, qp)):
         problems += [f"{name}[{v}] {got[v]}, networkx {ref[v]}" for v in range(h.n) if got[v] != ref[v]]
-    for name, got, ref in (("m_minus", fam.m_minus, minimal_proper(qm)), ("m_plus", fam.m_plus, minimal_proper(qp))):
+    m_minus, m_plus = minimal_proper(qm), minimal_proper(qp)
+    r_family = nx_r_family(nx, h, o, k, m_minus, m_plus)
+    for name, got, ref in (("m_minus", fam.m_minus, m_minus), ("m_plus", fam.m_plus, m_plus), ("r_family", fam.r_family, r_family)):
         if tuple(x for x in got if not x.is_full) != ref:
             problems.append(f"{name} {got}, networkx {ref}")
     return problems

@@ -40,8 +40,10 @@ from hyperorient import (
     separator,
 )
 from hyperorient import augment as augment_module
+from hyperorient.families import QSets
 from hyperorient.separator import IncrementalConnectivity
 from corpus import random_instances, vs
+from eager_families import eager_families
 
 
 def three_cycle():
@@ -131,6 +133,31 @@ class TestComputeFamilies:
                 for i, a in enumerate(members):
                     for b in members[i + 1 :]:
                         assert not a.mask & b.mask
+
+    @pytest.mark.parametrize("side, members", [("in", "m_plus"), ("out", "m_minus")])
+    def test_a_crossing_q_set_is_an_invariant_violation(self, monkeypatch, side, members):
+        """The ``r_family`` candidate of a minimal member ``x`` is the
+        opposite q set of ``min(x)``.  An entry there that neither holds
+        ``x`` nor lies strictly inside it breaks the crossing lemma."""
+        h, o, x = next(
+            (h, o, x)
+            for h, o in random_instances(3, 400, n_max=6, m_max=7, size_max=4)
+            for x in getattr(bf_families(h, o), members)
+            if 1 < len(x) < h.n - 1
+        )
+        w = next(w for w in range(1, h.n) if w not in x)
+        crossing_set = vs(h.n, [min(x), w])
+        init = QSets.__init__
+
+        def corrupted(self, reaches):
+            init(self, reaches)
+            if reaches._forward == (side == "out"):
+                self._sets[min(x)] = crossing_set
+
+        assert compute_families(h, o) == bf_families(h, o)
+        monkeypatch.setattr(QSets, "__init__", corrupted)
+        with pytest.raises(InvariantViolation, match=r"^level \d+: the minimal tight set .* crosses the member"):
+            compute_families(h, o)
 
 
 def minimal_tight(h, o, k, side, x):
@@ -539,6 +566,41 @@ class TestStructuralLemmas:
                             assert fam.q_plus[s] == region
                             hits_out += 1
         assert hits_in >= 3 and hits_out >= 3
+
+    @staticmethod
+    def member_q_pairs(fam):
+        """``(x, q)`` for every proper member ``x`` of ``m_plus`` and
+        ``m_minus`` and every ``v`` in it, with ``q`` the opposite q set of
+        ``v``: ``q_minus[v]`` for ``m_plus``, ``q_plus[v]`` for ``m_minus``."""
+        for members, q_opp in ((fam.m_plus, fam.q_minus), (fam.m_minus, fam.q_plus)):
+            for x in members:
+                if not x.is_full:
+                    yield from ((x, q_opp[v]) for v in x)
+
+    def test_crossing_lemma_by_brute_force(self):
+        """The lemma ``compute_families`` reads its ``r_family`` candidates
+        by: the opposite q set of every vertex of a proper minimal member
+        holds the member or lies strictly inside it, never crosses it."""
+        kinds = {"full": 0, "holds": 0, "inside": 0}
+        for h, o in random_instances(28, 1500, n_max=6, m_max=7, size_max=4):
+            for x, q in self.member_q_pairs(bf_families(h, o)):
+                assert x <= q or q < x, (h, o, x, q)
+                kinds["full" if q.is_full else "holds" if x <= q else "inside"] += 1
+        assert min(kinds.values()) > 50
+
+    def test_crossing_lemma_above_the_oracle_bound(self):
+        """The same, on states along augmentations at n = 40 to 64, with
+        every q set from the eager reference's per-vertex searches."""
+        proper = 0
+        for n in (40, 48, 64):
+            h = gen_instance(GenSpec(n=n, k=3, extra_edges=n // 2, max_edge_size=4, seed=n))
+            events = []
+            augment_to(h, gen_orientation(h, mode="min-head"), 3, observer=events.append)
+            for event in events[:: max(1, len(events) // 4)][:4]:
+                for x, q in self.member_q_pairs(eager_families(h, event.orientation)):
+                    assert x <= q or q < x, (n, x, q)
+                    proper += not q.is_full
+        assert proper > 20
 
     def test_safe_to_safe_cuts_exceed_level(self):
         hits = 0

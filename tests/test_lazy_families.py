@@ -144,36 +144,42 @@ class TestEqualityAndHash:
         """The descent finds the minimal families with at most one
         single-root search per vertex and side and leaves some q sets
         unread; each of those is one search on its first read and none
-        after.  Each ``r_family`` candidate whose member's smallest vertex
-        is tight on the opposite side is one search from the whole member,
-        and every other candidate is none."""
+        after.  Each ``r_family`` candidate is a read of one q entry, at
+        the member's smallest vertex: one single-root search when the
+        entry is unset, and none when the descent has set it already."""
         from hyperorient import separator
 
         h = gen_instance(GenSpec(n=40, k=3, extra_edges=20, max_edge_size=4, seed=1))
         o = gen_orientation(h, mode="min-head")
         ref = eager_families(h, o)
-        check = IncrementalConnectivity(h, o, ref.k + 1)
-        tight = {side: check.kept_reaches(side).tight for side in ("in", "out")}
-        members = [(x, "in") for x in ref.m_plus] + [(x, "out") for x in ref.m_minus]
-        expected = [list(x) for x, side in members if not x.is_full and tight[side][min(x)]]
-        searches = []
-        reach = separator.KeptReaches.reach
+        searches, reads = [], []
+        reach, getitem = separator.KeptReaches.reach, QSets.__getitem__
 
         def counted(self, roots, stop=None):
-            searches.append((list(roots), stop is None))
+            searches.append(list(roots))
             return reach(self, roots, stop)
 
+        def read(self, v):
+            was_set, before = self._sets[v] is not None, len(searches)
+            q = getitem(self, v)
+            reads.append((v, was_set, len(searches) - before))
+            return q
+
         monkeypatch.setattr(separator.KeptReaches, "reach", counted)
+        monkeypatch.setattr(QSets, "__getitem__", read)
         fam = compute_families(h, o)
-        descent = [roots for roots, default_stop in searches if not default_stop]
-        candidates = [roots for roots, default_stop in searches if default_stop]
         during = len(searches)
-        assert (fam.m_minus, fam.m_plus) == (ref.m_minus, ref.m_plus)
-        assert all(len(roots) == 1 for roots in descent) and 0 < len(descent) <= 2 * (h.n - 1)
-        assert sorted(candidates) == sorted(expected) != []
+        assert all(len(roots) == 1 for roots in searches)
+        members = [x for x in fam.m_minus + fam.m_plus if not x.is_full]
+        assert sorted(v for v, _, _ in reads) == sorted(min(x) for x in members)
+        assert all(ran == 0 for _, was_set, ran in reads if was_set)
+        assert all(ran <= 1 for _, was_set, ran in reads if not was_set)
+        assert {was_set for _, was_set, _ in reads} == {False, True}
+        assert 0 < during - sum(ran for _, _, ran in reads) <= 2 * (h.n - 1)  # the descent's own
         assert fam == ref
         after = len(searches)
         assert during < after <= during + 2 * (h.n - 1)
+        assert all(len(roots) == 1 for roots in searches)
         assert fam == ref and len(searches) == after
         assert (fam.q_minus._reaches, fam.q_plus._reaches) == (None, None)  # every entry set: snapshot let go
 
@@ -325,3 +331,15 @@ def test_networkx_reference_sees_a_widened_q_set():
     assert problems and problems[0].startswith(f"q_plus[{v}]")
     dropped = replace(fam, m_minus=fam.m_minus[1:])
     assert any(p.startswith("m_minus") for p in nx_family_mismatches(nx, h, o, dropped))
+
+
+def test_networkx_reference_sees_a_wrong_r_family_member():
+    nx = pytest.importorskip("networkx")
+    h, [(o, fam)] = networkx_orientations(64, 1)
+    x = fam.r_family[0]
+    assert len(fam.r_family) > 1 and not x.is_full
+    wider = x.add(next(w for w in range(1, h.n) if w not in x))
+    planted = replace(fam, r_family=(wider,) + fam.r_family[1:])
+    assert [p for p in nx_family_mismatches(nx, h, o, planted) if p.startswith("r_family")] != []
+    dropped = replace(fam, r_family=fam.r_family[1:])
+    assert [p.split()[0] for p in nx_family_mismatches(nx, h, o, dropped)] == ["r_family"]

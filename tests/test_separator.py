@@ -572,6 +572,21 @@ class TestIncrementalConnectivity:
             assert type(info.value) is error
         assert check.reorient(0, 0) == 0 == connectivity(h, reorient(o, 0, 0), cap=2)[0]
 
+    def test_a_step_that_turns_an_edge_out_of_a_kept_cut(self):
+        """The last step turns edge ``{0, 3}`` from head 3 to head 0.  Vertex
+        3 is in the kept cut of the query ``3 -> 0`` and vertex 0 is not, so
+        the cut's out-degree rises by one, and the check must augment that
+        query again rather than read its value from the cut."""
+        h = hypergraph(4, [(0, 3), (0, 1, 2, 3), (0, 1, 2), (0, 3), (0, 2), (1, 2)])
+        o = Orientation(h, (3, 2, 1, 3, 0, 2))
+        check = IncrementalConnectivity(h, o, connectivity(h, o)[0] + 1)
+        values = []
+        for e, head in ((5, 1), (1, 3), (5, 2), (0, 0)):
+            o = reorient(o, e, head)
+            values.append(check.reorient(e, head))
+            assert check.value == connectivity(h, o, cap=check.cap)[0]
+        assert values == [1, 0, 0, 1]
+
     def test_reorient_checks_its_edge_id(self):
         """On the doubled triangle ``reorient(True, 0)`` used to turn edge
         1; a float or a string failed with a raw ``TypeError``.  A refused

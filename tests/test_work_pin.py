@@ -3,16 +3,21 @@
 ``test_trace_pin`` pins what the solver outputs; a change that only makes
 it slower keeps those digests.  Here the module globals every flow, search,
 network build and safe test goes through are patched to count calls, as in
-``test_one_network``, over two runs: ``augment_to`` then ``verify_trace``
-on small generated instances, and ``hyperarc_connectivity`` then
+``test_one_network``, over three runs: ``augment_to`` then ``verify_trace``
+on small generated instances; ``hyperarc_connectivity`` then
 ``compute_families`` (no step check) on orientations like the
-``query-families`` benchmark's.  The counts are:
+``query-families`` benchmark's; and a walk of random single
+reorientations of a step check, ``IncrementalConnectivity.reorient``, on
+small random instances, which lowers the connectivity on many steps.  The
+counts are:
 
 - ``flow_calls`` and ``flow_units``: ``max_flow_min_cut`` calls and the
   units they push;
 - ``searches`` and ``labelled``: residual searches and the vertices they
   label;
 - ``builds``: incidence networks built;
+- ``compares``: ``Hypergraph`` equality tests, which the network slot
+  skips for the hypergraph it holds;
 - ``safe_probes``: safe-source and safe-sink tests.
 
 A change of a count is a change of the work.  One made on purpose updates
@@ -21,10 +26,12 @@ A change of a count is a change of the work.  One made on purpose updates
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 from hyperorient import (
     GenSpec,
+    Hypergraph,
     augment_to,
     compute_families,
     families,
@@ -34,18 +41,28 @@ from hyperorient import (
     separator,
     verify_trace,
 )
-from corpus import benchmark_like_orientations
+from hyperorient.separator import IncrementalConnectivity
+from corpus import benchmark_like_orientations, random_instances
 
 PINNED = {
     "augment": {
         "builds": 8,
+        "compares": 87,
         "flow_calls": 5340,
         "flow_units": 9682,
-        "labelled": 49521,
+        "labelled": 48335,
         "safe_probes": 175,
-        "searches": 6042,
+        "searches": 5978,
     },
-    "query": {"builds": 2, "flow_calls": 1133, "flow_units": 1824, "labelled": 16824, "searches": 967},
+    "query": {"builds": 2, "compares": 1, "flow_calls": 1133, "flow_units": 1824, "labelled": 16806, "searches": 949},
+    "reorient": {
+        "builds": 695,
+        "compares": 714,
+        "flow_calls": 63198,
+        "flow_units": 34491,
+        "labelled": 134307,
+        "searches": 50298,
+    },
 }
 
 
@@ -64,9 +81,22 @@ def query_run():
             assert compute_families(h, o).k == hyperarc_connectivity(h, o)
 
 
+def reorient_run():
+    drops = 0
+    for i, (h, o) in enumerate(random_instances(5, 700, n_max=7, m_max=9, size_max=4, m_min=3)):
+        k = hyperarc_connectivity(h, o)
+        for cap in (k + 1, k + 2):
+            check, rng = IncrementalConnectivity(h, o, cap), random.Random(i)
+            for _ in range(10):
+                e, before = rng.randrange(h.m), check.value
+                drops += check.reorient(e, rng.choice([x for x in h.edges[e] if x != check.heads[e]])) < before
+    assert drops > 1000
+
+
 def counted(monkeypatch, run) -> dict:
     counts = Counter()
     flow, search, build = separator.max_flow_min_cut, separator._search, separator.incidence_digraph
+    equal = Hypergraph.__eq__
 
     def counted_flow(g, sources, sinks, limit=None, *, residual, forward=True):
         value, reach = flow(g, sources, sinks, limit, residual=residual, forward=forward)
@@ -84,6 +114,10 @@ def counted(monkeypatch, run) -> dict:
         counts["builds"] += 1
         return build(h)
 
+    def counted_equal(self, other):
+        counts["compares"] += 1
+        return equal(self, other)
+
     def counted_probe(probe):
         def probed(*args):
             counts["safe_probes"] += 1
@@ -96,6 +130,7 @@ def counted(monkeypatch, run) -> dict:
         patch.setattr(separator, "max_flow_min_cut", counted_flow)
         patch.setattr(separator, "_search", counted_search)
         patch.setattr(separator, "incidence_digraph", counted_build)
+        patch.setattr(Hypergraph, "__eq__", counted_equal)
         patch.setattr(families, "is_safe_source", counted_probe(families.is_safe_source))
         patch.setattr(families, "is_safe_sink", counted_probe(families.is_safe_sink))
         run()
@@ -108,3 +143,7 @@ def test_augment_and_verify_work_is_pinned(monkeypatch):
 
 def test_query_work_is_pinned(monkeypatch):
     assert counted(monkeypatch, query_run) == PINNED["query"]
+
+
+def test_reorient_walk_work_is_pinned(monkeypatch):
+    assert counted(monkeypatch, reorient_run) == PINNED["reorient"]
