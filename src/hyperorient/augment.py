@@ -19,14 +19,13 @@ cap, and takes the level's connectivity from it.  The level's cut families
 are read from the same flows.  Reaching ``k + 1`` mid-path ends the level
 immediately, which keeps the per-step connectivity sequence
 non-decreasing.  :func:`verify_trace` shares none of the repair code: it
-decides each step's connectivity with one capped flow and a set kept from
-an earlier from-scratch computation, and recomputes from scratch only when
-no kept set is tight.  It tracks the kept sets' out-degrees through the
-steps by the single-reorientation lemma and confirms the one set it relies
-on with one ``out_degree`` call.  Every flow of a run, in the step check,
-the families and the verifier, runs on the hypergraph's one incidence
-structure (:func:`~hyperorient.separator.network`) with a copy of an
-orientation's heads, which the flow turns in place.  Each full path
+decides each step's connectivity with one capped flow and the least
+out-degree of a one-vertex set or its complement, which it counts itself
+from the heads, and recomputes from scratch only when the two do not meet.
+Every flow of a run, in the step check, the families and the verifier,
+runs on the hypergraph's one incidence structure
+(:func:`~hyperorient.separator.network`) with a copy of an orientation's
+heads, which the flow turns in place.  Each full path
 strictly shrinks the potential ``(|m_all|, -covered vertices)``, so a level
 finishes within ``n^2`` iterations and ``n^3`` single-hyperarc steps.
 
@@ -60,7 +59,6 @@ from .core import (
     _as_count,
     _as_hypergraph,
     crossing_edges,
-    out_degree,
     reorient,
 )
 from .families import CutFamilies, compute_families, is_in_tight
@@ -135,18 +133,24 @@ def _potential(fam: CutFamilies) -> tuple[int, int]:
     return (len(fam.m_all), -sum(len(x) for x in fam.m_all))
 
 
-def _reject_low_degree(h: Hypergraph, target: int) -> None:
-    """Raise :class:`NotPartitionConnectedError` when some vertex lies in
-    fewer than ``2 * target`` hyperedges, with the partition ``{v}, V - {v}``
-    of the smallest such ``v`` as its certificate: its crossing edges are
-    the ``in + out`` degree of ``{v}`` under every orientation.  Every
-    edge has two vertices or more, so that degree is the number of edges
-    holding ``v``, and one pass over the edges counts them all."""
+def _held(h: Hypergraph) -> list[int]:
+    """The number of edges holding each vertex, in one pass over the edges.
+    Every edge has two vertices or more, so it is the ``in + out`` degree
+    of ``{v}`` under every orientation."""
     held = [0] * h.n
     for edge in h.edges:
         for v in edge:
             held[v] += 1
-    for v, d in enumerate(held):
+    return held
+
+
+def _reject_low_degree(h: Hypergraph, target: int) -> None:
+    """Raise :class:`NotPartitionConnectedError` when some vertex lies in
+    fewer than ``2 * target`` hyperedges, with the partition ``{v}, V - {v}``
+    of the smallest such ``v`` as its certificate: its crossing edges are
+    the ``in + out`` degree of ``{v}`` under every orientation, which
+    :func:`_held` counts."""
+    for v, d in enumerate(_held(h)):
         if d < 2 * target:
             p = Partition(h.n, [VertexSet.singleton(h.n, v), h.vertices().remove(v)])
             if crossing_edges(h, p) >= 2 * target:
@@ -177,7 +181,9 @@ def augment_one(
     :class:`NotPartitionConnectedError` with the set that
     :func:`~hyperorient.separator.connectivity` returns after it, and
     :class:`InvariantViolation` when that routine's value is not the step
-    check's: the check answers values only.
+    check's: the check answers values only.  :func:`verify_trace` reads no
+    set from that routine, so this certificate is the only one taken from
+    it.
     """
     check.raise_cap(k + 1)
     if check.value != k:
@@ -393,20 +399,20 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     and only if the new ``b -> a`` max flow is at least ``lam``: one flow
     capped at ``lam``, on the hypergraph's one ``network(h)`` and a copy of
     the new orientation's heads.
-    From above, a set of out-degree ``lam`` after the step shows the value
-    is at most ``lam``.  The sets tried are every set :func:`connectivity`
-    has returned in this call, each kept with its out-degree, which the same
-    lemma updates on every step with two bit tests.  The first set whose
-    tracked degree is ``lam`` is tried, and only after one
-    :func:`~hyperorient.core.out_degree` call confirms that degree, so a
-    kept set is never trusted on its tracked value alone; a call that
-    disagrees raises :class:`InvariantViolation` naming the step and the
-    set.  The flow runs only when such a set exists.
-    When either bound fails, ``connectivity(h, cur, cap=lam + 2)`` computes
-    the value from scratch, exact because one step moves it by at most one,
-    and its set is kept; it runs on the same network, so no step builds
-    one.  Either way the value is exact, so the report does not depend on
-    which bound decided it.
+    From above, the connectivity is at most the out-degree of every set
+    ``{v}`` and ``V - {v}``.  With ``held[v]`` the edges holding ``v`` and
+    ``into[v]`` those headed at it, those degrees are ``held[v] - into[v]``
+    and ``into[v]``: every edge headed at ``v`` enters ``{v}`` and every
+    other edge at ``v`` leaves it.  ``held`` is counted once and ``into``
+    moves by one at ``a`` and ``b`` on each step, so the verifier keeps no
+    set and reads none from another routine.  The flow runs only when the
+    least of those degrees is ``lam``.
+    When either bound fails, ``connectivity(h, cur, cap=lam + 1)`` computes
+    the value from scratch.  The cap is exact: one step moves the value by
+    at most one, and ``lam`` is the verifier's own exact value, from
+    ``hyperarc_connectivity`` at the start.  It runs on the same network,
+    so no step builds one.  Either way the value is exact, so the report
+    does not depend on which bound decided it.
     """
     bad = _malformed_entry(trace)
     if trace.initial.hypergraph != h:
@@ -417,13 +423,15 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     if len(trace.steps) > bound:
         return VerifyReport((VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"),))
     failures: list[VerifyFailure] = []
-    lam, x = connectivity(h, trace.initial)
-    kept = [[x.mask, lam]]  # each set connectivity returned, with its out-degree tracked by the lemma
+    lam = hyperarc_connectivity(h, trace.initial)
     if lam != trace.lambda_initial:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")
         )
     g = separator.network(h)
+    held, into = _held(h), [0] * h.n
+    for v in trace.initial.heads:
+        into[v] += 1
     cur = trace.initial
     for i, step in enumerate(trace.steps, start=1):
         if not 0 <= step.edge < h.m:
@@ -441,22 +449,15 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
             break
         a, b = cur.heads[step.edge], step.new_head
         cur = reorient(cur, step.edge, b)
-        for entry in kept:  # the lemma: +1 with a in and b out, -1 with b in and a out
-            entry[1] += (entry[0] >> a & 1) - (entry[0] >> b & 1)
-        tight = next((mask for mask, d in kept if d == lam), None)
-        if tight is not None:
-            x = VertexSet.from_mask(h.n, tight)
-            d = out_degree(h, cur, x)
-            if d != lam:
-                raise InvariantViolation(f"step {i}: kept set {x} has out-degree {d}, tracked as {lam}")
+        into[a] -= 1
+        into[b] += 1
         if (
-            tight is not None
+            min(min(d, held[v] - d) for v, d in enumerate(into)) == lam
             and separator.max_flow_min_cut(g, [b], [a], limit=lam, residual=list(cur.heads))[0] == lam
         ):
             lam_after = lam
         else:
-            lam_after, x = connectivity(h, cur, cap=lam + 2)
-            kept.append([x.mask, lam_after])
+            lam_after = connectivity(h, cur, cap=lam + 1)[0]
         if lam_after != step.lambda_after:
             failures.append(
                 VerifyFailure(i, f"connectivity after step is {lam_after}, step claims {step.lambda_after}")

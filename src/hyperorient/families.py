@@ -376,7 +376,10 @@ def _safe_endpoint(
     root.  Once the tight half holds, no tight set holds ``u`` and misses
     ``v``, so a value of ``k`` or less raises :class:`InvariantViolation`;
     at ``k + 1`` the separator is dangerous, and ``u`` is unsafe unless it
-    has a tight subset avoiding ``u``.
+    has a tight subset avoiding ``u``.  ``inner``, the separator without
+    ``u``, misses the root, because the separator avoids ``{v, fam.r}``.  A
+    full q set holds the root, so it is never inside ``inner``, and the
+    test needs no separate check that ``q_sets[w]`` is proper.
     """
     if not isinstance(fam, CutFamilies):
         raise PreconditionError(f"fam is a {type(fam).__name__}, not a CutFamilies")
@@ -401,7 +404,7 @@ def _safe_endpoint(
             )
         if value == fam.k + 1:
             inner = sep.remove(u)
-            if not any(not q_sets[w].is_full and q_sets[w] <= inner for w in inner):
+            if not any(q_sets[w] <= inner for w in inner):
                 return False
     return True
 

@@ -5,8 +5,9 @@ every flow under ``src/`` names the orientation it runs on, one function
 under ``src/`` runs a sink-sequence loop, every residual search under
 ``src/`` runs inside a flow (or is the one search of
 ``KeptReaches.reach``), the verifier names none of the solver's repair
-code, no code under ``src/`` or ``demos/`` but ``augment_to`` reaches the
-per-level loop ``augment_one``, and the package's ``__all__`` is sorted,
+code nor its connectivity start ``_degree_bound``, no code under ``src/``
+or ``demos/`` but ``augment_to`` reaches the per-level loop
+``augment_one``, and the package's ``__all__`` is sorted,
 free of duplicates, exactly what its ``__init__.py`` imports and free of
 the max-flow kernel's names and of ``augment_one``, and no module under
 ``src/`` but ``core.py`` holds a copy of an argument rule.
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import hyperorient
-from hyperorient import augment
+from hyperorient import augment, separator
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -361,28 +362,39 @@ REPAIR_CODE = (
 )
 
 
-def repair_names(code):
-    """The names in ``REPAIR_CODE`` that a function's code object reads, as
-    globals or attributes, with those of the code nested in it (its
-    generator expressions).  The verifier must share none of them, so a bug
+def read_names(code, names=REPAIR_CODE):
+    """The ``names`` that a function's code object reads, as globals or
+    attributes, with those of the code nested in it (its generator
+    expressions).  The verifier must read none of ``REPAIR_CODE``, so a bug
     in the step check, the families or the path search cannot also fool
-    it."""
-    names = set(code.co_names) & set(REPAIR_CODE)
+    it, and no ``_degree_bound``, the solver's connectivity start: its
+    upper bound is a count of its own."""
+    found = set(code.co_names) & set(names)
     for const in code.co_consts:
         if isinstance(const, type(code)):
-            names.update(repair_names(const))
-    return sorted(names)
+            found.update(read_names(const, names))
+    return sorted(found)
 
 
 def test_the_verifier_shares_no_repair_code():
-    assert repair_names(augment.verify_trace.__code__) == []
+    assert read_names(augment.verify_trace.__code__) == []
 
 
 def test_the_repair_scan_sees_the_solver():
-    solver = set(repair_names(augment.augment_one.__code__)) | set(repair_names(augment.augment_to.__code__))
+    solver = set(read_names(augment.augment_one.__code__)) | set(read_names(augment.augment_to.__code__))
     assert sorted(solver) == sorted(REPAIR_CODE)
     nested = compile("def f(xs):\n    return any(compute_families(x) for x in xs)\n", "<scan>", "exec")
-    assert repair_names(nested) == ["compute_families"]
+    assert read_names(nested) == ["compute_families"]
+
+
+def test_the_verifier_reads_no_degree_bound():
+    assert read_names(augment.verify_trace.__code__, ("_degree_bound",)) == []
+
+
+def test_the_degree_bound_scan_sees_the_solver():
+    assert read_names(separator.hyperarc_connectivity.__code__, ("_degree_bound",)) == ["_degree_bound"]
+    nested = compile("def f(h, os):\n    return min(separator._degree_bound(h, o) for o in os)\n", "<scan>", "exec")
+    assert read_names(nested, ("_degree_bound",)) == ["_degree_bound"]
 
 
 def level_loop_uses(tree, in_augment):

@@ -48,11 +48,11 @@ PINNED = {
     "augment": {
         "builds": 8,
         "compares": 87,
-        "flow_calls": 5340,
-        "flow_units": 9682,
-        "labelled": 48335,
+        "flow_calls": 4690,
+        "flow_units": 8179,
+        "labelled": 44643,
         "safe_probes": 175,
-        "searches": 5978,
+        "searches": 5395,
     },
     "query": {"builds": 2, "compares": 1, "flow_calls": 1133, "flow_units": 1824, "labelled": 16806, "searches": 949},
     "reorient": {
