@@ -22,6 +22,9 @@ non-decreasing.  :func:`verify_trace` shares none of the repair code: it
 decides each step's connectivity with one capped flow and the least
 out-degree of a one-vertex set or its complement, which it counts itself
 from the heads, and recomputes from scratch only when the two do not meet.
+It takes its initial value, and every value it recomputes, from
+:func:`~hyperorient.separator.connectivity` capped at a bound it holds, so
+it reads no bound of the solver's.
 Every flow of a run, in the step check, the families and the verifier,
 runs on the hypergraph's one incidence structure
 (:func:`~hyperorient.separator.network`) with a copy of an orientation's
@@ -37,10 +40,10 @@ no orientation reaches the target, and the two-class partition that cuts
 it off is the certificate.  Other violations surface as
 :class:`NotPartitionConnectedError` through fail-fast guards: a missing safe
 endpoint, a stuck search, a connectivity drop, whose certificate is a set of
-the lower out-degree from :func:`~hyperorient.separator.connectivity`, a
-non-decreasing potential, or a level that would take more than its ``n^3``
-steps.  Each guard inside a level's loop names the level, the iteration and
-the search region it fired in.
+the lower out-degree from :func:`~hyperorient.separator.connectivity` capped
+at the level, a non-decreasing potential, or a level that would take more
+than its ``n^3`` steps.  Each guard inside a level's loop names the level,
+the iteration and the search region it fired in.
 """
 
 from __future__ import annotations
@@ -144,6 +147,14 @@ def _held(h: Hypergraph) -> list[int]:
     return held
 
 
+def _least_one_vertex_degree(held: list[int], into: list[int]) -> int:
+    """The least out-degree of a set ``{v}`` or ``V - {v}``, an upper bound
+    on the connectivity, from :func:`_held` and ``into[v]``, the edges
+    headed at each ``v``: those enter ``{v}``, and the other
+    ``held[v] - into[v]`` edges at ``v`` leave it."""
+    return min(min(d, held[v] - d) for v, d in enumerate(into))
+
+
 def _reject_low_degree(h: Hypergraph, target: int) -> None:
     """Raise :class:`NotPartitionConnectedError` when some vertex lies in
     fewer than ``2 * target`` hyperedges, with the partition ``{v}, V - {v}``
@@ -179,11 +190,12 @@ def augment_one(
     ``k``.  A check whose value is not ``k`` raises
     :class:`InvariantViolation`.  A step that lowers the connectivity raises
     :class:`NotPartitionConnectedError` with the set that
-    :func:`~hyperorient.separator.connectivity` returns after it, and
-    :class:`InvariantViolation` when that routine's value is not the step
-    check's: the check answers values only.  :func:`verify_trace` reads no
-    set from that routine, so this certificate is the only one taken from
-    it.
+    :func:`~hyperorient.separator.connectivity` returns after it, capped at
+    ``k``: the step check reads a value below ``k``, so the capped value is
+    exact and a set attains it.  A value that is not the step check's
+    raises :class:`InvariantViolation`: the check answers values only.
+    :func:`verify_trace` reads no set from that routine, so this
+    certificate is the only one taken from it.
     """
     check.raise_cap(k + 1)
     if check.value != k:
@@ -246,7 +258,7 @@ def augment_one(
             cur = reorient(cur, arc.edge, arc.tail)
             lam_after = check.reorient(arc.edge, arc.tail)
             if lam_after < k:
-                lam, x = connectivity(h, cur)
+                lam, x = connectivity(h, cur, k)  # exact below the level, with a set
                 if lam != lam_after:
                     raise InvariantViolation(
                         f"{where}, step {len(steps) + 1}: the step check reads {lam_after}, connectivity is {lam}"
@@ -407,12 +419,16 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     moves by one at ``a`` and ``b`` on each step, so the verifier keeps no
     set and reads none from another routine.  The flow runs only when the
     least of those degrees is ``lam``.
-    When either bound fails, ``connectivity(h, cur, cap=lam + 1)`` computes
-    the value from scratch.  The cap is exact: one step moves the value by
-    at most one, and ``lam`` is the verifier's own exact value, from
-    ``hyperarc_connectivity`` at the start.  It runs on the same network,
-    so no step builds one.  Either way the value is exact, so the report
-    does not depend on which bound decided it.
+    Every other value comes from
+    :func:`~hyperorient.separator.connectivity`, capped at a bound the
+    verifier holds, so the capped value is exact.  The initial value is
+    capped at the least one-vertex degree of the initial orientation.
+    When either bound of a step fails, the cap is the lower of ``lam + 1``
+    and the step's least one-vertex degree: one step moves the value by at
+    most one, and ``lam`` is the verifier's own exact value.  These runs
+    use the same network, so no step builds one, and they read no bound of
+    the solver's.  Either way the value is exact, so the report does not
+    depend on which bound decided it.
     """
     bad = _malformed_entry(trace)
     if trace.initial.hypergraph != h:
@@ -423,15 +439,15 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     if len(trace.steps) > bound:
         return VerifyReport((VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"),))
     failures: list[VerifyFailure] = []
-    lam = hyperarc_connectivity(h, trace.initial)
+    held, into = _held(h), [0] * h.n
+    for v in trace.initial.heads:
+        into[v] += 1
+    lam = connectivity(h, trace.initial, _least_one_vertex_degree(held, into))[0]
     if lam != trace.lambda_initial:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")
         )
     g = separator.network(h)
-    held, into = _held(h), [0] * h.n
-    for v in trace.initial.heads:
-        into[v] += 1
     cur = trace.initial
     for i, step in enumerate(trace.steps, start=1):
         if not 0 <= step.edge < h.m:
@@ -451,13 +467,11 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
         cur = reorient(cur, step.edge, b)
         into[a] -= 1
         into[b] += 1
-        if (
-            min(min(d, held[v] - d) for v, d in enumerate(into)) == lam
-            and separator.max_flow_min_cut(g, [b], [a], limit=lam, residual=list(cur.heads))[0] == lam
-        ):
+        least = _least_one_vertex_degree(held, into)
+        if least == lam and separator.max_flow_min_cut(g, [b], [a], limit=lam, residual=list(cur.heads))[0] == lam:
             lam_after = lam
         else:
-            lam_after = connectivity(h, cur, cap=lam + 1)[0]
+            lam_after = connectivity(h, cur, min(lam + 1, least))[0]
         if lam_after != step.lambda_after:
             failures.append(
                 VerifyFailure(i, f"connectivity after step is {lam_after}, step claims {step.lambda_after}")

@@ -47,8 +47,10 @@ heads list, so that after the first few each flow is a short search from
 its new vertex.  The package has one such loop, :func:`_sink_sequences`:
 :func:`connectivity` runs it capped at the best value so far, and
 :func:`tight_reaches` capped one above, so that the same run also finds
-the tight vertices.  Every run starts from :func:`_degree_bound`, the
-least out-degree of a set ``{v}`` or ``V - {v}``, read from the heads in
+the tight vertices.  :func:`connectivity` starts from the cap its caller
+passes.  The two entries that take no cap, :func:`hyperarc_connectivity`
+and :func:`tight_reaches`, start from :func:`_degree_bound`, the least
+out-degree of a set ``{v}`` or ``V - {v}``, read from the heads in
 O(m + n).  The connectivity is never above it, so the start is exact.
 Where the two are equal, as on every orientation the benchmark passes to
 :func:`hyperarc_connectivity` on seeds 0 and 7, its queries each stop at
@@ -386,9 +388,7 @@ def _sink_sequences(
     return best, found, tight
 
 
-def connectivity(
-    h: Hypergraph, o: Orientation, cap: Optional[int] = None
-) -> tuple[int, Optional[VertexSet]]:
+def connectivity(h: Hypergraph, o: Orientation, cap: int) -> tuple[int, Optional[VertexSet]]:
     """Hyperarc-connectivity with a set attaining it, as ``(value, x)``.
 
     ``value`` is exact whenever it is below ``cap`` (a value equal to
@@ -412,26 +412,19 @@ def connectivity(
     run.  The loop is the package's one sink sequence, which
     :func:`tight_reaches` runs too, capped one higher.
 
-    The run starts at one above :func:`_degree_bound`, or at ``cap`` when
-    that is lower.  The connectivity is at most the bound, so the start
-    changes no value: a query's value is its maximum flow, or the best
-    value so far when that is lower, and the first query whose flow is the
-    connectivity lowers the value to it from any start above it.
-
     ``x`` comes from the query that last lowered the value: on the first
     pass, the complement of its minimal side, which is the maximal set of
     that out-degree holding ``[0 .. t - 1]`` and missing ``t``; on the
     second, its minimal side.  Either has out-degree ``value``, but another
-    sink order may find another such set.  The start does not move ``x``
-    either: it is the first query whose flow is the connectivity, and the
-    minimal side of a maximum flow is its unique minimal minimum cut,
-    whatever flow the kept heads held before the query.
+    sink order may find another such set.  Any ``cap`` above the
+    connectivity gives the same ``x``: it comes from the first query whose
+    flow is the connectivity, and the minimal side of a maximum flow is its
+    unique minimal minimum cut, whatever flow the kept heads held before
+    the query.  The cap is required, and each caller passes a bound it
+    holds; ``h.m + 1`` caps nothing, since no out-degree is above ``m``.
     """
     _same_instance(h, o)
-    start = _degree_bound(h, o) + 1
-    if cap is not None:
-        start = min(start, _as_count("cap", cap))
-    return _sink_sequences(h, o, start, False)[:2]
+    return _sink_sequences(h, o, _as_count("cap", cap), False)[:2]
 
 
 def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:

@@ -1,8 +1,10 @@
 """The from-scratch trace replay, kept as the reference for ``verify_trace``,
 and a seeded corpus of mutated traces to compare the two on.
 
-``reference_verify_trace`` recomputes the connectivity after every step
-with ``connectivity(h, cur, cap=lam + 2)``, on a fresh network each time.
+``reference_verify_trace`` takes the initial connectivity from
+``connectivity(h, trace.initial, h.m + 1)``, which caps nothing, and
+recomputes it after every step with ``connectivity(h, cur, cap=lam + 2)``,
+on a fresh network each time, so it reads no one-vertex degree bound.
 ``verify_trace`` must return an equal ``VerifyReport`` on every input.
 """
 
@@ -34,7 +36,7 @@ def reference_verify_trace(h, trace):
     if len(trace.steps) > bound:
         return VerifyReport((VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"),))
     failures = []
-    lam = hyperarc_connectivity(h, trace.initial)
+    lam = connectivity(h, trace.initial, h.m + 1)[0]
     if lam != trace.lambda_initial:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")

@@ -151,6 +151,19 @@ class TestAugmentTo:
         assert info.value.certificate == Partition(h.n, [[v], [x for x in range(h.n) if x != v]])
         assert crossing_edges(h, info.value.certificate) == degree[v] < 2 * target
 
+    def test_a_degree_certificate_that_does_not_hold_is_an_invariant_violation(self, monkeypatch):
+        """The partition that cuts off a low-degree vertex is counted again
+        with ``crossing_edges`` before it is raised.  A count of
+        ``2 * target`` or more means the one-pass edge count was wrong, not
+        the input."""
+        h = gen_instance(GenSpec(n=8, k=2, extra_edges=3, max_edge_size=3, seed=1))
+        degree = [sum(v in e for e in h.edges) for v in range(h.n)]
+        target = min(degree) // 2 + 1
+        v = min(v for v in range(h.n) if degree[v] < 2 * target)
+        monkeypatch.setattr(augment_module, "crossing_edges", lambda h, p: 2 * target)
+        with pytest.raises(InvariantViolation, match=f"^the degree certificate of vertex {v} does not hold$"):
+            augment_to(h, gen_orientation(h, mode="min-head"), target)
+
     def test_low_degree_matches_the_singleton_degrees(self):
         """The one-pass edge count rejects exactly when some singleton's
         ``degree`` is below ``2 * target``, and names the smallest such
@@ -222,7 +235,7 @@ class TestAugmentTo:
         assert str(info.value).endswith(": connectivity dropped to 0 during a path")
         x = info.value.certificate
         assert isinstance(x, VertexSet) and out_degree(h, reorient(cur, 2, 0), x) == 0
-        monkeypatch.setattr(augment_module, "connectivity", lambda h, o: (1, x))
+        monkeypatch.setattr(augment_module, "connectivity", lambda h, o, cap: (1, x))
         with pytest.raises(InvariantViolation, match=", step 1: the step check reads 0, connectivity is 1$") as info:
             augment_to(h, cur, 2)
         assert str(info.value).startswith("level 1, iteration 1, region ")

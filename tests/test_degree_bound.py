@@ -1,9 +1,11 @@
-"""Every sink sequence starts at ``separator._degree_bound``, the least
-out-degree of a set ``{v}`` or ``V - {v}``, which the connectivity never
-exceeds.  These tests hold the bound to ``core.out_degree`` and to the
-brute-force connectivity, hold every answer started from it to the one
-started from ``h.m + 1``, and count the work of a connectivity that
-equals the bound.
+"""The sink sequences of the two entries that take no cap,
+``hyperarc_connectivity`` and ``tight_reaches``, start at
+``separator._degree_bound``, the least out-degree of a set ``{v}`` or
+``V - {v}``, which the connectivity never exceeds; ``connectivity`` starts
+at the cap its caller passes.  These tests hold the bound to
+``core.out_degree`` and to the brute-force connectivity, hold every answer
+to the one started from ``h.m + 1``, and count the work of a connectivity
+that equals the bound.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ def test_the_bound_is_the_least_one_vertex_degree():
 
 
 def test_every_answer_equals_the_old_start():
-    """``connectivity`` with no cap and with random caps gives the old
-    start's value and set, ``hyperarc_connectivity`` its value, and
-    ``tight_reaches`` its level and tight flags.  The corpus holds a
-    connectivity of 0, one at the bound and one below it."""
+    """``connectivity`` capped at ``h.m + 1``, which caps nothing, and at
+    random caps gives the old start's value and set,
+    ``hyperarc_connectivity`` its value, and ``tight_reaches`` its level
+    and tight flags.  The corpus holds a connectivity of 0, one at the
+    bound and one below it."""
     rng = random.Random(26)
     seen = set()
     for h, states in walk_corpus():
@@ -84,7 +87,7 @@ def test_every_answer_equals_the_old_start():
             bound = separator._degree_bound(h, o)
             lam, x, _ = old_start(h, o, None, False)
             seen.add("zero" if lam == 0 else "at the bound" if lam == bound else "below the bound")
-            assert connectivity(h, o) == (lam, x)
+            assert connectivity(h, o, h.m + 1) == (lam, x)
             assert hyperarc_connectivity(h, o) == lam
             for cap in (rng.randint(0, bound + 2), rng.randint(0, h.m + 1)):
                 assert connectivity(h, o, cap) == old_start(h, o, cap, False)[:2]

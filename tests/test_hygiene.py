@@ -5,7 +5,8 @@ every flow under ``src/`` names the orientation it runs on, one function
 under ``src/`` runs a sink-sequence loop, every residual search under
 ``src/`` runs inside a flow (or is the one search of
 ``KeptReaches.reach``), the verifier names none of the solver's repair
-code nor its connectivity start ``_degree_bound``, no code under ``src/``
+code nor ``_degree_bound`` or ``hyperarc_connectivity``, only the two
+uncapped connectivity entries read ``_degree_bound``, no code under ``src/``
 or ``demos/`` but ``augment_to`` reaches the per-level loop
 ``augment_one``, and the package's ``__all__`` is sorted,
 free of duplicates, exactly what its ``__init__.py`` imports and free of
@@ -362,13 +363,18 @@ REPAIR_CODE = (
 )
 
 
+SOLVER_BOUND = ("_degree_bound", "hyperarc_connectivity")
+
+
 def read_names(code, names=REPAIR_CODE):
     """The ``names`` that a function's code object reads, as globals or
     attributes, with those of the code nested in it (its generator
     expressions).  The verifier must read none of ``REPAIR_CODE``, so a bug
     in the step check, the families or the path search cannot also fool
-    it, and no ``_degree_bound``, the solver's connectivity start: its
-    upper bound is a count of its own."""
+    it, and none of ``SOLVER_BOUND``: ``_degree_bound``, where the solver's
+    uncapped connectivity starts, and ``hyperarc_connectivity``, which
+    starts there.  Its upper bound is a count of its own, which it passes
+    to ``connectivity`` as the cap."""
     found = set(code.co_names) & set(names)
     for const in code.co_consts:
         if isinstance(const, type(code)):
@@ -388,13 +394,41 @@ def test_the_repair_scan_sees_the_solver():
 
 
 def test_the_verifier_reads_no_degree_bound():
-    assert read_names(augment.verify_trace.__code__, ("_degree_bound",)) == []
+    assert read_names(augment.verify_trace.__code__, SOLVER_BOUND) == []
 
 
 def test_the_degree_bound_scan_sees_the_solver():
-    assert read_names(separator.hyperarc_connectivity.__code__, ("_degree_bound",)) == ["_degree_bound"]
+    assert read_names(separator.hyperarc_connectivity.__code__, SOLVER_BOUND) == ["_degree_bound"]
+    assert read_names(augment.augment_to.__code__, SOLVER_BOUND) == ["hyperarc_connectivity"]
     nested = compile("def f(h, os):\n    return min(separator._degree_bound(h, o) for o in os)\n", "<scan>", "exec")
-    assert read_names(nested, ("_degree_bound",)) == ["_degree_bound"]
+    assert read_names(nested, SOLVER_BOUND) == ["_degree_bound"]
+
+
+def degree_bound_readers(tree):
+    """The functions of a module whose code names ``_degree_bound``, bare or
+    as an attribute, nested code included."""
+    return sorted(
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(getattr(node, "id", getattr(node, "attr", None)) == "_degree_bound" for node in ast.walk(f))
+    )
+
+
+def test_only_the_uncapped_entries_read_the_degree_bound():
+    """``connectivity`` runs from the cap its caller passes, so the bound
+    is the start of the two entries that take no cap."""
+    readers = {(path.name, f) for path in SOURCES for f in degree_bound_readers(ast.parse(path.read_text()))}
+    assert readers == {("separator.py", "hyperarc_connectivity"), ("separator.py", "tight_reaches")}
+
+
+def test_the_degree_bound_reader_scan_sees_each_form():
+    tree = ast.parse(
+        "def f(h, o):\n    return _degree_bound(h, o)\n"
+        "def g(h, os):\n    return [separator._degree_bound(h, o) for o in os]\n"
+        "def k(h, o):\n    return connectivity(h, o, h.m + 1)\n"
+    )
+    assert degree_bound_readers(tree) == ["f", "g"]
 
 
 def level_loop_uses(tree, in_augment):

@@ -431,11 +431,11 @@ class TestSinkSequence:
             else:
                 o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
             for step in range(10):
-                cap = rng.choice([None, rng.randint(0, k + 2)])
+                cap = rng.choice([h.m + 1, rng.randint(0, k + 2)])
                 value, x = connectivity(h, o, cap=cap)
                 assert value == root_pair_connectivity(h, o, cap=cap), (seed, step)
                 if x is None:
-                    assert value == (h.m + 1 if cap is None else cap)
+                    assert value == cap
                 else:
                     assert out_degree(h, o, x) == value
                 values.add(value)
@@ -453,7 +453,7 @@ class TestSinkSequence:
             }
             with_root = min(d for mask, d in degrees.items() if mask & 1)
             without_root = min(d for mask, d in degrees.items() if not mask & 1)
-            value, x = connectivity(h, o)
+            value, x = connectivity(h, o, h.m + 1)
             assert value == min(with_root, without_root) and out_degree(h, o, x) == value
             assert (0 in x) == (with_root <= without_root)
             sides.add(0 in x)
@@ -470,7 +470,7 @@ class TestSinkSequence:
             return original(g, sources, sinks, limit=limit, residual=residual, forward=forward)
 
         monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
-        connectivity(h, o)
+        connectivity(h, o, h.m + 1)
         assert len(calls) == 2 * (h.n - 1)
         for half, forward in ((calls[: h.n - 1], False), (calls[h.n - 1 :], True)):
             assert [(source, sinks) for source, sinks, _, _ in half] == [
@@ -478,6 +478,22 @@ class TestSinkSequence:
             ]
             assert len({res for _, _, res, _ in half}) == 1
             assert {direction for *_, direction in half} == {forward}
+
+    def test_a_side_that_holds_a_sink_is_an_invariant_violation(self, monkeypatch):
+        """A query that lowers the value hands its minimal side to
+        ``_separator``, which checks that it holds the new vertex ``t`` and
+        none of the sinks ``0 .. t - 1``.  A flow whose reach holds vertex
+        0, a sink of every query, must fail that check."""
+        h, o = three_cycle()
+        original = separator.max_flow_min_cut
+
+        def leaky(g, sources, sinks, limit=None, *, residual, forward=True):
+            value, reach = original(g, sources, sinks, limit, residual=residual, forward=forward)
+            return value, None if reach is None else reach | {0}
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", leaky)
+        with pytest.raises(InvariantViolation, match="^separator missed its constraints$"):
+            connectivity(h, o, h.m + 1)
 
 
 def walk_step(rng, h, o, cap):
@@ -500,7 +516,7 @@ class TestIncrementalConnectivity:
             spec = GenSpec(n=n, k=k, extra_edges=rng.randint(0, n), max_edge_size=min(4, n), seed=seed)
             h = gen_instance(spec)
             o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
-            cap = connectivity(h, o)[0] + rng.randint(1, 3)
+            cap = connectivity(h, o, h.m + 1)[0] + rng.randint(1, 3)
             check = IncrementalConnectivity(h, o, cap)
             assert check.value == root_pair_connectivity(h, o, cap)
             assert check.value == connectivity(h, o, cap=cap)[0]
@@ -523,7 +539,7 @@ class TestIncrementalConnectivity:
             spec = GenSpec(n=n, k=k, extra_edges=rng.randint(0, n), max_edge_size=min(4, n), seed=seed)
             h = gen_instance(spec)
             o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
-            cap = rng.randint(0, connectivity(h, o)[0] + 1)
+            cap = rng.randint(0, connectivity(h, o, h.m + 1)[0] + 1)
             check = IncrementalConnectivity(h, o, cap)
             for step in range(1, 25):
                 if rng.random() < 0.3:
@@ -579,7 +595,7 @@ class TestIncrementalConnectivity:
         query again rather than read its value from the cut."""
         h = hypergraph(4, [(0, 3), (0, 1, 2, 3), (0, 1, 2), (0, 3), (0, 2), (1, 2)])
         o = Orientation(h, (3, 2, 1, 3, 0, 2))
-        check = IncrementalConnectivity(h, o, connectivity(h, o)[0] + 1)
+        check = IncrementalConnectivity(h, o, connectivity(h, o, h.m + 1)[0] + 1)
         values = []
         for e, head in ((5, 1), (1, 3), (5, 2), (0, 0)):
             o = reorient(o, e, head)
@@ -610,7 +626,7 @@ class TestIncrementalConnectivity:
 
         h = gen_instance(GenSpec(n=10, k=1, extra_edges=4, max_edge_size=3, seed=9))
         o = gen_orientation(h, seed=9)
-        k = connectivity(h, o)[0]
+        k = connectivity(h, o, h.m + 1)[0]
         check = IncrementalConnectivity(h, o, k + 1)
         recomputes = []
 
@@ -628,7 +644,7 @@ class TestIncrementalConnectivity:
     def test_every_push_is_a_max_flow_call(self, monkeypatch):
         h = gen_instance(GenSpec(n=10, k=2, extra_edges=4, max_edge_size=3, seed=3))
         o = gen_orientation(h, seed=3)
-        cap = connectivity(h, o)[0] + 1
+        cap = connectivity(h, o, h.m + 1)[0] + 1
         calls = []
         original = separator.max_flow_min_cut
 

@@ -5,7 +5,8 @@ out-degree of a set ``{v}`` or ``V - {v}`` where those meet, and recomputed
 from scratch otherwise; the report must not depend on which route decided
 it.  The from-scratch route runs on every step that raises a level, and on
 glued instances also on steps where the connectivity stays below every
-one-vertex degree.
+one-vertex degree.  Every ``connectivity`` the verifier runs is capped at
+its own least one-vertex degree, so it reads no bound of the solver's.
 """
 
 import random
@@ -13,10 +14,15 @@ from collections import Counter
 
 from hyperorient import (
     GenSpec,
+    ReorientationTrace,
+    VerifyFailure,
     VertexSet,
+    apply_trace,
     augment_to,
+    bf_lambda,
     gen_instance,
     gen_orientation,
+    hyperarc_connectivity,
     hypergraph,
     out_degree,
     reorient,
@@ -39,6 +45,44 @@ def test_reports_equal_the_replay_on_the_mutation_corpus():
             seen[kind, report.ok] += 1
     assert {kind for kind, _ in seen} == set(MUTATIONS)
     assert seen["none", True] > 10 and sum(n for (_, ok), n in seen.items() if not ok) > 150
+
+
+def no_degree_bound(h, o):
+    raise AssertionError("the solver's one-vertex degree bound was read")
+
+
+def test_reports_equal_the_replay_with_no_degree_bound(monkeypatch):
+    """Neither ``verify_trace`` nor the replay reads
+    ``separator._degree_bound``, the start of the solver's uncapped
+    connectivity: each trace and each of its mutations gets the same
+    report with that routine made to raise."""
+    cases = []
+    for seed in range(40):
+        h, trace = instance_trace(seed)
+        rng = random.Random(seed)
+        cases += [(h, trace)] + [(h, mutate(rng, h, trace, kind)) for kind in MUTATIONS]
+    monkeypatch.setattr(separator, "_degree_bound", no_degree_bound)
+    failed = 0
+    for h, t in cases:
+        report = verify_trace(h, t)
+        assert report == reference_verify_trace(h, t)
+        failed += not report.ok
+    assert len(cases) == 400 and failed > 100
+
+
+def test_a_low_degree_bound_does_not_fool_the_verifier(monkeypatch):
+    """With a ``_degree_bound`` that reads one low, ``hyperarc_connectivity``
+    reads 1 on an orientation whose connectivity is 2.  The verifier
+    counts its own bound, so it still rejects a trace that claims 1."""
+    h = gen_instance(GenSpec(n=8, k=2, extra_edges=3, max_edge_size=3, seed=0))
+    o = apply_trace(augment_to(h, gen_orientation(h, mode="min-head"), 2))
+    real = separator._degree_bound
+    monkeypatch.setattr(separator, "_degree_bound", lambda h, o: real(h, o) - 1)
+    assert (hyperarc_connectivity(h, o), bf_lambda(h, o)) == (1, 2)
+    claim = ReorientationTrace(o, 1, 1, 1, ())
+    report = verify_trace(h, claim)
+    assert report == reference_verify_trace(h, claim)
+    assert report.failures[0] == VerifyFailure(None, "initial connectivity is 2, trace claims 1")
 
 
 def fixed_trace():
@@ -66,14 +110,15 @@ def test_one_connectivity_call_per_level_raised(monkeypatch):
     caps = []
     original = augment_module.connectivity
 
-    def counted(h, o, cap=None):
+    def counted(h, o, cap):
         caps.append(cap)
         return original(h, o, cap)
 
     monkeypatch.setattr(augment_module, "connectivity", counted)
     assert verify_trace(h, trace).ok and (trace.lambda_initial, trace.lambda_final) == (0, 3)
-    # every other step keeps its level, which the one-vertex degrees bound from above
-    assert caps == [1, 2, 3]
+    # the initial value, capped at the least one-vertex degree (0 from a min-head start), then
+    # one call per level raised: every other step keeps its level, which those degrees bound from above
+    assert caps == [0, 1, 2, 3]
 
 
 def glued_instance(seed):
