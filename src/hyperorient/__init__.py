@@ -90,7 +90,6 @@ from .pathsearch import (
     AdmissiblePath,
     admissible_path_in_tminus,
     admissible_path_in_tplus,
-    reachability_check,
 )
 from .separator import hyperarc_connectivity, min_separator
 from .toolkit import (
@@ -167,7 +166,6 @@ __all__ = [
     "parse_hypergraph",
     "parse_orientation",
     "parse_trace",
-    "reachability_check",
     "reorient",
     "trim",
     "verify_trace",

@@ -128,7 +128,7 @@ class QSets(Sequence):
             if resolved[start]:
                 continue
             resolved[start] = True
-            v, s = start, reaches.reach([start], resolved)
+            v, s = start, reaches.reach(start, resolved)
             while s is not None:  # s is q[v]
                 self._sets[v] = s
                 in_class[v] = True
@@ -136,7 +136,7 @@ class QSets(Sequence):
                 for w in s:
                     if w != v:
                         resolved[w] = True
-                        below = reaches.reach([w], in_class)
+                        below = reaches.reach(w, in_class)
                         if below is not None:  # q[w] misses v
                             break
                         self._sets[w] = s
@@ -162,7 +162,7 @@ class QSets(Sequence):
             n = len(self._sets)
             v = range(n)[v]
             if reaches.tight[v]:
-                q = reaches.reach([v])
+                q = reaches.reach(v)
             if q is None:
                 q = VertexSet.full(n)
             self._sets[v] = q

@@ -19,8 +19,7 @@ minimal in-tight set, shrinking onto ``q_plus``; the final window is a
 minimal out-tight set and a safe sink inside it ends the path.
 :func:`admissible_path_in_tplus` explores backward from a safe sink,
 shrinking onto ``q_minus``, and ends at a safe source of a minimal in-tight
-set.  :func:`reachability_check` is the same exploration with a fixed
-window.
+set.
 
 Shrinking is what makes the resulting trimmed path *admissible*: once the
 search enters a tight set of the opposite sign it never leaves it again, so
@@ -41,9 +40,6 @@ from .core import (
     PathArc,
     PreconditionError,
     VertexSet,
-    _as_vertex,
-    _as_vertex_set,
-    _is_out,
 )
 from .families import CutFamilies, find_safe_endpoint, is_in_tight, is_out_tight
 from .separator import network
@@ -61,13 +57,13 @@ class AdmissiblePath:
 
 
 def _explore(
-    o: Orientation, start: int, window: int, forward: bool, shrink: tuple[VertexSet, ...] = ()
+    o: Orientation, start: int, window: int, forward: bool, shrink: tuple[VertexSet, ...]
 ) -> tuple[int, int, dict[int, tuple[int, int]]]:
     """Explored mask, final window mask, and for each reached vertex its
     link ``(edge, via)``: ``via`` is the explored tail that reached the head
     (forward) or the explored head the tail leads to (backward).  The window
-    shrinks onto ``shrink[u]`` after each new ``u``; empty ``shrink`` keeps
-    it fixed.
+    shrinks onto ``shrink[u]`` after each new ``u`` when that set lies
+    strictly inside it.
 
     ``candidates`` is a mask of edge ids: those the explored vertices can
     fire, from each one's incidences as it is explored (forward, the edges
@@ -106,10 +102,9 @@ def _explore(
             explored |= bit
             links[u] = (e, via)
             candidates |= fires(u)
-            if shrink:
-                q = shrink[u].mask
-                if q != window and q & ~window == 0:
-                    window = q
+            q = shrink[u].mask
+            if q != window and q & ~window == 0:
+                window = q
             new &= window & ~explored
     return explored, window, links
 
@@ -195,27 +190,3 @@ def admissible_path_in_tplus(
     """
     return _search(h, o, fam, region, forward=False)
 
-
-def reachability_check(
-    h: Hypergraph,
-    o: Orientation,
-    fam: CutFamilies,
-    v: int,
-    target_region: VertexSet | None = None,
-    side: str = "out",
-) -> bool:
-    """Diagnostic: every vertex of the region is search-reachable.
-
-    For ``side='out'`` the region defaults to ``q_plus[v]`` and the check is
-    that a forward search from ``v`` staying inside the region reaches all
-    of it; ``side='in'`` mirrors this backward inside ``q_minus[v]``.
-    """
-    forward = _is_out(side)
-    v = _as_vertex(v, h.n)
-    region = _as_vertex_set("target_region", target_region, h.n) if target_region is not None else (
-        fam.q_plus[v] if forward else fam.q_minus[v]
-    )
-    if v not in region:
-        raise PreconditionError("vertex lies outside the region")
-    explored, _, _ = _explore(o, v, region.mask, forward)
-    return region <= VertexSet.from_mask(h.n, explored)

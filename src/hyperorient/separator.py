@@ -448,16 +448,12 @@ class KeptReaches:
     ``tight[v]`` tells whether some set of degree ``k`` on the side (out-
     or in-degree) that avoids vertex 0 holds ``v``: ``v`` is not 0 and the
     value of its kept query (``v -> 0`` on the out side, ``0 -> v`` on the
-    in side) is ``k``.  That flow is then maximum, and it is also a flow
-    of value ``k`` from any set ``X`` that holds ``v`` and avoids 0.  Every
-    set that holds ``X`` and avoids 0 has degree ``k`` or more, so
-    :meth:`reach` from ``X``, with ``v`` its smallest vertex, labels the
-    inclusion-minimal one of degree ``k``, and reaches vertex 0 when none
-    has.  The package reads it from single vertices only, through
-    :class:`~hyperorient.families.QSets`; a search from a whole set is an
-    independent reference for the ``r_family`` candidates.  Its residuals
-    are its own, so its answers do not change when a step check moves
-    on."""
+    in side) is ``k``.  That flow is then maximum, since every set that
+    holds ``v`` and avoids 0 has degree ``k`` or more, so :meth:`reach`
+    from ``v`` labels the inclusion-minimal one of degree ``k``, and
+    reaches vertex 0 when none has.  The package reads it through
+    :class:`~hyperorient.families.QSets`.  Its residuals are its own, so
+    its answers do not change when a step check moves on."""
 
     def __init__(self, g: IncidenceDigraph, residuals: list[Optional[list[int]]], forward: bool) -> None:
         self.n = g.n
@@ -468,13 +464,13 @@ class KeptReaches:
         self._root = [False] * g.n
         self._root[0] = True
 
-    def reach(self, roots: list[int], stop: Optional[list[bool]] = None) -> Optional[VertexSet]:
-        """What one :func:`_search` from ``roots`` labels in the kept
-        residual of ``roots[0]``, a vertex with ``tight[roots[0]]`` (run
-        backward on the in side), or ``None`` once it labels a vertex
-        marked in ``stop``, by default vertex 0."""
+    def reach(self, v: int, stop: Optional[list[bool]] = None) -> Optional[VertexSet]:
+        """What one :func:`_search` from ``v``, a vertex with ``tight[v]``,
+        labels in its kept residual (run backward on the in side), or
+        ``None`` once it labels a vertex marked in ``stop``, by default
+        vertex 0."""
         stop = self._root if stop is None else stop
-        _, labelled, hit = _search(self._g, self._res[roots[0]], roots, stop, self._forward)
+        _, labelled, hit = _search(self._g, self._res[v], [v], stop, self._forward)
         return None if hit >= 0 else VertexSet.from_mask(self.n, _mask(labelled))
 
 

@@ -19,6 +19,7 @@ from hyperorient import (
     hypergraph,
     reorient,
 )
+from hyperorient.pathsearch import _explore
 
 
 def vs(n, members):
@@ -154,3 +155,12 @@ def nx_min_side(nx, g, sources, sinks, n):
                 seen.add(v)
                 stack.append(v)
     return value, VertexSet(n, [v for v in seen if isinstance(v, int) and v < n])
+
+
+def explores_all_of(o, v, region, forward):
+    """Whether the path search's exploration from ``v``, with its window
+    fixed at ``region``, labels all of it.  A full-set shrink never fires,
+    so the window stays fixed."""
+    n = o.hypergraph.n
+    explored, _, _ = _explore(o, v, region.mask, forward, (VertexSet.full(n),) * n)
+    return region.mask & ~explored == 0

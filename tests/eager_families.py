@@ -5,16 +5,17 @@
 and side in a snapshot of the check's kept residuals, takes the minimal
 families with ``minimal_members`` over all of them, and returns plain
 tuples.  Every search passes its own stop list for vertex 0.  Each
-``r_family`` candidate is one search from the whole minimal member, so it
-does not rest on the crossing lemma that ``compute_families`` reads its
-candidates from the q sets by.  ``compute_families`` computes the q sets
-on read and finds the minimal families by an early-exit descent; it must
+``r_family`` candidate is one fresh ``min_separator`` query from the whole
+minimal member, capped at ``k + 1``, so it rests neither on the crossing
+lemma that ``compute_families`` reads its candidates from the q sets by,
+nor on the kept residuals.  ``compute_families`` computes the q sets on
+read and finds the minimal families by an early-exit descent; it must
 return equal families on every input.
 """
 
 from __future__ import annotations
 
-from hyperorient import CutFamilies, VertexSet, hyperarc_connectivity, minimal_members
+from hyperorient import CutFamilies, VertexSet, hyperarc_connectivity, min_separator, minimal_members
 from hyperorient.families import ROOT
 from hyperorient.separator import IncrementalConnectivity
 
@@ -30,12 +31,15 @@ def eager_families(h, o, check=None):
     root = [v == ROOT for v in range(n)]
     reaches = {side: check.kept_reaches(side) for side in ("in", "out")}
 
-    def minimal_tight(x, side):
-        roots = list(x)
-        return reaches[side].reach(roots, root) if reaches[side].tight[roots[0]] else None
+    def q_set(v, side):
+        return reaches[side].reach(v, root) if reaches[side].tight[v] else None
 
-    qm = [minimal_tight(VertexSet.singleton(n, v), "in") or full for v in range(n)]
-    qp = [minimal_tight(VertexSet.singleton(n, v), "out") or full for v in range(n)]
+    def minimal_tight(x, side):
+        value, sep = min_separator(h, o, x, VertexSet.singleton(n, ROOT), side, limit=k + 1)
+        return sep if value == k else None
+
+    qm = [q_set(v, "in") or full for v in range(n)]
+    qp = [q_set(v, "out") or full for v in range(n)]
     proper_m_minus = minimal_members(s for s in qm if not s.is_full)
     proper_m_plus = minimal_members(s for s in qp if not s.is_full)
     m_minus = proper_m_minus or (full,)

@@ -19,7 +19,7 @@ reads its candidates by.  Nothing here runs the package's flows.
 
 from __future__ import annotations
 
-from hyperorient import VertexSet
+from hyperorient import VertexSet, in_degree, out_degree
 from corpus import nx_incidence
 
 
@@ -94,3 +94,43 @@ def nx_family_mismatches(nx, h, o, fam):
         if tuple(x for x in got if not x.is_full) != ref:
             problems.append(f"{name} {got}, networkx {ref}")
     return problems
+
+
+def nx_safe_endpoint(nx, h, o, k, q, member_set, u, side):
+    """Whether ``u`` is a safe source (``side='out'``, ``member_set`` a
+    minimal in-tight set) or a safe sink (``side='in'``, a minimal
+    out-tight set) at level ``k``, the connectivity, with ``q`` the q sets
+    of ``side`` from :func:`nx_q_sets`.
+
+    A set is tight or dangerous when its ``side``-degree is ``k`` or
+    ``k + 1`` and it avoids 0.  ``u`` is safe when every tight set that
+    holds it holds the member set strictly, and every dangerous one that
+    holds it but not the whole member set holds a tight set without
+    ``u``.  One flow per other ``v`` of the member set, from ``u`` into a
+    super-sink behind ``v`` and 0, decides both for the sets that miss
+    ``v``: a value of ``k`` is a tight one; at ``k + 1`` every such
+    dangerous set holds what ``u`` reaches in the residual, so it is enough
+    that that reach without ``u`` holds some ``q[w]``.  The member set
+    itself is the one tight set left that holds the whole member set but
+    not strictly.  The flows share one residual network, which gets the
+    super-sink and its arcs from ``v`` and 0 anew for each flow."""
+    from networkx.algorithms.flow import build_residual_network, edmonds_karp
+
+    if member_set.is_full:
+        return u == 0
+    r = build_residual_network(nx_incidence(nx, h, o, side == "in"), "capacity")
+    for v in member_set:
+        if v == u:
+            continue
+        for x in (v, 0):
+            r.add_edge(x, "t", capacity=r.graph["inf"])
+            r.add_edge("t", x, capacity=0)
+        value, reach = residual_reach(edmonds_karp(r, u, "t", residual=r), u, h.n)
+        r.remove_node("t")
+        if value == k:
+            return False
+        inner = reach.remove(u)
+        if value == k + 1 and not any(q[w] <= inner for w in inner):
+            return False
+    degree = out_degree if side == "out" else in_degree
+    return degree(h, o, member_set) != k

@@ -44,6 +44,7 @@ from hyperorient.families import QSets
 from hyperorient.separator import IncrementalConnectivity
 from corpus import random_instances, vs
 from eager_families import eager_families
+from nx_families import nx_q_sets, nx_safe_endpoint
 
 
 def three_cycle():
@@ -212,13 +213,6 @@ class TestKeptFlows:
                 qm, qp, r_family = single_query_families(h, o, fam.k)
                 assert (fam.q_minus, fam.q_plus, fam.r_family) == (qm, qp, r_family), (seed, step)
                 assert families_tuple(fam) == families_tuple(compute_families(h, o))
-                for side, members in (("in", fam.m_plus), ("out", fam.m_minus)):
-                    reaches = check.kept_reaches(side)
-                    for x in members:
-                        if not x.is_full:
-                            roots = list(x)
-                            found = reaches.reach(roots) if reaches.tight[roots[0]] else None
-                            assert found == minimal_tight(h, o, fam.k, side, x), (seed, step, side, x)
                 levels.add((fam.k, check.cap - fam.k))
                 e, head = climbing_step(rng, h, o)
                 o = reorient(o, e, head)
@@ -415,6 +409,33 @@ class TestSafeEndpoints:
                     assert is_safe_sink(h, o, fam, t_set, u) == bf_safe_sink(
                         h, o, fam, t_set, u
                     )
+
+    def test_matches_networkx_above_the_oracle_bound(self):
+        """The safe tests on every vertex of the endpoint sets of two paths
+        of the n=64 scale recipe: the first whose source set holds more
+        than one vertex but not all, and the last.  Between them they run
+        the dangerous half on both sides, reach safe and unsafe vertices,
+        and test a singleton and the full set."""
+        nx = pytest.importorskip("networkx")
+        h = gen_instance(GenSpec(n=64, k=3, extra_edges=32, max_edge_size=4, seed=1))
+        events = []
+        augment_to(h, gen_orientation(h, mode="min-head"), 3, observer=events.append)
+        first = next(e for e in events if 1 < len(e.result.s_set) < h.n)
+        answers = set()
+        for event in (first, events[-1]):
+            o, fam, res = event.orientation, event.families, event.result
+            k, qm, qp = nx_q_sets(nx, h, o)
+            assert k == fam.k
+            sides = (("out", res.s_set, qp, is_safe_source), ("in", res.t_set, qm, is_safe_sink))
+            for side, member, q, is_safe in sides:
+                for u in member:
+                    got = is_safe(h, o, fam, member, u)
+                    assert got == nx_safe_endpoint(nx, h, o, k, q, member, u, side), (event.level, side, u)
+                    answers.add((side, len(member), got))
+        sizes = {size for _, size, _ in answers}
+        assert {1, h.n} <= sizes and {("out", True), ("out", False), ("in", True), ("in", False)} <= {
+            (side, got) for side, size, got in answers if 1 < size < h.n
+        }
 
     def test_singleton_member_not_tight_other_way_is_safe(self):
         # doubled path arcs 1->0,1->0,2->1,2->1: m_minus = {{2}} and {2} has

@@ -141,12 +141,12 @@ class TestEqualityAndHash:
         assert repr(q) == f"QSets({ref!r})"
 
     def test_each_entry_is_one_search_at_most(self, monkeypatch):
-        """The descent finds the minimal families with at most one
-        single-root search per vertex and side and leaves some q sets
-        unread; each of those is one search on its first read and none
-        after.  Each ``r_family`` candidate is a read of one q entry, at
-        the member's smallest vertex: one single-root search when the
-        entry is unset, and none when the descent has set it already."""
+        """The descent finds the minimal families with at most one search
+        per vertex and side and leaves some q sets unread; each of those
+        is one search on its first read and none after.  Each
+        ``r_family`` candidate is a read of one q entry, at the member's
+        smallest vertex: one search when the entry is unset, and none when
+        the descent has set it already."""
         from hyperorient import separator
 
         h = gen_instance(GenSpec(n=40, k=3, extra_edges=20, max_edge_size=4, seed=1))
@@ -155,9 +155,9 @@ class TestEqualityAndHash:
         searches, reads = [], []
         reach, getitem = separator.KeptReaches.reach, QSets.__getitem__
 
-        def counted(self, roots, stop=None):
-            searches.append(list(roots))
-            return reach(self, roots, stop)
+        def counted(self, v, stop=None):
+            searches.append(v)
+            return reach(self, v, stop)
 
         def read(self, v):
             was_set, before = self._sets[v] is not None, len(searches)
@@ -169,7 +169,6 @@ class TestEqualityAndHash:
         monkeypatch.setattr(QSets, "__getitem__", read)
         fam = compute_families(h, o)
         during = len(searches)
-        assert all(len(roots) == 1 for roots in searches)
         members = [x for x in fam.m_minus + fam.m_plus if not x.is_full]
         assert sorted(v for v, _, _ in reads) == sorted(min(x) for x in members)
         assert all(ran == 0 for _, was_set, ran in reads if was_set)
@@ -179,7 +178,6 @@ class TestEqualityAndHash:
         assert fam == ref
         after = len(searches)
         assert during < after <= during + 2 * (h.n - 1)
-        assert all(len(roots) == 1 for roots in searches)
         assert fam == ref and len(searches) == after
         assert (fam.q_minus._reaches, fam.q_plus._reaches) == (None, None)  # every entry set: snapshot let go
 
@@ -283,12 +281,12 @@ class TestKeptReaches:
         for side, q in (("out", ref.q_plus), ("in", ref.q_minus)):
             reaches = check.kept_reaches(side)
             tight = [v for v in range(h.n) if reaches.tight[v]]
-            assert tight and all(reaches.reach([v]) == q[v] for v in tight)
+            assert tight and all(reaches.reach(v) == q[v] for v in tight)
             for v in tight:
                 beyond = [w not in q[v] for w in range(h.n)]  # stop only outside q[v]: the same search
                 inside = [w in q[v] and w != v for w in range(h.n)]
-                assert reaches.reach([v], beyond) == q[v]
-                assert (reaches.reach([v], inside) is None) == (len(q[v]) > 1)
+                assert reaches.reach(v, beyond) == q[v]
+                assert (reaches.reach(v, inside) is None) == (len(q[v]) > 1)
             assert any(len(q[v]) > 1 for v in tight)
 
     def test_a_copy_outlives_a_reorientation(self):

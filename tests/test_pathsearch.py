@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from hyperorient import (
+    GenSpec,
     InvariantViolation,
     Orientation,
-    PreconditionError,
     VertexSet,
     admissible_path_in_tminus,
     admissible_path_in_tplus,
@@ -11,13 +13,25 @@ from hyperorient import (
     bf_partition_connected,
     bf_tight_families,
     compute_families,
+    gen_instance,
+    gen_orientation,
     hypergraph,
     is_in_tight,
-    reachability_check,
     trim,
 )
+from hyperorient import pathsearch
 from hyperorient.pathsearch import _explore
-from corpus import random_instances, vs
+from corpus import explores_all_of, random_instances, vs
+
+
+def reachable(h, o, fam, v, region=None, side="out"):
+    """Whether an exploration from ``v`` with the window fixed at
+    ``region``, by default ``q_plus[v]`` (out) or ``q_minus[v]`` (in),
+    labels all of it."""
+    forward = side == "out"
+    if region is None:
+        region = fam.q_plus[v] if forward else fam.q_minus[v]
+    return explores_all_of(o, v, region, forward)
 
 
 def doubled_path():
@@ -65,7 +79,7 @@ def feasible_instances(seed, count):
     # richer region structure (the random corpus rarely has out-tight ones)
     import random
 
-    from hyperorient import GenSpec, gen_instance, gen_orientation, hyperarc_connectivity
+    from hyperorient import hyperarc_connectivity
 
     rng = random.Random(seed + 1)
     for i in range(count):
@@ -147,15 +161,16 @@ class TestExplore:
     # edge 0 is the hyperarc {2} -> 1, edge 1 the hyperarc {1, 2} -> 0
     h = hypergraph(3, [(1, 2), (0, 1, 2)])
     o = Orientation(h, (1, 0))
+    fixed = (VertexSet.full(3),) * 3  # a full-set shrink never fires
 
     def test_forward_links_each_head_to_its_smallest_explored_tail(self):
-        explored, window, links = _explore(self.o, 2, 0b111, True)
+        explored, window, links = _explore(self.o, 2, 0b111, True, self.fixed)
         assert (explored, window) == (0b111, 0b111)
         assert links == {1: (0, 2), 0: (1, 1)}
 
     def test_backward_takes_every_tail_of_a_hyperarc_before_rescanning(self):
         # rescanning after vertex 1 would reach 2 through edge 0 instead
-        explored, window, links = _explore(self.o, 0, 0b111, False)
+        explored, window, links = _explore(self.o, 0, 0b111, False, self.fixed)
         assert (explored, window) == (0b111, 0b111)
         assert links == {1: (1, 0), 2: (1, 0)}
 
@@ -172,35 +187,15 @@ class TestReachability:
         h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
         o = Orientation(h, (1, 2, 0))
         fam = compute_families(h, o)
-        assert reachability_check(h, o, fam, 1)
-        assert reachability_check(h, o, fam, 1, side="in")
-        assert reachability_check(h, o, fam, 1, target_region=VertexSet.full(3))
-
-    def test_region_over_another_ground_set_is_rejected(self):
-        h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
-        o = Orientation(h, (1, 2, 0))
-        fam = compute_families(h, o)
-        for side in ("out", "in"):
-            with pytest.raises(PreconditionError, match="^target_region must be a VertexSet over 0..2, not "):
-                reachability_check(h, o, fam, 1, target_region=VertexSet(5, [1, 3]), side=side)
-
-    def test_a_vertex_and_a_side_are_checked(self):
-        """A float vertex used to fail with a raw ``TypeError``, and
-        ``True`` to be read as vertex 1."""
-        h = hypergraph(3, [(0, 1), (1, 2), (0, 2)])
-        o = Orientation(h, (1, 2, 0))
-        fam = compute_families(h, o)
-        for v in (1.0, True, "1", None, 3, -1):
-            with pytest.raises(PreconditionError, match="^vertex"):
-                reachability_check(h, o, fam, v)
-        with pytest.raises(PreconditionError, match="side must be 'out' or 'in', not 'up'"):
-            reachability_check(h, o, fam, 1, side="up")
+        assert reachable(h, o, fam, 1)
+        assert reachable(h, o, fam, 1, side="in")
+        assert reachable(h, o, fam, 1, VertexSet.full(3))
 
     def test_unreachable_region_fails(self):
         h = hypergraph(3, [(0, 1), (1, 2)])
         o = Orientation(h, (0, 1))  # arcs 1->0, 2->1
         fam = compute_families(h, o)
-        assert not reachability_check(h, o, fam, 1, target_region=VertexSet.full(3))
+        assert not reachable(h, o, fam, 1, VertexSet.full(3))
 
     def test_proper_q_regions_always_reachable(self):
         # the guarantee is for genuine tight regions; the full-set fallback
@@ -210,10 +205,10 @@ class TestReachability:
             fam = compute_families(h, o)
             for v in range(h.n):
                 if not fam.q_plus[v].is_full:
-                    assert reachability_check(h, o, fam, v, side="out")
+                    assert reachable(h, o, fam, v, side="out")
                     hits += 1
                 if not fam.q_minus[v].is_full:
-                    assert reachability_check(h, o, fam, v, side="in")
+                    assert reachable(h, o, fam, v, side="in")
                     hits += 1
         assert hits >= 20
 
@@ -225,5 +220,59 @@ class TestReachability:
                 fam = compute_families(h, o)
                 full = VertexSet.full(h.n)
                 for v in range(h.n):
-                    assert reachability_check(h, o, fam, v, target_region=full)
-                    assert reachability_check(h, o, fam, v, target_region=full, side="in")
+                    assert reachable(h, o, fam, v, full)
+                    assert reachable(h, o, fam, v, full, side="in")
+
+
+class TestGuards:
+    """Each guard of the search fires on families or an exploration
+    corrupted so that it alone is violated.  The region is in-tight, so
+    the forward search runs."""
+
+    h = gen_instance(GenSpec(n=8, k=2, extra_edges=3, max_edge_size=3, seed=1))
+    o = gen_orientation(h, mode="min-head")
+    fam = compute_families(h, o)
+    region = fam.r_family[0]
+
+    def search(self, fam):
+        assert not self.region.is_full and is_in_tight(self.h, self.o, fam.k, self.region)
+        return admissible_path_in_tminus(self.h, self.o, fam, self.region)
+
+    def test_the_uncorrupted_search_passes(self):
+        res = self.search(self.fam)
+        assert res.s_set in self.fam.m_minus and res.t_set in self.fam.m_plus
+
+    def test_no_minimal_member_inside_the_region(self):
+        outside = min(v for v in range(self.h.n) if v not in self.region)
+        fam = replace(self.fam, m_minus=(VertexSet.singleton(self.h.n, outside),))
+        with pytest.raises(InvariantViolation, match="^no minimal member inside region"):
+            self.search(fam)
+
+    def test_the_window_must_settle_on_a_minimal_out_tight_set(self):
+        fam = replace(self.fam, m_plus=(VertexSet.full(self.h.n),))
+        with pytest.raises(InvariantViolation, match="^search window did not settle on a minimal out-tight set"):
+            self.search(fam)
+
+    def test_the_final_window_must_lie_strictly_inside_the_region(self):
+        region = self.region
+        q_plus = tuple(region if v in region else q for v, q in enumerate(self.fam.q_plus))
+        fam = replace(self.fam, q_plus=q_plus, m_plus=self.fam.m_plus + (region,))
+        with pytest.raises(InvariantViolation, match="^final window equals the region$"):
+            self.search(fam)
+
+    def test_the_path_must_stay_in_the_region(self, monkeypatch):
+        """An exploration whose links detour through a vertex ``x`` outside
+        the region: each link from the start now comes from ``x``, which
+        the start links to.  Each arc of the detour has one end outside."""
+        explore = pathsearch._explore
+
+        def leaking(o, start, window, forward, shrink):
+            explored, final, links = explore(o, start, window, forward, shrink)
+            x = min(v for v in range(o.hypergraph.n) if not window >> v & 1)
+            links = {u: (e, x if via == start else via) for u, (e, via) in links.items()}
+            links[x] = (next(e for e, via in links.values() if via == x), start)
+            return explored, final, links
+
+        monkeypatch.setattr(pathsearch, "_explore", leaking)
+        with pytest.raises(InvariantViolation, match="^trimming leaves the region$"):
+            self.search(self.fam)

@@ -6,8 +6,11 @@ was recorded before the in-side queries moved onto the out network, so any
 change in search order, trace or answer shows here without running the
 full benchmark.  ``PATHS_PINNED`` covers both admissible-path searches on
 every ``r_family`` region of the same orientations and of the one halfway
-through each trace (the path, or the error it raised) and ``reachability_check`` for every vertex on both sides; it
-was recorded before the three searches became one exploration.
+through each trace (the path, or the error it raised), and whether a
+fixed-window exploration from each vertex, on both sides, covers that
+vertex's minimal tight set; it was recorded before the three searches
+became one exploration, when the package still had a public reachability
+check.
 ``FLOWS_PINNED`` covers single flows: the value, the minimal side and the
 heads after each call, over random hypergraphs and heads, both directions,
 limits, multi-terminal sets and a heads list resumed across calls.  It was
@@ -38,9 +41,9 @@ from hyperorient import (
     gen_orientation,
     hypergraph,
     min_separator,
-    reachability_check,
 )
 from hyperorient.separator import incidence_digraph, max_flow_min_cut
+from corpus import explores_all_of
 
 PINNED = "5dbb3ebdf3deddf7028e9c2154e6dc6fee508a6c1ccc8ed9c555abd9288a8029"
 PATHS_PINNED = "cf700bfe0cfaf7f033dc4557919f2ea92de7415e7bb090495e37845afb486154"
@@ -110,8 +113,8 @@ def paths_text(h, o) -> str:
     ]
     lines.append(
         " ".join(
-            str(int(reachability_check(h, o, fam, v, side=side)))
-            for side in ("out", "in")
+            str(int(explores_all_of(o, v, (fam.q_plus if forward else fam.q_minus)[v], forward)))
+            for forward in (True, False)
             for v in range(h.n)
         )
     )
