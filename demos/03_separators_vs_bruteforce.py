@@ -22,11 +22,13 @@ for e in range(h.m):
 print()
 
 # The max-flow kernel is internal: it trusts its callers to pass valid
-# heads and terminals, so it is reached here through its module.  The
-# public, checked entry is ho.min_separator, used below.
+# heads and terminals, so it is reached here through its module.  It takes
+# its sinks as a mask, one flag per vertex, and updates the heads list in
+# place.  The public, checked entry is ho.min_separator, used below.
 g = ho.separator.network(h)
 heads = list(o.heads)
-value, reach = ho.separator.max_flow_min_cut(g, [0], [3], residual=heads)
+into_3 = [v == 3 for v in range(h.n)]
+value, reach = ho.separator.max_flow_min_cut(g, [0], into_3, residual=heads)
 after = ho.Orientation(h, heads)
 print(f"max flow 0 -> 3: {value}; the orientation it leaves:")
 for e in range(h.m):

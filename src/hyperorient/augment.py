@@ -468,7 +468,9 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
         into[a] -= 1
         into[b] += 1
         least = _least_one_vertex_degree(held, into)
-        if least == lam and separator.max_flow_min_cut(g, [b], [a], limit=lam, residual=list(cur.heads))[0] == lam:
+        if least == lam and separator.max_flow_min_cut(
+            g, [b], separator._sink_mask(h.n, [a]), limit=lam, residual=list(cur.heads)
+        )[0] == lam:
             lam_after = lam
         else:
             lam_after = connectivity(h, cur, min(lam + 1, least))[0]

@@ -258,8 +258,12 @@ class VertexSet:
     def members(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self), self.members())
+    def sort_key(self) -> tuple[int, int]:
+        """Size, then the member tuple lexicographically: among sets of one
+        size the one holding the lowest differing vertex comes first, so
+        the mask's bits read from vertex 0 down, as one number, order
+        them in reverse."""
+        return (self.mask.bit_count(), -int(f"{self.mask:0{self.n}b}"[::-1], 2))
 
     def __repr__(self) -> str:
         return f"VertexSet(n={self.n}, {{{', '.join(map(str, self))}}})"

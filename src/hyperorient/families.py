@@ -30,8 +30,11 @@ With the step check of an augmentation, it copies the flows that the
 :class:`~hyperorient.separator.IncrementalConnectivity` keeps for every
 root pair.  Without one, :func:`~hyperorient.separator.tight_reaches` finds
 the connectivity and the tight vertices in one run of the sink sequences,
-one per side, and runs a root-pair flow for those vertices alone, since
-no other vertex's flow is ever read.  The q sets are computed on read:
+one per side.  A tight vertex whose own query there ended at the
+connectivity reads its q set from a copy of the heads list that query
+left, which labels the same set (the lemma is in ``tight_reaches``).
+Only the other tight vertices get a root-pair flow, since no other
+vertex's flow is ever read.  The q sets are computed on read:
 :class:`QSets` holds a side's snapshot and runs an entry's search the
 first time it is read.  The minimal families come from an early-exit
 descent over those searches (:attr:`QSets.minimal`), which needs only a
@@ -253,8 +256,9 @@ def compute_families(
 ) -> CutFamilies:
     """All cut families at level ``k``, the exact connectivity.
 
-    The per-vertex minimal tight sets are residual reaches of root-pair
-    flows, read through one snapshot per side (a
+    The per-vertex minimal tight sets are residual reaches of maximum
+    flows that separate each vertex from vertex 0, read through one
+    snapshot per side (a
     :class:`~hyperorient.separator.KeptReaches`).
     :func:`~hyperorient.augment.augment_to` passes the step check of its
     run, and the snapshots copy the flows it keeps (see
@@ -264,9 +268,11 @@ def compute_families(
     then recomputed from scratch, and a ``check`` whose value is not that
     value raises :class:`InvariantViolation` naming the level.  Without a
     ``check``, :func:`~hyperorient.separator.tight_reaches` gives ``k``
-    and the snapshots from one run of the sink sequences, with a flow for
-    each tight vertex and none for the others; a flow that disagrees with
-    ``k`` raises :class:`InvariantViolation` naming the level.
+    and the snapshots from one run of the sink sequences: a tight vertex
+    whose own query there ended at ``k`` reads that query's heads list,
+    which gives the same reach, and only the other tight vertices get a
+    flow; a flow that disagrees with ``k`` raises
+    :class:`InvariantViolation` naming the level.
 
     The q sets are :class:`QSets` over the snapshots, and ``m_minus`` and
     ``m_plus`` come from the descent of :attr:`QSets.minimal`, which reads

@@ -152,12 +152,12 @@ def _search(
             )
         e, via = links[cur]
         arcs.append(PathArc(e, via, cur) if forward else PathArc(e, cur, via))
+        if len(arcs) == h.n:  # a cycle of links would walk forever
+            raise InvariantViolation("path has as many arcs as vertices")
         cur = via
     if forward:
         arcs.reverse()
     path = Hyperpath(tuple(arcs))
-    if len(arcs) >= h.n:
-        raise InvariantViolation("path has as many arcs as vertices")
     if any(arc.tail not in region or arc.head not in region for arc in arcs):
         raise InvariantViolation("trimming leaves the region")
     if forward:

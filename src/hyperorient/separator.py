@@ -29,8 +29,11 @@ sources' incidences: they are the paths its searches would find first, in
 the same order, so only those searches go (see :func:`max_flow_min_cut`).
 Every flow still goes through the module global
 :func:`max_flow_min_cut`, so a patch of it (a tracer, a counting test) sees
-them all.  That kernel is internal and checks nothing: its callers are
-in-package and pass valid heads.  :func:`min_separator`,
+them all.  It takes its sinks as a mask, one flag per vertex, which is the
+form the searches read: a sink sequence keeps one mask per pass and sets
+one flag per query, and every other caller builds its mask with
+:func:`_sink_mask`.  That kernel is internal and checks nothing: its
+callers are in-package and pass valid heads.  :func:`min_separator`,
 :func:`connectivity`, :func:`tight_reaches` and
 :class:`IncrementalConnectivity` are the entries that check what they are
 given.
@@ -58,20 +61,23 @@ the bound, and none ends in a search that finds no path.
 
 :class:`IncrementalConnectivity` keeps one flow per root pair, vertex 0 to
 each other vertex and back, across single-hyperarc reorientations.  A
-:class:`KeptReaches` is a snapshot of one side's root-pair residuals at
-the connectivity; every minimal tight set the families need is one
+:class:`KeptReaches` is a snapshot of one residual per tight vertex of one
+side at the connectivity; every minimal tight set the families need is one
 :meth:`KeptReaches.reach` search in it, with no flow.  Two places make
 one: :meth:`IncrementalConnectivity.kept_reaches` copies a step check's
-flows, and :func:`tight_reaches`, for an orientation with no step check,
-finds the connectivity and the tight vertices in one run of the sink
-sequences, then runs a root-pair flow for each tight vertex alone.
+root-pair flows, and :func:`tight_reaches`, for an orientation with no
+step check, finds the connectivity and the tight vertices in one run of
+the sink sequences.  That run also copies the heads list after each query
+that ends at the connectivity, and the copy serves the query's own vertex
+as well as its root-pair flow would.  So only a tight vertex whose own
+query ended above the connectivity gets a root-pair flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     Hypergraph,
@@ -138,7 +144,7 @@ def network(h: Hypergraph) -> IncidenceDigraph:
 
 
 def _search(
-    g: IncidenceDigraph, heads: list[int], roots: list[int], is_sink: list[bool], forward: bool
+    g: IncidenceDigraph, heads: list[int], roots: Sequence[int], is_sink: list[bool], forward: bool
 ) -> tuple[list, list[int], int]:
     """One breadth-first search from every root over the orientation
     ``heads``, stopping at the first sink.  Forward, a labelled vertex ``u``
@@ -187,17 +193,29 @@ def _search(
     return parent, labelled, -1
 
 
+def _sink_mask(n: int, sinks: Iterable[int]) -> list[bool]:
+    """The sink mask of a flow into ``sinks``: ``n`` flags, ``True`` at
+    each sink."""
+    mask = [False] * n
+    for t in sinks:
+        mask[t] = True
+    return mask
+
+
 def max_flow_min_cut(
     g: IncidenceDigraph,
-    sources: list[int],
-    sinks: Iterable[int],
+    sources: Sequence[int],
+    sinks: list[bool],
     limit: Optional[int] = None,
     *,
     residual: list[int],
     forward: bool = True,
 ) -> tuple[int, Optional[frozenset[int]]]:
-    """Shortest-augmenting-path max flow from a list of vertices to a
-    disjoint collection of vertices, with the minimal min-cut side.
+    """Shortest-augmenting-path max flow from a sequence of vertices to a
+    disjoint set of vertices, with the minimal min-cut side.  ``sinks`` is
+    a mask, one flag per vertex (:func:`_sink_mask`), the form every search
+    reads; the kernel only reads it, so a caller whose sink set grows, as
+    a sink sequence's does, keeps one mask and sets a flag per query.
 
     ``residual`` is the orientation the flow starts from, one head per edge,
     and is updated in place: each augmenting hyperpath is reversed in it, so
@@ -239,15 +257,12 @@ def max_flow_min_cut(
     """
     if limit == 0:
         return 0, None
-    is_sink = [False] * g.n
-    for t in sinks:
-        is_sink[t] = True
     flow = 0
     inc = g.inc
     if forward:
         for s in sources:
             for e in inc[s]:
-                if is_sink[residual[e]]:
+                if sinks[residual[e]]:
                     residual[e] = s
                     flow += 1
                     if flow == limit:
@@ -258,14 +273,14 @@ def max_flow_min_cut(
             for e in inc[s]:
                 if residual[e] == s:
                     for t in members[e]:
-                        if is_sink[t]:
+                        if sinks[t]:
                             residual[e] = t
                             flow += 1
                             break
                     if flow == limit:
                         return flow, None
     while limit is None or flow < limit:
-        parent, labelled, hit = _search(g, residual, sources, is_sink, forward)
+        parent, labelled, hit = _search(g, residual, sources, sinks, forward)
         if hit < 0:
             return flow, frozenset(labelled)
         v = hit
@@ -309,7 +324,7 @@ def min_separator(
     if limit is not None:
         limit = _as_count("limit", limit)
     value, reach = max_flow_min_cut(
-        network(h), list(x), avoid, limit=limit, residual=list(o.heads), forward=forward
+        network(h), list(x), _sink_mask(h.n, avoid), limit=limit, residual=list(o.heads), forward=forward
     )
     if reach is None:
         return value, None
@@ -348,44 +363,53 @@ def _degree_bound(h: Hypergraph, o: Orientation) -> int:
 
 def _sink_sequences(
     h: Hypergraph, o: Orientation, cap: int, mark: bool
-) -> tuple[int, Optional[VertexSet], list[list[bool]]]:
+) -> tuple[int, Optional[VertexSet], list[list[bool]], list[list[Optional[list[int]]]]]:
     """The package's one sink sequence (see :func:`connectivity`), run on
-    each side: ``(value, x, tight)``.  ``value`` and ``x`` are
+    each side: ``(value, x, tight, kept)``.  ``value`` and ``x`` are
     :func:`connectivity`'s.  Without ``mark`` each query is capped at the
-    best value so far, ``tight`` is all ``False``, and a value of 0 ends
-    the run.  With ``mark`` each query is capped one above it, and
-    ``tight`` is ``[in, out]``, the vertices some set of degree ``value``
-    on that side that avoids vertex 0 holds (see :func:`tight_reaches`):
-    a query below the best clears every flag, and a query at it marks its
-    maximal minimizer."""
+    best value so far, ``tight`` is all ``False``, ``kept`` all ``None``,
+    and a value of 0 ends the run.  With ``mark`` each query is capped one
+    above it, and ``tight`` and ``kept`` are ``[in, out]``: the vertices
+    some set of degree ``value`` on that side that avoids vertex 0 holds,
+    and at each vertex whose own query ended at ``value`` a copy of the
+    heads list right after that query (see :func:`tight_reaches`).  A
+    query below the best clears every flag and copy, and a query at it
+    marks its maximal minimizer and keeps its copy.  Each pass keeps one
+    sink mask, and query ``t`` adds ``t`` to it."""
     n, g = h.n, network(h)
     best, found = cap, None
     tight = [[False] * n, [False] * n]
+    kept: list[list[Optional[list[int]]]] = [[None] * n, [None] * n]
     for forward in (False, True):
         if best == 0 and not mark:
             break
-        marks = tight[forward]
+        marks, copies = tight[forward], kept[forward]
         residual = list(o.heads)
-        sinks = [0]
+        sinks = _sink_mask(n, [0])
         for t in range(1, n):
             value, reach = max_flow_min_cut(g, [t], sinks, limit=best + mark, residual=residual, forward=forward)
             if value < best:
                 side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet.from_mask(n, (1 << t) - 1))
                 best, found = value, side if forward else side.complement()
                 if mark:
-                    for flags in tight:
+                    for flags, held in zip(tight, kept):
                         flags[:] = [False] * n
+                        held[:] = [None] * n
                 elif best == 0:
                     break
-            if mark and value == best and not marks[t]:
-                extra, outside = max_flow_min_cut(g, sinks, [t], limit=1, residual=residual, forward=not forward)
-                if extra:
-                    raise InvariantViolation(f"level {best}: the flow into 0..{t - 1} from {t} was not maximum")
-                for v in range(t, n):
-                    if v not in outside:
-                        marks[v] = True
-            sinks.append(t)
-    return best, found, tight
+            if mark and value == best:
+                copies[t] = list(residual)
+                if not marks[t]:
+                    extra, outside = max_flow_min_cut(
+                        g, range(t), _sink_mask(n, [t]), limit=1, residual=residual, forward=not forward
+                    )
+                    if extra:
+                        raise InvariantViolation(f"level {best}: the flow into 0..{t - 1} from {t} was not maximum")
+                    for v in range(t, n):
+                        if v not in outside:
+                            marks[v] = True
+            sinks[t] = True
+    return best, found, tight, kept
 
 
 def connectivity(h: Hypergraph, o: Orientation, cap: int) -> tuple[int, Optional[VertexSet]]:
@@ -405,11 +429,11 @@ def connectivity(h: Hypergraph, o: Orientation, cap: int) -> tuple[int, Optional
     other the sets that miss it, with them run forward.  It is exact: if
     ``Y`` (a complement in the first pass) attains the minimum and ``t`` is
     its smallest vertex, every sink of that query lies outside ``Y``.  A
-    pass keeps one heads list throughout.  Every unit of the flow in it runs
-    between vertices that are sinks of the next query, so the flow is net
-    zero across each of that query's cuts, every cut keeps its degree, and
-    the next query resumes from it without a reset.  A value of 0 ends the
-    run.  The loop is the package's one sink sequence, which
+    pass keeps one heads list and one sink mask throughout.  Every unit of
+    the flow in it runs between vertices that are sinks of the next query,
+    so the flow is net zero across each of that query's cuts, every cut
+    keeps its degree, and the next query resumes from it without a reset.
+    A value of 0 ends the run.  The loop is the package's one sink sequence, which
     :func:`tight_reaches` runs too, capped one higher.
 
     ``x`` comes from the query that last lowered the value: on the first
@@ -440,20 +464,24 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
 
 
 class KeptReaches:
-    """The residuals of one side's root-pair flows at level ``k``, the
-    connectivity: copies of those an :class:`IncrementalConnectivity`
-    keeps (:meth:`IncrementalConnectivity.kept_reaches`), or the flows of
-    the tight vertices alone (:func:`tight_reaches`).
+    """One residual per tight vertex of one side at level ``k``, the
+    connectivity: copies of the root-pair flows an
+    :class:`IncrementalConnectivity` keeps
+    (:meth:`IncrementalConnectivity.kept_reaches`), or, from
+    :func:`tight_reaches`, the heads list a vertex's own sink-sequence
+    query left when it ended at ``k``, and a fresh root-pair flow for
+    each other tight vertex.
 
     ``tight[v]`` tells whether some set of degree ``k`` on the side (out-
     or in-degree) that avoids vertex 0 holds ``v``: ``v`` is not 0 and the
-    value of its kept query (``v -> 0`` on the out side, ``0 -> v`` on the
-    in side) is ``k``.  That flow is then maximum, since every set that
-    holds ``v`` and avoids 0 has degree ``k`` or more, so :meth:`reach`
-    from ``v`` labels the inclusion-minimal one of degree ``k``, and
-    reaches vertex 0 when none has.  The package reads it through
-    :class:`~hyperorient.families.QSets`.  Its residuals are its own, so
-    its answers do not change when a step check moves on."""
+    value of its root-pair query (``v -> 0`` on the out side, ``0 -> v``
+    on the in side) is ``k``.  That flow is then maximum, since every set
+    that holds ``v`` and avoids 0 has degree ``k`` or more, so
+    :meth:`reach` from ``v`` labels the inclusion-minimal one of degree
+    ``k``, and reaches vertex 0 when none has.  A query's copy labels the
+    same set, by the lemma in :func:`tight_reaches`.  The package reads
+    it through :class:`~hyperorient.families.QSets`.  Its residuals are
+    its own, so its answers do not change when a step check moves on."""
 
     def __init__(self, g: IncidenceDigraph, residuals: list[Optional[list[int]]], forward: bool) -> None:
         self.n = g.n
@@ -461,8 +489,7 @@ class KeptReaches:
         self._g = g
         self._res = residuals
         self._forward = forward
-        self._root = [False] * g.n
-        self._root[0] = True
+        self._root = _sink_mask(g.n, [0])
 
     def reach(self, v: int, stop: Optional[list[bool]] = None) -> Optional[VertexSet]:
         """What one :func:`_search` from ``v``, a vertex with ``tight[v]``,
@@ -477,8 +504,10 @@ class KeptReaches:
 def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, KeptReaches]:
     """``(k, in, out)``: the connectivity ``k`` of ``o`` and its ``(in,
     out)`` :class:`KeptReaches`, built with no
-    :class:`IncrementalConnectivity`: one root-pair flow per tight vertex,
-    and none for the others.
+    :class:`IncrementalConnectivity`.  A tight vertex whose own
+    sink-sequence query ended at ``k`` keeps a copy of the heads list
+    that query left; each other tight vertex gets one root-pair flow, and
+    a vertex that is not tight gets nothing.
 
     One run of :func:`connectivity`'s sink sequences gives both ``k`` and
     the tight vertices: per side, one kept heads list, the in side run
@@ -509,24 +538,48 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     would be a larger tight set, so a query whose ``t`` is tight already
     needs no ``M_t``.
 
-    Each tight ``v`` then gets the root-pair flow that
-    :class:`IncrementalConnectivity` keeps, from ``o``'s heads, capped at
-    ``k + 1``: ``v -> 0`` on the out side, ``0 -> v`` on the in side.  Its
-    value must be ``k``; that and the ``M_t`` flows cross-check the
-    sequences, and a failure raises :class:`InvariantViolation` naming the
-    level.  The snapshots own these residuals.
+    **Lemma.**  Take query ``t`` of one side, with source ``t`` and sinks
+    ``{0 .. t - 1}``, and say it ends at value ``k``.  Then ``q[t]``, the
+    minimal tight set of that side holding ``t``, is what a search from
+    ``t`` labels in the heads list the query left.
+
+    - The query's minimal minimizer ``R_t`` is what its final failing
+      search from ``t`` labels in that heads list.  ``R_t`` holds ``t``,
+      avoids ``0`` and has degree ``k``, so it is tight, and
+      ``q[t] <= R_t``.
+    - So ``q[t]`` avoids ``{0 .. t - 1}`` too.  It holds ``t`` and has
+      degree ``k``, so it is a minimizer of query ``t``, and
+      ``R_t <= q[t]``.
+    - So ``q[t] = R_t``.  A search from ``t`` in a copy of that heads list
+      (run backward on the in side, as the query's own searches ran)
+      labels exactly ``q[t]``, as one in the root-pair residual does.  A
+      search with a ``stop`` mask hits a stop vertex exactly when that set
+      holds one, so it stops exactly where the root-pair residual's
+      search would.
+
+    So :func:`_sink_sequences` copies the heads list right after each
+    query whose value equals the best so far, and clears the copies
+    wherever it clears the tight flags; the copies left are those of the
+    queries at ``k``, and each serves its query's vertex.
+
+    Each other tight ``v``, one whose own query ended above ``k``, gets
+    the root-pair flow that :class:`IncrementalConnectivity` keeps, from
+    ``o``'s heads, capped at ``k + 1``: ``v -> 0`` on the out side,
+    ``0 -> v`` on the in side.  Its value must be ``k``; that and the
+    ``M_t`` flows cross-check the sequences, and a failure raises
+    :class:`InvariantViolation` naming the level.  The snapshots own
+    these residuals and copies.
     """
     _same_instance(h, o)
-    k, _, tight = _sink_sequences(h, o, _degree_bound(h, o), True)
+    k, _, tight, kept = _sink_sequences(h, o, _degree_bound(h, o), True)
     g = network(h)
     reaches = []
-    for forward, marks in zip((False, True), tight):
-        residuals: list[Optional[list[int]]] = [None] * h.n
+    for forward, marks, residuals in zip((False, True), tight, kept):
         for v in range(1, h.n):
-            if marks[v]:
+            if marks[v] and residuals[v] is None:
                 residual = list(o.heads)
                 s, t = (v, 0) if forward else (0, v)
-                if max_flow_min_cut(g, [s], [t], limit=k + 1, residual=residual)[0] != k:
+                if max_flow_min_cut(g, [s], _sink_mask(h.n, [t]), limit=k + 1, residual=residual)[0] != k:
                     raise InvariantViolation(f"level {k}: the root-pair flow {s} -> {t} of a tight vertex is not {k}")
                 residuals[v] = residual
         reaches.append(KeptReaches(g, residuals, forward))
@@ -577,8 +630,10 @@ class IncrementalConnectivity:
     its kept query.  Without a check,
     ``compute_families`` builds none of these: most of its 2(n - 1) flows
     belong to vertices that are not tight, and are never read, so
-    :func:`tight_reaches` runs flows only for the tight ones, and takes
-    the connectivity from the same sink sequences that find them.
+    :func:`tight_reaches` takes the connectivity, the tight vertices and
+    most of their residuals from one run of the sink sequences, and runs
+    root-pair flows only for the tight vertices whose own query there
+    ended above the connectivity.
     """
 
     def __init__(self, h: Hypergraph, o: Orientation, cap: int) -> None:
@@ -630,13 +685,13 @@ class IncrementalConnectivity:
         """Push query ``p`` up to the cap, recording its reachable side."""
         s, t = self._pairs[p]
         value, reach = max_flow_min_cut(
-            self._g, [s], [t], limit=self.cap - self._value[p], residual=self._res[p]
+            self._g, [s], _sink_mask(self._g.n, [t]), limit=self.cap - self._value[p], residual=self._res[p]
         )
         self._value[p] += value
         self._cut[p] = reach
 
     def _push_unit(self, res: list[int], src: int, dst: int) -> bool:
-        return max_flow_min_cut(self._g, [src], [dst], limit=1, residual=res)[0] == 1
+        return max_flow_min_cut(self._g, [src], _sink_mask(self._g.n, [dst]), limit=1, residual=res)[0] == 1
 
     def reorient(self, e: int, new_head: int) -> int:
         """Turn edge ``e`` toward ``new_head``; returns the new :attr:`value`,

@@ -85,14 +85,14 @@ def test_every_answer_equals_the_old_start():
     for h, states in walk_corpus():
         for o in states:
             bound = separator._degree_bound(h, o)
-            lam, x, _ = old_start(h, o, None, False)
+            lam, x, _, _ = old_start(h, o, None, False)
             seen.add("zero" if lam == 0 else "at the bound" if lam == bound else "below the bound")
             assert connectivity(h, o, h.m + 1) == (lam, x)
             assert hyperarc_connectivity(h, o) == lam
             for cap in (rng.randint(0, bound + 2), rng.randint(0, h.m + 1)):
                 assert connectivity(h, o, cap) == old_start(h, o, cap, False)[:2]
             k, in_reaches, out_reaches = tight_reaches(h, o)
-            old_k, _, (old_in, old_out) = old_start(h, o, None, True)
+            old_k, _, (old_in, old_out), _ = old_start(h, o, None, True)
             assert (k, in_reaches.tight, out_reaches.tight) == (old_k, tuple(old_in), tuple(old_out))
     assert seen == {"zero", "at the bound", "below the bound"}
 

@@ -194,7 +194,8 @@ def test_the_flow_scan_sees_bare_calls():
 def sink_sequence_loops(tree):
     """``(line, scope)`` of each ``for`` loop that runs a sink sequence: it
     calls ``max_flow_min_cut``, bare or as an attribute, with a name that it
-    also grows with ``append``, a sink list that takes each new vertex.  A
+    also grows, a sink collection that takes each new vertex: a list grown
+    with ``append``, or a mask set by subscript (``sinks[t] = True``).  A
     loop nested in such a loop counts too; a function holds a sink
     sequence when it holds one such loop or more."""
     found = []
@@ -205,6 +206,10 @@ def sink_sequence_loops(tree):
         if isinstance(node, ast.For):
             flowed, grown = set(), set()
             for call in ast.walk(node):
+                if isinstance(call, ast.Assign):
+                    grown.update(
+                        t.value.id for t in call.targets if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)
+                    )
                 if not isinstance(call, ast.Call):
                     continue
                 func = call.func
@@ -251,8 +256,23 @@ def test_the_sink_sequence_scan_sees_a_second_copy():
         "    values = []\n"
         "    for v in range(1, g.n):\n"
         "        values.append(max_flow_min_cut(g, [v], [0], limit=k + 1, residual=list(heads)))\n"
+        "def _masked_tight_vertices(g, heads, k):\n"
+        "    done = _sink_mask(g.n, [0])\n"
+        "    for t in range(1, g.n):\n"
+        "        separator.max_flow_min_cut(g, [t], done, limit=k + 1, residual=heads)\n"
+        "        done[t] = True\n"
+        "def masked_root_pairs(g, heads, k):\n"
+        "    residuals = [None] * g.n\n"
+        "    for v in range(1, g.n):\n"
+        "        residuals[v] = list(heads)\n"
+        "        max_flow_min_cut(g, [v], _sink_mask(g.n, [0]), limit=k + 1, residual=residuals[v])\n"
     )
-    assert sink_sequence_loops(tree) == [(2, "_sink_sequences"), (4, "_sink_sequences"), (9, "_tight_vertices")]
+    assert sink_sequence_loops(tree) == [
+        (2, "_sink_sequences"),
+        (4, "_sink_sequences"),
+        (9, "_tight_vertices"),
+        (18, "_masked_tight_vertices"),
+    ]
 
 
 SEARCH_CALLERS = ("max_flow_min_cut", "KeptReaches.reach")

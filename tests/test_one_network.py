@@ -23,7 +23,7 @@ from hyperorient import (
     separator,
     verify_trace,
 )
-from hyperorient.separator import max_flow_min_cut
+from hyperorient.separator import _sink_mask, max_flow_min_cut
 from corpus import nx_incidence, nx_min_side
 from replay import MUTATIONS, instance_trace, mutate, reference_verify_trace
 
@@ -49,7 +49,7 @@ def assert_reference_answers(nx, rng, g, h, o):
     for s in range(h.n):
         t = rng.choice([v for v in range(h.n) if v != s])
         for forward, ref in ((True, fwd), (False, rev)):
-            value, side = max_flow_min_cut(g, [s], [t], residual=list(o.heads), forward=forward)
+            value, side = max_flow_min_cut(g, [s], _sink_mask(h.n, [t]), residual=list(o.heads), forward=forward)
             ref_value, ref_side = nx_min_side(nx, ref, [s], [t], h.n)
             assert (value, side) == (ref_value, frozenset(ref_side)), (s, t, forward)
 

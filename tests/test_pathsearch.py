@@ -260,6 +260,25 @@ class TestGuards:
         with pytest.raises(InvariantViolation, match="^final window equals the region$"):
             self.search(fam)
 
+    def test_a_cycle_of_links_stops_at_as_many_arcs_as_vertices(self, monkeypatch):
+        """An exploration whose links close a two-vertex cycle: the vertex
+        the sink links to links back to the sink, so the walk back from
+        the sink never reaches the start.  It stops once it has ``n``
+        arcs."""
+        explore = pathsearch._explore
+        sink = self.search(self.fam).sink
+
+        def cyclic(o, start, window, forward, shrink):
+            explored, final, links = explore(o, start, window, forward, shrink)
+            e, via = links[sink]
+            assert via != start
+            links[via] = (e, sink)
+            return explored, final, links
+
+        monkeypatch.setattr(pathsearch, "_explore", cyclic)
+        with pytest.raises(InvariantViolation, match="^path has as many arcs as vertices$"):
+            self.search(self.fam)
+
     def test_the_path_must_stay_in_the_region(self, monkeypatch):
         """An exploration whose links detour through a vertex ``x`` outside
         the region: each link from the start now comes from ``x``, which

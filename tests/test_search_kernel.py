@@ -21,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hyperorient import hypergraph, separator  # noqa: E402
-from hyperorient.separator import incidence_digraph, max_flow_min_cut  # noqa: E402
+from hyperorient.separator import _sink_mask, incidence_digraph, max_flow_min_cut  # noqa: E402
 
 KERNEL = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -131,7 +131,7 @@ def test_the_kernel_matches_the_reference(case):
         for roots, sinks, forward, limit in queries:
             got.clear()
             expected = []
-            result = max_flow_min_cut(g, roots, sinks, limit, residual=residual, forward=forward)
+            result = max_flow_min_cut(g, roots, _sink_mask(n, sinks), limit, residual=residual, forward=forward)
             assert result == reference_flow(g, roots, sinks, limit, reference, forward, expected)
             assert residual == reference
             lead = leading_one_arc_hits(expected)
@@ -149,7 +149,8 @@ def test_one_arc_paths_run_no_search(forward):
     for limit, searches, reach in ((3, 0, None), (None, 1, frozenset({0}))):
         residual = list(heads)
         with mock.patch.object(separator, "_search", wraps=separator._search) as search:
-            assert max_flow_min_cut(g, [0], [1, 2, 3], limit, residual=residual, forward=forward) == (3, reach)
+            into = _sink_mask(g.n, [1, 2, 3])
+            assert max_flow_min_cut(g, [0], into, limit, residual=residual, forward=forward) == (3, reach)
         assert search.call_count == searches
         assert residual == ([0, 0, 0, 4] if forward else [1, 2, 3, 4])
 

@@ -22,7 +22,13 @@ from hyperorient import (
     reorient,
     separator,
 )
-from hyperorient.separator import IncrementalConnectivity, connectivity, incidence_digraph, max_flow_min_cut
+from hyperorient.separator import (
+    IncrementalConnectivity,
+    _sink_mask,
+    connectivity,
+    incidence_digraph,
+    max_flow_min_cut,
+)
 from corpus import nx_incidence, nx_min_side, random_instances, vs
 
 
@@ -35,7 +41,7 @@ def flow_on(h, heads, sources, sinks, limit=None, forward=True):
     """A flow on a copy of ``heads``: ``(value, side, heads after)``."""
     res = list(heads)
     g = incidence_digraph(h)
-    value, side = max_flow_min_cut(g, sources, sinks, limit=limit, residual=res, forward=forward)
+    value, side = max_flow_min_cut(g, sources, _sink_mask(h.n, sinks), limit=limit, residual=res, forward=forward)
     return value, side, res
 
 
@@ -97,13 +103,13 @@ class TestMaxFlow:
         # 0 -> 1 twice, 0 -> 2, 1 -> 3, 2 -> 3 twice, 1 -> 2: max flow 3
         h = hypergraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3), (1, 2)])
         heads = [1, 1, 2, 3, 3, 3, 2]
-        g, res = incidence_digraph(h), list(heads)
-        assert max_flow_min_cut(g, [0], [3], limit=1, residual=res) == (1, None)
+        g, res, into_3 = incidence_digraph(h), list(heads), _sink_mask(h.n, [3])
+        assert max_flow_min_cut(g, [0], into_3, limit=1, residual=res) == (1, None)
         assert res != heads
-        assert max_flow_min_cut(g, [0], [3], residual=res) == (2, frozenset({0}))
+        assert max_flow_min_cut(g, [0], into_3, residual=res) == (2, frozenset({0}))
         assert flow_on(h, heads, [0], [3])[:2] == (3, frozenset({0}))
         # the residual now holds a maximum flow: nothing more to push
-        assert max_flow_min_cut(g, [0], [3], residual=res) == (0, frozenset({0}))
+        assert max_flow_min_cut(g, [0], into_3, residual=res) == (0, frozenset({0}))
 
     def test_multi_terminal(self):
         # two sources feeding one sink through separate hyperarcs
@@ -197,10 +203,10 @@ class TestManySourcesOneSink:
             sources, sink = vertices[1:], vertices[:1]
             forward = rng.random() < 0.5
             value, side = brute_force_cut(h, o.heads, sources, sink, forward)
-            g, res = incidence_digraph(h), list(o.heads)
+            g, res, into = incidence_digraph(h), list(o.heads), _sink_mask(h.n, sink)
             first = rng.randint(0, value)
-            got = max_flow_min_cut(g, sources, sink, limit=first, residual=res, forward=forward)
-            rest, reach = max_flow_min_cut(g, sources, sink, residual=res, forward=forward)
+            got = max_flow_min_cut(g, sources, into, limit=first, residual=res, forward=forward)
+            rest, reach = max_flow_min_cut(g, sources, into, residual=res, forward=forward)
             assert got == (first, None)
             assert (first + rest, reach) == (value, side)
 
@@ -215,7 +221,7 @@ class TestManySourcesOneSink:
             for i in range(1, h.n):
                 sources, sink = order[:i], order[i : i + 1]
                 limit = rng.choice([None, rng.randint(0, 4)])
-                got = max_flow_min_cut(g, sources, sink, limit=limit, residual=res, forward=forward)
+                got = max_flow_min_cut(g, sources, _sink_mask(h.n, sink), limit=limit, residual=res, forward=forward)
                 assert got == capped(*brute_force_cut(h, o.heads, sources, sink, forward), limit)
 
     def test_mirrored_query_labels_the_maximal_side(self):
@@ -460,23 +466,24 @@ class TestSinkSequence:
         assert sides == {False, True}
 
     def test_one_kept_residual_per_pass(self, monkeypatch):
+        """Each pass runs its queries on one heads list and one sink mask,
+        which holds the vertices ``0 .. t - 1`` when query ``t`` runs."""
         h = gen_instance(GenSpec(n=12, k=3, extra_edges=6, max_edge_size=4, seed=12))
         o = gen_orientation(h, seed=12)
         calls = []
         original = separator.max_flow_min_cut
 
         def recorded(g, sources, sinks, limit=None, *, residual, forward=True):
-            calls.append((sources, list(sinks), id(residual), forward))
+            held = [v for v, sink in enumerate(sinks) if sink]
+            calls.append((sources, held, id(sinks), id(residual), forward))
             return original(g, sources, sinks, limit=limit, residual=residual, forward=forward)
 
         monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
         connectivity(h, o, h.m + 1)
         assert len(calls) == 2 * (h.n - 1)
         for half, forward in ((calls[: h.n - 1], False), (calls[h.n - 1 :], True)):
-            assert [(source, sinks) for source, sinks, _, _ in half] == [
-                ([t], list(range(t))) for t in range(1, h.n)
-            ]
-            assert len({res for _, _, res, _ in half}) == 1
+            assert [(source, held) for source, held, *_ in half] == [([t], list(range(t))) for t in range(1, h.n)]
+            assert len({mask for _, _, mask, _, _ in half}) == len({res for *_, res, _ in half}) == 1
             assert {direction for *_, direction in half} == {forward}
 
     def test_a_side_that_holds_a_sink_is_an_invariant_violation(self, monkeypatch):

@@ -1,17 +1,22 @@
 """``compute_families`` without a step check reads its level and its
 families from ``separator.tight_reaches``: one run of the connectivity's
-sink sequences gives the connectivity and the tight vertices, and only
-those vertices get a root-pair flow.  These tests hold it to the root-pair
-flows an ``IncrementalConnectivity`` keeps for every vertex, hold its level
-to the brute-force oracle, to ``hyperarc_connectivity`` and to networkx,
-count the flows it runs, check that the flows' own cross-checks are
-caught, and compare it with an independent networkx reference above the
-oracle bound on orientations like the ``query-families`` benchmark's.
+sink sequences gives the connectivity, the tight vertices, and a copy of
+the heads list after each query that ended at the connectivity, which
+serves as that query's vertex's residual.  Only the other tight vertices,
+those whose own query ended above it, get a root-pair flow.  These tests
+hold it to the root-pair flows an ``IncrementalConnectivity`` keeps for
+every vertex, hold every copied residual's q set to the eager reference
+and to networkx, hold its level to the brute-force oracle, to
+``hyperarc_connectivity`` and to networkx, count the flows it runs, check
+that the flows' own cross-checks are caught, and compare it with an
+independent networkx reference above the oracle bound on orientations like
+the ``query-families`` benchmark's.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +24,7 @@ from hyperorient import (
     GenSpec,
     InvariantViolation,
     PreconditionError,
+    VertexSet,
     bf_families,
     bf_lambda,
     compute_families,
@@ -26,6 +32,7 @@ from hyperorient import (
     gen_orientation,
     hyperarc_connectivity,
     in_degree,
+    min_separator,
 )
 from hyperorient.oracle import BF_MAX_N
 from hyperorient.separator import IncrementalConnectivity, tight_reaches
@@ -46,6 +53,32 @@ def kept_tight(h, o, k):
     keeps a flow for every root pair."""
     check = IncrementalConnectivity(h, o, k + 1)
     return check.kept_reaches("in").tight, check.kept_reaches("out").tight
+
+
+def own_query_values(h, o):
+    """``{side: values}``: the value of each vertex ``t``'s own query in
+    the sink sequence of ``side``, the least ``side``-degree of a set that
+    holds ``t`` and avoids ``0 .. t - 1``, from a fresh ``min_separator``
+    (``None`` at vertex 0, which has no query)."""
+    return {
+        side: [None]
+        + [min_separator(h, o, VertexSet.singleton(h.n, t), VertexSet(h.n, range(t)), side)[0] for t in range(1, h.n)]
+        for side in ("in", "out")
+    }
+
+
+def recorded_call(sources, sinks, residual):
+    """A flow call as ``(sources, sinks, residual)``, the sink mask read as
+    its vertices when the call is made, since a sink sequence's mask grows
+    after."""
+    return list(sources), [v for v, sink in enumerate(sinks) if sink], residual
+
+
+def finds_a_maximal_minimizer(call, previous):
+    """Whether ``call`` is the flow that finds a query's maximal minimizer:
+    it follows that query on the same heads list, from the query's sinks
+    to its source."""
+    return previous is not None and call[2] is previous[2] and call[:2] == (previous[1], previous[0])
 
 
 def assert_matches_the_kept_flows(h, o):
@@ -76,6 +109,65 @@ class TestAgainstTheKeptFlows:
         assert tight_seen > 50 and untight_seen > 50
 
 
+def copied_and_fresh(k, reaches, q_sets, own):
+    """Check each tight vertex's q set against ``q_sets``, and that the
+    vertices with none hold the full set there.  Returns how many tight
+    vertices read a copied residual (their own query's value in ``own``
+    is ``k``) and how many a root-pair flow's (it is above ``k``)."""
+    copied = fresh = 0
+    for v in range(1, reaches.n):
+        if not reaches.tight[v]:
+            assert q_sets[v].is_full, v
+            continue
+        assert reaches.reach(v) == q_sets[v], v
+        copied += own[v] == k
+        fresh += own[v] > k
+    return copied, fresh
+
+
+class TestCopiedResiduals:
+    """A tight vertex whose own query ended at the connectivity reads its
+    q set from the heads list that query left, and the others from a
+    root-pair flow.  Both must give the q set, and a search with a stop
+    mask must stop exactly where the root-pair flow's search does."""
+
+    def test_q_sets_match_the_eager_reference(self):
+        counts = Counter()
+        rng = random.Random(33)
+        for h, o in random_instances(33, 300, n_max=8, m_max=12):
+            k, in_reaches, out_reaches = tight_reaches(h, o)
+            ref, own = eager_families(h, o), own_query_values(h, o)
+            check = IncrementalConnectivity(h, o, k + 1)
+            for side, reaches, q_sets in (("in", in_reaches, ref.q_minus), ("out", out_reaches, ref.q_plus)):
+                copied, fresh = copied_and_fresh(k, reaches, q_sets, own[side])
+                counts["copied"] += copied
+                counts["fresh"] += fresh
+                kept = check.kept_reaches(side)
+                for v in range(1, h.n):
+                    if reaches.tight[v]:
+                        stop = [rng.random() < 0.3 for _ in range(h.n)]
+                        stopped = reaches.reach(v, stop)
+                        assert stopped == kept.reach(v, stop)
+                        counts["stopped"] += stopped is None
+        assert counts["copied"] > 100 and counts["fresh"] > 20 and counts["stopped"] > 20
+
+    def test_q_sets_match_networkx_above_the_oracle_bound(self):
+        nx = pytest.importorskip("networkx")
+        copied = fresh = 0
+        for seed in (0, 7):
+            h, states = benchmark_like_orientations(seed, 4)
+            assert h.n > BF_MAX_N
+            for o in states:
+                k, in_reaches, out_reaches = tight_reaches(h, o)
+                nx_k, q_minus, q_plus = nx_q_sets(nx, h, o)
+                assert k == nx_k
+                own = own_query_values(h, o)
+                for side, reaches, q_sets in (("in", in_reaches, q_minus), ("out", out_reaches, q_plus)):
+                    counts = copied_and_fresh(k, reaches, q_sets, own[side])
+                    copied, fresh = copied + counts[0], fresh + counts[1]
+        assert copied > 0 and fresh > 0
+
+
 class TestLevel:
     def test_the_level_is_the_brute_force_connectivity(self):
         levels = set()
@@ -96,12 +188,13 @@ class TestLevel:
         from hyperorient import separator
 
         flow, in_side_marks = separator.max_flow_min_cut, []
-        last_sinks = [None]
+        last = [None]
 
         def counted(g, sources, sinks, limit=None, *, residual, forward=True):
-            if sources is last_sinks[0] and forward:  # a maximal minimizer's flow, run backward from an in query
+            call = recorded_call(sources, sinks, residual)
+            if finds_a_maximal_minimizer(call, last[0]) and forward:  # run backward from an in query
                 in_side_marks.append(1)
-            last_sinks[0] = sinks
+            last[0] = call
             return flow(g, sources, sinks, limit, residual=residual, forward=forward)
 
         monkeypatch.setattr(separator, "max_flow_min_cut", counted)
@@ -126,14 +219,23 @@ class TestFlowCounts:
         """No ``IncrementalConnectivity`` is built, no connectivity is
         computed apart from the one sink sequence run, and each root-pair
         flow (one whose residual ends up in a snapshot) is the one of a
-        tight vertex, once per vertex and side."""
+        tight vertex whose own query ended above the connectivity, once
+        per vertex and side.  Every other tight vertex keeps a copy of its
+        own query's heads list, so the snapshots hold one residual per
+        tight vertex."""
         from hyperorient import families, separator
 
-        h = gen_instance(GenSpec(n=24, k=2, extra_edges=12, max_edge_size=4, seed=3))
-        o = gen_orientation(h, mode="min-head")
+        h = gen_instance(GenSpec(n=24, k=2, extra_edges=12, max_edge_size=4, seed=10))
+        o = gen_orientation(h, seed=10, mode="random")
         k = hyperarc_connectivity(h, o)
         tight_in, tight_out = kept_tight(h, o, k)
-        assert any(tight_in) and any(tight_out) and not all(tight_in[1:] + tight_out[1:])
+        assert k > 0 and any(tight_in) and any(tight_out) and not all(tight_in[1:] + tight_out[1:])
+        own = own_query_values(h, o)
+        above_in = [tight_in[v] and own["in"][v] > k for v in range(h.n)]
+        above_out = [tight_out[v] and own["out"][v] > k for v in range(h.n)]
+        assert any(above_in) and any(above_out)
+        assert any(tight_in[v] and not above_in[v] for v in range(h.n))
+        assert any(tight_out[v] and not above_out[v] for v in range(h.n))
         ref = eager_families(h, o)
 
         def no_check(*args, **kwargs):
@@ -143,7 +245,7 @@ class TestFlowCounts:
         flow, snapshot = separator.max_flow_min_cut, separator.KeptReaches.__init__
 
         def counted_flow(g, sources, sinks, limit=None, *, residual, forward=True):
-            flows.append((list(sources), list(sinks), forward, residual))
+            flows.append((*recorded_call(sources, sinks, residual)[:2], forward, residual))
             return flow(g, sources, sinks, limit, residual=residual, forward=forward)
 
         def counted_snapshot(self, g, residuals, forward):
@@ -164,9 +266,9 @@ class TestFlowCounts:
         root_pairs = sorted(
             (sources, sinks) for sources, sinks, forward, res in flows if any(res is r for r in kept) and forward
         )
-        expected = [([0], [v]) for v in range(1, h.n) if tight_in[v]]
-        expected = sorted(expected + [([v], [0]) for v in range(1, h.n) if tight_out[v]])
-        assert root_pairs == expected and len(kept) == len(expected)
+        expected = [([0], [v]) for v in range(1, h.n) if above_in[v]]
+        expected = sorted(expected + [([v], [0]) for v in range(1, h.n) if above_out[v]])
+        assert root_pairs == expected and len(kept) == sum(tight_in) + sum(tight_out)
         assert lambdas == []
         assert fam == ref
 
@@ -198,17 +300,17 @@ class TestFlowCounts:
 
 def flow_kinds(monkeypatch, h, o):
     """The kind of each flow ``tight_reaches(h, o)`` runs, in order:
-    ``'M_t'`` for a flow from the previous flow's sinks (the one that
-    finds a query's maximal minimizer), ``'root pair'`` for one whose
-    residual a snapshot keeps, and ``'query'`` for the others."""
+    ``'root pair'`` for one whose residual a snapshot keeps, ``'M_t'`` for
+    one that finds a query's maximal minimizer, and ``'query'`` for the
+    others."""
     from hyperorient import separator
 
     flows, kept = [], []
     flow, snapshot = separator.max_flow_min_cut, separator.KeptReaches.__init__
 
     def recorded(g, sources, sinks, limit=None, *, residual, forward=True):
-        after_sinks = bool(flows) and sources is flows[-1][1]
-        flows.append((residual, sinks, after_sinks))
+        call = recorded_call(sources, sinks, residual)
+        flows.append((residual, call, finds_a_maximal_minimizer(call, flows[-1][1] if flows else None)))
         return flow(g, sources, sinks, limit, residual=residual, forward=forward)
 
     def recorded_snapshot(self, g, residuals, forward):
@@ -220,8 +322,7 @@ def flow_kinds(monkeypatch, h, o):
         patch.setattr(separator.KeptReaches, "__init__", recorded_snapshot)
         tight_reaches(h, o)
     return [
-        "M_t" if after_sinks else "root pair" if any(res is r for r in kept) else "query"
-        for res, _, after_sinks in flows
+        "root pair" if any(res is r for r in kept) else "M_t" if maximal else "query" for res, _, maximal in flows
     ]
 
 
@@ -251,10 +352,13 @@ class TestWrongLevel:
     def test_a_wrong_connectivity_is_an_invariant_violation(self, monkeypatch, shift):
         """A tight vertex's root-pair flow that ends one off the level the
         sink sequences found is caught, naming that level, by
-        ``tight_reaches`` and by ``compute_families`` alike."""
+        ``tight_reaches`` and by ``compute_families`` alike.  Only a tight
+        vertex whose own query ended above the level runs one, and each
+        instance here has such a vertex."""
         for h, o in guarded_instances():
             k = hyperarc_connectivity(h, o)
             kinds = flow_kinds(monkeypatch, h, o)
+            assert "root pair" in kinds, "an instance that runs no root-pair flow guards nothing here"
             first = kinds.index("root pair")
             for run in (tight_reaches, compute_families):
                 corrupt_flow(monkeypatch, first, lambda value, reach: (value + shift, reach))

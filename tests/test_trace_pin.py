@@ -42,7 +42,7 @@ from hyperorient import (
     hypergraph,
     min_separator,
 )
-from hyperorient.separator import incidence_digraph, max_flow_min_cut
+from hyperorient.separator import _sink_mask, incidence_digraph, max_flow_min_cut
 from corpus import explores_all_of
 
 PINNED = "5dbb3ebdf3deddf7028e9c2154e6dc6fee508a6c1ccc8ed9c555abd9288a8029"
@@ -147,7 +147,8 @@ def flows_text() -> str:
                 cut = rng.randint(1, len(vertices) - 1)
                 sources, sinks = vertices[:cut], vertices[cut:]
                 limit = rng.choice([None, None, rng.randint(0, 3)])
-                value, reach = max_flow_min_cut(g, sources, sinks, limit=limit, residual=res, forward=forward)
+                into = _sink_mask(n, sinks)
+                value, reach = max_flow_min_cut(g, sources, into, limit=limit, residual=res, forward=forward)
                 side = None if reach is None else sorted(reach)
                 lines.append(f"{int(forward)} {sources} {sinks} {limit} {value} {side} {res}")
     return "\n".join(lines)

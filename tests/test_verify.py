@@ -7,10 +7,15 @@ it.  The from-scratch route runs on every step that raises a level, and on
 glued instances also on steps where the connectivity stays below every
 one-vertex degree.  Every ``connectivity`` the verifier runs is capped at
 its own least one-vertex degree, so it reads no bound of the solver's.
+Above the oracle bound, the connectivity one n=64 trace claims is held to
+networkx at every step that raises the level and at seeded others.
 """
 
 import random
 from collections import Counter
+from dataclasses import replace
+
+import pytest
 
 from hyperorient import (
     GenSpec,
@@ -30,6 +35,7 @@ from hyperorient import (
     verify_trace,
 )
 from hyperorient import augment as augment_module
+from nx_families import nx_q_sets
 from replay import MUTATIONS, instance_trace, mutate, reference_verify_trace
 
 
@@ -152,3 +158,45 @@ def test_reports_equal_the_replay_where_the_connectivity_stays_below_the_degrees
             assert verify_trace(h, t) == reference_verify_trace(h, t), seed
     # the five joining edges, not a single vertex, bound the connectivity on those steps
     assert sum(below) >= 30 and sum(c > 0 for c in below) >= 8, below
+
+
+def claimed_connectivities(trace):
+    """The connectivity a trace claims at each orientation: 0 is the
+    initial one, and ``i`` the one after step ``i``."""
+    return [trace.lambda_initial] + [step.lambda_after for step in trace.steps]
+
+
+def nx_connectivities(nx, h, trace, checked):
+    """``{i: connectivity}`` for each index in ``checked``, from networkx
+    (:func:`nx_families.nx_q_sets`) on the orientation after step ``i``."""
+    o, found = trace.initial, {}
+    for i in range(max(checked) + 1):
+        if i:
+            o = reorient(o, trace.steps[i - 1].edge, trace.steps[i - 1].new_head)
+        if i in checked:
+            found[i] = nx_q_sets(nx, h, o)[0]
+    return found
+
+
+def test_per_step_connectivity_matches_networkx_above_the_oracle_bound():
+    """One trace of the n=64 scale recipe: its initial connectivity, every
+    step that raises the level and ten seeded others, against networkx,
+    and ``verify_trace`` accepts it.  One ``lambda_after`` changed on a
+    level-raising step, or on another checked step, is caught by both."""
+    nx = pytest.importorskip("networkx")
+    h = gen_instance(GenSpec(n=64, k=3, extra_edges=32, max_edge_size=4, seed=1))
+    trace = augment_to(h, gen_orientation(h, mode="min-head"), 3)
+    claims = claimed_connectivities(trace)
+    raising = [i for i in range(1, len(claims)) if claims[i] > claims[i - 1]]
+    others = random.Random(64).sample([i for i in range(1, len(claims)) if i not in raising], 10)
+    assert len(raising) == 3 - trace.lambda_initial > 0
+    reference = nx_connectivities(nx, h, trace, {0, *raising, *others})
+    assert verify_trace(h, trace).ok
+    assert all(claims[i] == value for i, value in reference.items())
+    for i in (raising[-1], others[0]):
+        step = trace.steps[i - 1]
+        wrong = replace(step, lambda_after=step.lambda_after - 1)
+        mutated = replace(trace, steps=trace.steps[: i - 1] + (wrong,) + trace.steps[i:])
+        wrong_claims = claimed_connectivities(mutated)
+        assert [j for j, value in reference.items() if wrong_claims[j] != value] == [i]
+        assert not verify_trace(h, mutated).ok

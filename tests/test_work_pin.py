@@ -54,7 +54,7 @@ PINNED = {
         "safe_probes": 175,
         "searches": 5395,
     },
-    "query": {"builds": 2, "compares": 1, "flow_calls": 1133, "flow_units": 1824, "labelled": 16806, "searches": 949},
+    "query": {"builds": 2, "compares": 1, "flow_calls": 1068, "flow_units": 1699, "labelled": 8971, "searches": 761},
     "reorient": {
         "builds": 695,
         "compares": 714,
