@@ -30,7 +30,8 @@ runs on the hypergraph's one incidence structure
 (:func:`~hyperorient.separator.network`) with a copy of an orientation's
 heads, which the flow turns in place.  Each full path
 strictly shrinks the potential ``(|m_all|, -covered vertices)``, so a level
-finishes within ``n^2`` iterations and ``n^3`` single-hyperarc steps.
+runs at most ``n(n + 1)/2`` paths of fewer than ``n`` arcs each, under
+``n^3`` single-hyperarc steps (the count is in :func:`augment_one`).
 
 The input hypergraph must be sufficiently partition-connected for the target
 level; that precondition is not tested exactly (deliberately out of scope).
@@ -39,11 +40,11 @@ One necessary part is tested before any flow: a vertex in fewer than
 no orientation reaches the target, and the two-class partition that cuts
 it off is the certificate.  Other violations surface as
 :class:`NotPartitionConnectedError` through fail-fast guards: a missing safe
-endpoint, a stuck search, a connectivity drop, whose certificate is a set of
-the lower out-degree from :func:`~hyperorient.separator.connectivity` capped
-at the level, a non-decreasing potential, or a level that would take more
-than its ``n^3`` steps.  Each guard inside a level's loop names the level,
-the iteration and the search region it fired in.
+endpoint, a stuck search, a connectivity drop, whose certificate is the
+minimum cut from the step's new head to its old one, a set of the lower
+out-degree, or a potential that does not decrease.  Each guard inside a
+level's loop names the level, the iteration and the search region it fired
+in.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ from .core import (
     _as_count,
     _as_hypergraph,
     crossing_edges,
+    out_degree,
     reorient,
 )
 from .families import CutFamilies, compute_families, is_in_tight
 from .pathsearch import AdmissiblePath, admissible_path_in_tminus, admissible_path_in_tplus
-from .separator import IncrementalConnectivity, connectivity, hyperarc_connectivity
+from .separator import IncrementalConnectivity, connectivity, hyperarc_connectivity, min_separator
 
 
 class NotPartitionConnectedError(RuntimeError):
@@ -188,21 +190,41 @@ def augment_one(
     for the returned orientation.  Returns the new orientation and the
     level's steps, whose connectivity is non-decreasing and never below
     ``k``.  A check whose value is not ``k`` raises
-    :class:`InvariantViolation`.  A step that lowers the connectivity raises
-    :class:`NotPartitionConnectedError` with the set that
-    :func:`~hyperorient.separator.connectivity` returns after it, capped at
-    ``k``: the step check reads a value below ``k``, so the capped value is
-    exact and a set attains it.  A value that is not the step check's
-    raises :class:`InvariantViolation`: the check answers values only.
-    :func:`verify_trace` reads no set from that routine, so this
-    certificate is the only one taken from it.
+    :class:`InvariantViolation`.
+
+    A step that lowers the connectivity raises
+    :class:`NotPartitionConnectedError`, and its certificate is the cut the
+    step lowered.  Turning edge ``e`` from head ``a`` to head ``b`` lowers
+    by one the out-degree of exactly the sets that hold ``b`` and miss
+    ``a``, and no other set's (the single-reorientation lemma).  Before
+    the step every set has out-degree at least ``k``, so when the step
+    check reads a value below ``k`` that value is the ``b -> a`` max flow,
+    and its minimal cut has that out-degree.  It is one
+    :func:`~hyperorient.separator.min_separator` query capped at ``k``.  A
+    cut value that is not the step check's, or a cut whose
+    :func:`~hyperorient.core.out_degree` is not that value, raises
+    :class:`InvariantViolation` naming the step.
+
+    Every level ends within a bounded number of paths and steps.
+    :func:`~hyperorient.families.compute_families` makes ``m_all`` a
+    subpartition (``_check_subpartition``), of nonempty sets (each is a q
+    set, which holds its vertex, or the full set), and never empty (its
+    fallback is ``{V}``).  So ``j`` members cover between ``j`` and ``n``
+    vertices, and the potential ``(|m_all|, -covered)`` takes at most
+    ``n(n + 1)/2`` values.  Each path must strictly lower it, or the
+    potential guard raises, so that guard fires by iteration
+    ``n(n + 1)/2 + 1``, which is at most ``n^2 + 1``.  The walk back of
+    :func:`~hyperorient.pathsearch.admissible_path_in_tminus` and
+    ``_tplus`` refuses a path of ``n`` arcs, so a level takes at most
+    ``(n^3 - n)/2 < n^3`` steps, the bound :func:`verify_trace` holds a
+    level to.  No iteration cap or step budget could fire before these
+    guards, so the loop keeps none.
     """
     check.raise_cap(k + 1)
     if check.value != k:
         raise InvariantViolation(f"level {k} starts at connectivity {check.value}")
 
     n = h.n
-    budget = n**3
     steps: list[ReorientationStep] = []
     cur = o
     lam_cur = k
@@ -224,8 +246,6 @@ def augment_one(
                 f"{where}: families potential did not decrease: {prev_potential} -> {pot}"
             )
         prev_potential = pot
-        if iteration > n * n:
-            raise NotPartitionConnectedError(f"{where}: more than {n * n} path iterations")
 
         in_branch = is_in_tight(h, cur, k, region, fam.r)
         try:
@@ -250,19 +270,21 @@ def augment_one(
 
         order = tuple(reversed(result.path.arcs)) if in_branch else result.path.arcs
         for arc in order:
-            if len(steps) >= budget:
-                raise NotPartitionConnectedError(f"{where}: step budget {budget} exhausted")
             old_head = cur.heads[arc.edge]
             if old_head != arc.head:
                 raise InvariantViolation(f"edge {arc.edge} changed head mid-path")
             cur = reorient(cur, arc.edge, arc.tail)
             lam_after = check.reorient(arc.edge, arc.tail)
             if lam_after < k:
-                lam, x = connectivity(h, cur, k)  # exact below the level, with a set
+                # the step lowered only the sets that hold its new head and miss its old one
+                new, old = VertexSet.singleton(n, arc.tail), VertexSet.singleton(n, old_head)
+                lam, x = min_separator(h, cur, new, old, limit=k)
+                step = f"{where}, step {len(steps) + 1}"
                 if lam != lam_after:
-                    raise InvariantViolation(
-                        f"{where}, step {len(steps) + 1}: the step check reads {lam_after}, connectivity is {lam}"
-                    )
+                    raise InvariantViolation(f"{step}: the step check reads {lam_after}, connectivity is {lam}")
+                d = out_degree(h, cur, x)
+                if d != lam:
+                    raise InvariantViolation(f"{step}: the certificate {x} has out-degree {d}, not {lam}")
                 raise NotPartitionConnectedError(
                     f"{where}: connectivity dropped to {lam_after} during a path", certificate=x
                 )
@@ -281,9 +303,9 @@ def augment_to(
 ) -> ReorientationTrace:
     """Raise the connectivity to ``k_target``, one level at a time.
 
-    The trace uses at most ``(k_target - lambda_initial) * n^3`` steps, since
-    a level that would take more than ``n^3`` raises
-    :class:`NotPartitionConnectedError`.  An ``h`` that is not a
+    The trace uses at most ``(k_target - lambda_initial) * (n^3 - n)/2``
+    steps, by the count in :func:`augment_one`, within the ``n^3`` per level
+    that :func:`verify_trace` holds a trace to.  An ``h`` that is not a
     :class:`~hyperorient.core.Hypergraph`, an ``o`` that is not an
     orientation of it, and a ``k_target`` that is not a non-negative
     ``int`` (an ``IntEnum`` is one, and the trace holds it as a plain
@@ -320,9 +342,7 @@ def apply_trace(trace: ReorientationTrace) -> Orientation:
     is no :class:`ReorientationTrace` from an
     :class:`~hyperorient.core.Orientation` or a malformed entry, raises
     :class:`PreconditionError`, and so does an illegal step."""
-    bad = _malformed_entry(trace)
-    if bad is not None:
-        raise PreconditionError(VerifyReport((bad,)).render())
+    _as_well_formed(trace)
     cur = trace.initial
     for step in trace.steps:
         cur = reorient(cur, step.edge, step.new_head)
@@ -356,22 +376,17 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _as_trace(trace: object) -> None:
-    """Check that ``trace`` is a :class:`ReorientationTrace` from an
-    :class:`~hyperorient.core.Orientation`, else raise
-    :class:`PreconditionError`."""
-    if not isinstance(trace, ReorientationTrace) or not isinstance(trace.initial, Orientation):
-        raise PreconditionError("trace must be a ReorientationTrace that starts from an Orientation")
-
-
 def _malformed_entry(trace: ReorientationTrace) -> Optional[VerifyFailure]:
     """The first entry of ``trace`` that a parsed trace cannot hold, or
     ``None``: a field that is not an ``int``, by
     :func:`~hyperorient.toolkit.parse_trace`'s rule (``type(x) is int``, so
     a ``bool`` is not one), ``steps`` that are not a tuple, or a step that
-    is not a :class:`ReorientationStep`.  A ``trace`` that is not a trace
-    (:func:`_as_trace`) raises :class:`PreconditionError`."""
-    _as_trace(trace)
+    is not a :class:`ReorientationStep`.  A ``trace`` that is not a
+    :class:`ReorientationTrace` from an
+    :class:`~hyperorient.core.Orientation` raises
+    :class:`PreconditionError`."""
+    if not isinstance(trace, ReorientationTrace) or not isinstance(trace.initial, Orientation):
+        raise PreconditionError("trace must be a ReorientationTrace that starts from an Orientation")
     steps = trace.steps if type(trace.steps) is tuple else ()
     records = [(None, {name: getattr(trace, name) for name in ("lambda_initial", "k_target", "lambda_final")})]
     records += enumerate(steps, start=1)
@@ -386,6 +401,17 @@ def _malformed_entry(trace: ReorientationTrace) -> Optional[VerifyFailure]:
     if type(trace.steps) is not tuple:
         return VerifyFailure(None, f"steps is a {type(trace.steps).__name__}, not a tuple")
     return None
+
+
+def _as_well_formed(trace: ReorientationTrace) -> None:
+    """Refuse what :func:`verify_trace` refuses or reports before any
+    replay (:func:`_malformed_entry`): raise :class:`PreconditionError`
+    with the report's text.  :func:`apply_trace` and
+    :func:`~hyperorient.toolkit.format_trace` call it, so neither takes a
+    trace that the text format could not hold."""
+    bad = _malformed_entry(trace)
+    if bad is not None:
+        raise PreconditionError(VerifyReport((bad,)).render())
 
 
 def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
@@ -442,7 +468,7 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
     held, into = _held(h), [0] * h.n
     for v in trace.initial.heads:
         into[v] += 1
-    lam = connectivity(h, trace.initial, _least_one_vertex_degree(held, into))[0]
+    lam = connectivity(h, trace.initial, _least_one_vertex_degree(held, into))
     if lam != trace.lambda_initial:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")
@@ -473,7 +499,7 @@ def verify_trace(h: Hypergraph, trace: ReorientationTrace) -> VerifyReport:
         )[0] == lam:
             lam_after = lam
         else:
-            lam_after = connectivity(h, cur, min(lam + 1, least))[0]
+            lam_after = connectivity(h, cur, min(lam + 1, least))
         if lam_after != step.lambda_after:
             failures.append(
                 VerifyFailure(i, f"connectivity after step is {lam_after}, step claims {step.lambda_after}")

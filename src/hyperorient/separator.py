@@ -306,8 +306,10 @@ def min_separator(
 
     Returns ``(value, minimal minimizer)``; ``(limit, None)`` when the
     minimum is at least ``limit``.  An in-side query is the same flow run
-    backward.  This is the package's public flow entry, so it checks what
-    the kernel trusts: ``x`` or ``avoid`` that is not a
+    backward.  The minimizer is checked to hold ``x`` and miss ``avoid``,
+    and a flow whose reach does not raises :class:`InvariantViolation`.
+    This is the package's public flow entry, so it checks what the kernel
+    trusts: ``x`` or ``avoid`` that is not a
     :class:`~hyperorient.core.VertexSet`, is empty, lies over another ground
     set or overlaps the other, another ``side``, or a ``limit`` that is not a
     count (``core``'s count rule: a non-negative ``int``; an ``IntEnum`` is
@@ -328,7 +330,10 @@ def min_separator(
     )
     if reach is None:
         return value, None
-    return value, _separator(h.n, reach, x, avoid)
+    separator = VertexSet.from_mask(h.n, _mask(reach))
+    if not x <= separator or separator.mask & avoid.mask:
+        raise InvariantViolation("separator missed its constraints")
+    return value, separator
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -338,15 +343,6 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
-
-
-def _separator(n: int, reach: Iterable[int], source_set: VertexSet, avoid_set: VertexSet) -> VertexSet:
-    """A residual-reachable vertex set, checked against the query's
-    constraints."""
-    separator = VertexSet.from_mask(n, _mask(reach))
-    if not source_set <= separator or separator.mask & avoid_set.mask:
-        raise InvariantViolation("separator missed its constraints")
-    return separator
 
 
 def _degree_bound(h: Hypergraph, o: Orientation) -> int:
@@ -363,13 +359,14 @@ def _degree_bound(h: Hypergraph, o: Orientation) -> int:
 
 def _sink_sequences(
     h: Hypergraph, o: Orientation, cap: int, mark: bool
-) -> tuple[int, Optional[VertexSet], list[list[bool]], list[list[Optional[list[int]]]]]:
+) -> tuple[int, list[list[bool]], list[list[Optional[list[int]]]]]:
     """The package's one sink sequence (see :func:`connectivity`), run on
-    each side: ``(value, x, tight, kept)``.  ``value`` and ``x`` are
-    :func:`connectivity`'s.  Without ``mark`` each query is capped at the
-    best value so far, ``tight`` is all ``False``, ``kept`` all ``None``,
-    and a value of 0 ends the run.  With ``mark`` each query is capped one
-    above it, and ``tight`` and ``kept`` are ``[in, out]``: the vertices
+    each side: ``(value, tight, kept)``.  ``value`` is
+    :func:`connectivity`'s, and no query builds a set.  Without ``mark``
+    each query is capped at the best value so far, ``tight`` is all
+    ``False``, ``kept`` all ``None``, and a value of 0 ends the run.  With
+    ``mark`` each query is capped one above it, and ``tight`` and ``kept``
+    are ``[in, out]``: the vertices
     some set of degree ``value`` on that side that avoids vertex 0 holds,
     and at each vertex whose own query ended at ``value`` a copy of the
     heads list right after that query (see :func:`tight_reaches`).  A
@@ -377,7 +374,7 @@ def _sink_sequences(
     marks its maximal minimizer and keeps its copy.  Each pass keeps one
     sink mask, and query ``t`` adds ``t`` to it."""
     n, g = h.n, network(h)
-    best, found = cap, None
+    best = cap
     tight = [[False] * n, [False] * n]
     kept: list[list[Optional[list[int]]]] = [[None] * n, [None] * n]
     for forward in (False, True):
@@ -387,10 +384,9 @@ def _sink_sequences(
         residual = list(o.heads)
         sinks = _sink_mask(n, [0])
         for t in range(1, n):
-            value, reach = max_flow_min_cut(g, [t], sinks, limit=best + mark, residual=residual, forward=forward)
+            value = max_flow_min_cut(g, [t], sinks, limit=best + mark, residual=residual, forward=forward)[0]
             if value < best:
-                side = _separator(n, reach, VertexSet.singleton(n, t), VertexSet.from_mask(n, (1 << t) - 1))
-                best, found = value, side if forward else side.complement()
+                best = value
                 if mark:
                     for flags, held in zip(tight, kept):
                         flags[:] = [False] * n
@@ -409,15 +405,12 @@ def _sink_sequences(
                         if v not in outside:
                             marks[v] = True
             sinks[t] = True
-    return best, found, tight, kept
+    return best, tight, kept
 
 
-def connectivity(h: Hypergraph, o: Orientation, cap: int) -> tuple[int, Optional[VertexSet]]:
-    """Hyperarc-connectivity with a set attaining it, as ``(value, x)``.
-
-    ``value`` is exact whenever it is below ``cap`` (a value equal to
-    ``cap`` means "at least ``cap``").  ``x`` is a vertex set of out-degree
-    ``value``, or ``None`` when no set has out-degree below ``cap``.  A
+def connectivity(h: Hypergraph, o: Orientation, cap: int) -> int:
+    """Hyperarc-connectivity capped at ``cap``: exact whenever it is below
+    ``cap``, and a value equal to ``cap`` means "at least ``cap``".  A
     ``cap`` that is not a count (``core``'s count rule) raises
     :class:`PreconditionError`.
 
@@ -436,19 +429,15 @@ def connectivity(h: Hypergraph, o: Orientation, cap: int) -> tuple[int, Optional
     A value of 0 ends the run.  The loop is the package's one sink sequence, which
     :func:`tight_reaches` runs too, capped one higher.
 
-    ``x`` comes from the query that last lowered the value: on the first
-    pass, the complement of its minimal side, which is the maximal set of
-    that out-degree holding ``[0 .. t - 1]`` and missing ``t``; on the
-    second, its minimal side.  Either has out-degree ``value``, but another
-    sink order may find another such set.  Any ``cap`` above the
-    connectivity gives the same ``x``: it comes from the first query whose
-    flow is the connectivity, and the minimal side of a maximum flow is its
-    unique minimal minimum cut, whatever flow the kept heads held before
-    the query.  The cap is required, and each caller passes a bound it
-    holds; ``h.m + 1`` caps nothing, since no out-degree is above ``m``.
+    The cap is required, and each caller passes a bound it holds;
+    ``h.m + 1`` caps nothing, since no out-degree is above ``m``.  It
+    returns no set: a caller that needs a set of some out-degree asks
+    :func:`min_separator` for it, as
+    :func:`~hyperorient.augment.augment_one` does for the cut that a step
+    lowered.
     """
     _same_instance(h, o)
-    return _sink_sequences(h, o, _as_count("cap", cap), False)[:2]
+    return _sink_sequences(h, o, _as_count("cap", cap), False)[0]
 
 
 def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
@@ -571,7 +560,7 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     these residuals and copies.
     """
     _same_instance(h, o)
-    k, _, tight, kept = _sink_sequences(h, o, _degree_bound(h, o), True)
+    k, tight, kept = _sink_sequences(h, o, _degree_bound(h, o), True)
     g = network(h)
     reaches = []
     for forward, marks, residuals in zip((False, True), tight, kept):

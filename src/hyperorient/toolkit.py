@@ -24,7 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .augment import ReorientationStep, ReorientationTrace, _as_trace
+from .augment import ReorientationStep, ReorientationTrace, _as_well_formed
 from .core import Hypergraph, Orientation, PreconditionError, VertexSet, _as_count, _as_hypergraph, _same_instance
 
 
@@ -204,15 +204,15 @@ def format_orientation(o: Orientation) -> str:
 
 
 def format_trace(trace: ReorientationTrace) -> str:
-    """The trace format of ``trace``.  A ``trace`` that is no
+    """The trace format of ``trace``.  It refuses, with
+    :class:`PreconditionError`, what
+    :func:`~hyperorient.augment.apply_trace` refuses before any replay, by
+    the same rule and message: a ``trace`` that is no
     :class:`~hyperorient.augment.ReorientationTrace` from an
-    :class:`~hyperorient.core.Orientation`, ``steps`` that are not a tuple,
-    and a step that is not a
-    :class:`~hyperorient.augment.ReorientationStep` raise
-    :class:`PreconditionError`; its fields are written as they are."""
-    _as_trace(trace)
-    if type(trace.steps) is not tuple:
-        raise PreconditionError(f"steps is a {type(trace.steps).__name__}, not a tuple")
+    :class:`~hyperorient.core.Orientation`, ``steps`` that are not a tuple
+    of :class:`~hyperorient.augment.ReorientationStep`, and a field that
+    is not an ``int``, which :func:`parse_trace` would reject."""
+    _as_well_formed(trace)
     lines = [
         json.dumps(
             {
@@ -224,8 +224,6 @@ def format_trace(trace: ReorientationTrace) -> str:
         )
     ]
     for i, step in enumerate(trace.steps, start=1):
-        if type(step) is not ReorientationStep:
-            raise PreconditionError(f"step {i} is a {type(step).__name__}, not a ReorientationStep")
         lines.append(
             json.dumps(
                 {

@@ -36,7 +36,7 @@ def reference_verify_trace(h, trace):
     if len(trace.steps) > bound:
         return VerifyReport((VerifyFailure(None, f"{len(trace.steps)} steps exceed the bound {bound}"),))
     failures = []
-    lam = connectivity(h, trace.initial, h.m + 1)[0]
+    lam = connectivity(h, trace.initial, h.m + 1)
     if lam != trace.lambda_initial:
         failures.append(
             VerifyFailure(None, f"initial connectivity is {lam}, trace claims {trace.lambda_initial}")
@@ -57,7 +57,7 @@ def reference_verify_trace(h, trace):
             failures.append(VerifyFailure(i, f"illegal new head {step.new_head} for edge {step.edge}"))
             break
         cur = reorient(cur, step.edge, step.new_head)
-        lam_after = connectivity(h, cur, cap=lam + 2)[0]
+        lam_after = connectivity(h, cur, cap=lam + 2)
         if lam_after != step.lambda_after:
             failures.append(
                 VerifyFailure(i, f"connectivity after step is {lam_after}, step claims {step.lambda_after}")

@@ -118,7 +118,7 @@ def test_a2_end_to_end_augmentation(augmentation_runs):
         assert trace.lambda_final == k, run_id
         lams = [trace.lambda_initial] + [s.lambda_after for s in trace.steps]
         assert all(a <= b for a, b in zip(lams, lams[1:])), run_id
-        assert len(trace.steps) <= (k - trace.lambda_initial) * h.n**3, run_id
+        assert len(trace.steps) <= (k - trace.lambda_initial) * (h.n**3 - h.n) // 2, run_id
         report = verify_trace(h, trace)
         assert report.ok, (run_id, report.render())
         if h.n <= 6:
@@ -307,7 +307,7 @@ def test_a8_potential_strictly_decreases(augmentation_runs):
             by_level.setdefault(ev.level, []).append(ev)
         for level, evs in by_level.items():
             assert [ev.iteration for ev in evs] == list(range(1, len(evs) + 1)), run_id
-            assert len(evs) <= h.n**2, run_id
+            assert len(evs) <= h.n * (h.n + 1) // 2, run_id
             potentials = [
                 (len(ev.families.m_all), -sum(len(x) for x in ev.families.m_all))
                 for ev in evs

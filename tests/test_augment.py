@@ -10,13 +10,13 @@ from hyperorient import (
     InvariantViolation,
     NotPartitionConnectedError,
     Orientation,
-    ParseError,
     Partition,
     PathArc,
     PreconditionError,
     ReorientationStep,
     ReorientationTrace,
     VerifyFailure,
+    VerifyReport,
     VertexSet,
     apply_trace,
     augment_to,
@@ -215,13 +215,15 @@ class TestAugmentTo:
             f"level 0, iteration 2, region {first[0].r_family[0]}: families potential did not decrease"
         )
 
-    def test_a_connectivity_drop_carries_a_set_from_connectivity(self, monkeypatch):
+    def test_a_connectivity_drop_carries_the_cut_its_step_lowered(self, monkeypatch):
         """A step that lowers the connectivity is the fail-fast guard of an
         infeasible input.  Here both patched searches hand level 1 a one-arc
-        path that turns edge 2 to head 0, which drops the connectivity to 0.
-        The certificate is the set ``connectivity`` returns after the step,
-        so its out-degree is 0, and a ``connectivity`` that disagrees with
-        the step check is an :class:`InvariantViolation` naming the step."""
+        path that turns edge 2 from head 5 to head 0, which drops the
+        connectivity to 0.  Only sets that hold 0 and miss 5 dropped, so the
+        certificate is the minimal ``0 -> 5`` cut after the step: it holds
+        0, misses 5 and has out-degree 0.  A cut that disagrees with the
+        step check, or that does not have the check's out-degree, is an
+        :class:`InvariantViolation` naming the step."""
         h = gen_instance(GenSpec(n=6, k=2, extra_edges=3, seed=1))
         cur = apply_trace(augment_to(h, gen_orientation(h, mode="min-head"), 1))
         assert hyperarc_connectivity(h, cur) == 1 and cur.heads[2] == 5
@@ -234,11 +236,33 @@ class TestAugmentTo:
         assert str(info.value).startswith("level 1, iteration 1, region ")
         assert str(info.value).endswith(": connectivity dropped to 0 during a path")
         x = info.value.certificate
-        assert isinstance(x, VertexSet) and out_degree(h, reorient(cur, 2, 0), x) == 0
-        monkeypatch.setattr(augment_module, "connectivity", lambda h, o, cap: (1, x))
-        with pytest.raises(InvariantViolation, match=", step 1: the step check reads 0, connectivity is 1$") as info:
+        assert isinstance(x, VertexSet) and 0 in x and 5 not in x
+        assert out_degree(h, reorient(cur, 2, 0), x) == 0
+        flows = []
+        flow, step_check = separator.max_flow_min_cut, separator.IncrementalConnectivity.reorient
+
+        def recorded(g, sources, sinks, limit=None, *, residual, forward=True):
+            flows.append((list(sources), [v for v, sink in enumerate(sinks) if sink]))
+            return flow(g, sources, sinks, limit, residual=residual, forward=forward)
+
+        def step_then_clear(self, e, new_head):
+            value = step_check(self, e, new_head)
+            flows.clear()
+            return value
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
+        monkeypatch.setattr(separator.IncrementalConnectivity, "reorient", step_then_clear)
+        with pytest.raises(NotPartitionConnectedError):
             augment_to(h, cur, 2)
-        assert str(info.value).startswith("level 1, iteration 1, region ")
+        assert flows == [([0], [5])]  # the drop runs one flow, not a sink sequence
+        for cut, message in (
+            ((1, x), "the step check reads 0, connectivity is 1"),
+            ((0, x.complement()), r"the certificate VertexSet\(.*\) has out-degree \d+, not 0"),
+        ):
+            monkeypatch.setattr(augment_module, "min_separator", lambda *args, cut=cut, **kwargs: cut)
+            with pytest.raises(InvariantViolation, match=f", step 1: {message}$") as info:
+                augment_to(h, cur, 2)
+            assert str(info.value).startswith("level 1, iteration 1, region ")
 
     def test_low_degree_rejected_by_the_cli_with_a_certificate(self, capsys, tmp_path):
         hg = tmp_path / "h.hg"
@@ -416,9 +440,11 @@ class TestVerifyTrace:
             value = getattr(bad, name) if step is None else getattr(bad.steps[step - 1], name)
             assert verify_trace(h, bad).failures == (VerifyFailure(step, f"{name} is {value!r}, not an int"),)
         monkeypatch.undo()
-        for bad, _, _ in cases:  # each formats, and the text format rejects it
-            with pytest.raises(ParseError, match="must be an integer"):
-                parse_trace(format_trace(bad), o)
+        for bad, _, _ in cases:  # format_trace refuses each, with the text of verify_trace's report
+            (failure,) = verify_trace(h, bad).failures
+            with pytest.raises(PreconditionError) as info:
+                format_trace(bad)
+            assert str(info.value) == VerifyReport((failure,)).render()
 
     def test_malformed_trace_objects_rejected_before_replay(self, monkeypatch):
         """A trace built in Python that is no ``ReorientationTrace``, or
@@ -483,8 +509,8 @@ class TestVerifyTrace:
             (failure,) = verify_trace(h, bad).failures
             where = "trace" if failure.step is None else f"step {failure.step}"
             refused(lambda: apply_trace(bad), f"FAIL {where}: {failure.message}")
-        refused(lambda: format_trace(ReorientationTrace(o, 1, 1, 1, ("x",))), "step 1 is a str, not a ReorientationStep")
-        refused(lambda: format_trace(replace(trace, steps=None)), "steps is a NoneType, not a tuple")
+        refused(lambda: format_trace(ReorientationTrace(o, 1, 1, 1, ("x",))), "FAIL step 1: step is a str, not a ReorientationStep")
+        refused(lambda: format_trace(replace(trace, steps=None)), "FAIL trace: steps is a NoneType, not a tuple")
         refused(lambda: parse_trace(format_trace(trace), None), "initial is a NoneType, not an Orientation")
 
     def test_empty_trace_on_connected_input_passes(self):

@@ -76,7 +76,7 @@ def test_the_bound_is_the_least_one_vertex_degree():
 
 def test_every_answer_equals_the_old_start():
     """``connectivity`` capped at ``h.m + 1``, which caps nothing, and at
-    random caps gives the old start's value and set,
+    random caps gives the old start's value,
     ``hyperarc_connectivity`` its value, and ``tight_reaches`` its level
     and tight flags.  The corpus holds a connectivity of 0, one at the
     bound and one below it."""
@@ -85,14 +85,14 @@ def test_every_answer_equals_the_old_start():
     for h, states in walk_corpus():
         for o in states:
             bound = separator._degree_bound(h, o)
-            lam, x, _, _ = old_start(h, o, None, False)
+            lam = old_start(h, o, None, False)[0]
             seen.add("zero" if lam == 0 else "at the bound" if lam == bound else "below the bound")
-            assert connectivity(h, o, h.m + 1) == (lam, x)
+            assert connectivity(h, o, h.m + 1) == lam
             assert hyperarc_connectivity(h, o) == lam
             for cap in (rng.randint(0, bound + 2), rng.randint(0, h.m + 1)):
-                assert connectivity(h, o, cap) == old_start(h, o, cap, False)[:2]
+                assert connectivity(h, o, cap) == old_start(h, o, cap, False)[0]
             k, in_reaches, out_reaches = tight_reaches(h, o)
-            old_k, _, (old_in, old_out), _ = old_start(h, o, None, True)
+            old_k, (old_in, old_out), _ = old_start(h, o, None, True)
             assert (k, in_reaches.tight, out_reaches.tight) == (old_k, tuple(old_in), tuple(old_out))
     assert seen == {"zero", "at the bound", "below the bound"}
 

@@ -40,6 +40,7 @@ from hyperorient import (
     separator,
 )
 from hyperorient import augment as augment_module
+from hyperorient import families
 from hyperorient.families import QSets
 from hyperorient.separator import IncrementalConnectivity
 from corpus import random_instances, vs
@@ -134,6 +135,20 @@ class TestComputeFamilies:
                 for i, a in enumerate(members):
                     for b in members[i + 1 :]:
                         assert not a.mask & b.mask
+
+    def test_overlapping_m_all_members_are_an_invariant_violation(self, monkeypatch):
+        """``m_all``, the minimal members of ``m_minus`` and ``m_plus``, is
+        checked to be a subpartition, and the level loop's bound on its
+        paths rests on that check.  Here ``{1}`` is the one member of both,
+        so a ``minimal_members`` that returns its input unfiltered puts two
+        copies side by side, and they must be refused."""
+        h = hypergraph(2, [(0, 1), (0, 1)])
+        o = Orientation(h, (1, 0))
+        fam = compute_families(h, o)
+        assert fam.m_minus == fam.m_plus == fam.m_all == (vs(2, [1]),)
+        monkeypatch.setattr(families, "minimal_members", tuple)
+        with pytest.raises(InvariantViolation, match=r"^m_all members overlap: "):
+            compute_families(h, o)
 
     @pytest.mark.parametrize("side, members", [("in", "m_plus"), ("out", "m_minus")])
     def test_a_crossing_q_set_is_an_invariant_violation(self, monkeypatch, side, members):
