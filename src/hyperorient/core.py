@@ -10,15 +10,16 @@ All quantities are exact integer counts, every iteration order is ascending,
 and every value is immutable, so each operation is a pure deterministic
 function of its inputs and values can be shared freely between threads.
 
-Arguments are checked by ten private rules, each written once, here, on
+Arguments are checked by eleven private rules, each written once, here, on
 top of the ``int`` rule of :func:`_as_int` (an ``IntEnum`` is an ``int``, a
 ``bool`` is not): a count (:func:`_as_count`), a vertex count
 (:func:`_as_vertex_count`), a vertex (:func:`_as_vertex`), a vertex set of a
 ground set (:func:`_as_vertex_set`), an edge id (:func:`_as_edge`), a new
 head of an edge (:func:`_as_new_head`), a side (:func:`_is_out`), a
-collection (:func:`_as_tuple`), a hypergraph (:func:`_as_hypergraph`) and
-an orientation of a hypergraph (:func:`_same_instance`).  A value that
-breaks one raises :class:`PreconditionError`.
+collection (:func:`_as_tuple`), a text (:func:`_as_text`), a hypergraph
+(:func:`_as_hypergraph`) and an orientation of a hypergraph
+(:func:`_same_instance`).  A value that breaks one raises
+:class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -109,6 +110,13 @@ def _as_tuple(what: str, x: object) -> tuple:
     if not isinstance(x, Iterable):
         raise PreconditionError(f"{what} must be iterable, not {x!r}")
     return tuple(x)
+
+
+def _as_text(x: object) -> None:
+    """Check that ``x``, the text a parser reads, is a ``str`` (not
+    ``bytes``), else raise :class:`PreconditionError`."""
+    if not isinstance(x, str):
+        raise PreconditionError(f"text is a {type(x).__name__}, not a str")
 
 
 def _as_hypergraph(h: object) -> None:

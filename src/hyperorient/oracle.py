@@ -18,6 +18,7 @@ from .core import (
     PreconditionError,
     VertexSet,
     _as_count,
+    _as_hypergraph,
     _as_vertex,
     _as_vertex_set,
     _is_out,
@@ -34,6 +35,10 @@ BF_ORIENTATIONS_MAX = 1_000_000
 
 
 def _guard_n(h: Hypergraph, bound: int = BF_MAX_N) -> None:
+    """Check that ``h`` is a :class:`Hypergraph` (``core``'s hypergraph
+    rule) of at most ``bound`` vertices, else raise
+    :class:`PreconditionError`."""
+    _as_hypergraph(h)
     if h.n > bound:
         raise PreconditionError(f"brute force refused: n={h.n} exceeds bound {bound}")
 
@@ -216,6 +221,7 @@ def bf_orientation_exists(h: Hypergraph, k: int) -> tuple[bool, Optional[Orienta
     some vertex set can no longer collect ``k`` out-arcs even if every
     remaining crossing edge donates one.
     """
+    _as_hypergraph(h)
     total = 1
     for e in h.edges:
         total *= len(e)

@@ -588,21 +588,35 @@ class IncrementalConnectivity:
     query's flow exactly where its head there differs from :attr:`heads`,
     and then that head is the tail the unit entered by.
 
-    One reorientation moves every out-degree by at most one, so it moves
-    every query's value by at most one, and at most one flow unit crosses
-    edge ``e``.  When ``e`` turns from head ``a`` to head ``b``, every query
-    sets its head of ``e`` to ``b``, with no flow through ``e``.  A query
-    whose flow sent a unit through ``e`` from a carrier ``x`` to ``a`` then
-    reroutes it from ``x`` to ``a``; if no path exists it hands the unit
-    back, along ``x`` to the source and the sink to ``a``, and loses it.  A
-    query still at the cap is done.  Below the cap, the kept cut ``X`` still
-    proves the flow maximum when its new out-degree equals the flow.  By the
-    single-reorientation lemma that degree is the old one, less one when
-    ``b`` is in ``X`` and ``a`` is not, plus one when ``a`` is in ``X`` and
-    ``b`` is not.  The minimal cut (the residual-reachable side) is then a
-    subset of ``X``.  Otherwise the query augments toward the cap, which
-    also yields its reachable side.  Every push is a
-    :func:`max_flow_min_cut` call.
+    At most one flow unit crosses edge ``e``.  When ``e`` turns from head
+    ``a`` to head ``b``, every query sets its head of ``e`` to ``b``, with
+    no flow through ``e``, and repairs its flow one of two ways.  A query
+    whose flow sent a unit through ``e`` from a carrier ``x`` to ``a``
+    reroutes it from ``x`` to ``a``, and keeps its value; if no path exists
+    it starts again from :attr:`heads`, with value 0 and no kept cut, and
+    augments to the cap.  A query at the cap is done.  Below the cap, a
+    query that kept its value stops when ``a`` and ``b`` lie on one side of
+    its kept cut ``X``, and augments toward the cap otherwise, which also
+    yields its new reachable side.  Every push is a :func:`max_flow_min_cut`
+    call.
+
+    That test is exact.  ``X`` is the reachable side of the query's last
+    augment, below the cap, so its out-degree equals the flow's value, and
+    each step that passed the test since kept both.  So every hyperarc
+    that leaves ``X`` carries a unit out of it, and none carries one in.
+    By the single-reorientation lemma (Ito et al. 2022) the step lowers
+    ``X``'s degree by one when ``b`` is in ``X`` and ``a`` is not, raises
+    it by one when ``a`` is in ``X`` and ``b`` is not, and keeps it
+    otherwise.  The fall cannot meet a kept value: ``e`` then left ``X``
+    carrying a unit from a carrier in ``X``, every other hyperarc with a
+    vertex in ``X`` is headed into ``X`` in the residual, and so is ``e``
+    once headed at ``b``, so no path leads from the carrier to ``a``, and
+    the query has restarted.  So a query that kept its value is still maximum exactly
+    when ``a`` and ``b`` lie on one side of ``X``: then ``X`` keeps its
+    degree and still proves it, and the minimal cut (the
+    residual-reachable side) is a subset of ``X``.  When ``a`` alone is in
+    ``X``, its degree is one above the value and proves nothing, so the
+    query augments: by one unit, or to a new cut of the same value.
 
     :meth:`raise_cap` lifts the cap from one level to the next: a query
     below the old cap is already maximum, and one at it resumes its flow
@@ -691,21 +705,13 @@ class IncrementalConnectivity:
         e = _as_edge(e, self.hypergraph.m)
         a, b = self.heads[e], _as_new_head(self.hypergraph, self.heads, e, new_head)
         self.heads[e] = b
-        for p, (s, t) in enumerate(self._pairs):
-            res, before, cut = self._res[p], self._value[p], self._cut[p]
-            carrier = res[e] if res[e] != a else None
-            res[e] = b
-            if carrier is not None and not self._push_unit(res, carrier, a):
-                for src, dst in ((carrier, s), (t, a)):  # hand the unit back
-                    if src != dst and not self._push_unit(res, src, dst):
-                        raise InvariantViolation("a flow unit through a reoriented edge has no way back")
-                self._value[p] -= 1
-            if self._value[p] == self.cap:
-                continue
-            if cut is not None:
-                # the kept cut's out-degree after the step, by the single-reorientation lemma
-                if self._value[p] == before - (b in cut and a not in cut) + (a in cut and b not in cut):
-                    continue
+        for p, res in enumerate(self._res):
+            carrier, res[e] = res[e], b
+            if carrier != a and not self._push_unit(res, carrier, a):
+                res[:] = self.heads  # no reroute: start the flow again
+                self._value[p] = 0
+            elif self._value[p] == self.cap or (a in self._cut[p]) == (b in self._cut[p]):
+                continue  # at the cap, or the kept cut still proves the flow maximum
             self._augment(p)
         self.value = min(self._value, default=self.cap)
         return self.value

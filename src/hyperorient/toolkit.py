@@ -25,7 +25,16 @@ import random
 from dataclasses import dataclass
 
 from .augment import ReorientationStep, ReorientationTrace, _as_well_formed
-from .core import Hypergraph, Orientation, PreconditionError, VertexSet, _as_count, _as_hypergraph, _same_instance
+from .core import (
+    Hypergraph,
+    Orientation,
+    PreconditionError,
+    VertexSet,
+    _as_count,
+    _as_hypergraph,
+    _as_text,
+    _same_instance,
+)
 
 
 class ParseError(ValueError):
@@ -131,7 +140,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
     The edges are kept as lists of ints until that is checked, and only
     then become vertex sets over ``n``: a covered ``n`` is at most the
     number of vertex tokens, so no mask is wider than the text has vertex
-    tokens, whatever count its ``n`` line declares."""
+    tokens, whatever count its ``n`` line declares.  A ``text`` that is
+    not a ``str`` raises :class:`PreconditionError`."""
+    _as_text(text)
     n = n_line = None
     covered: set[int] = set()  # the vertices of the edges so far
     edges: list[list[int]] = []
@@ -176,8 +187,10 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_orientation(text: str, h: Hypergraph) -> Orientation:
-    """Parse the ``.or`` format against its hypergraph.  An ``h`` that is
-    not a :class:`Hypergraph` raises :class:`PreconditionError`."""
+    """Parse the ``.or`` format against its hypergraph.  A ``text`` that
+    is not a ``str``, or an ``h`` that is not a :class:`Hypergraph`, raises
+    :class:`PreconditionError`."""
+    _as_text(text)
     _as_hypergraph(h)
     heads: dict[int, int] = {}
     for lineno, tokens in _tokenize(text):
@@ -255,9 +268,11 @@ def _int_record(lineno: int, rec, what: str, keys: tuple[str, ...]) -> None:
 
 
 def parse_trace(text: str, initial: Orientation) -> ReorientationTrace:
-    """Parse a trace file against the orientation it starts from.  An
-    ``initial`` that is not an :class:`~hyperorient.core.Orientation`
-    raises :class:`PreconditionError`."""
+    """Parse a trace file against the orientation it starts from.  A
+    ``text`` that is not a ``str``, or an ``initial`` that is not an
+    :class:`~hyperorient.core.Orientation`, raises
+    :class:`PreconditionError`."""
+    _as_text(text)
     if not isinstance(initial, Orientation):
         raise PreconditionError(f"initial is a {type(initial).__name__}, not an Orientation")
     h = initial.hypergraph

@@ -167,6 +167,19 @@ class TestBfSafe:
         assert found >= 20
 
 
+# each oracle, called with a valid orientation and families of the three-cycle
+CALLS_ON_H = {
+    "bf_lambda": lambda h, o, fam: bf_lambda(h, o),
+    "bf_tight_families": lambda h, o, fam: bf_tight_families(h, o, 1),
+    "bf_families": lambda h, o, fam: bf_families(h, o),
+    "bf_min_separator": lambda h, o, fam: bf_min_separator(h, o, 0, vs(3, [2]), "out"),
+    "bf_partition_connected": lambda h, o, fam: bf_partition_connected(h, 1),
+    "bf_orientation_exists": lambda h, o, fam: bf_orientation_exists(h, 1),
+    "bf_safe_source": lambda h, o, fam: bf_safe_source(h, o, fam, fam.m_minus[0], 1),
+    "bf_safe_sink": lambda h, o, fam: bf_safe_sink(h, o, fam, fam.m_plus[0], 1),
+}
+
+
 class TestArgumentRules:
     """The oracles take a level, a vertex and a side by the rules every
     other entry takes them by.  Each case below used to give an answer or
@@ -214,3 +227,14 @@ class TestArgumentRules:
                 with pytest.raises(PreconditionError, match="^vertex"):
                     call(h, o, fam, full, u)
             assert call(h, o, fam, full, IntEnum("Root", [("ZERO", 0)]).ZERO)
+
+    @pytest.mark.parametrize("h", [None, object()], ids=["None", "object"])
+    @pytest.mark.parametrize("oracle", sorted(CALLS_ON_H))
+    def test_a_hypergraph_is_checked(self, oracle, h):
+        """``core``'s hypergraph rule: each oracle used to fail with a raw
+        ``AttributeError`` on an ``h`` that is no hypergraph."""
+        g, o = three_cycle()
+        fam = bf_families(g, o)
+        name = type(h).__name__
+        with pytest.raises(PreconditionError, match=f"^h is a {name}, not a Hypergraph$"):
+            CALLS_ON_H[oracle](h, o, fam)

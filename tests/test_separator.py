@@ -568,6 +568,37 @@ class TestIncrementalConnectivity:
             assert check.value == connectivity(h, o, cap=check.cap)
         assert values == [1, 0, 0, 1]
 
+    def test_a_unit_that_cannot_be_rerouted_restarts_its_flow(self, monkeypatch):
+        """A step that leaves a flow unit through the turned edge with no
+        path from its carrier to the old head starts that flow again from
+        the heads.  Value and kept residual reaches match a fresh check's
+        after every step of walks that take that path."""
+        failed = []
+        push = IncrementalConnectivity._push_unit
+
+        def recorded(self, res, src, dst):
+            pushed = push(self, res, src, dst)
+            failed.append(not pushed)
+            return pushed
+
+        monkeypatch.setattr(IncrementalConnectivity, "_push_unit", recorded)
+        for i, (h, o) in enumerate(random_instances(5, 120, n_max=7, m_max=9, size_max=4, m_min=3)):
+            k = hyperarc_connectivity(h, o)
+            for cap in (k + 1, k + 2):
+                check, cur, rng = IncrementalConnectivity(h, o, cap), o, random.Random(i)
+                for _ in range(10):
+                    e = rng.randrange(h.m)
+                    cur = reorient(cur, e, rng.choice([x for x in h.edges[e] if x != cur.heads[e]]))
+                    check.reorient(e, cur.heads[e])
+                    fresh = IncrementalConnectivity(h, cur, cap)
+                    assert check.value == fresh.value, (i, cap)
+                    if check.value < cap:
+                        for side in ("in", "out"):
+                            kept, new = check.kept_reaches(side), fresh.kept_reaches(side)
+                            assert kept.tight == new.tight
+                            assert all(kept.reach(v) == new.reach(v) for v in range(h.n) if kept.tight[v])
+        assert sum(failed) > 1000
+
     def test_reorient_checks_its_edge_id(self):
         """On the doubled triangle ``reorient(True, 0)`` used to turn edge
         1; a float or a string failed with a raw ``TypeError``.  A refused

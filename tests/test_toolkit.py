@@ -231,6 +231,23 @@ NON_INTEGER_FIELDS = [
 
 
 class TestTraceFormat:
+    @pytest.mark.parametrize("text", [1, None, "bytes"], ids=["int", "None", "bytes"])
+    @pytest.mark.parametrize("parse", ["hypergraph", "orientation", "trace"])
+    def test_text_must_be_a_str(self, parse, text):
+        """``core``'s text rule, first in each parser: an ``int`` or ``None``
+        used to fail with a raw ``AttributeError``, and ``bytes`` with a raw
+        ``TypeError``, or were parsed as a trace through ``json.loads``."""
+        h, o, trace = doubled_triangle_trace()
+        valid, call = {
+            "hypergraph": (format_hypergraph(h), parse_hypergraph),
+            "orientation": (format_orientation(o), lambda t: parse_orientation(t, h)),
+            "trace": (trace, lambda t: parse_trace(t, o)),
+        }[parse]
+        if text == "bytes":
+            text = valid.encode("utf-8")
+        with pytest.raises(PreconditionError, match=f"^text is a {type(text).__name__}, not a str$"):
+            call(text)
+
     @pytest.mark.parametrize("index, key, raw", NON_INTEGER_FIELDS)
     def test_non_integer_field_rejected_with_line(self, index, key, raw):
         _, o, text = doubled_triangle_trace()

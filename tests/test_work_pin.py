@@ -48,20 +48,20 @@ PINNED = {
     "augment": {
         "builds": 8,
         "compares": 87,
-        "flow_calls": 4690,
-        "flow_units": 8179,
-        "labelled": 44643,
+        "flow_calls": 4550,
+        "flow_units": 8243,
+        "labelled": 46107,
         "safe_probes": 175,
-        "searches": 5395,
+        "searches": 5500,
     },
     "query": {"builds": 2, "compares": 1, "flow_calls": 1068, "flow_units": 1699, "labelled": 8971, "searches": 761},
     "reorient": {
         "builds": 695,
         "compares": 714,
-        "flow_calls": 63198,
-        "flow_units": 34491,
-        "labelled": 134307,
-        "searches": 50298,
+        "flow_calls": 61235,
+        "flow_units": 35959,
+        "labelled": 145970,
+        "searches": 55369,
     },
 }
 
