@@ -3,18 +3,21 @@ working tree, and write ``BENCH_<label>.json``.
 
 Run from the repository root, for instance::
 
-    python tests/bench_pairs.py --label my_change --ref HEAD --pairs 10 --seconds 30
+    python tests/bench_pairs.py --label my_change --ref HEAD
 
-The parent is ``git archive REF`` unpacked into a temporary directory; the
-change is the working tree as it stands.  For every workload of
-``BENCHMARK.json`` and every seed, each pair runs
+Both sides run from clean copies made the same way: the parent is ``git
+archive REF`` and the change is ``git archive`` of the working tree's
+files that ``.gitignore`` does not exclude (tracked or not), each unpacked
+into a fresh temporary directory, so compiled files and test outputs in
+the working tree do not reach the runs.  For every workload of
+``BENCHMARK.json`` and each of seeds 0 and 7, ten pairs run
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in each tree, one run at a time, and the side that runs first
-alternates from pair to pair.  Each end-to-end metric is summarised over
-the pairs (:func:`summarize`); ``correct`` is true when every run of both
-sides was, and ``failed`` and ``attempted`` are per-side sums over the
-runs.  With ``--traced-seconds``, one ``--trace 1`` run per side and
-workload on the first seed adds the per-layer counts under
+once in each copy, with ``T`` the file's ``run_seconds``, one run at a
+time, and the side that runs first alternates from pair to pair.  Each
+end-to-end metric is summarised over the pairs (:func:`summarize`);
+``correct`` is true when every run of both sides was, and ``failed`` and
+``attempted`` are per-side sums over the runs.  One 12-s ``--trace 1`` run
+per side and workload on seed 0 adds the per-layer counts under
 ``traced_parent_change``.
 
 The file claims nothing: :func:`claim_holds` is the rule a claimed gain
@@ -24,7 +27,9 @@ must meet, and a ``claim`` is written by hand after reading the numbers.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -33,6 +38,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # alternating pairs per workload and seed
+SEEDS = (0, 7)  # the tuned seed and the held-out one
+TRACED_SECONDS = 12  # one --trace 1 run per side and workload, on SEEDS[0]
 
 
 def summarize(parent: list[float], change: list[float]) -> dict:
@@ -79,18 +87,18 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def paired_row(trees: dict, workload: str, seed: int, pairs: int, seconds: float, names: list[str]) -> dict:
-    """``pairs`` alternating pairs of runs of one workload and seed."""
+def paired_row(trees: dict, workload: str, seed: int, seconds: float, names: list[str]) -> dict:
+    """``PAIRS`` alternating pairs of runs of one workload and seed."""
     first, runs = [], {side: [] for side in trees}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         first.append(order[0])
         for side in order:
             runs[side].append(run(trees[side], workload, seed, seconds, 0))
-            print(f"{workload} seed {seed} pair {i + 1}/{pairs} {side}: "
+            print(f"{workload} seed {seed} pair {i + 1}/{PAIRS} {side}: "
                   f"{ {m: runs[side][-1]['metrics'][m]['value'] for m in names} }", flush=True)
     row = {
-        "pairs": pairs,
+        "pairs": PAIRS,
         "seed": seed,
         "first_in_pair": first,
         "correct": all(r["correct"] for side in runs.values() for r in side),
@@ -102,49 +110,59 @@ def paired_row(trees: dict, workload: str, seed: int, pairs: int, seconds: float
     return row
 
 
+def unpack(tree_ish: str, dest: Path) -> Path:
+    """``git archive tree_ish`` unpacked into ``dest``."""
+    archive = subprocess.run(["git", "archive", tree_ish], cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def working_tree() -> str:
+    """The id of a git tree object holding the working tree's files that
+    ``.gitignore`` does not exclude, tracked or not; it is written through
+    a temporary index, so the repository's own index is left alone."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_index_") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
+        done = subprocess.run(["git", "write-tree"], cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--ref", default="HEAD", help="the parent commit (default HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
-    ap.add_argument("--traced-seconds", type=float, default=0.0, help="0: no traced runs")
     args = ap.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in declared["workloads"]]
     names = [m["name"] for m in declared["end_to_end"]]
+    seconds = declared["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT, capture_output=True, check=True).stdout
-        archive_path = parent / "parent.tar"
-        archive_path.write_bytes(archive)
-        with tarfile.open(archive_path) as tar:
-            tar.extractall(parent / "tree", filter="data")
-        trees = {"parent": parent / "tree", "change": ROOT}
+        trees = {"parent": unpack(args.ref, Path(tmp) / "parent"),
+                 "change": unpack(working_tree(), Path(tmp) / "change")}
         out = {
             "label": args.label,
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
-            f"parent = git archive {args.ref}, change = the working tree, {args.pairs} pairs per workload "
-            "and seed, alternating which side runs first (first_in_pair), one run at a time",
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0, "
+            f"parent = git archive {args.ref}, change = git archive of the working tree's files "
+            f"that .gitignore does not exclude, each unpacked into a fresh directory, {PAIRS} pairs "
+            "per workload and seed, alternating which side runs first (first_in_pair), one run at a time",
             "claim": None,
             "end_to_end": {
-                f"{w} seed {s}": paired_row(trees, w, s, args.pairs, args.seconds, names)
+                f"{w} seed {s}": paired_row(trees, w, s, seconds, names)
                 for w in workloads
-                for s in args.seeds
+                for s in SEEDS
             },
         }
-        if args.traced_seconds:
-            traced = {}
-            for w in workloads:
-                sides = [run(trees[side], w, args.seeds[0], args.traced_seconds, 1)["metrics"]
-                         for side in ("parent", "change")]
-                traced[f"{w} seed {args.seeds[0]}"] = {
-                    m: [sides[0].get(m, {}).get("value"), sides[1].get(m, {}).get("value")]
-                    for m in sorted(set(sides[0]) | set(sides[1]))
-                    if "." in m
-                }
-            out["traced_parent_change"] = traced
+        traced = {}
+        for w in workloads:
+            sides = [run(trees[side], w, SEEDS[0], TRACED_SECONDS, 1)["metrics"] for side in ("parent", "change")]
+            traced[f"{w} seed {SEEDS[0]}"] = {
+                m: [sides[0].get(m, {}).get("value"), sides[1].get(m, {}).get("value")]
+                for m in sorted(set(sides[0]) | set(sides[1]))
+                if "." in m
+            }
+        out["traced_parent_change"] = traced
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")

@@ -473,28 +473,55 @@ def walk_step(rng, h, o, cap):
 
 
 class TestIncrementalConnectivity:
-    def test_random_walks_match_from_scratch(self):
-        moved = {-1: 0, 1: 0}
+    def test_random_walks_match_from_scratch(self, monkeypatch):
+        """Walks of single reorientations keep the check's value equal to a
+        from-scratch one, and, below the cap, its kept residual reaches
+        equal to a fresh check's.  The walks move the value both ways, and
+        on the small corpus at caps k + 1 and k + 2 many steps leave a flow
+        unit through the turned edge with no path from its carrier to the
+        old head, so that flow starts again from the heads."""
+        failed = []
+        push = IncrementalConnectivity._push_unit
+
+        def recorded(self, res, src, dst):
+            pushed = push(self, res, src, dst)
+            failed.append(not pushed)
+            return pushed
+
+        monkeypatch.setattr(IncrementalConnectivity, "_push_unit", recorded)
+        walks = []
         for seed in range(16):
             rng = random.Random(seed)
             n, k = rng.randint(3, 24), rng.randint(1, 4)
             spec = GenSpec(n=n, k=k, extra_edges=rng.randint(0, n), max_edge_size=min(4, n), seed=seed)
             h = gen_instance(spec)
             o = gen_orientation(h, seed=seed, mode=rng.choice(["random", "min-head"]))
-            cap = connectivity(h, o, h.m + 1) + rng.randint(1, 3)
+            walks.append((seed, h, o, connectivity(h, o, h.m + 1) + rng.randint(1, 3), rng, 30))
+        for i, (h, o) in enumerate(random_instances(5, 120, n_max=7, m_max=9, size_max=4, m_min=3)):
+            k = hyperarc_connectivity(h, o)
+            walks += [((i, cap), h, o, cap, random.Random(i), 10) for cap in (k + 1, k + 2)]
+        moved = {-1: 0, 1: 0}
+        for case, h, o, cap, rng, steps in walks:
             check = IncrementalConnectivity(h, o, cap)
             assert check.value == root_pair_connectivity(h, o, cap)
             assert check.value == connectivity(h, o, cap=cap)
-            for step in range(1, 31):
+            for step in range(1, steps + 1):
                 e, head = walk_step(rng, h, o, cap)
                 before = check.value
                 o = reorient(o, e, head)
                 assert check.reorient(e, head) == check.value
-                assert check.value == root_pair_connectivity(h, o, cap), (seed, step)
-                assert check.value == connectivity(h, o, cap=cap), (seed, step)
+                assert check.value == root_pair_connectivity(h, o, cap), (case, step)
+                assert check.value == connectivity(h, o, cap=cap), (case, step)
                 if check.value != before:
                     moved[check.value - before] += 1
+                if check.value < cap:
+                    fresh = IncrementalConnectivity(h, o, cap)
+                    for side in ("in", "out"):
+                        kept, new = check.kept_reaches(side), fresh.kept_reaches(side)
+                        assert kept.tight == new.tight, (case, step)
+                        assert all(kept.reach(v) == new.reach(v) for v in range(h.n) if kept.tight[v])
         assert moved[-1] > 0 and moved[1] > 0
+        assert sum(failed) > 1000
 
     def test_raise_cap_matches_from_scratch(self):
         raised = 0
@@ -567,37 +594,6 @@ class TestIncrementalConnectivity:
             values.append(check.reorient(e, head))
             assert check.value == connectivity(h, o, cap=check.cap)
         assert values == [1, 0, 0, 1]
-
-    def test_a_unit_that_cannot_be_rerouted_restarts_its_flow(self, monkeypatch):
-        """A step that leaves a flow unit through the turned edge with no
-        path from its carrier to the old head starts that flow again from
-        the heads.  Value and kept residual reaches match a fresh check's
-        after every step of walks that take that path."""
-        failed = []
-        push = IncrementalConnectivity._push_unit
-
-        def recorded(self, res, src, dst):
-            pushed = push(self, res, src, dst)
-            failed.append(not pushed)
-            return pushed
-
-        monkeypatch.setattr(IncrementalConnectivity, "_push_unit", recorded)
-        for i, (h, o) in enumerate(random_instances(5, 120, n_max=7, m_max=9, size_max=4, m_min=3)):
-            k = hyperarc_connectivity(h, o)
-            for cap in (k + 1, k + 2):
-                check, cur, rng = IncrementalConnectivity(h, o, cap), o, random.Random(i)
-                for _ in range(10):
-                    e = rng.randrange(h.m)
-                    cur = reorient(cur, e, rng.choice([x for x in h.edges[e] if x != cur.heads[e]]))
-                    check.reorient(e, cur.heads[e])
-                    fresh = IncrementalConnectivity(h, cur, cap)
-                    assert check.value == fresh.value, (i, cap)
-                    if check.value < cap:
-                        for side in ("in", "out"):
-                            kept, new = check.kept_reaches(side), fresh.kept_reaches(side)
-                            assert kept.tight == new.tight
-                            assert all(kept.reach(v) == new.reach(v) for v in range(h.n) if kept.tight[v])
-        assert sum(failed) > 1000
 
     def test_reorient_checks_its_edge_id(self):
         """On the doubled triangle ``reorient(True, 0)`` used to turn edge
