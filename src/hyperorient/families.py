@@ -245,10 +245,15 @@ def is_out_dangerous(h: Hypergraph, o: Orientation, k: int, x: VertexSet, r: int
 
 
 def _check_subpartition(name: str, fam: tuple[VertexSet, ...]) -> None:
-    for i, a in enumerate(fam):
-        for b in fam[i + 1 :]:
-            if a.mask & b.mask:
-                raise InvariantViolation(f"{name} members overlap: {a} and {b}")
+    """One pass that keeps the union of the members so far: a member that
+    meets it raises :class:`InvariantViolation` naming the first earlier
+    member it meets and itself."""
+    union = 0
+    for i, b in enumerate(fam):
+        if union & b.mask:
+            a = next(a for a in fam[:i] if a.mask & b.mask)
+            raise InvariantViolation(f"{name} members overlap: {a} and {b}")
+        union |= b.mask
 
 
 def compute_families(
@@ -263,9 +268,10 @@ def compute_families(
     :func:`~hyperorient.augment.augment_to` passes the step check of its
     run, and the snapshots copy the flows it keeps (see
     :meth:`~hyperorient.separator.IncrementalConnectivity.kept_reaches`),
-    which its owner moves on.  A ``check`` must be for ``o``, with a cap
-    above ``k`` (else :class:`PreconditionError`).  The connectivity is
-    then recomputed from scratch, and a ``check`` whose value is not that
+    which its owner moves on.  A ``check`` must be an
+    :class:`~hyperorient.separator.IncrementalConnectivity` for ``o``, with
+    a cap above ``k`` (else :class:`PreconditionError`).  The connectivity
+    is then recomputed from scratch, and a ``check`` whose value is not that
     value raises :class:`InvariantViolation` naming the level.  Without a
     ``check``, :func:`~hyperorient.separator.tight_reaches` gives ``k``
     and the snapshots from one run of the sink sequences: a tight vertex
@@ -310,6 +316,8 @@ def compute_families(
     """
     if check is None:
         k, in_reaches, out_reaches = tight_reaches(h, o)
+    elif not isinstance(check, IncrementalConnectivity):
+        raise PreconditionError(f"check is a {type(check).__name__}, not an IncrementalConnectivity")
     else:
         k = hyperarc_connectivity(h, o)
         if check.heads != list(o.heads) or check.hypergraph != h or check.cap <= k:
@@ -434,8 +442,13 @@ def find_safe_endpoint(
 ) -> int:
     """Smallest safe source (``side='out'``, ``member_set`` in ``m_minus``)
     or safe sink (``side='in'``, in ``m_plus``); one always exists when the
-    instance has the required partition-connectivity."""
+    instance has the required partition-connectivity.  Another ``side``,
+    an orientation of another hypergraph, or a ``member_set`` that is no
+    :class:`~hyperorient.core.VertexSet` over ``h``'s vertices raises
+    :class:`PreconditionError`."""
     is_safe, name = (is_safe_source, "source") if _is_out(side) else (is_safe_sink, "sink")
+    _same_instance(h, o)
+    _as_vertex_set("member_set", member_set, h.n)
     for u in member_set:
         if is_safe(h, o, fam, member_set, u):
             return u

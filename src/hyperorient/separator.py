@@ -47,8 +47,11 @@ The hyperarc-connectivity is a sink sequence (Hao and Orlin, J. Algorithms
 1994, in augmenting-path form), run mirrored: per side, ``n - 1`` flows
 from one new vertex each into the growing set of earlier ones, on one kept
 heads list, so that after the first few each flow is a short search from
-its new vertex.  The package has one such loop, :func:`_sink_sequences`:
-:func:`connectivity` runs it capped at the best value so far, and
+its new vertex.  A pass takes its vertices in breadth-first order from
+vertex 0, so most of them reach an earlier one along a single hyperarc,
+which the flow takes with no search.  The package has one such loop,
+:func:`_sink_sequences`: :func:`connectivity` runs it capped at the best
+value so far, and
 :func:`tight_reaches` capped one above, so that the same run also finds
 the tight vertices.  :func:`connectivity` starts from the cap its caller
 passes.  The two entries that take no cap, :func:`hyperarc_connectivity`
@@ -115,13 +118,20 @@ class IncidenceDigraph:
 
 
 def incidence_digraph(h: Hypergraph) -> IncidenceDigraph:
-    """The incidences of ``h``."""
-    members = tuple(tuple(edge) for edge in h.edges)
+    """The incidences of ``h``, in one walk over each edge's mask bits,
+    lowest first, that fills ``members`` and ``inc`` together."""
+    members = []
     inc: list[list[int]] = [[] for _ in range(h.n)]
-    for e, edge in enumerate(members):
-        for x in edge:
+    for e, edge in enumerate(h.edges):
+        mask, vertices = edge.mask, []
+        while mask:
+            low = mask & -mask
+            x = low.bit_length() - 1
+            vertices.append(x)
             inc[x].append(e)
-    return IncidenceDigraph(h.n, members, tuple(map(tuple, inc)))
+            mask ^= low
+        members.append(tuple(vertices))
+    return IncidenceDigraph(h.n, tuple(members), tuple(map(tuple, inc)))
 
 
 # (h, g) for the last hypergraph :func:`network` saw
@@ -349,12 +359,18 @@ def _degree_bound(h: Hypergraph, o: Orientation) -> int:
     """The least out-degree of a set ``{v}`` or ``V - {v}``, an upper bound
     on the connectivity.  Every edge headed at ``v`` enters ``{v}``, and
     every other edge at ``v`` leaves it, so with ``d`` the number headed at
-    ``v`` the two degrees are ``len(inc[v]) - d`` and ``d``."""
+    ``v`` the two degrees are ``len(inc[v]) - d`` and ``d``.  No degree
+    is above ``m``, so one loop over the vertices lowers ``m`` to it."""
     into = [0] * h.n
     for v in o.heads:
         into[v] += 1
-    inc = network(h).inc
-    return min(min(d, len(inc[v]) - d) for v, d in enumerate(into))
+    least = h.m
+    for d, edges in zip(into, network(h).inc):
+        if d < least:
+            least = d
+        if len(edges) - d < least:
+            least = len(edges) - d
+    return least
 
 
 def _sink_sequences(
@@ -364,15 +380,28 @@ def _sink_sequences(
     each side: ``(value, tight, kept)``.  ``value`` is
     :func:`connectivity`'s, and no query builds a set.  Without ``mark``
     each query is capped at the best value so far, ``tight`` is all
-    ``False``, ``kept`` all ``None``, and a value of 0 ends the run.  With
+    ``False``, ``kept`` all ``None``, and a value of 0 ends the run, as
+    does an order search (below) that misses a vertex.  With
     ``mark`` each query is capped one above it, and ``tight`` and ``kept``
     are ``[in, out]``: the vertices
     some set of degree ``value`` on that side that avoids vertex 0 holds,
     and at each vertex whose own query ended at ``value`` a copy of the
     heads list right after that query (see :func:`tight_reaches`).  A
     query below the best clears every flag and copy, and a query at it
-    marks its maximal minimizer and keeps its copy.  Each pass keeps one
-    sink mask, and query ``t`` adds ``t`` to it."""
+    marks its maximal minimizer and keeps its copy.
+
+    A pass visits the vertices in the order that one :func:`_search` from
+    vertex 0 over ``o``'s heads labels them, run in the direction opposite
+    to the pass's flows and stopping at no sink; the vertices it misses
+    follow in index order.  Such a search shows a connectivity of 0: no
+    hyperarc leaves (forward) or enters (backward) what it labelled.  Query
+    ``i`` flows from ``order[i]`` into ``order[:i]``.  Each vertex the
+    search labelled has a hyperarc whose one-arc path reaches an earlier
+    vertex (forward, an edge headed at it with an earlier tail; backward,
+    an edge it is a tail of with an earlier head), so the one-arc pass of
+    :func:`max_flow_min_cut` takes most queries' first unit with no
+    search.  Each pass keeps one sink mask, and query ``i`` adds
+    ``order[i]`` to it."""
     n, g = h.n, network(h)
     best = cap
     tight = [[False] * n, [False] * n]
@@ -382,8 +411,13 @@ def _sink_sequences(
             break
         marks, copies = tight[forward], kept[forward]
         residual = list(o.heads)
+        parent, order, _ = _search(g, residual, [0], _sink_mask(n, ()), not forward)
+        if len(order) < n and not mark:
+            return 0, tight, kept
+        order += [v for v, label in enumerate(parent) if label is None]
         sinks = _sink_mask(n, [0])
-        for t in range(1, n):
+        for i in range(1, n):
+            t = order[i]
             value = max_flow_min_cut(g, [t], sinks, limit=best + mark, residual=residual, forward=forward)[0]
             if value < best:
                 best = value
@@ -397,11 +431,13 @@ def _sink_sequences(
                 copies[t] = list(residual)
                 if not marks[t]:
                     extra, outside = max_flow_min_cut(
-                        g, range(t), _sink_mask(n, [t]), limit=1, residual=residual, forward=not forward
+                        g, order[:i], _sink_mask(n, [t]), limit=1, residual=residual, forward=not forward
                     )
                     if extra:
-                        raise InvariantViolation(f"level {best}: the flow into 0..{t - 1} from {t} was not maximum")
-                    for v in range(t, n):
+                        raise InvariantViolation(
+                            f"level {best}: the flow from {t} into the {i} vertices before it was not maximum"
+                        )
+                    for v in order[i:]:
                         if v not in outside:
                             marks[v] = True
             sinks[t] = True
@@ -415,18 +451,21 @@ def connectivity(h: Hypergraph, o: Orientation, cap: int) -> int:
     :class:`PreconditionError`.
 
     A sink sequence in the manner of Hao and Orlin, run mirrored: each query
-    flows from one new vertex ``t`` into all the earlier ones,
-    ``[0 .. t - 1]``, capped at the best value so far, for
-    ``t = 1 .. n - 1``.  One pass covers the sets that contain vertex 0, as
-    the in-degree of their complements, with the flows run backward; the
-    other the sets that miss it, with them run forward.  It is exact: if
-    ``Y`` (a complement in the first pass) attains the minimum and ``t`` is
-    its smallest vertex, every sink of that query lies outside ``Y``.  A
+    flows from one new vertex ``t`` into all the earlier ones, capped at
+    the best value so far, in the pass's order: vertex 0 first, then the
+    order in which one breadth-first search from it labels the vertices
+    (see :func:`_sink_sequences`).  One pass covers the sets that contain
+    vertex 0, as the in-degree of their complements, with the flows run
+    backward; the other the sets that miss it, with them run forward.  It
+    is exact for any order that starts at vertex 0: if ``Y`` (a complement
+    in the first pass) attains the minimum and ``t`` is its first vertex in
+    the pass's order, every sink of that query lies outside ``Y``.  A
     pass keeps one heads list and one sink mask throughout.  Every unit of
     the flow in it runs between vertices that are sinks of the next query,
     so the flow is net zero across each of that query's cuts, every cut
     keeps its degree, and the next query resumes from it without a reset.
-    A value of 0 ends the run.  The loop is the package's one sink sequence, which
+    A value of 0 ends the run, and so does an order search that misses a
+    vertex.  The loop is the package's one sink sequence, which
     :func:`tight_reaches` runs too, capped one higher.
 
     The cap is required, and each caller passes a bound it holds;
@@ -500,10 +539,11 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
 
     One run of :func:`connectivity`'s sink sequences gives both ``k`` and
     the tight vertices: per side, one kept heads list, the in side run
-    backward, the out side forward, each query ``t -> [0 .. t - 1]``
-    capped one above the best value so far.  A query below the best lowers
-    it and clears every tight flag, so the flags left at the end are those
-    of the final value, ``k``, and a side that ended above ``k`` has none.
+    backward, the out side forward, each query from its vertex ``t`` into
+    the vertices before ``t`` in the pass's order, capped one above the
+    best value so far.  A query below the best lowers it and clears every
+    tight flag, so the flags left at the end are those of the final value,
+    ``k``, and a side that ended above ``k`` has none.
     A query at the best has a maximal minimizer ``M_t``, the complement of
     what reaches its sinks in its residual: one more flow, from the sinks
     to ``t`` run the other way, which must add nothing, since the flow is
@@ -521,22 +561,23 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     and avoid vertex 0, so each degree is at least ``k``, and by
     submodularity they sum to at most ``2k`` (the argument of
     :func:`~hyperorient.families._safe_endpoint`).  So a tight ``v`` has a
-    maximal tight set ``X``; with ``t`` its smallest vertex, ``X`` is a
-    minimizer of query ``t``, whose value is ``k``, so ``v`` is in
-    ``M_t``.  No earlier ``M_s`` holds that ``t``, or its union with ``X``
-    would be a larger tight set, so a query whose ``t`` is tight already
-    needs no ``M_t``.
+    maximal tight set ``X``; with ``t`` its first vertex in the pass's
+    order, ``X`` is a minimizer of query ``t``, whose value is ``k``, so
+    ``v`` is in ``M_t``.  No earlier ``M_s`` holds that ``t``, or its
+    union with ``X`` would be a larger tight set, so a query whose ``t``
+    is tight already needs no ``M_t``.
 
-    **Lemma.**  Take query ``t`` of one side, with source ``t`` and sinks
-    ``{0 .. t - 1}``, and say it ends at value ``k``.  Then ``q[t]``, the
-    minimal tight set of that side holding ``t``, is what a search from
-    ``t`` labels in the heads list the query left.
+    **Lemma.**  Take query ``t`` of one side, with source ``t`` and as
+    sinks the vertices before ``t`` in the pass's order, and say it ends
+    at value ``k``.  Then ``q[t]``, the minimal tight set of that side
+    holding ``t``, is what a search from ``t`` labels in the heads list the
+    query left.
 
     - The query's minimal minimizer ``R_t`` is what its final failing
       search from ``t`` labels in that heads list.  ``R_t`` holds ``t``,
       avoids ``0`` and has degree ``k``, so it is tight, and
       ``q[t] <= R_t``.
-    - So ``q[t]`` avoids ``{0 .. t - 1}`` too.  It holds ``t`` and has
+    - So ``q[t]`` avoids the query's sinks too.  It holds ``t`` and has
       degree ``k``, so it is a minimizer of query ``t``, and
       ``R_t <= q[t]``.
     - So ``q[t] = R_t``.  A search from ``t`` in a copy of that heads list

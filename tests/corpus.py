@@ -93,6 +93,34 @@ def benchmark_like_orientations(seed, count, n=64):
     return h, [flipped(base, rng) for _ in range(count)]
 
 
+def search_labels(h, o, forward):
+    """The vertices one breadth-first search from vertex 0 over ``o``'s
+    heads labels, in order, written out independently of ``separator``.
+    ``forward``, each vertex in queue order takes its edges in index order,
+    and an edge whose head is not yet labelled labels that head; backward,
+    each edge headed at the vertex labels its unlabelled members in
+    ascending order."""
+    seen, order = {0}, [0]
+    for u in order:
+        for e, edge in enumerate(h.edges):
+            if u not in edge:
+                continue
+            head = o.heads[e]
+            for v in [head] if forward else list(edge) if head == u else []:
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
+    return order
+
+
+def pass_order(h, o, forward):
+    """The order of the sink-sequence pass whose flows run ``forward``:
+    what :func:`search_labels` labels, run the other way, then the
+    vertices it misses, in index order."""
+    order = search_labels(h, o, not forward)
+    return order + sorted(set(range(h.n)) - set(order))
+
+
 def all_hypergraphs(n_values=(2, 3, 4), m_max=4, sizes=(2, 3)):
     """Every hypergraph with the given vertex counts, up to ``m_max`` edges
     drawn (with repetition) from the size-2/3 subsets, including edgeless."""

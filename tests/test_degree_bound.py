@@ -99,28 +99,36 @@ def test_every_answer_equals_the_old_start():
 
 def test_a_connectivity_at_the_bound_pushes_its_units_and_fails_no_search(monkeypatch):
     """Each of the ``2(n - 1)`` queries stops at the cap, ``lambda``, so
-    the run pushes ``2(n - 1) lambda`` units and every search finds a
-    path.  From the old start the same orientation runs failing searches."""
+    the run pushes ``2(n - 1) lambda`` units and every search inside a
+    flow finds a path.  Outside the flows each pass runs exactly one
+    search, the one that fixes its order, which reaches no sink.  From the
+    old start the same orientation runs failing searches in its flows."""
     h, states = benchmark_like_orientations(0, 4)
     o = next(o for o in states if hyperarc_connectivity(h, o) == separator._degree_bound(h, o))
     lam = hyperarc_connectivity(h, o)
     flow, search = separator.max_flow_min_cut, separator._search
-    units, failed = [], []
+    units, failed, outside = [], [], []
+    in_flow = [False]
 
     def counted_flow(g, sources, sinks, limit=None, *, residual, forward=True):
-        value, reach = flow(g, sources, sinks, limit, residual=residual, forward=forward)
+        in_flow[0] = True
+        try:
+            value, reach = flow(g, sources, sinks, limit, residual=residual, forward=forward)
+        finally:
+            in_flow[0] = False
         units.append(value)
         return value, reach
 
     def counted_search(g, heads, roots, is_sink, forward):
         parent, labelled, hit = search(g, heads, roots, is_sink, forward)
-        failed.append(hit < 0)
+        (failed if in_flow[0] else outside).append(hit < 0)
         return parent, labelled, hit
 
     monkeypatch.setattr(separator, "max_flow_min_cut", counted_flow)
     monkeypatch.setattr(separator, "_search", counted_search)
     assert hyperarc_connectivity(h, o) == lam > 0
     assert (len(units), sum(units), sum(failed)) == (2 * (h.n - 1), 2 * (h.n - 1) * lam, 0)
+    assert outside == [True, True]
     units.clear(), failed.clear()
     assert old_start(h, o, None, False)[0] == lam
     assert sum(failed) > 0

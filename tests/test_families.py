@@ -150,6 +150,36 @@ class TestComputeFamilies:
         with pytest.raises(InvariantViolation, match=r"^m_all members overlap: "):
             compute_families(h, o)
 
+    @pytest.mark.parametrize(
+        "name, in_members, out_members", [("m_minus", 3, 0), ("m_plus", 0, 3), ("m_all", 2, 1)]
+    )
+    def test_a_member_overlapping_a_later_one_is_named_with_it(self, monkeypatch, name, in_members, out_members):
+        """``m_minus``, ``m_plus`` and ``m_all`` are each checked to be a
+        subpartition in one pass.  Here the first of three members,
+        ``{1, 3}``, meets the third, ``{3, 5}``, and not the one next to
+        it, ``{2, 4}``.  The descent of each side is made to find the
+        members given (the first ``in_members`` on the in side, the rest
+        on the out side), with every q set full, so that no ``r_family``
+        candidate is read.  The overlap is refused, naming both sets."""
+        h = gen_instance(GenSpec(n=6, k=1, extra_edges=2, max_edge_size=3, seed=1))
+        o = gen_orientation(h, seed=1)
+        first, middle, last = vs(6, [1, 3]), vs(6, [2, 4]), vs(6, [3, 5])
+        given = (first, middle, last)
+        assert minimal_members(given) == given
+        found = {False: given[:in_members], True: given[in_members:]}
+        assert len(found[True]) == out_members
+        init = QSets.__init__
+
+        def corrupted(self, reaches):
+            init(self, reaches)
+            self.minimal = found[reaches._forward]
+            self._sets, self._unset = [VertexSet.full(6)] * 6, set()
+
+        monkeypatch.setattr(QSets, "__init__", corrupted)
+        message = re.escape(f"{name} members overlap: {first} and {last}")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            compute_families(h, o)
+
     @pytest.mark.parametrize("side, members", [("in", "m_plus"), ("out", "m_minus")])
     def test_a_crossing_q_set_is_an_invariant_violation(self, monkeypatch, side, members):
         """The ``r_family`` candidate of a minimal member ``x`` is the
@@ -515,6 +545,24 @@ class TestSafeEndpoints:
         fam = compute_families(h, o)
         with pytest.raises(PreconditionError, match="side must be 'out' or 'in', not 'up'"):
             find_safe_endpoint(h, o, fam, vs(3, [1]), "up")
+
+    @pytest.mark.parametrize("foreign", [None, "x", object()], ids=["None", "str", "object"])
+    def test_a_foreign_check_or_member_set_is_a_precondition_error(self, foreign):
+        """``compute_families``'s ``check`` must be an
+        ``IncrementalConnectivity`` (``None``, its default, asks for none)
+        and ``find_safe_endpoint``'s ``member_set`` a ``VertexSet`` of the
+        hypergraph; anything else is refused before it is used."""
+        h, o = three_cycle()
+        fam = compute_families(h, o)
+        message = re.escape(f"member_set must be a VertexSet over 0..2, not {foreign!r}")
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            find_safe_endpoint(h, o, fam, foreign, "out")
+        if foreign is None:
+            assert compute_families(h, o, check=foreign) == fam
+        else:
+            message = f"check is a {type(foreign).__name__}, not an IncrementalConnectivity"
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
+                compute_families(h, o, check=foreign)
 
     def test_no_safe_sink_names_the_member(self, monkeypatch):
         """On an infeasible target that every vertex's degree allows, the

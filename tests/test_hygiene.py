@@ -275,7 +275,10 @@ def test_the_sink_sequence_scan_sees_a_second_copy():
     ]
 
 
-SEARCH_CALLERS = ("max_flow_min_cut", "KeptReaches.reach")
+# ``_sink_sequences`` runs one search per pass that is no flow: it labels
+# the vertices from vertex 0 to fix the pass's order, and reaches no sink.
+# ``test_work_pin`` counts it with the flows' searches.
+SEARCH_CALLERS = ("max_flow_min_cut", "KeptReaches.reach", "_sink_sequences")
 
 
 def stray_searches(tree, in_separator):
@@ -288,7 +291,8 @@ def stray_searches(tree, in_separator):
     itself).  Every augmenting search must run inside a
     ``max_flow_min_cut`` call, so that a patch of that global (perfbench's
     tracer, the counting tests) sees every flow; ``KeptReaches.reach`` runs
-    one search and no flow."""
+    one search and no flow, and ``_sink_sequences`` one per pass that fixes
+    the pass's order."""
     found = []
     modules = {"separator"}  # the names bound to a separator module
     for node in ast.walk(tree):

@@ -29,7 +29,7 @@ from hyperorient.separator import (
     incidence_digraph,
     max_flow_min_cut,
 )
-from corpus import nx_incidence, nx_min_side, random_instances, vs
+from corpus import nx_incidence, nx_min_side, pass_order, random_instances, vs
 
 
 def three_cycle():
@@ -440,8 +440,9 @@ class TestSinkSequence:
         assert set(range(5)) <= values
 
     def test_one_kept_residual_per_pass(self, monkeypatch):
-        """Each pass runs its queries on one heads list and one sink mask,
-        which holds the vertices ``0 .. t - 1`` when query ``t`` runs."""
+        """Each pass runs its queries on one heads list and one sink mask.
+        The sources follow the pass's order, and when the query from
+        ``order[i]`` runs the mask holds exactly ``order[:i]``."""
         h = gen_instance(GenSpec(n=12, k=3, extra_edges=6, max_edge_size=4, seed=12))
         o = gen_orientation(h, seed=12)
         calls = []
@@ -456,9 +457,62 @@ class TestSinkSequence:
         connectivity(h, o, h.m + 1)
         assert len(calls) == 2 * (h.n - 1)
         for half, forward in ((calls[: h.n - 1], False), (calls[h.n - 1 :], True)):
-            assert [(source, held) for source, held, *_ in half] == [([t], list(range(t))) for t in range(1, h.n)]
+            order = pass_order(h, o, forward)
+            assert order != list(range(h.n))
+            expected = [([t], sorted(order[:i])) for i, t in enumerate(order) if i]
+            assert [(source, held) for source, held, *_ in half] == expected
             assert len({mask for _, _, mask, _, _ in half}) == len({res for *_, res, _ in half}) == 1
             assert {direction for *_, direction in half} == {forward}
+
+    def test_each_pass_runs_in_the_order_of_one_search_from_vertex_0(self, monkeypatch):
+        """In each pass of ``tight_reaches`` the query sources are the
+        vertices after 0 in the pass's order: what one search from vertex
+        0 labels, run against the pass's direction, then the vertices it
+        misses in index order.  Each query's sinks are exactly the
+        vertices before its source, and each flow that finds a query's
+        maximal minimizer runs from those same vertices, in that order, to
+        the source.  The search misses vertices only at a connectivity of
+        0; such instances occur here, and on them ``connectivity``,
+        ``tight_reaches`` and ``compute_families`` equal the oracles.  A
+        ``connectivity`` whose first search misses a vertex runs no flow."""
+        from hyperorient import bf_families, compute_families
+        from corpus import search_labels
+
+        calls, original = [], separator.max_flow_min_cut
+
+        def recorded(g, sources, sinks, limit=None, *, residual, forward=True):
+            calls.append((list(sources), [v for v, sink in enumerate(sinks) if sink], forward, residual))
+            return original(g, sources, sinks, limit=limit, residual=residual, forward=forward)
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
+        maximal = missed = ended = 0
+        for h, o in random_instances(36, 300, n_max=7, m_max=9, size_max=4):
+            calls.clear()
+            k = separator.tight_reaches(h, o)[0]
+            passes = []
+            for call in calls:  # each pass keeps one heads list; each root-pair flow has its own
+                if passes and call[3] is passes[-1][0][3]:
+                    passes[-1].append(call)
+                else:
+                    passes.append([call])
+            for run, forward in zip(passes, (False, True)):
+                order = pass_order(h, o, forward)
+                queries = [call[:2] for call in run if call[2] == forward]
+                assert queries == [([t], sorted(order[:i])) for i, t in enumerate(order) if i]
+                for query, flow in zip(run, run[1:]):
+                    if flow[2] != forward:
+                        t = query[0][0]
+                        assert flow[:2] == (order[: order.index(t)], [t])
+                        maximal += 1
+            if any(len(search_labels(h, o, forward)) < h.n for forward in (False, True)):
+                missed += 1
+                calls.clear()
+                assert k == connectivity(h, o, h.m + 1) == bf_lambda(h, o) == 0
+                if len(search_labels(h, o, True)) < h.n:  # the first pass's search ends the run
+                    assert calls == []
+                    ended += 1
+                assert compute_families(h, o) == bf_families(h, o)
+        assert maximal > 100 and missed > 20 and ended > 10
 
 
 def walk_step(rng, h, o, cap):

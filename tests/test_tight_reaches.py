@@ -41,6 +41,7 @@ from corpus import (
     benchmark_like_orientations,
     cyclic_orientation,
     flipped,
+    pass_order,
     random_instances,
     walk_states,
 )
@@ -58,20 +59,23 @@ def kept_tight(h, o, k):
 def own_query_values(h, o):
     """``{side: values}``: the value of each vertex ``t``'s own query in
     the sink sequence of ``side``, the least ``side``-degree of a set that
-    holds ``t`` and avoids ``0 .. t - 1``, from a fresh ``min_separator``
-    (``None`` at vertex 0, which has no query)."""
-    return {
-        side: [None]
-        + [min_separator(h, o, VertexSet.singleton(h.n, t), VertexSet(h.n, range(t)), side)[0] for t in range(1, h.n)]
-        for side in ("in", "out")
-    }
+    holds ``t`` and avoids the vertices before ``t`` in the pass's order,
+    from a fresh ``min_separator`` (``None`` at vertex 0, which has no
+    query)."""
+    values = {}
+    for side in ("in", "out"):
+        order, values[side] = pass_order(h, o, side == "out"), [None] * h.n
+        for i in range(1, h.n):
+            t, before = order[i], VertexSet(h.n, order[:i])
+            values[side][t] = min_separator(h, o, VertexSet.singleton(h.n, t), before, side)[0]
+    return values
 
 
 def recorded_call(sources, sinks, residual):
-    """A flow call as ``(sources, sinks, residual)``, the sink mask read as
-    its vertices when the call is made, since a sink sequence's mask grows
-    after."""
-    return list(sources), [v for v, sink in enumerate(sinks) if sink], residual
+    """A flow call as ``(sources, sinks, residual)``, the sources and the
+    sink mask read as ascending vertex lists, the mask when the call is
+    made, since a sink sequence's mask grows after."""
+    return sorted(sources), [v for v, sink in enumerate(sinks) if sink], residual
 
 
 def finds_a_maximal_minimizer(call, previous):
@@ -222,55 +226,60 @@ class TestFlowCounts:
         tight vertex whose own query ended above the connectivity, once
         per vertex and side.  Every other tight vertex keeps a copy of its
         own query's heads list, so the snapshots hold one residual per
-        tight vertex."""
+        tight vertex.  In the pass's breadth-first order a tight vertex's
+        own query seldom ends above the connectivity, so one instance
+        shows such a vertex on the in side and another on the out side."""
         from hyperorient import families, separator
 
-        h = gen_instance(GenSpec(n=24, k=2, extra_edges=12, max_edge_size=4, seed=10))
-        o = gen_orientation(h, seed=10, mode="random")
-        k = hyperarc_connectivity(h, o)
-        tight_in, tight_out = kept_tight(h, o, k)
-        assert k > 0 and any(tight_in) and any(tight_out) and not all(tight_in[1:] + tight_out[1:])
-        own = own_query_values(h, o)
-        above_in = [tight_in[v] and own["in"][v] > k for v in range(h.n)]
-        above_out = [tight_out[v] and own["out"][v] > k for v in range(h.n)]
-        assert any(above_in) and any(above_out)
-        assert any(tight_in[v] and not above_in[v] for v in range(h.n))
-        assert any(tight_out[v] and not above_out[v] for v in range(h.n))
-        ref = eager_families(h, o)
+        seen = Counter()
+        for seed in (10, 16):
+            h = gen_instance(GenSpec(n=24, k=2, extra_edges=12, max_edge_size=4, seed=seed))
+            o = gen_orientation(h, seed=seed, mode="random")
+            k = hyperarc_connectivity(h, o)
+            tight = kept_tight(h, o, k)
+            assert k > 0 and all(map(any, tight)) and not all(tight[0][1:] + tight[1][1:])
+            own = own_query_values(h, o)
+            above = [[flags[v] and own[side][v] > k for v in range(h.n)] for side, flags in zip(("in", "out"), tight)]
+            for side, flags, ends in zip(("in", "out"), tight, above):
+                seen[side, "above"] += any(ends)
+                seen[side, "at"] += any(flags[v] and not ends[v] for v in range(h.n))
+            ref = eager_families(h, o)
 
-        def no_check(*args, **kwargs):
-            raise AssertionError("an IncrementalConnectivity was built")
+            def no_check(*args, **kwargs):
+                raise AssertionError("an IncrementalConnectivity was built")
 
-        flows, kept, lambdas = [], [], []
-        flow, snapshot = separator.max_flow_min_cut, separator.KeptReaches.__init__
+            flows, kept, lambdas = [], [], []
+            flow, snapshot = separator.max_flow_min_cut, separator.KeptReaches.__init__
 
-        def counted_flow(g, sources, sinks, limit=None, *, residual, forward=True):
-            flows.append((*recorded_call(sources, sinks, residual)[:2], forward, residual))
-            return flow(g, sources, sinks, limit, residual=residual, forward=forward)
+            def counted_flow(g, sources, sinks, limit=None, *, residual, forward=True):
+                flows.append((*recorded_call(sources, sinks, residual)[:2], forward, residual))
+                return flow(g, sources, sinks, limit, residual=residual, forward=forward)
 
-        def counted_snapshot(self, g, residuals, forward):
-            kept.extend(r for r in residuals if r is not None)
-            snapshot(self, g, residuals, forward)
+            def counted_snapshot(self, g, residuals, forward):
+                kept.extend(r for r in residuals if r is not None)
+                snapshot(self, g, residuals, forward)
 
-        def counted_connectivity(h, o, cap=None, connectivity=separator.connectivity):
-            lambdas.append(1)
-            return connectivity(h, o, cap)
+            def counted_connectivity(h, o, cap=None, connectivity=separator.connectivity):
+                lambdas.append(1)
+                return connectivity(h, o, cap)
 
-        monkeypatch.setattr(separator, "IncrementalConnectivity", no_check)
-        monkeypatch.setattr(families, "IncrementalConnectivity", no_check)
-        monkeypatch.setattr(separator, "max_flow_min_cut", counted_flow)
-        monkeypatch.setattr(separator.KeptReaches, "__init__", counted_snapshot)
-        monkeypatch.setattr(separator, "connectivity", counted_connectivity)
-        monkeypatch.setattr(families, "hyperarc_connectivity", lambda h, o: counted_connectivity(h, o)[0])
-        fam = compute_families(h, o)
-        root_pairs = sorted(
-            (sources, sinks) for sources, sinks, forward, res in flows if any(res is r for r in kept) and forward
-        )
-        expected = [([0], [v]) for v in range(1, h.n) if above_in[v]]
-        expected = sorted(expected + [([v], [0]) for v in range(1, h.n) if above_out[v]])
-        assert root_pairs == expected and len(kept) == sum(tight_in) + sum(tight_out)
-        assert lambdas == []
-        assert fam == ref
+            with monkeypatch.context() as patch:
+                patch.setattr(separator, "IncrementalConnectivity", no_check)
+                patch.setattr(families, "IncrementalConnectivity", no_check)
+                patch.setattr(separator, "max_flow_min_cut", counted_flow)
+                patch.setattr(separator.KeptReaches, "__init__", counted_snapshot)
+                patch.setattr(separator, "connectivity", counted_connectivity)
+                patch.setattr(families, "hyperarc_connectivity", lambda h, o: counted_connectivity(h, o)[0])
+                fam = compute_families(h, o)
+            root_pairs = sorted(
+                (sources, sinks) for sources, sinks, forward, res in flows if any(res is r for r in kept) and forward
+            )
+            expected = [([0], [v]) for v in range(1, h.n) if above[0][v]]
+            expected = sorted(expected + [([v], [0]) for v in range(1, h.n) if above[1][v]])
+            assert root_pairs == expected and len(kept) == sum(tight[0]) + sum(tight[1])
+            assert lambdas == []
+            assert fam == ref
+        assert all(seen[side, end] for side in ("in", "out") for end in ("above", "at")), seen
 
     def test_labels_fewer_vertices_than_a_flow_per_root_pair(self, monkeypatch):
         """At n=64 most vertices are not tight, so the sink sequences and
@@ -374,9 +383,10 @@ class TestWrongLevel:
             k = hyperarc_connectivity(h, o)
             kinds = flow_kinds(monkeypatch, h, o)
             last = len(kinds) - 1 - kinds[::-1].index("M_t")
+            message = rf"^level {k}: the flow from \d+ into the \d+ vertices before it was not maximum"
             for run in (tight_reaches, compute_families):
                 corrupt_flow(monkeypatch, last, lambda value, reach: (1, None))
-                with pytest.raises(InvariantViolation, match=f"^level {k}: the flow into .* was not maximum"):
+                with pytest.raises(InvariantViolation, match=message):
                     run(h, o)
                 monkeypatch.undo()
 

@@ -50,18 +50,18 @@ PINNED = {
         "compares": 87,
         "flow_calls": 4550,
         "flow_units": 8243,
-        "labelled": 46107,
+        "labelled": 43639,
         "safe_probes": 175,
-        "searches": 5500,
+        "searches": 5081,
     },
-    "query": {"builds": 2, "compares": 1, "flow_calls": 1068, "flow_units": 1699, "labelled": 8971, "searches": 761},
+    "query": {"builds": 2, "compares": 1, "flow_calls": 1068, "flow_units": 1699, "labelled": 8772, "searches": 686},
     "reorient": {
         "builds": 695,
         "compares": 714,
-        "flow_calls": 61235,
+        "flow_calls": 61232,
         "flow_units": 35959,
-        "labelled": 145970,
-        "searches": 55369,
+        "labelled": 147150,
+        "searches": 55783,
     },
 }
 
