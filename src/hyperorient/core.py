@@ -10,9 +10,11 @@ All quantities are exact integer counts, every iteration order is ascending,
 and every value is immutable, so each operation is a pure deterministic
 function of its inputs and values can be shared freely between threads.
 
-Arguments are checked by eleven private rules, each written once, here, on
+Arguments are checked by twelve private rules, each written once, here, on
 top of the ``int`` rule of :func:`_as_int` (an ``IntEnum`` is an ``int``, a
-``bool`` is not): a count (:func:`_as_count`), a vertex count
+``bool`` is not): an instance of a type (:func:`_as_instance`, which the
+text, hypergraph and orientation rules call too), a count
+(:func:`_as_count`), a vertex count
 (:func:`_as_vertex_count`), a vertex (:func:`_as_vertex`), a vertex set of a
 ground set (:func:`_as_vertex_set`), an edge id (:func:`_as_edge`), a new
 head of an edge (:func:`_as_new_head`), a side (:func:`_is_out`), a
@@ -112,18 +114,25 @@ def _as_tuple(what: str, x: object) -> tuple:
     return tuple(x)
 
 
+def _as_instance(what: str, x: object, kind: type) -> None:
+    """Check that ``x`` is a ``kind``, else raise :class:`PreconditionError`
+    naming ``what``, the type ``x`` has and ``kind``: the one refusal of a
+    foreign object, for every entry that takes one of the package's types."""
+    if not isinstance(x, kind):
+        name = kind.__name__
+        raise PreconditionError(f"{what} is a {type(x).__name__}, not {'an' if name[0] in 'AEIOU' else 'a'} {name}")
+
+
 def _as_text(x: object) -> None:
     """Check that ``x``, the text a parser reads, is a ``str`` (not
-    ``bytes``), else raise :class:`PreconditionError`."""
-    if not isinstance(x, str):
-        raise PreconditionError(f"text is a {type(x).__name__}, not a str")
+    ``bytes``), by :func:`_as_instance`'s rule."""
+    _as_instance("text", x, str)
 
 
 def _as_hypergraph(h: object) -> None:
-    """Check that ``h`` is a :class:`Hypergraph`, else raise
-    :class:`PreconditionError`."""
-    if not isinstance(h, Hypergraph):
-        raise PreconditionError(f"h is a {type(h).__name__}, not a Hypergraph")
+    """Check that ``h`` is a :class:`Hypergraph`, by :func:`_as_instance`'s
+    rule."""
+    _as_instance("h", h, Hypergraph)
 
 
 def _is_out(side: object) -> bool:
@@ -394,11 +403,11 @@ class Orientation:
 
 def _same_instance(h: Hypergraph, o: object) -> None:
     """The "orientation of ``h``" rule: ``o`` must be an
-    :class:`Orientation` of ``h`` or of an equal hypergraph.  Anything else
-    raises :class:`PreconditionError`; a valid ``o`` costs one type test and
-    one identity test."""
-    if not isinstance(o, Orientation):
-        raise PreconditionError(f"o is a {type(o).__name__}, not an Orientation")
+    :class:`Orientation` of ``h`` or of an equal hypergraph
+    (:func:`_as_instance`'s rule for the type).  Anything else raises
+    :class:`PreconditionError`; a valid ``o`` costs one type test and one
+    identity test."""
+    _as_instance("o", o, Orientation)
     if o.hypergraph is not h and o.hypergraph != h:
         raise PreconditionError("orientation does not belong to this hypergraph")
 
@@ -560,8 +569,7 @@ def trim(h: Hypergraph, path: Hyperpath) -> tuple[int, ...]:
     repeated vertices.  ``h`` is a hypergraph (:func:`_as_hypergraph`).
     """
     _as_hypergraph(h)
-    if not isinstance(path, Hyperpath):
-        raise PreconditionError(f"path is a {type(path).__name__}, not a Hyperpath")
+    _as_instance("path", path, Hyperpath)
     for i, arc in enumerate(path.arcs):
         e = h.edges[_as_edge(arc.edge, h.m)]
         if arc.head not in e:

@@ -72,6 +72,7 @@ from .core import (
     PreconditionError,
     VertexSet,
     _as_count,
+    _as_instance,
     _as_vertex,
     _as_vertex_set,
     _is_out,
@@ -316,9 +317,8 @@ def compute_families(
     """
     if check is None:
         k, in_reaches, out_reaches = tight_reaches(h, o)
-    elif not isinstance(check, IncrementalConnectivity):
-        raise PreconditionError(f"check is a {type(check).__name__}, not an IncrementalConnectivity")
     else:
+        _as_instance("check", check, IncrementalConnectivity)
         k = hyperarc_connectivity(h, o)
         if check.heads != list(o.heads) or check.hypergraph != h or check.cap <= k:
             raise PreconditionError(f"level {k} needs kept flows for this orientation, capped above {k}")
@@ -395,8 +395,7 @@ def _safe_endpoint(
     full q set holds the root, so it is never inside ``inner``, and the
     test needs no separate check that ``q_sets[w]`` is proper.
     """
-    if not isinstance(fam, CutFamilies):
-        raise PreconditionError(f"fam is a {type(fam).__name__}, not a CutFamilies")
+    _as_instance("fam", fam, CutFamilies)
     members, name, q_sets = (fam.m_minus, "m_minus", fam.q_plus) if side == "out" else (fam.m_plus, "m_plus", fam.q_minus)
     if member_set not in members:
         raise PreconditionError(f"set is not a member of {name}")

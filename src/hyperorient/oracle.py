@@ -19,6 +19,7 @@ from .core import (
     VertexSet,
     _as_count,
     _as_hypergraph,
+    _as_instance,
     _as_vertex,
     _as_vertex_set,
     _is_out,
@@ -283,6 +284,7 @@ def _bf_safe(
     """Literal safe-endpoint definition, quantified over every subset of the
     root's complement: a safe source (``side='out'``) of a member of
     ``m_minus`` or a safe sink (``side='in'``) of a member of ``m_plus``."""
+    _as_instance("fam", fam, CutFamilies)
     name, members = ("m_minus", fam.m_minus) if side == "out" else ("m_plus", fam.m_plus)
     if member_set not in members:
         raise PreconditionError(f"set is not a member of {name}")

@@ -40,6 +40,7 @@ from .core import (
     PathArc,
     PreconditionError,
     VertexSet,
+    _as_instance,
 )
 from .families import CutFamilies, find_safe_endpoint, is_in_tight, is_out_tight
 from .separator import network
@@ -115,6 +116,7 @@ def _search(
     """The search behind both public functions; ``forward`` picks the
     direction, the families, the sides of the safe endpoints (``other`` for
     the start, ``sign`` for the end) and the messages."""
+    _as_instance("fam", fam, CutFamilies)
     sign, other = ("in", "out") if forward else ("out", "in")
     if region not in fam.r_family:
         raise PreconditionError("region is not a member of r_family")

@@ -380,10 +380,10 @@ def _sink_sequences(
     each side: ``(value, tight, kept)``.  ``value`` is
     :func:`connectivity`'s, and no query builds a set.  Without ``mark``
     each query is capped at the best value so far, ``tight`` is all
-    ``False``, ``kept`` all ``None``, and a value of 0 ends the run, as
-    does an order search (below) that misses a vertex.  With
-    ``mark`` each query is capped one above it, and ``tight`` and ``kept``
-    are ``[in, out]``: the vertices
+    ``False``, ``kept`` all ``None``, and the run ends at 0 before any
+    query when ``cap`` is 0, or when an order search (below) misses a
+    vertex.  With ``mark`` each query is capped one above it, and
+    ``tight`` and ``kept`` are ``[in, out]``: the vertices
     some set of degree ``value`` on that side that avoids vertex 0 holds,
     and at each vertex whose own query ended at ``value`` a copy of the
     heads list right after that query (see :func:`tight_reaches`).  A
@@ -401,14 +401,33 @@ def _sink_sequences(
     an edge it is a tail of with an earlier head), so the one-arc pass of
     :func:`max_flow_min_cut` takes most queries' first unit with no
     search.  Each pass keeps one sink mask, and query ``i`` adds
-    ``order[i]`` to it."""
+    ``order[i]`` to it.
+
+    That hyperarc is also why no query reads 0 without ``mark``, so the
+    order search is the only zero test.  A pass reaches its queries only
+    if its search labelled every vertex; otherwise the run has returned 0.
+    Each vertex ``t`` after 0 was labelled through a hyperarc from an
+    earlier vertex ``u``, and that hyperarc enters (in pass) or leaves
+    (out pass) every set that holds ``t`` and misses ``u``, so each set
+    query ``t`` ranges over has degree at least 1.  The flow kept before
+    the query changes no such degree (see :func:`connectivity`), so a
+    query capped at 1 or more reads at least 1, and ``value`` is 0 only
+    when ``cap`` is.
+
+    A query at the best that ``mark`` has not reached yet marks its
+    maximal minimizer ``M_t``: every vertex that reaches none of its sinks
+    in the residual it left.  One :func:`_search` from the sinks
+    ``order[:i]``, run against the pass's direction and stopping at ``t``,
+    labels what reaches them, so it leaves exactly ``M_t`` unlabelled.  It
+    must not reach ``t``, since the query's flow is maximum; if it does,
+    that flow was not, which raises :class:`InvariantViolation`."""
     n, g = h.n, network(h)
     best = cap
     tight = [[False] * n, [False] * n]
     kept: list[list[Optional[list[int]]]] = [[None] * n, [None] * n]
+    if cap == 0 and not mark:
+        return 0, tight, kept
     for forward in (False, True):
-        if best == 0 and not mark:
-            break
         marks, copies = tight[forward], kept[forward]
         residual = list(o.heads)
         parent, order, _ = _search(g, residual, [0], _sink_mask(n, ()), not forward)
@@ -425,20 +444,16 @@ def _sink_sequences(
                     for flags, held in zip(tight, kept):
                         flags[:] = [False] * n
                         held[:] = [None] * n
-                elif best == 0:
-                    break
             if mark and value == best:
                 copies[t] = list(residual)
                 if not marks[t]:
-                    extra, outside = max_flow_min_cut(
-                        g, order[:i], _sink_mask(n, [t]), limit=1, residual=residual, forward=not forward
-                    )
-                    if extra:
+                    parent, _, hit = _search(g, residual, order[:i], _sink_mask(n, [t]), not forward)
+                    if hit >= 0:
                         raise InvariantViolation(
                             f"level {best}: the flow from {t} into the {i} vertices before it was not maximum"
                         )
                     for v in order[i:]:
-                        if v not in outside:
+                        if parent[v] is None:
                             marks[v] = True
             sinks[t] = True
     return best, tight, kept
@@ -464,9 +479,10 @@ def connectivity(h: Hypergraph, o: Orientation, cap: int) -> int:
     the flow in it runs between vertices that are sinks of the next query,
     so the flow is net zero across each of that query's cuts, every cut
     keeps its degree, and the next query resumes from it without a reset.
-    A value of 0 ends the run, and so does an order search that misses a
-    vertex.  The loop is the package's one sink sequence, which
-    :func:`tight_reaches` runs too, capped one higher.
+    A cap of 0 ends the run before any query, and so does an order search
+    that misses a vertex; otherwise no query reads 0 (see
+    :func:`_sink_sequences`).  The loop is the package's one sink
+    sequence, which :func:`tight_reaches` runs too, capped one higher.
 
     The cap is required, and each caller passes a bound it holds;
     ``h.m + 1`` caps nothing, since no out-degree is above ``m``.  It
@@ -545,9 +561,9 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     tight flag, so the flags left at the end are those of the final value,
     ``k``, and a side that ended above ``k`` has none.
     A query at the best has a maximal minimizer ``M_t``, the complement of
-    what reaches its sinks in its residual: one more flow, from the sinks
-    to ``t`` run the other way, which must add nothing, since the flow is
-    maximum.  Every vertex of ``M_t`` is tight.
+    what reaches its sinks in its residual: one search from the sinks, run
+    the other way, which must not reach ``t``, since the flow is maximum.
+    Every vertex of ``M_t`` is tight.
 
     The run starts with the best value at :func:`_degree_bound`, not
     above it.  The connectivity is at most the bound, so the run still ends
@@ -596,7 +612,7 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     the root-pair flow that :class:`IncrementalConnectivity` keeps, from
     ``o``'s heads, capped at ``k + 1``: ``v -> 0`` on the out side,
     ``0 -> v`` on the in side.  Its value must be ``k``; that and the
-    ``M_t`` flows cross-check the sequences, and a failure raises
+    ``M_t`` searches cross-check the sequences, and a failure raises
     :class:`InvariantViolation` naming the level.  The snapshots own
     these residuals and copies.
     """

@@ -32,6 +32,7 @@ from .core import (
     VertexSet,
     _as_count,
     _as_hypergraph,
+    _as_instance,
     _as_text,
     _same_instance,
 )
@@ -273,8 +274,7 @@ def parse_trace(text: str, initial: Orientation) -> ReorientationTrace:
     :class:`~hyperorient.core.Orientation`, raises
     :class:`PreconditionError`."""
     _as_text(text)
-    if not isinstance(initial, Orientation):
-        raise PreconditionError(f"initial is a {type(initial).__name__}, not an Orientation")
+    _as_instance("initial", initial, Orientation)
     h = initial.hypergraph
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -97,6 +97,50 @@ class TestAugmentOne:
         with pytest.raises(InvariantViolation, match="level 1, iteration 1: families at 0"):
             augment_to(h, o1, 2)
 
+    def test_a_check_off_the_level_after_its_cap_is_raised_is_an_invariant_violation(self, monkeypatch):
+        """Each level raises the step check's cap to ``k + 1`` and then
+        holds its value to ``k``; a ``raise_cap`` that leaves the value one
+        off is caught before any path."""
+        h, o = doubled_triangle_flat()
+        raise_cap = separator.IncrementalConnectivity.raise_cap
+
+        def one_off(self, cap):
+            raise_cap(self, cap)
+            self.value += 1
+            return self.value
+
+        monkeypatch.setattr(separator.IncrementalConnectivity, "raise_cap", one_off)
+        with pytest.raises(InvariantViolation, match="^level 0 starts at connectivity 1$") as info:
+            augment_to(h, o, 1)
+        assert type(info.value) is InvariantViolation
+
+    def test_a_path_arc_whose_head_moved_is_an_invariant_violation(self, monkeypatch):
+        """Each arc of a path records the head its edge had when the path
+        was found, and the level checks it before each step.  A path whose
+        first reoriented arc (the last one on the in-tight branch, the
+        first on the out-tight one) records a head the orientation does not
+        have is caught, on either branch."""
+        fired = []
+        for name, first in (("admissible_path_in_tminus", -1), ("admissible_path_in_tplus", 0)):
+            search = getattr(augment_module, name)
+
+            def moved(h, o, fam, region, search=search, first=first, name=name):
+                result = search(h, o, fam, region)
+                arcs = list(result.path.arcs)
+                arc = arcs[first]
+                arcs[first] = replace(arc, head=next(v for v in h.edges[arc.edge] if v != o.heads[arc.edge]))
+                fired.append(name)
+                return replace(result, path=Hyperpath(tuple(arcs)))
+
+            monkeypatch.setattr(augment_module, name, moved)
+        cases = ((0, "min-head", "admissible_path_in_tminus"), (10, "random", "admissible_path_in_tplus"))
+        for seed, mode, branch in cases:
+            fired.clear()
+            h = gen_instance(GenSpec(n=8, k=2, extra_edges=3, max_edge_size=4, seed=seed))
+            with pytest.raises(InvariantViolation, match=r"^edge \d+ changed head mid-path$") as info:
+                augment_to(h, gen_orientation(h, seed=seed, mode=mode), 2)
+            assert type(info.value) is InvariantViolation and fired == [branch]
+
     def test_monotone_per_step(self):
         for h, o in [doubled_triangle_flat()]:
             trace = augment_to(h, o, 1)

@@ -252,6 +252,26 @@ def test_foreign_objects_are_precondition_errors(call, message):
     assert type(info.value) is PreconditionError and str(info.value) == message
 
 
+@pytest.mark.parametrize("foreign", [None, "x", object()], ids=["None", "str", "object"])
+@pytest.mark.parametrize(
+    "entry", ["admissible_path_in_tminus", "admissible_path_in_tplus", "bf_safe_source", "bf_safe_sink"]
+)
+def test_a_foreign_fam_is_a_precondition_error(entry, foreign):
+    """The two path searches and the two brute-force safe tests refuse a
+    ``fam`` that is not a ``CutFamilies`` by ``core``'s instance rule,
+    before they read any field of it."""
+    from hyperorient import oracle, pathsearch
+
+    h, o = three_cycle()
+    full = VertexSet.full(3)
+    call = getattr(pathsearch, entry, None) or getattr(oracle, entry)
+    args = (h, o, foreign, full) if entry.startswith("admissible") else (h, o, foreign, full, 0)
+    with pytest.raises(PreconditionError) as info:
+        call(*args)
+    assert type(info.value) is PreconditionError
+    assert str(info.value) == f"fam is a {type(foreign).__name__}, not a CutFamilies"
+
+
 class TestDegree:
     def test_two_identical_triples(self):
         h = hypergraph(3, [(0, 1, 2), (0, 1, 2)])

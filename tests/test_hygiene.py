@@ -275,9 +275,11 @@ def test_the_sink_sequence_scan_sees_a_second_copy():
     ]
 
 
-# ``_sink_sequences`` runs one search per pass that is no flow: it labels
-# the vertices from vertex 0 to fix the pass's order, and reaches no sink.
-# ``test_work_pin`` counts it with the flows' searches.
+# ``_sink_sequences`` runs searches that are no flow: one per pass labels
+# the vertices from vertex 0 to fix the pass's order, and reaches no sink,
+# and one per query that marks tight vertices finds its maximal minimizer
+# ``M_t``, from the query's sinks, and must not reach the query's vertex.
+# ``test_work_pin`` counts them with the flows' searches.
 SEARCH_CALLERS = ("max_flow_min_cut", "KeptReaches.reach", "_sink_sequences")
 
 
@@ -292,7 +294,7 @@ def stray_searches(tree, in_separator):
     ``max_flow_min_cut`` call, so that a patch of that global (perfbench's
     tracer, the counting tests) sees every flow; ``KeptReaches.reach`` runs
     one search and no flow, and ``_sink_sequences`` one per pass that fixes
-    the pass's order."""
+    the pass's order and one per ``M_t`` it finds."""
     found = []
     modules = {"separator"}  # the names bound to a separator module
     for node in ast.walk(tree):
@@ -558,17 +560,24 @@ def argument_rule_copies(tree):
     """``(line, what)`` for each copy of a ``core`` argument rule: an
     ``isinstance`` test against ``bool``, a comparison with the sides
     ``("out", "in")``, a comparison of two ``.n`` attributes (a ground-set
-    test), a raise of ``InvalidReorientation`` (a new-head test), or a
-    function named like a rule (``_check_count``, ``_as_vertex``,
-    ``_as_vertex_count``, ``_as_vertex_set``, ``_as_edge``,
+    test), a raise of ``InvalidReorientation`` (a new-head test), a raise
+    of ``PreconditionError`` that names a ``type(x).__name__`` (a type
+    test), or a function named like a rule (``_check_count``,
+    ``_as_vertex``, ``_as_vertex_count``, ``_as_vertex_set``, ``_as_edge``,
     ``_as_new_head``, ``_is_out``, ``_as_tuple``, ``_as_hypergraph``,
-    ``_same_instance``).  ``core`` holds the one count, vertex count,
-    vertex, vertex set, edge id, new head, side, collection, hypergraph and
-    orientation rule, so every entry takes an ``IntEnum``, rejects a
-    ``bool`` and a foreign object, and words a refusal alike.  The trace rule's exact-``int`` tests (``type(x) is int``) are a
-    stricter rule of their own, and no copy; so is the verifier's report of
-    an illegal step, a failure in its report rather than a raise."""
+    ``_as_instance``, ``_same_instance``).  ``core`` holds the one
+    instance, count, vertex count, vertex, vertex set, edge id, new head,
+    side, collection, hypergraph and orientation rule, so every entry takes
+    an ``IntEnum``, rejects a ``bool`` and a foreign object, and words a
+    refusal alike.  The trace rule's exact-``int`` tests (``type(x) is
+    int``) are a stricter rule of their own, and no copy; so is the
+    verifier's report of an illegal step, a failure in its report rather
+    than a raise."""
     found = []
+
+    def names(node):
+        return {getattr(e, "id", getattr(e, "attr", None)) for e in ast.walk(node)}
+
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
@@ -582,12 +591,12 @@ def argument_rule_copies(tree):
                     found.append((node.lineno, "side compare"))
             if sum(isinstance(e, ast.Attribute) and e.attr == "n" for e in [node.left, *node.comparators]) >= 2:
                 found.append((node.lineno, "n compare"))
-        elif isinstance(node, ast.Raise) and "InvalidReorientation" in {
-            getattr(e, "id", getattr(e, "attr", None)) for e in ast.walk(node)
-        }:
+        elif isinstance(node, ast.Raise) and "InvalidReorientation" in names(node):
             found.append((node.lineno, "new head raise"))
+        elif isinstance(node, ast.Raise) and {"PreconditionError", "type", "__name__"} <= names(node):
+            found.append((node.lineno, "type refusal"))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.search(
-            r"(check|as)_(count|int|vertex|side|edge|new_head|head|ground|tuple|hypergraph)|^_?(is_out|same_instance)$",
+            r"(check|as)_(count|int|vertex|side|edge|new_head|head|ground|tuple|hypergraph|instance)|^_?(is_out|same_instance)$",
             node.name,
         ):
             found.append((node.lineno, f"def {node.name}"))
@@ -631,6 +640,9 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         "    if x.n != h.n or h.n == p.n or x.n == len(p) or x == h.n:\n"
         "        raise core.InvalidReorientation(f'illegal new head {u} for edge {e}')\n"
         "    raise InvalidReorientation\n"
+        "def _as_instance(what, x, kind):\n"
+        "    if not isinstance(x, Hyperpath):\n"
+        "        raise PreconditionError(f'path is a {type(x).__name__}, not a Hyperpath')\n"
     )
     assert sorted(argument_rule_copies(tree)) == [
         (1, "def _check_count"),
@@ -648,6 +660,8 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         (24, "n compare"),
         (25, "new head raise"),
         (26, "new head raise"),
+        (27, "def _as_instance"),
+        (29, "type refusal"),
     ]
     core = ast.parse((ROOT / "src" / "hyperorient" / "core.py").read_text(encoding="utf-8"))
     assert {what for _, what in argument_rule_copies(core)} >= {
@@ -663,7 +677,9 @@ def test_the_argument_rule_scan_sees_a_second_copy():
         "def _is_out",
         "def _as_tuple",
         "def _as_hypergraph",
+        "def _as_instance",
         "def _same_instance",
+        "type refusal",
         "n compare",
         "new head raise",
     }

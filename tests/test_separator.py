@@ -469,50 +469,70 @@ class TestSinkSequence:
         vertices after 0 in the pass's order: what one search from vertex
         0 labels, run against the pass's direction, then the vertices it
         misses in index order.  Each query's sinks are exactly the
-        vertices before its source, and each flow that finds a query's
-        maximal minimizer runs from those same vertices, in that order, to
-        the source.  The search misses vertices only at a connectivity of
-        0; such instances occur here, and on them ``connectivity``,
+        vertices before its source, and each search that finds a query's
+        maximal minimizer runs from those same vertices, in that order,
+        against the pass's direction, with the source as its only sink.
+        On a pass whose order search labels every vertex no query reads 0.
+        The search misses vertices only at a connectivity of 0; such
+        instances occur here, and on them ``connectivity``,
         ``tight_reaches`` and ``compute_families`` equal the oracles.  A
         ``connectivity`` whose first search misses a vertex runs no flow."""
         from hyperorient import bf_families, compute_families
         from corpus import search_labels
 
-        calls, original = [], separator.max_flow_min_cut
+        calls, inside = [], [False]
+        flow, search = separator.max_flow_min_cut, separator._search
 
-        def recorded(g, sources, sinks, limit=None, *, residual, forward=True):
-            calls.append((list(sources), [v for v, sink in enumerate(sinks) if sink], forward, residual))
-            return original(g, sources, sinks, limit=limit, residual=residual, forward=forward)
+        def recorded_flow(g, sources, sinks, limit=None, *, residual, forward=True):
+            call = ["flow", list(sources), [v for v, sink in enumerate(sinks) if sink], forward, residual]
+            inside[0] = True
+            value, reach = flow(g, sources, sinks, limit=limit, residual=residual, forward=forward)
+            inside[0] = False
+            calls.append((*call, value))
+            return value, reach
 
-        monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
-        maximal = missed = ended = 0
+        def recorded_search(g, heads, roots, is_sink, forward):
+            parent, labelled, hit = search(g, heads, roots, is_sink, forward)
+            if not inside[0]:  # the flows' own searches are part of their call
+                sinks = [v for v, sink in enumerate(is_sink) if sink]
+                calls.append(("search", list(roots), sinks, forward, heads, len(labelled)))
+            return parent, labelled, hit
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", recorded_flow)
+        monkeypatch.setattr(separator, "_search", recorded_search)
+        maximal = missed = ended = full = 0
         for h, o in random_instances(36, 300, n_max=7, m_max=9, size_max=4):
             calls.clear()
             k = separator.tight_reaches(h, o)[0]
             passes = []
             for call in calls:  # each pass keeps one heads list; each root-pair flow has its own
-                if passes and call[3] is passes[-1][0][3]:
+                if passes and call[4] is passes[-1][0][4]:
                     passes[-1].append(call)
                 else:
                     passes.append([call])
             for run, forward in zip(passes, (False, True)):
                 order = pass_order(h, o, forward)
-                queries = [call[:2] for call in run if call[2] == forward]
-                assert queries == [([t], sorted(order[:i])) for i, t in enumerate(order) if i]
-                for query, flow in zip(run, run[1:]):
-                    if flow[2] != forward:
-                        t = query[0][0]
-                        assert flow[:2] == (order[: order.index(t)], [t])
+                assert run[0][:4] == ("search", [0], [], not forward)
+                queries = [call for call in run if call[0] == "flow"]
+                assert [call[1:3] for call in queries] == [([t], sorted(order[:i])) for i, t in enumerate(order) if i]
+                assert {call[3] for call in queries} == {forward}
+                for query, mt in zip(run, run[1:]):
+                    if mt[0] == "search":
+                        t = query[1][0]
+                        assert mt[1:4] == (order[: order.index(t)], [t], not forward)
                         maximal += 1
+                if run[0][5] == h.n:
+                    assert all(call[5] > 0 for call in queries)
+                    full += 1
             if any(len(search_labels(h, o, forward)) < h.n for forward in (False, True)):
                 missed += 1
                 calls.clear()
                 assert k == connectivity(h, o, h.m + 1) == bf_lambda(h, o) == 0
                 if len(search_labels(h, o, True)) < h.n:  # the first pass's search ends the run
-                    assert calls == []
+                    assert [call[0] for call in calls] == ["search"]
                     ended += 1
                 assert compute_families(h, o) == bf_families(h, o)
-        assert maximal > 100 and missed > 20 and ended > 10
+        assert maximal > 100 and missed > 20 and ended > 10 and full > 100
 
 
 def walk_step(rng, h, o, cap):

@@ -8,9 +8,9 @@ hold it to the root-pair flows an ``IncrementalConnectivity`` keeps for
 every vertex, hold every copied residual's q set to the eager reference
 and to networkx, hold its level to the brute-force oracle, to
 ``hyperarc_connectivity`` and to networkx, count the flows it runs, check
-that the flows' own cross-checks are caught, and compare it with an
-independent networkx reference above the oracle bound on orientations like
-the ``query-families`` benchmark's.
+that the cross-checks of its flows and searches are caught, and compare it
+with an independent networkx reference above the oracle bound on
+orientations like the ``query-families`` benchmark's.
 """
 
 from __future__ import annotations
@@ -78,11 +78,32 @@ def recorded_call(sources, sinks, residual):
     return sorted(sources), [v for v, sink in enumerate(sinks) if sink], residual
 
 
-def finds_a_maximal_minimizer(call, previous):
-    """Whether ``call`` is the flow that finds a query's maximal minimizer:
-    it follows that query on the same heads list, from the query's sinks
-    to its source."""
-    return previous is not None and call[2] is previous[2] and call[:2] == (previous[1], previous[0])
+def finds_a_maximal_minimizer(search, query):
+    """Whether ``search``, recorded as :func:`recorded_call` records a flow,
+    finds the maximal minimizer of ``query``, the last flow before it: it
+    runs on that query's heads list, from the query's sinks to its
+    source."""
+    return query is not None and search[2] is query[2] and search[:2] == (query[1], query[0])
+
+
+def record_searches(patch, searches):
+    """Patch the flow and search globals so that each search appends
+    ``(forward, maximal)`` to ``searches``: its direction, and whether it
+    finds the maximal minimizer of the last flow call before it."""
+    from hyperorient import separator
+
+    flow, search, last = separator.max_flow_min_cut, separator._search, [None]
+
+    def recorded_flow(g, sources, sinks, limit=None, *, residual, forward=True):
+        last[0] = recorded_call(sources, sinks, residual)
+        return flow(g, sources, sinks, limit, residual=residual, forward=forward)
+
+    def recorded_search(g, heads, roots, is_sink, forward):
+        searches.append((forward, finds_a_maximal_minimizer(recorded_call(roots, is_sink, heads), last[0])))
+        return search(g, heads, roots, is_sink, forward)
+
+    patch.setattr(separator, "max_flow_min_cut", recorded_flow)
+    patch.setattr(separator, "_search", recorded_search)
 
 
 def assert_matches_the_kept_flows(h, o):
@@ -191,22 +212,14 @@ class TestLevel:
         cases are rare, so the corpus is large."""
         from hyperorient import separator
 
-        flow, in_side_marks = separator.max_flow_min_cut, []
-        last = [None]
-
-        def counted(g, sources, sinks, limit=None, *, residual, forward=True):
-            call = recorded_call(sources, sinks, residual)
-            if finds_a_maximal_minimizer(call, last[0]) and forward:  # run backward from an in query
-                in_side_marks.append(1)
-            last[0] = call
-            return flow(g, sources, sinks, limit, residual=residual, forward=forward)
-
-        monkeypatch.setattr(separator, "max_flow_min_cut", counted)
+        searches = []
+        record_searches(monkeypatch, searches)
         reset = 0
         for seed in range(20):
             for h, o in random_instances(seed, 200, n_max=7, m_max=12):
-                in_side_marks.clear()
+                searches.clear()
                 k, in_reaches, out_reaches = tight_reaches(h, o)
+                in_side_marks = [search for search in searches if search == (True, True)]  # backward from an in query
                 in_minimum = min(in_degree(h, o, x) for x in all_proper_subsets(h.n) if 0 not in x)
                 assert bool(in_side_marks) == (in_minimum <= separator._degree_bound(h, o))
                 if in_minimum > k:
@@ -309,17 +322,15 @@ class TestFlowCounts:
 
 def flow_kinds(monkeypatch, h, o):
     """The kind of each flow ``tight_reaches(h, o)`` runs, in order:
-    ``'root pair'`` for one whose residual a snapshot keeps, ``'M_t'`` for
-    one that finds a query's maximal minimizer, and ``'query'`` for the
-    others."""
+    ``'root pair'`` for one whose residual a snapshot keeps, and
+    ``'query'`` for the others."""
     from hyperorient import separator
 
     flows, kept = [], []
     flow, snapshot = separator.max_flow_min_cut, separator.KeptReaches.__init__
 
     def recorded(g, sources, sinks, limit=None, *, residual, forward=True):
-        call = recorded_call(sources, sinks, residual)
-        flows.append((residual, call, finds_a_maximal_minimizer(call, flows[-1][1] if flows else None)))
+        flows.append(residual)
         return flow(g, sources, sinks, limit, residual=residual, forward=forward)
 
     def recorded_snapshot(self, g, residuals, forward):
@@ -330,9 +341,7 @@ def flow_kinds(monkeypatch, h, o):
         patch.setattr(separator, "max_flow_min_cut", recorded)
         patch.setattr(separator.KeptReaches, "__init__", recorded_snapshot)
         tight_reaches(h, o)
-    return [
-        "root pair" if any(res is r for r in kept) else "M_t" if maximal else "query" for res, _, maximal in flows
-    ]
+    return ["root pair" if any(res is r for r in kept) else "query" for res in flows]
 
 
 def corrupt_flow(monkeypatch, index, change):
@@ -348,6 +357,21 @@ def corrupt_flow(monkeypatch, index, change):
         return change(*result) if calls[0] - 1 == index else result
 
     monkeypatch.setattr(separator, "max_flow_min_cut", corrupted)
+
+
+def corrupt_search(monkeypatch, index):
+    """Make search call ``index`` (counted from 0 from now on) report a hit
+    at its first sink."""
+    from hyperorient import separator
+
+    search, calls = separator._search, [0]
+
+    def corrupted(g, heads, roots, is_sink, forward):
+        parent, labelled, hit = search(g, heads, roots, is_sink, forward)
+        calls[0] += 1
+        return (parent, labelled, is_sink.index(True)) if calls[0] - 1 == index else (parent, labelled, hit)
+
+    monkeypatch.setattr(separator, "_search", corrupted)
 
 
 def guarded_instances():
@@ -376,16 +400,20 @@ class TestWrongLevel:
                 monkeypatch.undo()
 
     def test_a_maximal_minimizer_flow_that_adds_a_unit_is_an_invariant_violation(self, monkeypatch):
-        """The flow that finds a query's maximal minimizer must add
-        nothing, since the query's flow is maximum.  The last one runs at
-        the connectivity, and a unit there is caught naming that level."""
+        """The search that finds a query's maximal minimizer must not
+        reach the query's vertex: a hit is a path along which the query's
+        flow would add a unit, so that flow was not maximum.  The last such
+        search runs at the connectivity, and a hit there is caught naming
+        that level."""
         for h, o in guarded_instances():
-            k = hyperarc_connectivity(h, o)
-            kinds = flow_kinds(monkeypatch, h, o)
-            last = len(kinds) - 1 - kinds[::-1].index("M_t")
+            k, searches = hyperarc_connectivity(h, o), []
+            with monkeypatch.context() as patch:
+                record_searches(patch, searches)
+                tight_reaches(h, o)
+            last = max(i for i, (_, maximal) in enumerate(searches) if maximal)
             message = rf"^level {k}: the flow from \d+ into the \d+ vertices before it was not maximum"
             for run in (tight_reaches, compute_families):
-                corrupt_flow(monkeypatch, last, lambda value, reach: (1, None))
+                corrupt_search(monkeypatch, last)
                 with pytest.raises(InvariantViolation, match=message):
                     run(h, o)
                 monkeypatch.undo()

@@ -332,6 +332,51 @@ class TestCli:
         )
         assert code == 0 and out.strip() == "trace OK"
 
+    def write_generated(self, tmp_path):
+        """A desk-scale generated instance and a start orientation below
+        its target of 2, written as files."""
+        h = gen_instance(GenSpec(n=7, k=2, extra_edges=3, max_edge_size=3, seed=4))
+        o = gen_orientation(h, seed=4, mode="min-head")
+        hg, orf = tmp_path / "gen.hg", tmp_path / "start.or"
+        hg.write_text(format_hypergraph(h))
+        orf.write_text(format_orientation(o))
+        return h, o, str(hg), str(orf)
+
+    def test_orient_to_stdout_and_verify_json(self, capsys, tmp_path):
+        """With no ``--trace-out`` the trace goes to stdout, alone, and
+        parses back to the solver's trace; ``verify --json`` accepts it,
+        and reports a step whose connectivity was changed, exiting 1."""
+        h, o, hg, orf = self.write_generated(tmp_path)
+        code, out, _ = run_cli(capsys, "orient", "--input", hg, "--orientation", orf, "--target-k", "2")
+        trace = augment_to(h, o, 2)
+        assert code == 0 and trace.steps and parse_trace(out, o) == trace
+        path = tmp_path / "run.trace"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "verify", "--input", hg, "--orientation", orf, str(path), "--json")
+        assert code == 0 and json.loads(out) == {"ok": True, "failures": []}
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["lambda"] += 1
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "verify", "--input", hg, "--orientation", orf, str(path), "--json")
+        report = json.loads(out)
+        assert code == 1 and report["ok"] is False and report["failures"][0]["step"] == 1
+
+    def test_oracle_families_and_lambda_print_like_the_solver(self, capsys, tmp_path):
+        """``oracle families`` prints what ``families`` prints, as text and
+        as JSON, and ``oracle lambda`` without ``--json`` prints a
+        ``key: value`` line."""
+        from hyperorient import bf_lambda
+
+        h, o, hg, orf = self.write_generated(tmp_path)
+        for flags in ((), ("--json",)):
+            solver = run_cli(capsys, "families", "--input", hg, "--orientation", orf, *flags)
+            oracle = run_cli(capsys, "oracle", "families", "--input", hg, "--orientation", orf, *flags)
+            assert solver[0] == oracle[0] == 0 and solver[1] == oracle[1] and solver[1]
+        code, out, _ = run_cli(capsys, "oracle", "lambda", "--input", hg, "--orientation", orf)
+        assert code == 0 and out == f"lambda: {bf_lambda(h, o)}\n"
+
     def test_verify_rejects_tampered_trace(self, capsys, tmp_path):
         hg = tmp_path / "gen.hg"
         run_cli(capsys, "gen", "--n", "4", "--k", "1", "--seed", "2", "--out", str(hg))

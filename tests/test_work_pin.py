@@ -54,7 +54,7 @@ PINNED = {
         "safe_probes": 175,
         "searches": 5081,
     },
-    "query": {"builds": 2, "compares": 1, "flow_calls": 1068, "flow_units": 1699, "labelled": 8772, "searches": 686},
+    "query": {"builds": 2, "compares": 1, "flow_calls": 1008, "flow_units": 1699, "labelled": 8772, "searches": 686},
     "reorient": {
         "builds": 695,
         "compares": 714,
