@@ -298,7 +298,10 @@ def _as_vertex_set(what: str, x: object, n: int, kind: type = VertexSet) -> obje
 
 def crossing(x: VertexSet, y: VertexSet) -> bool:
     """Whether two vertex sets cross: they overlap, neither contains the
-    other, and their union is not everything."""
+    other, and their union is not everything.  ``x`` must be a
+    :class:`VertexSet` (:func:`_as_instance`'s rule) and ``y`` one over
+    the same ground set."""
+    _as_instance("x", x, VertexSet)
     _as_vertex_set("operand", y, x.n)
     full = (1 << x.n) - 1
     return (

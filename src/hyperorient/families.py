@@ -110,7 +110,8 @@ class QSets(Sequence):
 
     Every q set the descent learns is kept.  Any other entry is one
     :meth:`~hyperorient.separator.KeptReaches.reach` search the first time
-    it is read, and is kept too.  The snapshot is the sequence's own and is
+    it is read, or the sequence's one full set when no tight set holds its
+    vertex, and is kept too.  The snapshot is the sequence's own and is
     only read, so a later read gives what an earlier one would have, and
     two threads that fill one entry store equal sets.  Once every entry is
     set the snapshot is let go, so a caller that reads them all does not
@@ -119,10 +120,11 @@ class QSets(Sequence):
     that tuple, so a :class:`CutFamilies` holding it equals and hashes as
     one built from tuples."""
 
-    __slots__ = ("_reaches", "_sets", "_unset", "minimal")
+    __slots__ = ("_full", "_reaches", "_sets", "_unset", "minimal")
 
     def __init__(self, reaches: KeptReaches) -> None:
         n = reaches.n
+        self._full = VertexSet.full(n)
         self._reaches = reaches
         self._sets: list[VertexSet | None] = [None] * n
         resolved = [not t for t in reaches.tight]
@@ -163,12 +165,11 @@ class QSets(Sequence):
         reaches = self._reaches  # read before the entry: it is let go only once every entry is set
         q = self._sets[v]
         if q is None:
-            n = len(self._sets)
-            v = range(n)[v]
+            v = range(len(self._sets))[v]
             if reaches.tight[v]:
                 q = reaches.reach(v)
             if q is None:
-                q = VertexSet.full(n)
+                q = self._full
             self._sets[v] = q
             self._unset.discard(v)
             if not self._unset:

@@ -41,7 +41,13 @@ given.
 The incidences depend only on the hypergraph, so it has one
 :class:`IncidenceDigraph`, kept for the last hypergraph seen
 (:func:`network`), and every query on any orientation runs on it with
-``residual=`` a copy of that orientation's heads.
+``residual=`` a copy of that orientation's heads.  In the same way the
+set-up of an orientation's sink sequences (below), its two pass orders
+and its degree bound, is kept for the last orientation seen
+(:func:`_passes`), so asking one orientation for its connectivity and
+then for its families runs that set-up once.  Each slot is read once per
+call and holds the object it is keyed by, so threads on other inputs only
+cost rebuilds.
 
 The hyperarc-connectivity is a sink sequence (Hao and Orlin, J. Algorithms
 1994, in augmenting-path form), run mirrored: per side, ``n - 1`` flows
@@ -49,7 +55,10 @@ from one new vertex each into the growing set of earlier ones, on one kept
 heads list, so that after the first few each flow is a short search from
 its new vertex.  A pass takes its vertices in breadth-first order from
 vertex 0, so most of them reach an earlier one along a single hyperarc,
-which the flow takes with no search.  The package has one such loop,
+which the flow takes with no search.  Those two searches also settle 0
+and 1: one that misses a vertex shows a connectivity of 0, and two that
+label every vertex show at least 1, so a run capped at 1 runs no flow.
+The package has one such loop,
 :func:`_sink_sequences`: :func:`connectivity` runs it capped at the best
 value so far, and
 :func:`tight_reaches` capped one above, so that the same run also finds
@@ -373,46 +382,95 @@ def _degree_bound(h: Hypergraph, o: Orientation) -> int:
     return least
 
 
+# (o, bound, orders, complete) for the last orientation :func:`_passes` saw
+_passes_memo: Optional[tuple[Orientation, Optional[int], Optional[tuple[tuple[int, ...], ...]], bool]] = None
+
+
+def _passes(
+    h: Hypergraph, o: Orientation, cap: Optional[int], mark: bool
+) -> tuple[int, Optional[tuple[tuple[int, ...], ...]], bool]:
+    """The set-up of ``o``'s sink sequences: ``(start, orders,
+    complete)``.  ``start`` is ``cap``, or :func:`_degree_bound` when
+    ``cap`` is ``None``, so a capped :func:`connectivity` never reads the
+    bound.  ``orders[forward]`` is the order of the pass whose flows run
+    ``forward``: what one :func:`_search` from vertex 0 over ``o``'s heads
+    labels, run the other way and stopping at no sink, then the vertices
+    it misses in index order.  ``complete`` tells whether both searches
+    labelled every vertex.  A run that starts at 0 without ``mark`` needs
+    no order, so then the searches do not run, ``orders`` is ``None`` and
+    ``complete`` is ``False``.
+
+    The bound and the orders are kept for the last orientation seen, as
+    :func:`network` keeps the incidences of the last hypergraph, in one
+    slot read once per call, so threads on other orientations only cost
+    rebuilds.  The slot holds ``o`` itself, which is immutable, so its
+    identity cannot pass to another orientation while the slot keeps it.
+    So :func:`hyperarc_connectivity` then :func:`tight_reaches` on one
+    orientation run the two order searches and read the bound once."""
+    global _passes_memo
+    memo = _passes_memo
+    _, bound, orders, complete = memo if memo is not None and memo[0] is o else (o, None, None, False)
+    if cap is None:
+        cap = bound = _degree_bound(h, o) if bound is None else bound
+    if orders is None and (cap or mark):
+        g, n, orders, complete = network(h), h.n, [], True
+        for forward in (False, True):
+            parent, order, _ = _search(g, o.heads, [0], _sink_mask(n, ()), not forward)
+            complete = complete and len(order) == n
+            orders.append(tuple(order + [v for v, label in enumerate(parent) if label is None]))
+        orders = tuple(orders)
+    _passes_memo = (o, bound, orders, complete)
+    return cap, orders, complete
+
+
 def _sink_sequences(
-    h: Hypergraph, o: Orientation, cap: int, mark: bool
+    h: Hypergraph, o: Orientation, cap: Optional[int], mark: bool
 ) -> tuple[int, list[list[bool]], list[list[Optional[list[int]]]]]:
     """The package's one sink sequence (see :func:`connectivity`), run on
     each side: ``(value, tight, kept)``.  ``value`` is
-    :func:`connectivity`'s, and no query builds a set.  Without ``mark``
-    each query is capped at the best value so far, ``tight`` is all
-    ``False``, ``kept`` all ``None``, and the run ends at 0 before any
-    query when ``cap`` is 0, or when an order search (below) misses a
-    vertex.  With ``mark`` each query is capped one above it, and
-    ``tight`` and ``kept`` are ``[in, out]``: the vertices
-    some set of degree ``value`` on that side that avoids vertex 0 holds,
-    and at each vertex whose own query ended at ``value`` a copy of the
-    heads list right after that query (see :func:`tight_reaches`).  A
-    query below the best clears every flag and copy, and a query at it
-    marks its maximal minimizer and keeps its copy.
+    :func:`connectivity`'s, and no query builds a set.  ``cap`` is
+    ``None`` for the entries that take no cap, which start at
+    :func:`_degree_bound`.  Without ``mark`` each query is capped at the
+    best value so far, ``tight`` is all ``False``, ``kept`` all ``None``,
+    and the run ends before any search when the start is 0, and before any
+    query when it is 1 or an order search (below) misses a vertex.  With
+    ``mark`` each query is capped one above it, and ``tight`` and ``kept``
+    are ``[in, out]``: the vertices some set of degree ``value`` on that
+    side that avoids vertex 0 holds, and at each vertex whose own query
+    ended at ``value`` a copy of the heads list right after that query
+    (see :func:`tight_reaches`).  A query below the best clears every flag
+    and copy, and a query at it marks its maximal minimizer and keeps its
+    copy.
 
     A pass visits the vertices in the order that one :func:`_search` from
     vertex 0 over ``o``'s heads labels them, run in the direction opposite
     to the pass's flows and stopping at no sink; the vertices it misses
-    follow in index order.  Such a search shows a connectivity of 0: no
-    hyperarc leaves (forward) or enters (backward) what it labelled.  Query
-    ``i`` flows from ``order[i]`` into ``order[:i]``.  Each vertex the
-    search labelled has a hyperarc whose one-arc path reaches an earlier
-    vertex (forward, an edge headed at it with an earlier tail; backward,
-    an edge it is a tail of with an earlier head), so the one-arc pass of
+    follow in index order.  Both orders come from :func:`_passes`, which
+    keeps them for the last orientation seen.  Query ``i`` flows from
+    ``order[i]`` into ``order[:i]``.  Each vertex the search labelled has
+    a hyperarc whose one-arc path reaches an earlier vertex (forward, an
+    edge headed at it with an earlier tail; backward, an edge it is a
+    tail of with an earlier head), so the one-arc pass of
     :func:`max_flow_min_cut` takes most queries' first unit with no
     search.  Each pass keeps one sink mask, and query ``i`` adds
     ``order[i]`` to it.
 
-    That hyperarc is also why no query reads 0 without ``mark``, so the
-    order search is the only zero test.  A pass reaches its queries only
-    if its search labelled every vertex; otherwise the run has returned 0.
-    Each vertex ``t`` after 0 was labelled through a hyperarc from an
-    earlier vertex ``u``, and that hyperarc enters (in pass) or leaves
-    (out pass) every set that holds ``t`` and misses ``u``, so each set
-    query ``t`` ranges over has degree at least 1.  The flow kept before
-    the query changes no such degree (see :func:`connectivity`), so a
-    query capped at 1 or more reads at least 1, and ``value`` is 0 only
-    when ``cap`` is.
+    Without ``mark``, past a start of 0, the order searches are the only
+    test of 0 and 1.  A search that misses a vertex shows a connectivity
+    of 0: no hyperarc leaves (forward) or enters (backward) what it
+    labelled.  When both label every vertex, every nonempty proper set
+    ``X`` has out-degree at least 1.  If ``X`` holds vertex 0, take a
+    ``t`` outside it: the forward search (the in pass's) reached ``t``
+    from 0 along hyperarcs, tail to head, and the first of them whose head
+    is outside ``X`` leaves ``X``.  If not, take a ``t`` in it: the
+    backward search (the out pass's) found hyperarcs from ``t`` to 0, and
+    again the first whose head is outside ``X`` leaves it.  So a run
+    capped at 1 is 1 with no query, and no query capped at 1 or
+    more reads 0: each vertex ``t`` after 0 was labelled through a
+    hyperarc from an earlier vertex ``u``, which enters (in pass) or
+    leaves (out pass) every set that holds ``t`` and misses ``u``, and the
+    flow kept before the query changes no such degree (see
+    :func:`connectivity`).
 
     A query at the best that ``mark`` has not reached yet marks its
     maximal minimizer ``M_t``: every vertex that reaches none of its sinks
@@ -422,18 +480,14 @@ def _sink_sequences(
     must not reach ``t``, since the query's flow is maximum; if it does,
     that flow was not, which raises :class:`InvariantViolation`."""
     n, g = h.n, network(h)
-    best = cap
     tight = [[False] * n, [False] * n]
     kept: list[list[Optional[list[int]]]] = [[None] * n, [None] * n]
-    if cap == 0 and not mark:
-        return 0, tight, kept
-    for forward in (False, True):
+    best, orders, complete = _passes(h, o, cap, mark)
+    if not mark and (best <= 1 or not complete):
+        return best if complete else 0, tight, kept
+    for forward, order in zip((False, True), orders):
         marks, copies = tight[forward], kept[forward]
         residual = list(o.heads)
-        parent, order, _ = _search(g, residual, [0], _sink_mask(n, ()), not forward)
-        if len(order) < n and not mark:
-            return 0, tight, kept
-        order += [v for v, label in enumerate(parent) if label is None]
         sinks = _sink_mask(n, [0])
         for i in range(1, n):
             t = order[i]
@@ -479,10 +533,14 @@ def connectivity(h: Hypergraph, o: Orientation, cap: int) -> int:
     the flow in it runs between vertices that are sinks of the next query,
     so the flow is net zero across each of that query's cuts, every cut
     keeps its degree, and the next query resumes from it without a reset.
-    A cap of 0 ends the run before any query, and so does an order search
-    that misses a vertex; otherwise no query reads 0 (see
-    :func:`_sink_sequences`).  The loop is the package's one sink
-    sequence, which :func:`tight_reaches` runs too, capped one higher.
+    A cap of 0 ends the run before any search.  Otherwise the two order
+    searches run first, or are read from :func:`_passes`' slot when they
+    ran for this orientation object last.  One that misses a vertex ends
+    the run at 0.  When both label every vertex, every set has out-degree
+    at least 1, so a cap of 1 ends the run at 1 with no query, and no
+    query reads 0 (the proofs are in :func:`_sink_sequences`).  The loop
+    is the package's one sink sequence, which :func:`tight_reaches` runs
+    too, capped one higher.
 
     The cap is required, and each caller passes a bound it holds;
     ``h.m + 1`` caps nothing, since no out-degree is above ``m``.  It
@@ -502,9 +560,13 @@ def hyperarc_connectivity(h: Hypergraph, o: Orientation) -> int:
     It is :func:`connectivity` capped at :func:`_degree_bound`, which the
     connectivity never exceeds, so the capped value is exact: when the two
     are equal, as they mostly are, every query stops at the cap and none
-    ends in a search that finds no path."""
+    ends in a search that finds no path.  At a bound of 1 the run is its
+    two order searches, with no query.  The orders and the bound stay in
+    :func:`_passes`' slot, so a :func:`tight_reaches` (or
+    :func:`~hyperorient.families.compute_families`) on the same
+    orientation object next runs neither again."""
     _same_instance(h, o)
-    return _sink_sequences(h, o, _degree_bound(h, o), False)[0]
+    return _sink_sequences(h, o, None, False)[0]
 
 
 class KeptReaches:
@@ -565,8 +627,10 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     the other way, which must not reach ``t``, since the flow is maximum.
     Every vertex of ``M_t`` is tight.
 
-    The run starts with the best value at :func:`_degree_bound`, not
-    above it.  The connectivity is at most the bound, so the run still ends
+    The pass orders and the bound come from :func:`_passes`' slot, so
+    after :func:`hyperarc_connectivity` on the same orientation object
+    this runs no order search.  The run starts with the best value at
+    :func:`_degree_bound`, not above it.  The connectivity is at most the bound, so the run still ends
     at ``k``, and the flags left are those of the queries at ``k``, whose
     maximal minimizers do not depend on the flow kept before them.  A side
     whose minimum is above the bound marks nothing; one whose minimum is at
@@ -617,7 +681,7 @@ def tight_reaches(h: Hypergraph, o: Orientation) -> tuple[int, KeptReaches, Kept
     these residuals and copies.
     """
     _same_instance(h, o)
-    k, tight, kept = _sink_sequences(h, o, _degree_bound(h, o), True)
+    k, tight, kept = _sink_sequences(h, o, None, True)
     g = network(h)
     reaches = []
     for forward, marks, residuals in zip((False, True), tight, kept):

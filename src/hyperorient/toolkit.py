@@ -73,8 +73,11 @@ def gen_instance(spec: GenSpec) -> Hypergraph:
     ``t`` times and extra edges only add crossings, so the result is
     ``(k, k)``-partition-connected by construction.  The procedure is fully
     determined by the seed: per cycle one ``shuffle`` of ``[0..n-1]``, per
-    extra edge one ``randint`` for the size then one ``sample``.
+    extra edge one ``randint`` for the size then one ``sample``.  A
+    ``spec`` that is not a :class:`GenSpec` raises
+    :class:`PreconditionError`.
     """
+    _as_instance("spec", spec, GenSpec)
     rng = random.Random(spec.seed)
     n = spec.n
     edges: list[VertexSet] = []

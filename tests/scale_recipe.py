@@ -8,11 +8,15 @@ max_edge_size=4, seed=1))``, every head at its edge's smallest vertex
     python tests/scale_recipe.py            # n = 64, 128, 192, 256
     python tests/scale_recipe.py 64 96      # the sizes given
 
-Each row holds ``m``, the trace's steps, then for ``augment_to`` and for
-``verify_trace`` in turn: the wall time in seconds, the flows (one
-``separator.max_flow_min_cut`` call each), the units they push, the
-residual searches (one ``separator._search`` call each) and the vertices
-those searches label.  The last column is the SHA-256 of
+Each row holds ``m``, the trace's steps, then for ``augment_to``, for
+``verify_trace`` and for ``query`` in turn: the wall time in seconds,
+the flows (one ``separator.max_flow_min_cut`` call each), the units they
+push, the residual searches (one ``separator._search`` call each) and the
+vertices those searches label.  ``query`` is ``hyperarc_connectivity``
+then ``compute_families`` on the initial orientation, the two questions
+the ``query-families`` benchmark asks of each orientation, run first on
+an orientation object of its own, so that it finds no set-up kept and
+leaves none to ``augment_to``.  The last column is the SHA-256 of
 ``format_trace`` of the trace, which a change that keeps the solver's
 output keeps.  The counts are exact; the times include the counting
 wrappers and are comparable only within one machine and one session.
@@ -28,7 +32,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hyperorient import GenSpec, augment_to, format_trace, gen_instance, gen_orientation, separator, verify_trace
+from hyperorient import (
+    GenSpec,
+    augment_to,
+    compute_families,
+    format_trace,
+    gen_instance,
+    gen_orientation,
+    hyperarc_connectivity,
+    separator,
+    verify_trace,
+)
 
 SIZES = (64, 128, 192, 256)
 COUNTS = ("flows", "units", "searches", "labelled")
@@ -61,9 +75,19 @@ def counted(call, *args) -> tuple[object, float, Counter]:
         separator.max_flow_min_cut, separator._search = flow, search
 
 
+def query(h, o) -> int:
+    """``hyperarc_connectivity`` then ``compute_families`` on ``o``; both
+    must give one connectivity."""
+    k = hyperarc_connectivity(h, o)
+    if compute_families(h, o).k != k:
+        raise SystemExit(f"n={h.n}: compute_families and hyperarc_connectivity disagree")
+    return k
+
+
 def recipe(n: int) -> dict:
     """One run of the recipe at ``n``, as a row of named values."""
     h = gen_instance(GenSpec(n=n, k=3, extra_edges=n // 2, max_edge_size=4, seed=1))
+    _, query_s, asked = counted(query, h, gen_orientation(h, mode="min-head"))
     trace, augment_s, work = counted(augment_to, h, gen_orientation(h, mode="min-head"), 3)
     report, verify_s, check = counted(verify_trace, h, trace)
     if not report.ok:
@@ -72,6 +96,8 @@ def recipe(n: int) -> dict:
     row.update((name, work[name]) for name in COUNTS)
     row["verify_s"] = round(verify_s, 3)
     row.update((f"verify_{name}", check[name]) for name in COUNTS)
+    row["query_s"] = round(query_s, 3)
+    row.update((f"query_{name}", asked[name]) for name in COUNTS)
     row["sha256"] = hashlib.sha256(format_trace(trace).encode()).hexdigest()
     return row
 

@@ -272,6 +272,24 @@ def test_a_foreign_fam_is_a_precondition_error(entry, foreign):
     assert str(info.value) == f"fam is a {type(foreign).__name__}, not a CutFamilies"
 
 
+@pytest.mark.parametrize("foreign", [None, "x", object()], ids=["None", "str", "object"])
+@pytest.mark.parametrize("entry", ["gen_instance", "crossing"])
+def test_a_foreign_spec_or_first_operand_is_a_precondition_error(entry, foreign):
+    """``gen_instance`` refuses a ``spec`` that is not a ``GenSpec``, and
+    ``crossing`` a first operand that is not a ``VertexSet``, by ``core``'s
+    instance rule, before they read any field of it.  Both used to raise a
+    raw ``AttributeError``."""
+    from hyperorient import gen_instance
+
+    if entry == "gen_instance":
+        call, message = lambda: gen_instance(foreign), "spec is a {}, not a GenSpec"
+    else:
+        call, message = lambda: crossing(foreign, vs(3, [0])), "x is a {}, not a VertexSet"
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert type(info.value) is PreconditionError and str(info.value) == message.format(type(foreign).__name__)
+
+
 class TestDegree:
     def test_two_identical_triples(self):
         h = hypergraph(3, [(0, 1, 2), (0, 1, 2)])

@@ -98,13 +98,17 @@ def test_every_answer_equals_the_old_start():
 
 
 def test_a_connectivity_at_the_bound_pushes_its_units_and_fails_no_search(monkeypatch):
-    """Each of the ``2(n - 1)`` queries stops at the cap, ``lambda``, so
-    the run pushes ``2(n - 1) lambda`` units and every search inside a
-    flow finds a path.  Outside the flows each pass runs exactly one
-    search, the one that fixes its order, which reaches no sink.  From the
-    old start the same orientation runs failing searches in its flows."""
+    """At a bound of 2 or more, each of the ``2(n - 1)`` queries stops at
+    the cap, ``lambda``, so the run pushes ``2(n - 1) lambda`` units and
+    every search inside a flow finds a path.  Outside the flows each pass
+    runs exactly one search, the one that fixes its order, which reaches
+    no sink; a second call on the same orientation reuses both orders and
+    runs none.  At a bound of 1 the run is those two searches alone.  From
+    the old start the same orientation runs failing searches in its
+    flows."""
     h, states = benchmark_like_orientations(0, 4)
-    o = next(o for o in states if hyperarc_connectivity(h, o) == separator._degree_bound(h, o))
+    o = next(o for o in states if hyperarc_connectivity(h, o) == separator._degree_bound(h, o) >= 2)
+    one = next(o for o in states if separator._degree_bound(h, o) == 1)
     lam = hyperarc_connectivity(h, o)
     flow, search = separator.max_flow_min_cut, separator._search
     units, failed, outside = [], [], []
@@ -126,9 +130,16 @@ def test_a_connectivity_at_the_bound_pushes_its_units_and_fails_no_search(monkey
 
     monkeypatch.setattr(separator, "max_flow_min_cut", counted_flow)
     monkeypatch.setattr(separator, "_search", counted_search)
-    assert hyperarc_connectivity(h, o) == lam > 0
+    monkeypatch.setattr(separator, "_passes_memo", None)
+    assert hyperarc_connectivity(h, o) == lam
     assert (len(units), sum(units), sum(failed)) == (2 * (h.n - 1), 2 * (h.n - 1) * lam, 0)
     assert outside == [True, True]
+    units.clear(), outside.clear()
+    assert hyperarc_connectivity(h, o) == lam
+    assert (len(units), sum(failed), outside) == (2 * (h.n - 1), 0, [])
+    units.clear(), outside.clear()
+    assert hyperarc_connectivity(h, one) == 1
+    assert (units, outside) == ([], [True, True])
     units.clear(), failed.clear()
     assert old_start(h, o, None, False)[0] == lam
     assert sum(failed) > 0

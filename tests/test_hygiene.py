@@ -4,9 +4,11 @@ option under ``src/`` is parsed by ``int``, no module under ``src/`` but
 every flow under ``src/`` names the orientation it runs on, one function
 under ``src/`` runs a sink-sequence loop, every residual search under
 ``src/`` runs inside a flow (or is the one search of
-``KeptReaches.reach``), the verifier names none of the solver's repair
-code nor ``_degree_bound`` or ``hyperarc_connectivity``, only the two
-uncapped connectivity entries read ``_degree_bound``, no code under ``src/``
+``KeptReaches.reach``, an order search of the sink sequences' set-up or an
+``M_t`` search), the verifier names none of the solver's repair code nor
+``_degree_bound`` or ``hyperarc_connectivity``, only the two uncapped
+connectivity entries read ``_degree_bound`` (through the sink sequences'
+set-up), no code under ``src/``
 or ``demos/`` but ``augment_to`` reaches the per-level loop
 ``augment_one``, and the package's ``__all__`` is sorted,
 free of duplicates, exactly what its ``__init__.py`` imports and free of
@@ -275,12 +277,14 @@ def test_the_sink_sequence_scan_sees_a_second_copy():
     ]
 
 
-# ``_sink_sequences`` runs searches that are no flow: one per pass labels
-# the vertices from vertex 0 to fix the pass's order, and reaches no sink,
-# and one per query that marks tight vertices finds its maximal minimizer
-# ``M_t``, from the query's sinks, and must not reach the query's vertex.
-# ``test_work_pin`` counts them with the flows' searches.
-SEARCH_CALLERS = ("max_flow_min_cut", "KeptReaches.reach", "_sink_sequences")
+# ``_passes`` and ``_sink_sequences`` run searches that are no flow: the
+# set-up ``_passes`` runs one per pass of an orientation it has not kept,
+# which labels the vertices from vertex 0 to fix the pass's order and
+# reaches no sink, and ``_sink_sequences`` one per query that marks tight
+# vertices, which finds its maximal minimizer ``M_t`` from the query's
+# sinks and must not reach the query's vertex.  ``test_work_pin`` counts
+# them with the flows' searches.
+SEARCH_CALLERS = ("max_flow_min_cut", "KeptReaches.reach", "_passes", "_sink_sequences")
 
 
 def stray_searches(tree, in_separator):
@@ -293,8 +297,8 @@ def stray_searches(tree, in_separator):
     itself).  Every augmenting search must run inside a
     ``max_flow_min_cut`` call, so that a patch of that global (perfbench's
     tracer, the counting tests) sees every flow; ``KeptReaches.reach`` runs
-    one search and no flow, and ``_sink_sequences`` one per pass that fixes
-    the pass's order and one per ``M_t`` it finds."""
+    one search and no flow, ``_passes`` one per pass that fixes the pass's
+    order, and ``_sink_sequences`` one per ``M_t`` it finds."""
     found = []
     modules = {"separator"}  # the names bound to a separator module
     for node in ast.walk(tree):
@@ -424,28 +428,54 @@ def test_the_verifier_reads_no_degree_bound():
 
 
 def test_the_degree_bound_scan_sees_the_solver():
-    assert read_names(separator.hyperarc_connectivity.__code__, SOLVER_BOUND) == ["_degree_bound"]
+    assert read_names(separator._passes.__code__, SOLVER_BOUND) == ["_degree_bound"]
     assert read_names(augment.augment_to.__code__, SOLVER_BOUND) == ["hyperarc_connectivity"]
     nested = compile("def f(h, os):\n    return min(separator._degree_bound(h, o) for o in os)\n", "<scan>", "exec")
     assert read_names(nested, SOLVER_BOUND) == ["_degree_bound"]
 
 
-def degree_bound_readers(tree):
-    """The functions of a module whose code names ``_degree_bound``, bare or
-    as an attribute, nested code included."""
+def readers(tree, name="_degree_bound"):
+    """The functions of a module whose code names ``name``, bare or as an
+    attribute, nested code included."""
     return sorted(
         f.name
         for f in ast.walk(tree)
         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(getattr(node, "id", getattr(node, "attr", None)) == "_degree_bound" for node in ast.walk(f))
+        and any(getattr(node, "id", getattr(node, "attr", None)) == name for node in ast.walk(f))
+    )
+
+
+def uncapped_runs(tree):
+    """The functions of a module that call ``_sink_sequences`` with the
+    cap ``None``, the start at the bound."""
+    return sorted(
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_sink_sequences"
+            and len(node.args) > 2
+            and isinstance(node.args[2], ast.Constant)
+            and node.args[2].value is None
+            for node in ast.walk(f)
+        )
     )
 
 
 def test_only_the_uncapped_entries_read_the_degree_bound():
     """``connectivity`` runs from the cap its caller passes, so the bound
-    is the start of the two entries that take no cap."""
-    readers = {(path.name, f) for path in SOURCES for f in degree_bound_readers(ast.parse(path.read_text()))}
-    assert readers == {("separator.py", "hyperarc_connectivity"), ("separator.py", "tight_reaches")}
+    is the start of the two entries that take no cap.  The one set-up
+    ``_passes`` reads it, for ``_sink_sequences`` alone, which asks for it
+    when its cap is ``None``, and only those two entries pass that."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+
+    def found(scan, *args):
+        return {(name, f) for name, tree in trees.items() for f in scan(tree, *args)}
+
+    assert found(readers) == {("separator.py", "_passes")}
+    assert found(readers, "_passes") == {("separator.py", "_sink_sequences")}
+    assert found(uncapped_runs) == {("separator.py", "hyperarc_connectivity"), ("separator.py", "tight_reaches")}
 
 
 def test_the_degree_bound_reader_scan_sees_each_form():
@@ -453,8 +483,12 @@ def test_the_degree_bound_reader_scan_sees_each_form():
         "def f(h, o):\n    return _degree_bound(h, o)\n"
         "def g(h, os):\n    return [separator._degree_bound(h, o) for o in os]\n"
         "def k(h, o):\n    return connectivity(h, o, h.m + 1)\n"
+        "def u(h, o):\n    return _sink_sequences(h, o, None, False)\n"
+        "def v(h, o):\n    return separator._sink_sequences(h, o, None, True)\n"
+        "def w(h, o, cap):\n    return _sink_sequences(h, o, cap, False)\n"
     )
-    assert degree_bound_readers(tree) == ["f", "g"]
+    assert readers(tree) == ["f", "g"]
+    assert uncapped_runs(tree) == ["u", "v"]
 
 
 def level_loop_uses(tree, in_augment):

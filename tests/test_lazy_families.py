@@ -146,7 +146,8 @@ class TestEqualityAndHash:
         is one search on its first read and none after.  Each
         ``r_family`` candidate is a read of one q entry, at the member's
         smallest vertex: one search when the entry is unset, and none when
-        the descent has set it already."""
+        the descent has set it already.  Every entry that no tight set
+        holds is the sequence's one full set, not a new one per read."""
         from hyperorient import separator
 
         h = gen_instance(GenSpec(n=40, k=3, extra_edges=20, max_edge_size=4, seed=1))
@@ -180,6 +181,8 @@ class TestEqualityAndHash:
         assert during < after <= during + 2 * (h.n - 1)
         assert fam == ref and len(searches) == after
         assert (fam.q_minus._reaches, fam.q_plus._reaches) == (None, None)  # every entry set: snapshot let go
+        fulls = [[x for x in q if x.is_full] for q in (fam.q_minus, fam.q_plus)]
+        assert sum(map(len, fulls)) > 2 and all(len({id(x) for x in full}) <= 1 for full in fulls)  # one per sequence
 
     def test_threads_reading_one_sequence_agree(self):
         """Threads that fill the entries of one sequence at once, in one

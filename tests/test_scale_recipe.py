@@ -3,11 +3,14 @@ from scale_recipe import COUNTS, main, recipe
 
 def test_a_small_recipe_verifies_and_repeats_its_counts():
     """At n=16 the recipe's trace verifies (``recipe`` stops on one that
-    does not), each phase counts some work, and a second run gives the
-    same counts and the same trace digest; only the times may differ."""
+    does not), each phase (``augment_to``, ``verify_trace`` and the
+    connectivity-then-families query) counts some work, and a second run
+    gives the same counts and the same trace digest; only the times may
+    differ."""
     first, second = recipe(16), recipe(16)
     assert (first["n"], first["m"]) == (16, 56) and first["steps"] > 0
-    assert all(first[name] > 0 and first[f"verify_{name}"] > 0 for name in COUNTS)
+    assert all(first[f"{phase}{name}"] > 0 for phase in ("", "verify_", "query_") for name in COUNTS)
+    assert all(first[f"{phase}_s"] >= 0 for phase in ("augment", "verify", "query"))
     assert len(first["sha256"]) == 64
     untimed = [{key: value for key, value in row.items() if not key.endswith("_s")} for row in (first, second)]
     assert untimed[0] == untimed[1]

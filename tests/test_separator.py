@@ -454,6 +454,7 @@ class TestSinkSequence:
             return original(g, sources, sinks, limit=limit, residual=residual, forward=forward)
 
         monkeypatch.setattr(separator, "max_flow_min_cut", recorded)
+        assert connectivity(h, o, 1) == 1 and calls == []  # a cap of 1 runs no query
         connectivity(h, o, h.m + 1)
         assert len(calls) == 2 * (h.n - 1)
         for half, forward in ((calls[: h.n - 1], False), (calls[h.n - 1 :], True)):
@@ -465,18 +466,20 @@ class TestSinkSequence:
             assert {direction for *_, direction in half} == {forward}
 
     def test_each_pass_runs_in_the_order_of_one_search_from_vertex_0(self, monkeypatch):
-        """In each pass of ``tight_reaches`` the query sources are the
-        vertices after 0 in the pass's order: what one search from vertex
-        0 labels, run against the pass's direction, then the vertices it
-        misses in index order.  Each query's sinks are exactly the
-        vertices before its source, and each search that finds a query's
-        maximal minimizer runs from those same vertices, in that order,
-        against the pass's direction, with the source as its only sink.
-        On a pass whose order search labels every vertex no query reads 0.
-        The search misses vertices only at a connectivity of 0; such
-        instances occur here, and on them ``connectivity``,
-        ``tight_reaches`` and ``compute_families`` equal the oracles.  A
-        ``connectivity`` whose first search misses a vertex runs no flow."""
+        """``tight_reaches`` first runs the two order searches, one per
+        pass: from vertex 0, on the orientation's heads, against the pass's
+        direction.  In each pass the query sources are the vertices after 0
+        in the pass's order: what its search labels, then the vertices it
+        misses in index order.  Each query's sinks are exactly the vertices
+        before its source, and each search that finds a query's maximal
+        minimizer runs from those same vertices, in that order, against
+        the pass's direction, with the source as its only sink.  When both
+        order searches label every vertex no query reads 0, and
+        ``connectivity`` capped at 1 runs no query.  A search misses
+        vertices only at a connectivity of 0; such instances occur here,
+        and on them ``connectivity``, ``tight_reaches`` and
+        ``compute_families`` equal the oracles, and ``connectivity`` on
+        the same orientation runs no flow and no search."""
         from hyperorient import bf_families, compute_families
         from corpus import search_labels
 
@@ -500,19 +503,21 @@ class TestSinkSequence:
 
         monkeypatch.setattr(separator, "max_flow_min_cut", recorded_flow)
         monkeypatch.setattr(separator, "_search", recorded_search)
-        maximal = missed = ended = full = 0
+        maximal = missed = full = 0
         for h, o in random_instances(36, 300, n_max=7, m_max=9, size_max=4):
             calls.clear()
             k = separator.tight_reaches(h, o)[0]
+            complete = all(len(search_labels(h, o, forward)) == h.n for forward in (False, True))
+            for forward, call in zip((False, True), calls):
+                assert call[:5] == ("search", [0], [], not forward, o.heads)
             passes = []
-            for call in calls:  # each pass keeps one heads list; each root-pair flow has its own
+            for call in calls[2:]:  # each pass keeps one heads list; each root-pair flow has its own
                 if passes and call[4] is passes[-1][0][4]:
                     passes[-1].append(call)
                 else:
                     passes.append([call])
             for run, forward in zip(passes, (False, True)):
                 order = pass_order(h, o, forward)
-                assert run[0][:4] == ("search", [0], [], not forward)
                 queries = [call for call in run if call[0] == "flow"]
                 assert [call[1:3] for call in queries] == [([t], sorted(order[:i])) for i, t in enumerate(order) if i]
                 assert {call[3] for call in queries} == {forward}
@@ -521,18 +526,150 @@ class TestSinkSequence:
                         t = query[1][0]
                         assert mt[1:4] == (order[: order.index(t)], [t], not forward)
                         maximal += 1
-                if run[0][5] == h.n:
+                if complete:
                     assert all(call[5] > 0 for call in queries)
                     full += 1
-            if any(len(search_labels(h, o, forward)) < h.n for forward in (False, True)):
+            calls.clear()
+            if not complete:
                 missed += 1
-                calls.clear()
                 assert k == connectivity(h, o, h.m + 1) == bf_lambda(h, o) == 0
-                if len(search_labels(h, o, True)) < h.n:  # the first pass's search ends the run
-                    assert [call[0] for call in calls] == ["search"]
-                    ended += 1
+                assert calls == []
                 assert compute_families(h, o) == bf_families(h, o)
-        assert maximal > 100 and missed > 20 and ended > 10 and full > 100
+            else:
+                assert connectivity(h, o, 1) == 1 and calls == []
+        assert maximal > 100 and missed > 20 and full > 100
+
+
+def order_searches(monkeypatch):
+    """Patch ``separator._search`` to record the order searches, the only
+    searches with no sink, as ``(roots, forward)``."""
+    found, search = [], separator._search
+
+    def recorded(g, heads, roots, is_sink, forward):
+        if not any(is_sink):
+            found.append((list(roots), forward))
+        return search(g, heads, roots, is_sink, forward)
+
+    monkeypatch.setattr(separator, "_search", recorded)
+    monkeypatch.setattr(separator, "_passes_memo", None)
+    return found
+
+
+class TestPassSlot:
+    def test_connectivity_then_families_runs_two_order_searches(self, monkeypatch):
+        """``hyperarc_connectivity`` then ``compute_families`` on one
+        orientation runs the two order searches once, and a second call
+        runs none.  An equal orientation that is another object runs them
+        again, and so does the first one once the slot has moved on."""
+        from hyperorient import compute_families
+        from corpus import benchmark_like_orientations
+
+        h, (o,) = benchmark_like_orientations(0, 1, n=16)
+        found = order_searches(monkeypatch)
+        k = hyperarc_connectivity(h, o)
+        assert k >= 1 and compute_families(h, o).k == k
+        assert found == [([0], True), ([0], False)]
+        assert hyperarc_connectivity(h, o) == connectivity(h, o, h.m + 1) == k and len(found) == 2
+        twin = Orientation(h, o.heads)
+        assert twin == o and twin is not o
+        assert compute_families(h, twin).k == k and len(found) == 4
+        assert hyperarc_connectivity(h, o) == k and len(found) == 6
+
+    def test_threads_alternating_orientations_get_the_serial_answers(self):
+        """Four threads, more than the cores, each alternating between
+        orientations whose starts, order searches and connectivities
+        differ (one of connectivity 0 whose search misses a vertex), read
+        and replace the one slot between each other's calls, and get the
+        serial answers."""
+        import sys
+        import threading
+
+        from hyperorient import compute_families
+        from corpus import benchmark_like_orientations
+
+        h, states = benchmark_like_orientations(7, 6, n=16)
+        zero = Orientation(h, tuple(min(edge) for edge in h.edges))  # nothing is headed at the last vertex
+        states.append(zero)
+
+        def answers(o):
+            return hyperarc_connectivity(h, o), connectivity(h, o, 1), connectivity(h, o, 2), compute_families(h, o)
+
+        serial = [answers(o) for o in states]
+        assert serial[-1][:3] == (0, 0, 0) and {a[0] for a in serial} >= {0, 1}
+        got, errors = {}, []
+
+        def work(i):
+            try:
+                got[i] = [[answers(o) for o in states[i % 2 :] + states[: i % 2]] for _ in range(3)]
+            except Exception as error:  # reported below, with the thread
+                errors.append((i, error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for i, rounds in got.items():
+            assert all(run == serial[i % 2 :] + serial[: i % 2] for run in rounds), i
+
+    def test_a_cap_of_1_is_the_order_searches(self, monkeypatch):
+        """``connectivity(h, o, 1)``, and ``hyperarc_connectivity`` where
+        the degree bound is at most 1, run no flow, and equal
+        ``min(bf_lambda, 1)``, the connectivity itself in the second case;
+        a cap of 2 still runs queries and equals ``min(bf_lambda, 2)``.
+        Random instances have connectivity 1 often but seldom 0 above a
+        bound of 1, where an order search misses a vertex, so
+        :func:`split_in_two` adds such instances, vertex 0 on either
+        side."""
+        flows, flow = [], separator.max_flow_min_cut
+
+        def counted(*args, **kwargs):
+            flows.append(args[1])
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(separator, "max_flow_min_cut", counted)
+        rng, missed, bounded, one = random.Random(38), 0, 0, 0
+        split = [split_in_two(rng) for _ in range(60)]
+        for h, o in random_instances(38, 300, n_max=7, m_max=9, size_max=4) + split:
+            lam = bf_lambda(h, o)
+            assert connectivity(h, o, 1) == min(lam, 1)
+            if separator._degree_bound(h, o) <= 1:
+                assert hyperarc_connectivity(h, o) == lam
+                bounded += 1
+            assert flows == []
+            assert connectivity(h, o, 2) == min(lam, 2)
+            missed += lam == 0 and separator._degree_bound(h, o) >= 1
+            one += lam == 1
+            flows.clear()
+        assert missed > 60 and bounded > 100 and one > 40
+
+
+def split_in_two(rng):
+    """A random directed hypergraph of connectivity 0 and degree bound at
+    least 1: its vertices, shuffled, fall into two blocks, each a directed
+    cycle, so every vertex has a hyperarc in and one out, and each extra
+    edge that meets the second block is headed there, so none leaves it."""
+    n = rng.randint(4, 9)
+    vertices = rng.sample(range(n), n)
+    first, second = vertices[: rng.randint(2, n - 2)], set(vertices)
+    second -= set(first)
+    edges, heads = [], []
+    for block in (first, sorted(second)):
+        for i, v in enumerate(block):
+            edges.append((block[i - 1], v))
+            heads.append(v)
+    for _ in range(rng.randint(1, 4)):
+        edge = rng.sample(range(n), rng.randint(2, 4))
+        edges.append(edge)
+        heads.append(rng.choice([v for v in edge if v in second] or edge))
+    h = hypergraph(n, edges)
+    return h, Orientation(h, tuple(heads))
 
 
 def walk_step(rng, h, o, cap):
