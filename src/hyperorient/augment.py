@@ -50,6 +50,7 @@ in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Callable, Optional
 
 from . import separator
@@ -154,7 +155,7 @@ def _least_one_vertex_degree(held: list[int], into: list[int]) -> int:
     on the connectivity, from :func:`_held` and ``into[v]``, the edges
     headed at each ``v``: those enter ``{v}``, and the other
     ``held[v] - into[v]`` edges at ``v`` leave it."""
-    return min(min(d, held[v] - d) for v, d in enumerate(into))
+    return min(min(into), min(map(sub, held, into)))
 
 
 def _reject_low_degree(h: Hypergraph, target: int) -> None:

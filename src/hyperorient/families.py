@@ -55,9 +55,11 @@ out-set ``X`` containing ``u`` with ``S - X`` nonempty has an out-tight
 subset avoiding ``u``.  Reorienting a path leaving a safe source cannot push
 any out-degree below ``k``.  Safe sinks mirror this with in-degrees.  The
 tight half is one subset test against ``q_plus[u]`` (``q_minus[u]`` for a
-sink); only the dangerous half asks one capped
-:func:`~hyperorient.separator.min_separator` query per other vertex of
-``S``, on the test's side.
+sink).  The dangerous half runs no flow for a one-vertex ``S``.
+Otherwise it runs capped :func:`~hyperorient.separator.min_separator`
+flows on the test's side: one from ``u`` into the root when no tight set
+holds ``u``, the usual case, and one per other vertex of ``S`` when one
+does (the proof is in :func:`_safe_endpoint`).
 """
 
 from __future__ import annotations
@@ -386,15 +388,34 @@ def _safe_endpoint(
     there is none) lies in each.  So every one strictly contains the member
     set exactly when ``q[u]`` does.
 
-    For the dangerous half each other ``v`` of the member set gives the
-    minimal minimum-degree separator around ``u`` avoiding ``v`` and the
-    root.  Once the tight half holds, no tight set holds ``u`` and misses
-    ``v``, so a value of ``k`` or less raises :class:`InvariantViolation`;
-    at ``k + 1`` the separator is dangerous, and ``u`` is unsafe unless it
-    has a tight subset avoiding ``u``.  ``inner``, the separator without
-    ``u``, misses the root, because the separator avoids ``{v, fam.r}``.  A
-    full q set holds the root, so it is never inside ``inner``, and the
-    test needs no separate check that ``q_sets[w]`` is proper.
+    The dangerous half asks whether some dangerous set ``X`` holding ``u``
+    misses a vertex of the member set and holds no tight set that avoids
+    ``u``.  A member set ``{u}`` has no vertex for ``X`` to miss, so ``u``
+    is safe with no flow.  A tight set inside ``X - u`` holds the least
+    tight set ``q[w]`` of each of its vertices ``w``, and a full q set
+    holds the root, which ``X`` avoids, so the test is whether some
+    ``q[w]`` with ``w`` in ``X - u`` lies in ``X - u``.
+
+    When ``q[u]`` is full, no tight set holds ``u``, so every set holding
+    ``u`` and avoiding the root has degree ``k + 1`` at least, and one flow
+    from ``u`` into the root, capped at ``k + 2``, decides the test.  At
+    ``k + 2`` no dangerous set holds ``u``, so ``u`` is safe.  At ``k + 1``
+    the dangerous sets holding ``u`` are the minimum ``u``-root cuts, so
+    each holds the minimal one, ``R``.  If ``R`` holds the member set, so
+    does every such set, and ``u`` is safe.  Otherwise ``R`` is a
+    dangerous set that misses a vertex of the member set, and every other
+    one holds ``R`` and so each tight set inside ``R - u``: ``u`` is safe
+    exactly when such a set exists.
+
+    When ``q[u]`` is proper, the flow avoids each other ``v`` of the member
+    set in turn as well as the root.  Once the tight half holds, no tight
+    set holds ``u`` and misses ``v``, so the value is ``k + 1`` at least.
+    At ``k + 1`` the minimal cut misses ``v``, every dangerous set holding
+    ``u`` and missing ``v`` holds it, and ``u`` is unsafe unless a tight
+    set lies inside it without ``u``.
+
+    Either way a value of ``k`` or less is a tight set that the q set
+    missed, and raises :class:`InvariantViolation`.
     """
     _as_instance("fam", fam, CutFamilies)
     members, name, q_sets = (fam.m_minus, "m_minus", fam.q_plus) if side == "out" else (fam.m_plus, "m_plus", fam.q_minus)
@@ -404,19 +425,19 @@ def _safe_endpoint(
         raise PreconditionError(f"vertex {u} is not in the set")
     if member_set.is_full:
         return u == fam.r
-    if not member_set < q_sets[u]:
+    q = q_sets[u]
+    if not member_set < q:
         return False
-    for v in member_set:
-        if v == u:
-            continue
-        avoid = VertexSet(h.n, (v, fam.r))
+    if len(member_set) == 1:
+        return True
+    root = VertexSet.singleton(h.n, fam.r)
+    for avoid in [root] if q.is_full else (root.add(v) for v in member_set if v != u):
         value, sep = min_separator(h, o, VertexSet.singleton(h.n, u), avoid, side, limit=fam.k + 2)
         if value <= fam.k:
             raise InvariantViolation(
-                f"a set around {u} avoiding {v} has {side}-degree {value}, "
-                f"but the minimal tight set {q_sets[u]} of {u} holds {v}"
+                f"a set around {u} avoiding {avoid} has {side}-degree {value}, but the q set of {u} is {q}"
             )
-        if value == fam.k + 1:
+        if value == fam.k + 1 and not member_set <= sep:
             inner = sep.remove(u)
             if not any(q_sets[w] <= inner for w in inner):
                 return False

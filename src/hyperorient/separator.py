@@ -154,11 +154,13 @@ def network(h: Hypergraph) -> IncidenceDigraph:
     immutable, so its identity cannot pass to another hypergraph while the
     slot keeps it.  An equal hypergraph has the same incidences, so it
     reuses the slot too: flows run on a query's ``h``, the path search on
-    its orientation's, and the two may be equal copies."""
+    its orientation's, and the two may be equal copies.  The slot is then
+    keyed to that ``h``, so the next call with it compares nothing."""
     global _memo
     memo = _memo
-    if memo is None or memo[0] is not h and memo[0] != h:
-        _memo = memo = (h, incidence_digraph(h))  # the module global, so a patched builder counts it
+    if memo is None or memo[0] is not h:
+        g = memo[1] if memo is not None and memo[0] == h else incidence_digraph(h)  # the global, so a patch counts it
+        _memo = memo = (h, g)
     return memo[1]
 
 

@@ -228,7 +228,9 @@ def format_trace(trace: ReorientationTrace) -> str:
     :class:`~hyperorient.augment.ReorientationTrace` from an
     :class:`~hyperorient.core.Orientation`, ``steps`` that are not a tuple
     of :class:`~hyperorient.augment.ReorientationStep`, and a field that
-    is not an ``int``, which :func:`parse_trace` would reject."""
+    is not an ``int``, which :func:`parse_trace` would reject.  So every
+    field is a plain ``int``, and a step line written as text is the one
+    ``json.dumps`` would write."""
     _as_well_formed(trace)
     lines = [
         json.dumps(
@@ -240,18 +242,11 @@ def format_trace(trace: ReorientationTrace) -> str:
             }
         )
     ]
-    for i, step in enumerate(trace.steps, start=1):
-        lines.append(
-            json.dumps(
-                {
-                    "step": i,
-                    "edge": step.edge,
-                    "old_head": step.old_head,
-                    "new_head": step.new_head,
-                    "lambda": step.lambda_after,
-                }
-            )
-        )
+    lines += (
+        f'{{"step": {i}, "edge": {step.edge}, "old_head": {step.old_head}, '
+        f'"new_head": {step.new_head}, "lambda": {step.lambda_after}}}'
+        for i, step in enumerate(trace.steps, start=1)
+    )
     lines.append(json.dumps({"lambda_final": trace.lambda_final, "steps": len(trace.steps)}))
     return "\n".join(lines) + "\n"
 

@@ -11,6 +11,12 @@ lemma that ``compute_families`` reads its candidates from the q sets by,
 nor on the kept residuals.  ``compute_families`` computes the q sets on
 read and finds the minimal families by an early-exit descent; it must
 return equal families on every input.
+
+``per_v_safe_endpoint`` is the reference for the safe tests: the dangerous
+half is one ``min_separator`` query per other vertex ``v`` of the member
+set, from ``u`` into ``{v, 0}`` capped at ``k + 2``, whatever ``q[u]`` is,
+where ``is_safe_source`` / ``is_safe_sink`` run one query into ``{0}``
+when no tight set holds ``u``.  The two must agree on every test.
 """
 
 from __future__ import annotations
@@ -57,3 +63,24 @@ def eager_families(h, o, check=None):
         q_minus=tuple(qm),
         q_plus=tuple(qp),
     )
+
+
+def per_v_safe_endpoint(h, o, fam, member_set, u, side):
+    """Whether ``u`` is a safe source (``side='out'``, ``member_set`` in
+    ``fam.m_minus``) or a safe sink (``side='in'``, in ``fam.m_plus``),
+    with one capped separator per other vertex of ``member_set``."""
+    q = fam.q_plus if side == "out" else fam.q_minus
+    if member_set.is_full:
+        return u == ROOT
+    if not member_set < q[u]:
+        return False
+    for v in member_set:
+        if v == u:
+            continue
+        value, sep = min_separator(h, o, VertexSet.singleton(h.n, u), VertexSet(h.n, (v, ROOT)), side, limit=fam.k + 2)
+        assert value > fam.k, (side, u, v, value)
+        if value == fam.k + 1:
+            inner = sep.remove(u)
+            if not any(q[w] <= inner for w in inner):
+                return False
+    return True

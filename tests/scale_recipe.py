@@ -12,7 +12,9 @@ Each row holds ``m``, the trace's steps, then for ``augment_to``, for
 ``verify_trace`` and for ``query`` in turn: the wall time in seconds,
 the flows (one ``separator.max_flow_min_cut`` call each), the units they
 push, the residual searches (one ``separator._search`` call each) and the
-vertices those searches label.  ``query`` is ``hyperarc_connectivity``
+vertices those searches label; ``augment_to``'s row then holds
+``safe_flows``, the flows its safe-source and safe-sink tests run (under
+``families._safe_endpoint``).  ``query`` is ``hyperarc_connectivity``
 then ``compute_families`` on the initial orientation, the two questions
 the ``query-families`` benchmark asks of each orientation, run first on
 an orientation object of its own, so that it finds no set-up kept and
@@ -36,6 +38,7 @@ from hyperorient import (
     GenSpec,
     augment_to,
     compute_families,
+    families,
     format_trace,
     gen_instance,
     gen_orientation,
@@ -49,16 +52,25 @@ COUNTS = ("flows", "units", "searches", "labelled")
 
 
 def counted(call, *args) -> tuple[object, float, Counter]:
-    """``call(*args)`` with every flow and residual search counted:
-    ``(result, wall seconds, counts)``."""
+    """``call(*args)`` with every flow and residual search counted, and
+    the flows run inside a safe test: ``(result, wall seconds, counts)``."""
     counts = Counter()
-    flow, search = separator.max_flow_min_cut, separator._search
+    flow, search, safe = separator.max_flow_min_cut, separator._search, families._safe_endpoint
+    safe_depth = [0]
 
     def counted_flow(g, sources, sinks, limit=None, *, residual, forward=True):
         value, reach = flow(g, sources, sinks, limit, residual=residual, forward=forward)
         counts["flows"] += 1
         counts["units"] += value
+        counts["safe_flows"] += safe_depth[0] > 0
         return value, reach
+
+    def counted_safe(*args):
+        safe_depth[0] += 1
+        try:
+            return safe(*args)
+        finally:
+            safe_depth[0] -= 1
 
     def counted_search(g, heads, roots, is_sink, forward):
         parent, labelled, hit = search(g, heads, roots, is_sink, forward)
@@ -66,13 +78,13 @@ def counted(call, *args) -> tuple[object, float, Counter]:
         counts["labelled"] += len(labelled)
         return parent, labelled, hit
 
-    separator.max_flow_min_cut, separator._search = counted_flow, counted_search
+    separator.max_flow_min_cut, separator._search, families._safe_endpoint = counted_flow, counted_search, counted_safe
     try:
         start = time.perf_counter()
         result = call(*args)
         return result, time.perf_counter() - start, counts
     finally:
-        separator.max_flow_min_cut, separator._search = flow, search
+        separator.max_flow_min_cut, separator._search, families._safe_endpoint = flow, search, safe
 
 
 def query(h, o) -> int:
@@ -94,6 +106,7 @@ def recipe(n: int) -> dict:
         raise SystemExit(f"n={n}: verify_trace refused the recipe's trace: {report}")
     row = {"n": n, "m": h.m, "steps": len(trace.steps), "augment_s": round(augment_s, 3)}
     row.update((name, work[name]) for name in COUNTS)
+    row["safe_flows"] = work["safe_flows"]
     row["verify_s"] = round(verify_s, 3)
     row.update((f"verify_{name}", check[name]) for name in COUNTS)
     row["query_s"] = round(query_s, 3)

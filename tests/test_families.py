@@ -1,5 +1,7 @@
+import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
 
@@ -44,7 +46,7 @@ from hyperorient import families
 from hyperorient.families import QSets
 from hyperorient.separator import IncrementalConnectivity
 from corpus import random_instances, vs
-from eager_families import eager_families
+from eager_families import eager_families, per_v_safe_endpoint
 from nx_families import nx_q_sets, nx_safe_endpoint
 
 
@@ -440,33 +442,132 @@ def tight_half_failures(seed, count):
                     yield h, o, fam, side, member, u
 
 
+def safe_tests(h, o, fam):
+    """``(side, member, u)`` for every vertex ``u`` of every member of
+    ``m_minus`` (``side='out'``) and ``m_plus`` (``side='in'``)."""
+    for side, members in (("out", fam.m_minus), ("in", fam.m_plus)):
+        for member in members:
+            for u in member:
+                yield side, member, u
+
+
+def augment_safe_tests(count):
+    """``(h, o, fam, side, member, u)`` for the safe tests of every path's
+    families in ``augment_to`` runs from min-head starts on ``count``
+    generated instances, n = 3..9 and targets 1..3."""
+    for seed in range(count):
+        n, k = 3 + seed % 7, 1 + seed % 3
+        h = gen_instance(GenSpec(n=n, k=k, extra_edges=seed % 5, max_edge_size=min(4, n), seed=seed))
+        events = []
+        augment_to(h, gen_orientation(h, mode="min-head"), k, observer=events.append)
+        for event in events:
+            o, fam = event.orientation, event.families
+            for side, member, u in safe_tests(h, o, fam):
+                yield h, o, fam, side, member, u
+
+
+def random_safe_tests(seed, count):
+    """``(h, o, fam, side, member, u)`` for the safe tests of ``count``
+    random instances with n <= 7, where a minimal cut that holds the whole
+    member, with no q set inside it, is less rare than on an augmentation's
+    paths."""
+    for h, o in random_instances(seed, count, n_max=7, m_max=9, size_max=4):
+        fam = compute_families(h, o)
+        for side, member, u in safe_tests(h, o, fam):
+            yield h, o, fam, side, member, u
+
+
+def safe_branch(h, o, fam, side, member, u):
+    """Which part of the safe test decides it: ``"full"`` or ``"tight"``
+    (no flow), ``"singleton"`` (a member ``{u}``, no flow), ``"proper"``
+    (``q[u]`` proper, one flow per other vertex) or, when ``q[u]`` is full,
+    what the one flow from ``u`` into the root shows: ``"k+2"``,
+    ``"holds"`` (its minimal cut holds the member, and no q set lies in the
+    cut without ``u``, so only the first decides) or ``"cut"``."""
+    q_sets = fam.q_plus if side == "out" else fam.q_minus
+    q = q_sets[u]
+    if member.is_full or not member < q:
+        return "full" if member.is_full else "tight"
+    if len(member) == 1 or not q.is_full:
+        return "singleton" if len(member) == 1 else "proper"
+    value, sep = min_separator(h, o, vs(h.n, [u]), vs(h.n, [0]), side, limit=fam.k + 2)
+    if value == fam.k + 2:
+        return "k+2"
+    inner = sep.remove(u)
+    return "holds" if member <= sep and not any(q_sets[w] <= inner for w in inner) else "cut"
+
+
 class TestSafeEndpoints:
     def test_matches_brute_force_everywhere(self):
-        for h, o in random_instances(31337, 120, n_max=5, m_max=6):
+        """Every safe test on 400 random instances equals the brute-force
+        oracle's, and between them they reach each part of the test."""
+        seen = set()
+        for h, o in random_instances(31337, 400, n_max=5, m_max=6):
             fam = compute_families(h, o)
-            for s_set in fam.m_minus:
-                for u in s_set:
-                    assert is_safe_source(h, o, fam, s_set, u) == bf_safe_source(
-                        h, o, fam, s_set, u
-                    )
-            for t_set in fam.m_plus:
-                for u in t_set:
-                    assert is_safe_sink(h, o, fam, t_set, u) == bf_safe_sink(
-                        h, o, fam, t_set, u
-                    )
+            for side, member, u in safe_tests(h, o, fam):
+                is_safe, bf_safe = (is_safe_source, bf_safe_source) if side == "out" else (is_safe_sink, bf_safe_sink)
+                got = is_safe(h, o, fam, member, u)
+                assert got == bf_safe(h, o, fam, member, u), (side, member, u)
+                seen.add((safe_branch(h, o, fam, side, member, u), got))
+        assert {("singleton", True), ("k+2", True), ("holds", True), ("cut", True), ("cut", False)} <= seen
+
+    def test_matches_the_per_vertex_reference(self):
+        """On the safe tests of 600 augmentations and 1,000 random
+        instances, the one flow into the root gives the answer of one flow
+        per other vertex of the member, on every part of the test and with
+        both answers where it can."""
+        seen = Counter()
+        for h, o, fam, side, member, u in itertools.chain(augment_safe_tests(600), random_safe_tests(5, 1000)):
+            is_safe = is_safe_source if side == "out" else is_safe_sink
+            got = is_safe(h, o, fam, member, u)
+            assert got == per_v_safe_endpoint(h, o, fam, member, u, side), (h, o.heads, side, member, u)
+            seen[safe_branch(h, o, fam, side, member, u), got] += 1
+        parts = ("singleton", True), ("k+2", True), ("holds", True), ("cut", True), ("cut", False)
+        assert all(seen[part] for part in parts + (("proper", True), ("proper", False)))
+        assert sum(seen[part] for part in parts) >= 5000
+
+    def test_a_singleton_runs_no_flow_and_a_full_q_set_one(self, monkeypatch):
+        """A member ``{u}`` is decided with no flow, a full ``q[u]`` with one
+        flow from ``u`` into the root, capped at ``k + 2``, and a proper
+        ``q[u]`` with at most one per other vertex of the member."""
+        flows = []
+        real = separator.max_flow_min_cut
+
+        def counted(g, sources, sinks, limit=None, **kwargs):
+            flows.append((tuple(sources), tuple(v for v, t in enumerate(sinks) if t), limit))
+            return real(g, sources, sinks, limit, **kwargs)
+
+        seen = Counter()
+        for h, o, fam, side, member, u in itertools.chain(augment_safe_tests(200), random_safe_tests(5, 300)):
+            part = safe_branch(h, o, fam, side, member, u)
+            is_safe = is_safe_source if side == "out" else is_safe_sink
+            flows.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(separator, "max_flow_min_cut", counted)
+                is_safe(h, o, fam, member, u)
+            if part in ("full", "tight", "singleton"):
+                assert flows == [], (part, side, member, u)
+            elif part == "proper":
+                assert 1 <= len(flows) <= len(member) - 1 and all(f[0] == (u,) for f in flows)
+            else:
+                assert flows == [((u,), (0,), fam.k + 2)], (part, side, member, u)
+            seen[part] += 1
+        assert all(seen[part] for part in ("singleton", "proper", "k+2", "holds", "cut"))
 
     def test_matches_networkx_above_the_oracle_bound(self):
         """The safe tests on every vertex of the endpoint sets of two paths
         of the n=64 scale recipe: the first whose source set holds more
         than one vertex but not all, and the last.  Between them they run
         the dangerous half on both sides, reach safe and unsafe vertices,
-        and test a singleton and the full set."""
+        and test a singleton and the full set.  With a full ``q[u]``, the
+        one flow into the root reaches ``k + 2``, or stops at ``k + 1``
+        with a cut that leaves ``u`` safe, or unsafe."""
         nx = pytest.importorskip("networkx")
         h = gen_instance(GenSpec(n=64, k=3, extra_edges=32, max_edge_size=4, seed=1))
         events = []
         augment_to(h, gen_orientation(h, mode="min-head"), 3, observer=events.append)
         first = next(e for e in events if 1 < len(e.result.s_set) < h.n)
-        answers = set()
+        answers, parts = set(), set()
         for event in (first, events[-1]):
             o, fam, res = event.orientation, event.families, event.result
             k, qm, qp = nx_q_sets(nx, h, o)
@@ -477,10 +578,12 @@ class TestSafeEndpoints:
                     got = is_safe(h, o, fam, member, u)
                     assert got == nx_safe_endpoint(nx, h, o, k, q, member, u, side), (event.level, side, u)
                     answers.add((side, len(member), got))
+                    parts.add((safe_branch(h, o, fam, side, member, u), got))
         sizes = {size for _, size, _ in answers}
         assert {1, h.n} <= sizes and {("out", True), ("out", False), ("in", True), ("in", False)} <= {
             (side, got) for side, size, got in answers if 1 < size < h.n
         }
+        assert {("k+2", True), ("cut", True), ("cut", False)} <= parts
 
     def test_singleton_member_not_tight_other_way_is_safe(self):
         # doubled path arcs 1->0,1->0,2->1,2->1: m_minus = {{2}} and {2} has
@@ -520,25 +623,50 @@ class TestSafeEndpoints:
 
     def test_flows_cross_check_the_q_sets(self):
         """A q set widened to the full set passes the tight half, and the flow
-        around ``u`` avoiding ``v`` then finds the tight set it hid."""
+        from ``u`` into the root then finds the tight set it hid."""
         seen = 0
         for h, o, fam, side, member, u in tight_half_failures(5, 60):
             if len(member) != 2:
                 continue
-            (v,) = member.remove(u)
             name = "q_plus" if side == "out" else "q_minus"
             q_sets = list(getattr(fam, name))
             q_sets[u] = VertexSet.full(h.n)
             widened = replace(fam, **{name: tuple(q_sets)})
             is_safe = is_safe_source if side == "out" else is_safe_sink
             message = (
-                f"around {u} avoiding {v} has {side}-degree {fam.k}, "
-                f"but the minimal tight set {re.escape(str(q_sets[u]))} of {u} holds {v}"
+                f"a set around {u} avoiding {re.escape(str(vs(h.n, [0])))} has {side}-degree {fam.k}, "
+                f"but the q set of {u} is {re.escape(str(q_sets[u]))}"
             )
             with pytest.raises(InvariantViolation, match=message):
                 is_safe(h, o, widened, member, u)
             seen += 1
         assert seen >= 2
+
+    def test_flows_cross_check_a_proper_q_set(self):
+        """A tight set holds ``u`` and misses ``v``.  Made the member set
+        ``{u, v}``, with ``q[u]`` widened to every vertex but the root, a
+        proper set, it passes the tight half, and the flow around ``u``
+        avoiding ``v`` finds the tight set."""
+        seen = 0
+        for h, o in random_instances(11, 40, n_max=6, m_max=7):
+            fam = compute_families(h, o)
+            for side, members, name in (("out", "m_minus", "q_plus"), ("in", "m_plus", "q_minus")):
+                q_sets = list(getattr(fam, name))
+                pairs = [(u, v) for u in range(1, h.n) if not q_sets[u].is_full for v in range(1, h.n) if v not in q_sets[u]]
+                if h.n < 4 or not pairs:
+                    continue
+                u, v = pairs[0]
+                member, q_sets[u] = vs(h.n, [u, v]), VertexSet.full(h.n).remove(0)
+                widened = replace(fam, **{members: (member,), name: tuple(q_sets)})
+                is_safe = is_safe_source if side == "out" else is_safe_sink
+                message = (
+                    f"a set around {u} avoiding {re.escape(str(vs(h.n, [0, v])))} has {side}-degree {fam.k}, "
+                    f"but the q set of {u} is {re.escape(str(q_sets[u]))}"
+                )
+                with pytest.raises(InvariantViolation, match=f"^{message}$"):
+                    is_safe(h, o, widened, member, u)
+                seen += 1
+        assert seen >= 10
 
     def test_find_rejects_an_unknown_side(self):
         h, o = three_cycle()

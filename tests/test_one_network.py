@@ -104,6 +104,22 @@ def test_an_equal_copy_shares_the_build(monkeypatch):
     assert len(builds) == 1
 
 
+def test_an_equal_copy_takes_the_slot_with_one_compare(monkeypatch):
+    """An equal copy reuses the slot's network and becomes its key, so
+    asking for it again compares nothing, and the first hypergraph, asked
+    for again, is one compare and the same network."""
+    h = gen_instance(GenSpec(n=10, k=3, extra_edges=4, max_edge_size=4, seed=2))
+    copy = Hypergraph(h.n, tuple(h.edges))
+    compares = []
+    equal = Hypergraph.__eq__
+    monkeypatch.setattr(Hypergraph, "__eq__", lambda self, other: compares.append(other) or equal(self, other))
+    monkeypatch.setattr(separator, "_memo", None)
+    g = separator.network(h)
+    assert all(separator.network(copy) is g for _ in range(3))
+    assert separator._memo[0] is copy and len(compares) == 1
+    assert separator.network(h) is g and separator._memo[0] is h and len(compares) == 2
+
+
 def test_verify_reports_do_not_depend_on_the_slot(monkeypatch):
     other = gen_instance(GenSpec(n=7, k=2, seed=99))
     for seed in range(12):

@@ -48,16 +48,16 @@ PINNED = {
     "augment": {
         "builds": 8,
         "compares": 87,
-        "flow_calls": 3870,
-        "flow_units": 7563,
-        "labelled": 43555,
+        "flow_calls": 3664,
+        "flow_units": 6622,
+        "labelled": 35678,
         "safe_probes": 175,
-        "searches": 5075,
+        "searches": 4272,
     },
     "query": {"builds": 2, "compares": 1, "flow_calls": 630, "flow_units": 1321, "labelled": 8260, "searches": 678},
     "reorient": {
         "builds": 695,
-        "compares": 717,
+        "compares": 699,
         "flow_calls": 60639,
         "flow_units": 35366,
         "labelled": 147157,
